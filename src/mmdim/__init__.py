@@ -45,6 +45,7 @@ from .horseshoe import (
     ValidationReport,
     boustrophedon_legs,
     build_horseshoe,
+    canonical_assignment,
     square,
     subdivide,
     validate_horseshoe,

@@ -101,10 +101,10 @@ def validate(system_path: str):
         if isinstance(half, IdentitySystem):
             continue
         for block in half.blocks:
-            if block.horseshoe is None:
+            if not block.materialized:
                 continue
             blocks_seen += 1
-            report = validate_horseshoe(block.horseshoe)
+            report = validate_horseshoe(block.geometry())
             status = "ok" if report.passed else "FAILED"
             click.echo(
                 f"block k={block.k} (L={block.L}): "
@@ -225,6 +225,12 @@ def verify(system_path: str, tol: float, kmax: int, precision: int):
         click.echo(
             f"{name:<10}{target:>12.6g}{estimate_value:>14.6g}{diff:>12.3g}  "
             f"{'yes' if within else 'NO'}"
+        )
+    for name, limit_fit in (("liminf", fit.liminf_fit), ("limsup", fit.limsup_fit)):
+        click.echo(
+            f"{name} fit: residual {limit_fit.residual:.3g} over {limit_fit.points} tail points"
+            + (" (degenerate)" if limit_fit.degenerate else ""),
+            err=True,
         )
     click.echo(
         f"spanning-side estimates: liminf ~ {fit.upper_liminf_estimate:.6g}, "

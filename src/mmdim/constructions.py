@@ -15,7 +15,7 @@ through scale-2 homothety charts; everything outside is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
 
@@ -202,17 +202,45 @@ def enlarged_box(cube: Cube, margin_num=1, margin_den=10) -> Box:
     return Box(tuple(ivs))
 
 
+class UnmaterializedBlockError(RuntimeError):
+    pass
+
+
 @dataclass(frozen=True)
 class Block:
+    """One cube of a stacked system.
+
+    `materialized` says whether the block carries a horseshoe that may be
+    built (active, and L^(n-1) pieces within the geometry budget).  The
+    horseshoe itself is built by `geometry()` on first use and cached; the
+    cache takes no part in equality, hashing or repr.
+    """
+
     k: int
     cube: Cube
     L: int
     active: bool
-    horseshoe: HorseshoeMap | None
+    materialized: bool
+    _horseshoe: HorseshoeMap | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
-    def materialized(self) -> bool:
-        return self.horseshoe is not None
+    def horseshoe(self) -> HorseshoeMap | None:
+        """The horseshoe if `geometry()` has built it, else None; builds nothing."""
+        return self._horseshoe
+
+    def geometry(self) -> HorseshoeMap:
+        """The block's horseshoe, built on first use."""
+        if self._horseshoe is None:
+            if not self.active:
+                raise UnmaterializedBlockError(f"block {self.k} is inactive; it has no horseshoe")
+            if not self.materialized:
+                raise UnmaterializedBlockError(f"block {self.k} exceeds the geometry budget")
+            object.__setattr__(
+                self, "_horseshoe", build_horseshoe(self.cube, self.L, self.cube.dim)
+            )
+        return self._horseshoe
 
     @property
     def eps(self) -> Fraction:
@@ -221,10 +249,6 @@ class Block:
 
     def enlargement(self) -> Box:
         return enlarged_box(self.cube)
-
-
-class UnmaterializedBlockError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -250,11 +274,7 @@ class StackedSystem:
             if block.cube.contains(p):
                 if not block.active:
                     return p
-                if block.horseshoe is None:
-                    raise UnmaterializedBlockError(
-                        f"block {block.k} exceeds the geometry budget"
-                    )
-                return block.horseshoe.pamap.apply(p)
+                return block.geometry().pamap.apply(p)
         return p
 
 
@@ -270,10 +290,9 @@ def build_stacked(
         L = schedule.legs(k)
         active = schedule.is_active(k)
         cube = Cube(anchor, anchor + side, n)
-        horseshoe = None
-        if active and L ** (n - 1) <= geometry_budget:
-            horseshoe = build_horseshoe(cube, L, n)
-        blocks.append(Block(k, cube, L, active, horseshoe))
+        # L > budget settles it without raising L to a huge power
+        materialized = active and L <= geometry_budget and L ** (n - 1) <= geometry_budget
+        blocks.append(Block(k, cube, L, active, materialized))
     return StackedSystem(n, schedule, k_max, tuple(blocks), geometry_budget)
 
 

@@ -74,13 +74,13 @@ def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAUL
     block = system.block(k)
     if not block.active:
         raise ValueError(f"block {k} is inactive (identity); it has no cylinders")
-    if block.horseshoe is None:
+    if not block.materialized:
         raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
     total = count_cylinders(k, system.n, m)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}")
     centers = [
-        box.center() for _, box in enumerate_cylinders(block.horseshoe, k, m, system.n)
+        box.center() for _, box in enumerate_cylinders(block.geometry(), k, m, system.n)
     ]
     seeds = SeedSet.of(centers, provenance="cylinder-centers")
     assert len(seeds) == total, "cylinder centers must be pairwise distinct"
@@ -271,7 +271,7 @@ def mdim_numeric_profile(
         if not block.active:
             rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, 0.0, block.eps, {}))
             continue
-        if block.horseshoe is None:
+        if not block.materialized:
             raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
         try:
             seeds_by_m = {m: cylinder_centers(system, k, m, budget) for m in m_values}
@@ -280,7 +280,7 @@ def mdim_numeric_profile(
                 NumericRateRow(k, True, 0.0, 0.0, 0.0, 0.0, block.eps, {}, error=str(exc))
             )
             continue
-        squared = square(block.horseshoe)
+        squared = square(block.geometry())
         eps_used = block.eps if eps_override is None else Fraction(eps_override)
         measured = growth_rate(
             squared, lambda m: seeds_by_m[m], eps_used, list(m_values), metric, threads

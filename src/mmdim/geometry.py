@@ -203,5 +203,31 @@ def _cross_check(boxes: Sequence[Box], left: list[int], right: list[int]) -> tup
     return None
 
 
+def find_cross_overlap(left: Sequence[Box], right: Sequence[Box]) -> tuple[int, int] | None:
+    """Return (i, j) with left[i] and right[j] overlapping in interior, or None.
+
+    Sweep along the first axis: boxes enter in order of their lower ends and
+    drop out once the sweep reaches their upper ends, so only pairs whose
+    first-axis intervals overlap in interior get the full box test.  For
+    families of slabs along the first axis this is O(N log N), not O(N^2).
+    """
+    families = (left, right)
+    events = sorted(
+        (box.intervals[0][0], side, i)
+        for side, family in enumerate(families)
+        for i, box in enumerate(family)
+    )
+    open_boxes: tuple[list[int], list[int]] = ([], [])
+    for lo, side, i in events:
+        others, theirs = families[1 - side], open_boxes[1 - side]
+        theirs[:] = [j for j in theirs if others[j].intervals[0][1] > lo]
+        box = families[side][i]
+        for j in theirs:
+            if box.interiors_overlap(others[j]):
+                return (i, j) if side == 0 else (j, i)
+        open_boxes[side].append(i)
+    return None
+
+
 def pairwise_interior_disjoint(boxes: Sequence[Box]) -> bool:
     return find_interior_overlap(boxes) is None

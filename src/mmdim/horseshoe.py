@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Box, Cube, Point
+from .geometry import Box, Cube, Point, find_cross_overlap
 from .mapping import AffinePiece, PAMap
 
 
@@ -173,12 +173,16 @@ def _strip_piece(grid: SubdivisionGrid, l: int, leg: tuple[int, ...]) -> AffineP
     return AffinePiece(grid.strip_box(l), tuple(scale), tuple(offset))
 
 
+def canonical_assignment(L: int, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(odd strip, leg) pairs of the canonical horseshoe: strips in increasing
+    order matched to legs in boustrophedon order."""
+    return tuple(zip(range(1, 2 * L ** (n - 1), 2), boustrophedon_legs(L, n)))
+
+
 def build_horseshoe(cube: Cube, L: int, n: int | None = None) -> HorseshoeMap:
     """The canonical L-leg horseshoe on the cube."""
     grid = subdivide(cube, L, n)
-    strips = grid.odd_strip_indices()
-    legs = boustrophedon_legs(L, grid.n)
-    assignment = tuple(zip(strips, legs))
+    assignment = canonical_assignment(L, grid.n)
     pieces = tuple(_strip_piece(grid, l, leg) for l, leg in assignment)
     return HorseshoeMap(grid, assignment, PAMap(cube, pieces))
 
@@ -264,13 +268,13 @@ def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
     add("each strip maps onto its assigned leg", images_ok, detail)
     add("every leg crosses the full first axis", crossing_ok)
 
-    even_ok = True
-    for l in range(2, grid.strip_count + 1, 2):
-        box = grid.strip_box(l)
-        for piece in h.pamap.pieces:
-            if piece.domain.interiors_overlap(box):
-                even_ok = False
-    add("even strips escape (no piece covers them)", even_ok)
+    even_strips = [grid.strip_box(l) for l in range(2, grid.strip_count + 1, 2)]
+    covered = find_cross_overlap([p.domain for p in h.pamap.pieces], even_strips)
+    add(
+        "even strips escape (no piece covers them)",
+        covered is None,
+        "" if covered is None else f"piece {covered[0]} covers strip {2 * covered[1] + 2}",
+    )
 
     low_corner: Point = (cube.lo,) * (n - 1) + (cube.hi,)
     high_corner: Point = (cube.hi,) * (n - 1) + (cube.lo,)

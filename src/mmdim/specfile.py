@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +31,7 @@ from .constructions import (
 )
 from .estimators import NumericRateRow
 from .geometry import rational_from_str, rational_to_str
+from .horseshoe import canonical_assignment
 from .symbolic import DEFAULT_DPS, RateBound
 
 SYSTEM_FORMAT = "mmdim-system/1"
@@ -55,14 +57,27 @@ SOURCE_SYMBOLIC = "symbolic"
 SOURCE_NUMERIC = "numeric"
 
 
+# Python refuses to print integers of more than 4300 digits (its default
+# int->str limit), so every rational a system file stores must stay below
+# that.  Specs are checked against these caps before anything is built.
+MAX_N = 64
+MAX_STORED_DIGITS = 4000
+MAX_GEOMETRY_BUDGET = 10**6
+_LOG10_3 = math.log10(3)
+
+
 class SpecFileError(ValueError):
     pass
 
 
-def _require_int(data: dict, field: str, minimum: int) -> int:
+def _require_int(data: dict, field: str, minimum: int, maximum: int) -> int:
     value = data[field]
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise SpecFileError(f"field {field!r} must be an integer >= {minimum}")
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or not minimum <= value <= maximum
+    ):
+        raise SpecFileError(f"field {field!r} must be an integer in [{minimum}, {maximum}]")
     return value
 
 
@@ -74,6 +89,47 @@ def _require_rational(data: dict, field: str) -> Fraction:
         return rational_from_str(value)
     except ValueError as exc:
         raise SpecFileError(f"field {field!r}: {exc}") from exc
+
+
+def _digits(x: int) -> int:
+    return len(str(abs(x)))
+
+
+def _stored_digits(B: Fraction, r: Fraction | None, k_max: int, leg_override) -> float:
+    """Upper estimate of the decimal digits of the numerators and denominators
+    of the anchors, sides and eps that blocks 1..k_max store.
+
+    Geometric sides B/3^(k r) and their telescoping anchors have denominators
+    dividing den(B) 3^(k r).  Quadratic anchors sum the sides B/j^2, so their
+    denominators divide 50 den(B) lcm(1..k)^2 < 50 den(B) e^(2.08 k)
+    (Rosser & Schoenfeld's bound on the Chebyshev function).  eps adds a
+    factor 2 L_k - 1 to the side.  A non-integer rate r stores no block: cube
+    placement refuses it.
+    """
+    base = _digits(B.numerator) + _digits(B.denominator) + 2
+    legs = [k_max * _LOG10_3] + [math.log10(L) for _, L in leg_override or ()]
+    leg = max(legs) + 1
+    if r is None:
+        return base + max(2.08 * math.log10(math.e) * k_max, 2 * math.log10(k_max) + leg)
+    if r.denominator != 1:
+        return base
+    return base + k_max * r.numerator * _LOG10_3 + leg
+
+
+def _check_stored_digits(B, r, k_max, leg_override, field: str | None) -> None:
+    """Raise unless blocks 1..k_max store rationals within MAX_STORED_DIGITS.
+
+    `field` names the spec field that sets the rate, for the message.
+    """
+    hint = "'kMax'" if field is None else f"'kMax' or {field!r}"
+    if r is not None and r > MAX_STORED_DIGITS:
+        raise SpecFileError(f"rate r above {MAX_STORED_DIGITS}; lower {hint}")
+    digits = _stored_digits(B, r, k_max, leg_override)
+    if digits > MAX_STORED_DIGITS:
+        raise SpecFileError(
+            f"blocks 1..{k_max} would store rationals of about {digits:.0f} digits, "
+            f"above {MAX_STORED_DIGITS}; lower {hint}"
+        )
 
 
 def _parse_leg_override(data: dict) -> tuple[tuple[int, int], ...] | None:
@@ -137,26 +193,28 @@ class SystemSpec:
             )
         if "n" not in data:
             raise SpecFileError("field 'n' is required")
-        n = _require_int(data, "n", 2)
+        n = _require_int(data, "n", 2, MAX_N)
 
         if kind == KIND_IDENTITY:
             return SystemSpec(kind=kind, n=n)
 
         if "kMax" not in data:
             raise SpecFileError("field 'kMax' is required")
-        k_max = _require_int(data, "kMax", 1)
+        # a first cap that keeps the digit estimate's arithmetic in float range
+        k_max = _require_int(data, "kMax", 1, MAX_STORED_DIGITS)
 
         if kind == KIND_TWO_BLOCK:
             for field in ("alpha", "beta"):
                 if field not in data:
                     raise SpecFileError(f"field {field!r} is required for two_block")
-            return SystemSpec(
-                kind=kind,
-                n=n,
-                k_max=k_max,
-                alpha=_require_rational(data, "alpha"),
-                beta=_require_rational(data, "beta"),
-            )
+            alpha = _require_rational(data, "alpha")
+            beta = _require_rational(data, "beta")
+            for field, target in (("alpha", alpha), ("beta", beta)):
+                if 0 < target < n:  # a dense or sparse half with rate n/target - 1
+                    _check_stored_digits(Fraction(1), n / target - 1, k_max, None, field)
+                elif target == n:  # a quadratic half
+                    _check_stored_digits(Fraction(1), None, k_max, None, field)
+            return SystemSpec(kind=kind, n=n, k_max=k_max, alpha=alpha, beta=beta)
 
         if "B" not in data:
             raise SpecFileError("field 'B' is required")
@@ -168,8 +226,10 @@ class SystemSpec:
             r = _require_rational(data, "r")
         elif kind == KIND_SPARSE and "r" in data:
             r = _require_rational(data, "r")
+        leg_override = _parse_leg_override(data)
+        _check_stored_digits(B, r, k_max, leg_override, "r" if r is not None else None)
         return SystemSpec(
-            kind=kind, n=n, B=B, r=r, k_max=k_max, leg_override=_parse_leg_override(data)
+            kind=kind, n=n, B=B, r=r, k_max=k_max, leg_override=leg_override
         )
 
     def to_jsonable(self) -> dict:
@@ -238,9 +298,9 @@ def _system_payload(system: System) -> dict:
                 "active": block.active,
                 "materialized": block.materialized,
             }
-            if block.horseshoe is not None:
+            if block.materialized:
                 entry["assignment"] = [
-                    [strip, list(leg)] for strip, leg in block.horseshoe.assignment
+                    [strip, list(leg)] for strip, leg in canonical_assignment(block.L, system.n)
                 ]
             blocks.append(entry)
         return {
@@ -272,10 +332,12 @@ def system_to_jsonable(system: System, spec: SystemSpec) -> dict:
     }
 
 
-def _stored_budget(payload: dict) -> int:
-    while payload.get("kind") == "two-block":
-        payload = payload["lower"]
-    return payload.get("geometryBudget", DEFAULT_GEOMETRY_BUDGET)
+def _stored_budget(payload: object) -> int:
+    while isinstance(payload, dict) and payload.get("kind") == "two-block":
+        payload = payload.get("lower")
+    if not isinstance(payload, dict) or "geometryBudget" not in payload:
+        return DEFAULT_GEOMETRY_BUDGET  # the payload comparison rejects the file
+    return _require_int(payload, "geometryBudget", 0, MAX_GEOMETRY_BUDGET)
 
 
 def load_system(data: object) -> tuple[SystemSpec, System]:
@@ -303,7 +365,7 @@ def read_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's int->str limit
             raise SpecFileError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -108,7 +108,7 @@ def test_criterion_3_quadratic_sizes_reach_full_dimension():
 def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     t0 = time.perf_counter()
     block = geometric_system.block(1)
-    sq = square(block.horseshoe)
+    sq = square(block.geometry())
     seeds = cylinder_centers(geometric_system, 1, 3)
     result = greedy_separated(sq, seeds, 3, block.eps)
     elapsed = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_criterion_5_cylinder_enumeration_counts_and_disjointness():
     counts = []
     for n in (2, 3):
         system = build_stacked(Schedule.geometric(1, 1), n, 1)
-        h = system.block(1).horseshoe
+        h = system.block(1).geometry()
         for m in (1, 2, 3):
             boxes = [box for _, box in enumerate_cylinders(h, 1, m, n)]
             assert len(boxes) == count_cylinders(1, n, m) == 3 ** (n * m)
@@ -144,7 +144,7 @@ def test_criterion_5_cylinder_enumeration_counts_and_disjointness():
 def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
     t0 = time.perf_counter()
     block = geometric_system.block(1)
-    h = block.horseshoe
+    h = block.geometry()
     eps = block.eps
 
     squared = growth_rate(
@@ -244,7 +244,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
 
     # greedy selection is invariant under the worker count
     block = geometric_system.block(1)
-    sq = square(block.horseshoe)
+    sq = square(block.geometry())
     seeds = cylinder_centers(geometric_system, 1, 2)
     assert greedy_separated(sq, seeds, 2, block.eps, threads=1) == greedy_separated(
         sq, seeds, 2, block.eps, threads=4

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,27 @@ class TestBuild:
         result = runner.invoke(main, ["build", str(bad), "-o", str(tmp_path / "x.json")])
         assert result.exit_code == 2
         assert "not valid JSON" in result.stderr
+
+    @pytest.mark.parametrize(
+        "fields,needle",
+        [
+            (dict(kMax=5000), "kMax"),
+            (dict(kMax=100000), "kMax"),
+            (dict(r="30000000"), "rate r"),
+        ],
+    )
+    def test_oversized_spec_fails_fast(self, runner, tmp_spec, geometric_file, fields, needle):
+        data = dict(kind="geometric", n=2, B="1", r="1", kMax=3) | fields
+        stored = read_json(geometric_file)
+        stored["spec"] = data
+        write_json(geometric_file, stored)
+        for args in (["build", tmp_spec(**data), "-o", geometric_file + ".out"],
+                     ["verify", geometric_file]):
+            t0 = time.perf_counter()
+            result = runner.invoke(main, args)
+            assert time.perf_counter() - t0 < 2.0
+            assert result.exit_code == 2, result.output
+            assert needle in result.stderr
 
 
 class TestValidate:
@@ -249,6 +271,9 @@ class TestVerify:
         assert result.stdout.count("yes") == 2
         assert "liminf" in result.stdout and "limsup" in result.stdout
         assert "spanning-side estimates" in result.stderr
+        assert "liminf fit: residual" in result.stderr
+        assert "limsup fit: residual" in result.stderr
+        assert "tail points" not in result.stdout
 
     def test_impossible_tolerance_fails(self, runner, geometric_file):
         result = runner.invoke(main, ["verify", geometric_file, "--tol", "1e-9"])

@@ -240,7 +240,7 @@ class TestBuildStacked:
             sys.apply(p)
 
     def test_apply_block_dynamics_and_escape(self, geometric_system):
-        h = geometric_system.block(1).horseshoe
+        h = geometric_system.block(1).geometry()
         corner = (F(0), F(1, 3))  # the (a, b) corner of block 1 is fixed
         assert geometric_system.apply(corner) == corner
         even_mid = h.grid.strip_box(2).center()
@@ -341,7 +341,7 @@ class TestTwoBlock:
 
     def test_escape_propagates(self):
         two = build_two_block(1, 1, 2, 3)
-        h = two.lower.block(1).horseshoe
+        h = two.lower.block(1).geometry()
         inner_escape = h.grid.strip_box(2).center()
         p = tuple(c / 2 for c in inner_escape)
         assert two.lower.apply(inner_escape) is ESCAPED

@@ -136,7 +136,7 @@ class TestGreedySeparated:
 
     def test_monotone_in_m(self, unit_seeds):
         sys, seeds = unit_seeds
-        sq = square(sys.block(1).horseshoe)
+        sq = square(sys.block(1).geometry())
         eps = sys.block(1).eps
         a = len(greedy_separated(sq, seeds[2], 1, eps))
         b = len(greedy_separated(sq, seeds[2], 2, eps))
@@ -146,7 +146,7 @@ class TestGreedySeparated:
         # chosen points are pairwise separated and every seed is covered,
         # verified here directly from the Bowen distance matrix
         sys, seeds = unit_seeds
-        sq = square(sys.block(1).horseshoe)
+        sq = square(sys.block(1).geometry())
         eps = sys.block(1).eps
         result = greedy_separated(sq, seeds[2], 2, eps)
         assert len(result) == len(seeds[2]) == 81
@@ -160,7 +160,7 @@ class TestGreedySeparated:
 
     def test_thread_count_does_not_change_result(self, unit_seeds):
         sys, seeds = unit_seeds
-        sq = square(sys.block(1).horseshoe)
+        sq = square(sys.block(1).geometry())
         eps = sys.block(1).eps
         one = greedy_separated(sq, seeds[2], 2, eps, threads=1)
         four = greedy_separated(sq, seeds[2], 2, eps, threads=4)
@@ -189,7 +189,7 @@ class TestGreedySpanning:
 
     def test_never_exceeds_separated(self, unit_seeds):
         sys, seeds = unit_seeds
-        sq = square(sys.block(1).horseshoe)
+        sq = square(sys.block(1).geometry())
         for eps in (sys.block(1).eps, 4 * sys.block(1).eps):
             span = greedy_spanning(sq, seeds[2], 2, eps)
             sep = greedy_separated(sq, seeds[2], 2, eps)
@@ -197,7 +197,7 @@ class TestGreedySpanning:
 
     def test_coarse_cover_is_smaller(self, unit_seeds):
         sys, seeds = unit_seeds
-        sq = square(sys.block(1).horseshoe)
+        sq = square(sys.block(1).geometry())
         eps = sys.block(1).eps
         fine = len(greedy_spanning(sq, seeds[2], 2, eps))
         coarse = len(greedy_spanning(sq, seeds[2], 2, 4 * eps))
@@ -215,7 +215,7 @@ class TestGrowthRate:
 
     def test_squared_block_rate_is_two_log_three(self, unit_seeds):
         sys, _ = unit_seeds
-        sq = square(sys.block(1).horseshoe)
+        sq = square(sys.block(1).geometry())
         eps = sys.block(1).eps
         rate = growth_rate(
             sq, lambda m: cylinder_centers(sys, 1, m), eps, (1, 2, 3)

@@ -7,6 +7,7 @@ from mmdim.geometry import (
     Box,
     Cube,
     as_point,
+    find_cross_overlap,
     find_interior_overlap,
     pairwise_interior_disjoint,
     rational_from_str,
@@ -163,3 +164,26 @@ def test_intersect_symmetric_and_consistent(a, b):
 @given(boxes_2d())
 def test_box_contains_own_center(b):
     assert b.interior_contains(b.center())
+
+
+@given(st.lists(boxes_2d(), max_size=8), st.lists(boxes_2d(), max_size=8))
+def test_find_cross_overlap_matches_all_pairs(left, right):
+    hit = find_cross_overlap(left, right)
+    brute = [
+        (i, j)
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+        if a.interiors_overlap(b)
+    ]
+    if brute:
+        assert hit in brute
+    else:
+        assert hit is None
+
+
+def test_find_cross_overlap_on_abutting_slabs():
+    slabs = [Box.of((F(i, 10), F(i + 1, 10)), (0, 1)) for i in range(10)]
+    assert find_cross_overlap(slabs[::2], slabs[1::2]) is None
+    assert find_cross_overlap(slabs[::2], [Box.of((F(1, 20), F(1, 10)), (0, 1))]) == (0, 0)
+    flat = Box.of((F(1, 20), F(1, 20)), (0, 1))
+    assert find_cross_overlap(slabs, [flat]) is None

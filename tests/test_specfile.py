@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,49 @@ class TestSystemSpecParsing:
             data = {k: v for k, v in GEOMETRIC_SPEC.items() if k != drop}
             with pytest.raises(SpecFileError, match=drop):
                 SystemSpec.from_jsonable(data)
+
+    @pytest.mark.parametrize(
+        "data,needle",
+        [
+            ({"n": 65}, "'n'"),
+            ({"kMax": 4001}, "kMax"),
+            ({"r": "4001"}, "rate r"),
+            ({"kMax": 2500, "r": "3"}, "digits"),
+            ({"kMax": 3, "legScheduleOverride": {"2": 10**4001 + 1}}, "digits"),
+            ({"kind": "quadratic", "r": None, "kMax": 4500}, "kMax"),
+            ({"kind": "two_block", "B": None, "r": None, "alpha": "1/10000", "beta": "1"},
+             "'alpha'"),
+            ({"kind": "two_block", "B": None, "r": None, "alpha": "1/2", "beta": "1/1000",
+              "kMax": 10}, "'beta'"),
+        ],
+    )
+    def test_sizes_that_would_blow_up_are_rejected(self, data, needle):
+        data = {k: v for k, v in dict(GEOMETRIC_SPEC, **data).items() if v is not None}
+        with pytest.raises(SpecFileError, match=needle):
+            SystemSpec.from_jsonable(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            GEOMETRIC_SPEC | {"kMax": 60, "B": "5/4"},
+            GEOMETRIC_SPEC | {"kMax": 20, "r": "4", "legScheduleOverride": {"3": 999}},
+            {"kind": "quadratic", "n": 2, "B": "3/7", "kMax": 200},
+            {"kind": "sparse", "n": 3, "B": "1", "kMax": 50},
+            {"kind": "two_block", "n": 2, "alpha": "1/2", "beta": "2", "kMax": 40},
+        ],
+    )
+    def test_digit_estimate_bounds_the_stored_rationals(self, data):
+        from mmdim.specfile import _stored_digits
+
+        spec = SystemSpec.from_jsonable(data)
+        text = canonical_dumps(system_to_jsonable(build_system(spec, geometry_budget=0), spec))
+        longest = max(len(part) for part in re.findall(r"\d+", text))
+        if spec.kind == "two_block":
+            r = spec.n / spec.alpha - 1 if spec.alpha < spec.n else None
+            estimate = _stored_digits(F(1), r, spec.k_max, None)
+        else:
+            estimate = _stored_digits(spec.B, spec.r, spec.k_max, spec.leg_override)
+        assert longest <= estimate
 
     def test_non_object_rejected(self):
         with pytest.raises(SpecFileError, match="JSON object"):
@@ -221,6 +265,13 @@ class TestLoadSystem:
         payload = self.build_payload()
         payload["system"]["blocks"][1]["eps"] = "1/7"
         with pytest.raises(SpecFileError, match="does not match"):
+            load_system(payload)
+
+    @pytest.mark.parametrize("budget", ["8", -1, 10**7])
+    def test_bad_stored_budget_rejected(self, budget):
+        payload = self.build_payload()
+        payload["system"]["geometryBudget"] = budget
+        with pytest.raises(SpecFileError, match="geometryBudget"):
             load_system(payload)
 
     def test_tampered_assignment_rejected(self):
