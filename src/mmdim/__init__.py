@@ -32,7 +32,6 @@ from .estimators import (
     SeedSet,
     cylinder_centers,
     greedy_separated,
-    greedy_spanning,
     growth_rate,
     mdim_numeric_profile,
 )

@@ -6,14 +6,12 @@ estimates against the schedule's analytic targets.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec error.
 CSV and JSON go to the requested output path (stdout by default for CSV);
-human-readable progress and reports go to stderr.  MMDIM_THREADS caps the
-worker count used for orbit computation.
+human-readable progress and reports go to stderr.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 import click
 
@@ -24,10 +22,11 @@ from .constructions import (
     TwoBlockSystem,
     UnmaterializedBlockError,
 )
-from .estimators import DEFAULT_BUDGET, mdim_numeric_profile
+from .estimators import DEFAULT_BUDGET, NumericRateRow, mdim_numeric_profile
 from .geometry import rational_from_str
 from .horseshoe import validate_horseshoe
 from .specfile import (
+    MAX_STORED_DIGITS,
     SpecFileError,
     SystemSpec,
     build_system,
@@ -60,6 +59,16 @@ def _load(path: str):
         return load_system(read_json(path))
     except (SpecFileError, ScheduleError) as exc:
         raise click.UsageError(str(exc))
+
+
+def _check_kmax(spec: SystemSpec, kmax: int) -> None:
+    """Hold --kmax to the size caps a spec file with kMax = kmax would meet."""
+    if spec.k_max is None:
+        return
+    try:
+        SystemSpec.from_jsonable(spec.to_jsonable() | {"kMax": kmax})
+    except SpecFileError as exc:
+        raise click.UsageError(f"--kmax {kmax}: {exc}")
 
 
 def _write_rows(out: str | None, rows) -> None:
@@ -121,14 +130,15 @@ def validate(system_path: str):
 
 @main.command()
 @click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kmax", type=click.IntRange(min=1), default=24, show_default=True,
-              help="Profile block indices 1..kmax.")
+@click.option("--kmax", type=click.IntRange(min=1, max=MAX_STORED_DIGITS), default=24,
+              show_default=True, help="Profile block indices 1..kmax.")
 @PRECISION_OPT
 @click.option("-o", "--out", type=click.Path(dir_okay=False),
               help="CSV output path (default: stdout).")
 def profile(system_path: str, kmax: int, precision: int, out: str | None):
     """Export the symbolic rate profile as CSV, with an extrapolation summary."""
-    _, system = _load(system_path)
+    spec, system = _load(system_path)
+    _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1), precision)
     _write_rows(out, symbolic_csv_rows(rows, precision))
     lo, hi = analytic_targets(system)
@@ -151,15 +161,12 @@ def profile(system_path: str, kmax: int, precision: int, out: str | None):
               help="Greedy scans run at depths 1..m.")
 @click.option("--eps", "eps_str", type=str, default=None,
               help='Override the separation scale (a "p/q" rational).')
-@click.option("--seeds", type=click.Choice(["cylinder-centers"]),
-              default="cylinder-centers", show_default=True,
-              help="Seed family for the greedy scans.")
 @click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
               show_default=True, help="Maximum enumerated cylinders per depth.")
 @PRECISION_OPT
 @click.option("-o", "--out", type=click.Path(dir_okay=False),
               help="CSV output path (default: stdout).")
-def estimate(system_path, k, m_max, eps_str, seeds, budget, precision, out):
+def estimate(system_path, k, m_max, eps_str, budget, precision, out):
     """Measure separated-set growth on one block by exact greedy scans."""
     _, system = _load(system_path)
     if not isinstance(system, StackedSystem):
@@ -173,11 +180,6 @@ def estimate(system_path, k, m_max, eps_str, seeds, budget, precision, out):
             raise click.UsageError(f"--eps: {exc}")
         if eps_value <= 0:
             raise click.UsageError("--eps must be positive")
-    error_row = [
-        {col: "" for col in ("eps_exact", "eps_float", "lower_rate", "upper_rate",
-                             "lower_ratio", "upper_ratio")}
-        | {"k": str(k), "source": "numeric"}
-    ]
     try:
         rows = mdim_numeric_profile(
             system,
@@ -188,7 +190,8 @@ def estimate(system_path, k, m_max, eps_str, seeds, budget, precision, out):
             eps_override=eps_value,
         )
     except (UnmaterializedBlockError, ValueError) as exc:
-        _write_rows(out, error_row)
+        error_row = NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}, error=str(exc))
+        _write_rows(out, numeric_csv_rows([error_row]))
         click.echo(f"k={k}: {exc}", err=True)
         sys.exit(2)
     _write_rows(out, numeric_csv_rows(rows))
@@ -203,12 +206,13 @@ def estimate(system_path, k, m_max, eps_str, seeds, budget, precision, out):
 @click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=0.05, show_default=True,
               help="Allowed |estimate - target| for both limits.")
-@click.option("--kmax", type=click.IntRange(min=4), default=30, show_default=True,
-              help="Profile block indices 1..kmax before extrapolating.")
+@click.option("--kmax", type=click.IntRange(min=4, max=MAX_STORED_DIGITS), default=30,
+              show_default=True, help="Profile block indices 1..kmax before extrapolating.")
 @PRECISION_OPT
 def verify(system_path: str, tol: float, kmax: int, precision: int):
     """Check extrapolated dimension estimates against the analytic targets."""
-    _, system = _load(system_path)
+    spec, system = _load(system_path)
+    _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1), precision)
     fit = extrapolate(rows, precision)
     target_lo, target_hi = analytic_targets(system)

@@ -187,12 +187,6 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
     return out
 
 
-def quadratic_rescale_factor(schedule: Schedule) -> Fraction:
-    if schedule.kind != QUADRATIC:
-        return Fraction(1)
-    return min(Fraction(1), QUADRATIC_SIZE_CAP / schedule.B)
-
-
 def enlarged_box(cube: Cube, margin_num=1, margin_den=10) -> Box:
     """The cube fattened by (margin) * side per face, clipped to [0, 1]^n."""
     pad = cube.side * margin_num / margin_den

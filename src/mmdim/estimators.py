@@ -2,16 +2,12 @@
 
 Greedy selection runs in a canonical order (lexicographic on coordinates),
 decides every comparison exactly, and stops scanning a pair at the first
-iterate that already separates it.  Orbit precomputation may be split over a
-thread pool (MMDIM_THREADS or the `threads` argument); the split preserves
-input order, so results are bitwise independent of the thread count.
+iterate that already separates it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -26,6 +22,7 @@ from .symbolic import (
     EpsSchedule,
     count_cylinders,
     enumerate_cylinders,
+    fit_line,
     rate_profile,
 )
 
@@ -36,27 +33,15 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else MMDIM_THREADS, else 1."""
-    if explicit is not None:
-        return max(1, explicit)
-    raw = os.environ.get("MMDIM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class SeedSet:
     """Deduplicated points in canonical (lexicographic) order."""
 
     points: tuple[Point, ...]
-    provenance: str = "user"
 
     @staticmethod
-    def of(points, provenance: str = "user") -> "SeedSet":
-        return SeedSet(tuple(sorted(set(points))), provenance)
+    def of(points) -> "SeedSet":
+        return SeedSet(tuple(sorted(set(points))))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -82,8 +67,9 @@ def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAUL
     centers = [
         box.center() for _, box in enumerate_cylinders(block.geometry(), k, m, system.n)
     ]
-    seeds = SeedSet.of(centers, provenance="cylinder-centers")
-    assert len(seeds) == total, "cylinder centers must be pairwise distinct"
+    seeds = SeedSet.of(centers)
+    if len(seeds) != total:
+        raise AssertionError("cylinder centers must be pairwise distinct")
     return seeds
 
 
@@ -95,41 +81,31 @@ class GreedyResult:
     metric: str
     seed_count: int
     truncated: bool  # some orbit escaped before step m
-    cover_verified: bool
 
     def __len__(self) -> int:
         return len(self.chosen)
 
 
-def _compute_orbits(pamap: PAMap, points: Sequence[Point], steps: int, workers: int):
-    def chunk_orbits(chunk):
-        return [pamap.orbit(p, steps) for p in chunk]
-
-    if workers <= 1 or len(points) < 64:
-        return chunk_orbits(points)
-    size = -(-len(points) // workers)
-    chunks = [points[i : i + size] for i in range(0, len(points), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk_orbits, chunks))
-    return [orbit for part in parts for orbit in part]
-
-
-def _greedy_core(
+def greedy_separated(
     pamap: PAMap,
     seeds: SeedSet,
     m: int,
     eps: Fraction,
-    metric: str,
-    threads: int | None,
+    metric: str = MAXNORM,
 ) -> GreedyResult:
+    """Maximal subset with pairwise Bowen distance strictly above eps.
+
+    The chosen count lower-bounds the separated number of the seed set at
+    (m, eps); every seed lies within eps of a chosen point, so the chosen
+    points are also an eps-spanning set of the seeds.
+    """
     if m < 1:
         raise ValueError("greedy selection needs m >= 1")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts = seeds.points
-    workers = thread_count(threads)
-    orbits = _compute_orbits(pamap, pts, m - 1, workers)
+    orbits = [pamap.orbit(p, m - 1) for p in pts]
     truncated = any(orbit[-1] is ESCAPED for orbit in orbits)
     chosen: list[int] = []
     for i in range(len(pts)):
@@ -149,41 +125,7 @@ def _greedy_core(
         metric=metric,
         seed_count=len(pts),
         truncated=truncated,
-        cover_verified=True,
     )
-
-
-def greedy_separated(
-    pamap: PAMap,
-    seeds: SeedSet,
-    m: int,
-    eps: Fraction,
-    metric: str = MAXNORM,
-    threads: int | None = None,
-) -> GreedyResult:
-    """Maximal subset with pairwise Bowen distance strictly above eps.
-
-    The chosen count lower-bounds the separated number of the seed set at
-    (m, eps); every seed lies within eps of a chosen point.
-    """
-    return _greedy_core(pamap, seeds, m, eps, metric, threads)
-
-
-def greedy_spanning(
-    pamap: PAMap,
-    targets: SeedSet,
-    m: int,
-    eps: Fraction,
-    metric: str = MAXNORM,
-    threads: int | None = None,
-) -> GreedyResult:
-    """Greedy eps-cover of the targets in the Bowen metric.
-
-    Runs the same maximal-separated scan: the chosen points cover every
-    target within eps, and being pairwise separated they never outnumber
-    the greedy separated set of the same inputs.
-    """
-    return _greedy_core(pamap, targets, m, eps, metric, threads)
 
 
 @dataclass(frozen=True)
@@ -199,24 +141,15 @@ def growth_rate(
     eps: Fraction,
     m_values: Sequence[int],
     metric: str = MAXNORM,
-    threads: int | None = None,
 ) -> GrowthRate:
     counts: dict[int, int] = {}
     for m in sorted(set(m_values)):
-        result = greedy_separated(pamap, seed_factory(m), m, eps, metric, threads)
+        result = greedy_separated(pamap, seed_factory(m), m, eps, metric)
         counts[m] = len(result.chosen)
     usable = [(m, c) for m, c in counts.items() if c > 0]
     if len(usable) < 2:
         raise ValueError("growth rate needs at least two m values with nonzero counts")
-    xs = [m for m, _ in usable]
-    ys = [math.log(c) for _, c in usable]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    intercept = my - slope * mx
-    residual = (
-        sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
-    ) ** 0.5
+    slope, _, residual = fit_line([m for m, _ in usable], [math.log(c) for _, c in usable])
     return GrowthRate(slope, counts, residual)
 
 
@@ -234,7 +167,6 @@ class NumericRateRow:
     rate: float
     ratio: float  # rate / |ln eps_{k+1}|, comparable with the symbolic rows
     upper_ratio: float  # rate / (ln 4 + |ln eps_k|)
-    ratio_at_eps: float  # rate / |ln eps_k|, the raw dimension quotient
     eps_exact: Fraction | None
     counts: dict[int, int]
     error: str | None = None
@@ -246,7 +178,6 @@ def mdim_numeric_profile(
     m_values: Sequence[int] = (1, 2, 3),
     budget: int = DEFAULT_BUDGET,
     metric: str = MAXNORM,
-    threads: int | None = None,
     dps: int = DEFAULT_DPS,
     eps_override: Fraction | None = None,
 ) -> list[NumericRateRow]:
@@ -263,13 +194,13 @@ def mdim_numeric_profile(
     symbolic = {b.k: b for b in rate_profile(system, list(k_range), dps)}
     for k in sorted(set(k_range)):
         if isinstance(system, IdentitySystem):
-            rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, 0.0, None, {}))
+            rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}))
             continue
         if not isinstance(system, StackedSystem):
             raise TypeError("numeric profiles run on stacked systems")
         block = system.block(k)
         if not block.active:
-            rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, 0.0, block.eps, {}))
+            rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {}))
             continue
         if not block.materialized:
             raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
@@ -277,13 +208,13 @@ def mdim_numeric_profile(
             seeds_by_m = {m: cylinder_centers(system, k, m, budget) for m in m_values}
         except BudgetExceeded as exc:
             rows.append(
-                NumericRateRow(k, True, 0.0, 0.0, 0.0, 0.0, block.eps, {}, error=str(exc))
+                NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, error=str(exc))
             )
             continue
         squared = square(block.geometry())
         eps_used = block.eps if eps_override is None else Fraction(eps_override)
         measured = growth_rate(
-            squared, lambda m: seeds_by_m[m], eps_used, list(m_values), metric, threads
+            squared, lambda m: seeds_by_m[m], eps_used, list(m_values), metric
         )
         eps_sched = EpsSchedule(system.schedule)
         den_next = eps_sched.log_inv(k + 1).to_float(dps)
@@ -294,7 +225,6 @@ def mdim_numeric_profile(
             measured.rate,
             measured.rate / den_next,
             measured.rate / (math.log(4) + den_here),
-            measured.rate / den_here,
             eps_used,
             measured.counts,
         )

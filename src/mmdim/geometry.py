@@ -140,10 +140,6 @@ class Cube:
         return self.box().contains(p)
 
 
-def _disjoint_or_fail(a: Box, b: Box) -> bool:
-    return not a.interiors_overlap(b)
-
-
 def find_interior_overlap(boxes: Sequence[Box]) -> tuple[int, int] | None:
     """Return indices of some pair of boxes with overlapping interiors, or None.
 

@@ -258,7 +258,7 @@ def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
             domains_ok = False
             detail = f"no piece with domain = strip {l}"
             continue
-        img = piece.image_box()
+        img = piece.map_box(piece.domain)
         if img != grid.leg_box(leg):
             images_ok = False
             detail = f"strip {l} image differs from leg {leg}"

@@ -31,8 +31,6 @@ class _Escaped:
 
 ESCAPED = _Escaped()
 
-MapState = "Point | _Escaped"
-
 
 def is_escaped(state) -> bool:
     return state is ESCAPED
@@ -63,13 +61,6 @@ class AffinePiece:
     def apply_point(self, p: Point) -> Point:
         return tuple(o + s * x for x, s, o in zip(p, self.scale, self.offset))
 
-    def image_box(self) -> Box:
-        ivs = []
-        for (lo, hi), s, o in zip(self.domain.intervals, self.scale, self.offset):
-            a, b = o + s * lo, o + s * hi
-            ivs.append((a, b) if a <= b else (b, a))
-        return Box(tuple(ivs))
-
     def map_box(self, box: Box) -> Box:
         """Exact affine image of an arbitrary box (not clipped to the domain)."""
         ivs = []
@@ -85,7 +76,7 @@ class AffinePiece:
     def invert(self) -> "AffinePiece":
         inv_scale = tuple(1 / s for s in self.scale)
         inv_offset = tuple(-o / s for s, o in zip(self.scale, self.offset))
-        return AffinePiece(self.image_box(), inv_scale, inv_offset)
+        return AffinePiece(self.map_box(self.domain), inv_scale, inv_offset)
 
     def then(self, other: "AffinePiece", domain: Box) -> "AffinePiece":
         """Composition other(self(x)) restricted to an explicitly given domain."""
@@ -147,8 +138,3 @@ class PAMap:
                 states.extend([ESCAPED] * (steps - len(states) + 1))
                 break
         return states
-
-
-def apply(pamap: PAMap, state):
-    """Apply one step of the map; ESCAPED is absorbing."""
-    return pamap.apply(state)

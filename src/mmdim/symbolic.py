@@ -25,13 +25,11 @@ import mpmath
 
 from .constructions import (
     GEOMETRIC,
-    Block,
     IdentitySystem,
     Schedule,
     StackedSystem,
     System,
     TwoBlockSystem,
-    UnmaterializedBlockError,
 )
 from .geometry import Box
 from .horseshoe import HorseshoeMap
@@ -111,18 +109,13 @@ def log_ratio(num: LogExpr, den: LogExpr, dps: int = DEFAULT_DPS) -> float:
 class EpsSchedule:
     """Separation scales eps_k = |E_k| / (2 L_k - 1); strictly decreasing."""
 
-    def __init__(self, schedule: Schedule, quad_scale: Fraction = Fraction(1)):
+    def __init__(self, schedule: Schedule):
         self.schedule = schedule
-        self.quad_scale = quad_scale  # placed sizes differ by this factor
 
     def exact(self, k: int) -> Fraction | None:
         if not self.schedule.has_rational_sizes():
             return None
         return self.schedule.size(k) / (2 * self.schedule.legs(k) - 1)
-
-    def exact_placed(self, k: int) -> Fraction | None:
-        e = self.exact(k)
-        return None if e is None else e * self.quad_scale
 
     def log_inv(self, k: int) -> LogExpr:
         """|ln eps_k| as an exact log expression (uses the nominal size)."""
@@ -133,10 +126,6 @@ class EpsSchedule:
         else:
             expr = expr + LogExpr.of(k, 2)
         return expr
-
-    def to_float(self, k: int, dps: int = DEFAULT_DPS) -> float:
-        with mpmath.workdps(dps):
-            return float(mpmath.exp(-self.log_inv(k).eval(dps)))
 
 
 def selected_strips(k: int, n: int) -> list[int]:
@@ -164,11 +153,6 @@ def count_cylinders(k: int, n: int, m: int) -> int:
     return 3 ** (k * n * m)
 
 
-def count_cylinders_log(k: int, n: int, m: int) -> LogExpr:
-    count_cylinders(k, n, m)  # argument validation
-    return LogExpr.of(3, k * n * m)
-
-
 @dataclass(frozen=True)
 class CylinderCode:
     """Depth-m itinerary of the squared block map: one (strip, leg) per step."""
@@ -192,7 +176,8 @@ class CylinderCode:
 
 def _cell_box(h: HorseshoeMap, l: int, leg: tuple[int, ...]) -> Box:
     box = h.grid.strip_box(l).intersect(h.grid.leg_box(leg))
-    assert box is not None
+    if box is None:
+        raise AssertionError(f"strip {l} and leg {leg} do not meet")
     return box
 
 
@@ -385,25 +370,36 @@ def _tail(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return points[-keep:]
 
 
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float] | None:
+    """Least-squares line y ~ intercept + slope * x, fitted about the means.
+
+    Returns (slope, intercept, RMS residual), or None when all xs are equal.
+    """
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        return None
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    residual = (sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / n) ** 0.5
+    return slope, intercept, residual
+
+
 def _fit_c_minus_d_over_k(points: list[tuple[int, float]]) -> FitResult:
     if not points:
         return FitResult(0.0, 0.0, 0.0, 0, True)
     if len(points) == 1:
         return FitResult(points[0][1], 0.0, 0.0, 1, True)
     pts = _tail(sorted(points))
-    xs = [1.0 / k for k, _ in pts]
     ys = [y for _, y in pts]
-    n = len(pts)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return FitResult(ys[-1], 0.0, 0.0, n, True)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    c = my - slope * mx
-    residual = (sum((y - (c + slope * x)) ** 2 for x, y in zip(xs, ys)) / n) ** 0.5
-    return FitResult(c, -slope, residual, n, False)
+    line = fit_line([1.0 / k for k, _ in pts], ys)
+    if line is None:
+        return FitResult(ys[-1], 0.0, 0.0, len(pts), True)
+    slope, c, residual = line
+    return FitResult(c, -slope, residual, len(pts), False)
 
 
 def extrapolate(profile: Sequence[RateBound], dps: int = DEFAULT_DPS) -> ExtrapolationResult:

@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from test_estimators import naive_greedy
 from test_horseshoe import MUTANTS
 
 from mmdim.constructions import (
@@ -32,6 +33,7 @@ from mmdim.geometry import Box, Cube, pairwise_interior_disjoint
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
 from mmdim.metrics import bowen_distance
 from mmdim.symbolic import (
+    EpsSchedule,
     count_cylinders,
     enumerate_cylinders,
     extrapolate,
@@ -114,7 +116,7 @@ def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     elapsed = time.perf_counter() - t0
     expected = count_cylinders(1, geometric_system.n, 3)
     assert len(result) == expected == 729
-    assert result.cover_verified and not result.truncated
+    assert not result.truncated
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     print(
         "ACCEPTANCE 4: PASS -- greedy scan at m=3, eps=1/15 keeps all "
@@ -158,9 +160,7 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
 
     def word_centers(m):
         words = itertools.product(odd, repeat=m)
-        return SeedSet.of(
-            (strip_word_box(h, w).center() for w in words), provenance="strip-words"
-        )
+        return SeedSet.of(strip_word_box(h, w).center() for w in words)
 
     single = growth_rate(h.pamap, word_centers, eps, (1, 2, 3, 4))
     assert single.counts == {1: 3, 2: 9, 3: 27, 4: 81}
@@ -242,13 +242,12 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
             assert dxy.value <= dxz.value + dzy.value
     assert survivors > 100, f"only {survivors} fully surviving triples"
 
-    # greedy selection is invariant under the worker count
+    # the greedy scan keeps exactly the seeds a naive pairwise scan keeps
     block = geometric_system.block(1)
     sq = square(block.geometry())
     seeds = cylinder_centers(geometric_system, 1, 2)
-    assert greedy_separated(sq, seeds, 2, block.eps, threads=1) == greedy_separated(
-        sq, seeds, 2, block.eps, threads=4
-    )
+    chosen = greedy_separated(sq, seeds, 2, block.eps).chosen
+    assert chosen == naive_greedy(sq, seeds, 2, block.eps)
 
     # enlarged block cubes stay inside the ambient cube with pairwise
     # disjoint interiors, for every materialized family we build
@@ -269,13 +268,11 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
             assert unit.contains_box(box)
 
     # no estimate, measured or symbolic, ever exceeds the ambient dimension
-    numeric = mdim_numeric_profile(geometric_system, [1], m_values=(1, 2))
-    numeric += mdim_numeric_profile(
-        build_stacked(Schedule.quadratic(1), 2, 1), [1], m_values=(1, 2)
-    )
-    for row in numeric:
-        assert row.error is None and row.active
-        assert row.ratio <= 2 and row.upper_ratio <= 2 and row.ratio_at_eps <= 2
+    for system in (geometric_system, build_stacked(Schedule.quadratic(1), 2, 1)):
+        for row in mdim_numeric_profile(system, [1], m_values=(1, 2)):
+            assert row.error is None and row.active
+            at_eps = row.rate / EpsSchedule(system.schedule).log_inv(row.k).to_float()
+            assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
     for system in systems + [two]:
         for row in rate_profile(system, range(1, 41)):
             assert row.lower_ratio() <= system.n + 1e-15
@@ -284,7 +281,8 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     elapsed = time.perf_counter() - t0
     print(
         "ACCEPTANCE 8: PASS -- validator 6/6 + 5 mutants caught, orbit-metric "
-        f"axioms x1000 ({survivors} full triangles), thread-invariant greedy, "
+        f"axioms x1000 ({survivors} full triangles), greedy equal to a naive "
+        f"scan on {len(seeds)} seeds, "
         "disjoint enlargements in 6 families, all ratios <= n, "
         f"in {elapsed:.2f}s"
     )

@@ -183,6 +183,29 @@ class TestProfile:
         assert result.exit_code == 0
         assert "skipped" in result.stderr
 
+    @pytest.mark.parametrize("command,kmax", [("profile", "5000"), ("verify", "100000")])
+    def test_oversized_kmax_fails_fast(self, runner, geometric_file, command, kmax):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, [command, geometric_file, "--kmax", kmax])
+        assert time.perf_counter() - t0 < 2.0
+        assert result.exit_code == 2, result.output
+        assert "--kmax" in result.stderr and "Traceback" not in result.output
+
+    def test_kmax_meets_the_spec_caps(self, runner, tmp_spec, tmp_path):
+        spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)
+        out = str(tmp_path / "two.json")
+        runner.invoke(main, ["build", spec, "-o", out])
+        result = runner.invoke(main, ["profile", out, "--kmax", "30"])
+        assert result.exit_code == 0
+        assert len(parse_csv(result.stdout)) == 30
+        assert runner.invoke(main, ["verify", out, "--kmax", "30"]).exit_code == 0
+        # within --kmax's range, but blocks up to 3000 would store rationals
+        # of more than 4000 digits at this two_block spec's rates
+        for command in ("profile", "verify"):
+            result = runner.invoke(main, [command, out, "--kmax", "3000"])
+            assert result.exit_code == 2, result.output
+            assert "digits" in result.stderr
+
     def test_ratios_increase(self, runner, geometric_file):
         result = runner.invoke(main, ["profile", geometric_file, "--kmax", "12"])
         ratios = [float(r["lower_ratio"]) for r in parse_csv(result.stdout)]
@@ -230,7 +253,7 @@ class TestEstimate:
         result = runner.invoke(main, ["estimate", geometric_file, "--k", "9"])
         assert result.exit_code == 2
         rows = parse_csv(result.stdout)
-        assert rows[0]["k"] == "9" and rows[0]["lower_rate"] == ""
+        assert rows == [{col: "" for col in PROFILE_COLUMNS} | {"k": "9", "source": "numeric"}]
 
     def test_unmaterialized_k_exits_2(self, runner, tmp_path):
         spec = SystemSpec.from_jsonable(

@@ -17,7 +17,6 @@ from mmdim.constructions import (
     build_two_block,
     enlarged_box,
     place_cubes,
-    quadratic_rescale_factor,
     solve_rate,
 )
 from mmdim.geometry import Box, Cube, pairwise_interior_disjoint
@@ -147,7 +146,6 @@ class TestPlaceCubes:
 
     def test_quadratic_full_size_is_rescaled(self):
         sched = Schedule.quadratic(1)
-        assert quadratic_rescale_factor(sched) == QUADRATIC_SIZE_CAP
         placed = place_cubes(sched, 2, 4)
         assert placed[0][1] == QUADRATIC_SIZE_CAP
         assert placed[1][1] == QUADRATIC_SIZE_CAP / 4
@@ -156,7 +154,6 @@ class TestPlaceCubes:
 
     def test_quadratic_small_b_unscaled(self):
         sched = Schedule.quadratic(F(1, 10))
-        assert quadratic_rescale_factor(sched) == 1
         assert place_cubes(sched, 2, 2)[1][1] == F(1, 40)
 
     def test_quadratic_slots_abut_and_fit(self):
@@ -166,9 +163,6 @@ class TestPlaceCubes:
             assert a1 + s1 + s1 / 10 == a2 - s2 / 10
         last_a, last_s = placed[-1]
         assert last_a + last_s * F(11, 10) < 1
-
-    def test_geometric_rescale_factor_is_one(self):
-        assert quadratic_rescale_factor(Schedule.geometric(1, 1)) == 1
 
     def test_edge_counts(self):
         assert place_cubes(Schedule.geometric(1, 1), 2, 0) == []

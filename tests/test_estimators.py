@@ -5,7 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmdim import estimators
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
     IdentitySystem,
@@ -20,16 +22,14 @@ from mmdim.estimators import (
     SeedSet,
     cylinder_centers,
     greedy_separated,
-    greedy_spanning,
     growth_rate,
     mdim_numeric_profile,
-    thread_count,
 )
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import AffinePiece, PAMap
-from mmdim.metrics import bowen_distance, compare_separation
-from mmdim.symbolic import rate_profile
+from mmdim.metrics import EUCLIDEAN, MAXNORM, bowen_distance, compare_separation
+from mmdim.symbolic import EpsSchedule, rate_profile
 
 F = Fraction
 
@@ -39,19 +39,17 @@ def identity_pamap(dim=2) -> PAMap:
     return PAMap(Cube.of(0, 1, dim), (AffinePiece(box, (F(1),) * dim, (F(0),) * dim),))
 
 
-class TestThreadCount:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("MMDIM_THREADS", "7")
-        assert thread_count(3) == 3
-        assert thread_count(0) == 1
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("MMDIM_THREADS", "5")
-        assert thread_count() == 5
-        monkeypatch.setenv("MMDIM_THREADS", "oops")
-        assert thread_count() == 1
-        monkeypatch.delenv("MMDIM_THREADS")
-        assert thread_count() == 1
+def naive_greedy(pamap, seeds, m, eps, metric=MAXNORM):
+    """Reference scan: keep a seed when its Bowen distance to every point
+    kept so far exceeds eps, computed pair by pair from scratch."""
+    chosen = []
+    for p in seeds:
+        if all(
+            compare_separation(bowen_distance(pamap, p, c, m, metric).value, eps, metric)
+            for c in chosen
+        ):
+            chosen.append(p)
+    return tuple(chosen)
 
 
 class TestSeedSet:
@@ -61,7 +59,6 @@ class TestSeedSet:
         assert seeds.points == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
         assert len(seeds) == 3
         assert list(seeds) == list(seeds.points)
-        assert seeds.provenance == "user"
 
 
 class TestCylinderCenters:
@@ -72,7 +69,6 @@ class TestCylinderCenters:
     def test_centers_live_in_the_block(self, geometric_system):
         block = geometric_system.block(1)
         seeds = cylinder_centers(geometric_system, 1, 2)
-        assert seeds.provenance == "cylinder-centers"
         for p in seeds:
             assert block.cube.box().interior_contains(p)
 
@@ -80,6 +76,18 @@ class TestCylinderCenters:
         with pytest.raises(BudgetExceeded, match="budget 100"):
             cylinder_centers(geometric_system, 1, 3, budget=100)
         assert len(cylinder_centers(geometric_system, 1, 3, budget=None)) == 729
+
+    def test_duplicate_centers_raise(self, geometric_system, monkeypatch):
+        real = estimators.enumerate_cylinders
+
+        def with_duplicate(*args):
+            cylinders = list(real(*args))
+            yield from cylinders[:-1]
+            yield cylinders[0]  # the last cylinder replaced by a copy of the first
+
+        monkeypatch.setattr(estimators, "enumerate_cylinders", with_duplicate)
+        with pytest.raises(AssertionError, match="pairwise distinct"):
+            cylinder_centers(geometric_system, 1, 1)
 
     def test_rejects_identity_and_two_block(self):
         with pytest.raises(ValueError, match="no cylinders"):
@@ -116,7 +124,6 @@ class TestGreedySeparated:
         seeds = SeedSet.of([(F(i, 10), F(1, 2)) for i in range(1, 6)])
         result = greedy_separated(sq_unit, seeds, 1, F(2))
         assert len(result) == 1
-        assert result.cover_verified
 
     def test_identity_counts_ignore_m(self):
         pm = identity_pamap()
@@ -158,13 +165,23 @@ class TestGreedySeparated:
                 for c in result.chosen
             )
 
-    def test_thread_count_does_not_change_result(self, unit_seeds):
-        sys, seeds = unit_seeds
-        sq = square(sys.block(1).geometry())
-        eps = sys.block(1).eps
-        one = greedy_separated(sq, seeds[2], 2, eps, threads=1)
-        four = greedy_separated(sq, seeds[2], 2, eps, threads=4)
-        assert one == four
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=0, max_value=1, max_denominator=30),
+                st.fractions(min_value=0, max_value=1, max_denominator=30),
+            ),
+            max_size=12,
+        ),
+        st.fractions(min_value=F(1, 60), max_value=F(1, 2), max_denominator=60),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([MAXNORM, EUCLIDEAN]),
+    )
+    def test_matches_naive_greedy(self, sq_unit, points, eps, m, metric):
+        seeds = SeedSet.of(points)
+        result = greedy_separated(sq_unit, seeds, m, eps, metric)
+        assert result.chosen == naive_greedy(sq_unit, seeds, m, eps, metric)
 
     def test_truncated_flag(self, sq_unit, unit_square_h):
         escaper = unit_square_h.grid.strip_box(2).center()
@@ -184,23 +201,15 @@ class TestGreedySeparated:
 
 class TestGreedySpanning:
     def test_single_target(self, sq_unit):
-        result = greedy_spanning(sq_unit, SeedSet.of([(F(1, 3), F(1, 3))]), 2, F(1, 9))
+        result = greedy_separated(sq_unit, SeedSet.of([(F(1, 3), F(1, 3))]), 2, F(1, 9))
         assert len(result) == 1
-
-    def test_never_exceeds_separated(self, unit_seeds):
-        sys, seeds = unit_seeds
-        sq = square(sys.block(1).geometry())
-        for eps in (sys.block(1).eps, 4 * sys.block(1).eps):
-            span = greedy_spanning(sq, seeds[2], 2, eps)
-            sep = greedy_separated(sq, seeds[2], 2, eps)
-            assert len(span) <= len(sep)
 
     def test_coarse_cover_is_smaller(self, unit_seeds):
         sys, seeds = unit_seeds
         sq = square(sys.block(1).geometry())
         eps = sys.block(1).eps
-        fine = len(greedy_spanning(sq, seeds[2], 2, eps))
-        coarse = len(greedy_spanning(sq, seeds[2], 2, 4 * eps))
+        fine = len(greedy_separated(sq, seeds[2], 2, eps))
+        coarse = len(greedy_separated(sq, seeds[2], 2, 4 * eps))
         assert coarse < fine == 81
 
 
@@ -247,9 +256,8 @@ class TestNumericProfile:
         assert row.error is None
         assert row.counts == {1: 9, 2: 81, 3: 729}
         assert abs(row.ratio - bound.lower_ratio()) <= 1e-9
-        assert row.ratio_at_eps == pytest.approx(
-            2 * math.log(3) / math.log(15), abs=1e-12
-        )
+        at_eps = row.rate / EpsSchedule(geometric_system.schedule).log_inv(1).to_float()
+        assert at_eps == pytest.approx(2 * math.log(3) / math.log(15), abs=1e-12)
         assert row.eps_exact == F(1, 15)
 
     def test_budget_produces_error_row(self, geometric_system):
@@ -276,8 +284,9 @@ class TestNumericProfile:
     def test_ratio_bounded_by_dimension(self, geometric_system):
         rows = mdim_numeric_profile(geometric_system, [1], m_values=(1, 2))
         for row in rows:
+            at_eps = row.rate / EpsSchedule(geometric_system.schedule).log_inv(row.k).to_float()
             assert row.ratio <= geometric_system.n
-            assert row.ratio_at_eps <= geometric_system.n
+            assert at_eps <= geometric_system.n
 
     def test_eps_override_skips_symbolic_check(self, geometric_system):
         rows = mdim_numeric_profile(

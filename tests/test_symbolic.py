@@ -24,7 +24,6 @@ from mmdim.symbolic import (
     LogExpr,
     analytic_targets,
     count_cylinders,
-    count_cylinders_log,
     cylinder_geometry,
     enumerate_cylinders,
     extrapolate,
@@ -103,18 +102,15 @@ class TestEpsSchedule:
         for sched in [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2))]:
             eps = EpsSchedule(sched)
             for k in (1, 2, 5):
-                assert abs(eps.to_float(k) - float(eps.exact(k))) < 1e-17
+                with mpmath.workdps(30):
+                    approx = float(mpmath.exp(-eps.log_inv(k).eval(30)))
+                assert abs(approx - float(eps.exact(k))) < 1e-17
 
     def test_irrational_sizes_have_no_exact_value(self):
         eps = EpsSchedule(Schedule.geometric(1, F(1, 2)))
         assert eps.exact(1) is None
         # the log form needs no radicals: |ln eps_1| = ln 5 + (1/2) ln 3
         assert eps.log_inv(1) == LogExpr.of(5) + LogExpr.of(3, F(1, 2))
-
-    def test_placed_scale(self):
-        eps = EpsSchedule(Schedule.quadratic(1), quad_scale=F(500, 987))
-        assert eps.exact_placed(1) == F(1, 5) * F(500, 987)
-        assert eps.exact(1) == F(1, 5)
 
 
 class TestSelectedStrips:
@@ -158,10 +154,6 @@ class TestCountCylinders:
         assert count_cylinders(1, 2, 3) == 729
         assert count_cylinders(2, 3, 1) == 729
         assert count_cylinders(1, 3, 3) == 19683
-
-    def test_log_form(self):
-        e = count_cylinders_log(2, 2, 3)
-        assert abs(e.to_float() - math.log(count_cylinders(2, 2, 3))) < 1e-12
 
     def test_rejections(self):
         for bad in [(0, 2, 1), (1, 1, 1), (1, 2, 0)]:
