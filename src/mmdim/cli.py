@@ -199,7 +199,11 @@ def estimate(system_path, k, m_max, eps_str, budget, precision, out):
         if row.error is not None:
             click.echo(f"k={row.k}: {row.error}", err=True)
         for m, count in sorted(row.counts.items()):
-            click.echo(f"k={row.k} m={m} eps={row.eps_exact} count={count}", err=True)
+            click.echo(
+                f"k={row.k} m={m} eps={row.eps_exact} count={count} "
+                f"seeds={row.seeds[m]} pairs={row.pairs[m]}",
+                err=True,
+            )
 
 
 @main.command()

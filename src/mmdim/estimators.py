@@ -3,12 +3,27 @@
 Greedy selection runs in a canonical order (lexicographic on coordinates),
 decides every comparison exactly, and stops scanning a pair at the first
 iterate that already separates it.
+
+The scan works on an integer lattice: every orbit state and eps are
+multiplied by one common denominator, the lcm of eps's and of every state
+coordinate's, so each coordinate and the threshold become exact integers
+and each comparison is an `int` subtraction deciding what the `Fraction`
+one decided.  It is also a cell list (Bentley, Stanat & Williams, IPL
+1977): two seeds that are not separated are within eps at step 0, which
+every orbit has, so under either metric their integer coordinates differ
+by at most the threshold on each axis, and their cells `x // threshold`
+by at most 1.  Kept
+points are filed by the cells of their first two axes, and a seed is
+compared only with the kept points of the 3 x 3 cells around its own.
+Every point that could reject it is among them, so the kept set is the one
+the all-pairs scan keeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -81,9 +96,25 @@ class GreedyResult:
     metric: str
     seed_count: int
     truncated: bool  # some orbit escaped before step m
+    pairs: int  # orbits_separate calls made by the scan and its cover check
 
     def __len__(self) -> int:
         return len(self.chosen)
+
+
+def _to_lattice(orbits: list[list], eps: Fraction) -> tuple[list[list], int]:
+    """Orbits and eps rescaled by one common denominator to exact integers."""
+    dens = {c.denominator for orbit in orbits for state in orbit
+            if state is not ESCAPED for c in state}
+    scale = math.lcm(eps.denominator, *dens)
+    factor = {d: scale // d for d in dens}
+    lattice = [
+        [state if state is ESCAPED
+         else tuple(c.numerator * factor[c.denominator] for c in state)
+         for state in orbit]
+        for orbit in orbits
+    ]
+    return lattice, eps.numerator * (scale // eps.denominator)
 
 
 def greedy_separated(
@@ -98,6 +129,21 @@ def greedy_separated(
     The chosen count lower-bounds the separated number of the seed set at
     (m, eps); every seed lies within eps of a chosen point, so the chosen
     points are also an eps-spanning set of the seeds.
+
+    Seeds are taken in order and each is kept when it is separated from
+    every point kept before it.  The comparisons run on the integer lattice
+    of the module docstring: eps becomes the integer `thr = eps * scale`,
+    which `orbits_separate` compares (squared, under the euclidean metric)
+    exactly as it compared eps.  Only kept points in the 3 x 3 step-0 cells
+    around a seed are compared with it; a point outside them differs from
+    the seed by more than `thr` on a keyed axis at step 0, so it is
+    separated under either metric and cannot reject the seed.  The order in
+    which the candidates are tried decides only which kept point is
+    recorded as the seed's witness, never whether the seed is kept.
+
+    The cover check then confirms, for every seed, that some kept point is
+    not separated from it: the witness first (the seed itself when it was
+    kept), then every kept point.  It raises if none is.
     """
     if m < 1:
         raise ValueError("greedy selection needs m >= 1")
@@ -107,17 +153,37 @@ def greedy_separated(
     pts = seeds.points
     orbits = [pamap.orbit(p, m - 1) for p in pts]
     truncated = any(orbit[-1] is ESCAPED for orbit in orbits)
-    chosen: list[int] = []
-    for i in range(len(pts)):
-        if all(orbits_separate(orbits[i], orbits[j], eps, metric) for j in chosen):
-            chosen.append(i)
+    lattice, thr = _to_lattice(orbits, eps)
+    axes = min(len(pts[0]), 2) if pts else 0
+    offsets = list(itertools.product((-1, 0, 1), repeat=axes))
+    cells: dict[tuple[int, ...], list[int]] = {}
+    witness: list[int] = []
+    pairs = 0
+    for i, orbit in enumerate(lattice):
+        key = tuple(x // thr for x in orbit[0][:axes])
+        near = (
+            j
+            for off in offsets
+            for j in cells.get(tuple(a + b for a, b in zip(key, off)), ())
+        )
+        close = i
+        for j in near:
+            pairs += 1
+            if not orbits_separate(orbit, lattice[j], thr, metric):
+                close = j
+                break
+        witness.append(close)
+        if close == i:
+            cells.setdefault(key, []).append(i)
+    chosen = [i for i, w in enumerate(witness) if w == i]
     # cover property: every seed within eps (Bowen d_m) of some chosen point
-    cover_ok = all(
-        any(not orbits_separate(orbits[i], orbits[j], eps, metric) for j in chosen)
-        for i in range(len(pts))
-    )
-    if not cover_ok:
-        raise AssertionError("greedy result failed its own cover check")
+    for i, w in enumerate(witness):
+        for j in itertools.chain((w,), chosen):
+            pairs += 1
+            if not orbits_separate(lattice[i], lattice[j], thr, metric):
+                break
+        else:
+            raise AssertionError("greedy result failed its own cover check")
     return GreedyResult(
         chosen=tuple(pts[i] for i in chosen),
         m=m,
@@ -125,6 +191,7 @@ def greedy_separated(
         metric=metric,
         seed_count=len(pts),
         truncated=truncated,
+        pairs=pairs,
     )
 
 
@@ -133,6 +200,8 @@ class GrowthRate:
     rate: float  # least-squares slope of ln(count) against m
     counts: dict[int, int]
     residual: float
+    seeds: dict[int, int]  # seed count per m
+    pairs: dict[int, int]  # GreedyResult.pairs per m
 
 
 def growth_rate(
@@ -143,14 +212,18 @@ def growth_rate(
     metric: str = MAXNORM,
 ) -> GrowthRate:
     counts: dict[int, int] = {}
+    seeds: dict[int, int] = {}
+    pairs: dict[int, int] = {}
     for m in sorted(set(m_values)):
         result = greedy_separated(pamap, seed_factory(m), m, eps, metric)
         counts[m] = len(result.chosen)
+        seeds[m] = result.seed_count
+        pairs[m] = result.pairs
     usable = [(m, c) for m, c in counts.items() if c > 0]
     if len(usable) < 2:
         raise ValueError("growth rate needs at least two m values with nonzero counts")
     slope, _, residual = fit_line([m for m, _ in usable], [math.log(c) for _, c in usable])
-    return GrowthRate(slope, counts, residual)
+    return GrowthRate(slope, counts, residual, seeds, pairs)
 
 
 @dataclass(frozen=True)
@@ -170,6 +243,8 @@ class NumericRateRow:
     eps_exact: Fraction | None
     counts: dict[int, int]
     error: str | None = None
+    seeds: dict[int, int] = field(default_factory=dict)  # per m, like counts
+    pairs: dict[int, int] = field(default_factory=dict)  # GreedyResult.pairs per m
 
 
 def mdim_numeric_profile(
@@ -227,6 +302,8 @@ def mdim_numeric_profile(
             measured.rate / (math.log(4) + den_here),
             eps_used,
             measured.counts,
+            seeds=measured.seeds,
+            pairs=measured.pairs,
         )
         bound = symbolic[k]
         if eps_override is None and bound.active:

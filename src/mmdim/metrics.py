@@ -85,6 +85,9 @@ def orbits_separate(orbit_x, orbit_y, eps: Fraction, metric: str = MAXNORM) -> b
 
     Orbits are aligned state lists (ESCAPED entries allowed); iteration stops
     at the first escaped step, so the decision uses the surviving prefix.
+    States may also hold integers with an integer `eps`: orbits and eps
+    scaled by one common factor, as the greedy scan passes them, give the
+    same decision, exactly, with no `Fraction` arithmetic.
     """
     threshold = eps if metric == MAXNORM else eps * eps
     if metric not in METRICS:

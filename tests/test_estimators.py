@@ -52,6 +52,45 @@ def naive_greedy(pamap, seeds, m, eps, metric=MAXNORM):
     return tuple(chosen)
 
 
+# name -> (cube lo, hi, dim, legs L, squared?) of the maps the hardened
+# equivalence property scans: a negative lower corner makes `//` floor
+# negative integers, and three axes exceed the two the cells are keyed on
+SCAN_MAPS = {
+    "unit square, squared": (0, 1, 2, 3, True),
+    "[-1, 1]^2": (-1, 1, 2, 3, False),
+    "unit cube, n=3": (0, 1, 3, 3, False),
+}
+
+
+@pytest.fixture(scope="module")
+def scan_maps():
+    out = {}
+    for name, (lo, hi, dim, legs, squared) in SCAN_MAPS.items():
+        h = build_horseshoe(Cube.of(lo, hi, dim), legs)
+        out[name] = (square(h) if squared else h.pamap, h.grid)
+    return out
+
+
+def hard_seeds(grid, eps):
+    """Up to 40 points mixing three kinds: on a grid of step eps/2 (exact
+    ties d == eps on cell boundaries), anywhere in the cube, and in the
+    even strips, whose orbits escape at step 1."""
+    lo, hi, n = grid.cube.lo, grid.cube.hi, grid.n
+    steps = int(grid.cube.side / (eps / 2))
+    on_grid = st.integers(0, steps).map(lambda i: lo + i * eps / 2)
+    anywhere = st.fractions(min_value=lo, max_value=hi, max_denominator=30)
+    evens = [grid.strip_box(l).intervals[0] for l in range(2, grid.strip_count, 2)]
+    in_even = st.sampled_from(evens).flatmap(
+        lambda iv: st.fractions(min_value=iv[0], max_value=iv[1], max_denominator=60)
+    )
+    point = st.one_of(
+        st.tuples(*[on_grid] * n),
+        st.tuples(*[anywhere] * n),
+        st.tuples(in_even, *[anywhere] * (n - 1)),
+    )
+    return st.lists(point, max_size=40)
+
+
 class TestSeedSet:
     def test_dedup_and_order(self):
         pts = [(F(1), F(0)), (F(0), F(1)), (F(1), F(0)), (F(0), F(0))]
@@ -182,6 +221,51 @@ class TestGreedySeparated:
         seeds = SeedSet.of(points)
         result = greedy_separated(sq_unit, seeds, m, eps, metric)
         assert result.chosen == naive_greedy(sq_unit, seeds, m, eps, metric)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from(sorted(SCAN_MAPS)),
+        st.fractions(min_value=F(1, 40), max_value=F(1, 2), max_denominator=40),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([MAXNORM, EUCLIDEAN]),
+    )
+    def test_matches_naive_greedy_on_hard_seeds(self, scan_maps, data, name, eps, m, metric):
+        pamap, grid = scan_maps[name]
+        eps = eps * grid.cube.side
+        seeds = SeedSet.of(data.draw(hard_seeds(grid, eps)))
+        result = greedy_separated(pamap, seeds, m, eps, metric)
+        assert result.chosen == naive_greedy(pamap, seeds, m, eps, metric)
+
+    def test_empty_seed_set(self, sq_unit):
+        result = greedy_separated(sq_unit, SeedSet.of([]), 2, F(1, 5))
+        assert result.chosen == () and result.pairs == 0 and not result.truncated
+
+    def test_cover_check_runs(self, sq_unit, monkeypatch):
+        # a kernel that calls every pair separated leaves no seed covered,
+        # not even by itself, so the self-check must raise
+        monkeypatch.setattr(estimators, "orbits_separate", lambda *args: True)
+        seeds = SeedSet.of([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))])
+        with pytest.raises(AssertionError, match="cover check"):
+            greedy_separated(sq_unit, seeds, 2, F(1, 5))
+
+    def test_pairs_count_every_kernel_call(self, geometric_system, monkeypatch):
+        # the greedy_square benchmark inputs: block 1 of the geometric
+        # square, m = 1..3, every one of the 9 + 81 + 729 seeds kept
+        calls = 0
+        real = estimators.orbits_separate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "orbits_separate", counted)
+        (row,) = mdim_numeric_profile(geometric_system, [1])
+        assert row.counts == row.seeds == {1: 9, 2: 81, 3: 729}
+        assert sum(row.pairs.values()) == calls
+        # the all-pairs scan and its cover check made 538,083 calls here
+        assert calls <= 40_000
 
     def test_truncated_flag(self, sq_unit, unit_square_h):
         escaper = unit_square_h.grid.strip_box(2).center()
