@@ -44,7 +44,6 @@ from .horseshoe import (
     ValidationReport,
     boustrophedon_legs,
     build_horseshoe,
-    canonical_assignment,
     square,
     subdivide,
     validate_horseshoe,

@@ -235,9 +235,12 @@ def verify(system_path: str, tol: float, kmax: int, precision: int):
             f"{'yes' if within else 'NO'}"
         )
     for name, limit_fit in (("liminf", fit.liminf_fit), ("limsup", fit.limsup_fit)):
+        note = " (degenerate)" if limit_fit.degenerate else ""
+        if limit_fit.points == 2:  # a line through two points fits them exactly
+            note = " (2 points: exact line)"
         click.echo(
             f"{name} fit: residual {limit_fit.residual:.3g} over {limit_fit.points} tail points"
-            + (" (degenerate)" if limit_fit.degenerate else ""),
+            + note,
             err=True,
         )
     click.echo(

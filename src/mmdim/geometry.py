@@ -17,7 +17,9 @@ Point = tuple[Fraction, ...]
 
 
 def rational_from_str(s: str) -> Fraction:
-    """Parse a rational from its canonical "p/q" (or plain integer) string."""
+    """Parse a rational from a "p/q", integer or plain decimal string."""
+    if "e" in s.lower():  # Fraction("1e10000000") alone runs for seconds
+        raise ValueError(f"not a rational (exponent notation): {s!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -173,16 +173,11 @@ def _strip_piece(grid: SubdivisionGrid, l: int, leg: tuple[int, ...]) -> AffineP
     return AffinePiece(grid.strip_box(l), tuple(scale), tuple(offset))
 
 
-def canonical_assignment(L: int, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(odd strip, leg) pairs of the canonical horseshoe: strips in increasing
-    order matched to legs in boustrophedon order."""
-    return tuple(zip(range(1, 2 * L ** (n - 1), 2), boustrophedon_legs(L, n)))
-
-
 def build_horseshoe(cube: Cube, L: int, n: int | None = None) -> HorseshoeMap:
-    """The canonical L-leg horseshoe on the cube."""
+    """The canonical L-leg horseshoe on the cube: odd strips in increasing
+    order matched to legs in boustrophedon order."""
     grid = subdivide(cube, L, n)
-    assignment = canonical_assignment(L, grid.n)
+    assignment = tuple(zip(grid.odd_strip_indices(), boustrophedon_legs(L, grid.n)))
     pieces = tuple(_strip_piece(grid, l, leg) for l, leg in assignment)
     return HorseshoeMap(grid, assignment, PAMap(cube, pieces))
 

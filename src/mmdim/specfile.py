@@ -1,11 +1,11 @@
 """JSON spec/system files and CSV profile export.
 
-Spec files describe a system to build; system files additionally record the
-built block geometry and can be reloaded losslessly.  All rationals cross the
-file boundary as "p/q" strings, JSON is dumped in one canonical form (sorted
-keys, compact separators, trailing newline), and loading a system file
-rebuilds it from its own spec and cross-checks the stored geometry, so
-build -> dump -> load -> dump is byte-identical.
+Spec files describe a system to build; system files additionally record each
+block's cube, leg count, eps and activity, and can be reloaded losslessly.
+All rationals cross the file boundary as "p/q" strings, JSON is dumped in one
+canonical form (sorted keys, compact separators, trailing newline), and
+loading a system file rebuilds it from its own spec and cross-checks the
+stored geometry, so build -> dump -> load -> dump is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from .constructions import (
 )
 from .estimators import NumericRateRow
 from .geometry import rational_from_str, rational_to_str
-from .horseshoe import canonical_assignment
 from .symbolic import DEFAULT_DPS, RateBound
 
-SYSTEM_FORMAT = "mmdim-system/1"
+SYSTEM_FORMAT = "mmdim-system/2"
 
 KIND_GEOMETRIC = "geometric"
 KIND_QUADRATIC = "quadratic"
@@ -287,9 +286,8 @@ def _system_payload(system: System) -> dict:
     if isinstance(system, IdentitySystem):
         return {"kind": system.kind, "n": system.n}
     if isinstance(system, StackedSystem):
-        blocks = []
-        for block in system.blocks:
-            entry = {
+        blocks = [
+            {
                 "k": block.k,
                 "anchor": rational_to_str(block.cube.lo),
                 "side": rational_to_str(block.cube.side),
@@ -298,11 +296,8 @@ def _system_payload(system: System) -> dict:
                 "active": block.active,
                 "materialized": block.materialized,
             }
-            if block.materialized:
-                entry["assignment"] = [
-                    [strip, list(leg)] for strip, leg in canonical_assignment(block.L, system.n)
-                ]
-            blocks.append(entry)
+            for block in system.blocks
+        ]
         return {
             "kind": system.kind,
             "n": system.n,
@@ -346,7 +341,8 @@ def load_system(data: object) -> tuple[SystemSpec, System]:
         raise SpecFileError("system file must be a JSON object")
     if data.get("format") != SYSTEM_FORMAT:
         raise SpecFileError(
-            f"field 'format' must be {SYSTEM_FORMAT!r}, got {data.get('format')!r}"
+            f"field 'format' must be {SYSTEM_FORMAT!r}, got {data.get('format')!r}; "
+            "to rebuild the file, run `mmdim build` on the spec stored under its 'spec' key"
         )
     if "spec" not in data or "system" not in data:
         raise SpecFileError("system file needs 'spec' and 'system' fields")

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from mmdim.cli import main
 from mmdim.specfile import (
     PROFILE_COLUMNS,
+    SpecFileError,
     SystemSpec,
     build_system,
     canonical_dumps,
@@ -60,7 +61,7 @@ class TestBuild:
         assert result.exit_code == 0
         assert f"wrote {out}" in result.stderr
         data = read_json(out)
-        assert data["format"] == "mmdim-system/1"
+        assert data["format"] == "mmdim-system/2"
         assert len(data["system"]["blocks"]) == 3
 
     def test_idempotent_and_loader_round_trips(self, runner, tmp_spec, tmp_path):
@@ -111,6 +112,8 @@ class TestBuild:
             (dict(kMax=5000), "kMax"),
             (dict(kMax=100000), "kMax"),
             (dict(r="30000000"), "rate r"),
+            (dict(B="1e10000000"), "'B'"),
+            (dict(B="1e-5000"), "'B'"),
         ],
     )
     def test_oversized_spec_fails_fast(self, runner, tmp_spec, geometric_file, fields, needle):
@@ -158,6 +161,22 @@ class TestValidate:
         result = runner.invoke(main, ["validate", geometric_file])
         assert result.exit_code == 2
         assert "does not match" in result.stderr
+
+    def test_format_1_file_exits_2_with_rebuild_hint(self, runner, geometric_file):
+        data = read_json(geometric_file)
+        data["format"] = "mmdim-system/1"
+        data["system"]["blocks"][0]["assignment"] = [[1, [5]], [3, [3]], [5, [1]]]
+        with pytest.raises(SpecFileError, match="mmdim build"):
+            load_system(data)
+        write_json(geometric_file, data)
+        for command in ("validate", "profile", "verify"):
+            t0 = time.perf_counter()
+            result = runner.invoke(main, [command, geometric_file])
+            assert time.perf_counter() - t0 < 2.0
+            assert result.exit_code == 2, result.output
+            assert "'mmdim-system/1'" in result.stderr
+            assert "run `mmdim build` on the spec stored under its 'spec' key" in result.stderr
+            assert "Traceback" not in result.output
 
 
 class TestProfile:
@@ -316,6 +335,8 @@ class TestVerify:
         runner.invoke(main, ["build", spec, "-o", out])
         result = runner.invoke(main, ["verify", out])
         assert result.exit_code == 0, result.stdout
+        assert "limsup fit: residual 0 over 2 tail points (2 points: exact line)" in result.stderr
+        assert "(2 points" not in result.stdout
 
     def test_kmax_floor(self, runner, geometric_file):
         result = runner.invoke(main, ["verify", geometric_file, "--kmax", "2"])

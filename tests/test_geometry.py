@@ -18,13 +18,13 @@ F = Fraction
 
 
 def test_rational_string_round_trip():
-    for s in ["1/3", "-7/2", "0", "5", "123456789/987654321"]:
+    for s in ["1/3", "-7/2", "0", "5", "123456789/987654321", "0.25", "-1.5"]:
         assert rational_to_str(rational_from_str(s)) == str(F(s))
     assert rational_from_str(" 2/6 ") == F(1, 3)
 
 
 def test_rational_from_str_rejects_garbage():
-    for bad in ["", "one", "1/0", "3.x"]:
+    for bad in ["", "one", "1/0", "3.x", "1e-5000"]:
         with pytest.raises(ValueError):
             rational_from_str(bad)
 

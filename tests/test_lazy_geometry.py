@@ -22,38 +22,40 @@ from mmdim.specfile import (
 )
 from mmdim.symbolic import rate_profile
 
-# SHA-256 of each spec's system file as written when every materializable
-# horseshoe was constructed up front; lazy geometry must not change a byte.
+# SHA-256 of each spec's system file.  Each digest is that of the file written
+# when every materializable horseshoe was constructed up front, in format /1,
+# with "format" set to /2 and every "assignment" key deleted; lazy geometry
+# must not change a byte.
 SPECS = {
     "geometric": (
         {"kind": "geometric", "n": 2, "B": "1", "r": "1", "kMax": 3},
-        "97db24e0addb84318934bb20a29012996f8556659f872fcf30a60debeccdb9e1",
+        "673bdb6aead610bd54f183a1a1fcea8d8641f1a52e0d20a5b9aae4a0b6b993e3",
     ),
     "quadratic": (
         {"kind": "quadratic", "n": 2, "B": "1", "kMax": 4},
-        "7b243e86dbdd90da1c1e1684f822951097f1c1573ee512caedf89b3d1b6be56a",
+        "9fc4a4f3e48e77d6124e4a92329ca084daa7c290fac48a9aab10f5d0427be57c",
     ),
     "sparse": (
         {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 5},
-        "7e9ce5cee072f7921da29cbb254339ed1fcd0483ae2ffc50742b4df725c5f996",
+        "8f2847388610368c1f4931ced24ab7aa7b55dc7b4bdcd802bb20d91ec027ce6a",
     ),
     "override": (
         {"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 3,
          "legScheduleOverride": {"2": 5}},
-        "1e9b2e29da488b97ff9a43f24bd442c74c63fd8834bf54c79f8c9146c0b5e0d2",
+        "dc8cf8456131cab3cd893d9e5548d0bd9bffa8dcfb42364d14a4655b3e7002cf",
     ),
     "two_block": (
         {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 5},
-        "f8b2c42cf894199bb22ba311b614a7891eb25673a1de9a9288ab2f1130a9d161",
+        "8d1f36273f5d76c623703bc4e96a923bc95ab169e6fc48ce4f12cfa5a3f8c14d",
     ),
     "two_block_identity": (
         {"kind": "two_block", "n": 2, "alpha": "0", "beta": "1", "kMax": 8},
-        "2b09b6bb5a02ab999ef1f45431077ee7ddc45503f4d0afd4174dacc61b245328",
+        "5f79552658124188ea95cc70dee4f2eb188f1a629f2e2371bc1c56714b14e6d5",
     ),
 }
 
 TWO_BLOCK_30 = {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 30}
-TWO_BLOCK_30_SHA256 = "bc00e5840f7476defb1da02bf81c45d14d088305473ec2b65bbd3b3537aa8183"
+TWO_BLOCK_30_SHA256 = "362a6121acfb5d37f53a185b6805584c20ea0737b96803f08cd5c5257d3ecd68"
 
 
 def stacked_halves(system):
@@ -130,11 +132,10 @@ def test_estimate_builds_only_the_block_it_measures(build_calls, tmp_path):
     assert [L for _, L in build_calls] == [3]
 
 
-def test_tampered_assignment_of_unbuilt_block_is_rejected(build_calls):
+def test_tampered_unbuilt_block_is_rejected(build_calls):
     spec = SystemSpec.from_jsonable(SPECS["geometric"][0])
     payload = system_to_jsonable(build_system(spec), spec)
-    assignment = payload["system"]["blocks"][2]["assignment"]
-    assignment[0], assignment[-1] = assignment[-1], assignment[0]
+    payload["system"]["blocks"][2]["L"] = 25
     with pytest.raises(SpecFileError, match="does not match"):
         load_system(payload)
     assert build_calls == []

