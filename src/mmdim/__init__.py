@@ -65,12 +65,10 @@ from .symbolic import (
     LogExpr,
     RateBound,
     analytic_targets,
-    count_cylinders,
     cylinder_geometry,
     enumerate_cylinders,
     extrapolate,
     rate_profile,
-    selected_strips,
     strip_word_box,
 )
 

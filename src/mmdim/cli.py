@@ -42,7 +42,7 @@ from .symbolic import DEFAULT_DPS, analytic_targets, extrapolate, rate_profile
 
 PRECISION_OPT = click.option(
     "--precision",
-    type=click.IntRange(min=6),
+    type=click.IntRange(min=6, max=1000),
     default=DEFAULT_DPS,
     show_default=True,
     help="Decimal digits carried by exact-log evaluation.",

@@ -4,7 +4,7 @@ A schedule assigns block k (k = 1, 2, ...) a cube side |E_k| and a leg count
 L_k, plus an activity predicate.  Sizes follow either
 
 * geometric decay  |E_k| = B / 3^(k r)  with rate parameter r > 0, or
-* quadratic decay  |E_k| = B / k^2.
+* quadratic decay  |E_k| = B / k^2, with B capped at QUADRATIC_SIZE_CAP.
 
 Blocks are laid out along the first axis of [0, 1]^n with disjoint
 enlargements (a 1/10 side margin per face, clipped to the unit cube), the
@@ -98,12 +98,19 @@ class Schedule:
     def has_rational_sizes(self) -> bool:
         return self.kind == QUADRATIC or self.r.denominator == 1
 
+    @property
+    def placed_B(self) -> Fraction:
+        """B as placed: quadratic sides above the packing cap shrink to it."""
+        if self.kind == QUADRATIC:
+            return min(self.B, QUADRATIC_SIZE_CAP)
+        return self.B
+
     def size(self, k: int) -> Fraction:
-        """Exact side |E_k|; raises when 3^(k r) is irrational."""
+        """Exact placed side |E_k|; raises when 3^(k r) is irrational."""
         if k < 1:
             raise ScheduleError("block indices start at 1")
         if self.kind == QUADRATIC:
-            return self.B / k**2
+            return self.placed_B / k**2
         exponent = k * self.r
         if exponent.denominator != 1:
             raise ScheduleError(
@@ -150,8 +157,8 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
     Geometric schedules use the telescoping anchors a_0 = 0,
     a_m = sum_{i<m} C/3^(i r) with C = (3^r - 1)/3^r, whose slot lengths sum
     to exactly 1; block k occupies the slot [a_{k-1}, a_k).  Quadratic
-    schedules pack abutting slots of width (6/5)|E_k|, rescaling all sides by
-    one global factor when B exceeds the packing cap.
+    schedules pack abutting slots of width (6/5)|E_k|; `Schedule.size` has
+    already rescaled the sides when B exceeds the packing cap.
     """
     if n < 2:
         raise ScheduleError("systems need dimension n >= 2")
@@ -178,10 +185,9 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
             out.append((anchor, side))
             anchor += C / Fraction(3) ** ((k - 1) * r)
     else:
-        scale = min(Fraction(1), QUADRATIC_SIZE_CAP / schedule.B)
         slot_lo = Fraction(0)
         for k in range(1, count + 1):
-            side = schedule.size(k) * scale
+            side = schedule.size(k)
             out.append((slot_lo + side / 10, side))
             slot_lo += side * Fraction(6, 5)
     return out

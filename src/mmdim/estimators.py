@@ -32,14 +32,7 @@ from .geometry import Point
 from .horseshoe import square
 from .mapping import ESCAPED, PAMap
 from .metrics import MAXNORM, orbits_separate
-from .symbolic import (
-    DEFAULT_DPS,
-    EpsSchedule,
-    count_cylinders,
-    enumerate_cylinders,
-    fit_line,
-    rate_profile,
-)
+from .symbolic import DEFAULT_DPS, enumerate_cylinders, fit_line, rate_profile
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -66,7 +59,7 @@ class SeedSet:
 
 
 def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> SeedSet:
-    """Centers of every depth-m selected cylinder of block k."""
+    """Centers of the L^(n m) depth-m selected cylinders of block k."""
     if isinstance(system, IdentitySystem):
         raise ValueError("identity systems have no cylinders")
     if not isinstance(system, StackedSystem):
@@ -76,12 +69,10 @@ def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAUL
         raise ValueError(f"block {k} is inactive (identity); it has no cylinders")
     if not block.materialized:
         raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
-    total = count_cylinders(k, system.n, m)
+    total = block.L ** (system.n * m)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}")
-    centers = [
-        box.center() for _, box in enumerate_cylinders(block.geometry(), k, m, system.n)
-    ]
+    centers = [box.center() for _, box in enumerate_cylinders(block.geometry(), k, m)]
     seeds = SeedSet.of(centers)
     if len(seeds) != total:
         raise AssertionError("cylinder centers must be pairwise distinct")
@@ -230,9 +221,10 @@ def growth_rate(
 class NumericRateRow:
     """Measured growth of one block, ready for profile CSV export.
 
-    The separated and spanning certificates coincide (one greedy scan yields
-    both), so `rate` serves as lower and upper rate; the two ratios differ
-    only in their denominators, mirroring the symbolic rows.
+    `rate` is the growth of the greedy separated count, a lower bound; its
+    ratios use the symbolic row's two denominators.  `upper_ratio` therefore
+    certifies nothing yet: the kept set spans the seeds, not the block, and
+    no count bounds the block's spanning number from above (ROADMAP item 5).
     """
 
     k: int
@@ -291,21 +283,18 @@ def mdim_numeric_profile(
         measured = growth_rate(
             squared, lambda m: seeds_by_m[m], eps_used, list(m_values), metric
         )
-        eps_sched = EpsSchedule(system.schedule)
-        den_next = eps_sched.log_inv(k + 1).to_float(dps)
-        den_here = eps_sched.log_inv(k).to_float(dps)
+        bound = symbolic[k]
         row = NumericRateRow(
             k,
             True,
             measured.rate,
-            measured.rate / den_next,
-            measured.rate / (math.log(4) + den_here),
+            measured.rate / bound.lower_den.to_float(dps),
+            measured.rate / bound.upper_den.to_float(dps),
             eps_used,
             measured.counts,
             seeds=measured.seeds,
             pairs=measured.pairs,
         )
-        bound = symbolic[k]
         if eps_override is None and bound.active:
             # cylinder-center seeds realize the symbolic count exactly
             if row.ratio > bound.lower_ratio(dps) + 1e-9:

@@ -107,7 +107,7 @@ def log_ratio(num: LogExpr, den: LogExpr, dps: int = DEFAULT_DPS) -> float:
 
 
 class EpsSchedule:
-    """Separation scales eps_k = |E_k| / (2 L_k - 1); strictly decreasing."""
+    """Separation scales eps_k = |E_k| / (2 L_k - 1) of the placed sides."""
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
@@ -118,9 +118,9 @@ class EpsSchedule:
         return self.schedule.size(k) / (2 * self.schedule.legs(k) - 1)
 
     def log_inv(self, k: int) -> LogExpr:
-        """|ln eps_k| as an exact log expression (uses the nominal size)."""
+        """|ln eps_k| as an exact log expression; exp(-log_inv(k)) == exact(k)."""
         sched = self.schedule
-        expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.B, -1)
+        expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
         if sched.kind == GEOMETRIC:
             expr = expr + LogExpr.of(3, k * sched.r)
         else:
@@ -128,29 +128,16 @@ class EpsSchedule:
         return expr
 
 
-def selected_strips(k: int, n: int) -> list[int]:
-    """3^k odd strip indices of block k whose mutual gaps beat eps_k.
-
-    There are 3^(k(n-1)) odd strips; taking every 3^(k(n-2))-th one spaces
-    the selected strips at least two s-cells apart relative to the eps_k
-    grid, so cylinder seeds in distinct selected strips separate strictly in
-    one application.  For n = 2 every odd strip is selected.
-    """
-    if k < 1 or n < 2:
-        raise ValueError("need k >= 1 and n >= 2")
-    return _selected_strip_indices(3**k, n)
-
-
 def _selected_strip_indices(L: int, n: int) -> list[int]:
+    """L odd strip indices of an L-leg block whose mutual gaps beat its eps.
+
+    There are L^(n-1) odd strips; taking every L^(n-2)-th one spaces the
+    selected strips at least two s-cells apart relative to the eps grid, so
+    cylinder seeds in distinct selected strips separate strictly in one
+    application.  For n = 2 every odd strip is selected.
+    """
     stride = L ** (n - 2)
     return [2 * j * stride + 1 for j in range(L)]
-
-
-def count_cylinders(k: int, n: int, m: int) -> int:
-    """Depth-m words over selected strips x legs: exactly 3^(k n m)."""
-    if k < 1 or n < 2 or m < 1:
-        raise ValueError("need k >= 1, n >= 2, m >= 1")
-    return 3 ** (k * n * m)
 
 
 @dataclass(frozen=True)
@@ -189,19 +176,20 @@ def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     step; the intermediate strip is forced by the next step's leg through
     the strip-to-leg bijection.
     """
-    pieces = {l: _piece_of(h, l) for l, _ in h.assignment}
+    strips = {l for l, _ in h.assignment}
     grid = h.grid
     for l, leg in code.word:
-        if l not in pieces:
+        if l not in strips:
             raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
         grid.leg_box(leg)  # validates leg indices
+    # step t pulls back through strip l_t and the strip whose leg is step t+1's
+    mids = [h.strip_for_leg(leg) for _, leg in code.word[1:]]
+    pieces = {l: _piece_of(h, l) for l in {l for l, _ in code.word[:-1]}.union(mids)}
     last_l, last_leg = code.word[-1]
     box = _cell_box(h, last_l, last_leg)
     for t in range(code.depth - 2, -1, -1):
         l, leg = code.word[t]
-        leg_next = code.word[t + 1][1]
-        mid_strip = h.strip_for_leg(leg_next)
-        pulled = pieces[mid_strip].preimage_box(box)
+        pulled = pieces[mids[t]].preimage_box(box)
         if pulled is None:
             raise AssertionError("cylinder chain broke at the intermediate strip")
         pulled = pieces[l].preimage_box(pulled)
@@ -221,12 +209,9 @@ def _piece_of(h: HorseshoeMap, l: int):
     raise ValueError(f"no piece with domain = strip {l}")
 
 
-def enumerate_cylinders(
-    h: HorseshoeMap, k: int, m: int, n: int, strips: Sequence[int] | None = None
-) -> Iterator[tuple[CylinderCode, Box]]:
-    """Brute-force oracle: every depth-m code over selected strips x legs."""
-    if strips is None:
-        strips = _selected_strip_indices(h.grid.L, n)
+def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[CylinderCode, Box]]:
+    """Brute-force oracle: all L^(n m) depth-m codes over selected strips x legs."""
+    strips = _selected_strip_indices(h.grid.L, h.grid.n)
     legs = h.grid.odd_leg_indices()
     steps = list(itertools.product(strips, legs))
     for word in itertools.product(steps, repeat=m):

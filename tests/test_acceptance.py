@@ -34,7 +34,6 @@ from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
 from mmdim.metrics import bowen_distance
 from mmdim.symbolic import (
     EpsSchedule,
-    count_cylinders,
     enumerate_cylinders,
     extrapolate,
     rate_profile,
@@ -114,7 +113,7 @@ def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     seeds = cylinder_centers(geometric_system, 1, 3)
     result = greedy_separated(sq, seeds, 3, block.eps)
     elapsed = time.perf_counter() - t0
-    expected = count_cylinders(1, geometric_system.n, 3)
+    expected = block.L ** (geometric_system.n * 3)
     assert len(result) == expected == 729
     assert not result.truncated
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -131,8 +130,8 @@ def test_criterion_5_cylinder_enumeration_counts_and_disjointness():
         system = build_stacked(Schedule.geometric(1, 1), n, 1)
         h = system.block(1).geometry()
         for m in (1, 2, 3):
-            boxes = [box for _, box in enumerate_cylinders(h, 1, m, n)]
-            assert len(boxes) == count_cylinders(1, n, m) == 3 ** (n * m)
+            boxes = [box for _, box in enumerate_cylinders(h, 1, m)]
+            assert len(boxes) == 3 ** (n * m)
             assert pairwise_interior_disjoint(boxes)
             counts.append(f"n={n} m={m}: {len(boxes)}")
     elapsed = time.perf_counter() - t0

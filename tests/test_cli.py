@@ -210,6 +210,18 @@ class TestProfile:
         assert result.exit_code == 2, result.output
         assert "--kmax" in result.stderr and "Traceback" not in result.output
 
+    @pytest.mark.parametrize("command", ["profile", "verify", "estimate"])
+    @pytest.mark.parametrize("precision", ["1001", "10000000"])
+    def test_oversized_precision_fails_fast(self, runner, geometric_file, command, precision):
+        args = [command, geometric_file, "--precision", precision]
+        if command == "estimate":
+            args += ["--k", "1"]
+        t0 = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - t0 < 2.0
+        assert result.exit_code == 2, result.output
+        assert "--precision" in result.stderr and "Traceback" not in result.output
+
     def test_kmax_meets_the_spec_caps(self, runner, tmp_spec, tmp_path):
         spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)
         out = str(tmp_path / "two.json")
@@ -247,6 +259,32 @@ class TestEstimate:
         numeric = float(parse_csv(est.stdout)[0]["lower_ratio"])
         symbolic = float(parse_csv(prof.stdout)[0]["lower_ratio"])
         assert abs(numeric - symbolic) <= 1e-9
+
+    def test_leg_override_block(self, runner, tmp_spec, tmp_path):
+        spec = tmp_spec(kind="geometric", n=2, B="1", r="2", kMax=2,
+                        legScheduleOverride={"2": 5})
+        out = str(tmp_path / "override.json")
+        assert runner.invoke(main, ["build", spec, "-o", out]).exit_code == 0
+        est = runner.invoke(main, ["estimate", out, "--k", "2", "--m", "2"])
+        assert est.exit_code == 0, est.output
+        assert "k=2 m=2 eps=1/729 count=625" in est.stderr  # 5^(n m) cylinders
+        prof = runner.invoke(main, ["profile", out, "--kmax", "2"])
+        numeric, symbolic = parse_csv(est.stdout)[0], parse_csv(prof.stdout)[1]
+        assert numeric["eps_exact"] == symbolic["eps_exact"] == "1/729"
+        assert numeric["lower_ratio"] == symbolic["lower_ratio"] == "0.304761058016"
+
+    def test_quadratic_eps_is_the_placed_one(self, runner, tmp_spec, tmp_path):
+        # B = 1 is above the packing cap: block 1's side is 500/987, not 1
+        spec = tmp_spec(kind="quadratic", n=2, B="1", kMax=3)
+        out = str(tmp_path / "quadratic.json")
+        assert runner.invoke(main, ["build", spec, "-o", out]).exit_code == 0
+        est = runner.invoke(main, ["estimate", out, "--k", "1"])
+        assert est.exit_code == 0, est.output
+        assert "k=1 m=3 eps=100/987 count=729" in est.stderr
+        prof = runner.invoke(main, ["profile", out, "--kmax", "4"])
+        numeric, symbolic = parse_csv(est.stdout)[0], parse_csv(prof.stdout)[0]
+        assert numeric["eps_exact"] == symbolic["eps_exact"] == "100/987"
+        assert abs(float(numeric["lower_ratio"]) - float(symbolic["lower_ratio"])) <= 1e-9
 
     def test_eps_override(self, runner, geometric_file):
         result = runner.invoke(

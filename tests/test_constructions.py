@@ -36,9 +36,12 @@ class TestSchedule:
         assert sched.size(3) == F(2, 729)
 
     def test_quadratic_sizes(self):
+        # sides are the placed ones: B = 1 is above the packing cap
         sched = Schedule.quadratic(1)
-        assert sched.size(2) == F(1, 4)
-        assert sched.size(10) == F(1, 100)
+        assert sched.placed_B == QUADRATIC_SIZE_CAP == F(500, 987)
+        assert sched.size(2) == F(125, 987)
+        assert sched.size(10) == F(5, 987)
+        assert Schedule.quadratic(F(1, 2)).size(2) == F(1, 8)
 
     def test_fractional_rate_is_partially_rational(self):
         # r = 1/2: odd blocks need 3^(k/2), but even ones are exact
@@ -54,6 +57,8 @@ class TestSchedule:
     def test_size_rejects_bad_index(self):
         with pytest.raises(ScheduleError, match="start at 1"):
             Schedule.geometric(1, 1).size(0)
+        with pytest.raises(ScheduleError, match="start at 1"):
+            Schedule.geometric(1, 1).legs(0)
 
     def test_legs_default_and_override(self):
         sched = Schedule.geometric(1, 1)
@@ -149,8 +154,8 @@ class TestPlaceCubes:
         placed = place_cubes(sched, 2, 4)
         assert placed[0][1] == QUADRATIC_SIZE_CAP
         assert placed[1][1] == QUADRATIC_SIZE_CAP / 4
-        # nominal schedule sizes are untouched
-        assert sched.size(2) == F(1, 4)
+        # the schedule's sides are the placed ones
+        assert [sched.size(k) for k in range(1, 5)] == [side for _, side in placed]
 
     def test_quadratic_small_b_unscaled(self):
         sched = Schedule.quadratic(F(1, 10))

@@ -29,6 +29,7 @@ from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import AffinePiece, PAMap
 from mmdim.metrics import EUCLIDEAN, MAXNORM, bowen_distance, compare_separation
+from mmdim.specfile import SystemSpec, build_system
 from mmdim.symbolic import EpsSchedule, rate_profile
 
 F = Fraction
@@ -91,6 +92,18 @@ def hard_seeds(grid, eps):
     return st.lists(point, max_size=40)
 
 
+@st.composite
+def override_cases(draw):
+    """(n, L, kMax, k, m): an odd L in 3..11 overriding block k <= kMax,
+    at a depth m with at most 2,000 cylinders."""
+    n = draw(st.sampled_from((2, 3)))
+    L = draw(st.sampled_from(range(3, 12, 2)))
+    k_max = draw(st.integers(1, 3))
+    k = draw(st.integers(1, k_max))
+    m = draw(st.integers(1, max(d for d in (1, 2, 3) if L ** (n * d) <= 2000)))
+    return n, L, k_max, k, m
+
+
 class TestSeedSet:
     def test_dedup_and_order(self):
         pts = [(F(1), F(0)), (F(0), F(1)), (F(1), F(0)), (F(0), F(0))]
@@ -144,6 +157,24 @@ class TestCylinderCenters:
         sys = build_stacked(Schedule.geometric(1, 1), 2, 2, geometry_budget=8)
         with pytest.raises(UnmaterializedBlockError):
             cylinder_centers(sys, 2, 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(override_cases())
+    def test_leg_override_specs(self, case):
+        n, L, k_max, k, m = case
+        system = build_system(SystemSpec.from_jsonable({
+            "kind": "geometric", "n": n, "B": "1", "r": "1", "kMax": k_max,
+            "legScheduleOverride": {str(k): L},
+        }))
+        block = system.block(k)
+        seeds = cylinder_centers(system, k, m, budget=2000)  # raises on a repeated center
+        assert block.L == L and len(seeds) == L ** (n * m)
+        h = block.geometry()
+        # a depth-1 scan compares step-0 points only and never applies the map
+        kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, block.eps)
+        bound = rate_profile(system, [k])[0]
+        numeric = math.log(len(kept)) / m / bound.lower_den.to_float()
+        assert abs(numeric - bound.lower_ratio()) <= 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import pytest
 
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
+    QUADRATIC_SIZE_CAP,
     IdentitySystem,
     Schedule,
     build_stacked,
@@ -22,14 +23,13 @@ from mmdim.symbolic import (
     CylinderCode,
     EpsSchedule,
     LogExpr,
+    _selected_strip_indices,
     analytic_targets,
-    count_cylinders,
     cylinder_geometry,
     enumerate_cylinders,
     extrapolate,
     log_ratio,
     rate_profile,
-    selected_strips,
     strip_word_box,
 )
 from mmdim.geometry import pairwise_interior_disjoint
@@ -94,9 +94,12 @@ class TestEpsSchedule:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_quadratic_values(self):
+        # B = 1 exceeds the packing cap, so eps uses the placed B = 500/987
         eps = EpsSchedule(Schedule.quadratic(1))
-        assert eps.exact(2) == F(1, 68)
-        assert eps.log_inv(2) == LogExpr.of(17) + LogExpr.of(2, 2)
+        assert eps.exact(2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
+        assert eps.log_inv(2) == (
+            LogExpr.of(17) + LogExpr.of(2, 2) + LogExpr.of_rational(1 / QUADRATIC_SIZE_CAP)
+        )
 
     def test_log_inv_matches_exact(self):
         for sched in [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2))]:
@@ -112,14 +115,35 @@ class TestEpsSchedule:
         # the log form needs no radicals: |ln eps_1| = ln 5 + (1/2) ln 3
         assert eps.log_inv(1) == LogExpr.of(5) + LogExpr.of(3, F(1, 2))
 
+    def test_profile_eps_is_the_block_eps(self):
+        # every block's eps_k is one number: the profile's exact and log
+        # forms both equal the built block's side / (2 L_k - 1)
+        dense_to_full = build_two_block(1, 2, 2, 5)
+        systems = [
+            build_stacked(Schedule.geometric(1, 1), 2, 4),
+            build_stacked(Schedule.quadratic(1), 2, 4),  # B above the cap
+            build_stacked(Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 2, 5),
+            build_stacked(Schedule.geometric(1, 1, leg_override=((2, 5), (3, 7))), 3, 3),
+            dense_to_full.lower,  # sparse quadratic half, beta = n
+            dense_to_full.upper,
+            build_two_block(F(2, 3), 1, 2, 5).lower,
+        ]
+        for system in systems:
+            rows = rate_profile(system, range(1, system.k_max + 1))
+            for row, block in zip(rows, system.blocks):
+                assert row.eps_exact == block.eps
+                assert abs(row.eps_float() - float(block.eps)) < 1e-17
+
 
 class TestSelectedStrips:
     def test_planar_selects_all_odd(self):
-        assert selected_strips(1, 2) == [1, 3, 5]
-        assert selected_strips(2, 2) == [1, 3, 5, 7, 9, 11, 13, 15, 17]
+        assert _selected_strip_indices(3, 2) == [1, 3, 5]
+        assert _selected_strip_indices(5, 2) == [1, 3, 5, 7, 9]
+        assert _selected_strip_indices(9, 2) == [1, 3, 5, 7, 9, 11, 13, 15, 17]
 
     def test_higher_dimension_strides(self):
-        assert selected_strips(1, 3) == [1, 7, 13]
+        assert _selected_strip_indices(3, 3) == [1, 7, 13]
+        assert _selected_strip_indices(5, 3) == [1, 11, 21, 31, 41]
 
     def test_gaps_beat_eps(self):
         # consecutive selected strips of the unit-cube block leave a gap of
@@ -128,37 +152,22 @@ class TestSelectedStrips:
         from mmdim.horseshoe import subdivide
         from mmdim.geometry import Cube
 
-        for n in (2, 3):
-            grid = subdivide(Cube.of(0, 1, n), 3, n)
-            chosen = selected_strips(1, n)
-            eps = F(1, 5)
-            for a, b in zip(chosen, chosen[1:]):
-                gap = grid.strip_box(b).intervals[0][0] - grid.strip_box(a).intervals[0][1]
-                assert gap >= eps
-                centers = grid.strip_box(b).center()[0] - grid.strip_box(a).center()[0]
-                assert centers > eps
+        for L in (3, 5, 7):
+            for n in (2, 3):
+                grid = subdivide(Cube.of(0, 1, n), L, n)
+                chosen = _selected_strip_indices(L, n)
+                assert len(chosen) == L and chosen[-1] <= grid.strip_count
+                eps = F(1, 2 * L - 1)
+                for a, b in zip(chosen, chosen[1:]):
+                    gap = grid.strip_box(b).intervals[0][0] - grid.strip_box(a).intervals[0][1]
+                    assert gap >= eps
+                    centers = grid.strip_box(b).center()[0] - grid.strip_box(a).center()[0]
+                    assert centers > eps
 
     def test_count_is_three_to_the_k(self):
-        assert len(selected_strips(3, 4)) == 27
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            selected_strips(0, 2)
-        with pytest.raises(ValueError):
-            selected_strips(1, 1)
-
-
-class TestCountCylinders:
-    def test_values(self):
-        assert count_cylinders(1, 2, 1) == 9
-        assert count_cylinders(1, 2, 3) == 729
-        assert count_cylinders(2, 3, 1) == 729
-        assert count_cylinders(1, 3, 3) == 19683
-
-    def test_rejections(self):
-        for bad in [(0, 2, 1), (1, 1, 1), (1, 2, 0)]:
-            with pytest.raises(ValueError):
-                count_cylinders(*bad)
+        # the default leg schedule L_k = 3^k selects 3^k strips
+        for k in (1, 2, 3):
+            assert len(_selected_strip_indices(3**k, 4)) == 3**k
 
 
 def follows_itinerary(h, sq, code, p) -> bool:
@@ -199,7 +208,7 @@ class TestCylinderGeometry:
         h = unit_square_h
         sq = square(h)
         boxes = []
-        for code, box in enumerate_cylinders(h, 1, 2, 2):
+        for code, box in enumerate_cylinders(h, 1, 2):
             # each squared step divides the first-axis width by 25
             assert box.width(0) == F(1, 125)
             # nesting: the depth-2 box refines its depth-1 prefix
@@ -207,7 +216,7 @@ class TestCylinderGeometry:
             assert prefix.contains_box(box)
             assert follows_itinerary(h, sq, code, box.center())
             boxes.append(box)
-        assert len(boxes) == count_cylinders(1, 2, 2) == 81
+        assert len(boxes) == 3 ** (2 * 2) == 81
         assert pairwise_interior_disjoint(boxes)
 
     def test_center_itineraries_are_distinct(self, unit_square_h):
@@ -215,14 +224,14 @@ class TestCylinderGeometry:
         h = unit_square_h
         sq = square(h)
         seen = {}
-        for code, box in enumerate_cylinders(h, 1, 2, 2):
+        for code, box in enumerate_cylinders(h, 1, 2):
             c = box.center()
             assert c not in seen
             seen[c] = code
             # the center fails every other code's membership test by
             # construction; spot-check one competitor
             other = next(
-                cd for cd, _ in enumerate_cylinders(h, 1, 1, 2) if cd.word != code.word[:1]
+                cd for cd, _ in enumerate_cylinders(h, 1, 1) if cd.word != code.word[:1]
             )
             assert not follows_itinerary(h, sq, other, c)
 
@@ -231,7 +240,7 @@ class TestCylinderGeometry:
         # at eps = 1/5, strictly
         h = unit_square_h
         sq = square(h)
-        centers = [box.center() for _, box in enumerate_cylinders(h, 1, 2, 2)]
+        centers = [box.center() for _, box in enumerate_cylinders(h, 1, 2)]
         eps = F(1, 5)
         for a, b in itertools.combinations(centers, 2):
             assert bowen_distance(sq, a, b, 2).value > eps
@@ -239,7 +248,7 @@ class TestCylinderGeometry:
     def test_depth_three_sampled_separation(self, unit_square_h):
         h = unit_square_h
         sq = square(h)
-        centers = [box.center() for _, box in enumerate_cylinders(h, 1, 3, 2)]
+        centers = [box.center() for _, box in enumerate_cylinders(h, 1, 3)]
         assert len(centers) == 729
         rng = random.Random(7)
         eps = F(1, 5)
