@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .geometry import Box, Cube, Point, find_cross_overlap
@@ -148,17 +149,24 @@ class HorseshoeMap:
         """Transverse contraction is 1 over this factor."""
         return 2 * self.grid.L - 1
 
+    @cached_property
+    def leg_of(self) -> dict[int, tuple[int, ...]]:
+        """Strip -> leg; for a malformed assignment the first entry wins."""
+        return {l: leg for l, leg in reversed(self.assignment)}
+
+    @cached_property
+    def strip_of(self) -> dict[tuple[int, ...], int]:
+        return {leg: l for l, leg in reversed(self.assignment)}
+
     def leg_for_strip(self, l: int) -> tuple[int, ...]:
-        for strip, leg in self.assignment:
-            if strip == l:
-                return leg
-        raise KeyError(f"strip {l} is not assigned")
+        if l not in self.leg_of:
+            raise KeyError(f"strip {l} is not assigned")
+        return self.leg_of[l]
 
     def strip_for_leg(self, leg: tuple[int, ...]) -> int:
-        for strip, assigned in self.assignment:
-            if assigned == leg:
-                return strip
-        raise KeyError(f"leg {leg} is not assigned")
+        if leg not in self.strip_of:
+            raise KeyError(f"leg {leg} is not assigned")
+        return self.strip_of[leg]
 
 
 def _strip_piece(grid: SubdivisionGrid, l: int, leg: tuple[int, ...]) -> AffinePiece:

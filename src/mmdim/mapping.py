@@ -9,6 +9,7 @@ every piece domain (and points already outside) go to the absorbing
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,12 +97,17 @@ class PAMap:
     """Piecewise-affine map with escape outside the piece domains.
 
     Pieces are kept sorted by domain so that a point on a shared boundary is
-    resolved to the lexicographically smallest piece, deterministically.
+    resolved to the lexicographically smallest piece, deterministically.  A
+    point's candidates are indexed by its first coordinate: the distinct
+    first-axis endpoints of the domains are the cuts, and slot 2i + 1 holds
+    the pieces containing cut i, slot 2i those containing the open gap just
+    below it, each in sorted order.
     """
 
     ambient: Cube
     pieces: tuple[AffinePiece, ...]
-    _sorted: tuple[AffinePiece, ...] = field(init=False, repr=False, compare=False)
+    _cuts: list[Fraction] = field(init=False, repr=False, compare=False)
+    _slots: list[list[AffinePiece]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for piece in self.pieces:
@@ -111,10 +117,26 @@ class PAMap:
         if hit is not None:
             i, j = hit
             raise ValueError(f"piece domains {i} and {j} have overlapping interiors")
-        object.__setattr__(self, "_sorted", tuple(sorted(self.pieces, key=_piece_sort_key)))
+        ordered = sorted(self.pieces, key=_piece_sort_key)
+        ends = [x for piece in ordered for x in piece.domain.intervals[0]]
+        cuts, rank = [], [0] * len(ends)  # slab ends arrive nearly sorted
+        for i in sorted(range(len(ends)), key=ends.__getitem__):
+            if not cuts or cuts[-1] != ends[i]:
+                cuts.append(ends[i])
+            rank[i] = len(cuts) - 1
+        slots: list[list[AffinePiece]] = [[] for _ in range(2 * len(cuts) + 1)]
+        for i, piece in enumerate(ordered):
+            for j in range(2 * rank[2 * i] + 1, 2 * rank[2 * i + 1] + 2):
+                slots[j].append(piece)
+        object.__setattr__(self, "_cuts", cuts)
+        object.__setattr__(self, "_slots", slots)
 
     def piece_for(self, p: Point) -> AffinePiece | None:
-        for piece in self._sorted:
+        if len(p) != self.ambient.dim:
+            raise ValueError("dimension mismatch")
+        i = bisect_left(self._cuts, p[0])
+        on_cut = i < len(self._cuts) and self._cuts[i] == p[0]
+        for piece in self._slots[2 * i + on_cut]:
             if piece.domain.contains(p):
                 return piece
         return None

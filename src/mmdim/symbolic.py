@@ -161,52 +161,35 @@ class CylinderCode:
         return len(self.word)
 
 
-def _cell_box(h: HorseshoeMap, l: int, leg: tuple[int, ...]) -> Box:
-    box = h.grid.strip_box(l).intersect(h.grid.leg_box(leg))
-    if box is None:
-        raise AssertionError(f"strip {l} and leg {leg} do not meet")
-    return box
+def _pull_back(h: HorseshoeMap, word: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """First-axis interval of the points whose unsquared itinerary visits the
+    strips of `word`; strip l maps x to lo + kappa (x - s[l-1])."""
+    s, lo, kappa = h.grid.s, h.grid.cube.lo, h.expansion
+    a, b = s[word[-1] - 1], s[word[-1]]
+    for l in reversed(word[:-1]):
+        a, b = s[l - 1] + (a - lo) / kappa, s[l - 1] + (b - lo) / kappa
+    return a, b
 
 
 def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     """Exact box of points whose squared-map itinerary follows the code.
 
-    Backward pass: starting from the final (strip, leg) cell, each earlier
-    step pulls the running box through the two strip maps of one squared
-    step; the intermediate strip is forced by the next step's leg through
-    the strip-to-leg bijection.
+    Transverse axes only contract, so the box is the first leg's t-cells
+    times a first-axis interval: the final strip pulled back through the two
+    strips of every earlier squared step, l_t and then the strip whose leg
+    is step t+1's (the strip-to-leg bijection forces it).
     """
-    strips = {l for l, _ in h.assignment}
     grid = h.grid
     for l, leg in code.word:
-        if l not in strips:
+        if l not in h.leg_of:
             raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
-        grid.leg_box(leg)  # validates leg indices
-    # step t pulls back through strip l_t and the strip whose leg is step t+1's
-    mids = [h.strip_for_leg(leg) for _, leg in code.word[1:]]
-    pieces = {l: _piece_of(h, l) for l in {l for l, _ in code.word[:-1]}.union(mids)}
-    last_l, last_leg = code.word[-1]
-    box = _cell_box(h, last_l, last_leg)
-    for t in range(code.depth - 2, -1, -1):
-        l, leg = code.word[t]
-        pulled = pieces[mids[t]].preimage_box(box)
-        if pulled is None:
-            raise AssertionError("cylinder chain broke at the intermediate strip")
-        pulled = pieces[l].preimage_box(pulled)
-        if pulled is None:
-            raise AssertionError("cylinder chain broke at the outer strip")
-        box = pulled.intersect(_cell_box(h, l, leg))
-        if box is None:
-            raise AssertionError("cylinder chain left its own cell")
-    return box
-
-
-def _piece_of(h: HorseshoeMap, l: int):
-    target = tuple(h.grid.strip_box(l).intervals)
-    for piece in h.pamap.pieces:
-        if tuple(piece.domain.intervals) == target:
-            return piece
-    raise ValueError(f"no piece with domain = strip {l}")
+        if leg not in h.strip_of:
+            grid.leg_box(leg)  # raises on a bad leg index
+    strips = []
+    for (l, _), (_, leg) in zip(code.word, code.word[1:]):
+        strips += [l, h.strip_for_leg(leg)]
+    first = _pull_back(h, strips + [code.word[-1][0]])
+    return Box((first,) + grid.leg_box(code.word[0][1]).intervals[1:])
 
 
 def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[CylinderCode, Box]]:
@@ -221,14 +204,10 @@ def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[Cylin
 
 def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
     """Box of points whose unsquared itinerary visits the given odd strips."""
-    pieces = {l: _piece_of(h, l) for l, _ in h.assignment}
     box = h.grid.strip_box(word[-1])
-    for l in reversed(word[:-1]):
-        pulled = pieces[l].preimage_box(box)
-        if pulled is None:
-            raise AssertionError("strip word is not realizable")
-        box = pulled
-    return box
+    for l in word[:-1]:
+        h.leg_for_strip(l)  # KeyError: an even strip has no image
+    return Box((_pull_back(h, word),) + box.intervals[1:])
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,208 @@
+"""Equivalence of the indexed piece lookup and the closed-form cylinder boxes
+with the slow paths they replaced, which are kept here as oracles."""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mmdim import Cube, build_horseshoe
+from mmdim.constructions import Schedule, build_stacked, build_two_block
+from mmdim.geometry import Box
+from mmdim.horseshoe import square
+from mmdim.mapping import ESCAPED, AffinePiece, PAMap
+from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
+
+F = Fraction
+
+
+def scan_piece_for(ordered, p):
+    """Oracle: the first piece, in lexicographic domain order, containing p."""
+    for piece in ordered:
+        if piece.domain.contains(p):
+            return piece
+    return None
+
+
+def scan_orbit(ordered, p, steps):
+    """Oracle orbit: `PAMap.orbit` with every step found by the linear scan."""
+    states = [p]
+    for _ in range(steps):
+        piece = None if states[-1] is ESCAPED else scan_piece_for(ordered, states[-1])
+        states.append(ESCAPED if piece is None else piece.apply_point(states[-1]))
+    return states
+
+
+def _grid_piece(ivs, k):
+    scale = tuple(F(k + 2, 3) * (-1) ** (k + i) for i in range(len(ivs)))
+    offset = tuple(F(i - k, 5) for i in range(len(ivs)))
+    return AffinePiece(Box.of(*ivs), scale, offset)
+
+
+def hand_built_maps():
+    """Maps whose pieces share faces and have equal, nested, overlapping or
+    degenerate first-axis intervals."""
+    h, q, t = F(1, 2), F(1, 4), F(3, 4)
+    grid_2x2 = [[(0, h), (0, h)], [(0, h), (h, 1)], [(h, 1), (0, h)], [(h, 1), (h, 1)]]
+    nested = [[(0, 1), (0, F(1, 3))], [(q, t), (F(1, 3), F(2, 3))],
+              [(0, h), (F(2, 3), 1)], [(h, 1), (F(2, 3), 1)]]
+    staggered = [[(0, h), (0, h)], [(q, t), (h, 1)], [(h, 1), (0, q)],
+                 [(t, 1), (q, h)], [(h, h), (q, h)]]
+    degenerate = [[(0, 0), (0, 1)], [(0, h), (0, 1)], [(q, q), (0, 1)], [(1, 1), (0, h)]]
+    cube_3d = [[(0, h), (0, 1), (0, h)], [(h, 1), (0, h), (0, h)],
+               [(q, 1), (0, 1), (h, 1)], [(h, 1), (h, 1), (0, q)]]
+    out = {}
+    for name, boxes in [("2x2 grid", grid_2x2), ("nested", nested), ("staggered", staggered),
+                        ("degenerate", degenerate), ("3d", cube_3d)]:
+        dim = len(boxes[0])
+        pieces = tuple(_grid_piece(ivs, k) for k, ivs in enumerate(boxes))
+        out[name] = PAMap(Cube.of(0, 1, dim), pieces)
+    return out
+
+
+@pytest.fixture(scope="module")
+def lookup_maps():
+    maps = hand_built_maps()
+    for n in (2, 3):
+        for L in (3, 5):
+            cube = Cube.of(0, 1, n) if n == 2 else Cube.of(F(-1, 2), F(2, 3), n)
+            hs = build_horseshoe(cube, L)
+            maps[f"h n={n} L={L}"] = hs.pamap
+            maps[f"square n={n} L={L}"] = square(hs)
+    ordered = {name: sorted(m.pieces, key=lambda piece: piece.domain.intervals)
+               for name, m in maps.items()}
+    return maps, ordered
+
+
+def lookup_points(pamap):
+    """Random rationals, coordinates on piece faces and on the cube faces,
+    and coordinates just outside the cube."""
+    lo, hi, dim = pamap.ambient.lo, pamap.ambient.hi, pamap.ambient.dim
+    tiny = F(1, 10**9)
+    axes = []
+    for axis in range(dim):
+        faces = sorted({x for p in pamap.pieces for x in p.domain.intervals[axis]})
+        axes.append(st.one_of(
+            st.fractions(min_value=lo - 1, max_value=hi + 1, max_denominator=50),
+            st.fractions(min_value=lo, max_value=hi, max_denominator=10**6),
+            st.sampled_from(faces),
+            st.sampled_from([lo, hi, lo - tiny, hi + tiny]),
+        ))
+    return st.tuples(*axes)
+
+
+ALL_LOOKUP_MAPS = sorted(hand_built_maps()) + [
+    f"{kind} n={n} L={L}" for kind in ("h", "square") for n in (2, 3) for L in (3, 5)
+]
+
+
+class TestIndexedLookup:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.sampled_from(ALL_LOOKUP_MAPS))
+    def test_piece_for_and_orbit_match_the_scan(self, lookup_maps, data, name):
+        maps, ordered = lookup_maps
+        pamap = maps[name]
+        p = data.draw(lookup_points(pamap))
+        assert pamap.piece_for(p) is scan_piece_for(ordered[name], p)
+        assert pamap.orbit(p, 3) == scan_orbit(ordered[name], p, 3)
+
+    def test_every_face_point_of_the_square_map(self, lookup_maps):
+        # every first-axis cut of the squared map, at every transverse face
+        maps, ordered = lookup_maps
+        pamap = maps["square n=2 L=3"]
+        cuts = sorted({x for p in pamap.pieces for x in p.domain.intervals[0]})
+        ys = [F(0), F(1, 5), F(2, 5), F(1, 2), F(1)]
+        for x in cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]:
+            for y in ys:
+                assert pamap.piece_for((x, y)) is scan_piece_for(ordered["square n=2 L=3"], (x, y))
+
+    def test_ties_go_to_the_smallest_piece(self):
+        pamap = hand_built_maps()["2x2 grid"]
+        centre = pamap.piece_for((F(1, 2), F(1, 2)))
+        assert centre.domain == Box.of((0, F(1, 2)), (0, F(1, 2)))
+
+    def test_wrong_dimension_rejected(self):
+        pamap = hand_built_maps()["2x2 grid"]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pamap.piece_for((F(1, 3),))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pamap.piece_for((F(7), F(0), F(0)))
+
+
+def _piece_of(h, l):
+    target = tuple(h.grid.strip_box(l).intervals)
+    for piece in h.pamap.pieces:
+        if tuple(piece.domain.intervals) == target:
+            return piece
+    raise ValueError(f"no piece with domain = strip {l}")
+
+
+def _cell_box(h, l, leg):
+    box = h.grid.strip_box(l).intersect(h.grid.leg_box(leg))
+    if box is None:
+        raise AssertionError(f"strip {l} and leg {leg} do not meet")
+    return box
+
+
+def pullback_cylinder(h, code):
+    """Oracle: the final (strip, leg) cell pulled back through the two strip
+    pieces of every earlier squared step, as whole boxes."""
+    strips = {l for l, _ in h.assignment}
+    grid = h.grid
+    for l, leg in code.word:
+        if l not in strips:
+            raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
+        grid.leg_box(leg)  # validates leg indices
+    mids = [h.strip_for_leg(leg) for _, leg in code.word[1:]]
+    box = _cell_box(h, *code.word[-1])
+    for t in range(code.depth - 2, -1, -1):
+        l, leg = code.word[t]
+        pulled = _piece_of(h, mids[t]).preimage_box(box)
+        pulled = _piece_of(h, l).preimage_box(pulled)
+        box = pulled.intersect(_cell_box(h, l, leg))
+    return box
+
+
+def _blocks():
+    geometric2 = build_stacked(Schedule.geometric(1, 1), 2, 1)
+    geometric3 = build_stacked(Schedule.geometric(1, 1), 3, 1)
+    override = build_stacked(Schedule.geometric(1, 2, leg_override=((2, 5),)), 2, 2)
+    two_block_upper = build_two_block(F(2, 3), 1, 2, 5).upper
+    return {
+        "geometric n=2": (geometric2.block(1), 3),
+        "geometric n=3": (geometric3.block(1), 2),
+        "override L=5": (override.block(2), 2),
+        "two_block upper half, block 1": (two_block_upper.block(1), 3),
+        "two_block upper half, block 2": (two_block_upper.block(2), 1),
+    }
+
+
+class TestClosedFormCylinders:
+    @pytest.mark.parametrize("name", sorted(_blocks()))
+    def test_every_code_matches_the_pullback(self, name):
+        block, max_depth = _blocks()[name]
+        h = block.geometry()
+        for m in range(1, max_depth + 1):
+            count = 0
+            for code, box in enumerate_cylinders(h, block.k, m):
+                assert box == pullback_cylinder(h, code), code
+                count += 1
+            assert count == block.L ** (h.grid.n * m)
+
+    @pytest.mark.parametrize("word", [
+        ((2, (1,)),),                  # even strip
+        ((7, (1,)),),                  # strip beyond the block
+        ((1, (5,)), (4, (3,))),        # even strip at a later step
+        ((1, (7,)),),                  # leg beyond the t-grid
+        ((3, (1,)), (1, (9,))),        # bad leg at a later step
+        ((3, (1, 1)),),                # leg with too many entries
+    ])
+    def test_invalid_codes_raise_as_before(self, unit_square_h, word):
+        code = object.__new__(CylinderCode)  # skips the code's own parity check
+        object.__setattr__(code, "k", 1)
+        object.__setattr__(code, "word", word)
+        with pytest.raises(ValueError) as old:
+            pullback_cylinder(unit_square_h, code)
+        with pytest.raises(ValueError, match=re.escape(str(old.value))):
+            cylinder_geometry(unit_square_h, code)
