@@ -48,7 +48,7 @@ from .horseshoe import (
     subdivide,
     validate_horseshoe,
 )
-from .mapping import ESCAPED, AffinePiece, PAMap, is_escaped
+from .mapping import ESCAPED, AffinePiece, PAMap
 from .metrics import EUCLIDEAN, MAXNORM, BowenDistance, bowen_distance, orbits_separate
 from .specfile import (
     SpecFileError,

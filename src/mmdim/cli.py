@@ -38,15 +38,7 @@ from .specfile import (
     system_to_jsonable,
     write_profile_csv,
 )
-from .symbolic import DEFAULT_DPS, analytic_targets, extrapolate, rate_profile
-
-PRECISION_OPT = click.option(
-    "--precision",
-    type=click.IntRange(min=6, max=1000),
-    default=DEFAULT_DPS,
-    show_default=True,
-    help="Decimal digits carried by exact-log evaluation.",
-)
+from .symbolic import analytic_targets, extrapolate, rate_profile
 
 
 @click.group()
@@ -132,18 +124,17 @@ def validate(system_path: str):
 @click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kmax", type=click.IntRange(min=1, max=MAX_STORED_DIGITS), default=24,
               show_default=True, help="Profile block indices 1..kmax.")
-@PRECISION_OPT
 @click.option("-o", "--out", type=click.Path(dir_okay=False),
               help="CSV output path (default: stdout).")
-def profile(system_path: str, kmax: int, precision: int, out: str | None):
+def profile(system_path: str, kmax: int, out: str | None):
     """Export the symbolic rate profile as CSV, with an extrapolation summary."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
-    rows = rate_profile(system, range(1, kmax + 1), precision)
-    _write_rows(out, symbolic_csv_rows(rows, precision))
+    rows = rate_profile(system, range(1, kmax + 1))
+    _write_rows(out, symbolic_csv_rows(rows))
     lo, hi = analytic_targets(system)
     if len(rows) >= 4:
-        fit = extrapolate(rows, precision)
+        fit = extrapolate(rows)
         click.echo(
             f"extrapolated liminf ~ {fit.liminf_estimate:.6g} (target {lo}), "
             f"limsup ~ {fit.limsup_estimate:.6g} (target {hi})",
@@ -163,10 +154,9 @@ def profile(system_path: str, kmax: int, precision: int, out: str | None):
               help='Override the separation scale (a "p/q" rational).')
 @click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
               show_default=True, help="Maximum enumerated cylinders per depth.")
-@PRECISION_OPT
 @click.option("-o", "--out", type=click.Path(dir_okay=False),
               help="CSV output path (default: stdout).")
-def estimate(system_path, k, m_max, eps_str, budget, precision, out):
+def estimate(system_path, k, m_max, eps_str, budget, out):
     """Measure separated-set growth on one block by exact greedy scans."""
     _, system = _load(system_path)
     if not isinstance(system, StackedSystem):
@@ -186,7 +176,6 @@ def estimate(system_path, k, m_max, eps_str, budget, precision, out):
             [k],
             m_values=range(1, m_max + 1),
             budget=budget,
-            dps=precision,
             eps_override=eps_value,
         )
     except (UnmaterializedBlockError, ValueError) as exc:
@@ -212,13 +201,12 @@ def estimate(system_path, k, m_max, eps_str, budget, precision, out):
               help="Allowed |estimate - target| for both limits.")
 @click.option("--kmax", type=click.IntRange(min=4, max=MAX_STORED_DIGITS), default=30,
               show_default=True, help="Profile block indices 1..kmax before extrapolating.")
-@PRECISION_OPT
-def verify(system_path: str, tol: float, kmax: int, precision: int):
+def verify(system_path: str, tol: float, kmax: int):
     """Check extrapolated dimension estimates against the analytic targets."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
-    rows = rate_profile(system, range(1, kmax + 1), precision)
-    fit = extrapolate(rows, precision)
+    rows = rate_profile(system, range(1, kmax + 1))
+    fit = extrapolate(rows)
     target_lo, target_hi = analytic_targets(system)
     table = [
         ("liminf", float(target_lo), fit.liminf_estimate),

@@ -31,10 +31,14 @@ ACTIVE_SELF_POWERS = "self-powers"  # active exactly at k = j^j for j = 1, 2, ..
 
 DEFAULT_GEOMETRY_BUDGET = 100_000
 
+# Each block's cube is enlarged by this fraction of its side per face; the
+# enlargements of distinct blocks must have disjoint interiors.
+MARGIN = Fraction(1, 10)
+
 # Conservative rational bound: sum over k of 1/k^2 < 329/200, and each block
-# consumes a slot of 6/5 times its side, so quadratic sides rescale to keep
-# B_eff * (6/5) * (329/200) <= 1.
-QUADRATIC_SIZE_CAP = Fraction(500, 987)
+# consumes a slot of 1 + 2 MARGIN = 6/5 times its side, so quadratic sides
+# rescale to keep B_eff * (6/5) * (329/200) <= 1, i.e. B_eff <= 500/987.
+QUADRATIC_SIZE_CAP = 1 / ((1 + 2 * MARGIN) * Fraction(329, 200))
 
 
 class ScheduleError(ValueError):
@@ -174,10 +178,10 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
         r = schedule.r.numerator
         pow_r = 3**r
         C = Fraction(pow_r - 1, pow_r)
-        # margins of 1/10 of each side must fit between consecutive blocks
-        if schedule.B * (Fraction(11, 10) + Fraction(1, 10 * pow_r)) > pow_r - 1:
+        # margins of MARGIN of each side must fit between consecutive blocks
+        if schedule.B * (1 + MARGIN + MARGIN / pow_r) > pow_r - 1:
             raise ScheduleError(
-                "B too large for disjoint 1/10 enlargements under geometric placement"
+                f"B too large for disjoint {MARGIN} enlargements under geometric placement"
             )
         anchor = Fraction(0)
         for k in range(1, count + 1):
@@ -188,14 +192,14 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
         slot_lo = Fraction(0)
         for k in range(1, count + 1):
             side = schedule.size(k)
-            out.append((slot_lo + side / 10, side))
-            slot_lo += side * Fraction(6, 5)
+            out.append((slot_lo + side * MARGIN, side))
+            slot_lo += side * (1 + 2 * MARGIN)
     return out
 
 
-def enlarged_box(cube: Cube, margin_num=1, margin_den=10) -> Box:
-    """The cube fattened by (margin) * side per face, clipped to [0, 1]^n."""
-    pad = cube.side * margin_num / margin_den
+def enlarged_box(cube: Cube) -> Box:
+    """The cube fattened by MARGIN * side per face, clipped to [0, 1]^n."""
+    pad = cube.side * MARGIN
     ivs = []
     for lo, hi in cube.box().intervals:
         ivs.append((max(Fraction(0), lo - pad), min(Fraction(1), hi + pad)))
@@ -238,7 +242,7 @@ class Block:
             if not self.materialized:
                 raise UnmaterializedBlockError(f"block {self.k} exceeds the geometry budget")
             object.__setattr__(
-                self, "_horseshoe", build_horseshoe(self.cube, self.L, self.cube.dim)
+                self, "_horseshoe", build_horseshoe(self.cube, self.L)
             )
         return self._horseshoe
 
@@ -246,9 +250,6 @@ class Block:
     def eps(self) -> Fraction:
         """Separation scale of the block: side / (2 L - 1)."""
         return self.cube.side / (2 * self.L - 1)
-
-    def enlargement(self) -> Box:
-        return enlarged_box(self.cube)
 
 
 @dataclass(frozen=True)

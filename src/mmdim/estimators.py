@@ -32,7 +32,7 @@ from .geometry import Point
 from .horseshoe import square
 from .mapping import ESCAPED, PAMap
 from .metrics import MAXNORM, orbits_separate
-from .symbolic import DEFAULT_DPS, enumerate_cylinders, fit_line, rate_profile
+from .symbolic import enumerate_cylinders, fit_line, rate_profile
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -200,13 +200,12 @@ def growth_rate(
     seed_factory: Callable[[int], SeedSet],
     eps: Fraction,
     m_values: Sequence[int],
-    metric: str = MAXNORM,
 ) -> GrowthRate:
     counts: dict[int, int] = {}
     seeds: dict[int, int] = {}
     pairs: dict[int, int] = {}
     for m in sorted(set(m_values)):
-        result = greedy_separated(pamap, seed_factory(m), m, eps, metric)
+        result = greedy_separated(pamap, seed_factory(m), m, eps)
         counts[m] = len(result.chosen)
         seeds[m] = result.seed_count
         pairs[m] = result.pairs
@@ -244,8 +243,6 @@ def mdim_numeric_profile(
     k_range: Sequence[int],
     m_values: Sequence[int] = (1, 2, 3),
     budget: int = DEFAULT_BUDGET,
-    metric: str = MAXNORM,
-    dps: int = DEFAULT_DPS,
     eps_override: Fraction | None = None,
 ) -> list[NumericRateRow]:
     """Greedy growth rates per block, with symbolic cross-checks.
@@ -255,17 +252,18 @@ def mdim_numeric_profile(
     without materialized geometry raises, since no honest measurement exists.
     With `eps_override` the greedy scans run at that scale instead of the
     block's own eps_k (and the symbolic coincidence check is skipped, since
-    it only holds at the native scale).
+    it only holds at the native scale).  A k outside 1..k_max raises
+    ValueError before any work, since rate_profile forms L_k = 3^k.
     """
+    ks = sorted(set(k_range))
+    if isinstance(system, IdentitySystem):
+        return [NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}) for k in ks]
+    if not isinstance(system, StackedSystem):
+        raise TypeError("numeric profiles run on stacked systems")
+    blocks = [system.block(k) for k in ks]
     rows: list[NumericRateRow] = []
-    symbolic = {b.k: b for b in rate_profile(system, list(k_range), dps)}
-    for k in sorted(set(k_range)):
-        if isinstance(system, IdentitySystem):
-            rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}))
-            continue
-        if not isinstance(system, StackedSystem):
-            raise TypeError("numeric profiles run on stacked systems")
-        block = system.block(k)
+    for block, bound in zip(blocks, rate_profile(system, ks)):
+        k = block.k
         if not block.active:
             rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {}))
             continue
@@ -280,16 +278,13 @@ def mdim_numeric_profile(
             continue
         squared = square(block.geometry())
         eps_used = block.eps if eps_override is None else Fraction(eps_override)
-        measured = growth_rate(
-            squared, lambda m: seeds_by_m[m], eps_used, list(m_values), metric
-        )
-        bound = symbolic[k]
+        measured = growth_rate(squared, lambda m: seeds_by_m[m], eps_used, list(m_values))
         row = NumericRateRow(
             k,
             True,
             measured.rate,
-            measured.rate / bound.lower_den.to_float(dps),
-            measured.rate / bound.upper_den.to_float(dps),
+            measured.rate / bound.lower_den.to_float(),
+            measured.rate / bound.upper_den.to_float(),
             eps_used,
             measured.counts,
             seeds=measured.seeds,
@@ -297,7 +292,7 @@ def mdim_numeric_profile(
         )
         if eps_override is None and bound.active:
             # cylinder-center seeds realize the symbolic count exactly
-            if row.ratio > bound.lower_ratio(dps) + 1e-9:
+            if row.ratio > bound.lower_ratio() + 1e-9:
                 raise AssertionError(
                     f"numeric ratio {row.ratio} exceeds symbolic bound at k={k}"
                 )

@@ -225,7 +225,3 @@ def find_cross_overlap(left: Sequence[Box], right: Sequence[Box]) -> tuple[int, 
                 return (i, j) if side == 0 else (j, i)
         open_boxes[side].append(i)
     return None
-
-
-def pairwise_interior_disjoint(boxes: Sequence[Box]) -> bool:
-    return find_interior_overlap(boxes) is None

@@ -90,11 +90,9 @@ class SubdivisionGrid:
         return [Leg(ix, self.leg_box(ix)) for ix in self.odd_leg_indices()]
 
 
-def subdivide(cube: Cube, L: int, n: int | None = None) -> SubdivisionGrid:
+def subdivide(cube: Cube, L: int) -> SubdivisionGrid:
     """Cut the cube into the t/s grids for an L-leg horseshoe."""
-    n = cube.dim if n is None else n
-    if n != cube.dim:
-        raise ValueError("n disagrees with the cube dimension")
+    n = cube.dim
     if n < 2:
         raise ValueError("horseshoes need dimension n >= 2")
     if L < 3 or L % 2 == 0:
@@ -144,11 +142,6 @@ class HorseshoeMap:
         """First-axis expansion factor of every piece."""
         return 2 * self.grid.L ** (self.grid.n - 1) - 1
 
-    @property
-    def contraction_denominator(self) -> int:
-        """Transverse contraction is 1 over this factor."""
-        return 2 * self.grid.L - 1
-
     @cached_property
     def leg_of(self) -> dict[int, tuple[int, ...]]:
         """Strip -> leg; for a malformed assignment the first entry wins."""
@@ -181,10 +174,10 @@ def _strip_piece(grid: SubdivisionGrid, l: int, leg: tuple[int, ...]) -> AffineP
     return AffinePiece(grid.strip_box(l), tuple(scale), tuple(offset))
 
 
-def build_horseshoe(cube: Cube, L: int, n: int | None = None) -> HorseshoeMap:
+def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
     """The canonical L-leg horseshoe on the cube: odd strips in increasing
     order matched to legs in boustrophedon order."""
-    grid = subdivide(cube, L, n)
+    grid = subdivide(cube, L)
     assignment = tuple(zip(grid.odd_strip_indices(), boustrophedon_legs(L, grid.n)))
     pieces = tuple(_strip_piece(grid, l, leg) for l, leg in assignment)
     return HorseshoeMap(grid, assignment, PAMap(cube, pieces))

@@ -33,10 +33,6 @@ class _Escaped:
 ESCAPED = _Escaped()
 
 
-def is_escaped(state) -> bool:
-    return state is ESCAPED
-
-
 @dataclass(frozen=True)
 class AffinePiece:
     """x -> offset + scale * x per axis, restricted to a box domain.

@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .estimators import NumericRateRow
 from .geometry import rational_from_str, rational_to_str
-from .symbolic import DEFAULT_DPS, RateBound
+from .symbolic import RateBound
 
 SYSTEM_FORMAT = "mmdim-system/2"
 
@@ -139,7 +139,7 @@ def _parse_leg_override(data: dict) -> tuple[tuple[int, int], ...] | None:
         raise SpecFileError(
             "field 'legScheduleOverride' must be a non-empty object {k: L}"
         )
-    pairs = []
+    pairs: dict[int, int] = {}
     for key, value in raw.items():
         try:
             k = int(key)
@@ -147,12 +147,14 @@ def _parse_leg_override(data: dict) -> tuple[tuple[int, int], ...] | None:
             raise SpecFileError(f"legScheduleOverride key {key!r} is not an integer")
         if k < 1:
             raise SpecFileError(f"legScheduleOverride key {key!r} must be >= 1")
+        if k in pairs:
+            raise SpecFileError(f"legScheduleOverride names k={k} twice (key {key!r})")
         if not isinstance(value, int) or isinstance(value, bool) or value < 3 or value % 2 == 0:
             raise SpecFileError(
                 f"legScheduleOverride[{key}] must be an odd integer >= 3"
             )
-        pairs.append((k, value))
-    return tuple(sorted(pairs))
+        pairs[k] = value
+    return tuple(sorted(pairs.items()))
 
 
 @dataclass(frozen=True)
@@ -374,19 +376,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def symbolic_csv_rows(profile: Sequence[RateBound], dps: int = DEFAULT_DPS) -> list[dict]:
+def symbolic_csv_rows(profile: Sequence[RateBound]) -> list[dict]:
     rows = []
     for b in profile:
-        eps_float = b.eps_float(dps)
+        eps_float = b.eps_float()
+        rate = _fmt(b.rate.to_float())
         rows.append(
             {
                 "k": str(b.k),
                 "eps_exact": rational_to_str(b.eps_exact) if b.eps_exact is not None else "",
                 "eps_float": _fmt(eps_float) if eps_float == eps_float else "",
-                "lower_rate": _fmt(b.lower_rate.to_float(dps)),
-                "upper_rate": _fmt(b.upper_rate.to_float(dps)),
-                "lower_ratio": _fmt(b.lower_ratio(dps)),
-                "upper_ratio": _fmt(b.upper_ratio(dps)),
+                "lower_rate": rate,
+                "upper_rate": rate,
+                "lower_ratio": _fmt(b.lower_ratio()),
+                "upper_ratio": _fmt(b.upper_ratio()),
                 "source": SOURCE_SYMBOLIC,
             }
         )

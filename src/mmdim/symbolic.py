@@ -3,7 +3,7 @@
 Separation scales, per-step code counts, and the log quotients that bound
 metric mean dimension are all stored as integer-argument log expressions
 (sums c_i * ln(a_i) with rational c_i, integer a_i >= 2) and only evaluated
-numerically on demand, at a requested decimal precision, through mpmath.
+numerically on demand, through mpmath at WORKING_DPS decimal digits.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1) and each step of the squared block map codes
@@ -34,7 +34,10 @@ from .constructions import (
 from .geometry import Box
 from .horseshoe import HorseshoeMap
 
-DEFAULT_DPS = 30
+# Each evaluation ends as one float (about 16 significant digits).  Cancelling
+# terms of a sum and exp(-x), which turns x's absolute error into a relative
+# one, cost a few of the 30 digits, far from the float's last one.
+WORKING_DPS = 30
 
 
 @dataclass(frozen=True)
@@ -84,26 +87,26 @@ class LogExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def eval(self, dps: int = DEFAULT_DPS) -> mpmath.mpf:
-        with mpmath.workdps(dps):
+    def eval(self) -> mpmath.mpf:
+        with mpmath.workdps(WORKING_DPS):
             total = mpmath.mpf(0)
             for a, c in self.terms:
                 total += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(a)
             return total
 
-    def to_float(self, dps: int = DEFAULT_DPS) -> float:
-        return float(self.eval(dps))
+    def to_float(self) -> float:
+        return float(self.eval())
 
 
-def log_ratio(num: LogExpr, den: LogExpr, dps: int = DEFAULT_DPS) -> float:
-    """num/den at the requested precision; zero numerator short-circuits to 0."""
+def log_ratio(num: LogExpr, den: LogExpr) -> float:
+    """num/den at the working precision; zero numerator short-circuits to 0."""
     if num.is_zero:
         return 0.0
-    with mpmath.workdps(dps):
-        d = den.eval(dps)
+    with mpmath.workdps(WORKING_DPS):
+        d = den.eval()
         if d <= 0:
             raise ZeroDivisionError("log-expression denominator is not positive")
-        return float(num.eval(dps) / d)
+        return float(num.eval() / d)
 
 
 class EpsSchedule:
@@ -214,54 +217,52 @@ def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
 class RateBound:
     """Symbolic separated/spanning dimension bounds for one block index.
 
-    lower_rate / lower_den bound the separated growth against |ln eps_{k+1}|
-    from below; upper_rate / upper_den bound the spanning growth against
-    ln(4 / eps_k) from above.  Inactive blocks carry zero rates.
+    `rate` is the per-step growth n ln L_k of the cylinder count; rate /
+    lower_den bounds the separated growth against |ln eps_{k+1}| from below
+    and rate / upper_den the spanning growth against ln(4 / eps_k) from
+    above.  Inactive blocks carry a zero rate.
     """
 
     k: int
     active: bool
-    lower_rate: LogExpr
-    upper_rate: LogExpr
+    rate: LogExpr
     lower_den: LogExpr
     upper_den: LogExpr
     eps_exact: Fraction | None
     eps_log_inv: LogExpr
 
-    def lower_ratio(self, dps: int = DEFAULT_DPS) -> float:
-        return log_ratio(self.lower_rate, self.lower_den, dps)
+    def lower_ratio(self) -> float:
+        return log_ratio(self.rate, self.lower_den)
 
-    def upper_ratio(self, dps: int = DEFAULT_DPS) -> float:
-        return log_ratio(self.upper_rate, self.upper_den, dps)
+    def upper_ratio(self) -> float:
+        return log_ratio(self.rate, self.upper_den)
 
-    def eps_float(self, dps: int = DEFAULT_DPS) -> float:
+    def eps_float(self) -> float:
         if self.eps_log_inv.is_zero:
             return float("nan")
-        with mpmath.workdps(dps):
-            return float(mpmath.exp(-self.eps_log_inv.eval(dps)))
+        with mpmath.workdps(WORKING_DPS):
+            return float(mpmath.exp(-self.eps_log_inv.eval()))
 
 
 def _zero_bound(k: int) -> RateBound:
     z = LogExpr.zero()
-    return RateBound(k, False, z, z, z, z, None, z)
+    return RateBound(k, False, z, z, z, None, z)
 
 
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
     eps = EpsSchedule(schedule)
     active = schedule.is_active(k)
     if not active:
-        return RateBound(
-            k, False, LogExpr.zero(), LogExpr.zero(), LogExpr.zero(), LogExpr.zero(),
-            eps.exact(k), eps.log_inv(k),
-        )
+        z = LogExpr.zero()
+        return RateBound(k, False, z, z, z, eps.exact(k), eps.log_inv(k))
     L = schedule.legs(k)
     rate = LogExpr.of(3, n * k) if L == 3**k else LogExpr.of(L, n)
     lower_den = eps.log_inv(k + 1)
     upper_den = LogExpr.of(4) + eps.log_inv(k)
-    return RateBound(k, True, rate, rate, lower_den, upper_den, eps.exact(k), eps.log_inv(k))
+    return RateBound(k, True, rate, lower_den, upper_den, eps.exact(k), eps.log_inv(k))
 
 
-def rate_profile(system: System, k_range: Sequence[int], dps: int = DEFAULT_DPS) -> list[RateBound]:
+def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
     """Symbolic profile rows for each k; needs no materialized geometry."""
     ks = sorted(set(k_range))
     if not ks or ks[0] < 1:
@@ -271,7 +272,7 @@ def rate_profile(system: System, k_range: Sequence[int], dps: int = DEFAULT_DPS)
     if isinstance(system, StackedSystem):
         return [_stacked_bound(system.schedule, system.n, k) for k in ks]
     if isinstance(system, TwoBlockSystem):
-        return [_two_block_bound(system, k, dps) for k in ks]
+        return [_two_block_bound(system, k) for k in ks]
     raise TypeError(f"unknown system type {type(system).__name__}")
 
 
@@ -281,7 +282,7 @@ def _half_bound(half, n: int, k: int) -> RateBound:
     return _stacked_bound(half.schedule, n, k)
 
 
-def _two_block_bound(system: TwoBlockSystem, k: int, dps: int) -> RateBound:
+def _two_block_bound(system: TwoBlockSystem, k: int) -> RateBound:
     """Max rule: the combined bound at index k is the larger half's bound.
 
     Both halves sit in scale-2 charts, which shift |ln eps| by the constant
@@ -292,7 +293,7 @@ def _two_block_bound(system: TwoBlockSystem, k: int, dps: int) -> RateBound:
     """
     low = _half_bound(system.lower, system.n, k)
     up = _half_bound(system.upper, system.n, k)
-    if (low.lower_ratio(dps), low.active) >= (up.lower_ratio(dps), up.active):
+    if (low.lower_ratio(), low.active) >= (up.lower_ratio(), up.active):
         winner, half = low, system.lower
     else:
         winner, half = up, system.upper
@@ -366,7 +367,7 @@ def _fit_c_minus_d_over_k(points: list[tuple[int, float]]) -> FitResult:
     return FitResult(c, -slope, residual, len(pts), False)
 
 
-def extrapolate(profile: Sequence[RateBound], dps: int = DEFAULT_DPS) -> ExtrapolationResult:
+def extrapolate(profile: Sequence[RateBound]) -> ExtrapolationResult:
     """Estimate the inferior/superior limits of the profile ratios.
 
     Active rows chase the superior limit (for sparse systems they are the
@@ -376,8 +377,8 @@ def extrapolate(profile: Sequence[RateBound], dps: int = DEFAULT_DPS) -> Extrapo
     if len(profile) < 4:
         raise ValueError("extrapolation needs at least 4 profile rows")
     rows = sorted(profile, key=lambda b: b.k)
-    lower_pts = [(b.k, b.lower_ratio(dps)) for b in rows]
-    upper_pts = [(b.k, b.upper_ratio(dps)) for b in rows]
+    lower_pts = [(b.k, b.lower_ratio()) for b in rows]
+    upper_pts = [(b.k, b.upper_ratio()) for b in rows]
     act = [i for i, b in enumerate(rows) if b.active]
     inact = [i for i, b in enumerate(rows) if not b.active]
     if act and inact:

@@ -20,6 +20,7 @@ from mmdim.constructions import (
     Schedule,
     build_stacked,
     build_two_block,
+    enlarged_box,
     solve_rate,
 )
 from mmdim.estimators import (
@@ -29,7 +30,7 @@ from mmdim.estimators import (
     growth_rate,
     mdim_numeric_profile,
 )
-from mmdim.geometry import Box, Cube, pairwise_interior_disjoint
+from mmdim.geometry import Box, Cube, find_interior_overlap
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
 from mmdim.metrics import bowen_distance
 from mmdim.symbolic import (
@@ -132,7 +133,7 @@ def test_criterion_5_cylinder_enumeration_counts_and_disjointness():
         for m in (1, 2, 3):
             boxes = [box for _, box in enumerate_cylinders(h, 1, m)]
             assert len(boxes) == 3 ** (n * m)
-            assert pairwise_interior_disjoint(boxes)
+            assert find_interior_overlap(boxes) is None
             counts.append(f"n={n} m={m}: {len(boxes)}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
@@ -260,8 +261,8 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
         two.upper,
     ]
     for system in systems:
-        enlargements = [b.enlargement() for b in system.blocks]
-        assert pairwise_interior_disjoint(enlargements)
+        enlargements = [enlarged_box(b.cube) for b in system.blocks]
+        assert find_interior_overlap(enlargements) is None
         unit = Box.of(*(((0, 1),) * system.n))
         for box in enlargements:
             assert unit.contains_box(box)

@@ -89,6 +89,8 @@ class TestBuild:
             (dict(kind="geometric", n=2, B="1", r="1", kMax=3, shape="round"), "shape"),
             (dict(kind="geometric", n=2, B="1", r="0", kMax=3), "r > 0"),
             (dict(kind="geometric", n=2, B="5", r="1", kMax=3), "B <= 3"),
+            (dict(kind="geometric", n=2, B="1", r="2", kMax=2,
+                  legScheduleOverride={"1": 5, "01": 7}), "k=1 twice"),
         ],
     )
     def test_bad_spec_exits_2_naming_problem(
@@ -311,6 +313,14 @@ class TestEstimate:
         assert result.exit_code == 2
         rows = parse_csv(result.stdout)
         assert rows == [{col: "" for col in PROFILE_COLUMNS} | {"k": "9", "source": "numeric"}]
+
+    def test_far_out_of_range_k_fails_fast(self, runner, geometric_file):
+        # L_k = 3^k has about 48 million digits here; nothing may form it
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["estimate", geometric_file, "--k", "100000000"])
+        assert time.perf_counter() - t0 < 2.0
+        assert result.exit_code == 2, result.output
+        assert "block 100000000 is not materialized (k_max = 3)" in result.stderr
 
     def test_unmaterialized_k_exits_2(self, runner, tmp_path):
         spec = SystemSpec.from_jsonable(

@@ -19,7 +19,7 @@ from mmdim.constructions import (
     place_cubes,
     solve_rate,
 )
-from mmdim.geometry import Box, Cube, pairwise_interior_disjoint
+from mmdim.geometry import Box, Cube, find_interior_overlap
 from mmdim.mapping import ESCAPED
 
 F = Fraction
@@ -260,8 +260,8 @@ class TestBuildStacked:
         # C1/C2: enlarged blocks have pairwise disjoint interiors and stay
         # inside the ambient cube
         sys = build_stacked(sched, n, 8)
-        enlargements = [b.enlargement() for b in sys.blocks]
-        assert pairwise_interior_disjoint(enlargements)
+        enlargements = [enlarged_box(b.cube) for b in sys.blocks]
+        assert find_interior_overlap(enlargements) is None
         unit = Box.of(*(((0, 1),) * n))
         for box in enlargements:
             assert unit.contains_box(box)

@@ -9,7 +9,6 @@ from mmdim.geometry import (
     as_point,
     find_cross_overlap,
     find_interior_overlap,
-    pairwise_interior_disjoint,
     rational_from_str,
     rational_to_str,
 )
@@ -104,7 +103,6 @@ def _grid_boxes(cells, dim):
 def test_find_interior_overlap_on_disjoint_grid():
     boxes = _grid_boxes(4, 2)
     assert find_interior_overlap(boxes) is None
-    assert pairwise_interior_disjoint(boxes)
 
 
 def test_find_interior_overlap_detects_planted_pair():

@@ -69,9 +69,9 @@ def build_calls(monkeypatch):
     """Record (cube, L) of every horseshoe that `constructions` builds."""
     calls = []
 
-    def counting(cube, L, n=None):
+    def counting(cube, L):
         calls.append((cube, L))
-        return build_horseshoe(cube, L, n)
+        return build_horseshoe(cube, L)
 
     monkeypatch.setattr(constructions, "build_horseshoe", counting)
     return calls
@@ -91,7 +91,7 @@ def test_lazy_horseshoe_equals_eager_build(name):
             materialized += 1
             assert block.horseshoe is None
             h = block.geometry()
-            assert h == build_horseshoe(block.cube, block.L, half.n)
+            assert h == build_horseshoe(block.cube, block.L)
             assert block.geometry() is h and block.horseshoe is h
     assert materialized > 0
 

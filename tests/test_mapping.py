@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmdim.geometry import Box, Cube
-from mmdim.mapping import ESCAPED, AffinePiece, PAMap, is_escaped
+from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 
 F = Fraction
 
@@ -26,10 +26,6 @@ class TestEscaped:
 
         assert _Escaped() is ESCAPED
         assert repr(ESCAPED) == "Escaped"
-
-    def test_is_escaped(self):
-        assert is_escaped(ESCAPED)
-        assert not is_escaped((F(0), F(0)))
 
     def test_absorbing(self):
         m = identity_map()

@@ -94,6 +94,8 @@ class TestSystemSpecParsing:
             ({"legScheduleOverride": {"2": 4}}, "odd"),
             ({"legScheduleOverride": {"x": 5}}, "not an integer"),
             ({"alpha": "1"}, "alpha"),
+            ({"legScheduleOverride": {"1": 5, "01": 7}}, "k=1 twice"),
+            ({"legScheduleOverride": {"1": 5, " 1": 5}}, "k=1 twice"),
         ],
     )
     def test_rejections_name_the_field(self, mutation, needle):

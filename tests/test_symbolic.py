@@ -23,6 +23,7 @@ from mmdim.symbolic import (
     CylinderCode,
     EpsSchedule,
     LogExpr,
+    WORKING_DPS,
     _selected_strip_indices,
     analytic_targets,
     cylinder_geometry,
@@ -32,7 +33,7 @@ from mmdim.symbolic import (
     rate_profile,
     strip_word_box,
 )
-from mmdim.geometry import pairwise_interior_disjoint
+from mmdim.geometry import find_interior_overlap
 
 F = Fraction
 
@@ -68,12 +69,10 @@ class TestLogExpr:
         with pytest.raises(ValueError):
             LogExpr.of_rational(F(-1, 2))
 
-    def test_eval_precision_tracks_dps(self):
-        e = LogExpr.of(3, 1000)
+    def test_eval_carries_the_working_precision(self):
+        got = LogExpr.of(3, 1000).eval()
         with mpmath.workdps(60):
-            want = 1000 * mpmath.log(3)
-            got = e.eval(60)
-            assert abs(got - want) < mpmath.mpf(10) ** -55
+            assert abs(got - 1000 * mpmath.log(3)) < mpmath.mpf(10) ** -24
 
     def test_log_ratio(self):
         assert log_ratio(LogExpr.zero(), LogExpr.zero()) == 0.0
@@ -105,8 +104,8 @@ class TestEpsSchedule:
         for sched in [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2))]:
             eps = EpsSchedule(sched)
             for k in (1, 2, 5):
-                with mpmath.workdps(30):
-                    approx = float(mpmath.exp(-eps.log_inv(k).eval(30)))
+                with mpmath.workdps(WORKING_DPS):
+                    approx = float(mpmath.exp(-eps.log_inv(k).eval()))
                 assert abs(approx - float(eps.exact(k))) < 1e-17
 
     def test_irrational_sizes_have_no_exact_value(self):
@@ -154,7 +153,7 @@ class TestSelectedStrips:
 
         for L in (3, 5, 7):
             for n in (2, 3):
-                grid = subdivide(Cube.of(0, 1, n), L, n)
+                grid = subdivide(Cube.of(0, 1, n), L)
                 chosen = _selected_strip_indices(L, n)
                 assert len(chosen) == L and chosen[-1] <= grid.strip_count
                 eps = F(1, 2 * L - 1)
@@ -217,7 +216,7 @@ class TestCylinderGeometry:
             assert follows_itinerary(h, sq, code, box.center())
             boxes.append(box)
         assert len(boxes) == 3 ** (2 * 2) == 81
-        assert pairwise_interior_disjoint(boxes)
+        assert find_interior_overlap(boxes) is None
 
     def test_center_itineraries_are_distinct(self, unit_square_h):
         # two different codes never share a center
@@ -267,7 +266,7 @@ class TestStripWordBox:
         for w, box in zip(words, boxes):
             assert box.width(0) == F(1, 25)
             assert h.grid.strip_box(w[0]).contains_box(box)
-        assert pairwise_interior_disjoint(boxes)
+        assert find_interior_overlap(boxes) is None
         assert len(boxes) == 9
 
 
@@ -316,7 +315,7 @@ class TestRateProfile:
         sched = Schedule.geometric(1, 1, leg_override=((1, 5),))
         sys = build_stacked(sched, 2, 2)
         row = rate_profile(sys, [1])[0]
-        assert row.lower_rate == LogExpr.of(5, 2)
+        assert row.rate == LogExpr.of(5, 2)
 
     def test_quadratic_ratio_approaches_dimension(self):
         sys = build_stacked(Schedule.quadratic(1), 2, 2)
@@ -359,7 +358,7 @@ class TestRateProfile:
             assert abs(row.lower_ratio() - expected) < 1e-15
             if not row.active:
                 # between spikes the dense half carries the bound
-                assert row.lower_rate == dense.lower_rate
+                assert row.rate == dense.rate
 
 
 class TestExtrapolate:
