@@ -22,7 +22,6 @@ from .constructions import (
     TwoBlockSystem,
     UnmaterializedBlockError,
 )
-from .estimators import DEFAULT_BUDGET, NumericRateRow, mdim_numeric_profile
 from .geometry import rational_from_str
 from .horseshoe import validate_horseshoe
 from .specfile import (
@@ -38,7 +37,7 @@ from .specfile import (
     system_to_jsonable,
     write_profile_csv,
 )
-from .symbolic import analytic_targets, extrapolate, rate_profile
+from .symbolic import DEFAULT_BUDGET, analytic_targets, extrapolate, rate_profile
 
 
 @click.group()
@@ -158,6 +157,9 @@ def profile(system_path: str, kmax: int, out: str | None):
               help="CSV output path (default: stdout).")
 def estimate(system_path, k, m_max, eps_str, budget, out):
     """Measure separated-set growth on one block by exact greedy scans."""
+    # the scan's layers load here, not with the commands that never scan
+    from .estimators import NumericRateRow, mdim_numeric_profile
+
     _, system = _load(system_path)
     if not isinstance(system, StackedSystem):
         raise click.UsageError("estimates run on stacked systems (got "

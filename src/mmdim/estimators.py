@@ -32,9 +32,7 @@ from .geometry import Point
 from .horseshoe import square
 from .mapping import ESCAPED, PAMap
 from .metrics import MAXNORM, orbits_separate
-from .symbolic import enumerate_cylinders, fit_line, rate_profile
-
-DEFAULT_BUDGET = 1_000_000
+from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
 
 
 class BudgetExceeded(RuntimeError):
@@ -49,7 +47,11 @@ class SeedSet:
 
     @staticmethod
     def of(points) -> "SeedSet":
-        return SeedSet(tuple(sorted(set(points))))
+        # integer keys over one common denominator sort as the Fractions do
+        points = list(points)
+        keys, _ = _rescale(points)
+        by_key = dict(zip(keys, points))
+        return SeedSet(tuple(by_key[key] for key in sorted(by_key)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -93,18 +95,23 @@ class GreedyResult:
         return len(self.chosen)
 
 
+def _rescale(states: list, den: int = 1) -> tuple[list, int]:
+    """States times scale = lcm(den, every coordinate denominator), as exact
+    integer tuples (ESCAPED stays), and that scale."""
+    dens = {c.denominator for state in states if state is not ESCAPED for c in state}
+    scale = math.lcm(den, *dens)
+    factor = {d: scale // d for d in dens}
+    return [
+        state if state is ESCAPED else tuple(c.numerator * factor[c.denominator] for c in state)
+        for state in states
+    ], scale
+
+
 def _to_lattice(orbits: list[list], eps: Fraction) -> tuple[list[list], int]:
     """Orbits and eps rescaled by one common denominator to exact integers."""
-    dens = {c.denominator for orbit in orbits for state in orbit
-            if state is not ESCAPED for c in state}
-    scale = math.lcm(eps.denominator, *dens)
-    factor = {d: scale // d for d in dens}
-    lattice = [
-        [state if state is ESCAPED
-         else tuple(c.numerator * factor[c.denominator] for c in state)
-         for state in orbit]
-        for orbit in orbits
-    ]
+    flat, scale = _rescale([state for orbit in orbits for state in orbit], eps.denominator)
+    m = len(orbits[0]) if orbits else 0  # every orbit has m states
+    lattice = [flat[i * m:(i + 1) * m] for i in range(len(orbits))]
     return lattice, eps.numerator * (scale // eps.denominator)
 
 

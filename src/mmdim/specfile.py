@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .constructions import (
     ACTIVE_ALL,
@@ -29,9 +29,11 @@ from .constructions import (
     build_stacked,
     build_two_block,
 )
-from .estimators import NumericRateRow
 from .geometry import rational_from_str, rational_to_str
 from .symbolic import RateBound
+
+if TYPE_CHECKING:
+    from .estimators import NumericRateRow
 
 SYSTEM_FORMAT = "mmdim-system/2"
 

@@ -3,7 +3,10 @@
 Separation scales, per-step code counts, and the log quotients that bound
 metric mean dimension are all stored as integer-argument log expressions
 (sums c_i * ln(a_i) with rational c_i, integer a_i >= 2) and only evaluated
-numerically on demand, through mpmath at WORKING_DPS decimal digits.
+numerically on demand, with the standard library's `decimal` at WORKING_DPS
+significant digits.  Every operation runs in one module-level context whose
+exponent range is the widest `decimal` allows; `ln` and `exp` are correctly
+rounded there, and each ln(a) is computed once per process.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1) and each step of the squared block map codes
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Sequence
-
-import mpmath
 
 from .constructions import (
     GEOMETRIC,
@@ -38,6 +41,15 @@ from .horseshoe import HorseshoeMap
 # terms of a sum and exp(-x), which turns x's absolute error into a relative
 # one, cost a few of the 30 digits, far from the float's last one.
 WORKING_DPS = 30
+
+# Not the thread's context (28 digits): every operation names this one.
+_CONTEXT = Context(prec=WORKING_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+@cache
+def _ln(a: int) -> Decimal:
+    # a profile row reuses the arguments of its neighbours' rows
+    return _CONTEXT.ln(a)
 
 
 @dataclass(frozen=True)
@@ -87,12 +99,12 @@ class LogExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def eval(self) -> mpmath.mpf:
-        with mpmath.workdps(WORKING_DPS):
-            total = mpmath.mpf(0)
-            for a, c in self.terms:
-                total += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(a)
-            return total
+    def eval(self) -> Decimal:
+        ctx = _CONTEXT
+        total = Decimal(0)
+        for a, c in self.terms:
+            total = ctx.add(total, ctx.multiply(ctx.divide(c.numerator, c.denominator), _ln(a)))
+        return total
 
     def to_float(self) -> float:
         return float(self.eval())
@@ -102,11 +114,10 @@ def log_ratio(num: LogExpr, den: LogExpr) -> float:
     """num/den at the working precision; zero numerator short-circuits to 0."""
     if num.is_zero:
         return 0.0
-    with mpmath.workdps(WORKING_DPS):
-        d = den.eval()
-        if d <= 0:
-            raise ZeroDivisionError("log-expression denominator is not positive")
-        return float(num.eval() / d)
+    d = den.eval()
+    if d <= 0:
+        raise ZeroDivisionError("log-expression denominator is not positive")
+    return float(_CONTEXT.divide(num.eval(), d))
 
 
 class EpsSchedule:
@@ -195,6 +206,10 @@ def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     return Box((first,) + grid.leg_box(code.word[0][1]).intervals[1:])
 
 
+# Cylinders a scan may enumerate per depth unless told otherwise.
+DEFAULT_BUDGET = 1_000_000
+
+
 def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[CylinderCode, Box]]:
     """Brute-force oracle: all L^(n m) depth-m codes over selected strips x legs."""
     strips = _selected_strip_indices(h.grid.L, h.grid.n)
@@ -240,8 +255,7 @@ class RateBound:
     def eps_float(self) -> float:
         if self.eps_log_inv.is_zero:
             return float("nan")
-        with mpmath.workdps(WORKING_DPS):
-            return float(mpmath.exp(-self.eps_log_inv.eval()))
+        return float(_CONTEXT.exp(_CONTEXT.minus(self.eps_log_inv.eval())))
 
 
 def _zero_bound(k: int) -> RateBound:

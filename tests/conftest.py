@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mmdim import Cube, Schedule, build_horseshoe, build_stacked
+from mmdim.constructions import Schedule, build_stacked
+from mmdim.geometry import Cube
+from mmdim.horseshoe import build_horseshoe
 
 
 @pytest.fixture(scope="session")

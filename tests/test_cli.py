@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mmdim
 from mmdim.cli import main
 from mmdim.specfile import (
     PROFILE_COLUMNS,
@@ -401,3 +406,31 @@ class TestHelp:
     def test_missing_file_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "/does/not/exist.json"])
         assert result.exit_code == 2
+
+
+SCAN_ONLY_MODULES = {"mpmath", "mmdim.estimators", "mmdim.metrics"}
+
+
+def modules_loaded_by(argv: list[str]) -> set[str]:
+    """Every module `python -m mmdim.cli <argv>` imports, from -X importtime."""
+    src = str(Path(mmdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mmdim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestImports:
+    def test_symbolic_commands_load_no_scan_layers(self, tmp_spec, tmp_path):
+        spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
+        system = str(tmp_path / "system.json")
+        for argv in (["build", spec, "-o", system], ["verify", system],
+                     ["profile", system, "--kmax", "30"]):
+            loaded = modules_loaded_by(argv)
+            assert "mmdim.symbolic" in loaded, argv
+            assert not loaded & SCAN_ONLY_MODULES, argv
+        # the listing sees a module loaded inside a command
+        assert {"mmdim.estimators", "mmdim.metrics"} <= modules_loaded_by(
+            ["estimate", system, "--k", "1", "--m", "2"])

@@ -112,6 +112,15 @@ class TestSeedSet:
         assert len(seeds) == 3
         assert list(seeds) == list(seeds.points)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=60)] * n),
+                           max_size=40)))
+    def test_matches_sorting_the_fractions(self, pts):
+        # the integer-key sort must keep the order and dedup of the Fractions
+        pts += pts[::2]
+        assert SeedSet.of(pts).points == tuple(sorted(set(pts)))
+
 
 class TestCylinderCenters:
     def test_counts(self, geometric_system):

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmdim import Cube, build_horseshoe
 from mmdim.constructions import Schedule, build_stacked, build_two_block
-from mmdim.geometry import Box
-from mmdim.horseshoe import square
+from mmdim.geometry import Box, Cube
+from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
 

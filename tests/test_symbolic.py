@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
@@ -23,7 +25,9 @@ from mmdim.symbolic import (
     CylinderCode,
     EpsSchedule,
     LogExpr,
+    RateBound,
     WORKING_DPS,
+    _ln,
     _selected_strip_indices,
     analytic_targets,
     cylinder_geometry,
@@ -72,7 +76,7 @@ class TestLogExpr:
     def test_eval_carries_the_working_precision(self):
         got = LogExpr.of(3, 1000).eval()
         with mpmath.workdps(60):
-            assert abs(got - 1000 * mpmath.log(3)) < mpmath.mpf(10) ** -24
+            assert abs(mpmath.mpf(str(got)) - 1000 * mpmath.log(3)) < mpmath.mpf(10) ** -24
 
     def test_log_ratio(self):
         assert log_ratio(LogExpr.zero(), LogExpr.zero()) == 0.0
@@ -82,6 +86,104 @@ class TestLogExpr:
             log_ratio(LogExpr.of(2), LogExpr.zero())
         with pytest.raises(ZeroDivisionError):
             log_ratio(LogExpr.of(2), LogExpr.of_rational(F(1, 2)))
+
+
+# Log arguments as the profiles form them, up to the largest kMax a spec allows.
+LOG_ARGS = st.one_of(
+    st.integers(2, 10**6),
+    st.integers(1, 4000).map(lambda k: 2 * 3**k - 1),
+    st.integers(1, 4000).map(lambda k: 3**k),
+)
+COEFFICIENTS = st.fractions(-50, 50, max_denominator=50)
+
+
+@st.composite
+def log_exprs(draw, positive=False):
+    """Random LogExprs; unless positive, often with a sum that is exactly 0
+    in value but not in form, such as ln 6 - ln 2 - ln 3."""
+    coefficients = COEFFICIENTS.filter(lambda c: c > 0) if positive else COEFFICIENTS
+    expr = LogExpr.zero()
+    for _ in range(draw(st.integers(int(positive), 4))):
+        expr = expr + LogExpr.of(draw(LOG_ARGS), draw(coefficients))
+    if not positive and draw(st.booleans()):
+        a, b = draw(LOG_ARGS), draw(LOG_ARGS)
+        expr = expr + (LogExpr.of(a * b) - LogExpr.of(a) - LogExpr.of(b)).scale(draw(coefficients))
+    return expr
+
+
+def oracle(expr: LogExpr) -> mpmath.mpf:
+    """expr through mpmath; call inside workdps(60)."""
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.log(a)
+                       for a, c in expr.terms)
+
+
+def magnitude(expr: LogExpr) -> float:
+    """Sum of |c| ln a: the 30-digit evaluation's absolute error is below
+    1e-28 times this, whatever cancels."""
+    return 1 + sum(float(abs(c)) * math.log(a) for a, c in expr.terms)
+
+
+def assert_close(got: float, exact, error: float) -> None:
+    """got is float(exact) up to the float's own rounding plus `error`."""
+    exact = float(exact)
+    assert abs(got - exact) <= 2.0**-52 * abs(exact) + error + math.ulp(0.0)
+
+
+class TestDecimalAgainstMpmath:
+    """The working-precision evaluation against mpmath at 60 digits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_exprs())
+    @example(LogExpr.of(6) - LogExpr.of(2) - LogExpr.of(3))
+    @example(LogExpr.of(2 * 3**4000 - 1) - LogExpr.of(3, 4000) - LogExpr.of(2))
+    def test_to_float(self, expr):
+        with mpmath.workdps(60):
+            exact = oracle(expr)
+        got = expr.to_float()
+        assert_close(got, exact, 1e-28 * magnitude(expr))
+        if abs(exact) * 1e3 >= magnitude(expr):  # nothing much cancels
+            assert got == float(exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_exprs(), log_exprs(positive=True))
+    @example(LogExpr.of(6) - LogExpr.of(2) - LogExpr.of(3), LogExpr.of(3))
+    def test_log_ratio(self, num, den):
+        with mpmath.workdps(60):
+            exact = oracle(num) / oracle(den)
+            den_value = float(oracle(den))
+        got = log_ratio(num, den)
+        if num.is_zero:
+            assert got == 0.0
+            return
+        error = 1e-28 * (magnitude(num) + abs(float(exact)) * magnitude(den)) / den_value
+        assert_close(got, exact, error)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_exprs())
+    @example(LogExpr.of(2 * 3**4000 - 1) + LogExpr.of(3, 4000))
+    @example(LogExpr.of(6) - LogExpr.of(2) - LogExpr.of(3))
+    def test_eps_float(self, log_inv):
+        z = LogExpr.zero()
+        bound = RateBound(1, True, z, z, z, None, log_inv)
+        if log_inv.is_zero:
+            assert math.isnan(bound.eps_float())
+            return
+        with mpmath.workdps(60):
+            x = oracle(log_inv)
+            exact = mpmath.exp(-x)
+        if x < -700:  # eps above the float range: eps files never hold one
+            return
+        got = bound.eps_float()
+        assert_close(got, exact, 1e-28 * magnitude(log_inv) * float(exact))
+
+    @settings(max_examples=100, deadline=None)
+    @given(LOG_ARGS)
+    @example(2)
+    @example(2 * 3**4000 - 1)
+    def test_memoized_ln_is_a_fresh_ln(self, a):
+        fresh = Context(prec=WORKING_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        assert _ln(a) == fresh.ln(a)
+        assert _ln(a) == fresh.ln(a)  # the memo's answer, second time round
 
 
 class TestEpsSchedule:
