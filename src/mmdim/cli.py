@@ -29,12 +29,12 @@ from .specfile import (
     SpecFileError,
     SystemSpec,
     build_system,
-    canonical_dumps,
     load_system,
     numeric_csv_rows,
     read_json,
     symbolic_csv_rows,
     system_to_jsonable,
+    write_json,
     write_profile_csv,
 )
 from .symbolic import DEFAULT_BUDGET, analytic_targets, extrapolate, rate_profile
@@ -82,8 +82,7 @@ def build(spec_path: str, out: str):
         payload = system_to_jsonable(system, spec)
     except (SpecFileError, ScheduleError) as exc:
         raise click.UsageError(str(exc))
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(payload))
+    write_json(out, payload)
     click.echo(f"wrote {out}", err=True)
 
 
@@ -205,6 +204,8 @@ def estimate(system_path, k, m_max, eps_str, budget, out):
               show_default=True, help="Profile block indices 1..kmax before extrapolating.")
 def verify(system_path: str, tol: float, kmax: int):
     """Check extrapolated dimension estimates against the analytic targets."""
+    if not tol >= 0:  # also NaN, which no difference is within
+        raise click.UsageError(f"--tol must be a non-negative number (got {tol})")
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))

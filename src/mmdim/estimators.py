@@ -10,9 +10,8 @@ coordinate's, so each coordinate and the threshold become exact integers
 and each comparison is an `int` subtraction deciding what the `Fraction`
 one decided.  It is also a cell list (Bentley, Stanat & Williams, IPL
 1977): two seeds that are not separated are within eps at step 0, which
-every orbit has, so under either metric their integer coordinates differ
-by at most the threshold on each axis, and their cells `x // threshold`
-by at most 1.  Kept
+every orbit has, so their integer coordinates differ by at most the
+threshold on each axis, and their cells `x // threshold` by at most 1.  Kept
 points are filed by the cells of their first two axes, and a seed is
 compared only with the kept points of the 3 x 3 cells around its own.
 Every point that could reject it is among them, so the kept set is the one
@@ -31,7 +30,7 @@ from .constructions import IdentitySystem, StackedSystem, System, Unmaterialized
 from .geometry import Point
 from .horseshoe import square
 from .mapping import ESCAPED, PAMap
-from .metrics import MAXNORM, orbits_separate
+from .metrics import orbits_separate
 from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
 
 
@@ -86,7 +85,6 @@ class GreedyResult:
     chosen: tuple[Point, ...]
     m: int
     eps: Fraction
-    metric: str
     seed_count: int
     truncated: bool  # some orbit escaped before step m
     pairs: int  # orbits_separate calls made by the scan and its cover check
@@ -120,7 +118,6 @@ def greedy_separated(
     seeds: SeedSet,
     m: int,
     eps: Fraction,
-    metric: str = MAXNORM,
 ) -> GreedyResult:
     """Maximal subset with pairwise Bowen distance strictly above eps.
 
@@ -131,12 +128,11 @@ def greedy_separated(
     Seeds are taken in order and each is kept when it is separated from
     every point kept before it.  The comparisons run on the integer lattice
     of the module docstring: eps becomes the integer `thr = eps * scale`,
-    which `orbits_separate` compares (squared, under the euclidean metric)
-    exactly as it compared eps.  Only kept points in the 3 x 3 step-0 cells
-    around a seed are compared with it; a point outside them differs from
-    the seed by more than `thr` on a keyed axis at step 0, so it is
-    separated under either metric and cannot reject the seed.  The order in
-    which the candidates are tried decides only which kept point is
+    which `orbits_separate` compares exactly as it compared eps.  Only kept
+    points in the 3 x 3 step-0 cells around a seed are compared with it; a
+    point outside them differs from the seed by more than `thr` on a keyed
+    axis at step 0, so it is separated and cannot reject the seed.  The
+    order in which the candidates are tried decides only which kept point is
     recorded as the seed's witness, never whether the seed is kept.
 
     The cover check then confirms, for every seed, that some kept point is
@@ -167,7 +163,7 @@ def greedy_separated(
         close = i
         for j in near:
             pairs += 1
-            if not orbits_separate(orbit, lattice[j], thr, metric):
+            if not orbits_separate(orbit, lattice[j], thr):
                 close = j
                 break
         witness.append(close)
@@ -178,7 +174,7 @@ def greedy_separated(
     for i, w in enumerate(witness):
         for j in itertools.chain((w,), chosen):
             pairs += 1
-            if not orbits_separate(lattice[i], lattice[j], thr, metric):
+            if not orbits_separate(lattice[i], lattice[j], thr):
                 break
         else:
             raise AssertionError("greedy result failed its own cover check")
@@ -186,7 +182,6 @@ def greedy_separated(
         chosen=tuple(pts[i] for i in chosen),
         m=m,
         eps=eps,
-        metric=metric,
         seed_count=len(pts),
         truncated=truncated,
         pairs=pairs,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Rational = Fraction
+from typing import Sequence
 
 Point = tuple[Fraction, ...]
 
@@ -29,14 +27,6 @@ def rational_from_str(s: str) -> Fraction:
 def rational_to_str(q: Fraction) -> str:
     """Canonical string form: lowest terms, positive denominator."""
     return str(Fraction(q))
-
-
-def as_point(coords: Iterable) -> Point:
-    """Coerce a coordinate sequence to an exact Point."""
-    pt = tuple(Fraction(c) for c in coords)
-    if not pt:
-        raise ValueError("point needs at least one coordinate")
-    return pt
 
 
 @dataclass(frozen=True)
@@ -58,14 +48,6 @@ class Box:
     def dim(self) -> int:
         return len(self.intervals)
 
-    def width(self, axis: int) -> Fraction:
-        lo, hi = self.intervals[axis]
-        return hi - lo
-
-    @property
-    def widths(self) -> tuple[Fraction, ...]:
-        return tuple(hi - lo for lo, hi in self.intervals)
-
     def is_degenerate(self) -> bool:
         """True if some axis has zero width (empty interior)."""
         return any(lo == hi for lo, hi in self.intervals)
@@ -75,20 +57,8 @@ class Box:
             raise ValueError("dimension mismatch")
         return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.intervals))
 
-    def interior_contains(self, p: Point) -> bool:
-        if len(p) != self.dim:
-            raise ValueError("dimension mismatch")
-        return all(lo < x < hi for x, (lo, hi) in zip(p, self.intervals))
-
     def center(self) -> Point:
         return tuple((lo + hi) / 2 for lo, hi in self.intervals)
-
-    def corners(self) -> list[Point]:
-        pts: list[Point] = [()]
-        for lo, hi in self.intervals:
-            ext = [lo, hi] if lo != hi else [lo]
-            pts = [p + (c,) for p in pts for c in ext]
-        return pts
 
     def intersect(self, other: "Box") -> "Box | None":
         """Exact intersection; None when empty."""
@@ -105,12 +75,6 @@ class Box:
     def interiors_overlap(self, other: "Box") -> bool:
         hit = self.intersect(other)
         return hit is not None and not hit.is_degenerate()
-
-    def contains_box(self, other: "Box") -> bool:
-        return all(
-            alo <= blo and bhi <= ahi
-            for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals)
-        )
 
 
 @dataclass(frozen=True)

@@ -28,22 +28,6 @@ from .mapping import AffinePiece, PAMap
 
 
 @dataclass(frozen=True)
-class Strip:
-    index: int  # 1-based cell index along the first axis; odd = mapped
-    box: Box
-
-    @property
-    def is_mapped(self) -> bool:
-        return self.index % 2 == 1
-
-
-@dataclass(frozen=True)
-class Leg:
-    index: tuple[int, ...]  # one odd 1-based t-cell index per transverse axis
-    box: Box
-
-
-@dataclass(frozen=True)
 class SubdivisionGrid:
     cube: Cube
     n: int
@@ -82,12 +66,6 @@ class SubdivisionGrid:
     def odd_leg_indices(self) -> list[tuple[int, ...]]:
         odd = range(1, self.leg_cell_count + 1, 2)
         return list(itertools.product(odd, repeat=self.n - 1))
-
-    def strips(self) -> list[Strip]:
-        return [Strip(l, self.strip_box(l)) for l in range(1, self.strip_count + 1)]
-
-    def legs(self) -> list[Leg]:
-        return [Leg(ix, self.leg_box(ix)) for ix in self.odd_leg_indices()]
 
 
 def subdivide(cube: Cube, L: int) -> SubdivisionGrid:
@@ -200,16 +178,6 @@ class ValidationReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "ok" if c.passed else "FAIL"
-            text = f"  [{mark}] {c.name}"
-            if c.detail and not c.passed:
-                text += f": {c.detail}"
-            lines.append(text)
-        return "\n".join(lines)
 
 
 def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:

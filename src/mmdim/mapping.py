@@ -37,8 +37,8 @@ ESCAPED = _Escaped()
 class AffinePiece:
     """x -> offset + scale * x per axis, restricted to a box domain.
 
-    A negative scale on an axis is an orientation reversal; `reflections`
-    reports those axes.  Scales must be nonzero so every piece is invertible.
+    A negative scale on an axis is an orientation reversal.  Scales must be
+    nonzero so every piece is invertible.
     """
 
     domain: Box
@@ -50,10 +50,6 @@ class AffinePiece:
             raise ValueError("piece dimensions disagree")
         if any(s == 0 for s in self.scale):
             raise ValueError("piece scales must be nonzero")
-
-    @property
-    def reflections(self) -> tuple[bool, ...]:
-        return tuple(s < 0 for s in self.scale)
 
     def apply_point(self, p: Point) -> Point:
         return tuple(o + s * x for x, s, o in zip(p, self.scale, self.offset))

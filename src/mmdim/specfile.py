@@ -367,6 +367,8 @@ def read_json(path: str) -> object:
             return json.load(fh)
         except ValueError as exc:  # also integers past Python's int->str limit
             raise SpecFileError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise SpecFileError(f"{path}: JSON nested too deeply") from exc
 
 
 def write_json(path: str, obj: object) -> None:

@@ -170,10 +170,6 @@ class CylinderCode:
             if any(i % 2 == 0 or i < 1 for i in leg):
                 raise ValueError(f"leg index {leg} must be odd and positive")
 
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
 
 def _pull_back(h: HorseshoeMap, word: Sequence[int]) -> tuple[Fraction, Fraction]:
     """First-axis interval of the points whose unsquared itinerary visits the

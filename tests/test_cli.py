@@ -113,6 +113,17 @@ class TestBuild:
         assert result.exit_code == 2
         assert "not valid JSON" in result.stderr
 
+    @pytest.mark.parametrize("opener", ["[", '{"a":'])
+    def test_deeply_nested_json_exits_2(self, runner, tmp_path, opener):
+        # the decoder recurses once per level and overflows the stack
+        deep = tmp_path / "deep.json"
+        deep.write_text(opener * 200_000)
+        for args in (["build", str(deep), "-o", str(tmp_path / "x.json")],
+                     ["verify", str(deep)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "nested too deeply" in result.stderr
+
     @pytest.mark.parametrize(
         "fields,needle",
         [
@@ -374,6 +385,14 @@ class TestVerify:
         result = runner.invoke(main, ["verify", geometric_file, "--tol", "1e-9"])
         assert result.exit_code == 1
         assert "NO" in result.stdout
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, runner, geometric_file, tol):
+        # a tolerance no difference can meet is a usage error, not a failed check
+        result = runner.invoke(main, ["verify", geometric_file, "--tol", tol])
+        assert result.exit_code == 2
+        assert "--tol must be a non-negative number" in result.stderr
+        assert result.stdout == ""
 
     def test_identity_is_exact(self, runner, tmp_spec, tmp_path):
         spec = tmp_spec(kind="identity", n=2)

@@ -28,7 +28,7 @@ from mmdim.estimators import (
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import AffinePiece, PAMap
-from mmdim.metrics import EUCLIDEAN, MAXNORM, bowen_distance, compare_separation
+from mmdim.metrics import bowen_distance
 from mmdim.specfile import SystemSpec, build_system
 from mmdim.symbolic import EpsSchedule, rate_profile
 
@@ -40,15 +40,12 @@ def identity_pamap(dim=2) -> PAMap:
     return PAMap(Cube.of(0, 1, dim), (AffinePiece(box, (F(1),) * dim, (F(0),) * dim),))
 
 
-def naive_greedy(pamap, seeds, m, eps, metric=MAXNORM):
+def naive_greedy(pamap, seeds, m, eps):
     """Reference scan: keep a seed when its Bowen distance to every point
     kept so far exceeds eps, computed pair by pair from scratch."""
     chosen = []
     for p in seeds:
-        if all(
-            compare_separation(bowen_distance(pamap, p, c, m, metric).value, eps, metric)
-            for c in chosen
-        ):
+        if all(bowen_distance(pamap, p, c, m).value > eps for c in chosen):
             chosen.append(p)
     return tuple(chosen)
 
@@ -131,7 +128,9 @@ class TestCylinderCenters:
         block = geometric_system.block(1)
         seeds = cylinder_centers(geometric_system, 1, 2)
         for p in seeds:
-            assert block.cube.box().interior_contains(p)
+            assert all(
+                lo < x < hi for x, (lo, hi) in zip(p, block.cube.box().intervals)
+            )
 
     def test_budget(self, geometric_system):
         with pytest.raises(BudgetExceeded, match="budget 100"):
@@ -237,12 +236,9 @@ class TestGreedySeparated:
         result = greedy_separated(sq, seeds[2], 2, eps)
         assert len(result) == len(seeds[2]) == 81
         for a, b in itertools.combinations(result.chosen, 2):
-            assert compare_separation(bowen_distance(sq, a, b, 2).value, eps)
+            assert bowen_distance(sq, a, b, 2).value > eps
         for p in seeds[2]:
-            assert any(
-                not compare_separation(bowen_distance(sq, p, c, 2).value, eps)
-                for c in result.chosen
-            )
+            assert any(bowen_distance(sq, p, c, 2).value <= eps for c in result.chosen)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -255,12 +251,11 @@ class TestGreedySeparated:
         ),
         st.fractions(min_value=F(1, 60), max_value=F(1, 2), max_denominator=60),
         st.integers(min_value=1, max_value=3),
-        st.sampled_from([MAXNORM, EUCLIDEAN]),
     )
-    def test_matches_naive_greedy(self, sq_unit, points, eps, m, metric):
+    def test_matches_naive_greedy(self, sq_unit, points, eps, m):
         seeds = SeedSet.of(points)
-        result = greedy_separated(sq_unit, seeds, m, eps, metric)
-        assert result.chosen == naive_greedy(sq_unit, seeds, m, eps, metric)
+        result = greedy_separated(sq_unit, seeds, m, eps)
+        assert result.chosen == naive_greedy(sq_unit, seeds, m, eps)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -268,14 +263,13 @@ class TestGreedySeparated:
         st.sampled_from(sorted(SCAN_MAPS)),
         st.fractions(min_value=F(1, 40), max_value=F(1, 2), max_denominator=40),
         st.integers(min_value=1, max_value=3),
-        st.sampled_from([MAXNORM, EUCLIDEAN]),
     )
-    def test_matches_naive_greedy_on_hard_seeds(self, scan_maps, data, name, eps, m, metric):
+    def test_matches_naive_greedy_on_hard_seeds(self, scan_maps, data, name, eps, m):
         pamap, grid = scan_maps[name]
         eps = eps * grid.cube.side
         seeds = SeedSet.of(data.draw(hard_seeds(grid, eps)))
-        result = greedy_separated(pamap, seeds, m, eps, metric)
-        assert result.chosen == naive_greedy(pamap, seeds, m, eps, metric)
+        result = greedy_separated(pamap, seeds, m, eps)
+        assert result.chosen == naive_greedy(pamap, seeds, m, eps)
 
     def test_empty_seed_set(self, sq_unit):
         result = greedy_separated(sq_unit, SeedSet.of([]), 2, F(1, 5))

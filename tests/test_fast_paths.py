@@ -155,7 +155,7 @@ def pullback_cylinder(h, code):
         grid.leg_box(leg)  # validates leg indices
     mids = [h.strip_for_leg(leg) for _, leg in code.word[1:]]
     box = _cell_box(h, *code.word[-1])
-    for t in range(code.depth - 2, -1, -1):
+    for t in range(len(code.word) - 2, -1, -1):
         l, leg = code.word[t]
         pulled = _piece_of(h, mids[t]).preimage_box(box)
         pulled = _piece_of(h, l).preimage_box(pulled)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from mmdim.geometry import (
     Box,
     Cube,
-    as_point,
     find_cross_overlap,
     find_interior_overlap,
     rational_from_str,
@@ -28,18 +27,11 @@ def test_rational_from_str_rejects_garbage():
             rational_from_str(bad)
 
 
-def test_as_point():
-    assert as_point([1, "1/2"]) == (F(1), F(1, 2))
-    with pytest.raises(ValueError):
-        as_point([])
-
-
 class TestBox:
     def test_basic_accessors(self):
         b = Box.of((0, 1), (F(1, 3), F(2, 3)))
         assert b.dim == 2
-        assert b.width(0) == 1
-        assert b.widths == (F(1), F(1, 3))
+        assert b.intervals == ((F(0), F(1)), (F(1, 3), F(2, 3)))
         assert b.center() == (F(1, 2), F(1, 2))
         assert not b.is_degenerate()
         assert Box.of((0, 0), (0, 1)).is_degenerate()
@@ -47,10 +39,9 @@ class TestBox:
     def test_containment(self):
         b = Box.of((0, 1), (0, 1))
         assert b.contains((F(0), F(1)))
-        assert not b.interior_contains((F(0), F(1, 2)))
-        assert b.interior_contains((F(1, 2), F(1, 2)))
-        assert b.contains_box(Box.of((0, F(1, 2)), (0, 1)))
-        assert not b.contains_box(Box.of((0, 2), (0, 1)))
+        assert not b.contains((F(3, 2), F(1, 2)))
+        with pytest.raises(ValueError, match="dimension"):
+            b.contains((F(0),))
 
     def test_intersect(self):
         a = Box.of((0, 1), (0, 1))
@@ -161,7 +152,8 @@ def test_intersect_symmetric_and_consistent(a, b):
 
 @given(boxes_2d())
 def test_box_contains_own_center(b):
-    assert b.interior_contains(b.center())
+    # strictly inside on every axis: the drawn boxes are never degenerate
+    assert all(lo < x < hi for x, (lo, hi) in zip(b.center(), b.intervals))
 
 
 @given(st.lists(boxes_2d(), max_size=8), st.lists(boxes_2d(), max_size=8))

@@ -45,10 +45,6 @@ class TestAffinePiece:
         with pytest.raises(ValueError, match="nonzero"):
             AffinePiece(unit_box(2), (F(1), F(0)), (F(0), F(0)))
 
-    def test_reflections(self):
-        piece = AffinePiece(unit_box(), (F(-2), F(1, 3)), (F(1), F(0)))
-        assert piece.reflections == (True, False)
-
     def test_image_box_orientation_flip(self):
         # x -> 1 - 2x sends [0, 1] onto [-1, 1] with endpoints swapped
         piece = AffinePiece(unit_box(), (F(-2), F(1, 2)), (F(1), F(0)))
@@ -193,9 +189,9 @@ class TestHorseshoePAMap:
 
     def test_injective_within_a_strip(self, unit_square_h):
         pm = unit_square_h.pamap
-        box = unit_square_h.grid.strip_box(3)
+        lo, hi = unit_square_h.grid.strip_box(3).intervals[0]
         pts = [
-            (box.intervals[0][0] + F(i, 37) * box.width(0), F(j, 11))
+            (lo + F(i, 37) * (hi - lo), F(j, 11))
             for i in range(5)
             for j in range(5)
         ]

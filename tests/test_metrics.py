@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmdim.mapping import ESCAPED
-from mmdim.metrics import (
-    EUCLIDEAN,
-    MAXNORM,
-    bowen_distance,
-    compare_separation,
-    dist_euclid_sq,
-    dist_maxnorm,
-    orbits_separate,
-)
+from mmdim.estimators import SeedSet, greedy_separated
+from mmdim.metrics import bowen_distance, dist_maxnorm, orbits_separate
 
 F = Fraction
 
@@ -26,18 +19,13 @@ class TestPointDistances:
     def test_maxnorm_example(self):
         assert dist_maxnorm((F(0), F(0)), (F(1, 5), F(2, 5))) == F(2, 5)
 
-    def test_euclid_sq_example(self):
-        assert dist_euclid_sq((F(0), F(0)), (F(1, 5), F(2, 5))) == F(1, 5)
-
     @given(point2, point2)
     def test_symmetry(self, x, y):
         assert dist_maxnorm(x, y) == dist_maxnorm(y, x)
-        assert dist_euclid_sq(x, y) == dist_euclid_sq(y, x)
 
     @given(point2, point2)
     def test_zero_iff_equal(self, x, y):
         assert (dist_maxnorm(x, y) == 0) == (x == y)
-        assert (dist_euclid_sq(x, y) == 0) == (x == y)
 
     @given(point2, point2, point2)
     def test_maxnorm_triangle(self, x, y, z):
@@ -45,34 +33,35 @@ class TestPointDistances:
 
     @given(point2, point2)
     def test_maxnorm_squared_bounds_euclid_sq(self, x, y):
-        # in dimension 2: d_max^2 <= d_2^2 <= 2 d_max^2
-        a, b = dist_maxnorm(x, y) ** 2, dist_euclid_sq(x, y)
+        # in dimension 2: d_max^2 <= d_2^2 <= 2 d_max^2, so the two norms give
+        # the same metric mean dimension and the max norm is the only one used
+        a = dist_maxnorm(x, y) ** 2
+        b = sum((p - q) ** 2 for p, q in zip(x, y))
         assert a <= b <= 2 * a
 
 
 class TestCompareSeparation:
+    """Separation is the strict test d > eps, decided exactly."""
+
     def test_boundary_pair_is_exactly_at_eps(self):
-        # diagonal-displaced pair: maxnorm distance hits eps exactly (not
-        # separated, strict test) while the squared euclidean distance
-        # exceeds eps^2 (separated)
+        # diagonal-displaced pair: the maxnorm distance hits eps exactly, so
+        # under the strict test the pair is not separated
         x, y = (F(1, 5), F(0)), (F(0), F(1, 5))
         eps = F(1, 5)
         assert dist_maxnorm(x, y) == eps
-        assert not compare_separation(dist_maxnorm(x, y), eps, MAXNORM)
-        assert dist_euclid_sq(x, y) == F(2, 25)
-        assert compare_separation(dist_euclid_sq(x, y), eps, EUCLIDEAN)
+        assert not orbits_separate([x], [y], eps)
 
     def test_strictness(self):
-        assert not compare_separation(F(1, 5), F(1, 5), MAXNORM)
-        assert compare_separation(F(1, 5) + F(1, 1000), F(1, 5), MAXNORM)
+        at, past = (F(1, 5), F(0)), (F(1, 5) + F(1, 1000), F(0))
+        origin = (F(0), F(0))
+        assert not orbits_separate([at], [origin], F(1, 5))
+        assert orbits_separate([past], [origin], F(1, 5))
 
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError, match="positive"):
-            compare_separation(F(1), F(0))
-
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError, match="unknown metric"):
-            compare_separation(F(1), F(1, 2), "manhattan")
+    def test_rejects_nonpositive_eps(self, unit_square_h):
+        seeds = SeedSet.of([(F(1, 2), F(1, 2))])
+        for eps in (F(0), F(-1, 5)):
+            with pytest.raises(ValueError, match="positive"):
+                greedy_separated(unit_square_h.pamap, seeds, 1, eps)
 
 
 class TestBowenDistance:
@@ -117,11 +106,6 @@ class TestBowenDistance:
         with pytest.raises(ValueError, match="dimension"):
             bowen_distance(unit_square_h.pamap, (F(0),), (F(1),), 1)
 
-    def test_euclidean_value_is_squared(self, unit_square_h):
-        x, y = (F(1, 10), F(1, 2)), (F(1, 2), F(1, 2))
-        d = bowen_distance(unit_square_h.pamap, x, y, 1, EUCLIDEAN)
-        assert d.value == F(4, 25)
-
     @given(point2, point2, st.integers(min_value=1, max_value=5))
     def test_symmetric(self, unit_square_h, x, y, m):
         pm = unit_square_h.pamap
@@ -162,10 +146,6 @@ class TestBowenDistance:
 
 
 class TestOrbitsSeparate:
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError, match="unknown metric"):
-            orbits_separate([(F(0),)], [(F(1),)], F(1, 2), "manhattan")
-
     def test_escaped_prefix_only(self):
         ox = [(F(0), F(0)), ESCAPED]
         oy = [(F(1), F(1)), (F(0), F(0))]
@@ -177,8 +157,5 @@ class TestOrbitsSeparate:
         pm = unit_square_h.pamap
         eps = F(1, 5)
         ox, oy = pm.orbit(x, m - 1), pm.orbit(y, m - 1)
-        for metric in (MAXNORM, EUCLIDEAN):
-            want = compare_separation(
-                bowen_distance(pm, x, y, m, metric).value, eps, metric
-            )
-            assert orbits_separate(ox, oy, eps, metric) == want
+        want = bowen_distance(pm, x, y, m).value > eps
+        assert orbits_separate(ox, oy, eps) == want

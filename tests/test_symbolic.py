@@ -291,7 +291,7 @@ class TestCylinderGeometry:
         code = CylinderCode(1, (((3, (5,))),))
         box = cylinder_geometry(h, code)
         assert box == h.grid.strip_box(3).intersect(h.grid.leg_box((5,)))
-        assert box.widths == (F(1, 5), F(1, 5))
+        assert [hi - lo for lo, hi in box.intervals] == [F(1, 5), F(1, 5)]
 
     def test_code_validation(self):
         with pytest.raises(ValueError, match="depth >= 1"):
@@ -311,10 +311,11 @@ class TestCylinderGeometry:
         boxes = []
         for code, box in enumerate_cylinders(h, 1, 2):
             # each squared step divides the first-axis width by 25
-            assert box.width(0) == F(1, 125)
+            lo, hi = box.intervals[0]
+            assert hi - lo == F(1, 125)
             # nesting: the depth-2 box refines its depth-1 prefix
             prefix = cylinder_geometry(h, CylinderCode(1, code.word[:1]))
-            assert prefix.contains_box(box)
+            assert prefix.intersect(box) == box
             assert follows_itinerary(h, sq, code, box.center())
             boxes.append(box)
         assert len(boxes) == 3 ** (2 * 2) == 81
@@ -366,8 +367,9 @@ class TestStripWordBox:
         words = list(itertools.product([1, 3, 5], repeat=2))
         boxes = [strip_word_box(h, w) for w in words]
         for w, box in zip(words, boxes):
-            assert box.width(0) == F(1, 25)
-            assert h.grid.strip_box(w[0]).contains_box(box)
+            lo, hi = box.intervals[0]
+            assert hi - lo == F(1, 25)
+            assert h.grid.strip_box(w[0]).intersect(box) == box
         assert find_interior_overlap(boxes) is None
         assert len(boxes) == 9
 
