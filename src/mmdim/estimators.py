@@ -59,6 +59,12 @@ class SeedSet:
         return iter(self.points)
 
 
+def _check_budget(total: int, k: int, m: int, budget: int | None) -> int:
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}")
+    return total
+
+
 def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> SeedSet:
     """Centers of the L^(n m) depth-m selected cylinders of block k."""
     if isinstance(system, IdentitySystem):
@@ -70,11 +76,8 @@ def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAUL
         raise ValueError(f"block {k} is inactive (identity); it has no cylinders")
     if not block.materialized:
         raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
-    total = block.L ** (system.n * m)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}")
-    centers = [box.center() for _, box in enumerate_cylinders(block.geometry(), k, m)]
-    seeds = SeedSet.of(centers)
+    total = _check_budget(block.L ** (system.n * m), k, m, budget)
+    seeds = SeedSet.of(box.center() for _, box in enumerate_cylinders(block.geometry(), k, m))
     if len(seeds) != total:
         raise AssertionError("cylinder centers must be pairwise distinct")
     return seeds
@@ -250,7 +253,8 @@ def mdim_numeric_profile(
     """Greedy growth rates per block, with symbolic cross-checks.
 
     Inactive or identity rows report zero.  A block whose cylinder count
-    blows the budget gets an error row instead of an answer; an active block
+    blows the budget at any requested depth gets an error row instead of an
+    answer, before any cylinder is built; an active block
     without materialized geometry raises, since no honest measurement exists.
     With `eps_override` the greedy scans run at that scale instead of the
     block's own eps_k (and the symbolic coincidence check is skipped, since
@@ -272,15 +276,16 @@ def mdim_numeric_profile(
         if not block.materialized:
             raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
         try:
-            seeds_by_m = {m: cylinder_centers(system, k, m, budget) for m in m_values}
+            for m in sorted(set(m_values)):
+                _check_budget(block.L ** (system.n * m), k, m, budget)
         except BudgetExceeded as exc:
-            rows.append(
-                NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, error=str(exc))
-            )
+            rows.append(NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, error=str(exc)))
             continue
         squared = square(block.geometry())
         eps_used = block.eps if eps_override is None else Fraction(eps_override)
-        measured = growth_rate(squared, lambda m: seeds_by_m[m], eps_used, list(m_values))
+        # each depth's seeds are built when its scan runs
+        measured = growth_rate(squared, lambda m: cylinder_centers(system, k, m, budget),
+                               eps_used, list(m_values))
         row = NumericRateRow(
             k,
             True,

@@ -58,7 +58,9 @@ class Box:
         return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.intervals))
 
     def center(self) -> Point:
-        return tuple((lo + hi) / 2 for lo, hi in self.intervals)
+        # (a + b) / 2 over the one denominator 2 a.d b.d, normalized once
+        return tuple(Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                              2 * a.denominator * b.denominator) for a, b in self.intervals)
 
     def intersect(self, other: "Box") -> "Box | None":
         """Exact intersection; None when empty."""

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Sequence
 
 from .geometry import Box, Cube, Point, find_cross_overlap
 from .mapping import AffinePiece, PAMap
@@ -120,6 +121,22 @@ class HorseshoeMap:
         """First-axis expansion factor of every piece."""
         return 2 * self.grid.L ** (self.grid.n - 1) - 1
 
+    def word_interval(self, word: Sequence[int]) -> tuple[Fraction, Fraction]:
+        """First-axis interval of the points whose unsquared itinerary visits
+        the (unchecked) strips of `word` in order.
+
+        Strip l maps x to lo + kappa (x - s[l-1]), so the interval is
+        lo + side [A, A + 1] / kappa^len(word), where A reads the digits
+        l - 1 in base kappa = `expansion`, the first strip most significant.
+        """
+        kappa, digits = self.expansion, 0
+        for l in word:
+            digits = digits * kappa + l - 1
+        lo, side = self.grid.cube.lo, self.grid.cube.side
+        den = lo.denominator * side.denominator * kappa ** len(word)
+        base, step = lo.numerator * (den // lo.denominator), side.numerator * lo.denominator
+        return Fraction(base + step * digits, den), Fraction(base + step * (digits + 1), den)
+
     @cached_property
     def leg_of(self) -> dict[int, tuple[int, ...]]:
         """Strip -> leg; for a malformed assignment the first entry wins."""
@@ -141,15 +158,10 @@ class HorseshoeMap:
 
 
 def _strip_piece(grid: SubdivisionGrid, l: int, leg: tuple[int, ...]) -> AffinePiece:
-    cube = grid.cube
-    kappa = 2 * grid.L ** (grid.n - 1) - 1
-    eta = 2 * grid.L - 1
-    scale = [Fraction(kappa)]
-    offset = [cube.lo - grid.s[l - 1] * kappa]
-    for i in leg:
-        scale.append(Fraction(1, eta))
-        offset.append(grid.t[i - 1] - Fraction(cube.lo, eta))
-    return AffinePiece(grid.strip_box(l), tuple(scale), tuple(offset))
+    lo, kappa, eta = grid.cube.lo, grid.strip_count, grid.leg_cell_count
+    scale = (Fraction(kappa),) + (Fraction(1, eta),) * len(leg)
+    offset = (lo - grid.s[l - 1] * kappa,) + tuple(grid.t[i - 1] - lo / eta for i in leg)
+    return AffinePiece(grid.strip_box(l), scale, offset)
 
 
 def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
@@ -253,16 +265,16 @@ def square(h: HorseshoeMap) -> PAMap:
 
     One piece per ordered pair of odd strips (l, l'): its domain is the part
     of strip l that lands in strip l' after one application, and the piece is
-    the exact composition of the two strip maps.  Full crossing makes every
-    such domain nonempty, so there are L^(2(n-1)) pieces.
+    the exact composition of the two strip maps.  Full crossing makes that
+    domain the word (l, l')'s `word_interval` times the cube's transverse
+    sides, so there are L^(2(n-1)) pieces.
     """
     grid = h.grid
     by_strip = {l: _strip_piece(grid, l, leg) for l, leg in h.assignment}
-    pieces = []
-    for l, first in by_strip.items():
-        for l2, second in by_strip.items():
-            domain = first.preimage_box(grid.strip_box(l2))
-            if domain is None or domain.is_degenerate():
-                raise AssertionError("full crossing violated")
-            pieces.append(first.then(second, domain))
-    return PAMap(h.cube, tuple(pieces))
+    transverse = ((grid.cube.lo, grid.cube.hi),) * (grid.n - 1)
+    pieces = tuple(
+        first.then(second, Box((h.word_interval((l, l2)),) + transverse))
+        for l, first in by_strip.items()
+        for l2, second in by_strip.items()
+    )
+    return PAMap(h.cube, pieces)

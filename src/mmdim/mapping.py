@@ -52,7 +52,10 @@ class AffinePiece:
             raise ValueError("piece scales must be nonzero")
 
     def apply_point(self, p: Point) -> Point:
-        return tuple(o + s * x for x, s, o in zip(p, self.scale, self.offset))
+        # o + s x over the one denominator o.d s.d x.d, normalized once
+        return tuple(Fraction(o.numerator * (d := s.denominator * x.denominator)
+                              + s.numerator * x.numerator * o.denominator, o.denominator * d)
+                     for x, s, o in zip(p, self.scale, self.offset))
 
     def map_box(self, box: Box) -> Box:
         """Exact affine image of an arbitrary box (not clipped to the domain)."""
@@ -61,15 +64,6 @@ class AffinePiece:
             a, b = o + s * lo, o + s * hi
             ivs.append((a, b) if a <= b else (b, a))
         return Box(tuple(ivs))
-
-    def preimage_box(self, box: Box) -> Box | None:
-        """Exact preimage of `box` intersected with the piece domain."""
-        return self.invert().map_box(box).intersect(self.domain)
-
-    def invert(self) -> "AffinePiece":
-        inv_scale = tuple(1 / s for s in self.scale)
-        inv_offset = tuple(-o / s for s, o in zip(self.scale, self.offset))
-        return AffinePiece(self.map_box(self.domain), inv_scale, inv_offset)
 
     def then(self, other: "AffinePiece", domain: Box) -> "AffinePiece":
         """Composition other(self(x)) restricted to an explicitly given domain."""
@@ -144,11 +138,6 @@ class PAMap:
     def orbit(self, p: Point, steps: int) -> list:
         """States [x, f(x), ..., f^steps(x)]; escapes are absorbing."""
         states = [p]
-        cur = p
         for _ in range(steps):
-            cur = self.apply(cur)
-            states.append(cur)
-            if cur is ESCAPED:
-                states.extend([ESCAPED] * (steps - len(states) + 1))
-                break
+            states.append(self.apply(states[-1]))
         return states

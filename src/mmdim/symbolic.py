@@ -171,23 +171,14 @@ class CylinderCode:
                 raise ValueError(f"leg index {leg} must be odd and positive")
 
 
-def _pull_back(h: HorseshoeMap, word: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """First-axis interval of the points whose unsquared itinerary visits the
-    strips of `word`; strip l maps x to lo + kappa (x - s[l-1])."""
-    s, lo, kappa = h.grid.s, h.grid.cube.lo, h.expansion
-    a, b = s[word[-1] - 1], s[word[-1]]
-    for l in reversed(word[:-1]):
-        a, b = s[l - 1] + (a - lo) / kappa, s[l - 1] + (b - lo) / kappa
-    return a, b
-
-
 def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     """Exact box of points whose squared-map itinerary follows the code.
 
     Transverse axes only contract, so the box is the first leg's t-cells
-    times a first-axis interval: the final strip pulled back through the two
-    strips of every earlier squared step, l_t and then the strip whose leg
-    is step t+1's (the strip-to-leg bijection forces it).
+    times a first-axis interval: `HorseshoeMap.word_interval` of the 2m - 1
+    strips the unsquared map visits, l_t and then the strip whose leg is
+    step t+1's (the strip-to-leg bijection forces it) for each squared step
+    t, and l_(m-1) last.
     """
     grid = h.grid
     for l, leg in code.word:
@@ -198,8 +189,8 @@ def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     strips = []
     for (l, _), (_, leg) in zip(code.word, code.word[1:]):
         strips += [l, h.strip_for_leg(leg)]
-    first = _pull_back(h, strips + [code.word[-1][0]])
-    return Box((first,) + grid.leg_box(code.word[0][1]).intervals[1:])
+    first = h.word_interval(strips + [code.word[-1][0]])
+    return Box((first,) + tuple((grid.t[i - 1], grid.t[i]) for i in code.word[0][1]))
 
 
 # Cylinders a scan may enumerate per depth unless told otherwise.
@@ -221,7 +212,7 @@ def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
     box = h.grid.strip_box(word[-1])
     for l in word[:-1]:
         h.leg_for_strip(l)  # KeyError: an even strip has no image
-    return Box((_pull_back(h, word),) + box.intervals[1:])
+    return Box((h.word_interval(word),) + box.intervals[1:])
 
 
 @dataclass(frozen=True)

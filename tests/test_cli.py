@@ -357,6 +357,16 @@ class TestEstimate:
         assert "exceed budget 100" in result.stderr
         assert parse_csv(result.stdout)[0]["lower_rate"] == ""
 
+    def test_over_budget_depth_fails_before_any_scan(self, runner, geometric_file):
+        # 9^8 cylinders at m = 4; the 531,441 at m = 3 fit the default budget,
+        # so the check must come before the first depth's cylinders are built
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["estimate", geometric_file, "--k", "2", "--m", "4"])
+        assert time.perf_counter() - t0 < 2.0
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines()[1] == "2,1/153,,,,,,numeric"
+        assert result.stderr == "k=2: 43046721 cylinders at (k=2, m=4) exceed budget 1000000\n"
+
     def test_non_stacked_systems_exit_2(self, runner, tmp_spec, tmp_path):
         for fields in [
             dict(kind="identity", n=2),

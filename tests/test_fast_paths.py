@@ -1,6 +1,8 @@
-"""Equivalence of the indexed piece lookup and the closed-form cylinder boxes
-with the slow paths they replaced, which are kept here as oracles."""
+"""Equivalence of the indexed piece lookup, the closed-form cylinder boxes
+and the closed-form squared map with the slow paths they replaced, which are
+kept here as oracles."""
 
+import functools
 import re
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from mmdim.constructions import Schedule, build_stacked, build_two_block
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
+from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders, strip_word_box
 
 F = Fraction
 
@@ -129,6 +131,51 @@ class TestIndexedLookup:
             pamap.piece_for((F(7), F(0), F(0)))
 
 
+def invert(piece):
+    """Oracle: the inverse piece, defined on the image of the domain."""
+    scale = tuple(1 / s for s in piece.scale)
+    offset = tuple(-o / s for s, o in zip(piece.scale, piece.offset))
+    return AffinePiece(piece.map_box(piece.domain), scale, offset)
+
+
+def preimage_box(piece, box):
+    """Oracle: the exact preimage of `box` under the piece, within its domain."""
+    return invert(piece).map_box(box).intersect(piece.domain)
+
+
+def preimage_square(h):
+    """Oracle: the squared map with each piece's domain found as the preimage
+    of the second strip under the first strip's piece."""
+    grid = h.grid
+    by_strip = {l: _piece_of(h, l) for l, _ in h.assignment}
+    pieces = []
+    for l, first in by_strip.items():
+        for l2, second in by_strip.items():
+            domain = preimage_box(first, grid.strip_box(l2))
+            assert domain is not None and not domain.is_degenerate()
+            pieces.append(first.then(second, domain))
+    return PAMap(h.cube, tuple(pieces))
+
+
+def pull_back_chain(h, word):
+    """Oracle: the first-axis interval of a strip word, pulled back one strip
+    at a time through x -> s[l-1] + (x - lo) / kappa."""
+    s, lo, kappa = h.grid.s, h.grid.cube.lo, h.expansion
+    a, b = s[word[-1] - 1], s[word[-1]]
+    for l in reversed(word[:-1]):
+        a, b = s[l - 1] + (a - lo) / kappa, s[l - 1] + (b - lo) / kappa
+    return a, b
+
+
+def pull_back_box(h, word):
+    """Oracle: the last strip's box pulled back through each earlier strip's
+    piece, as whole boxes."""
+    box = h.grid.strip_box(word[-1])
+    for l in reversed(word[:-1]):
+        box = preimage_box(_piece_of(h, l), box)
+    return box
+
+
 def _piece_of(h, l):
     target = tuple(h.grid.strip_box(l).intervals)
     for piece in h.pamap.pieces:
@@ -157,8 +204,8 @@ def pullback_cylinder(h, code):
     box = _cell_box(h, *code.word[-1])
     for t in range(len(code.word) - 2, -1, -1):
         l, leg = code.word[t]
-        pulled = _piece_of(h, mids[t]).preimage_box(box)
-        pulled = _piece_of(h, l).preimage_box(pulled)
+        pulled = preimage_box(_piece_of(h, mids[t]), box)
+        pulled = preimage_box(_piece_of(h, l), pulled)
         box = pulled.intersect(_cell_box(h, l, leg))
     return box
 
@@ -205,3 +252,69 @@ class TestClosedFormCylinders:
             pullback_cylinder(unit_square_h, code)
         with pytest.raises(ValueError, match=re.escape(str(old.value))):
             cylinder_geometry(unit_square_h, code)
+
+
+# Cubes with non-dyadic corners and sides, so that no endpoint is exact in
+# binary and a wrong denominator cannot cancel out.
+NON_DYADIC_CUBES = [(F(-2, 7), F(5, 3)), (F(1, 3), F(4, 5)), (F(3, 10), F(19, 11))]
+
+
+@functools.cache
+def horseshoe_on(lo, hi, n, L):
+    return build_horseshoe(Cube(lo, hi, n), L)
+
+
+@st.composite
+def strip_words(draw, max_len=5):
+    """A horseshoe on a non-dyadic cube (n in {2, 3}, L in {3, 5, 7}) and a
+    word of its odd strips of length 1 to max_len."""
+    lo, hi = draw(st.sampled_from(NON_DYADIC_CUBES))
+    n, L = draw(st.sampled_from([2, 3])), draw(st.sampled_from([3, 5, 7]))
+    h = horseshoe_on(lo, hi, n, L)
+    odd = h.grid.odd_strip_indices()
+    edges = st.sampled_from([odd[0], odd[-1]])  # the first and last digits
+    word = draw(st.lists(st.one_of(st.sampled_from(odd), edges), min_size=1, max_size=max_len))
+    return h, word
+
+
+class TestClosedFormStripWords:
+    @settings(max_examples=300, deadline=None)
+    @given(strip_words())
+    def test_word_interval_matches_the_pullbacks(self, case):
+        h, word = case
+        interval = h.word_interval(word)
+        assert interval == pull_back_chain(h, word)
+        assert strip_word_box(h, word) == pull_back_box(h, word)
+        assert interval == strip_word_box(h, word).intervals[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(strip_words(max_len=3), st.data())
+    def test_cylinder_geometry_matches_the_pullback(self, case, data):
+        h, word = case
+        legs = h.grid.odd_leg_indices()
+        code = CylinderCode(1, tuple((l, data.draw(st.sampled_from(legs))) for l in word))
+        assert cylinder_geometry(h, code) == pullback_cylinder(h, code)
+
+    @pytest.mark.parametrize("n,L", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7)])
+    @pytest.mark.parametrize("lo,hi", NON_DYADIC_CUBES[:2])
+    def test_square_matches_the_preimage_composition(self, lo, hi, n, L):
+        h = horseshoe_on(lo, hi, n, L)
+        assert square(h).pieces == preimage_square(h).pieces
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+
+
+class TestOneDenominatorArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(fractions, fractions, fractions.filter(bool)), min_size=1, max_size=3))
+    def test_apply_point_matches_fraction_arithmetic(self, axes):
+        p, offset, scale = zip(*axes)
+        piece = AffinePiece(Box.of(*[(-3, 3)] * len(axes)), scale, offset)
+        assert piece.apply_point(p) == tuple(o + s * x for x, o, s in axes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(fractions, fractions).map(sorted), min_size=1, max_size=3))
+    def test_center_matches_fraction_arithmetic(self, intervals):
+        box = Box(tuple(tuple(iv) for iv in intervals))
+        assert box.center() == tuple((lo + hi) / 2 for lo, hi in intervals)
