@@ -302,19 +302,19 @@ class TestClosedFormStripWords:
         assert square(h).pieces == preimage_square(h).pieces
 
 
-fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
 
 
 class TestOneDenominatorArithmetic:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(fractions, fractions, fractions.filter(bool)), min_size=1, max_size=3))
+    @given(st.lists(st.tuples(rationals, rationals, rationals.filter(bool)), min_size=1, max_size=3))
     def test_apply_point_matches_fraction_arithmetic(self, axes):
         p, offset, scale = zip(*axes)
         piece = AffinePiece(Box.of(*[(-3, 3)] * len(axes)), scale, offset)
         assert piece.apply_point(p) == tuple(o + s * x for x, o, s in axes)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(fractions, fractions).map(sorted), min_size=1, max_size=3))
+    @given(st.lists(st.tuples(rationals, rationals).map(sorted), min_size=1, max_size=3))
     def test_center_matches_fraction_arithmetic(self, intervals):
         box = Box(tuple(tuple(iv) for iv in intervals))
         assert box.center() == tuple((lo + hi) / 2 for lo, hi in intervals)
