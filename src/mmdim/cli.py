@@ -172,28 +172,21 @@ def estimate(system_path, k, m_max, eps_str, budget, out):
         if eps_value <= 0:
             raise click.UsageError("--eps must be positive")
     try:
-        rows = mdim_numeric_profile(
-            system,
-            [k],
-            m_values=range(1, m_max + 1),
-            budget=budget,
-            eps_override=eps_value,
-        )
+        row = mdim_numeric_profile(system, k, m_max, budget, eps_value)
     except (UnmaterializedBlockError, ValueError) as exc:
         error_row = NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}, error=str(exc))
         _write_rows(out, numeric_csv_rows([error_row]))
         click.echo(f"k={k}: {exc}", err=True)
         sys.exit(2)
-    _write_rows(out, numeric_csv_rows(rows))
-    for row in rows:
-        if row.error is not None:
-            click.echo(f"k={row.k}: {row.error}", err=True)
-        for m, count in sorted(row.counts.items()):
-            click.echo(
-                f"k={row.k} m={m} eps={row.eps_exact} count={count} "
-                f"seeds={row.seeds[m]} pairs={row.pairs[m]}",
-                err=True,
-            )
+    _write_rows(out, numeric_csv_rows([row]))
+    if row.error is not None:
+        click.echo(f"k={k}: {row.error}", err=True)
+    for m, count in sorted(row.counts.items()):
+        click.echo(
+            f"k={k} m={m} eps={row.eps_exact} count={count} "
+            f"seeds={row.seeds[m]} pairs={row.pairs[m]}",
+            err=True,
+        )
 
 
 @main.command()

@@ -29,7 +29,9 @@ QUADRATIC = "quadratic"
 ACTIVE_ALL = "all"
 ACTIVE_SELF_POWERS = "self-powers"  # active exactly at k = j^j for j = 1, 2, ...
 
-DEFAULT_GEOMETRY_BUDGET = 100_000
+# Blocks whose horseshoe has more than this many pieces, L^(n-1), stay
+# symbolic-only: their geometry is never built.
+GEOMETRY_BUDGET = 100_000
 
 # Each block's cube is enlarged by this fraction of its side per face; the
 # enlargements of distinct blocks must have disjoint interiors.
@@ -60,7 +62,7 @@ class Schedule:
     kind: str
     B: Fraction
     r: Fraction | None = None
-    active: object = ACTIVE_ALL  # "all" | "self-powers" | frozenset of indices
+    active: str = ACTIVE_ALL  # "all" | "self-powers"
     leg_override: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
@@ -78,10 +80,8 @@ class Schedule:
                 raise ScheduleError("quadratic schedules take no rate r")
             if self.B > 1:
                 raise ScheduleError("quadratic schedules need B <= 1")
-        if self.active not in (ACTIVE_ALL, ACTIVE_SELF_POWERS) and not isinstance(
-            self.active, frozenset
-        ):
-            raise ScheduleError("active must be 'all', 'self-powers', or a frozenset")
+        if self.active not in (ACTIVE_ALL, ACTIVE_SELF_POWERS):
+            raise ScheduleError("active must be 'all' or 'self-powers'")
         if self.leg_override:
             for k, L in self.leg_override:
                 if L < 3 or L % 2 == 0:
@@ -133,11 +133,7 @@ class Schedule:
         return 3**k
 
     def is_active(self, k: int) -> bool:
-        if self.active == ACTIVE_ALL:
-            return True
-        if self.active == ACTIVE_SELF_POWERS:
-            return k in _self_power_set(k)
-        return k in self.active
+        return self.active == ACTIVE_ALL or k in _self_power_set(k)
 
 
 def solve_rate(alpha: Fraction, n: int) -> Schedule:
@@ -215,7 +211,7 @@ class Block:
     """One cube of a stacked system.
 
     `materialized` says whether the block carries a horseshoe that may be
-    built (active, and L^(n-1) pieces within the geometry budget).  The
+    built: it is active and its L^(n-1) pieces fit GEOMETRY_BUDGET.  The
     horseshoe itself is built by `geometry()` on first use and cached; the
     cache takes no part in equality, hashing or repr.
     """
@@ -224,10 +220,15 @@ class Block:
     cube: Cube
     L: int
     active: bool
-    materialized: bool
     _horseshoe: HorseshoeMap | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def materialized(self) -> bool:
+        # L > budget settles it without raising L to a huge power
+        return (self.active and self.L <= GEOMETRY_BUDGET
+                and self.L ** (self.cube.dim - 1) <= GEOMETRY_BUDGET)
 
     @property
     def horseshoe(self) -> HorseshoeMap | None:
@@ -258,7 +259,6 @@ class StackedSystem:
     schedule: Schedule
     k_max: int
     blocks: tuple[Block, ...]
-    geometry_budget: int = DEFAULT_GEOMETRY_BUDGET
 
     kind = "stacked"
 
@@ -279,22 +279,12 @@ class StackedSystem:
         return p
 
 
-def build_stacked(
-    schedule: Schedule,
-    n: int,
-    k_max: int,
-    geometry_budget: int = DEFAULT_GEOMETRY_BUDGET,
-) -> StackedSystem:
-    placements = place_cubes(schedule, n, k_max)
-    blocks = []
-    for k, (anchor, side) in enumerate(placements, start=1):
-        L = schedule.legs(k)
-        active = schedule.is_active(k)
-        cube = Cube(anchor, anchor + side, n)
-        # L > budget settles it without raising L to a huge power
-        materialized = active and L <= geometry_budget and L ** (n - 1) <= geometry_budget
-        blocks.append(Block(k, cube, L, active, materialized))
-    return StackedSystem(n, schedule, k_max, tuple(blocks), geometry_budget)
+def build_stacked(schedule: Schedule, n: int, k_max: int) -> StackedSystem:
+    blocks = tuple(
+        Block(k, Cube(anchor, anchor + side, n), schedule.legs(k), schedule.is_active(k))
+        for k, (anchor, side) in enumerate(place_cubes(schedule, n, k_max), start=1)
+    )
+    return StackedSystem(n, schedule, k_max, blocks)
 
 
 @dataclass(frozen=True)
@@ -361,13 +351,7 @@ class TwoBlockSystem:
 System = Union[StackedSystem, TwoBlockSystem, IdentitySystem]
 
 
-def build_two_block(
-    alpha,
-    beta,
-    n: int,
-    k_max: int,
-    geometry_budget: int = DEFAULT_GEOMETRY_BUDGET,
-) -> TwoBlockSystem:
+def build_two_block(alpha, beta, n: int, k_max: int) -> TwoBlockSystem:
     """System with lower metric mean dimension alpha and upper beta.
 
     The lower corner carries a sparse system active at the self powers
@@ -384,12 +368,12 @@ def build_two_block(
     def dense(target) -> Union[StackedSystem, IdentitySystem]:
         if target == 0:
             return IdentitySystem(n)
-        return build_stacked(solve_rate(target, n), n, k_max, geometry_budget)
+        return build_stacked(solve_rate(target, n), n, k_max)
 
     if alpha == beta:
         shared = dense(alpha)
         return TwoBlockSystem(n, alpha, beta, shared, shared, k_max)
 
     sparse_schedule = replace(solve_rate(beta, n), active=ACTIVE_SELF_POWERS)
-    lower = build_stacked(sparse_schedule, n, k_max, geometry_budget)
+    lower = build_stacked(sparse_schedule, n, k_max)
     return TwoBlockSystem(n, alpha, beta, lower, dense(alpha), k_max)

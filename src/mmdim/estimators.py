@@ -26,16 +26,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .constructions import IdentitySystem, StackedSystem, System, UnmaterializedBlockError
+from .constructions import StackedSystem, UnmaterializedBlockError
 from .geometry import Point
-from .horseshoe import square
+from .horseshoe import HorseshoeMap, square
 from .mapping import ESCAPED, PAMap
 from .metrics import orbits_separate
 from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -59,26 +55,11 @@ class SeedSet:
         return iter(self.points)
 
 
-def _check_budget(total: int, k: int, m: int, budget: int | None) -> int:
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}")
-    return total
-
-
-def cylinder_centers(system: System, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> SeedSet:
-    """Centers of the L^(n m) depth-m selected cylinders of block k."""
-    if isinstance(system, IdentitySystem):
-        raise ValueError("identity systems have no cylinders")
-    if not isinstance(system, StackedSystem):
-        raise TypeError("cylinder centers are defined per stacked system block")
-    block = system.block(k)
-    if not block.active:
-        raise ValueError(f"block {k} is inactive (identity); it has no cylinders")
-    if not block.materialized:
-        raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
-    total = _check_budget(block.L ** (system.n * m), k, m, budget)
-    seeds = SeedSet.of(box.center() for _, box in enumerate_cylinders(block.geometry(), k, m))
-    if len(seeds) != total:
+def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
+    """Centers of the L^(n m) depth-m selected cylinders of block k's
+    horseshoe `h`; enumerates all of them, so the caller bounds L^(n m)."""
+    seeds = SeedSet.of(box.center() for _, box in enumerate_cylinders(h, k, m))
+    if len(seeds) != h.grid.L ** (h.grid.n * m):
         raise AssertionError("cylinder centers must be pairwise distinct")
     return seeds
 
@@ -244,64 +225,53 @@ class NumericRateRow:
 
 
 def mdim_numeric_profile(
-    system: System,
-    k_range: Sequence[int],
-    m_values: Sequence[int] = (1, 2, 3),
+    system: StackedSystem,
+    k: int,
+    m_max: int = 3,
     budget: int = DEFAULT_BUDGET,
     eps_override: Fraction | None = None,
-) -> list[NumericRateRow]:
-    """Greedy growth rates per block, with symbolic cross-checks.
+) -> NumericRateRow:
+    """Greedy growth rate of block k over depths 1..m_max, with a symbolic
+    cross-check.
 
-    Inactive or identity rows report zero.  A block whose cylinder count
-    blows the budget at any requested depth gets an error row instead of an
-    answer, before any cylinder is built; an active block
-    without materialized geometry raises, since no honest measurement exists.
-    With `eps_override` the greedy scans run at that scale instead of the
-    block's own eps_k (and the symbolic coincidence check is skipped, since
-    it only holds at the native scale).  A k outside 1..k_max raises
-    ValueError before any work, since rate_profile forms L_k = 3^k.
+    The preconditions are checked in this order, before any geometry is
+    built: a k outside 1..k_max raises ValueError (rate_profile would form
+    L_k = 3^k); an inactive block gives a zero row; an active block without
+    materialized geometry raises UnmaterializedBlockError, since no honest
+    measurement exists; and a block whose L^(n m) cylinders exceed `budget`
+    at some depth gets an error row naming the first such depth.  With
+    `eps_override` the greedy scans run at that scale instead of the block's
+    own eps_k, and the symbolic check is skipped, since it only holds at the
+    native scale.
     """
-    ks = sorted(set(k_range))
-    if isinstance(system, IdentitySystem):
-        return [NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}) for k in ks]
-    if not isinstance(system, StackedSystem):
-        raise TypeError("numeric profiles run on stacked systems")
-    blocks = [system.block(k) for k in ks]
-    rows: list[NumericRateRow] = []
-    for block, bound in zip(blocks, rate_profile(system, ks)):
-        k = block.k
-        if not block.active:
-            rows.append(NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {}))
-            continue
-        if not block.materialized:
-            raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
-        try:
-            for m in sorted(set(m_values)):
-                _check_budget(block.L ** (system.n * m), k, m, budget)
-        except BudgetExceeded as exc:
-            rows.append(NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, error=str(exc)))
-            continue
-        squared = square(block.geometry())
-        eps_used = block.eps if eps_override is None else Fraction(eps_override)
-        # each depth's seeds are built when its scan runs
-        measured = growth_rate(squared, lambda m: cylinder_centers(system, k, m, budget),
-                               eps_used, list(m_values))
-        row = NumericRateRow(
-            k,
-            True,
-            measured.rate,
-            measured.rate / bound.lower_den.to_float(),
-            measured.rate / bound.upper_den.to_float(),
-            eps_used,
-            measured.counts,
-            seeds=measured.seeds,
-            pairs=measured.pairs,
-        )
-        if eps_override is None and bound.active:
-            # cylinder-center seeds realize the symbolic count exactly
-            if row.ratio > bound.lower_ratio() + 1e-9:
-                raise AssertionError(
-                    f"numeric ratio {row.ratio} exceeds symbolic bound at k={k}"
-                )
-        rows.append(row)
-    return rows
+    block = system.block(k)
+    (bound,) = rate_profile(system, [k])
+    if not block.active:
+        return NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {})
+    if not block.materialized:
+        raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
+    for m in range(1, m_max + 1):
+        total = block.L ** (system.n * m)
+        if total > budget:
+            error = f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}"
+            return NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, error=error)
+    h = block.geometry()
+    eps_used = block.eps if eps_override is None else Fraction(eps_override)
+    # each depth's seeds are built when its scan runs
+    measured = growth_rate(square(h), lambda m: cylinder_centers(h, k, m),
+                           eps_used, range(1, m_max + 1))
+    row = NumericRateRow(
+        k,
+        True,
+        measured.rate,
+        measured.rate / bound.lower_den.to_float(),
+        measured.rate / bound.upper_den.to_float(),
+        eps_used,
+        measured.counts,
+        seeds=measured.seeds,
+        pairs=measured.pairs,
+    )
+    # cylinder-center seeds realize the symbolic count exactly
+    if eps_override is None and row.ratio > bound.lower_ratio() + 1e-9:
+        raise AssertionError(f"numeric ratio {row.ratio} exceeds symbolic bound at k={k}")
+    return row

@@ -122,8 +122,12 @@ class PAMap:
             raise ValueError("dimension mismatch")
         i = bisect_left(self._cuts, p[0])
         on_cut = i < len(self._cuts) and self._cuts[i] == p[0]
+        # every piece in the slot contains p[0]; the other axes are tested inline
         for piece in self._slots[2 * i + on_cut]:
-            if piece.domain.contains(p):
+            for x, (lo, hi) in zip(p[1:], piece.domain.intervals[1:]):
+                if not lo <= x <= hi:
+                    break
+            else:
                 return piece
         return None
 

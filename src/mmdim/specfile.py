@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .constructions import (
-    ACTIVE_ALL,
     ACTIVE_SELF_POWERS,
-    DEFAULT_GEOMETRY_BUDGET,
+    GEOMETRY_BUDGET,
     IdentitySystem,
     Schedule,
     StackedSystem,
@@ -63,7 +62,6 @@ SOURCE_NUMERIC = "numeric"
 # that.  Specs are checked against these caps before anything is built.
 MAX_N = 64
 MAX_STORED_DIGITS = 4000
-MAX_GEOMETRY_BUDGET = 10**6
 _LOG10_3 = math.log10(3)
 
 
@@ -252,11 +250,11 @@ class SystemSpec:
         return out
 
 
-def build_system(spec: SystemSpec, geometry_budget: int = DEFAULT_GEOMETRY_BUDGET) -> System:
+def build_system(spec: SystemSpec) -> System:
     if spec.kind == KIND_IDENTITY:
         return IdentitySystem(spec.n)
     if spec.kind == KIND_TWO_BLOCK:
-        return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max, geometry_budget)
+        return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max)
     if spec.kind == KIND_GEOMETRIC:
         schedule = Schedule.geometric(spec.B, spec.r, leg_override=spec.leg_override)
     elif spec.kind == KIND_QUADRATIC:
@@ -270,15 +268,11 @@ def build_system(spec: SystemSpec, geometry_budget: int = DEFAULT_GEOMETRY_BUDGE
             schedule = Schedule.quadratic(
                 spec.B, active=ACTIVE_SELF_POWERS, leg_override=spec.leg_override
             )
-    return build_stacked(schedule, spec.n, spec.k_max, geometry_budget)
+    return build_stacked(schedule, spec.n, spec.k_max)
 
 
 def _schedule_payload(schedule: Schedule) -> dict:
-    if schedule.active in (ACTIVE_ALL, ACTIVE_SELF_POWERS):
-        active = schedule.active
-    else:
-        active = sorted(schedule.active)
-    out = {"kind": schedule.kind, "B": rational_to_str(schedule.B), "active": active}
+    out = {"kind": schedule.kind, "B": rational_to_str(schedule.B), "active": schedule.active}
     if schedule.r is not None:
         out["r"] = rational_to_str(schedule.r)
     if schedule.leg_override is not None:
@@ -306,7 +300,7 @@ def _system_payload(system: System) -> dict:
             "kind": system.kind,
             "n": system.n,
             "kMax": system.k_max,
-            "geometryBudget": system.geometry_budget,
+            "geometryBudget": GEOMETRY_BUDGET,
             "schedule": _schedule_payload(system.schedule),
             "blocks": blocks,
         }
@@ -331,14 +325,6 @@ def system_to_jsonable(system: System, spec: SystemSpec) -> dict:
     }
 
 
-def _stored_budget(payload: object) -> int:
-    while isinstance(payload, dict) and payload.get("kind") == "two-block":
-        payload = payload.get("lower")
-    if not isinstance(payload, dict) or "geometryBudget" not in payload:
-        return DEFAULT_GEOMETRY_BUDGET  # the payload comparison rejects the file
-    return _require_int(payload, "geometryBudget", 0, MAX_GEOMETRY_BUDGET)
-
-
 def load_system(data: object) -> tuple[SystemSpec, System]:
     """Rebuild a system file's contents, verifying the stored geometry."""
     if not isinstance(data, dict):
@@ -351,8 +337,10 @@ def load_system(data: object) -> tuple[SystemSpec, System]:
     if "spec" not in data or "system" not in data:
         raise SpecFileError("system file needs 'spec' and 'system' fields")
     spec = SystemSpec.from_jsonable(data["spec"])
-    system = build_system(spec, _stored_budget(data["system"]))
-    if system_to_jsonable(system, spec) != data:
+    system = build_system(spec)
+    rebuilt = system_to_jsonable(system, spec)
+    # == takes 3.0 for 3 and 1 for true; the canonical text tells them apart
+    if rebuilt != data or canonical_dumps(rebuilt) != canonical_dumps(data):
         raise SpecFileError("stored system geometry does not match its spec rebuild")
     return spec, system
 

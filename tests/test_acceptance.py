@@ -111,7 +111,7 @@ def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     t0 = time.perf_counter()
     block = geometric_system.block(1)
     sq = square(block.geometry())
-    seeds = cylinder_centers(geometric_system, 1, 3)
+    seeds = cylinder_centers(block.geometry(), 1, 3)
     result = greedy_separated(sq, seeds, 3, block.eps)
     elapsed = time.perf_counter() - t0
     expected = block.L ** (geometric_system.n * 3)
@@ -150,7 +150,7 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
     eps = block.eps
 
     squared = growth_rate(
-        square(h), lambda m: cylinder_centers(geometric_system, 1, m), eps, (1, 2, 3)
+        square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
     )
     assert squared.counts == {1: 9, 2: 81, 3: 729}
     assert abs(squared.rate - 2 * math.log(3)) < 1e-6
@@ -178,9 +178,7 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
 def test_criterion_7_two_block_limits_split_and_obey_max_rule():
     t0 = time.perf_counter()
     alpha, beta = F(2, 3), F(1)
-    # the profile is symbolic, so a small geometry budget keeps the deep
-    # blocks unmaterialized instead of building tens of thousands of pieces
-    system = build_two_block(alpha, beta, 2, 30, geometry_budget=81)
+    system = build_two_block(alpha, beta, 2, 30)
     ks = range(1, 31)
     rows = rate_profile(system, ks)
     fit = extrapolate(rows)
@@ -245,7 +243,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     # the greedy scan keeps exactly the seeds a naive pairwise scan keeps
     block = geometric_system.block(1)
     sq = square(block.geometry())
-    seeds = cylinder_centers(geometric_system, 1, 2)
+    seeds = cylinder_centers(block.geometry(), 1, 2)
     chosen = greedy_separated(sq, seeds, 2, block.eps).chosen
     assert chosen == naive_greedy(sq, seeds, 2, block.eps)
 
@@ -269,10 +267,10 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
 
     # no estimate, measured or symbolic, ever exceeds the ambient dimension
     for system in (geometric_system, build_stacked(Schedule.quadratic(1), 2, 1)):
-        for row in mdim_numeric_profile(system, [1], m_values=(1, 2)):
-            assert row.error is None and row.active
-            at_eps = row.rate / EpsSchedule(system.schedule).log_inv(row.k).to_float()
-            assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
+        row = mdim_numeric_profile(system, 1, m_max=2)
+        assert row.error is None and row.active
+        at_eps = row.rate / EpsSchedule(system.schedule).log_inv(row.k).to_float()
+        assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
     for system in systems + [two]:
         for row in rate_profile(system, range(1, 41)):
             assert row.lower_ratio() <= system.n + 1e-15

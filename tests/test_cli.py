@@ -18,8 +18,6 @@ from mmdim.cli import main
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
-    SystemSpec,
-    build_system,
     canonical_dumps,
     load_system,
     read_json,
@@ -180,6 +178,18 @@ class TestValidate:
         assert result.exit_code == 2
         assert "does not match" in result.stderr
 
+    @pytest.mark.parametrize("budget", [8, -1, "8", 10**7, 100000.0])
+    def test_hand_edited_geometry_budget_is_rejected(self, runner, geometric_file, budget):
+        # the budget is a constant; a file stating another one is not a rebuild
+        data = read_json(geometric_file)
+        data["system"]["geometryBudget"] = budget
+        write_json(geometric_file, data)
+        for args in (["verify", geometric_file], ["validate", geometric_file],
+                     ["estimate", geometric_file, "--k", "1"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "does not match its spec rebuild" in result.stderr
+
     def test_format_1_file_exits_2_with_rebuild_hint(self, runner, geometric_file):
         data = read_json(geometric_file)
         data["format"] = "mmdim-system/1"
@@ -338,16 +348,17 @@ class TestEstimate:
         assert result.exit_code == 2, result.output
         assert "block 100000000 is not materialized (k_max = 3)" in result.stderr
 
-    def test_unmaterialized_k_exits_2(self, runner, tmp_path):
-        spec = SystemSpec.from_jsonable(
-            {"kind": "geometric", "n": 2, "B": "1", "r": "1", "kMax": 3}
+    def test_unmaterialized_k_exits_2_before_the_budget_check(self, runner, tmp_spec, tmp_path):
+        # L_11 = 177,147 pieces exceed the geometry budget, and 3^66 cylinders
+        # at m = 3 exceed --budget; the unmaterialized block is reported first
+        spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=11)
+        path = str(tmp_path / "deep.json")
+        assert runner.invoke(main, ["build", spec, "-o", path]).exit_code == 0
+        result = runner.invoke(
+            main, ["estimate", path, "--k", "11", "--budget", "1000000000000000000000000"]
         )
-        system = build_system(spec, geometry_budget=8)
-        path = tmp_path / "small.json"
-        write_json(path, system_to_jsonable(system, spec))
-        result = runner.invoke(main, ["estimate", str(path), "--k", "2"])
-        assert result.exit_code == 2
-        assert "budget" in result.stderr
+        assert result.exit_code == 2, result.output
+        assert "block 11 exceeds the geometry budget" in result.stderr
 
     def test_budget_overflow_is_soft(self, runner, geometric_file):
         result = runner.invoke(

@@ -81,8 +81,6 @@ class TestSchedule:
         active_ks = [k for k in range(1, 30) if sparse.is_active(k)]
         assert active_ks == [1, 4, 27]
 
-        custom = Schedule.geometric(1, 1, active=frozenset({2, 3}))
-        assert [k for k in range(1, 6) if custom.is_active(k)] == [2, 3]
 
     def test_validation_errors(self):
         with pytest.raises(ScheduleError, match="unknown schedule kind"):
@@ -99,6 +97,8 @@ class TestSchedule:
             Schedule.quadratic(2)
         with pytest.raises(ScheduleError, match="active"):
             Schedule.geometric(1, 1, active=[1, 2])
+        with pytest.raises(ScheduleError, match="active"):
+            Schedule.geometric(1, 1, active=frozenset({2, 3}))
 
 
 class TestSolveRate:
@@ -217,24 +217,26 @@ class TestBuildStacked:
         for b in sys.blocks:
             assert b.materialized == b.active
 
-    def test_budget_limits_materialization(self):
-        sys = build_stacked(Schedule.geometric(1, 1), 2, 3, geometry_budget=8)
-        assert sys.block(1).materialized
-        assert not sys.block(2).materialized and sys.block(2).active
+    @pytest.mark.parametrize("n, last", [(2, 10), (3, 5)])
+    def test_budget_limits_materialization(self, n, last):
+        # L^(n-1) pieces of L_k = 3^k: 3^10 and (3^5)^2 fit 100,000, the next do not
+        sys = build_stacked(Schedule.geometric(1, n), n, last + 1)
+        assert [b.k for b in sys.blocks if b.materialized] == list(range(1, last + 1))
+        assert sys.block(last + 1).active
 
     def test_apply_outside_blocks_is_identity(self, geometric_system):
         p = (F(1, 2), F(1, 2))  # in the gap between blocks 1 and 2
         assert geometric_system.apply(p) == p
 
     def test_apply_inactive_block_is_identity(self):
-        sched = Schedule.geometric(1, 1, active=frozenset({1}))
+        sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
         sys = build_stacked(sched, 2, 2)
         p = sys.block(2).cube.box().center()
         assert sys.apply(p) == p
 
     def test_apply_unmaterialized_active_block_raises(self):
-        sys = build_stacked(Schedule.geometric(1, 1), 2, 3, geometry_budget=8)
-        p = sys.block(2).cube.box().center()
+        sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
+        p = sys.block(11).cube.box().center()
         with pytest.raises(UnmaterializedBlockError):
             sys.apply(p)
 

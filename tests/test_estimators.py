@@ -10,15 +10,11 @@ from hypothesis import given, settings, strategies as st
 from mmdim import estimators
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
-    IdentitySystem,
     Schedule,
     UnmaterializedBlockError,
     build_stacked,
-    build_two_block,
 )
 from mmdim.estimators import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
     SeedSet,
     cylinder_centers,
     greedy_separated,
@@ -121,21 +117,17 @@ class TestSeedSet:
 
 class TestCylinderCenters:
     def test_counts(self, geometric_system):
-        assert len(cylinder_centers(geometric_system, 1, 1)) == 9
-        assert len(cylinder_centers(geometric_system, 1, 3)) == 729
+        h = geometric_system.block(1).geometry()
+        assert len(cylinder_centers(h, 1, 1)) == 9
+        assert len(cylinder_centers(h, 1, 3)) == 729
 
     def test_centers_live_in_the_block(self, geometric_system):
         block = geometric_system.block(1)
-        seeds = cylinder_centers(geometric_system, 1, 2)
+        seeds = cylinder_centers(block.geometry(), 1, 2)
         for p in seeds:
             assert all(
                 lo < x < hi for x, (lo, hi) in zip(p, block.cube.box().intervals)
             )
-
-    def test_budget(self, geometric_system):
-        with pytest.raises(BudgetExceeded, match="budget 100"):
-            cylinder_centers(geometric_system, 1, 3, budget=100)
-        assert len(cylinder_centers(geometric_system, 1, 3, budget=None)) == 729
 
     def test_duplicate_centers_raise(self, geometric_system, monkeypatch):
         real = estimators.enumerate_cylinders
@@ -147,24 +139,7 @@ class TestCylinderCenters:
 
         monkeypatch.setattr(estimators, "enumerate_cylinders", with_duplicate)
         with pytest.raises(AssertionError, match="pairwise distinct"):
-            cylinder_centers(geometric_system, 1, 1)
-
-    def test_rejects_identity_and_two_block(self):
-        with pytest.raises(ValueError, match="no cylinders"):
-            cylinder_centers(IdentitySystem(2), 1, 1)
-        with pytest.raises(TypeError, match="stacked"):
-            cylinder_centers(build_two_block(1, 1, 2, 2), 1, 1)
-
-    def test_rejects_inactive_block(self):
-        sched = Schedule.geometric(1, 1, active=frozenset({1}))
-        sys = build_stacked(sched, 2, 2)
-        with pytest.raises(ValueError, match="inactive"):
-            cylinder_centers(sys, 2, 1)
-
-    def test_rejects_unmaterialized_block(self):
-        sys = build_stacked(Schedule.geometric(1, 1), 2, 2, geometry_budget=8)
-        with pytest.raises(UnmaterializedBlockError):
-            cylinder_centers(sys, 2, 1)
+            cylinder_centers(geometric_system.block(1).geometry(), 1, 1)
 
     @settings(max_examples=25, deadline=None)
     @given(override_cases())
@@ -175,9 +150,9 @@ class TestCylinderCenters:
             "legScheduleOverride": {str(k): L},
         }))
         block = system.block(k)
-        seeds = cylinder_centers(system, k, m, budget=2000)  # raises on a repeated center
-        assert block.L == L and len(seeds) == L ** (n * m)
         h = block.geometry()
+        seeds = cylinder_centers(h, k, m)  # raises on a repeated center
+        assert block.L == L and len(seeds) == L ** (n * m)
         # a depth-1 scan compares step-0 points only and never applies the map
         kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, block.eps)
         bound = rate_profile(system, [k])[0]
@@ -194,7 +169,7 @@ def sq_unit():
 def unit_seeds():
     sys = build_stacked(Schedule.geometric(1, 1), 2, 1)
     # block 1 of this single-block system is the cube [0, 1/3]^2
-    return sys, {m: cylinder_centers(sys, 1, m) for m in (1, 2)}
+    return sys, {m: cylinder_centers(sys.block(1).geometry(), 1, m) for m in (1, 2)}
 
 
 class TestGreedySeparated:
@@ -295,7 +270,7 @@ class TestGreedySeparated:
             return real(*args)
 
         monkeypatch.setattr(estimators, "orbits_separate", counted)
-        (row,) = mdim_numeric_profile(geometric_system, [1])
+        row = mdim_numeric_profile(geometric_system, 1)
         assert row.counts == row.seeds == {1: 9, 2: 81, 3: 729}
         assert sum(row.pairs.values()) == calls
         # the all-pairs scan and its cover check made 538,083 calls here
@@ -342,10 +317,10 @@ class TestGrowthRate:
 
     def test_squared_block_rate_is_two_log_three(self, unit_seeds):
         sys, _ = unit_seeds
-        sq = square(sys.block(1).geometry())
+        h = sys.block(1).geometry()
         eps = sys.block(1).eps
         rate = growth_rate(
-            sq, lambda m: cylinder_centers(sys, 1, m), eps, (1, 2, 3)
+            square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
         )
         assert rate.counts == {1: 9, 2: 81, 3: 729}
         assert rate.rate == pytest.approx(2 * math.log(3), abs=1e-12)
@@ -361,16 +336,9 @@ class TestGrowthRate:
 
 
 class TestNumericProfile:
-    def test_identity_rows(self):
-        rows = mdim_numeric_profile(IdentitySystem(2), [1, 2])
-        for row in rows:
-            assert not row.active
-            assert row.rate == row.ratio == 0.0
-
     def test_matches_symbolic_lower_ratio(self, geometric_system):
-        rows = mdim_numeric_profile(geometric_system, [1])
-        bounds = rate_profile(geometric_system, [1])
-        row, bound = rows[0], bounds[0]
+        row = mdim_numeric_profile(geometric_system, 1)
+        (bound,) = rate_profile(geometric_system, [1])
         assert row.error is None
         assert row.counts == {1: 9, 2: 81, 3: 729}
         assert abs(row.ratio - bound.lower_ratio()) <= 1e-9
@@ -379,37 +347,41 @@ class TestNumericProfile:
         assert row.eps_exact == F(1, 15)
 
     def test_budget_produces_error_row(self, geometric_system):
-        rows = mdim_numeric_profile(geometric_system, [1], budget=100)
-        assert rows[0].error is not None and "budget" in rows[0].error
-        assert rows[0].active and rows[0].counts == {}
+        row = mdim_numeric_profile(geometric_system, 1, budget=100)
+        assert row.error == "729 cylinders at (k=1, m=3) exceed budget 100"
+        assert row.active and row.counts == {}
 
-    def test_inactive_row_is_zero(self):
-        sched = Schedule.geometric(1, 1, active=frozenset({1}))
-        sys = build_stacked(sched, 2, 2)
-        rows = mdim_numeric_profile(sys, [2])
-        assert not rows[0].active and rows[0].rate == 0.0
-        assert rows[0].eps_exact == sys.block(2).eps
+    @pytest.mark.parametrize("budget", [728, 729])
+    def test_budget_admits_exactly_its_count(self, geometric_system, budget):
+        # block 1 has 729 cylinders at m = 3
+        row = mdim_numeric_profile(geometric_system, 1, budget=budget)
+        assert (row.error is None) == (budget == 729)
 
-    def test_unmaterialized_block_raises(self):
-        sys = build_stacked(Schedule.geometric(1, 1), 2, 2, geometry_budget=8)
-        with pytest.raises(UnmaterializedBlockError):
-            mdim_numeric_profile(sys, [2])
+    @pytest.mark.parametrize("k", [2, 11])
+    def test_inactive_row_is_zero(self, k):
+        # block 11 is also too large to build and every count exceeds
+        # budget 1; the inactive check comes before both
+        sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
+        sys = build_stacked(sched, 2, 11)
+        row = mdim_numeric_profile(sys, k, budget=1)
+        assert not row.active and row.rate == 0.0 and row.error is None
+        assert row.eps_exact == sys.block(k).eps
 
-    def test_two_block_rejected(self):
-        with pytest.raises(TypeError, match="stacked"):
-            mdim_numeric_profile(build_two_block(1, 1, 2, 2), [1])
+    def test_unmaterialized_block_raises_before_the_budget_check(self):
+        # L_11 = 3^11 pieces exceed the geometry budget; 3^66 cylinders at
+        # m = 3 exceed the cylinder budget too, and the block check wins
+        sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
+        with pytest.raises(UnmaterializedBlockError, match="block 11 exceeds"):
+            mdim_numeric_profile(sys, 11, budget=10**24)
 
     def test_ratio_bounded_by_dimension(self, geometric_system):
-        rows = mdim_numeric_profile(geometric_system, [1], m_values=(1, 2))
-        for row in rows:
-            at_eps = row.rate / EpsSchedule(geometric_system.schedule).log_inv(row.k).to_float()
-            assert row.ratio <= geometric_system.n
-            assert at_eps <= geometric_system.n
+        row = mdim_numeric_profile(geometric_system, 1, m_max=2)
+        at_eps = row.rate / EpsSchedule(geometric_system.schedule).log_inv(row.k).to_float()
+        assert row.ratio <= geometric_system.n
+        assert at_eps <= geometric_system.n
 
     def test_eps_override_skips_symbolic_check(self, geometric_system):
-        rows = mdim_numeric_profile(
-            geometric_system, [1], m_values=(1, 2), eps_override=F(1, 5)
-        )
-        assert rows[0].eps_exact == F(1, 5)
-        native = mdim_numeric_profile(geometric_system, [1], m_values=(1, 2))
-        assert rows[0].counts != native[0].counts or rows[0].ratio != native[0].ratio
+        row = mdim_numeric_profile(geometric_system, 1, m_max=2, eps_override=F(1, 5))
+        assert row.eps_exact == F(1, 5)
+        native = mdim_numeric_profile(geometric_system, 1, m_max=2)
+        assert row.counts != native.counts or row.ratio != native.ratio

@@ -118,6 +118,15 @@ class TestIndexedLookup:
             for y in ys:
                 assert pamap.piece_for((x, y)) is scan_piece_for(ordered["square n=2 L=3"], (x, y))
 
+    def test_transverse_miss_escapes(self):
+        # the first coordinate picks the slot; the other axes still decide
+        piece = AffinePiece(Box.of((0, F(1, 3)), (0, F(1, 2))), (F(1), F(1)), (F(0), F(0)))
+        pamap = PAMap(Cube.of(0, 1, 2), (piece,))
+        for x in (F(0), F(1, 6), F(1, 3)):
+            assert pamap.piece_for((x, F(1, 2))) is piece
+            assert pamap.piece_for((x, F(3, 4))) is None
+            assert pamap.apply((x, F(3, 4))) is ESCAPED
+
     def test_ties_go_to_the_smallest_piece(self):
         pamap = hand_built_maps()["2x2 grid"]
         centre = pamap.piece_for((F(1, 2), F(1, 2)))

@@ -150,7 +150,7 @@ class TestSystemSpecParsing:
         from mmdim.specfile import _stored_digits
 
         spec = SystemSpec.from_jsonable(data)
-        text = canonical_dumps(system_to_jsonable(build_system(spec, geometry_budget=0), spec))
+        text = canonical_dumps(system_to_jsonable(build_system(spec), spec))
         longest = max(len(part) for part in re.findall(r"\d+", text))
         if spec.kind == "two_block":
             r = spec.n / spec.alpha - 1 if spec.alpha < spec.n else None
@@ -222,13 +222,9 @@ class TestCanonicalJson:
 
 
 class TestLoadSystem:
-    def build_payload(self, data=GEOMETRIC_SPEC, budget=None):
+    def build_payload(self, data=GEOMETRIC_SPEC):
         spec = SystemSpec.from_jsonable(data)
-        if budget is None:
-            system = build_system(spec)
-        else:
-            system = build_system(spec, geometry_budget=budget)
-        return system_to_jsonable(system, spec)
+        return system_to_jsonable(build_system(spec), spec)
 
     def test_round_trip_is_byte_identical(self):
         payload = self.build_payload()
@@ -244,14 +240,6 @@ class TestLoadSystem:
             payload = self.build_payload(data)
             spec, system = load_system(payload)
             assert system_to_jsonable(system, spec) == payload
-
-    def test_budget_survives_round_trip(self):
-        payload = self.build_payload(budget=8)
-        blocks = payload["system"]["blocks"]
-        assert [b["materialized"] for b in blocks] == [True, False, False]
-        spec, system = load_system(payload)
-        assert system.geometry_budget == 8
-        assert not system.block(2).materialized
 
     def test_bad_format_rejected(self):
         payload = self.build_payload()
@@ -273,12 +261,14 @@ class TestLoadSystem:
         with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
 
-    @pytest.mark.parametrize("budget", ["8", -1, 10**7])
-    def test_bad_stored_budget_rejected(self, budget):
+    @pytest.mark.parametrize("field, value", [("L", 3.0), ("active", 1), ("k", True)])
+    def test_values_equal_only_under_python_eq_rejected(self, field, value):
+        # block 1 stores L 3, active true and k 1; Python's == takes these for them
         payload = self.build_payload()
-        payload["system"]["geometryBudget"] = budget
-        with pytest.raises(SpecFileError, match="geometryBudget"):
+        payload["system"]["blocks"][0][field] = value
+        with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
+
 
 
 class TestCsvExport:
@@ -299,9 +289,7 @@ class TestCsvExport:
         assert rows[0]["lower_ratio"] == "0"
 
     def test_numeric_rows(self, geometric_system):
-        rows = numeric_csv_rows(
-            mdim_numeric_profile(geometric_system, [1], m_values=(1, 2))
-        )
+        rows = numeric_csv_rows([mdim_numeric_profile(geometric_system, 1, m_max=2)])
         assert rows[0]["source"] == "numeric"
         assert rows[0]["eps_exact"] == "1/15"
         assert float(rows[0]["lower_rate"]) > 0
