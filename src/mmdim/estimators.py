@@ -8,14 +8,15 @@ The scan works on an integer lattice: every orbit state and eps are
 multiplied by one common denominator, the lcm of eps's and of every state
 coordinate's, so each coordinate and the threshold become exact integers
 and each comparison is an `int` subtraction deciding what the `Fraction`
-one decided.  It is also a cell list (Bentley, Stanat & Williams, IPL
-1977): two seeds that are not separated are within eps at step 0, which
-every orbit has, so their integer coordinates differ by at most the
-threshold on each axis, and their cells `x // threshold` by at most 1.  Kept
-points are filed by the cells of their first two axes, and a seed is
-compared only with the kept points of the 3 x 3 cells around its own.
-Every point that could reject it is among them, so the kept set is the one
-the all-pairs scan keeps.
+one decided.  Kept points are filed in a trie (a cell list, Bentley, Stanat
+& Williams, IPL 1977, one level per axis per step) keyed by their cells
+`x // threshold` on every axis at each of the first t* steps, t* being the
+number of leading states in which no orbit has escaped.  Two points that are
+not separated are within the threshold at each of those steps, so their
+cells differ by at most 1 at every level; a seed walks the trie keeping the
+children c - 1, c and c + 1 of its own cell c, and is compared only with the
+kept points in the leaves it reaches.  Every point that could reject it is
+among them, so the kept set is the one the all-pairs scan keeps.
 """
 
 from __future__ import annotations
@@ -113,9 +114,13 @@ def greedy_separated(
     every point kept before it.  The comparisons run on the integer lattice
     of the module docstring: eps becomes the integer `thr = eps * scale`,
     which `orbits_separate` compares exactly as it compared eps.  Only kept
-    points in the 3 x 3 step-0 cells around a seed are compared with it; a
-    point outside them differs from the seed by more than `thr` on a keyed
-    axis at step 0, so it is separated and cannot reject the seed.  The
+    points in the trie leaves a seed reaches are compared with it; a point
+    outside them differs from the seed by more than `thr` on some axis at
+    some step before t*, where neither orbit has escaped, so it is separated
+    and cannot reject the seed.  Every frontier node holds a kept point, so
+    the frontier at each level is at most three times the previous one and
+    never larger than the kept set; after step 0's levels the candidates are
+    a subset of those in the 3 x 3 step-0 cells of the first two axes.  The
     order in which the candidates are tried decides only which kept point is
     recorded as the seed's witness, never whether the seed is kept.
 
@@ -132,27 +137,30 @@ def greedy_separated(
     orbits = [pamap.orbit(p, m - 1) for p in pts]
     truncated = any(orbit[-1] is ESCAPED for orbit in orbits)
     lattice, thr = _to_lattice(orbits, eps)
-    axes = min(len(pts[0]), 2) if pts else 0
-    offsets = list(itertools.product((-1, 0, 1), repeat=axes))
-    cells: dict[tuple[int, ...], list[int]] = {}
+    # t*: the leading states in which no orbit has escaped (state 0 never has)
+    steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in lattice)), m)
+    trie: dict = {}
     witness: list[int] = []
     pairs = 0
     for i, orbit in enumerate(lattice):
-        key = tuple(x // thr for x in orbit[0][:axes])
-        near = (
-            j
-            for off in offsets
-            for j in cells.get(tuple(a + b for a, b in zip(key, off)), ())
-        )
+        key = [x // thr for state in orbit[:steps] for x in state]
+        frontier = [trie]
+        for c in key:
+            frontier = [h for node in frontier for d in (c - 1, c, c + 1) if (h := node.get(d))]
+            if not frontier:
+                break
         close = i
-        for j in near:
+        for j in itertools.chain.from_iterable(frontier):
             pairs += 1
             if not orbits_separate(orbit, lattice[j], thr):
                 close = j
                 break
         witness.append(close)
         if close == i:
-            cells.setdefault(key, []).append(i)
+            node = trie
+            for c in key[:-1]:
+                node = node.setdefault(c, {})
+            node.setdefault(key[-1], []).append(i)
     chosen = [i for i, w in enumerate(witness) if w == i]
     # cover property: every seed within eps (Bowen d_m) of some chosen point
     for i, w in enumerate(witness):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Point = tuple[Fraction, ...]
@@ -97,7 +98,7 @@ class Cube:
     def of(lo, hi, dim: int) -> "Cube":
         return Cube(Fraction(lo), Fraction(hi), dim)
 
-    @property
+    @cached_property
     def side(self) -> Fraction:
         return self.hi - self.lo
 

@@ -1,8 +1,9 @@
-"""Equivalence of the indexed piece lookup, the closed-form cylinder boxes
-and the closed-form squared map with the slow paths they replaced, which are
-kept here as oracles."""
+"""Equivalence of the indexed piece lookup, the closed-form cylinder boxes,
+the closed-form squared map and the trie-keyed greedy scan with the slow paths
+they replaced, which are kept here as oracles."""
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdim.constructions import Schedule, build_stacked, build_two_block
+from mmdim.estimators import SeedSet, _to_lattice, cylinder_centers, greedy_separated
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
+from mmdim.metrics import bowen_distance, orbits_separate
 from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders, strip_word_box
 
 F = Fraction
@@ -327,3 +330,127 @@ class TestOneDenominatorArithmetic:
     def test_center_matches_fraction_arithmetic(self, intervals):
         box = Box(tuple(tuple(iv) for iv in intervals))
         assert box.center() == tuple((lo + hi) / 2 for lo, hi in intervals)
+
+
+def cell_list_greedy(pamap, seeds, m, eps):
+    """Oracle: the greedy scan with kept points filed by the cells
+    `x // thr` of their first two axes at step 0 only, each seed compared
+    with the kept points of the 3 x 3 cells around its own."""
+    pts = seeds.points
+    lattice, thr = _to_lattice([pamap.orbit(p, m - 1) for p in pts], eps)
+    axes = min(len(pts[0]), 2) if pts else 0
+    offsets = list(itertools.product((-1, 0, 1), repeat=axes))
+    cells, chosen = {}, []
+    for i, orbit in enumerate(lattice):
+        key = tuple(x // thr for x in orbit[0][:axes])
+        near = (j for off in offsets
+                for j in cells.get(tuple(a + b for a, b in zip(key, off)), ()))
+        if all(orbits_separate(orbit, lattice[j], thr) for j in near):
+            cells.setdefault(key, []).append(i)
+            chosen.append(pts[i])
+    return tuple(chosen)
+
+
+def all_pairs_greedy(pamap, seeds, m, eps):
+    """Oracle: keep a seed when its Bowen distance to every point kept so far
+    exceeds eps, each distance computed from scratch."""
+    chosen = []
+    for p in seeds:
+        if all(bowen_distance(pamap, p, c, m).value > eps for c in chosen):
+            chosen.append(p)
+    return tuple(chosen)
+
+
+@functools.cache
+def scan_map(name):
+    """(map, horseshoe): the square and the n=3 cube, squared and not; the
+    negative corners make `//` floor negative lattice coordinates."""
+    lo, hi, n, squared = {
+        "unit square, squared": (0, 1, 2, True),
+        "[-1, 1]^2": (-1, 1, 2, False),
+        "n=3 cube": (F(-1, 2), F(2, 3), 3, False),
+        "unit n=3 cube, squared": (0, 1, 3, True),
+    }[name]
+    h = build_horseshoe(Cube.of(lo, hi, n), 3)
+    return (square(h) if squared else h.pamap), h
+
+
+def escaping_point(h, word, t):
+    """A point whose unsquared itinerary starts with the strips of `word`,
+    at fraction t of that word's first-axis interval; an even strip at
+    position j makes the unsquared orbit escape at step j + 1."""
+    a, b = h.word_interval(word)
+    return (a + (b - a) * t, *[h.cube.lo + h.cube.side * t] * (h.grid.n - 1))
+
+
+@st.composite
+def scan_cases(draw):
+    """A map, m, 8 to 30 seeds and an eps.  Seeds lie on a grid of step
+    eps0 / 2, anywhere in the cube, or on a strip word whose even strips
+    make the orbit escape at different steps, so that t* < m; half of the
+    sets keep only the seeds that survive step 1, so that t* >= 2.  Half of the
+    cases take eps equal to a coordinate difference of two surviving
+    states at the same step, a tie that `x // thr` must not split."""
+    name = draw(st.sampled_from(["unit square, squared", "[-1, 1]^2", "n=3 cube",
+                                 "unit n=3 cube, squared"]))
+    pamap, h = scan_map(name)
+    lo, side, n = h.cube.lo, h.cube.side, h.grid.n
+    m = draw(st.integers(1, 3))
+    eps0 = side * draw(st.fractions(F(1, 40), F(1, 2), max_denominator=40))
+    fraction = st.fractions(0, 1, max_denominator=12)
+    on_grid = st.integers(0, int(side / (eps0 / 2))).map(lambda i: lo + i * eps0 / 2)
+    anywhere = st.fractions(lo, lo + side, max_denominator=30)
+    words = st.lists(st.integers(1, h.grid.strip_count), min_size=1, max_size=4)
+    point = st.one_of(
+        st.tuples(*[on_grid] * n),
+        st.tuples(*[anywhere] * n),
+        st.builds(escaping_point, st.just(h), words, fraction),
+    )
+    points = draw(st.lists(point, min_size=8, max_size=30))
+    if draw(st.booleans()):  # survivors of step 1 only, so that t* >= 2 when m >= 2
+        points = [p for p in points if pamap.orbit(p, 1)[1] is not ESCAPED]
+    seeds = SeedSet.of(points)
+    orbits = [pamap.orbit(p, m - 1) for p in seeds]
+    diffs = sorted({
+        abs(a - b)
+        for x, y in itertools.combinations(orbits, 2)
+        for sx, sy in zip(x, y) if sx is not ESCAPED and sy is not ESCAPED
+        for a, b in zip(sx, sy) if a != b
+    })
+    if diffs and draw(st.booleans()):
+        return pamap, seeds, m, draw(st.sampled_from(diffs))
+    return pamap, seeds, m, eps0
+
+
+class TestTrieScan:
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_kept_set_matches_the_cell_list_and_all_pairs(self, case):
+        pamap, seeds, m, eps = case
+        chosen = greedy_separated(pamap, seeds, m, eps).chosen
+        assert chosen == cell_list_greedy(pamap, seeds, m, eps)
+        assert chosen == all_pairs_greedy(pamap, seeds, m, eps)
+
+    @pytest.mark.parametrize("name", ["unit square, squared", "[-1, 1]^2", "n=3 cube"])
+    def test_escapes_at_different_steps(self, name):
+        # escapes at steps 1 and 2 (or 1 and 2 squared steps) beside survivors
+        # separated only after step 0: t* = 1 < m, and the scan is truncated
+        pamap, h = scan_map(name)
+        words = [(1,), (2,), (1, 2), (1, 1, 1, 2), (3, 1, 1, 1), (3, 1, 1, 3)]
+        seeds = SeedSet.of(escaping_point(h, w, t) for w in words for t in (F(1, 3), F(1, 2)))
+        eps = h.cube.side / 10
+        result = greedy_separated(pamap, seeds, 3, eps)
+        assert result.truncated
+        assert pamap.orbit(seeds.points[0], 2)[1] is not ESCAPED
+        assert result.chosen == cell_list_greedy(pamap, seeds, 3, eps)
+        assert result.chosen == all_pairs_greedy(pamap, seeds, 3, eps)
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (1, 3), (2, 2)])
+    def test_native_eps_scans_compare_only_the_cover(self, geometric_system, k, m):
+        # every cylinder center is kept, and no kept point shares all of a
+        # seed's trie cells within 1: the scan makes no comparison, and the
+        # cover check one per seed, against itself
+        block = geometric_system.block(k)
+        h = block.geometry()
+        result = greedy_separated(square(h), cylinder_centers(h, k, m), m, block.eps)
+        assert len(result) == result.seed_count == result.pairs == block.L ** (2 * m)

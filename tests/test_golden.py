@@ -65,12 +65,12 @@ GOLDEN = {
     ),
     ("square", "estimate --k 1 --m 3"): (
         "ad7946c72bb8413c8cdf5d81d8bdd8da029b00430f20fe1d303e1c82d08477d1",
-        "82e2f109dfefda6b7fdf61c62e5d7ff2e48461ec8b351ffff4c26d4a6a857364",
+        "33f7b0544c5eab9e553dc9d2d9e2cd0c1e17ae5b47231bcc39459e344d0cff02",
         0,
     ),
     ("cube", "estimate --k 1 --m 2 --eps 3/10"): (
         "ef44137bcfb8c4880e6b36447f55b1a6296dc3b9c2755c72ebd1638035a7f605",
-        "3aa32e1f86bb1ccfe14da01aec91caf464d60a9d9b4507d260afacb60d97dccc",
+        "9bf32f4816138f84753e7ded484ef154e9a16916ff711135e0dcbcef0b980574",
         0,
     ),
 }
