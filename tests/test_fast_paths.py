@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_estimators import naive_greedy
 
 from mmdim.constructions import Schedule, build_stacked, build_two_block
 from mmdim.estimators import SeedSet, _to_lattice, cylinder_centers, greedy_separated
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.metrics import bowen_distance, orbits_separate
+from mmdim.metrics import orbits_separate
 from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders, strip_word_box
 
 F = Fraction
@@ -351,26 +352,20 @@ def cell_list_greedy(pamap, seeds, m, eps):
     return tuple(chosen)
 
 
-def all_pairs_greedy(pamap, seeds, m, eps):
-    """Oracle: keep a seed when its Bowen distance to every point kept so far
-    exceeds eps, each distance computed from scratch."""
-    chosen = []
-    for p in seeds:
-        if all(bowen_distance(pamap, p, c, m).value > eps for c in chosen):
-            chosen.append(p)
-    return tuple(chosen)
+# name -> (cube lo, hi, dim, squared?): the square and the n=3 cube, squared
+# and not; the negative corners make `//` floor negative lattice coordinates
+TRIE_SCAN_MAPS = {
+    "unit square, squared": (0, 1, 2, True),
+    "[-1, 1]^2": (-1, 1, 2, False),
+    "n=3 cube": (F(-1, 2), F(2, 3), 3, False),
+    "unit n=3 cube, squared": (0, 1, 3, True),
+}
 
 
 @functools.cache
 def scan_map(name):
-    """(map, horseshoe): the square and the n=3 cube, squared and not; the
-    negative corners make `//` floor negative lattice coordinates."""
-    lo, hi, n, squared = {
-        "unit square, squared": (0, 1, 2, True),
-        "[-1, 1]^2": (-1, 1, 2, False),
-        "n=3 cube": (F(-1, 2), F(2, 3), 3, False),
-        "unit n=3 cube, squared": (0, 1, 3, True),
-    }[name]
+    """(map, horseshoe) of a `TRIE_SCAN_MAPS` entry, with L = 3."""
+    lo, hi, n, squared = TRIE_SCAN_MAPS[name]
     h = build_horseshoe(Cube.of(lo, hi, n), 3)
     return (square(h) if squared else h.pamap), h
 
@@ -391,9 +386,7 @@ def scan_cases(draw):
     sets keep only the seeds that survive step 1, so that t* >= 2.  Half of the
     cases take eps equal to a coordinate difference of two surviving
     states at the same step, a tie that `x // thr` must not split."""
-    name = draw(st.sampled_from(["unit square, squared", "[-1, 1]^2", "n=3 cube",
-                                 "unit n=3 cube, squared"]))
-    pamap, h = scan_map(name)
+    pamap, h = scan_map(draw(st.sampled_from(sorted(TRIE_SCAN_MAPS))))
     lo, side, n = h.cube.lo, h.cube.side, h.grid.n
     m = draw(st.integers(1, 3))
     eps0 = side * draw(st.fractions(F(1, 40), F(1, 2), max_denominator=40))
@@ -429,21 +422,22 @@ class TestTrieScan:
         pamap, seeds, m, eps = case
         chosen = greedy_separated(pamap, seeds, m, eps).chosen
         assert chosen == cell_list_greedy(pamap, seeds, m, eps)
-        assert chosen == all_pairs_greedy(pamap, seeds, m, eps)
+        assert chosen == naive_greedy(pamap, seeds, m, eps)
 
     @pytest.mark.parametrize("name", ["unit square, squared", "[-1, 1]^2", "n=3 cube"])
     def test_escapes_at_different_steps(self, name):
-        # escapes at steps 1 and 2 (or 1 and 2 squared steps) beside survivors
-        # separated only after step 0: t* = 1 < m, and the scan is truncated
+        # orbits escaping at steps 1 and 2 beside survivors that lie within
+        # eps at step 0 and separate later: t* = 1 < m, and the scan is truncated
         pamap, h = scan_map(name)
         words = [(1,), (2,), (1, 2), (1, 1, 1, 2), (3, 1, 1, 1), (3, 1, 1, 3)]
         seeds = SeedSet.of(escaping_point(h, w, t) for w in words for t in (F(1, 3), F(1, 2)))
+        orbits = [pamap.orbit(p, 2) for p in seeds]
+        assert {o.index(ESCAPED) if ESCAPED in o else None for o in orbits} == {1, 2, None}
         eps = h.cube.side / 10
         result = greedy_separated(pamap, seeds, 3, eps)
         assert result.truncated
-        assert pamap.orbit(seeds.points[0], 2)[1] is not ESCAPED
         assert result.chosen == cell_list_greedy(pamap, seeds, 3, eps)
-        assert result.chosen == all_pairs_greedy(pamap, seeds, 3, eps)
+        assert result.chosen == naive_greedy(pamap, seeds, 3, eps)
 
     @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (1, 3), (2, 2)])
     def test_native_eps_scans_compare_only_the_cover(self, geometric_system, k, m):
