@@ -45,7 +45,8 @@ class SeedSet:
     def of(points) -> "SeedSet":
         # integer keys over one common denominator sort as the Fractions do
         points = list(points)
-        keys, _ = _rescale(points)
+        keys = points.copy()
+        _rescale([keys])
         by_key = dict(zip(keys, points))
         return SeedSet(tuple(by_key[key] for key in sorted(by_key)))
 
@@ -78,24 +79,27 @@ class GreedyResult:
         return len(self.chosen)
 
 
-def _rescale(states: list, den: int = 1) -> tuple[list, int]:
-    """States times scale = lcm(den, every coordinate denominator), as exact
-    integer tuples (ESCAPED stays), and that scale."""
-    dens = {c.denominator for state in states if state is not ESCAPED for c in state}
+def _rescale(groups: list[list], den: int = 1) -> int:
+    """Replace, in place, every state of every group by its exact integer
+    tuple times scale = lcm(den, every coordinate denominator) (ESCAPED
+    stays); return that scale."""
+    dens = {
+        c.denominator for group in groups for state in group if state is not ESCAPED for c in state
+    }
     scale = math.lcm(den, *dens)
     factor = {d: scale // d for d in dens}
-    return [
-        state if state is ESCAPED else tuple(c.numerator * factor[c.denominator] for c in state)
-        for state in states
-    ], scale
+    for group in groups:
+        group[:] = [
+            state if state is ESCAPED else tuple(c.numerator * factor[c.denominator] for c in state)
+            for state in group
+        ]
+    return scale
 
 
-def _to_lattice(orbits: list[list], eps: Fraction) -> tuple[list[list], int]:
-    """Orbits and eps rescaled by one common denominator to exact integers."""
-    flat, scale = _rescale([state for orbit in orbits for state in orbit], eps.denominator)
-    m = len(orbits[0]) if orbits else 0  # every orbit has m states
-    lattice = [flat[i * m:(i + 1) * m] for i in range(len(orbits))]
-    return lattice, eps.numerator * (scale // eps.denominator)
+def _to_lattice(orbits: list[list], eps: Fraction) -> int:
+    """Rescale the orbits in place, by one common denominator, to exact
+    integers; return eps rescaled likewise."""
+    return eps.numerator * (_rescale(orbits, eps.denominator) // eps.denominator)
 
 
 def greedy_separated(
@@ -136,13 +140,13 @@ def greedy_separated(
     pts = seeds.points
     orbits = [pamap.orbit(p, m - 1) for p in pts]
     truncated = any(orbit[-1] is ESCAPED for orbit in orbits)
-    lattice, thr = _to_lattice(orbits, eps)
+    thr = _to_lattice(orbits, eps)
     # t*: the leading states in which no orbit has escaped (state 0 never has)
-    steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in lattice)), m)
+    steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in orbits)), m)
     trie: dict = {}
     witness: list[int] = []
     pairs = 0
-    for i, orbit in enumerate(lattice):
+    for i, orbit in enumerate(orbits):
         key = [x // thr for state in orbit[:steps] for x in state]
         frontier = [trie]
         for c in key:
@@ -152,7 +156,7 @@ def greedy_separated(
         close = i
         for j in itertools.chain.from_iterable(frontier):
             pairs += 1
-            if not orbits_separate(orbit, lattice[j], thr):
+            if not orbits_separate(orbit, orbits[j], thr):
                 close = j
                 break
         witness.append(close)
@@ -166,7 +170,7 @@ def greedy_separated(
     for i, w in enumerate(witness):
         for j in itertools.chain((w,), chosen):
             pairs += 1
-            if not orbits_separate(lattice[i], lattice[j], thr):
+            if not orbits_separate(orbits[i], orbits[j], thr):
                 break
         else:
             raise AssertionError("greedy result failed its own cover check")

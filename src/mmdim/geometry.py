@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Point = tuple[Fraction, ...]
 
@@ -110,85 +110,35 @@ class Cube:
 
 
 def find_interior_overlap(boxes: Sequence[Box]) -> tuple[int, int] | None:
-    """Return indices of some pair of boxes with overlapping interiors, or None.
-
-    Recursive sweep: group boxes by their exact interval on the current axis.
-    Boxes in different groups can only collide when the two group intervals
-    themselves overlap, in which case those (rare) cross pairs are checked
-    directly; boxes sharing an interval are recursed on the next axis.  For
-    grid-aligned families this is O(n * N log N) instead of O(N^2).
-    """
-    if len(boxes) < 2:
-        return None
-    index_order = list(range(len(boxes)))
-    return _overlap_scan(boxes, index_order, axis=0)
-
-
-def _overlap_scan(boxes: Sequence[Box], idxs: list[int], axis: int) -> tuple[int, int] | None:
-    if len(idxs) < 2:
-        return None
-    dim = boxes[idxs[0]].dim
-    if axis == dim:
-        # identical on every axis: the boxes coincide, so their interiors
-        # overlap unless that shared box is degenerate
-        if boxes[idxs[0]].is_degenerate():
-            return None
-        return (idxs[0], idxs[1])
-    groups: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i in idxs:
-        groups.setdefault(boxes[i].intervals[axis], []).append(i)
-    # cross-group collisions: sweep the distinct intervals for interior overlap
-    keys = sorted(groups)
-    active: list[tuple[Fraction, tuple[Fraction, Fraction]]] = []
-    for key in keys:
-        lo, hi = key
-        still = []
-        for ahi, akey in active:
-            if ahi > lo:  # interiors of the axis intervals overlap
-                hit = _cross_check(boxes, groups[akey], groups[key])
-                if hit is not None:
-                    return hit
-                still.append((ahi, akey))
-            # else: interval closed out, drop it
-        active = still
-        if lo != hi:
-            active.append((hi, key))
-    for key in keys:
-        hit = _overlap_scan(boxes, groups[key], axis + 1)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _cross_check(boxes: Sequence[Box], left: list[int], right: list[int]) -> tuple[int, int] | None:
-    for i in left:
-        for j in right:
-            if boxes[i].interiors_overlap(boxes[j]):
-                return (i, j)
+    """Return (i, j), i < j, with boxes[i] and boxes[j] overlapping in interior, or None."""
+    for i, j in _first_axis_sweep(boxes):
+        if boxes[i].interiors_overlap(boxes[j]):
+            return min(i, j), max(i, j)
     return None
 
 
 def find_cross_overlap(left: Sequence[Box], right: Sequence[Box]) -> tuple[int, int] | None:
-    """Return (i, j) with left[i] and right[j] overlapping in interior, or None.
-
-    Sweep along the first axis: boxes enter in order of their lower ends and
-    drop out once the sweep reaches their upper ends, so only pairs whose
-    first-axis intervals overlap in interior get the full box test.  For
-    families of slabs along the first axis this is O(N log N), not O(N^2).
-    """
-    families = (left, right)
-    events = sorted(
-        (box.intervals[0][0], side, i)
-        for side, family in enumerate(families)
-        for i, box in enumerate(family)
-    )
-    open_boxes: tuple[list[int], list[int]] = ([], [])
-    for lo, side, i in events:
-        others, theirs = families[1 - side], open_boxes[1 - side]
-        theirs[:] = [j for j in theirs if others[j].intervals[0][1] > lo]
-        box = families[side][i]
-        for j in theirs:
-            if box.interiors_overlap(others[j]):
-                return (i, j) if side == 0 else (j, i)
-        open_boxes[side].append(i)
+    """Return (i, j) with left[i] and right[j] overlapping in interior, or None."""
+    boxes, n = [*left, *right], len(left)
+    for i, j in _first_axis_sweep(boxes):
+        if (i < n) != (j < n) and boxes[i].interiors_overlap(boxes[j]):
+            return (i, j - n) if i < n else (j, i - n)
     return None
+
+
+def _first_axis_sweep(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
+    """Yield (i, j) for every pair of boxes whose first-axis intervals
+    overlap in interior, j entered before i.
+
+    Boxes enter in order of their lower first-axis ends (ties in index
+    order) and drop out once the sweep reaches their upper ends.  Every
+    piecewise-affine map here is a family of slabs along the first axis,
+    which keeps at most one box open: O(N log N), not O(N^2).
+    """
+    open_boxes: list[int] = []
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i].intervals[0][0]):
+        lo = boxes[i].intervals[0][0]
+        open_boxes[:] = [j for j in open_boxes if boxes[j].intervals[0][1] > lo]
+        for j in open_boxes:
+            yield i, j
+        open_boxes.append(i)

@@ -116,20 +116,16 @@ class HorseshoeMap:
     def cube(self) -> Cube:
         return self.grid.cube
 
-    @property
-    def expansion(self) -> int:
-        """First-axis expansion factor of every piece."""
-        return 2 * self.grid.L ** (self.grid.n - 1) - 1
-
     def word_interval(self, word: Sequence[int]) -> tuple[Fraction, Fraction]:
         """First-axis interval of the points whose unsquared itinerary visits
         the (unchecked) strips of `word` in order.
 
         Strip l maps x to lo + kappa (x - s[l-1]), so the interval is
         lo + side [A, A + 1] / kappa^len(word), where A reads the digits
-        l - 1 in base kappa = `expansion`, the first strip most significant.
+        l - 1 in base kappa = `grid.strip_count`, the first strip most
+        significant.
         """
-        kappa, digits = self.expansion, 0
+        kappa, digits = self.grid.strip_count, 0
         for l in word:
             digits = digits * kappa + l - 1
         lo, side = self.grid.cube.lo, self.grid.cube.side

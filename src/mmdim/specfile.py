@@ -368,56 +368,46 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _csv_row(
+    k: int,
+    eps_exact: Fraction | None,
+    source: str,
+    eps_float: float | Fraction | None = None,
+    rate: float | None = None,
+    lower_ratio: float | None = None,
+    upper_ratio: float | None = None,
+) -> dict:
+    """One profile row: `rate` is written as both the lower and the upper
+    rate, and a value left None is written empty."""
+    floats = (eps_float, rate, rate, lower_ratio, upper_ratio)
+    return dict(zip(PROFILE_COLUMNS, (
+        str(k),
+        rational_to_str(eps_exact) if eps_exact is not None else "",
+        *("" if x is None else _fmt(x) for x in floats),
+        source,
+    )))
+
+
 def symbolic_csv_rows(profile: Sequence[RateBound]) -> list[dict]:
     rows = []
     for b in profile:
         eps_float = b.eps_float()
-        rate = _fmt(b.rate.to_float())
-        rows.append(
-            {
-                "k": str(b.k),
-                "eps_exact": rational_to_str(b.eps_exact) if b.eps_exact is not None else "",
-                "eps_float": _fmt(eps_float) if eps_float == eps_float else "",
-                "lower_rate": rate,
-                "upper_rate": rate,
-                "lower_ratio": _fmt(b.lower_ratio()),
-                "upper_ratio": _fmt(b.upper_ratio()),
-                "source": SOURCE_SYMBOLIC,
-            }
-        )
+        rows.append(_csv_row(
+            b.k, b.eps_exact, SOURCE_SYMBOLIC, eps_float if eps_float == eps_float else None,
+            b.rate.to_float(), b.lower_ratio(), b.upper_ratio(),
+        ))
     return rows
 
 
 def numeric_csv_rows(rows: Sequence[NumericRateRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        if row.error is not None:
-            out.append(
-                {
-                    "k": str(row.k),
-                    "eps_exact": rational_to_str(row.eps_exact) if row.eps_exact is not None else "",
-                    "eps_float": "",
-                    "lower_rate": "",
-                    "upper_rate": "",
-                    "lower_ratio": "",
-                    "upper_ratio": "",
-                    "source": SOURCE_NUMERIC,
-                }
-            )
-            continue
-        out.append(
-            {
-                "k": str(row.k),
-                "eps_exact": rational_to_str(row.eps_exact) if row.eps_exact is not None else "",
-                "eps_float": _fmt(float(row.eps_exact)) if row.eps_exact is not None else "",
-                "lower_rate": _fmt(row.rate),
-                "upper_rate": _fmt(row.rate),
-                "lower_ratio": _fmt(row.ratio),
-                "upper_ratio": _fmt(row.upper_ratio),
-                "source": SOURCE_NUMERIC,
-            }
+    return [
+        _csv_row(row.k, row.eps_exact, SOURCE_NUMERIC)
+        if row.error is not None
+        else _csv_row(
+            row.k, row.eps_exact, SOURCE_NUMERIC, row.eps_exact, row.rate, row.ratio, row.upper_ratio
         )
-    return out
+        for row in rows
+    ]
 
 
 def write_profile_csv(fh, rows: Sequence[dict]) -> None:

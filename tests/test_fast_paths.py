@@ -173,7 +173,7 @@ def preimage_square(h):
 def pull_back_chain(h, word):
     """Oracle: the first-axis interval of a strip word, pulled back one strip
     at a time through x -> s[l-1] + (x - lo) / kappa."""
-    s, lo, kappa = h.grid.s, h.grid.cube.lo, h.expansion
+    s, lo, kappa = h.grid.s, h.grid.cube.lo, h.grid.strip_count
     a, b = s[word[-1] - 1], s[word[-1]]
     for l in reversed(word[:-1]):
         a, b = s[l - 1] + (a - lo) / kappa, s[l - 1] + (b - lo) / kappa
@@ -338,7 +338,8 @@ def cell_list_greedy(pamap, seeds, m, eps):
     `x // thr` of their first two axes at step 0 only, each seed compared
     with the kept points of the 3 x 3 cells around its own."""
     pts = seeds.points
-    lattice, thr = _to_lattice([pamap.orbit(p, m - 1) for p in pts], eps)
+    lattice = [pamap.orbit(p, m - 1) for p in pts]
+    thr = _to_lattice(lattice, eps)
     axes = min(len(pts[0]), 2) if pts else 0
     offsets = list(itertools.product((-1, 0, 1), repeat=axes))
     cells, chosen = {}, []

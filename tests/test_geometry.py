@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,8 @@ def test_find_interior_overlap_identical_boxes():
 
 
 def test_find_interior_overlap_partial_interval_split():
-    # distinct but overlapping first-axis intervals exercise the cross-check
+    # distinct but overlapping first-axis intervals keep several boxes open
+    # in the sweep, and only the full box test tells them apart
     a = Box.of((0, F(2, 3)), (0, 1))
     b = Box.of((F(1, 3), 1), (2, 3))
     c = Box.of((F(1, 3), 1), (1, 2))
@@ -123,6 +125,45 @@ def test_find_interior_overlap_partial_interval_split():
     d = Box.of((F(1, 2), 1), (0, F(1, 2)))
     hit = find_interior_overlap([a, b, c, d])
     assert hit is not None and set(hit) == {0, 3}
+
+
+def test_find_interior_overlap_on_abutting_slabs():
+    slabs = [Box.of((F(i, 1000), F(i + 1, 1000)), (0, 1)) for i in range(1000)]
+    assert find_interior_overlap(slabs) is None
+    planted = Box.of((F(1001, 2000), F(1002, 2000)), (0, 1))  # inside slab 500 only
+    assert find_interior_overlap(slabs + [planted]) == (500, 1000)
+    assert find_interior_overlap([planted] + slabs) == (0, 501)
+
+
+# coarse grid coordinates: duplicate boxes, boxes sharing a face and boxes
+# flat on the first axis are all common
+grid_coord = st.integers(0, 4).map(lambda i: F(i, 4))
+
+
+@st.composite
+def grid_box_families(draw):
+    def box():
+        xs, ys = (sorted(draw(st.lists(grid_coord, min_size=2, max_size=2))) for _ in "xy")
+        return Box.of(tuple(xs), tuple(ys))
+
+    boxes = [box() for _ in range(draw(st.integers(0, 8)))]
+    if boxes:
+        boxes = draw(st.permutations(boxes + draw(st.lists(st.sampled_from(boxes), max_size=2))))
+    return boxes
+
+
+@given(grid_box_families())
+def test_find_interior_overlap_matches_all_pairs(boxes):
+    hit = find_interior_overlap(boxes)
+    brute = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(boxes)), 2)
+        if boxes[i].interiors_overlap(boxes[j])
+    ]
+    if brute:
+        assert hit in brute
+    else:
+        assert hit is None
 
 
 coord = st.fractions(min_value=-2, max_value=2, max_denominator=60)

@@ -1,5 +1,5 @@
 """Golden outputs: SHA-256 of stdout and stderr, and the exit code, of the
-symbolic and brute-force commands at default settings.
+symbolic, brute-force and validate commands at default settings.
 
 A refactor that keeps the checker's behaviour keeps these bytes; a change
 that means to alter an output updates the digest it names.
@@ -66,6 +66,21 @@ GOLDEN = {
     ("square", "estimate --k 1 --m 3"): (
         "ad7946c72bb8413c8cdf5d81d8bdd8da029b00430f20fe1d303e1c82d08477d1",
         "33f7b0544c5eab9e553dc9d2d9e2cd0c1e17ae5b47231bcc39459e344d0cff02",
+        0,
+    ),
+    ("square", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "49c698890d8eb738177c7342f9597e804ff115443e4b157dc3b7d5d50cf1fc4b",
+        0,
+    ),
+    ("cube", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "96314676df1d84d2e214aa296a812b215f2dd23e95a3a0162b776d5db82d31b1",
+        0,
+    ),
+    ("sparse", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b3001bdf04833fab7b1143524630d53931f1e79d765502e16338e6b01ed1525d",
         0,
     ),
     ("cube", "estimate --k 1 --m 2 --eps 3/10"): (

@@ -107,14 +107,14 @@ class TestBoustrophedon:
 
 class TestBuildHorseshoe:
     def test_piece_scales(self, unit_square_h):
-        assert unit_square_h.expansion == 5
+        assert unit_square_h.grid.strip_count == 5
         assert unit_square_h.grid.leg_cell_count == 5
         for piece in unit_square_h.pamap.pieces:
             assert piece.scale == (F(5), F(1, 5))
 
     def test_three_dimensional_scales(self):
         h = build_horseshoe(Cube.of(0, 1, 3), 3)
-        assert h.expansion == 17
+        assert h.grid.strip_count == 17
         for piece in h.pamap.pieces:
             assert piece.scale == (F(17), F(1, 5), F(1, 5))
 
