@@ -2,18 +2,21 @@
 
 Commands: build a system from a JSON spec, validate its geometry, export
 symbolic or numeric rate profiles as CSV, and verify extrapolated dimension
-estimates against the schedule's analytic targets.
+estimates against the schedule's analytic targets; `--help` lists each
+command's options with their defaults.  `main(argv, standalone_mode=False)`
+returns the exit code instead of exiting; a usage error exits 2 either way.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or spec error.
+Exit codes: 0 success, 1 verification failure, 2 usage or spec error or an
+unwritable output path.
 CSV and JSON go to the requested output path (stdout by default for CSV);
 human-readable progress and reports go to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-
-import click
 
 from .constructions import (
     IdentitySystem,
@@ -40,16 +43,49 @@ from .specfile import (
 from .symbolic import DEFAULT_BUDGET, analytic_targets, extrapolate, rate_profile
 
 
-@click.group()
-def main():
-    """Exact horseshoe systems with prescribed metric mean dimension."""
+class UsageError(Exception):
+    """Unusable arguments or input: the command prints its usage and exits 2."""
+
+
+class CannotWrite(Exception):
+    """An output path could not be opened or written: one line, and exit 2."""
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Head the usage "Usage:", as mmdim always has; the benchmark's --help check reads it."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+def _file_path(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"'{path}' is a directory")
+    return path
+
+
+def _existing_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"'{path}' does not exist")
+    return _file_path(path)
+
+
+def _int_range(lo: int, hi: int | None = None):
+    """An integer option's type: at least lo, and at most hi unless it is None."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {lo}<=x"
+                                             + ("" if hi is None else f"<={hi}"))
+        return value
+    return integer
 
 
 def _load(path: str):
     try:
         return load_system(read_json(path))
     except (SpecFileError, ScheduleError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _check_kmax(spec: SystemSpec, kmax: int) -> None:
@@ -59,36 +95,37 @@ def _check_kmax(spec: SystemSpec, kmax: int) -> None:
     try:
         SystemSpec.from_jsonable(spec.to_jsonable() | {"kMax": kmax})
     except SpecFileError as exc:
-        raise click.UsageError(f"--kmax {kmax}: {exc}")
+        raise UsageError(f"--kmax {kmax}: {exc}")
 
 
 def _write_rows(out: str | None, rows) -> None:
     if out is None:
         write_profile_csv(sys.stdout, rows)
         return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        write_profile_csv(fh, rows)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write_profile_csv(fh, rows)
+    except OSError as exc:
+        raise CannotWrite(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-@main.command()
-@click.argument("spec_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--out", required=True, type=click.Path(dir_okay=False),
-              help="Where to write the built system JSON.")
-def build(spec_path: str, out: str):
+def build(spec_path: str, out: str) -> int:
     """Build the system a spec file describes and write it with its geometry."""
     try:
         spec = SystemSpec.from_jsonable(read_json(spec_path))
         system = build_system(spec)
         payload = system_to_jsonable(system, spec)
     except (SpecFileError, ScheduleError) as exc:
-        raise click.UsageError(str(exc))
-    write_json(out, payload)
-    click.echo(f"wrote {out}", err=True)
+        raise UsageError(str(exc))
+    try:
+        write_json(out, payload)
+    except OSError as exc:
+        raise CannotWrite(f"cannot write {out}: {exc.strerror or exc}") from None
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
 
 
-@main.command()
-@click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
-def validate(system_path: str):
+def validate(system_path: str) -> int:
     """Re-derive and check every materialized block's geometry."""
     _, system = _load(system_path)
     halves = [system]
@@ -105,26 +142,18 @@ def validate(system_path: str):
             blocks_seen += 1
             report = validate_horseshoe(block.geometry())
             status = "ok" if report.passed else "FAILED"
-            click.echo(
-                f"block k={block.k} (L={block.L}): "
-                f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks {status}",
-                err=True,
-            )
+            print(f"block k={block.k} (L={block.L}): "
+                  f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks {status}",
+                  file=sys.stderr)
             for check in report.failures():
-                click.echo(f"  FAIL {check.name}: {check.detail}", err=True)
+                print(f"  FAIL {check.name}: {check.detail}", file=sys.stderr)
                 failures += 1
     if blocks_seen == 0:
-        click.echo("no materialized blocks; file-level checks passed", err=True)
-    sys.exit(1 if failures else 0)
+        print("no materialized blocks; file-level checks passed", file=sys.stderr)
+    return 1 if failures else 0
 
 
-@main.command()
-@click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kmax", type=click.IntRange(min=1, max=MAX_STORED_DIGITS), default=24,
-              show_default=True, help="Profile block indices 1..kmax.")
-@click.option("-o", "--out", type=click.Path(dir_okay=False),
-              help="CSV output path (default: stdout).")
-def profile(system_path: str, kmax: int, out: str | None):
+def profile(system_path: str, kmax: int, out: str | None) -> int:
     """Export the symbolic rate profile as CSV, with an extrapolation summary."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
@@ -133,72 +162,49 @@ def profile(system_path: str, kmax: int, out: str | None):
     lo, hi = analytic_targets(system)
     if len(rows) >= 4:
         fit = extrapolate(rows)
-        click.echo(
-            f"extrapolated liminf ~ {fit.liminf_estimate:.6g} (target {lo}), "
-            f"limsup ~ {fit.limsup_estimate:.6g} (target {hi})",
-            err=True,
-        )
+        print(f"extrapolated liminf ~ {fit.liminf_estimate:.6g} (target {lo}), "
+              f"limsup ~ {fit.limsup_estimate:.6g} (target {hi})", file=sys.stderr)
     else:
-        click.echo("extrapolation needs kmax >= 4; skipped", err=True)
+        print("extrapolation needs kmax >= 4; skipped", file=sys.stderr)
+    return 0
 
 
-@main.command()
-@click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", "k", type=click.IntRange(min=1), required=True,
-              help="Block index to measure.")
-@click.option("--m", "m_max", type=click.IntRange(min=2), default=3, show_default=True,
-              help="Greedy scans run at depths 1..m.")
-@click.option("--eps", "eps_str", type=str, default=None,
-              help='Override the separation scale (a "p/q" rational).')
-@click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
-              show_default=True, help="Maximum enumerated cylinders per depth.")
-@click.option("-o", "--out", type=click.Path(dir_okay=False),
-              help="CSV output path (default: stdout).")
-def estimate(system_path, k, m_max, eps_str, budget, out):
+def estimate(system_path, k, m_max, eps_str, budget, out) -> int:
     """Measure separated-set growth on one block by exact greedy scans."""
     # the scan's layers load here, not with the commands that never scan
     from .estimators import NumericRateRow, mdim_numeric_profile
 
     _, system = _load(system_path)
     if not isinstance(system, StackedSystem):
-        raise click.UsageError("estimates run on stacked systems (got "
-                               f"{type(system).__name__})")
+        raise UsageError(f"estimates run on stacked systems (got {type(system).__name__})")
     eps_value = None
     if eps_str is not None:
         try:
             eps_value = rational_from_str(eps_str)
         except ValueError as exc:
-            raise click.UsageError(f"--eps: {exc}")
+            raise UsageError(f"--eps: {exc}")
         if eps_value <= 0:
-            raise click.UsageError("--eps must be positive")
+            raise UsageError("--eps must be positive")
     try:
         row = mdim_numeric_profile(system, k, m_max, budget, eps_value)
     except (UnmaterializedBlockError, ValueError) as exc:
         error_row = NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}, error=str(exc))
         _write_rows(out, numeric_csv_rows([error_row]))
-        click.echo(f"k={k}: {exc}", err=True)
-        sys.exit(2)
+        print(f"k={k}: {exc}", file=sys.stderr)
+        return 2
     _write_rows(out, numeric_csv_rows([row]))
     if row.error is not None:
-        click.echo(f"k={k}: {row.error}", err=True)
+        print(f"k={k}: {row.error}", file=sys.stderr)
     for m, count in sorted(row.counts.items()):
-        click.echo(
-            f"k={k} m={m} eps={row.eps_exact} count={count} "
-            f"seeds={row.seeds[m]} pairs={row.pairs[m]}",
-            err=True,
-        )
+        print(f"k={k} m={m} eps={row.eps_exact} count={count} "
+              f"seeds={row.seeds[m]} pairs={row.pairs[m]}", file=sys.stderr)
+    return 0
 
 
-@main.command()
-@click.argument("system_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=0.05, show_default=True,
-              help="Allowed |estimate - target| for both limits.")
-@click.option("--kmax", type=click.IntRange(min=4, max=MAX_STORED_DIGITS), default=30,
-              show_default=True, help="Profile block indices 1..kmax before extrapolating.")
-def verify(system_path: str, tol: float, kmax: int):
+def verify(system_path: str, tol: float, kmax: int) -> int:
     """Check extrapolated dimension estimates against the analytic targets."""
     if not tol >= 0:  # also NaN, which no difference is within
-        raise click.UsageError(f"--tol must be a non-negative number (got {tol})")
+        raise UsageError(f"--tol must be a non-negative number (got {tol})")
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
@@ -209,30 +215,76 @@ def verify(system_path: str, tol: float, kmax: int):
         ("limsup", float(target_hi), fit.limsup_estimate),
     ]
     ok = True
-    click.echo(f"{'quantity':<10}{'target':>12}{'estimate':>14}{'|diff|':>12}  within")
+    print(f"{'quantity':<10}{'target':>12}{'estimate':>14}{'|diff|':>12}  within")
     for name, target, estimate_value in table:
         diff = abs(estimate_value - target)
         within = diff <= tol
         ok &= within
-        click.echo(
-            f"{name:<10}{target:>12.6g}{estimate_value:>14.6g}{diff:>12.3g}  "
-            f"{'yes' if within else 'NO'}"
-        )
+        print(f"{name:<10}{target:>12.6g}{estimate_value:>14.6g}{diff:>12.3g}  "
+              f"{'yes' if within else 'NO'}")
+    sys.stdout.flush()  # the table precedes the notes when both streams share a file
     for name, limit_fit in (("liminf", fit.liminf_fit), ("limsup", fit.limsup_fit)):
         note = " (degenerate)" if limit_fit.degenerate else ""
         if limit_fit.points == 2:  # a line through two points fits them exactly
             note = " (2 points: exact line)"
-        click.echo(
-            f"{name} fit: residual {limit_fit.residual:.3g} over {limit_fit.points} tail points"
-            + note,
-            err=True,
-        )
-    click.echo(
-        f"spanning-side estimates: liminf ~ {fit.upper_liminf_estimate:.6g}, "
-        f"limsup ~ {fit.upper_limsup_estimate:.6g}",
-        err=True,
-    )
-    sys.exit(0 if ok else 1)
+        print(f"{name} fit: residual {limit_fit.residual:.3g} over {limit_fit.points} tail points"
+              + note, file=sys.stderr)
+    print(f"spanning-side estimates: liminf ~ {fit.upper_liminf_estimate:.6g}, "
+          f"limsup ~ {fit.upper_limsup_estimate:.6g}", file=sys.stderr)
+    return 0 if ok else 1
+
+
+def _parser() -> argparse.ArgumentParser:
+    style = dict(formatter_class=_Formatter, allow_abbrev=False, add_help=False)
+    parser = argparse.ArgumentParser(prog="mmdim", description=main.__doc__, **style)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = {}
+    for run in (build, validate, profile, estimate, verify):
+        sub[run] = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                       **style)
+        sub[run].set_defaults(run=run, parser=sub[run])
+        path = "spec_path" if run is build else "system_path"
+        sub[run].add_argument(path, metavar=path.upper(), type=_existing_file)
+    sub[build].add_argument("-o", "--out", required=True, type=_file_path, metavar="PATH",
+                            help="Where to write the built system JSON.")
+    sub[profile].add_argument("--kmax", type=_int_range(1, MAX_STORED_DIGITS), default=24,
+                              help="Profile block indices 1..kmax. (default: %(default)s)")
+    sub[estimate].add_argument("--k", type=_int_range(1), required=True,
+                               help="Block index to measure.")
+    sub[estimate].add_argument("--m", dest="m_max", metavar="M", type=_int_range(2), default=3,
+                               help="Greedy scans run at depths 1..m. (default: %(default)s)")
+    sub[estimate].add_argument("--eps", dest="eps_str", metavar="EPS",
+                               help='Override the separation scale (a "p/q" rational).')
+    sub[estimate].add_argument("--budget", type=_int_range(1), default=DEFAULT_BUDGET,
+                               help="Maximum enumerated cylinders per depth. (default: %(default)s)")
+    for run in (profile, estimate):
+        sub[run].add_argument("-o", "--out", type=_file_path, metavar="PATH",
+                              help="CSV output path (default: stdout).")
+    sub[verify].add_argument("--tol", type=float, default=0.05,
+                             help="Allowed |estimate - target| for both limits. "
+                                  "(default: %(default)s)")
+    sub[verify].add_argument("--kmax", type=_int_range(4, MAX_STORED_DIGITS), default=30,
+                             help="Profile block indices 1..kmax before extrapolating. "
+                                  "(default: %(default)s)")
+    for each in (parser, *sub.values()):  # --help alone, with no -h, as mmdim always had
+        each.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Exact horseshoe systems with prescribed metric mean dimension."""
+    args = vars(_parser().parse_args(argv))
+    run, parser = args.pop("run"), args.pop("parser")
+    try:
+        code = run(**args)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except CannotWrite as exc:
+        print(exc, file=sys.stderr)
+        code = 2
+    if not standalone_mode:
+        return code
+    sys.exit(code)
 
 
 if __name__ == "__main__":

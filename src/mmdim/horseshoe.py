@@ -220,12 +220,15 @@ def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
         sorted(leg for _, leg in h.assignment) == sorted(grid.odd_leg_indices()),
     )
 
-    by_domain = {tuple(p.domain.intervals): p for p in h.pamap.pieces}
+    def key(box):  # integer pairs: equal when the Fractions are, hashed with no modular inverse
+        return tuple(x for lo, hi in box.intervals
+                     for x in (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+
+    by_domain = {key(p.domain): p for p in h.pamap.pieces}
     images_ok, crossing_ok, domains_ok = True, True, True
     detail = ""
     for l, leg in h.assignment:
-        strip_box = grid.strip_box(l)
-        piece = by_domain.get(tuple(strip_box.intervals))
+        piece = by_domain.get(key(grid.strip_box(l)))
         if piece is None:
             domains_ok = False
             detail = f"no piece with domain = strip {l}"

@@ -1,7 +1,11 @@
+import contextlib
+import io
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from mmdim.cli import main
 from mmdim.constructions import Schedule, build_stacked
 from mmdim.geometry import Cube
 from mmdim.horseshoe import build_horseshoe
@@ -22,3 +26,25 @@ def geometric_system():
 @pytest.fixture()
 def q(request):
     return Fraction
+
+
+@pytest.fixture(scope="session")
+def cli():
+    """Run `mmdim ARGS` in process: main(args, standalone_mode=False).
+
+    Returns exit_code, stdout, stderr and output (stdout then stderr).  A
+    usage error or --help ends in SystemExit, whose code is the exit code;
+    any other exception propagates, so a traceback fails the test.
+    """
+
+    def run(args: list[str]) -> SimpleNamespace:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args, standalone_mode=False)
+            except SystemExit as exc:
+                code = exc.code
+        return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                               output=out.getvalue() + err.getvalue())
+
+    return run

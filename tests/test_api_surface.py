@@ -28,15 +28,6 @@ ALLOWED = {
 }
 
 
-def _is_command(node) -> bool:
-    """True for a function registered as a CLI subcommand (`@main.command`)."""
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr == "command":
-            return True
-    return False
-
-
 def _definitions(tree: ast.Module):
     """(qualified name, bare name, node) of every module-level function or
     class and every function defined directly in a class body."""
@@ -67,7 +58,7 @@ def unreferenced() -> list[str]:
         for qualname, name, node in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the language, not by name
-            if qualname in ALLOWED or _is_command(node):
+            if qualname in ALLOWED:
                 continue
             if name not in used:
                 flagged.append(f"{module}:{node.lineno} {qualname}")

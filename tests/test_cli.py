@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import mmdim
 from mmdim.cli import main
@@ -29,11 +29,6 @@ F = Fraction
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture()
 def tmp_spec(tmp_path):
     def make(name="spec.json", **fields):
         path = tmp_path / name
@@ -44,10 +39,10 @@ def tmp_spec(tmp_path):
 
 
 @pytest.fixture()
-def geometric_file(runner, tmp_spec, tmp_path):
+def geometric_file(cli, tmp_spec, tmp_path):
     spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
     out = str(tmp_path / "system.json")
-    result = runner.invoke(main, ["build", spec, "-o", out])
+    result = cli(["build", spec, "-o", out])
     assert result.exit_code == 0, result.stdout + result.stderr
     return out
 
@@ -57,30 +52,30 @@ def parse_csv(text: str) -> list[dict]:
 
 
 class TestBuild:
-    def test_writes_canonical_system(self, runner, tmp_spec, tmp_path):
+    def test_writes_canonical_system(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
         out = str(tmp_path / "sys.json")
-        result = runner.invoke(main, ["build", spec, "-o", out])
+        result = cli(["build", spec, "-o", out])
         assert result.exit_code == 0
         assert f"wrote {out}" in result.stderr
         data = read_json(out)
         assert data["format"] == "mmdim-system/2"
         assert len(data["system"]["blocks"]) == 3
 
-    def test_idempotent_and_loader_round_trips(self, runner, tmp_spec, tmp_path):
+    def test_idempotent_and_loader_round_trips(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert runner.invoke(main, ["build", spec, "-o", out1]).exit_code == 0
-        assert runner.invoke(main, ["build", spec, "-o", out2]).exit_code == 0
+        assert cli(["build", spec, "-o", out1]).exit_code == 0
+        assert cli(["build", spec, "-o", out2]).exit_code == 0
         bytes1 = open(out1, "rb").read()
         assert bytes1 == open(out2, "rb").read()
         loaded_spec, system = load_system(read_json(out1))
         assert canonical_dumps(system_to_jsonable(system, loaded_spec)).encode() == bytes1
 
-    def test_two_block_build(self, runner, tmp_spec, tmp_path):
+    def test_two_block_build(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=5)
         out = str(tmp_path / "two.json")
-        assert runner.invoke(main, ["build", spec, "-o", out]).exit_code == 0
+        assert cli(["build", spec, "-o", out]).exit_code == 0
         data = read_json(out)
         assert data["system"]["lower"]["schedule"]["active"] == "self-powers"
 
@@ -97,28 +92,28 @@ class TestBuild:
         ],
     )
     def test_bad_spec_exits_2_naming_problem(
-        self, runner, tmp_spec, tmp_path, fields, needle
+        self, cli, tmp_spec, tmp_path, fields, needle
     ):
         spec = tmp_spec(**fields)
-        result = runner.invoke(main, ["build", spec, "-o", str(tmp_path / "x.json")])
+        result = cli(["build", spec, "-o", str(tmp_path / "x.json")])
         assert result.exit_code == 2
         assert needle in result.stderr
 
-    def test_unparseable_json_exits_2(self, runner, tmp_path):
+    def test_unparseable_json_exits_2(self, cli, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
-        result = runner.invoke(main, ["build", str(bad), "-o", str(tmp_path / "x.json")])
+        result = cli(["build", str(bad), "-o", str(tmp_path / "x.json")])
         assert result.exit_code == 2
         assert "not valid JSON" in result.stderr
 
     @pytest.mark.parametrize("opener", ["[", '{"a":'])
-    def test_deeply_nested_json_exits_2(self, runner, tmp_path, opener):
+    def test_deeply_nested_json_exits_2(self, cli, tmp_path, opener):
         # the decoder recurses once per level and overflows the stack
         deep = tmp_path / "deep.json"
         deep.write_text(opener * 200_000)
         for args in (["build", str(deep), "-o", str(tmp_path / "x.json")],
                      ["verify", str(deep)]):
-            result = runner.invoke(main, args)
+            result = cli(args)
             assert result.exit_code == 2, result.output
             assert "nested too deeply" in result.stderr
 
@@ -132,7 +127,7 @@ class TestBuild:
             (dict(B="1e-5000"), "'B'"),
         ],
     )
-    def test_oversized_spec_fails_fast(self, runner, tmp_spec, geometric_file, fields, needle):
+    def test_oversized_spec_fails_fast(self, cli, tmp_spec, geometric_file, fields, needle):
         data = dict(kind="geometric", n=2, B="1", r="1", kMax=3) | fields
         stored = read_json(geometric_file)
         stored["spec"] = data
@@ -140,57 +135,57 @@ class TestBuild:
         for args in (["build", tmp_spec(**data), "-o", geometric_file + ".out"],
                      ["verify", geometric_file]):
             t0 = time.perf_counter()
-            result = runner.invoke(main, args)
+            result = cli(args)
             assert time.perf_counter() - t0 < 2.0
             assert result.exit_code == 2, result.output
             assert needle in result.stderr
 
 
 class TestValidate:
-    def test_geometric_system_passes(self, runner, geometric_file):
-        result = runner.invoke(main, ["validate", geometric_file])
+    def test_geometric_system_passes(self, cli, geometric_file):
+        result = cli(["validate", geometric_file])
         assert result.exit_code == 0
         for k, L in [(1, 3), (2, 9), (3, 27)]:
             assert f"block k={k} (L={L}): 10/10 checks ok" in result.stderr
 
-    def test_two_block_validates_both_halves(self, runner, tmp_spec, tmp_path):
+    def test_two_block_validates_both_halves(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="two_block", n=2, alpha="1/2", beta="1", kMax=4)
         out = str(tmp_path / "two.json")
-        runner.invoke(main, ["build", spec, "-o", out])
-        result = runner.invoke(main, ["validate", out])
+        cli(["build", spec, "-o", out])
+        result = cli(["validate", out])
         assert result.exit_code == 0
         # sparse half materializes k in {1, 4}; dense half k = 1..4
         assert result.stderr.count("checks ok") == 6
 
-    def test_identity_has_nothing_to_check(self, runner, tmp_spec, tmp_path):
+    def test_identity_has_nothing_to_check(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="identity", n=2)
         out = str(tmp_path / "id.json")
-        runner.invoke(main, ["build", spec, "-o", out])
-        result = runner.invoke(main, ["validate", out])
+        cli(["build", spec, "-o", out])
+        result = cli(["validate", out])
         assert result.exit_code == 0
         assert "no materialized blocks" in result.stderr
 
-    def test_tampered_file_is_rejected(self, runner, geometric_file):
+    def test_tampered_file_is_rejected(self, cli, geometric_file):
         data = read_json(geometric_file)
         data["system"]["blocks"][0]["side"] = "1/4"
         write_json(geometric_file, data)
-        result = runner.invoke(main, ["validate", geometric_file])
+        result = cli(["validate", geometric_file])
         assert result.exit_code == 2
         assert "does not match" in result.stderr
 
     @pytest.mark.parametrize("budget", [8, -1, "8", 10**7, 100000.0])
-    def test_hand_edited_geometry_budget_is_rejected(self, runner, geometric_file, budget):
+    def test_hand_edited_geometry_budget_is_rejected(self, cli, geometric_file, budget):
         # the budget is a constant; a file stating another one is not a rebuild
         data = read_json(geometric_file)
         data["system"]["geometryBudget"] = budget
         write_json(geometric_file, data)
         for args in (["verify", geometric_file], ["validate", geometric_file],
                      ["estimate", geometric_file, "--k", "1"]):
-            result = runner.invoke(main, args)
+            result = cli(args)
             assert result.exit_code == 2, result.output
             assert "does not match its spec rebuild" in result.stderr
 
-    def test_format_1_file_exits_2_with_rebuild_hint(self, runner, geometric_file):
+    def test_format_1_file_exits_2_with_rebuild_hint(self, cli, geometric_file):
         data = read_json(geometric_file)
         data["format"] = "mmdim-system/1"
         data["system"]["blocks"][0]["assignment"] = [[1, [5]], [3, [3]], [5, [1]]]
@@ -199,7 +194,7 @@ class TestValidate:
         write_json(geometric_file, data)
         for command in ("validate", "profile", "verify"):
             t0 = time.perf_counter()
-            result = runner.invoke(main, [command, geometric_file])
+            result = cli([command, geometric_file])
             assert time.perf_counter() - t0 < 2.0
             assert result.exit_code == 2, result.output
             assert "'mmdim-system/1'" in result.stderr
@@ -208,8 +203,8 @@ class TestValidate:
 
 
 class TestProfile:
-    def test_default_kmax(self, runner, geometric_file):
-        result = runner.invoke(main, ["profile", geometric_file])
+    def test_default_kmax(self, cli, geometric_file):
+        result = cli(["profile", geometric_file])
         assert result.exit_code == 0
         rows = parse_csv(result.stdout)
         assert len(rows) == 24
@@ -218,62 +213,62 @@ class TestProfile:
         assert "extrapolated liminf ~" in result.stderr
         assert "target 1" in result.stderr
 
-    def test_output_file(self, runner, geometric_file, tmp_path):
+    def test_output_file(self, cli, geometric_file, tmp_path):
         out = str(tmp_path / "profile.csv")
-        result = runner.invoke(main, ["profile", geometric_file, "--kmax", "6", "-o", out])
+        result = cli(["profile", geometric_file, "--kmax", "6", "-o", out])
         assert result.exit_code == 0
         rows = parse_csv(open(out).read())
         assert [r["k"] for r in rows] == [str(k) for k in range(1, 7)]
 
-    def test_small_kmax_skips_extrapolation(self, runner, geometric_file):
-        result = runner.invoke(main, ["profile", geometric_file, "--kmax", "3"])
+    def test_small_kmax_skips_extrapolation(self, cli, geometric_file):
+        result = cli(["profile", geometric_file, "--kmax", "3"])
         assert result.exit_code == 0
         assert "skipped" in result.stderr
 
     @pytest.mark.parametrize("command,kmax", [("profile", "5000"), ("verify", "100000")])
-    def test_oversized_kmax_fails_fast(self, runner, geometric_file, command, kmax):
+    def test_oversized_kmax_fails_fast(self, cli, geometric_file, command, kmax):
         t0 = time.perf_counter()
-        result = runner.invoke(main, [command, geometric_file, "--kmax", kmax])
+        result = cli([command, geometric_file, "--kmax", kmax])
         assert time.perf_counter() - t0 < 2.0
         assert result.exit_code == 2, result.output
         assert "--kmax" in result.stderr and "Traceback" not in result.output
 
     @pytest.mark.parametrize("command", ["profile", "verify", "estimate"])
     @pytest.mark.parametrize("precision", ["1001", "10000000"])
-    def test_oversized_precision_fails_fast(self, runner, geometric_file, command, precision):
+    def test_oversized_precision_fails_fast(self, cli, geometric_file, command, precision):
         args = [command, geometric_file, "--precision", precision]
         if command == "estimate":
             args += ["--k", "1"]
         t0 = time.perf_counter()
-        result = runner.invoke(main, args)
+        result = cli(args)
         assert time.perf_counter() - t0 < 2.0
         assert result.exit_code == 2, result.output
         assert "--precision" in result.stderr and "Traceback" not in result.output
 
-    def test_kmax_meets_the_spec_caps(self, runner, tmp_spec, tmp_path):
+    def test_kmax_meets_the_spec_caps(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)
         out = str(tmp_path / "two.json")
-        runner.invoke(main, ["build", spec, "-o", out])
-        result = runner.invoke(main, ["profile", out, "--kmax", "30"])
+        cli(["build", spec, "-o", out])
+        result = cli(["profile", out, "--kmax", "30"])
         assert result.exit_code == 0
         assert len(parse_csv(result.stdout)) == 30
-        assert runner.invoke(main, ["verify", out, "--kmax", "30"]).exit_code == 0
+        assert cli(["verify", out, "--kmax", "30"]).exit_code == 0
         # within --kmax's range, but blocks up to 3000 would store rationals
         # of more than 4000 digits at this two_block spec's rates
         for command in ("profile", "verify"):
-            result = runner.invoke(main, [command, out, "--kmax", "3000"])
+            result = cli([command, out, "--kmax", "3000"])
             assert result.exit_code == 2, result.output
             assert "digits" in result.stderr
 
-    def test_ratios_increase(self, runner, geometric_file):
-        result = runner.invoke(main, ["profile", geometric_file, "--kmax", "12"])
+    def test_ratios_increase(self, cli, geometric_file):
+        result = cli(["profile", geometric_file, "--kmax", "12"])
         ratios = [float(r["lower_ratio"]) for r in parse_csv(result.stdout)]
         assert ratios == sorted(ratios) and ratios[-1] < 1
 
 
 class TestEstimate:
-    def test_block_one_counts(self, runner, geometric_file):
-        result = runner.invoke(main, ["estimate", geometric_file, "--k", "1"])
+    def test_block_one_counts(self, cli, geometric_file):
+        result = cli(["estimate", geometric_file, "--k", "1"])
         assert result.exit_code == 0
         for m, count in [(1, 9), (2, 81), (3, 729)]:
             assert f"k=1 m={m} eps=1/15 count={count}" in result.stderr
@@ -281,119 +276,119 @@ class TestEstimate:
         assert row["source"] == "numeric"
         assert row["eps_exact"] == "1/15"
 
-    def test_numeric_matches_symbolic_ratio(self, runner, geometric_file):
-        est = runner.invoke(main, ["estimate", geometric_file, "--k", "1"])
-        prof = runner.invoke(main, ["profile", geometric_file, "--kmax", "1"])
+    def test_numeric_matches_symbolic_ratio(self, cli, geometric_file):
+        est = cli(["estimate", geometric_file, "--k", "1"])
+        prof = cli(["profile", geometric_file, "--kmax", "1"])
         numeric = float(parse_csv(est.stdout)[0]["lower_ratio"])
         symbolic = float(parse_csv(prof.stdout)[0]["lower_ratio"])
         assert abs(numeric - symbolic) <= 1e-9
 
-    def test_leg_override_block(self, runner, tmp_spec, tmp_path):
+    def test_leg_override_block(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="geometric", n=2, B="1", r="2", kMax=2,
                         legScheduleOverride={"2": 5})
         out = str(tmp_path / "override.json")
-        assert runner.invoke(main, ["build", spec, "-o", out]).exit_code == 0
-        est = runner.invoke(main, ["estimate", out, "--k", "2", "--m", "2"])
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        est = cli(["estimate", out, "--k", "2", "--m", "2"])
         assert est.exit_code == 0, est.output
         assert "k=2 m=2 eps=1/729 count=625" in est.stderr  # 5^(n m) cylinders
-        prof = runner.invoke(main, ["profile", out, "--kmax", "2"])
+        prof = cli(["profile", out, "--kmax", "2"])
         numeric, symbolic = parse_csv(est.stdout)[0], parse_csv(prof.stdout)[1]
         assert numeric["eps_exact"] == symbolic["eps_exact"] == "1/729"
         assert numeric["lower_ratio"] == symbolic["lower_ratio"] == "0.304761058016"
 
-    def test_quadratic_eps_is_the_placed_one(self, runner, tmp_spec, tmp_path):
+    def test_quadratic_eps_is_the_placed_one(self, cli, tmp_spec, tmp_path):
         # B = 1 is above the packing cap: block 1's side is 500/987, not 1
         spec = tmp_spec(kind="quadratic", n=2, B="1", kMax=3)
         out = str(tmp_path / "quadratic.json")
-        assert runner.invoke(main, ["build", spec, "-o", out]).exit_code == 0
-        est = runner.invoke(main, ["estimate", out, "--k", "1"])
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        est = cli(["estimate", out, "--k", "1"])
         assert est.exit_code == 0, est.output
         assert "k=1 m=3 eps=100/987 count=729" in est.stderr
-        prof = runner.invoke(main, ["profile", out, "--kmax", "4"])
+        prof = cli(["profile", out, "--kmax", "4"])
         numeric, symbolic = parse_csv(est.stdout)[0], parse_csv(prof.stdout)[0]
         assert numeric["eps_exact"] == symbolic["eps_exact"] == "100/987"
         assert abs(float(numeric["lower_ratio"]) - float(symbolic["lower_ratio"])) <= 1e-9
 
-    def test_eps_override(self, runner, geometric_file):
-        result = runner.invoke(
-            main, ["estimate", geometric_file, "--k", "1", "--m", "2", "--eps", "2"]
+    def test_eps_override(self, cli, geometric_file):
+        result = cli(
+            ["estimate", geometric_file, "--k", "1", "--m", "2", "--eps", "2"]
         )
         assert result.exit_code == 0
         assert "count=1" in result.stderr
         row = parse_csv(result.stdout)[0]
         assert float(row["lower_rate"]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_bad_eps_exits_2(self, runner, geometric_file):
-        result = runner.invoke(
-            main, ["estimate", geometric_file, "--k", "1", "--eps", "fast"]
+    def test_bad_eps_exits_2(self, cli, geometric_file):
+        result = cli(
+            ["estimate", geometric_file, "--k", "1", "--eps", "fast"]
         )
         assert result.exit_code == 2
         assert "--eps" in result.stderr
-        result = runner.invoke(
-            main, ["estimate", geometric_file, "--k", "1", "--eps", "0/1"]
+        result = cli(
+            ["estimate", geometric_file, "--k", "1", "--eps", "0/1"]
         )
         assert result.exit_code == 2
 
-    def test_out_of_range_k_exits_2_with_error_row(self, runner, geometric_file):
-        result = runner.invoke(main, ["estimate", geometric_file, "--k", "9"])
+    def test_out_of_range_k_exits_2_with_error_row(self, cli, geometric_file):
+        result = cli(["estimate", geometric_file, "--k", "9"])
         assert result.exit_code == 2
         rows = parse_csv(result.stdout)
         assert rows == [{col: "" for col in PROFILE_COLUMNS} | {"k": "9", "source": "numeric"}]
 
-    def test_far_out_of_range_k_fails_fast(self, runner, geometric_file):
+    def test_far_out_of_range_k_fails_fast(self, cli, geometric_file):
         # L_k = 3^k has about 48 million digits here; nothing may form it
         t0 = time.perf_counter()
-        result = runner.invoke(main, ["estimate", geometric_file, "--k", "100000000"])
+        result = cli(["estimate", geometric_file, "--k", "100000000"])
         assert time.perf_counter() - t0 < 2.0
         assert result.exit_code == 2, result.output
         assert "block 100000000 is not materialized (k_max = 3)" in result.stderr
 
-    def test_unmaterialized_k_exits_2_before_the_budget_check(self, runner, tmp_spec, tmp_path):
+    def test_unmaterialized_k_exits_2_before_the_budget_check(self, cli, tmp_spec, tmp_path):
         # L_11 = 177,147 pieces exceed the geometry budget, and 3^66 cylinders
         # at m = 3 exceed --budget; the unmaterialized block is reported first
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=11)
         path = str(tmp_path / "deep.json")
-        assert runner.invoke(main, ["build", spec, "-o", path]).exit_code == 0
-        result = runner.invoke(
-            main, ["estimate", path, "--k", "11", "--budget", "1000000000000000000000000"]
+        assert cli(["build", spec, "-o", path]).exit_code == 0
+        result = cli(
+            ["estimate", path, "--k", "11", "--budget", "1000000000000000000000000"]
         )
         assert result.exit_code == 2, result.output
         assert "block 11 exceeds the geometry budget" in result.stderr
 
-    def test_budget_overflow_is_soft(self, runner, geometric_file):
-        result = runner.invoke(
-            main, ["estimate", geometric_file, "--k", "1", "--budget", "100"]
+    def test_budget_overflow_is_soft(self, cli, geometric_file):
+        result = cli(
+            ["estimate", geometric_file, "--k", "1", "--budget", "100"]
         )
         assert result.exit_code == 0
         assert "exceed budget 100" in result.stderr
         assert parse_csv(result.stdout)[0]["lower_rate"] == ""
 
-    def test_over_budget_depth_fails_before_any_scan(self, runner, geometric_file):
+    def test_over_budget_depth_fails_before_any_scan(self, cli, geometric_file):
         # 9^8 cylinders at m = 4; the 531,441 at m = 3 fit the default budget,
         # so the check must come before the first depth's cylinders are built
         t0 = time.perf_counter()
-        result = runner.invoke(main, ["estimate", geometric_file, "--k", "2", "--m", "4"])
+        result = cli(["estimate", geometric_file, "--k", "2", "--m", "4"])
         assert time.perf_counter() - t0 < 2.0
         assert result.exit_code == 0, result.output
         assert result.stdout.splitlines()[1] == "2,1/153,,,,,,numeric"
         assert result.stderr == "k=2: 43046721 cylinders at (k=2, m=4) exceed budget 1000000\n"
 
-    def test_non_stacked_systems_exit_2(self, runner, tmp_spec, tmp_path):
+    def test_non_stacked_systems_exit_2(self, cli, tmp_spec, tmp_path):
         for fields in [
             dict(kind="identity", n=2),
             dict(kind="two_block", n=2, alpha="1", beta="1", kMax=2),
         ]:
             spec = tmp_spec(name=f"{fields['kind']}.json", **fields)
             out = str(tmp_path / f"{fields['kind']}-sys.json")
-            runner.invoke(main, ["build", spec, "-o", out])
-            result = runner.invoke(main, ["estimate", out, "--k", "1"])
+            cli(["build", spec, "-o", out])
+            result = cli(["estimate", out, "--k", "1"])
             assert result.exit_code == 2
             assert "stacked" in result.stderr
 
 
 class TestVerify:
-    def test_geometric_passes(self, runner, geometric_file):
-        result = runner.invoke(main, ["verify", geometric_file, "--tol", "0.02"])
+    def test_geometric_passes(self, cli, geometric_file):
+        result = cli(["verify", geometric_file, "--tol", "0.02"])
         assert result.exit_code == 0
         assert result.stdout.count("yes") == 2
         assert "liminf" in result.stdout and "limsup" in result.stdout
@@ -402,50 +397,148 @@ class TestVerify:
         assert "limsup fit: residual" in result.stderr
         assert "tail points" not in result.stdout
 
-    def test_impossible_tolerance_fails(self, runner, geometric_file):
-        result = runner.invoke(main, ["verify", geometric_file, "--tol", "1e-9"])
+    def test_impossible_tolerance_fails(self, cli, geometric_file):
+        result = cli(["verify", geometric_file, "--tol", "1e-9"])
         assert result.exit_code == 1
         assert "NO" in result.stdout
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_bad_tolerance_exits_2(self, runner, geometric_file, tol):
+    def test_bad_tolerance_exits_2(self, cli, geometric_file, tol):
         # a tolerance no difference can meet is a usage error, not a failed check
-        result = runner.invoke(main, ["verify", geometric_file, "--tol", tol])
+        result = cli(["verify", geometric_file, "--tol", tol])
         assert result.exit_code == 2
         assert "--tol must be a non-negative number" in result.stderr
         assert result.stdout == ""
 
-    def test_identity_is_exact(self, runner, tmp_spec, tmp_path):
+    def test_identity_is_exact(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="identity", n=2)
         out = str(tmp_path / "id.json")
-        runner.invoke(main, ["build", spec, "-o", out])
-        result = runner.invoke(main, ["verify", out, "--tol", "0"])
+        cli(["build", spec, "-o", out])
+        result = cli(["verify", out, "--tol", "0"])
         assert result.exit_code == 0
 
-    def test_two_block_default_tolerance(self, runner, tmp_spec, tmp_path):
+    def test_two_block_default_tolerance(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)
         out = str(tmp_path / "two.json")
-        runner.invoke(main, ["build", spec, "-o", out])
-        result = runner.invoke(main, ["verify", out])
+        cli(["build", spec, "-o", out])
+        result = cli(["verify", out])
         assert result.exit_code == 0, result.stdout
         assert "limsup fit: residual 0 over 2 tail points (2 points: exact line)" in result.stderr
         assert "(2 points" not in result.stdout
 
-    def test_kmax_floor(self, runner, geometric_file):
-        result = runner.invoke(main, ["verify", geometric_file, "--kmax", "2"])
+    def test_kmax_floor(self, cli, geometric_file):
+        result = cli(["verify", geometric_file, "--kmax", "2"])
         assert result.exit_code == 2
 
 
 class TestHelp:
-    def test_group_lists_commands(self, runner):
-        result = runner.invoke(main, ["--help"])
+    def test_group_lists_commands(self, cli):
+        result = cli(["--help"])
         assert result.exit_code == 0
         for cmd in ("build", "validate", "profile", "estimate", "verify"):
             assert cmd in result.output
+        # the benchmark's start-up probe looks for this heading
+        assert result.stdout.startswith("Usage: mmdim [--help] COMMAND")
 
-    def test_missing_file_exits_2(self, runner):
-        result = runner.invoke(main, ["validate", "/does/not/exist.json"])
+    def test_missing_file_exits_2(self, cli):
+        result = cli(["validate", "/does/not/exist.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("build", {"-o --out": None}),
+            ("validate", {}),
+            ("profile", {"--kmax": "24", "-o --out": "stdout"}),
+            ("estimate", {"--k": None, "--m": "3", "--eps": None, "--budget": "1000000",
+                          "-o --out": "stdout"}),
+            ("verify", {"--tol": "0.05", "--kmax": "30"}),
+        ],
+    )
+    def test_command_help_lists_every_option_with_its_default(self, cli, command, options):
+        result = cli([command, "--help"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith(f"Usage: mmdim {command} ")
+        assert ("SPEC_PATH" if command == "build" else "SYSTEM_PATH") in result.stdout
+        option_lines = re.findall(r"^ {2}(-.*?)(?: {2,}|$)", result.stdout, re.MULTILINE)
+        listed = [" ".join(re.findall(r"(?<![\w-])-[-\w]+", line)) for line in option_lines]
+        assert listed == [*options, "--help"]
+        text = " ".join(result.stdout.split())  # help lines wrap at the terminal width
+        shown = [default for default in options.values() if default is not None]
+        assert [f"(default: {default})" in text for default in shown] == [True] * len(shown)
+        assert text.count("(default:") == len(shown)
+
+
+class TestUsage:
+    """Bad arguments exit 2 with the usage and the argument's name on stderr."""
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["validate"], "SYSTEM_PATH"),
+            (["validate", "{missing}"], "SYSTEM_PATH"),
+            (["verify", "{dir}"], "SYSTEM_PATH"),
+            (["build", "{dir}", "-o", "{dir}/x.json"], "SPEC_PATH"),
+            (["build", "{spec}"], "-o/--out"),
+            (["build", "{spec}", "-o", "{dir}"], "-o/--out"),
+            (["profile", "{system}", "-o", "{dir}"], "-o/--out"),
+            (["profile", "{system}", "--kmax", "0"], "--kmax"),
+            (["profile", "{system}", "--kmax", "4001"], "--kmax"),
+            (["verify", "{system}", "--kmax", "3"], "--kmax"),
+            (["verify", "{system}", "--tol", "x"], "--tol"),
+            (["estimate", "{system}"], "--k"),
+            (["estimate", "{system}", "--k", "0"], "--k"),
+            (["estimate", "{system}", "--k", "one"], "--k"),
+            (["estimate", "{system}", "--k", "1", "--m", "1"], "--m"),
+            (["estimate", "{system}", "--k", "1", "--budget", "0"], "--budget"),
+            (["estimate", "{system}", "--k", "1", "--bogus"], "--bogus"),
+            (["verify", "{system}", "--kma", "30"], "--kma"),  # no abbreviations
+            (["check", "{system}"], "check"),
+            ([], "COMMAND"),
+        ],
+    )
+    def test_bad_arguments_exit_2_naming_the_argument(
+        self, cli, tmp_spec, tmp_path, geometric_file, args, name
+    ):
+        paths = dict(missing=str(tmp_path / "missing.json"), dir=str(tmp_path),
+                     spec=tmp_spec(kind="identity", n=2), system=geometric_file)
+        result = cli([arg.format(**paths) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("Usage: mmdim")
+        assert name in result.stderr.splitlines()[-1]
+        assert result.stdout == ""
+
+    def test_main_returns_the_code_when_not_standalone(self, cli, tmp_spec, tmp_path, capsys):
+        two_block, quadratic = str(tmp_path / "two_block.system.json"), str(tmp_path / "q.system.json")
+        for out, fields in ((two_block, dict(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)),
+                            (quadratic, dict(kind="quadratic", n=2, B="1", kMax=3))):
+            assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
+        assert main(["verify", two_block], standalone_mode=False) == 0
+        assert main(["verify", quadratic], standalone_mode=False) == 1
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", quadratic])
+        assert exited.value.code == 1
+        assert "NO" in capsys.readouterr().out
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one line, not 1."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build", "{spec}", "-o", "{out}"],
+            ["profile", "{system}", "-o", "{out}"],
+            ["estimate", "{system}", "--k", "1", "--m", "2", "-o", "{out}"],
+        ],
+    )
+    def test_exits_2_with_one_line(self, cli, tmp_spec, tmp_path, geometric_file, args):
+        out = str(tmp_path / "no-such-dir" / "out")
+        paths = dict(spec=tmp_spec(kind="identity", n=2), system=geometric_file, out=out)
+        result = cli([arg.format(**paths) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"cannot write {out}: No such file or directory\n"
+        assert result.stdout == ""
 
 
 SCAN_ONLY_MODULES = {"mpmath", "mmdim.estimators", "mmdim.metrics"}
@@ -462,15 +555,28 @@ def modules_loaded_by(argv: list[str]) -> set[str]:
             if line.startswith("import time:")}
 
 
+@pytest.fixture(scope="class")
+def loaded_modules(tmp_path_factory) -> dict[str, set[str]]:
+    """The modules each of the five commands loads, on the geometric square."""
+    root = tmp_path_factory.mktemp("imports")
+    spec, system = str(root / "spec.json"), str(root / "system.json")
+    write_json(spec, dict(kind="geometric", n=2, B="1", r="1", kMax=3))
+    commands = {"build": ["build", spec, "-o", system], "verify": ["verify", system],
+                "profile": ["profile", system, "--kmax", "30"], "validate": ["validate", system],
+                "estimate": ["estimate", system, "--k", "1", "--m", "2"]}
+    return {name: modules_loaded_by(argv) for name, argv in commands.items()}
+
+
 class TestImports:
-    def test_symbolic_commands_load_no_scan_layers(self, tmp_spec, tmp_path):
-        spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
-        system = str(tmp_path / "system.json")
-        for argv in (["build", spec, "-o", system], ["verify", system],
-                     ["profile", system, "--kmax", "30"]):
-            loaded = modules_loaded_by(argv)
-            assert "mmdim.symbolic" in loaded, argv
-            assert not loaded & SCAN_ONLY_MODULES, argv
+    def test_symbolic_commands_load_no_scan_layers(self, loaded_modules):
+        for command in ("build", "verify", "profile"):
+            loaded = loaded_modules[command]
+            assert "mmdim.symbolic" in loaded, command
+            assert not loaded & SCAN_ONLY_MODULES, command
         # the listing sees a module loaded inside a command
-        assert {"mmdim.estimators", "mmdim.metrics"} <= modules_loaded_by(
-            ["estimate", system, "--k", "1", "--m", "2"])
+        assert {"mmdim.estimators", "mmdim.metrics"} <= loaded_modules["estimate"]
+
+    def test_no_command_loads_click(self, loaded_modules):
+        assert len(loaded_modules) == 5
+        for command, loaded in loaded_modules.items():
+            assert not {m for m in loaded if m.partition(".")[0] == "click"}, command

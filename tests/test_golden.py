@@ -8,9 +8,7 @@ that means to alter an output updates the digest it names.
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
-from mmdim.cli import main
 from mmdim.specfile import write_json
 
 SPECS = {
@@ -92,14 +90,13 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def systems(tmp_path_factory):
+def systems(tmp_path_factory, cli):
     root = tmp_path_factory.mktemp("golden")
-    runner = CliRunner()
     out = {}
     for name, spec in SPECS.items():
         spec_path, system_path = root / f"{name}.json", root / f"{name}.system.json"
         write_json(spec_path, spec)
-        result = runner.invoke(main, ["build", str(spec_path), "-o", str(system_path)])
+        result = cli(["build", str(spec_path), "-o", str(system_path)])
         assert result.exit_code == 0, result.output
         out[name] = str(system_path)
     return out
@@ -110,8 +107,8 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("system,args", sorted(GOLDEN))
-def test_output_bytes_are_pinned(systems, system, args):
+def test_output_bytes_are_pinned(cli, systems, system, args):
     command, *rest = args.split()
-    result = CliRunner().invoke(main, [command, systems[system], *rest])
+    result = cli([command, systems[system], *rest])
     got = (sha256(result.stdout), sha256(result.stderr), result.exit_code)
     assert got == GOLDEN[system, args], result.output

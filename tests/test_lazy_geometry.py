@@ -5,10 +5,8 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 import mmdim.constructions as constructions
-from mmdim.cli import main
 from mmdim.constructions import StackedSystem, TwoBlockSystem, UnmaterializedBlockError
 from mmdim.horseshoe import build_horseshoe
 from mmdim.specfile import (
@@ -123,11 +121,11 @@ def test_two_block_kmax_30_loads_and_profiles_without_geometry(build_calls):
     assert sum(b.materialized for h in stacked_halves(system) for b in h.blocks) == 12
 
 
-def test_estimate_builds_only_the_block_it_measures(build_calls, tmp_path):
+def test_estimate_builds_only_the_block_it_measures(cli, build_calls, tmp_path):
     spec = SystemSpec.from_jsonable(SPECS["geometric"][0])
     path = tmp_path / "sys.json"
     write_json(path, system_to_jsonable(build_system(spec), spec))
-    result = CliRunner().invoke(main, ["estimate", str(path), "--k", "1", "--m", "2"])
+    result = cli(["estimate", str(path), "--k", "1", "--m", "2"])
     assert result.exit_code == 0, result.stderr
     assert [L for _, L in build_calls] == [3]
 
