@@ -188,7 +188,7 @@ def estimate(system_path, k, m_max, eps_str, budget, out) -> int:
     try:
         row = mdim_numeric_profile(system, k, m_max, budget, eps_value)
     except (UnmaterializedBlockError, ValueError) as exc:
-        error_row = NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}, error=str(exc))
+        error_row = NumericRateRow(k, False, 0.0, 0.0, 0.0, None, {}, {}, {}, error=str(exc))
         _write_rows(out, numeric_csv_rows([error_row]))
         print(f"k={k}: {exc}", file=sys.stderr)
         return 2

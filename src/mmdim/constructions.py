@@ -15,9 +15,8 @@ through scale-2 homothety charts; everything outside is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .geometry import Box, Cube, Point
 from .horseshoe import HorseshoeMap, build_horseshoe
@@ -55,17 +54,21 @@ def _self_power_set(limit: int) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Size law, leg law, and activity pattern for a stacked system."""
-
+class _ScheduleFields(NamedTuple):
     kind: str
     B: Fraction
     r: Fraction | None = None
     active: str = ACTIVE_ALL  # "all" | "self-powers"
     leg_override: tuple[tuple[int, int], ...] | None = None
 
-    def __post_init__(self):
+
+class Schedule(_ScheduleFields):
+    """Size law, leg law, and activity pattern for a stacked system."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (GEOMETRIC, QUADRATIC):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
         if self.B <= 0:
@@ -86,6 +89,7 @@ class Schedule:
             for k, L in self.leg_override:
                 if L < 3 or L % 2 == 0:
                     raise ScheduleError(f"leg override at k={k} must be odd and >= 3")
+        return self
 
     @staticmethod
     def geometric(B, r, active=ACTIVE_ALL, leg_override=None) -> "Schedule":
@@ -136,10 +140,11 @@ class Schedule:
         return self.active == ACTIVE_ALL or k in _self_power_set(k)
 
 
-def solve_rate(alpha: Fraction, n: int) -> Schedule:
+def solve_rate(alpha: Fraction, n: int, active: str = ACTIVE_ALL) -> Schedule:
     """Schedule whose stacked system has metric mean dimension alpha.
 
     alpha in (0, n): geometric with r = n/alpha - 1; alpha = n: quadratic.
+    A sparse `active` pattern keeps alpha as the superior limit only.
     """
     alpha = Fraction(alpha)
     if n < 2:
@@ -147,8 +152,8 @@ def solve_rate(alpha: Fraction, n: int) -> Schedule:
     if alpha <= 0 or alpha > n:
         raise ScheduleError(f"solvable targets lie in (0, {n}], got {alpha}")
     if alpha == n:
-        return Schedule.quadratic(1)
-    return Schedule.geometric(1, Fraction(n, 1) / alpha - 1)
+        return Schedule.quadratic(1, active)
+    return Schedule.geometric(1, Fraction(n, 1) / alpha - 1, active)
 
 
 def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, Fraction]]:
@@ -206,8 +211,14 @@ class UnmaterializedBlockError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Block:
+class _BlockFields(NamedTuple):
+    k: int
+    cube: Cube
+    L: int
+    active: bool
+
+
+class Block(_BlockFields):
     """One cube of a stacked system.
 
     `materialized` says whether the block carries a horseshoe that may be
@@ -216,13 +227,7 @@ class Block:
     cache takes no part in equality, hashing or repr.
     """
 
-    k: int
-    cube: Cube
-    L: int
-    active: bool
-    _horseshoe: HorseshoeMap | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _horseshoe: HorseshoeMap | None = None
 
     @property
     def materialized(self) -> bool:
@@ -242,9 +247,7 @@ class Block:
                 raise UnmaterializedBlockError(f"block {self.k} is inactive; it has no horseshoe")
             if not self.materialized:
                 raise UnmaterializedBlockError(f"block {self.k} exceeds the geometry budget")
-            object.__setattr__(
-                self, "_horseshoe", build_horseshoe(self.cube, self.L)
-            )
+            self._horseshoe = build_horseshoe(self.cube, self.L)
         return self._horseshoe
 
     @property
@@ -253,8 +256,7 @@ class Block:
         return self.cube.side / (2 * self.L - 1)
 
 
-@dataclass(frozen=True)
-class StackedSystem:
+class StackedSystem(NamedTuple):
     n: int
     schedule: Schedule
     k_max: int
@@ -287,8 +289,7 @@ def build_stacked(schedule: Schedule, n: int, k_max: int) -> StackedSystem:
     return StackedSystem(n, schedule, k_max, blocks)
 
 
-@dataclass(frozen=True)
-class IdentitySystem:
+class IdentitySystem(NamedTuple):
     """The identity map; metric mean dimension 0."""
 
     n: int
@@ -311,8 +312,7 @@ def _unit_to_half(p: Point, lower: bool) -> Point:
     return tuple((c + 1) / 2 for c in p)
 
 
-@dataclass(frozen=True)
-class TwoBlockSystem:
+class TwoBlockSystem(NamedTuple):
     """Two systems riding the corner cubes [0,1/2]^n and [1/2,1]^n.
 
     Each half is conjugated to a unit-cube system by the scale-2 homothety
@@ -374,6 +374,5 @@ def build_two_block(alpha, beta, n: int, k_max: int) -> TwoBlockSystem:
         shared = dense(alpha)
         return TwoBlockSystem(n, alpha, beta, shared, shared, k_max)
 
-    sparse_schedule = replace(solve_rate(beta, n), active=ACTIVE_SELF_POWERS)
-    lower = build_stacked(sparse_schedule, n, k_max)
+    lower = build_stacked(solve_rate(beta, n, ACTIVE_SELF_POWERS), n, k_max)
     return TwoBlockSystem(n, alpha, beta, lower, dense(alpha), k_max)

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .constructions import StackedSystem, UnmaterializedBlockError
 from .geometry import Point
@@ -35,8 +34,7 @@ from .metrics import orbits_separate
 from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
 
 
-@dataclass(frozen=True)
-class SeedSet:
+class SeedSet(NamedTuple):
     """Deduplicated points in canonical (lexicographic) order."""
 
     points: tuple[Point, ...]
@@ -50,33 +48,23 @@ class SeedSet:
         by_key = dict(zip(keys, points))
         return SeedSet(tuple(by_key[key] for key in sorted(by_key)))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
 
 def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
     """Centers of the L^(n m) depth-m selected cylinders of block k's
     horseshoe `h`; enumerates all of them, so the caller bounds L^(n m)."""
     seeds = SeedSet.of(box.center() for _, box in enumerate_cylinders(h, k, m))
-    if len(seeds) != h.grid.L ** (h.grid.n * m):
+    if len(seeds.points) != h.grid.L ** (h.grid.n * m):
         raise AssertionError("cylinder centers must be pairwise distinct")
     return seeds
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     chosen: tuple[Point, ...]
     m: int
     eps: Fraction
     seed_count: int
     truncated: bool  # some orbit escaped before step m
     pairs: int  # orbits_separate calls made by the scan and its cover check
-
-    def __len__(self) -> int:
-        return len(self.chosen)
 
 
 def _rescale(groups: list[list], den: int = 1) -> int:
@@ -184,8 +172,7 @@ def greedy_separated(
     )
 
 
-@dataclass(frozen=True)
-class GrowthRate:
+class GrowthRate(NamedTuple):
     rate: float  # least-squares slope of ln(count) against m
     counts: dict[int, int]
     residual: float
@@ -214,8 +201,7 @@ def growth_rate(
     return GrowthRate(slope, counts, residual, seeds, pairs)
 
 
-@dataclass(frozen=True)
-class NumericRateRow:
+class NumericRateRow(NamedTuple):
     """Measured growth of one block, ready for profile CSV export.
 
     `rate` is the growth of the greedy separated count, a lower bound; its
@@ -231,9 +217,9 @@ class NumericRateRow:
     upper_ratio: float  # rate / (ln 4 + |ln eps_k|)
     eps_exact: Fraction | None
     counts: dict[int, int]
+    seeds: dict[int, int]  # per m, like counts
+    pairs: dict[int, int]  # GreedyResult.pairs per m
     error: str | None = None
-    seeds: dict[int, int] = field(default_factory=dict)  # per m, like counts
-    pairs: dict[int, int] = field(default_factory=dict)  # GreedyResult.pairs per m
 
 
 def mdim_numeric_profile(
@@ -259,14 +245,14 @@ def mdim_numeric_profile(
     block = system.block(k)
     (bound,) = rate_profile(system, [k])
     if not block.active:
-        return NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {})
+        return NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {}, {}, {})
     if not block.materialized:
         raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
     for m in range(1, m_max + 1):
         total = block.L ** (system.n * m)
         if total > budget:
             error = f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}"
-            return NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, error=error)
+            return NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, {}, {}, error=error)
     h = block.geometry()
     eps_used = block.eps if eps_override is None else Fraction(eps_override)
     # each depth's seeds are built when its scan runs

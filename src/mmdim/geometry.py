@@ -7,10 +7,9 @@ question is decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Point = tuple[Fraction, ...]
 
@@ -30,16 +29,20 @@ def rational_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by closed per-axis intervals [lo, hi]."""
-
+class _BoxFields(NamedTuple):
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self):
-        for lo, hi in self.intervals:
+
+class Box(_BoxFields):
+    """Axis-aligned box given by closed per-axis intervals [lo, hi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, intervals):
+        for lo, hi in intervals:
             if lo > hi:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (intervals,))
 
     @staticmethod
     def of(*intervals: Sequence) -> "Box":
@@ -80,19 +83,21 @@ class Box:
         return hit is not None and not hit.is_degenerate()
 
 
-@dataclass(frozen=True)
-class Cube:
-    """The cube [lo, hi]^dim."""
-
+class _CubeFields(NamedTuple):
     lo: Fraction
     hi: Fraction
     dim: int
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
+
+class Cube(_CubeFields):
+    """The cube [lo, hi]^dim."""
+
+    def __new__(cls, lo, hi, dim):
+        if lo >= hi:
             raise ValueError("cube needs lo < hi")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("cube dimension must be positive")
+        return tuple.__new__(cls, (lo, hi, dim))
 
     @staticmethod
     def of(lo, hi, dim: int) -> "Cube":

@@ -19,17 +19,15 @@ points with orientation-preserving pieces throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import Box, Cube, Point, find_cross_overlap
 from .mapping import AffinePiece, PAMap
 
 
-@dataclass(frozen=True)
-class SubdivisionGrid:
+class SubdivisionGrid(NamedTuple):
     cube: Cube
     n: int
     L: int
@@ -106,12 +104,13 @@ def boustrophedon_legs(L: int, n: int) -> list[tuple[int, ...]]:
     return order
 
 
-@dataclass(frozen=True)
-class HorseshoeMap:
+class _HorseshoeFields(NamedTuple):
     grid: SubdivisionGrid
     assignment: tuple[tuple[int, tuple[int, ...]], ...]  # (odd strip, leg index)
     pamap: PAMap
 
+
+class HorseshoeMap(_HorseshoeFields):
     @property
     def cube(self) -> Cube:
         return self.grid.cube
@@ -169,15 +168,13 @@ def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
     return HorseshoeMap(grid, assignment, PAMap(cube, pieces))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -10,8 +10,8 @@ every piece domain (and points already outside) go to the absorbing
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import Box, Cube, Point, find_interior_overlap
 
@@ -33,23 +33,27 @@ class _Escaped:
 ESCAPED = _Escaped()
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class _PieceFields(NamedTuple):
+    domain: Box
+    scale: tuple[Fraction, ...]
+    offset: tuple[Fraction, ...]
+
+
+class AffinePiece(_PieceFields):
     """x -> offset + scale * x per axis, restricted to a box domain.
 
     A negative scale on an axis is an orientation reversal.  Scales must be
     nonzero so every piece is invertible.
     """
 
-    domain: Box
-    scale: tuple[Fraction, ...]
-    offset: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.domain.dim == len(self.scale) == len(self.offset)):
+    def __new__(cls, domain, scale, offset):
+        if not (domain.dim == len(scale) == len(offset)):
             raise ValueError("piece dimensions disagree")
-        if any(s == 0 for s in self.scale):
+        if any(s == 0 for s in scale):
             raise ValueError("piece scales must be nonzero")
+        return tuple.__new__(cls, (domain, scale, offset))
 
     def apply_point(self, p: Point) -> Point:
         # o + s x over the one denominator o.d s.d x.d, normalized once
@@ -78,8 +82,12 @@ def _piece_sort_key(piece: AffinePiece):
     return tuple(piece.domain.intervals)
 
 
-@dataclass(frozen=True)
-class PAMap:
+class _PAMapFields(NamedTuple):
+    ambient: Cube
+    pieces: tuple[AffinePiece, ...]
+
+
+class PAMap(_PAMapFields):
     """Piecewise-affine map with escape outside the piece domains.
 
     Pieces are kept sorted by domain so that a point on a shared boundary is
@@ -87,23 +95,19 @@ class PAMap:
     point's candidates are indexed by its first coordinate: the distinct
     first-axis endpoints of the domains are the cuts, and slot 2i + 1 holds
     the pieces containing cut i, slot 2i those containing the open gap just
-    below it, each in sorted order.
+    below it, each in sorted order; the index takes no part in equality.
     """
 
-    ambient: Cube
-    pieces: tuple[AffinePiece, ...]
-    _cuts: list[Fraction] = field(init=False, repr=False, compare=False)
-    _slots: list[list[AffinePiece]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for piece in self.pieces:
-            if piece.domain.dim != self.ambient.dim:
+    def __new__(cls, ambient, pieces):
+        for piece in pieces:
+            if piece.domain.dim != ambient.dim:
                 raise ValueError("piece dimension differs from ambient cube")
-        hit = find_interior_overlap([p.domain for p in self.pieces])
+        hit = find_interior_overlap([p.domain for p in pieces])
         if hit is not None:
             i, j = hit
             raise ValueError(f"piece domains {i} and {j} have overlapping interiors")
-        ordered = sorted(self.pieces, key=_piece_sort_key)
+        self = tuple.__new__(cls, (ambient, pieces))
+        ordered = sorted(pieces, key=_piece_sort_key)
         ends = [x for piece in ordered for x in piece.domain.intervals[0]]
         cuts, rank = [], [0] * len(ends)  # slab ends arrive nearly sorted
         for i in sorted(range(len(ends)), key=ends.__getitem__):
@@ -114,8 +118,8 @@ class PAMap:
         for i, piece in enumerate(ordered):
             for j in range(2 * rank[2 * i] + 1, 2 * rank[2 * i + 1] + 2):
                 slots[j].append(piece)
-        object.__setattr__(self, "_cuts", cuts)
-        object.__setattr__(self, "_slots", slots)
+        self._cuts, self._slots = cuts, slots
+        return self
 
     def piece_for(self, p: Point) -> AffinePiece | None:
         if len(p) != self.ambient.dim:

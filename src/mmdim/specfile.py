@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constructions import (
     ACTIVE_SELF_POWERS,
@@ -157,8 +156,7 @@ def _parse_leg_override(data: dict) -> tuple[tuple[int, int], ...] | None:
     return tuple(sorted(pairs.items()))
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """Validated contents of a spec file; one kind, only its own fields."""
 
     kind: str

@@ -20,11 +20,10 @@ the same limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .constructions import (
     GEOMETRIC,
@@ -52,8 +51,7 @@ def _ln(a: int) -> Decimal:
     return _CONTEXT.ln(a)
 
 
-@dataclass(frozen=True)
-class LogExpr:
+class LogExpr(NamedTuple):
     """Exact sum of rational multiples of logs of integers >= 2."""
 
     terms: tuple[tuple[int, Fraction], ...]  # (argument, coefficient), sorted
@@ -154,21 +152,25 @@ def _selected_strip_indices(L: int, n: int) -> list[int]:
     return [2 * j * stride + 1 for j in range(L)]
 
 
-@dataclass(frozen=True)
-class CylinderCode:
-    """Depth-m itinerary of the squared block map: one (strip, leg) per step."""
-
+class _CodeFields(NamedTuple):
     k: int
     word: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        if not self.word:
+
+class CylinderCode(_CodeFields):
+    """Depth-m itinerary of the squared block map: one (strip, leg) per step."""
+
+    __slots__ = ()
+
+    def __new__(cls, k, word):
+        if not word:
             raise ValueError("cylinder codes need depth >= 1")
-        for l, leg in self.word:
+        for l, leg in word:
             if l % 2 == 0 or l < 1:
                 raise ValueError(f"strip index {l} must be odd and positive")
             if any(i % 2 == 0 or i < 1 for i in leg):
                 raise ValueError(f"leg index {leg} must be odd and positive")
+        return tuple.__new__(cls, (k, word))
 
 
 def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
@@ -215,8 +217,7 @@ def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
     return Box((h.word_interval(word),) + box.intervals[1:])
 
 
-@dataclass(frozen=True)
-class RateBound:
+class RateBound(NamedTuple):
     """Symbolic separated/spanning dimension bounds for one block index.
 
     `rate` is the per-step growth n ln L_k of the cylinder count; rate /
@@ -303,11 +304,10 @@ def _two_block_bound(system: TwoBlockSystem, k: int) -> RateBound:
         and isinstance(half, StackedSystem)
         and half.schedule.is_sparse
     )
-    return replace(winner, active=spike)
+    return winner._replace(active=spike)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     value: float
     slope: float
     residual: float
@@ -315,8 +315,7 @@ class FitResult:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class ExtrapolationResult:
+class ExtrapolationResult(NamedTuple):
     """c - d/k tail fits of the profile's lower ratios on both subsequences."""
 
     liminf_estimate: float

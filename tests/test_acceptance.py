@@ -115,12 +115,12 @@ def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     result = greedy_separated(sq, seeds, 3, block.eps)
     elapsed = time.perf_counter() - t0
     expected = block.L ** (geometric_system.n * 3)
-    assert len(result) == expected == 729
+    assert len(result.chosen) == expected == 729
     assert not result.truncated
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     print(
         "ACCEPTANCE 4: PASS -- greedy scan at m=3, eps=1/15 keeps all "
-        f"{len(result)}/729 cylinder centers of block 1 in {elapsed:.2f}s"
+        f"{len(result.chosen)}/729 cylinder centers of block 1 in {elapsed:.2f}s"
     )
 
 
@@ -280,7 +280,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     print(
         "ACCEPTANCE 8: PASS -- validator 6/6 + 5 mutants caught, orbit-metric "
         f"axioms x1000 ({survivors} full triangles), greedy equal to a naive "
-        f"scan on {len(seeds)} seeds, "
+        f"scan on {len(seeds.points)} seeds, "
         "disjoint enlargements in 6 families, all ratios <= n, "
         f"in {elapsed:.2f}s"
     )

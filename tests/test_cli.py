@@ -544,11 +544,11 @@ class TestUnwritableOutput:
 SCAN_ONLY_MODULES = {"mpmath", "mmdim.estimators", "mmdim.metrics"}
 
 
-def modules_loaded_by(argv: list[str]) -> set[str]:
+def modules_loaded_by(argv: list[str], program=("-m", "mmdim.cli")) -> set[str]:
     """Every module `python -m mmdim.cli <argv>` imports, from -X importtime."""
     src = str(Path(mmdim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mmdim.cli", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *program, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
@@ -580,3 +580,11 @@ class TestImports:
         assert len(loaded_modules) == 5
         for command, loaded in loaded_modules.items():
             assert not {m for m in loaded if m.partition(".")[0] == "click"}, command
+
+    def test_no_command_loads_dataclasses(self, loaded_modules):
+        # records are NamedTuples: dataclasses, with the inspect it imports,
+        # cost every command about 30 ms of start-up
+        bare = modules_loaded_by([], program=("-c", "pass"))
+        for command, loaded in loaded_modules.items():
+            assert "dataclasses" not in loaded, command
+            assert "inspect" not in loaded - bare, command

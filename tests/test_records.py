@@ -1,0 +1,90 @@
+"""The immutable records: validated constructors, value semantics, caches.
+
+Every record is a `typing.NamedTuple`; the ones with an invariant check it
+in `__new__`, and the ones with a cache keep it in the instance `__dict__`,
+outside the fields.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from mmdim.constructions import (
+    ACTIVE_SELF_POWERS,
+    Schedule,
+    ScheduleError,
+    build_two_block,
+)
+from mmdim.geometry import Box, Cube
+from mmdim.horseshoe import build_horseshoe
+from mmdim.mapping import AffinePiece, PAMap
+from mmdim.symbolic import CylinderCode
+
+F = Fraction
+UNIT = Box.of((0, 1), (0, 1))
+
+INVALID = [
+    (lambda: Box(((F(0), F(1)), (F(1, 2), F(1, 3)))), ValueError, "inverted interval [1/2, 1/3]"),
+    (lambda: Cube(F(1), F(1), 2), ValueError, "cube needs lo < hi"),
+    (lambda: Cube(F(1), F(0), 2), ValueError, "cube needs lo < hi"),
+    (lambda: Cube(F(0), F(1), 0), ValueError, "cube dimension must be positive"),
+    (lambda: AffinePiece(UNIT, (F(1),), (F(0), F(0))), ValueError, "piece dimensions disagree"),
+    (lambda: AffinePiece(UNIT, (F(1), F(0)), (F(0), F(0))), ValueError,
+     "piece scales must be nonzero"),
+    (lambda: PAMap(Cube.of(0, 1, 3), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),)),
+     ValueError, "piece dimension differs from ambient cube"),
+    (lambda: PAMap(Cube.of(0, 1, 2), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),) * 2),
+     ValueError, "piece domains 0 and 1 have overlapping interiors"),
+    (lambda: Schedule("cubic", F(1)), ScheduleError, "unknown schedule kind 'cubic'"),
+    (lambda: Schedule("geometric", F(0), F(1)), ScheduleError, "B must be positive"),
+    (lambda: Schedule("geometric", F(1)), ScheduleError, "geometric schedules need r > 0"),
+    (lambda: Schedule("geometric", F(1), F(-1)), ScheduleError, "geometric schedules need r > 0"),
+    (lambda: Schedule("geometric", F(3), F(1)), ScheduleError,
+     "geometric sizes must sum to at most 1 (B <= 3^r - 1)"),
+    (lambda: Schedule("quadratic", F(1), F(1)), ScheduleError,
+     "quadratic schedules take no rate r"),
+    (lambda: Schedule("quadratic", F(2)), ScheduleError, "quadratic schedules need B <= 1"),
+    (lambda: Schedule("geometric", F(1), F(1), active="odd"), ScheduleError,
+     "active must be 'all' or 'self-powers'"),
+    (lambda: Schedule("geometric", F(1), F(1), leg_override=((2, 4),)), ScheduleError,
+     "leg override at k=2 must be odd and >= 3"),
+    (lambda: Schedule("quadratic", F(1), None, "all", ((1, 1),)), ScheduleError,
+     "leg override at k=1 must be odd and >= 3"),
+    (lambda: CylinderCode(1, ()), ValueError, "cylinder codes need depth >= 1"),
+    (lambda: CylinderCode(1, ((1, (1,)), (2, (1,)))), ValueError,
+     "strip index 2 must be odd and positive"),
+    (lambda: CylinderCode(1, ((1, (3, 4)),)), ValueError,
+     "leg index (3, 4) must be odd and positive"),
+]
+
+
+@pytest.mark.parametrize("make,error,message", INVALID, ids=[m for _, _, m in INVALID])
+def test_validated_constructors_raise(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_records_keep_value_semantics():
+    cube = Cube.of(0, 1, 2)
+    assert repr(cube) == "Cube(lo=Fraction(0, 1), hi=Fraction(1, 1), dim=2)"
+    assert cube == Cube(lo=F(0), hi=F(1), dim=2) and hash(cube) == hash(Cube.of(0, 1, 2))
+    with pytest.raises(AttributeError):
+        cube.lo = F(1, 2)
+
+
+def test_caches_take_no_part_in_equality():
+    h, fresh = build_horseshoe(Cube.of(0, 1, 2), 3), build_horseshoe(Cube.of(0, 1, 2), 3)
+    assert h.cube.side == 1 and h.leg_of and h.strip_of
+    assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+    assert set(vars(h)) == {"leg_of", "strip_of"} and vars(fresh) == {}
+
+
+@pytest.mark.parametrize("beta,direct", [
+    (F(1), Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)),
+    (F(2, 3), Schedule.geometric(1, 2, active=ACTIVE_SELF_POWERS)),
+    (F(2), Schedule.quadratic(1, active=ACTIVE_SELF_POWERS)),
+])
+def test_two_block_sparse_schedule_is_built_directly(beta, direct):
+    lower = build_two_block(F(1, 2), beta, 2, 3).lower
+    assert lower.schedule == direct and type(lower.schedule) is Schedule
