@@ -26,7 +26,6 @@ from .constructions import (
     UnmaterializedBlockError,
 )
 from .geometry import rational_from_str
-from .horseshoe import validate_horseshoe
 from .specfile import (
     MAX_STORED_DIGITS,
     SpecFileError,
@@ -127,6 +126,9 @@ def build(spec_path: str, out: str) -> int:
 
 def validate(system_path: str) -> int:
     """Re-derive and check every materialized block's geometry."""
+    # the horseshoe layer loads here, not with the symbolic commands
+    from .horseshoe import validate_horseshoe
+
     _, system = _load(system_path)
     halves = [system]
     if isinstance(system, TwoBlockSystem):

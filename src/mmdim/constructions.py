@@ -11,16 +11,21 @@ enlargements (a 1/10 side margin per face, clipped to the unit cube), the
 active ones carrying an L_k-leg horseshoe and the inactive ones the identity.
 A two-block system embeds one system in [0, 1/2]^n and another in [1/2, 1]^n
 through scale-2 homothety charts; everything outside is the identity.
+
+The systems record that layout; no command steps a whole system.  A block's
+horseshoe, and with it the `horseshoe` and `mapping` layers, loads only when
+`Block.geometry()` is first called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .geometry import Box, Cube, Point
-from .horseshoe import HorseshoeMap, build_horseshoe
-from .mapping import ESCAPED
+from .geometry import Box, Cube
+
+if TYPE_CHECKING:
+    from .horseshoe import HorseshoeMap
 
 GEOMETRIC = "geometric"
 QUADRATIC = "quadratic"
@@ -211,6 +216,13 @@ class UnmaterializedBlockError(RuntimeError):
     pass
 
 
+def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
+    """`horseshoe.build_horseshoe`, loaded on first use: `build`, `verify` and
+    `profile` never build a horseshoe, so they never load that layer."""
+    from .horseshoe import build_horseshoe as build
+    return build(cube, L)
+
+
 class _BlockFields(NamedTuple):
     k: int
     cube: Cube
@@ -269,17 +281,6 @@ class StackedSystem(NamedTuple):
             raise ValueError(f"block {k} is not materialized (k_max = {self.k_max})")
         return self.blocks[k - 1]
 
-    def apply(self, p: Point):
-        """One step of the full system: block dynamics inside, identity outside."""
-        if p is ESCAPED:
-            return ESCAPED
-        for block in self.blocks:
-            if block.cube.contains(p):
-                if not block.active:
-                    return p
-                return block.geometry().pamap.apply(p)
-        return p
-
 
 def build_stacked(schedule: Schedule, n: int, k_max: int) -> StackedSystem:
     blocks = tuple(
@@ -295,21 +296,6 @@ class IdentitySystem(NamedTuple):
     n: int
 
     kind = "identity"
-
-    def apply(self, p: Point):
-        return p
-
-
-def _half_to_unit(p: Point, lower: bool) -> Point:
-    if lower:
-        return tuple(2 * c for c in p)
-    return tuple(2 * c - 1 for c in p)
-
-
-def _unit_to_half(p: Point, lower: bool) -> Point:
-    if lower:
-        return tuple(c / 2 for c in p)
-    return tuple((c + 1) / 2 for c in p)
 
 
 class TwoBlockSystem(NamedTuple):
@@ -329,23 +315,6 @@ class TwoBlockSystem(NamedTuple):
     k_max: int
 
     kind = "two-block"
-
-    def _in_half(self, p: Point, lower: bool) -> bool:
-        half = Fraction(1, 2)
-        if lower:
-            return all(0 <= c <= half for c in p)
-        return all(half <= c <= 1 for c in p)
-
-    def apply(self, p: Point):
-        if p is ESCAPED:
-            return ESCAPED
-        for is_lower, system in ((True, self.lower), (False, self.upper)):
-            if self._in_half(p, is_lower):
-                inner = system.apply(_half_to_unit(p, is_lower))
-                if inner is ESCAPED:
-                    return ESCAPED
-                return _unit_to_half(inner, is_lower)
-        return p
 
 
 System = Union[StackedSystem, TwoBlockSystem, IdentitySystem]

@@ -10,7 +10,6 @@ stored geometry, so build -> dump -> load -> dump is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from fractions import Fraction
@@ -409,6 +408,8 @@ def numeric_csv_rows(rows: Sequence[NumericRateRow]) -> list[dict]:
 
 
 def write_profile_csv(fh, rows: Sequence[dict]) -> None:
+    import csv  # only the commands that write CSV load it
+
     writer = csv.DictWriter(fh, fieldnames=PROFILE_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:

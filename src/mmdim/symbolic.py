@@ -23,7 +23,7 @@ import itertools
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .constructions import (
     GEOMETRIC,
@@ -34,7 +34,9 @@ from .constructions import (
     TwoBlockSystem,
 )
 from .geometry import Box
-from .horseshoe import HorseshoeMap
+
+if TYPE_CHECKING:
+    from .horseshoe import HorseshoeMap
 
 # Each evaluation ends as one float (about 16 significant digits).  Cancelling
 # terms of a sum and exp(-x), which turns x's absolute error into a relative
@@ -131,13 +133,16 @@ class EpsSchedule:
 
     def log_inv(self, k: int) -> LogExpr:
         """|ln eps_k| as an exact log expression; exp(-log_inv(k)) == exact(k)."""
-        sched = self.schedule
-        expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
-        if sched.kind == GEOMETRIC:
-            expr = expr + LogExpr.of(3, k * sched.r)
-        else:
-            expr = expr + LogExpr.of(k, 2)
-        return expr
+        return _eps_log_inv(self.schedule, k)
+
+
+@cache
+def _eps_log_inv(sched: Schedule, k: int) -> LogExpr:
+    # row k's lower denominator is row k+1's eps log: each is built once
+    expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
+    if sched.kind == GEOMETRIC:
+        return expr + LogExpr.of(3, k * sched.r)
+    return expr + LogExpr.of(k, 2)
 
 
 def _selected_strip_indices(L: int, n: int) -> list[int]:
@@ -253,15 +258,15 @@ def _zero_bound(k: int) -> RateBound:
 
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
     eps = EpsSchedule(schedule)
-    active = schedule.is_active(k)
-    if not active:
+    log_inv = eps.log_inv(k)
+    if not schedule.is_active(k):
         z = LogExpr.zero()
-        return RateBound(k, False, z, z, z, eps.exact(k), eps.log_inv(k))
+        return RateBound(k, False, z, z, z, eps.exact(k), log_inv)
     L = schedule.legs(k)
     rate = LogExpr.of(3, n * k) if L == 3**k else LogExpr.of(L, n)
     lower_den = eps.log_inv(k + 1)
-    upper_den = LogExpr.of(4) + eps.log_inv(k)
-    return RateBound(k, True, rate, lower_den, upper_den, eps.exact(k), eps.log_inv(k))
+    upper_den = LogExpr.of(4) + log_inv
+    return RateBound(k, True, rate, lower_den, upper_den, eps.exact(k), log_inv)
 
 
 def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:

@@ -542,6 +542,8 @@ class TestUnwritableOutput:
 
 
 SCAN_ONLY_MODULES = {"mpmath", "mmdim.estimators", "mmdim.metrics"}
+# only validate and estimate build a horseshoe
+GEOMETRY_MODULES = {"mmdim.horseshoe", "mmdim.mapping"}
 
 
 def modules_loaded_by(argv: list[str], program=("-m", "mmdim.cli")) -> set[str]:
@@ -575,6 +577,19 @@ class TestImports:
             assert not loaded & SCAN_ONLY_MODULES, command
         # the listing sees a module loaded inside a command
         assert {"mmdim.estimators", "mmdim.metrics"} <= loaded_modules["estimate"]
+
+    def test_symbolic_commands_load_no_geometry_layers(self, loaded_modules):
+        # compiling horseshoe and mapping cost each symbolic command about 8 ms
+        for command in ("build", "verify", "profile"):
+            assert not loaded_modules[command] & GEOMETRY_MODULES, command
+        for command in ("validate", "estimate"):
+            assert GEOMETRY_MODULES <= loaded_modules[command], command
+
+    def test_only_csv_writers_load_csv(self, loaded_modules):
+        for command in ("build", "verify"):
+            assert not {"csv", "_csv"} & loaded_modules[command], command
+        for command in ("profile", "estimate"):
+            assert "csv" in loaded_modules[command], command
 
     def test_no_command_loads_click(self, loaded_modules):
         assert len(loaded_modules) == 5

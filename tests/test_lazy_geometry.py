@@ -130,6 +130,18 @@ def test_estimate_builds_only_the_block_it_measures(cli, build_calls, tmp_path):
     assert [L for _, L in build_calls] == [3]
 
 
+@pytest.mark.parametrize("name", ["geometric", "sparse", "two_block", "two_block_identity"])
+def test_validate_builds_each_materialized_block_once(name, cli, build_calls, tmp_path):
+    spec = SystemSpec.from_jsonable(SPECS[name][0])
+    system = build_system(spec)
+    path = tmp_path / "sys.json"
+    write_json(path, system_to_jsonable(system, spec))
+    result = cli(["validate", str(path)])
+    assert result.exit_code == 0, result.stderr
+    expected = [(b.cube, b.L) for h in stacked_halves(system) for b in h.blocks if b.materialized]
+    assert build_calls == expected
+
+
 def test_tampered_unbuilt_block_is_rejected(build_calls):
     spec = SystemSpec.from_jsonable(SPECS["geometric"][0])
     payload = system_to_jsonable(build_system(spec), spec)
