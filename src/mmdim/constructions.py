@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .geometry import Box, Cube
+from .geometry import Cube
 
 if TYPE_CHECKING:
     from .horseshoe import HorseshoeMap
@@ -201,15 +201,6 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
             out.append((slot_lo + side * MARGIN, side))
             slot_lo += side * (1 + 2 * MARGIN)
     return out
-
-
-def enlarged_box(cube: Cube) -> Box:
-    """The cube fattened by MARGIN * side per face, clipped to [0, 1]^n."""
-    pad = cube.side * MARGIN
-    ivs = []
-    for lo, hi in cube.box().intervals:
-        ivs.append((max(Fraction(0), lo - pad), min(Fraction(1), hi + pad)))
-    return Box(tuple(ivs))
 
 
 class UnmaterializedBlockError(RuntimeError):

@@ -2,7 +2,9 @@
 
 Greedy selection runs in a canonical order (lexicographic on coordinates),
 decides every comparison exactly, and stops scanning a pair at the first
-iterate that already separates it.
+iterate that already separates it.  Two points separate at (m, eps) when
+their Bowen distance, max over 0 <= i < m of the max-norm distance of
+f^i x and f^i y, exceeds eps.
 
 The scan works on an integer lattice: every orbit state and eps are
 multiplied by one common denominator, the lcm of eps's and of every state
@@ -30,7 +32,6 @@ from .constructions import StackedSystem, UnmaterializedBlockError
 from .geometry import Point
 from .horseshoe import HorseshoeMap, square
 from .mapping import ESCAPED, PAMap
-from .metrics import orbits_separate
 from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
 
 
@@ -56,6 +57,24 @@ def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
     if len(seeds.points) != h.grid.L ** (h.grid.n * m):
         raise AssertionError("cylinder centers must be pairwise distinct")
     return seeds
+
+
+def orbits_separate(orbit_x, orbit_y, eps: Fraction) -> bool:
+    """Early-exit kernel on precomputed orbits: does some step exceed eps?
+
+    Orbits are aligned state lists (ESCAPED entries allowed); iteration stops
+    at the first escaped step, so the decision uses the surviving prefix.
+    States may also hold integers with an integer `eps`: orbits and eps
+    scaled by one common factor, as the greedy scan passes them, give the
+    same decision, exactly, with no `Fraction` arithmetic.
+    """
+    for sx, sy in zip(orbit_x, orbit_y):
+        if sx is ESCAPED or sy is ESCAPED:
+            return False
+        for a, b in zip(sx, sy):
+            if a - b > eps or b - a > eps:
+                return True
+    return False
 
 
 class GreedyResult(NamedTuple):

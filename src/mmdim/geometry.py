@@ -44,10 +44,6 @@ class Box(_BoxFields):
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
         return tuple.__new__(cls, (intervals,))
 
-    @staticmethod
-    def of(*intervals: Sequence) -> "Box":
-        return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
-
     @property
     def dim(self) -> int:
         return len(self.intervals)
@@ -55,11 +51,6 @@ class Box(_BoxFields):
     def is_degenerate(self) -> bool:
         """True if some axis has zero width (empty interior)."""
         return any(lo == hi for lo, hi in self.intervals)
-
-    def contains(self, p: Point) -> bool:
-        if len(p) != self.dim:
-            raise ValueError("dimension mismatch")
-        return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.intervals))
 
     def center(self) -> Point:
         # (a + b) / 2 over the one denominator 2 a.d b.d, normalized once
@@ -99,19 +90,9 @@ class Cube(_CubeFields):
             raise ValueError("cube dimension must be positive")
         return tuple.__new__(cls, (lo, hi, dim))
 
-    @staticmethod
-    def of(lo, hi, dim: int) -> "Cube":
-        return Cube(Fraction(lo), Fraction(hi), dim)
-
     @cached_property
     def side(self) -> Fraction:
         return self.hi - self.lo
-
-    def box(self) -> Box:
-        return Box(((self.lo, self.hi),) * self.dim)
-
-    def contains(self, p: Point) -> bool:
-        return self.box().contains(p)
 
 
 def find_interior_overlap(boxes: Sequence[Box]) -> tuple[int, int] | None:

@@ -141,11 +141,6 @@ class HorseshoeMap(_HorseshoeFields):
     def strip_of(self) -> dict[tuple[int, ...], int]:
         return {leg: l for l, leg in reversed(self.assignment)}
 
-    def leg_for_strip(self, l: int) -> tuple[int, ...]:
-        if l not in self.leg_of:
-            raise KeyError(f"strip {l} is not assigned")
-        return self.leg_of[l]
-
     def strip_for_leg(self, leg: tuple[int, ...]) -> int:
         if leg not in self.strip_of:
             raise KeyError(f"leg {leg} is not assigned")

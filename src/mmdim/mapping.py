@@ -26,9 +26,6 @@ class _Escaped:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __repr__(self):
-        return "Escaped"
-
 
 ESCAPED = _Escaped()
 

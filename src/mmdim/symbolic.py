@@ -88,13 +88,6 @@ class LogExpr(NamedTuple):
             parts[a] = parts.get(a, Fraction(0)) + c
         return LogExpr._normalize(parts)
 
-    def __sub__(self, other: "LogExpr") -> "LogExpr":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "LogExpr":
-        f = Fraction(factor)
-        return LogExpr._normalize({a: c * f for a, c in self.terms})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,24 +113,18 @@ def log_ratio(num: LogExpr, den: LogExpr) -> float:
     return float(_CONTEXT.divide(num.eval(), d))
 
 
-class EpsSchedule:
-    """Separation scales eps_k = |E_k| / (2 L_k - 1) of the placed sides."""
-
-    def __init__(self, schedule: Schedule):
-        self.schedule = schedule
-
-    def exact(self, k: int) -> Fraction | None:
-        if not self.schedule.has_rational_sizes():
-            return None
-        return self.schedule.size(k) / (2 * self.schedule.legs(k) - 1)
-
-    def log_inv(self, k: int) -> LogExpr:
-        """|ln eps_k| as an exact log expression; exp(-log_inv(k)) == exact(k)."""
-        return _eps_log_inv(self.schedule, k)
+def eps_exact(schedule: Schedule, k: int) -> Fraction | None:
+    """Separation scale eps_k = |E_k| / (2 L_k - 1) of the placed side, or
+    None when the sides are irrational."""
+    if not schedule.has_rational_sizes():
+        return None
+    return schedule.size(k) / (2 * schedule.legs(k) - 1)
 
 
 @cache
 def _eps_log_inv(sched: Schedule, k: int) -> LogExpr:
+    """|ln eps_k| as an exact log expression; exp of its negation is
+    eps_exact(sched, k)."""
     # row k's lower denominator is row k+1's eps log: each is built once
     expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
     if sched.kind == GEOMETRIC:
@@ -214,14 +201,6 @@ def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[Cylin
         yield code, cylinder_geometry(h, code)
 
 
-def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
-    """Box of points whose unsquared itinerary visits the given odd strips."""
-    box = h.grid.strip_box(word[-1])
-    for l in word[:-1]:
-        h.leg_for_strip(l)  # KeyError: an even strip has no image
-    return Box((h.word_interval(word),) + box.intervals[1:])
-
-
 class RateBound(NamedTuple):
     """Symbolic separated/spanning dimension bounds for one block index.
 
@@ -257,16 +236,15 @@ def _zero_bound(k: int) -> RateBound:
 
 
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
-    eps = EpsSchedule(schedule)
-    log_inv = eps.log_inv(k)
+    eps, log_inv = eps_exact(schedule, k), _eps_log_inv(schedule, k)
     if not schedule.is_active(k):
         z = LogExpr.zero()
-        return RateBound(k, False, z, z, z, eps.exact(k), log_inv)
+        return RateBound(k, False, z, z, z, eps, log_inv)
     L = schedule.legs(k)
     rate = LogExpr.of(3, n * k) if L == 3**k else LogExpr.of(L, n)
-    lower_den = eps.log_inv(k + 1)
+    lower_den = _eps_log_inv(schedule, k + 1)
     upper_den = LogExpr.of(4) + log_inv
-    return RateBound(k, True, rate, lower_den, upper_den, eps.exact(k), log_inv)
+    return RateBound(k, True, rate, lower_den, upper_den, eps, log_inv)
 
 
 def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:

@@ -7,14 +7,14 @@ import pytest
 
 from mmdim.cli import main
 from mmdim.constructions import Schedule, build_stacked
-from mmdim.geometry import Cube
 from mmdim.horseshoe import build_horseshoe
+from oracles import cube_of
 
 
 @pytest.fixture(scope="session")
 def unit_square_h():
     """3-leg horseshoe on [0,1]^2: 5 strips of width 1/5, 3 legs of height 1/5."""
-    return build_horseshoe(Cube.of(0, 1, 2), 3)
+    return build_horseshoe(cube_of(0, 1, 2), 3)
 
 
 @pytest.fixture(scope="session")

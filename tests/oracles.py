@@ -1,0 +1,112 @@
+"""Oracles and constructors that only the tests use.
+
+No command runs these, so they live beside the tests rather than in the
+package: the naive Bowen distance the greedy scan's kernel is checked
+against, the unsquared word boxes and block enlargements of the acceptance
+criteria, and the Fraction-coercing constructors, containment tests and log
+arithmetic the tests write their cases with.
+"""
+
+from fractions import Fraction
+from typing import NamedTuple, Sequence
+
+from mmdim.constructions import MARGIN
+from mmdim.geometry import Box, Cube, Point
+from mmdim.horseshoe import HorseshoeMap
+from mmdim.mapping import ESCAPED, PAMap
+from mmdim.symbolic import LogExpr
+
+
+def box_of(*intervals: Sequence) -> Box:
+    """Box from (lo, hi) pairs of anything Fraction accepts."""
+    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
+
+
+def cube_of(lo, hi, dim: int) -> Cube:
+    return Cube(Fraction(lo), Fraction(hi), dim)
+
+
+def cube_box(cube: Cube) -> Box:
+    return Box(((cube.lo, cube.hi),) * cube.dim)
+
+
+def box_contains(box: Box, p: Point) -> bool:
+    if len(p) != box.dim:
+        raise ValueError("dimension mismatch")
+    return all(lo <= x <= hi for x, (lo, hi) in zip(p, box.intervals))
+
+
+def cube_contains(cube: Cube, p: Point) -> bool:
+    return box_contains(cube_box(cube), p)
+
+
+def log_scale(expr: LogExpr, factor) -> LogExpr:
+    f = Fraction(factor)
+    return LogExpr._normalize({a: c * f for a, c in expr.terms})
+
+
+def log_sub(a: LogExpr, b: LogExpr) -> LogExpr:
+    return a + log_scale(b, -1)
+
+
+def dist_maxnorm(x: Point, y: Point) -> Fraction:
+    return max(abs(a - b) for a, b in zip(x, y))
+
+
+class BowenDistance(NamedTuple):
+    """Exact Bowen distance under the max norm.
+
+    `truncated` means one of the orbits escaped before step m, so the max ran
+    over the surviving prefix only.
+    """
+
+    value: Fraction
+    steps: int
+    truncated: bool
+
+
+def bowen_distance(pamap: PAMap, x: Point, y: Point, m: int) -> BowenDistance:
+    """d_m(x, y) = max over 0 <= i < m of |f^i x - f^i y|, stepping both
+    points pair by pair: the naive oracle for `estimators.orbits_separate`."""
+    if m < 1:
+        raise ValueError("bowen_distance needs m >= 1")
+    if len(x) != pamap.ambient.dim or len(y) != pamap.ambient.dim:
+        raise ValueError("point dimension differs from ambient cube")
+    best = dist_maxnorm(x, y)
+    cx, cy = x, y
+    steps = 1
+    truncated = False
+    for _ in range(m - 1):
+        cx = pamap.apply(cx)
+        cy = pamap.apply(cy)
+        if cx is ESCAPED or cy is ESCAPED:
+            truncated = True
+            break
+        d = dist_maxnorm(cx, cy)
+        if d > best:
+            best = d
+        steps += 1
+    return BowenDistance(best, steps, truncated)
+
+
+def leg_for_strip(h: HorseshoeMap, l: int) -> tuple[int, ...]:
+    if l not in h.leg_of:
+        raise KeyError(f"strip {l} is not assigned")
+    return h.leg_of[l]
+
+
+def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
+    """Box of points whose unsquared itinerary visits the given odd strips."""
+    box = h.grid.strip_box(word[-1])
+    for l in word[:-1]:
+        leg_for_strip(h, l)  # KeyError: an even strip has no image
+    return Box((h.word_interval(word),) + box.intervals[1:])
+
+
+def enlarged_box(cube: Cube) -> Box:
+    """The cube fattened by MARGIN * side per face, clipped to [0, 1]^n."""
+    pad = cube.side * MARGIN
+    ivs = []
+    for lo, hi in cube_box(cube).intervals:
+        ivs.append((max(Fraction(0), lo - pad), min(Fraction(1), hi + pad)))
+    return Box(tuple(ivs))

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from mmdim.constructions import IdentitySystem, StackedSystem
 from mmdim.mapping import ESCAPED
+from oracles import cube_contains
 
 HALF = Fraction(1, 2)
 
@@ -41,7 +42,7 @@ def apply_system(system, p):
         return p
     if isinstance(system, StackedSystem):
         for block in system.blocks:
-            if block.cube.contains(p):
+            if cube_contains(block.cube, p):
                 return block.geometry().pamap.apply(p) if block.active else p
         return p
     for lower, half in ((True, system.lower), (False, system.upper)):

@@ -20,7 +20,6 @@ from mmdim.constructions import (
     Schedule,
     build_stacked,
     build_two_block,
-    enlarged_box,
     solve_rate,
 )
 from mmdim.estimators import (
@@ -30,16 +29,10 @@ from mmdim.estimators import (
     growth_rate,
     mdim_numeric_profile,
 )
-from mmdim.geometry import Box, Cube, find_interior_overlap
+from mmdim.geometry import find_interior_overlap
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
-from mmdim.metrics import bowen_distance
-from mmdim.symbolic import (
-    EpsSchedule,
-    enumerate_cylinders,
-    extrapolate,
-    rate_profile,
-    strip_word_box,
-)
+from mmdim.symbolic import _eps_log_inv, enumerate_cylinders, extrapolate, rate_profile
+from oracles import bowen_distance, box_of, cube_of, enlarged_box, strip_word_box
 
 F = Fraction
 
@@ -207,7 +200,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     # round-trip validation across leg counts and dimensions, and the five
     # canonical mutants each tripping the checks named for their defect
     for L, n in itertools.product((3, 5, 9), (2, 3)):
-        report = validate_horseshoe(build_horseshoe(Cube.of(0, 1, n), L))
+        report = validate_horseshoe(build_horseshoe(cube_of(0, 1, n), L))
         assert report.passed, f"L={L} n={n}: {report.failures()}"
         assert len(report.checks) == 10
     for name, (builder, expected_failures) in MUTANTS.items():
@@ -261,7 +254,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     for system in systems:
         enlargements = [enlarged_box(b.cube) for b in system.blocks]
         assert find_interior_overlap(enlargements) is None
-        unit = Box.of(*(((0, 1),) * system.n))
+        unit = box_of(*(((0, 1),) * system.n))
         for box in enlargements:
             assert unit.intersect(box) == box  # inside the unit cube
 
@@ -269,7 +262,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     for system in (geometric_system, build_stacked(Schedule.quadratic(1), 2, 1)):
         row = mdim_numeric_profile(system, 1, m_max=2)
         assert row.error is None and row.active
-        at_eps = row.rate / EpsSchedule(system.schedule).log_inv(row.k).to_float()
+        at_eps = row.rate / _eps_log_inv(system.schedule, row.k).to_float()
         assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
     for system in systems + [two]:
         for row in rate_profile(system, range(1, 41)):

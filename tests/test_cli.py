@@ -541,7 +541,7 @@ class TestUnwritableOutput:
         assert result.stdout == ""
 
 
-SCAN_ONLY_MODULES = {"mpmath", "mmdim.estimators", "mmdim.metrics"}
+SCAN_ONLY_MODULES = {"mpmath", "mmdim.estimators"}
 # only validate and estimate build a horseshoe
 GEOMETRY_MODULES = {"mmdim.horseshoe", "mmdim.mapping"}
 
@@ -576,7 +576,13 @@ class TestImports:
             assert "mmdim.symbolic" in loaded, command
             assert not loaded & SCAN_ONLY_MODULES, command
         # the listing sees a module loaded inside a command
-        assert {"mmdim.estimators", "mmdim.metrics"} <= loaded_modules["estimate"]
+        assert "mmdim.estimators" in loaded_modules["estimate"]
+
+    def test_no_command_loads_a_metrics_module(self, loaded_modules):
+        # orbits_separate, the one function mmdim.metrics held, is in estimators
+        assert len(loaded_modules) == 5
+        for command, loaded in loaded_modules.items():
+            assert "mmdim.metrics" not in loaded, command
 
     def test_symbolic_commands_load_no_geometry_layers(self, loaded_modules):
         # compiling horseshoe and mapping cost each symbolic command about 8 ms

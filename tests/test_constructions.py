@@ -15,13 +15,13 @@ from mmdim.constructions import (
     UnmaterializedBlockError,
     build_stacked,
     build_two_block,
-    enlarged_box,
     place_cubes,
     solve_rate,
 )
-from mmdim.geometry import Box, Cube, find_interior_overlap
+from mmdim.geometry import find_interior_overlap
 from mmdim.mapping import ESCAPED
 
+from oracles import box_of, cube_box, cube_of, enlarged_box
 from system_maps import apply_system
 
 F = Fraction
@@ -181,15 +181,15 @@ class TestPlaceCubes:
 
 class TestEnlargedBox:
     def test_interior_cube(self):
-        box = enlarged_box(Cube.of(F(2, 3), F(7, 9), 2))
+        box = enlarged_box(cube_of(F(2, 3), F(7, 9), 2))
         pad = F(1, 9) / 10
-        assert box == Box.of(
+        assert box == box_of(
             (F(2, 3) - pad, F(7, 9) + pad), (F(2, 3) - pad, F(7, 9) + pad)
         )
 
     def test_clipped_at_ambient_boundary(self):
-        box = enlarged_box(Cube.of(0, F(1, 3), 2))
-        assert box == Box.of((0, F(1, 3) + F(1, 30)), (0, F(1, 3) + F(1, 30)))
+        box = enlarged_box(cube_of(0, F(1, 3), 2))
+        assert box == box_of((0, F(1, 3) + F(1, 30)), (0, F(1, 3) + F(1, 30)))
 
 
 class TestBuildStacked:
@@ -199,8 +199,8 @@ class TestBuildStacked:
         assert sys.n == 2 and sys.k_max == 3
         assert len(sys.blocks) == 3
         b1, b2 = sys.block(1), sys.block(2)
-        assert b1.cube == Cube.of(0, F(1, 3), 2)
-        assert b2.cube == Cube.of(F(2, 3), F(2, 3) + F(1, 9), 2)
+        assert b1.cube == cube_of(0, F(1, 3), 2)
+        assert b2.cube == cube_of(F(2, 3), F(2, 3) + F(1, 9), 2)
         assert (b1.L, b2.L) == (3, 9)
         assert b1.eps == F(1, 15)
         assert b2.eps == F(1, 9) / 17
@@ -233,12 +233,12 @@ class TestBuildStacked:
     def test_apply_inactive_block_is_identity(self):
         sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
         sys = build_stacked(sched, 2, 2)
-        p = sys.block(2).cube.box().center()
+        p = cube_box(sys.block(2).cube).center()
         assert apply_system(sys, p) == p
 
     def test_apply_unmaterialized_active_block_raises(self):
         sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
-        p = sys.block(11).cube.box().center()
+        p = cube_box(sys.block(11).cube).center()
         with pytest.raises(UnmaterializedBlockError):
             apply_system(sys, p)
 
@@ -266,7 +266,7 @@ class TestBuildStacked:
         sys = build_stacked(sched, n, 8)
         enlargements = [enlarged_box(b.cube) for b in sys.blocks]
         assert find_interior_overlap(enlargements) is None
-        unit = Box.of(*(((0, 1),) * n))
+        unit = box_of(*(((0, 1),) * n))
         for box in enlargements:
             assert unit.intersect(box) == box  # inside the unit cube
 

@@ -21,19 +21,18 @@ from mmdim.estimators import (
     growth_rate,
     mdim_numeric_profile,
 )
-from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import AffinePiece, PAMap
-from mmdim.metrics import bowen_distance
 from mmdim.specfile import SystemSpec, build_system
-from mmdim.symbolic import EpsSchedule, rate_profile
+from mmdim.symbolic import _eps_log_inv, rate_profile
+from oracles import bowen_distance, box_of, cube_box, cube_of
 
 F = Fraction
 
 
 def identity_pamap(dim=2) -> PAMap:
-    box = Box.of(*(((0, 1),) * dim))
-    return PAMap(Cube.of(0, 1, dim), (AffinePiece(box, (F(1),) * dim, (F(0),) * dim),))
+    box = box_of(*(((0, 1),) * dim))
+    return PAMap(cube_of(0, 1, dim), (AffinePiece(box, (F(1),) * dim, (F(0),) * dim),))
 
 
 def naive_greedy(pamap, seeds, m, eps):
@@ -60,7 +59,7 @@ SCAN_MAPS = {
 def scan_maps():
     out = {}
     for name, (lo, hi, dim, legs, squared) in SCAN_MAPS.items():
-        h = build_horseshoe(Cube.of(lo, hi, dim), legs)
+        h = build_horseshoe(cube_of(lo, hi, dim), legs)
         out[name] = (square(h) if squared else h.pamap, h.grid)
     return out
 
@@ -124,7 +123,7 @@ class TestCylinderCenters:
         seeds = cylinder_centers(block.geometry(), 1, 2)
         for p in seeds.points:
             assert all(
-                lo < x < hi for x, (lo, hi) in zip(p, block.cube.box().intervals)
+                lo < x < hi for x, (lo, hi) in zip(p, cube_box(block.cube).intervals)
             )
 
     def test_duplicate_centers_raise(self, geometric_system, monkeypatch):
@@ -160,7 +159,7 @@ class TestCylinderCenters:
 
 @pytest.fixture(scope="module")
 def sq_unit():
-    return square(build_horseshoe(Cube.of(0, 1, 2), 3))
+    return square(build_horseshoe(cube_of(0, 1, 2), 3))
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +339,7 @@ class TestNumericProfile:
         assert row.error is None
         assert row.counts == {1: 9, 2: 81, 3: 729}
         assert abs(row.ratio - bound.lower_ratio()) <= 1e-9
-        at_eps = row.rate / EpsSchedule(geometric_system.schedule).log_inv(1).to_float()
+        at_eps = row.rate / _eps_log_inv(geometric_system.schedule, 1).to_float()
         assert at_eps == pytest.approx(2 * math.log(3) / math.log(15), abs=1e-12)
         assert row.eps_exact == F(1, 15)
 
@@ -374,7 +373,7 @@ class TestNumericProfile:
 
     def test_ratio_bounded_by_dimension(self, geometric_system):
         row = mdim_numeric_profile(geometric_system, 1, m_max=2)
-        at_eps = row.rate / EpsSchedule(geometric_system.schedule).log_inv(row.k).to_float()
+        at_eps = row.rate / _eps_log_inv(geometric_system.schedule, row.k).to_float()
         assert row.ratio <= geometric_system.n
         assert at_eps <= geometric_system.n
 

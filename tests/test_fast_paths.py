@@ -12,12 +12,18 @@ from hypothesis import given, settings, strategies as st
 from test_estimators import naive_greedy
 
 from mmdim.constructions import Schedule, build_stacked, build_two_block
-from mmdim.estimators import SeedSet, _to_lattice, cylinder_centers, greedy_separated
+from mmdim.estimators import (
+    SeedSet,
+    _to_lattice,
+    cylinder_centers,
+    greedy_separated,
+    orbits_separate,
+)
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.metrics import orbits_separate
-from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders, strip_word_box
+from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
+from oracles import box_contains, box_of, cube_of, strip_word_box
 
 F = Fraction
 
@@ -25,7 +31,7 @@ F = Fraction
 def scan_piece_for(ordered, p):
     """Oracle: the first piece, in lexicographic domain order, containing p."""
     for piece in ordered:
-        if piece.domain.contains(p):
+        if box_contains(piece.domain, p):
             return piece
     return None
 
@@ -42,7 +48,7 @@ def scan_orbit(ordered, p, steps):
 def _grid_piece(ivs, k):
     scale = tuple(F(k + 2, 3) * (-1) ** (k + i) for i in range(len(ivs)))
     offset = tuple(F(i - k, 5) for i in range(len(ivs)))
-    return AffinePiece(Box.of(*ivs), scale, offset)
+    return AffinePiece(box_of(*ivs), scale, offset)
 
 
 def hand_built_maps():
@@ -62,7 +68,7 @@ def hand_built_maps():
                         ("degenerate", degenerate), ("3d", cube_3d)]:
         dim = len(boxes[0])
         pieces = tuple(_grid_piece(ivs, k) for k, ivs in enumerate(boxes))
-        out[name] = PAMap(Cube.of(0, 1, dim), pieces)
+        out[name] = PAMap(cube_of(0, 1, dim), pieces)
     return out
 
 
@@ -71,7 +77,7 @@ def lookup_maps():
     maps = hand_built_maps()
     for n in (2, 3):
         for L in (3, 5):
-            cube = Cube.of(0, 1, n) if n == 2 else Cube.of(F(-1, 2), F(2, 3), n)
+            cube = cube_of(0, 1, n) if n == 2 else cube_of(F(-1, 2), F(2, 3), n)
             hs = build_horseshoe(cube, L)
             maps[f"h n={n} L={L}"] = hs.pamap
             maps[f"square n={n} L={L}"] = square(hs)
@@ -124,8 +130,8 @@ class TestIndexedLookup:
 
     def test_transverse_miss_escapes(self):
         # the first coordinate picks the slot; the other axes still decide
-        piece = AffinePiece(Box.of((0, F(1, 3)), (0, F(1, 2))), (F(1), F(1)), (F(0), F(0)))
-        pamap = PAMap(Cube.of(0, 1, 2), (piece,))
+        piece = AffinePiece(box_of((0, F(1, 3)), (0, F(1, 2))), (F(1), F(1)), (F(0), F(0)))
+        pamap = PAMap(cube_of(0, 1, 2), (piece,))
         for x in (F(0), F(1, 6), F(1, 3)):
             assert pamap.piece_for((x, F(1, 2))) is piece
             assert pamap.piece_for((x, F(3, 4))) is None
@@ -134,7 +140,7 @@ class TestIndexedLookup:
     def test_ties_go_to_the_smallest_piece(self):
         pamap = hand_built_maps()["2x2 grid"]
         centre = pamap.piece_for((F(1, 2), F(1, 2)))
-        assert centre.domain == Box.of((0, F(1, 2)), (0, F(1, 2)))
+        assert centre.domain == box_of((0, F(1, 2)), (0, F(1, 2)))
 
     def test_wrong_dimension_rejected(self):
         pamap = hand_built_maps()["2x2 grid"]
@@ -321,7 +327,7 @@ class TestOneDenominatorArithmetic:
     @given(st.lists(st.tuples(rationals, rationals, rationals.filter(bool)), min_size=1, max_size=3))
     def test_apply_point_matches_fraction_arithmetic(self, axes):
         p, offset, scale = zip(*axes)
-        piece = AffinePiece(Box.of(*[(-3, 3)] * len(axes)), scale, offset)
+        piece = AffinePiece(box_of(*[(-3, 3)] * len(axes)), scale, offset)
         assert piece.apply_point(p) == tuple(o + s * x for x, o, s in axes)
 
     @settings(max_examples=300, deadline=None)
@@ -365,7 +371,7 @@ TRIE_SCAN_MAPS = {
 def scan_map(name):
     """(map, horseshoe) of a `TRIE_SCAN_MAPS` entry, with L = 3."""
     lo, hi, n, squared = TRIE_SCAN_MAPS[name]
-    h = build_horseshoe(Cube.of(lo, hi, n), 3)
+    h = build_horseshoe(cube_of(lo, hi, n), 3)
     return (square(h) if squared else h.pamap), h
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmdim.mapping import ESCAPED
-from mmdim.estimators import SeedSet, greedy_separated
-from mmdim.metrics import bowen_distance, dist_maxnorm, orbits_separate
+from mmdim.estimators import SeedSet, greedy_separated, orbits_separate
+from oracles import bowen_distance, dist_maxnorm
 
 F = Fraction
 

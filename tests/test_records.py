@@ -19,9 +19,10 @@ from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe
 from mmdim.mapping import AffinePiece, PAMap
 from mmdim.symbolic import CylinderCode
+from oracles import box_of, cube_of
 
 F = Fraction
-UNIT = Box.of((0, 1), (0, 1))
+UNIT = box_of((0, 1), (0, 1))
 
 INVALID = [
     (lambda: Box(((F(0), F(1)), (F(1, 2), F(1, 3)))), ValueError, "inverted interval [1/2, 1/3]"),
@@ -31,9 +32,9 @@ INVALID = [
     (lambda: AffinePiece(UNIT, (F(1),), (F(0), F(0))), ValueError, "piece dimensions disagree"),
     (lambda: AffinePiece(UNIT, (F(1), F(0)), (F(0), F(0))), ValueError,
      "piece scales must be nonzero"),
-    (lambda: PAMap(Cube.of(0, 1, 3), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),)),
+    (lambda: PAMap(cube_of(0, 1, 3), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),)),
      ValueError, "piece dimension differs from ambient cube"),
-    (lambda: PAMap(Cube.of(0, 1, 2), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),) * 2),
+    (lambda: PAMap(cube_of(0, 1, 2), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),) * 2),
      ValueError, "piece domains 0 and 1 have overlapping interiors"),
     (lambda: Schedule("cubic", F(1)), ScheduleError, "unknown schedule kind 'cubic'"),
     (lambda: Schedule("geometric", F(0), F(1)), ScheduleError, "B must be positive"),
@@ -66,15 +67,15 @@ def test_validated_constructors_raise(make, error, message):
 
 
 def test_records_keep_value_semantics():
-    cube = Cube.of(0, 1, 2)
+    cube = cube_of(0, 1, 2)
     assert repr(cube) == "Cube(lo=Fraction(0, 1), hi=Fraction(1, 1), dim=2)"
-    assert cube == Cube(lo=F(0), hi=F(1), dim=2) and hash(cube) == hash(Cube.of(0, 1, 2))
+    assert cube == Cube(lo=F(0), hi=F(1), dim=2) and hash(cube) == hash(cube_of(0, 1, 2))
     with pytest.raises(AttributeError):
         cube.lo = F(1, 2)
 
 
 def test_caches_take_no_part_in_equality():
-    h, fresh = build_horseshoe(Cube.of(0, 1, 2), 3), build_horseshoe(Cube.of(0, 1, 2), 3)
+    h, fresh = build_horseshoe(cube_of(0, 1, 2), 3), build_horseshoe(cube_of(0, 1, 2), 3)
     assert h.cube.side == 1 and h.leg_of and h.strip_of
     assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
     assert set(vars(h)) == {"leg_of", "strip_of"} and vars(fresh) == {}

@@ -20,24 +20,24 @@ from mmdim.constructions import (
 )
 from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
-from mmdim.metrics import bowen_distance
 from mmdim.symbolic import (
     CylinderCode,
-    EpsSchedule,
     LogExpr,
     RateBound,
     WORKING_DPS,
+    _eps_log_inv,
     _ln,
     _selected_strip_indices,
     analytic_targets,
     cylinder_geometry,
     enumerate_cylinders,
+    eps_exact,
     extrapolate,
     log_ratio,
     rate_profile,
-    strip_word_box,
 )
 from mmdim.geometry import find_interior_overlap
+from oracles import bowen_distance, box_contains, cube_of, log_scale, log_sub, strip_word_box
 
 F = Fraction
 
@@ -52,20 +52,20 @@ class TestLogExpr:
         assert abs(e.to_float() - 3 * math.log(3)) < 1e-14
 
     def test_subtraction_cancels(self):
-        assert (LogExpr.of(5) - LogExpr.of(5)).is_zero
+        assert log_sub(LogExpr.of(5), LogExpr.of(5)).is_zero
 
     def test_rational_argument(self):
         e = LogExpr.of_rational(F(2, 3))
         assert abs(e.to_float() - math.log(2 / 3)) < 1e-15
-        assert LogExpr.of_rational(F(2, 3), -1) == LogExpr.of(3) - LogExpr.of(2)
+        assert LogExpr.of_rational(F(2, 3), -1) == log_sub(LogExpr.of(3), LogExpr.of(2))
 
     def test_log_of_one_is_zero(self):
         assert LogExpr.of(1).is_zero
         assert LogExpr.of_rational(F(1)).is_zero
 
     def test_scale(self):
-        assert LogExpr.of(3).scale(F(1, 2)) == LogExpr.of(3, F(1, 2))
-        assert LogExpr.of(3).scale(0).is_zero
+        assert log_scale(LogExpr.of(3), F(1, 2)) == LogExpr.of(3, F(1, 2))
+        assert log_scale(LogExpr.of(3), 0).is_zero
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,8 @@ def log_exprs(draw, positive=False):
         expr = expr + LogExpr.of(draw(LOG_ARGS), draw(coefficients))
     if not positive and draw(st.booleans()):
         a, b = draw(LOG_ARGS), draw(LOG_ARGS)
-        expr = expr + (LogExpr.of(a * b) - LogExpr.of(a) - LogExpr.of(b)).scale(draw(coefficients))
+        zero = log_sub(log_sub(LogExpr.of(a * b), LogExpr.of(a)), LogExpr.of(b))
+        expr = expr + log_scale(zero, draw(coefficients))
     return expr
 
 
@@ -134,8 +135,8 @@ class TestDecimalAgainstMpmath:
 
     @settings(max_examples=200, deadline=None)
     @given(log_exprs())
-    @example(LogExpr.of(6) - LogExpr.of(2) - LogExpr.of(3))
-    @example(LogExpr.of(2 * 3**4000 - 1) - LogExpr.of(3, 4000) - LogExpr.of(2))
+    @example(log_sub(log_sub(LogExpr.of(6), LogExpr.of(2)), LogExpr.of(3)))
+    @example(log_sub(log_sub(LogExpr.of(2 * 3**4000 - 1), LogExpr.of(3, 4000)), LogExpr.of(2)))
     def test_to_float(self, expr):
         with mpmath.workdps(60):
             exact = oracle(expr)
@@ -146,7 +147,7 @@ class TestDecimalAgainstMpmath:
 
     @settings(max_examples=200, deadline=None)
     @given(log_exprs(), log_exprs(positive=True))
-    @example(LogExpr.of(6) - LogExpr.of(2) - LogExpr.of(3), LogExpr.of(3))
+    @example(log_sub(log_sub(LogExpr.of(6), LogExpr.of(2)), LogExpr.of(3)), LogExpr.of(3))
     def test_log_ratio(self, num, den):
         with mpmath.workdps(60):
             exact = oracle(num) / oracle(den)
@@ -161,7 +162,7 @@ class TestDecimalAgainstMpmath:
     @settings(max_examples=200, deadline=None)
     @given(log_exprs())
     @example(LogExpr.of(2 * 3**4000 - 1) + LogExpr.of(3, 4000))
-    @example(LogExpr.of(6) - LogExpr.of(2) - LogExpr.of(3))
+    @example(log_sub(log_sub(LogExpr.of(6), LogExpr.of(2)), LogExpr.of(3)))
     def test_eps_float(self, log_inv):
         z = LogExpr.zero()
         bound = RateBound(1, True, z, z, z, None, log_inv)
@@ -188,33 +189,32 @@ class TestDecimalAgainstMpmath:
 
 class TestEpsSchedule:
     def test_geometric_values(self):
-        eps = EpsSchedule(Schedule.geometric(1, 1))
-        assert eps.exact(1) == F(1, 15)
-        assert eps.exact(2) == F(1, 153)
-        vals = [eps.exact(k) for k in range(1, 9)]
+        sched = Schedule.geometric(1, 1)
+        assert eps_exact(sched, 1) == F(1, 15)
+        assert eps_exact(sched, 2) == F(1, 153)
+        vals = [eps_exact(sched, k) for k in range(1, 9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_quadratic_values(self):
         # B = 1 exceeds the packing cap, so eps uses the placed B = 500/987
-        eps = EpsSchedule(Schedule.quadratic(1))
-        assert eps.exact(2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
-        assert eps.log_inv(2) == (
+        sched = Schedule.quadratic(1)
+        assert eps_exact(sched, 2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
+        assert _eps_log_inv(sched, 2) == (
             LogExpr.of(17) + LogExpr.of(2, 2) + LogExpr.of_rational(1 / QUADRATIC_SIZE_CAP)
         )
 
     def test_log_inv_matches_exact(self):
         for sched in [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2))]:
-            eps = EpsSchedule(sched)
             for k in (1, 2, 5):
                 with mpmath.workdps(WORKING_DPS):
-                    approx = float(mpmath.exp(-eps.log_inv(k).eval()))
-                assert abs(approx - float(eps.exact(k))) < 1e-17
+                    approx = float(mpmath.exp(-_eps_log_inv(sched, k).eval()))
+                assert abs(approx - float(eps_exact(sched, k))) < 1e-17
 
     def test_irrational_sizes_have_no_exact_value(self):
-        eps = EpsSchedule(Schedule.geometric(1, F(1, 2)))
-        assert eps.exact(1) is None
+        sched = Schedule.geometric(1, F(1, 2))
+        assert eps_exact(sched, 1) is None
         # the log form needs no radicals: |ln eps_1| = ln 5 + (1/2) ln 3
-        assert eps.log_inv(1) == LogExpr.of(5) + LogExpr.of(3, F(1, 2))
+        assert _eps_log_inv(sched, 1) == LogExpr.of(5) + LogExpr.of(3, F(1, 2))
 
     def test_profile_eps_is_the_block_eps(self):
         # every block's eps_k is one number: the profile's exact and log
@@ -251,11 +251,10 @@ class TestSelectedStrips:
         # at least eps = side/(2L - 1) edge to edge, so their centers are
         # strictly separated
         from mmdim.horseshoe import subdivide
-        from mmdim.geometry import Cube
 
         for L in (3, 5, 7):
             for n in (2, 3):
-                grid = subdivide(Cube.of(0, 1, n), L)
+                grid = subdivide(cube_of(0, 1, n), L)
                 chosen = _selected_strip_indices(L, n)
                 assert len(chosen) == L and chosen[-1] <= grid.strip_count
                 eps = F(1, 2 * L - 1)
@@ -279,7 +278,7 @@ def follows_itinerary(h, sq, code, p) -> bool:
         if cur is ESCAPED:
             return False
         cell = grid.strip_box(l).intersect(grid.leg_box(leg))
-        if not cell.contains(cur):
+        if not box_contains(cell, cur):
             return False
         cur = sq.apply(cur)
     return True
