@@ -39,8 +39,8 @@ class Box(_BoxFields):
     __slots__ = ()
 
     def __new__(cls, intervals):
-        for lo, hi in intervals:
-            if lo > hi:
+        for lo, hi in intervals:  # lo > hi, without building Fractions
+            if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
         return tuple.__new__(cls, (intervals,))
 

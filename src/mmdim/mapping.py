@@ -9,8 +9,10 @@ every piece domain (and points already outside) go to the absorbing
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import Box, Cube, Point, find_interior_overlap
@@ -43,8 +45,6 @@ class AffinePiece(_PieceFields):
     nonzero so every piece is invertible.
     """
 
-    __slots__ = ()
-
     def __new__(cls, domain, scale, offset):
         if not (domain.dim == len(scale) == len(offset)):
             raise ValueError("piece dimensions disagree")
@@ -52,11 +52,16 @@ class AffinePiece(_PieceFields):
             raise ValueError("piece scales must be nonzero")
         return tuple.__new__(cls, (domain, scale, offset))
 
+    @cached_property
+    def _coefficients(self) -> tuple[tuple[int, int, int], ...]:
+        # (o.n s.d, s.n o.d, o.d s.d) per axis, read once per piece
+        return tuple((o.numerator * s.denominator, s.numerator * o.denominator,
+                      o.denominator * s.denominator) for s, o in zip(self.scale, self.offset))
+
     def apply_point(self, p: Point) -> Point:
         # o + s x over the one denominator o.d s.d x.d, normalized once
-        return tuple(Fraction(o.numerator * (d := s.denominator * x.denominator)
-                              + s.numerator * x.numerator * o.denominator, o.denominator * d)
-                     for x, s, o in zip(p, self.scale, self.offset))
+        return tuple(Fraction(a * x.denominator + b * x.numerator, c * x.denominator)
+                     for x, (a, b, c) in zip(p, self._coefficients))
 
     def map_box(self, box: Box) -> Box:
         """Exact affine image of an arbitrary box (not clipped to the domain)."""
@@ -75,10 +80,6 @@ class AffinePiece(_PieceFields):
         return AffinePiece(domain, scale, offset)
 
 
-def _piece_sort_key(piece: AffinePiece):
-    return tuple(piece.domain.intervals)
-
-
 class _PAMapFields(NamedTuple):
     ambient: Cube
     pieces: tuple[AffinePiece, ...]
@@ -87,12 +88,14 @@ class _PAMapFields(NamedTuple):
 class PAMap(_PAMapFields):
     """Piecewise-affine map with escape outside the piece domains.
 
-    Pieces are kept sorted by domain so that a point on a shared boundary is
-    resolved to the lexicographically smallest piece, deterministically.  A
-    point's candidates are indexed by its first coordinate: the distinct
-    first-axis endpoints of the domains are the cuts, and slot 2i + 1 holds
-    the pieces containing cut i, slot 2i those containing the open gap just
-    below it, each in sorted order; the index takes no part in equality.
+    A point on a shared boundary is resolved to the lexicographically
+    smallest domain containing it, deterministically.  A point's candidates
+    are indexed by its first coordinate on the lattice of one denominator D,
+    the lcm of every domain end's: the distinct first-axis ends times D are
+    the integer cuts, and slot 2i + 1 holds the pieces containing cut i, slot
+    2i those containing the open gap just below it, smallest domain first,
+    each beside its transverse bounds times D (one tuple per distinct
+    bounds); the index takes no part in equality.
     """
 
     def __new__(cls, ambient, pieces):
@@ -104,29 +107,49 @@ class PAMap(_PAMapFields):
             i, j = hit
             raise ValueError(f"piece domains {i} and {j} have overlapping interiors")
         self = tuple.__new__(cls, (ambient, pieces))
-        ordered = sorted(pieces, key=_piece_sort_key)
-        ends = [x for piece in ordered for x in piece.domain.intervals[0]]
+        den = math.lcm(*{x.denominator for p in pieces for iv in p.domain.intervals for x in iv})
+        ends = [x.numerator * (den // x.denominator)
+                for p in pieces for x in p.domain.intervals[0]]
         cuts, rank = [], [0] * len(ends)  # slab ends arrive nearly sorted
-        for i in sorted(range(len(ends)), key=ends.__getitem__):
-            if not cuts or cuts[-1] != ends[i]:
-                cuts.append(ends[i])
-            rank[i] = len(cuts) - 1
-        slots: list[list[AffinePiece]] = [[] for _ in range(2 * len(cuts) + 1)]
-        for i, piece in enumerate(ordered):
+        for j in sorted(range(len(ends)), key=ends.__getitem__):
+            if not cuts or cuts[-1] != ends[j]:
+                cuts.append(ends[j])
+            rank[j] = len(cuts) - 1
+        slots: list[tuple] = [()] * (2 * len(cuts) + 1)
+        shared, crowded = {}, {}  # distinct bounds; the slots of more than one piece
+        for i, piece in enumerate(pieces):
+            bounds = tuple((a.numerator * (den // a.denominator),
+                            b.numerator * (den // b.denominator))
+                           for a, b in piece.domain.intervals[1:])
+            entry = (piece, shared.setdefault(bounds, bounds))
+            alone = (entry,)  # every slot of a lone piece holds this one tuple
             for j in range(2 * rank[2 * i] + 1, 2 * rank[2 * i + 1] + 2):
-                slots[j].append(piece)
-        self._cuts, self._slots = cuts, slots
+                if slots[j]:
+                    crowded.setdefault(j, list(slots[j])).append(entry)
+                else:
+                    slots[j] = alone
+        # smallest domain first, ties in the given order (the tie rule)
+        for j, entries in crowded.items():
+            slots[j] = tuple(sorted(entries, key=lambda e: e[0].domain.intervals))
+        self._den, self._cuts, self._slots = den, cuts, slots
         return self
 
     def piece_for(self, p: Point) -> AffinePiece | None:
         if len(p) != self.ambient.dim:
             raise ValueError("dimension mismatch")
-        i = bisect_left(self._cuts, p[0])
-        on_cut = i < len(self._cuts) and self._cuts[i] == p[0]
-        # every piece in the slot contains p[0]; the other axes are tested inline
-        for piece in self._slots[2 * i + on_cut]:
-            for x, (lo, hi) in zip(p[1:], piece.domain.intervals[1:]):
-                if not lo <= x <= hi:
+        den, cuts = self._den, self._cuts
+        q, r = divmod(p[0].numerator * den, p[0].denominator)
+        if r:  # p[0] D lies strictly between q and q + 1, so on no cut
+            slot = 2 * bisect_right(cuts, q)
+        else:
+            i = bisect_left(cuts, q)
+            slot = 2 * i + (i < len(cuts) and cuts[i] == q)
+        # every piece in the slot contains p[0]; the other axes are tested
+        # inline as lo x.d <= x.n D <= hi x.d
+        for piece, bounds in self._slots[slot]:
+            for x, (lo, hi) in zip(p[1:], bounds):
+                d = x.denominator
+                if not lo * d <= x.numerator * den <= hi * d:
                     break
             else:
                 return piece
@@ -142,7 +165,7 @@ class PAMap(_PAMapFields):
 
     def orbit(self, p: Point, steps: int) -> list:
         """States [x, f(x), ..., f^steps(x)]; escapes are absorbing."""
-        states = [p]
-        for _ in range(steps):
-            states.append(self.apply(states[-1]))
+        states = [p] * (steps + 1)  # sized once: appends would over-allocate
+        for t in range(steps):
+            states[t + 1] = self.apply(states[t])
         return states

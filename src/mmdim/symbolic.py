@@ -158,11 +158,17 @@ class CylinderCode(_CodeFields):
         if not word:
             raise ValueError("cylinder codes need depth >= 1")
         for l, leg in word:
-            if l % 2 == 0 or l < 1:
-                raise ValueError(f"strip index {l} must be odd and positive")
-            if any(i % 2 == 0 or i < 1 for i in leg):
-                raise ValueError(f"leg index {leg} must be odd and positive")
+            _check_step(l, leg)
         return tuple.__new__(cls, (k, word))
+
+
+@cache
+def _check_step(l: int, leg: tuple[int, ...]) -> None:
+    """Raise on an even or nonpositive index; a bad step raises every time."""
+    if l % 2 == 0 or l < 1:
+        raise ValueError(f"strip index {l} must be odd and positive")
+    if any(i % 2 == 0 or i < 1 for i in leg):
+        raise ValueError(f"leg index {leg} must be odd and positive")
 
 
 def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:

@@ -2,7 +2,6 @@
 
 import csv
 import io
-import json
 import os
 import re
 import subprocess

@@ -4,6 +4,7 @@ they replaced, which are kept here as oracles."""
 
 import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -45,6 +46,11 @@ def scan_orbit(ordered, p, steps):
     return states
 
 
+def fraction_step(piece, p):
+    """Oracle: the piece's image of p by plain `Fraction` arithmetic."""
+    return tuple(o + s * x for x, s, o in zip(p, piece.scale, piece.offset))
+
+
 def _grid_piece(ivs, k):
     scale = tuple(F(k + 2, 3) * (-1) ** (k + i) for i in range(len(ivs)))
     offset = tuple(F(i - k, 5) for i in range(len(ivs)))
@@ -63,13 +69,23 @@ def hand_built_maps():
     degenerate = [[(0, 0), (0, 1)], [(0, h), (0, 1)], [(q, q), (0, 1)], [(1, 1), (0, h)]]
     cube_3d = [[(0, h), (0, 1), (0, h)], [(h, 1), (0, h), (0, h)],
                [(q, 1), (0, 1), (h, 1)], [(h, 1), (h, 1), (0, q)]]
+    # cut denominators 7, 11, 13 and transverse ones 17, 19, 23, pairwise
+    # coprime, so that the map's one denominator is their product
+    coprime = [[(0, F(1, 7)), (0, 1)], [(F(1, 7), F(3, 11)), (F(1, 17), F(16, 19))],
+               [(F(3, 11), F(6, 13)), (F(2, 19), 1)], [(F(3, 11), F(6, 13)), (0, F(1, 23))],
+               [(F(6, 13), 1), (0, 1)]]
     out = {}
     for name, boxes in [("2x2 grid", grid_2x2), ("nested", nested), ("staggered", staggered),
-                        ("degenerate", degenerate), ("3d", cube_3d)]:
+                        ("degenerate", degenerate), ("3d", cube_3d), ("coprime", coprime)]:
         dim = len(boxes[0])
         pieces = tuple(_grid_piece(ivs, k) for k, ivs in enumerate(boxes))
         out[name] = PAMap(cube_of(0, 1, dim), pieces)
     return out
+
+
+# Cubes with non-dyadic corners and sides, so that no endpoint is exact in
+# binary and a wrong denominator cannot cancel out; the first has lo < 0.
+NON_DYADIC_CUBES = [(F(-2, 7), F(5, 3)), (F(1, 3), F(4, 5)), (F(3, 10), F(19, 11))]
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +97,10 @@ def lookup_maps():
             hs = build_horseshoe(cube, L)
             maps[f"h n={n} L={L}"] = hs.pamap
             maps[f"square n={n} L={L}"] = square(hs)
+        for lo, hi in NON_DYADIC_CUBES:
+            hs = horseshoe_on(lo, hi, n, 3)
+            maps[f"h n={n} L=3 on [{lo}, {hi}]"] = hs.pamap
+            maps[f"square n={n} L=3 on [{lo}, {hi}]"] = square(hs)
     ordered = {name: sorted(m.pieces, key=lambda piece: piece.domain.intervals)
                for name, m in maps.items()}
     return maps, ordered
@@ -88,7 +108,8 @@ def lookup_maps():
 
 def lookup_points(pamap):
     """Random rationals, coordinates on piece faces and on the cube faces,
-    and coordinates just outside the cube."""
+    coordinates just outside the cube, and coordinates within a few units of
+    10^-31 of a face, whose denominators exceed 10^30."""
     lo, hi, dim = pamap.ambient.lo, pamap.ambient.hi, pamap.ambient.dim
     tiny = F(1, 10**9)
     axes = []
@@ -99,13 +120,42 @@ def lookup_points(pamap):
             st.fractions(min_value=lo, max_value=hi, max_denominator=10**6),
             st.sampled_from(faces),
             st.sampled_from([lo, hi, lo - tiny, hi + tiny]),
+            st.builds(lambda face, k, d: face + F(k, d), st.sampled_from(faces),
+                      st.integers(-3, 3), st.integers(10**31, 10**33)),
         ))
     return st.tuples(*axes)
 
 
+NON_DYADIC_LOOKUP_MAPS = [f"{kind} n={n} L=3 on [{lo}, {hi}]" for kind in ("h", "square")
+                          for n in (2, 3) for lo, hi in NON_DYADIC_CUBES]
 ALL_LOOKUP_MAPS = sorted(hand_built_maps()) + [
     f"{kind} n={n} L={L}" for kind in ("h", "square") for n in (2, 3) for L in (3, 5)
-]
+] + NON_DYADIC_LOOKUP_MAPS
+# the maps whose every face the lattice test visits: none has over 81 pieces
+LATTICE_MAPS = sorted(hand_built_maps()) + [
+    f"{kind} n={n} L=3" for kind in ("h", "square") for n in (2, 3)
+] + NON_DYADIC_LOOKUP_MAPS
+
+
+def lattice_unit(pamap):
+    """1 / D, D the lcm of the denominators of every domain end."""
+    return F(1, math.lcm(*{x.denominator for p in pamap.pieces
+                           for iv in p.domain.intervals for x in iv}))
+
+
+def face_points(pamap):
+    """For every piece and axis, the piece's center moved onto each end of
+    that axis and one lattice unit either side of it; and every corner of
+    a few pieces, moved by -1, 0 or +1 unit on each axis at once."""
+    u = lattice_unit(pamap)
+    for piece in pamap.pieces:
+        center = piece.domain.center()
+        for axis, (lo, hi) in enumerate(piece.domain.intervals):
+            for x in (lo - u, lo, lo + u, hi - u, hi, hi + u):
+                yield center[:axis] + (x,) + center[axis + 1:]
+    for piece in pamap.pieces[::math.ceil(len(pamap.pieces) / 4)]:
+        yield from itertools.product(*[(lo - u, lo, lo + u, hi - u, hi, hi + u)
+                                       for lo, hi in piece.domain.intervals])
 
 
 class TestIndexedLookup:
@@ -115,8 +165,34 @@ class TestIndexedLookup:
         maps, ordered = lookup_maps
         pamap = maps[name]
         p = data.draw(lookup_points(pamap))
-        assert pamap.piece_for(p) is scan_piece_for(ordered[name], p)
+        piece = scan_piece_for(ordered[name], p)
+        assert pamap.piece_for(p) is piece
+        assert pamap.apply(p) == (ESCAPED if piece is None else fraction_step(piece, p))
         assert pamap.orbit(p, 3) == scan_orbit(ordered[name], p, 3)
+
+    @pytest.mark.parametrize("name", LATTICE_MAPS)
+    def test_on_and_one_lattice_unit_off_every_face(self, lookup_maps, name):
+        # every moved coordinate is on the lattice: on the first axis the
+        # lookup takes its x D integer branch, and on the others a bound test
+        # holds with equality or fails by one unit
+        maps, ordered = lookup_maps
+        pamap = maps[name]
+        for p in face_points(pamap):
+            piece = scan_piece_for(ordered[name], p)
+            assert pamap.piece_for(p) is piece, p
+            assert pamap.apply(p) == (ESCAPED if piece is None else fraction_step(piece, p))
+            assert pamap.orbit(p, 2) == scan_orbit(ordered[name], p, 2)
+
+    def test_coprime_denominators_multiply(self, lookup_maps):
+        maps, ordered = lookup_maps
+        pamap = maps["coprime"]
+        assert pamap._den == 7 * 11 * 13 * 17 * 19 * 23 == 1 / lattice_unit(pamap)
+        # the cut 3/11 and a unit either side of it, at the transverse ends
+        # of the pieces on both sides
+        u = lattice_unit(pamap)
+        for x in (F(3, 11) - u, F(3, 11), F(3, 11) + u):
+            for y in (F(0), F(1, 23), F(1, 23) + u, F(2, 19) - u, F(2, 19), F(16, 19) + u):
+                assert pamap.piece_for((x, y)) is scan_piece_for(ordered["coprime"], (x, y))
 
     def test_every_face_point_of_the_square_map(self, lookup_maps):
         # every first-axis cut of the squared map, at every transverse face
@@ -271,11 +347,6 @@ class TestClosedFormCylinders:
             cylinder_geometry(unit_square_h, code)
 
 
-# Cubes with non-dyadic corners and sides, so that no endpoint is exact in
-# binary and a wrong denominator cannot cancel out.
-NON_DYADIC_CUBES = [(F(-2, 7), F(5, 3)), (F(1, 3), F(4, 5)), (F(3, 10), F(19, 11))]
-
-
 @functools.cache
 def horseshoe_on(lo, hi, n, L):
     return build_horseshoe(Cube(lo, hi, n), L)
@@ -328,7 +399,7 @@ class TestOneDenominatorArithmetic:
     def test_apply_point_matches_fraction_arithmetic(self, axes):
         p, offset, scale = zip(*axes)
         piece = AffinePiece(box_of(*[(-3, 3)] * len(axes)), scale, offset)
-        assert piece.apply_point(p) == tuple(o + s * x for x, o, s in axes)
+        assert piece.apply_point(p) == fraction_step(piece, p)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(rationals, rationals).map(sorted), min_size=1, max_size=3))

@@ -26,6 +26,10 @@ UNIT = box_of((0, 1), (0, 1))
 
 INVALID = [
     (lambda: Box(((F(0), F(1)), (F(1, 2), F(1, 3)))), ValueError, "inverted interval [1/2, 1/3]"),
+    (lambda: Box(((F(-1, 2), F(-2, 3)),)), ValueError, "inverted interval [-1/2, -2/3]"),
+    (lambda: Box(((F(0), F(1)), (-1, -2))), ValueError, "inverted interval [-1, -2]"),
+    (lambda: Box(((1, F(1, 2)),)), ValueError, "inverted interval [1, 1/2]"),
+    (lambda: Box(((F(-1, 3), -1),)), ValueError, "inverted interval [-1/3, -1]"),
     (lambda: Cube(F(1), F(1), 2), ValueError, "cube needs lo < hi"),
     (lambda: Cube(F(1), F(0), 2), ValueError, "cube needs lo < hi"),
     (lambda: Cube(F(0), F(1), 0), ValueError, "cube dimension must be positive"),
@@ -66,6 +70,35 @@ def test_validated_constructors_raise(make, error, message):
     assert str(info.value) == message
 
 
+def test_box_keeps_ordered_negative_and_mixed_ends():
+    for intervals in [((F(-2, 3), F(-1, 2)),), ((-1, F(-1, 2)), (F(1, 3), 1)),
+                      ((F(-1, 2), -F(1, 2)),)]:
+        assert Box(intervals).intervals == intervals
+
+
+def test_a_bad_step_raises_each_time_it_is_built():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            CylinderCode(1, ((3, (1,)), (3, (4,))))
+        messages.append(str(info.value))
+    assert messages == ["leg index (4,) must be odd and positive"] * 2
+
+
+def test_a_checked_step_lets_no_bad_step_with_its_strip_through():
+    CylinderCode(1, ((5, (3,)),))  # (5, (3,)) is now checked
+    with pytest.raises(ValueError) as info:
+        CylinderCode(1, ((5, (3,)), (5, (2,))))
+    assert str(info.value) == "leg index (2,) must be odd and positive"
+    with pytest.raises(ValueError) as info:
+        CylinderCode(1, ((5, (3,)), (5, (3, 0))))
+    assert str(info.value) == "leg index (3, 0) must be odd and positive"
+    CylinderCode(1, ((3, (5,)),))
+    with pytest.raises(ValueError) as info:
+        CylinderCode(1, ((3, (5,)), (4, (5,))))
+    assert str(info.value) == "strip index 4 must be odd and positive"
+
+
 def test_records_keep_value_semantics():
     cube = cube_of(0, 1, 2)
     assert repr(cube) == "Cube(lo=Fraction(0, 1), hi=Fraction(1, 1), dim=2)"
@@ -79,6 +112,10 @@ def test_caches_take_no_part_in_equality():
     assert h.cube.side == 1 and h.leg_of and h.strip_of
     assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
     assert set(vars(h)) == {"leg_of", "strip_of"} and vars(fresh) == {}
+    piece = h.pamap.piece_for(h.pamap.pieces[0].domain.center())
+    piece.apply_point(piece.domain.center())
+    assert set(vars(piece)) == {"_coefficients"} and vars(fresh.pamap.pieces[0]) == {}
+    assert piece == fresh.pamap.pieces[0] and hash(piece) == hash(fresh.pamap.pieces[0])
 
 
 @pytest.mark.parametrize("beta,direct", [

@@ -3,7 +3,6 @@
 import copy
 import csv
 import io
-import json
 import re
 import time
 from fractions import Fraction
@@ -21,7 +20,6 @@ from mmdim.constructions import (
 from mmdim.estimators import NumericRateRow, mdim_numeric_profile
 from mmdim.specfile import (
     PROFILE_COLUMNS,
-    SYSTEM_FORMAT,
     SpecFileError,
     SystemSpec,
     build_system,
