@@ -39,7 +39,7 @@ class Box(_BoxFields):
     __slots__ = ()
 
     def __new__(cls, intervals):
-        for lo, hi in intervals:  # lo > hi, without building Fractions
+        for lo, hi in intervals:  # lo > hi, as integer cross products
             if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
         return tuple.__new__(cls, (intervals,))

@@ -111,10 +111,10 @@ class PAMap(_PAMapFields):
         ends = [x.numerator * (den // x.denominator)
                 for p in pieces for x in p.domain.intervals[0]]
         cuts, rank = [], [0] * len(ends)  # slab ends arrive nearly sorted
-        for j in sorted(range(len(ends)), key=ends.__getitem__):
-            if not cuts or cuts[-1] != ends[j]:
-                cuts.append(ends[j])
-            rank[j] = len(cuts) - 1
+        for i in sorted(range(len(ends)), key=ends.__getitem__):
+            if not cuts or cuts[-1] != ends[i]:
+                cuts.append(ends[i])
+            rank[i] = len(cuts) - 1
         slots: list[tuple] = [()] * (2 * len(cuts) + 1)
         shared, crowded = {}, {}  # distinct bounds; the slots of more than one piece
         for i, piece in enumerate(pieces):
