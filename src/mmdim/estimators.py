@@ -6,19 +6,21 @@ iterate that already separates it.  Two points separate at (m, eps) when
 their Bowen distance, max over 0 <= i < m of the max-norm distance of
 f^i x and f^i y, exceeds eps.
 
-The scan works on an integer lattice: every orbit state and eps are
-multiplied by one common denominator, the lcm of eps's and of every state
-coordinate's, so each coordinate and the threshold become exact integers
-and each comparison is an `int` subtraction deciding what the `Fraction`
-one decided.  Kept points are filed in a trie (a cell list, Bentley, Stanat
-& Williams, IPL 1977, one level per axis per step) keyed by their cells
-`x // threshold` on every axis at each of the first t* steps, t* being the
-number of leading states in which no orbit has escaped.  Two points that are
-not separated are within the threshold at each of those steps, so their
-cells differ by at most 1 at every level; a seed walks the trie keeping the
-children c - 1, c and c + 1 of its own cell c, and is compared only with the
-kept points in the leaves it reaches.  Every point that could reject it is
-among them, so the kept set is the one the all-pairs scan keeps.
+The scan works on an integer lattice fixed before it starts.  The seeds are
+integer numerators over one denominator den; with g = lcm(den, eps's
+denominator), every orbit is stepped on integers over g S^t, S the map's
+step denominator, and handed back over g S^(m-1), where eps is the integer
+threshold eps g S^(m-1).  Each comparison is then an `int` subtraction
+deciding what the `Fraction` one decided.  Kept points are filed in a trie
+(a cell list, Bentley, Stanat & Williams, IPL 1977, one level per axis per
+step) keyed by their cells `x // threshold` on every axis at each of the
+first t* steps, t* being the number of leading states in which no orbit has
+escaped.  Two points that are not separated are within the threshold at
+each of those steps, so their cells differ by at most 1 at every level; a
+seed walks the trie keeping the children c - 1, c and c + 1 of its own cell
+c, and is compared only with the kept points in the leaves it reaches.
+Every point that could reject it is among them, so the kept set is the one
+the all-pairs scan keeps.
 """
 
 from __future__ import annotations
@@ -29,34 +31,43 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .constructions import StackedSystem, UnmaterializedBlockError
-from .geometry import Point
 from .horseshoe import HorseshoeMap, square
-from .mapping import ESCAPED, PAMap
+from .mapping import ESCAPED, PAMap, Point
 from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
 
 
 class SeedSet(NamedTuple):
-    """Deduplicated points in canonical (lexicographic) order."""
+    """Distinct points in canonical (lexicographic) order, each as integer
+    numerators over the one denominator `den`."""
 
     points: tuple[Point, ...]
-
-    @staticmethod
-    def of(points) -> "SeedSet":
-        # integer keys over one common denominator sort as the Fractions do
-        points = list(points)
-        keys = points.copy()
-        _rescale([keys])
-        by_key = dict(zip(keys, points))
-        return SeedSet(tuple(by_key[key] for key in sorted(by_key)))
+    den: int
 
 
 def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
     """Centers of the L^(n m) depth-m selected cylinders of block k's
-    horseshoe `h`; enumerates all of them, so the caller bounds L^(n m)."""
-    seeds = SeedSet.of(box.center() for _, box in enumerate_cylinders(h, k, m))
-    if len(seeds.points) != h.grid.L ** (h.grid.n * m):
+    horseshoe `h`; enumerates all of them, so the caller bounds L^(n m).
+
+    The centers lie on the lattice of D0 = 2 lo.d side.d kappa^(2m-1) (2L-1).
+    A cylinder's first-axis interval is a `word_interval` of 2m - 1 strips,
+    [a, a + side / kappa^(2m-1)], whose center is a D0 + side.n lo.d (2L-1)
+    over D0; its other axes are the t-cells of its first leg, and only the
+    2L - 1 centers lo + side (2i - 1) / (2 (2L - 1)) of those occur.
+    """
+    lo, side, eta = h.grid.cube.lo, h.grid.cube.side, h.grid.leg_cell_count
+    power = h.grid.strip_count ** (2 * m - 1)
+    den = 2 * lo.denominator * side.denominator * power * eta
+    # half a first-axis width and half a t-cell's, times den
+    half, t_half = side.numerator * lo.denominator * eta, side.numerator * lo.denominator * power
+    base = lo.numerator * (den // lo.denominator)
+    t_center = [base + (2 * i - 1) * t_half for i in range(eta + 1)]
+    points = set()
+    for code, box in enumerate_cylinders(h, k, m):
+        a, d = box.intervals[0][0].as_integer_ratio()
+        points.add((a * (den // d) + half, *[t_center[i] for i in code.word[0][1]]))
+    if len(points) != h.grid.L ** (h.grid.n * m):
         raise AssertionError("cylinder centers must be pairwise distinct")
-    return seeds
+    return SeedSet(tuple(sorted(points)), den)
 
 
 def orbits_separate(orbit_x, orbit_y, eps: Fraction) -> bool:
@@ -78,35 +89,12 @@ def orbits_separate(orbit_x, orbit_y, eps: Fraction) -> bool:
 
 
 class GreedyResult(NamedTuple):
-    chosen: tuple[Point, ...]
+    chosen: tuple[Point, ...]  # kept seeds, over the seeds' den
     m: int
     eps: Fraction
     seed_count: int
     truncated: bool  # some orbit escaped before step m
     pairs: int  # orbits_separate calls made by the scan and its cover check
-
-
-def _rescale(groups: list[list], den: int = 1) -> int:
-    """Replace, in place, every state of every group by its exact integer
-    tuple times scale = lcm(den, every coordinate denominator) (ESCAPED
-    stays); return that scale."""
-    dens = {
-        c.denominator for group in groups for state in group if state is not ESCAPED for c in state
-    }
-    scale = math.lcm(den, *dens)
-    factor = {d: scale // d for d in dens}
-    for group in groups:
-        group[:] = [
-            state if state is ESCAPED else tuple(c.numerator * factor[c.denominator] for c in state)
-            for state in group
-        ]
-    return scale
-
-
-def _to_lattice(orbits: list[list], eps: Fraction) -> int:
-    """Rescale the orbits in place, by one common denominator, to exact
-    integers; return eps rescaled likewise."""
-    return eps.numerator * (_rescale(orbits, eps.denominator) // eps.denominator)
 
 
 def greedy_separated(
@@ -123,7 +111,7 @@ def greedy_separated(
 
     Seeds are taken in order and each is kept when it is separated from
     every point kept before it.  The comparisons run on the integer lattice
-    of the module docstring: eps becomes the integer `thr = eps * scale`,
+    of the module docstring: eps becomes the integer `thr = eps g S^(m-1)`,
     which `orbits_separate` compares exactly as it compared eps.  Only kept
     points in the trie leaves a seed reaches are compared with it; a point
     outside them differs from the seed by more than `thr` on some axis at
@@ -144,10 +132,12 @@ def greedy_separated(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = seeds.points
-    orbits = [pamap.orbit(p, m - 1) for p in pts]
+    pts, den = seeds.points, seeds.den
+    g = math.lcm(den, eps.denominator)
+    lattice = pts if g == den else [tuple(x * (g // den) for x in p) for p in pts]
+    orbits = [pamap.orbit(p, m - 1, g) for p in lattice]
     truncated = any(orbit[-1] is ESCAPED for orbit in orbits)
-    thr = _to_lattice(orbits, eps)
+    thr = eps.numerator * (g // eps.denominator) * pamap.step_den ** (m - 1)
     # t*: the leading states in which no orbit has escaped (state 0 never has)
     steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in orbits)), m)
     trie: dict = {}

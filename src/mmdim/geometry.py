@@ -1,4 +1,4 @@
-"""Exact rational geometry primitives: points, boxes, cubes.
+"""Exact rational geometry primitives: boxes and cubes.
 
 All coordinates are `fractions.Fraction`.  Nothing in this module ever
 touches floating point; every containment / intersection / disjointness
@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
-
-Point = tuple[Fraction, ...]
 
 
 def rational_from_str(s: str) -> Fraction:
@@ -51,11 +49,6 @@ class Box(_BoxFields):
     def is_degenerate(self) -> bool:
         """True if some axis has zero width (empty interior)."""
         return any(lo == hi for lo, hi in self.intervals)
-
-    def center(self) -> Point:
-        # (a + b) / 2 over the one denominator 2 a.d b.d, normalized once
-        return tuple(Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
-                              2 * a.denominator * b.denominator) for a, b in self.intervals)
 
     def intersect(self, other: "Box") -> "Box | None":
         """Exact intersection; None when empty."""

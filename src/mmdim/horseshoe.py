@@ -23,7 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .geometry import Box, Cube, Point, find_cross_overlap
+from .geometry import Box, Cube, find_cross_overlap
 from .mapping import AffinePiece, PAMap
 
 
@@ -243,10 +243,14 @@ def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
         "" if covered is None else f"piece {covered[0]} covers strip {2 * covered[1] + 2}",
     )
 
-    low_corner: Point = (cube.lo,) * (n - 1) + (cube.hi,)
-    high_corner: Point = (cube.hi,) * (n - 1) + (cube.lo,)
-    add("corner (a,...,a,b) is fixed", h.pamap.apply(low_corner) == low_corner)
-    add("corner (b,...,b,a) is fixed", h.pamap.apply(high_corner) == high_corner)
+    # a = lo, b = hi over den = lo.d hi.d; a fixed corner's one-step orbit
+    # holds the corner twice
+    den = cube.lo.denominator * cube.hi.denominator
+    a, b = cube.lo.numerator * cube.hi.denominator, cube.hi.numerator * cube.lo.denominator
+    for name, corner in (("a,...,a,b", (a,) * (n - 1) + (b,)),
+                         ("b,...,b,a", (b,) * (n - 1) + (a,))):
+        before, after = h.pamap.orbit(corner, 1, den)
+        add(f"corner ({name}) is fixed", before == after)
 
     return ValidationReport(tuple(checks))
 

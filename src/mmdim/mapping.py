@@ -4,7 +4,9 @@ A `PAMap` is a finite list of `AffinePiece`s whose domains have pairwise
 disjoint interiors.  Applying the map to a point inside some piece domain
 gives the exact affine image; points inside the ambient cube but outside
 every piece domain (and points already outside) go to the absorbing
-`ESCAPED` state.  Orbits that escape stay escaped.
+`ESCAPED` state.  Orbits that escape stay escaped.  Points are integer
+numerators over a denominator the caller names, and a step multiplies that
+denominator by the map's own, so no step builds a `Fraction` or takes a gcd.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .geometry import Box, Cube, Point, find_interior_overlap
+from .geometry import Box, Cube, find_interior_overlap
 
 
 class _Escaped:
@@ -31,6 +33,8 @@ class _Escaped:
 
 ESCAPED = _Escaped()
 
+Point = tuple[int, ...]  # integer numerators over a denominator passed beside them
+
 
 class _PieceFields(NamedTuple):
     domain: Box
@@ -45,23 +49,14 @@ class AffinePiece(_PieceFields):
     nonzero so every piece is invertible.
     """
 
+    __slots__ = ()
+
     def __new__(cls, domain, scale, offset):
         if not (domain.dim == len(scale) == len(offset)):
             raise ValueError("piece dimensions disagree")
         if any(s == 0 for s in scale):
             raise ValueError("piece scales must be nonzero")
         return tuple.__new__(cls, (domain, scale, offset))
-
-    @cached_property
-    def _coefficients(self) -> tuple[tuple[int, int, int], ...]:
-        # (o.n s.d, s.n o.d, o.d s.d) per axis, read once per piece
-        return tuple((o.numerator * s.denominator, s.numerator * o.denominator,
-                      o.denominator * s.denominator) for s, o in zip(self.scale, self.offset))
-
-    def apply_point(self, p: Point) -> Point:
-        # o + s x over the one denominator o.d s.d x.d, normalized once
-        return tuple(Fraction(a * x.denominator + b * x.numerator, c * x.denominator)
-                     for x, (a, b, c) in zip(p, self._coefficients))
 
     def map_box(self, box: Box) -> Box:
         """Exact affine image of an arbitrary box (not clipped to the domain)."""
@@ -95,7 +90,10 @@ class PAMap(_PAMapFields):
     the integer cuts, and slot 2i + 1 holds the pieces containing cut i, slot
     2i those containing the open gap just below it, smallest domain first,
     each beside its transverse bounds times D (one tuple per distinct
-    bounds); the index takes no part in equality.
+    bounds).  A step takes a point over den to its image over den S, S the
+    lcm of the denominators of every piece's scale and offset; each piece's
+    scale and offset times S are built when a step first lands in it.  The
+    index and those step coefficients take no part in equality.
     """
 
     def __new__(cls, ambient, pieces):
@@ -131,41 +129,63 @@ class PAMap(_PAMapFields):
         # smallest domain first, ties in the given order (the tie rule)
         for j, entries in crowded.items():
             slots[j] = tuple(sorted(entries, key=lambda e: e[0].domain.intervals))
-        self._den, self._cuts, self._slots = den, cuts, slots
+        self._den, self._cuts, self._slots, self._steps = den, cuts, slots, {}
         return self
 
-    def piece_for(self, p: Point) -> AffinePiece | None:
+    @cached_property
+    def step_den(self) -> int:
+        """S: the lcm of the denominators of every piece's scale and offset."""
+        return math.lcm(*{x.denominator for p in self.pieces for x in p.scale + p.offset})
+
+    def piece_for(self, p: Point, den: int) -> AffinePiece | None:
+        """The piece whose domain holds the point p / den, or None."""
         if len(p) != self.ambient.dim:
             raise ValueError("dimension mismatch")
-        den, cuts = self._den, self._cuts
-        q, r = divmod(p[0].numerator * den, p[0].denominator)
-        if r:  # p[0] D lies strictly between q and q + 1, so on no cut
+        D, cuts = self._den, self._cuts
+        q, r = divmod(p[0] * D, den)
+        if r:  # p[0] D / den lies strictly between q and q + 1, so on no cut
             slot = 2 * bisect_right(cuts, q)
         else:
             i = bisect_left(cuts, q)
             slot = 2 * i + (i < len(cuts) and cuts[i] == q)
-        # every piece in the slot contains p[0]; the other axes are tested
-        # inline as lo x.d <= x.n D <= hi x.d
+        # every piece in the slot contains p[0] / den; the other axes are
+        # tested inline as lo den <= x D <= hi den
         for piece, bounds in self._slots[slot]:
             for x, (lo, hi) in zip(p[1:], bounds):
-                d = x.denominator
-                if not lo * d <= x.numerator * den <= hi * d:
+                if not lo * den <= x * D <= hi * den:
                     break
             else:
                 return piece
         return None
 
-    def apply(self, state):
-        if state is ESCAPED:
-            return ESCAPED
-        piece = self.piece_for(state)
+    def apply(self, p: Point, den: int):
+        """The image of the point p / den as integers over den S, or ESCAPED."""
+        piece = self.piece_for(p, den)
         if piece is None:
             return ESCAPED
-        return piece.apply_point(state)
+        coefficients = self._steps.get(id(piece))
+        if coefficients is None:  # (o S, s S) per axis
+            S = self.step_den
+            coefficients = self._steps[id(piece)] = tuple(
+                (o.numerator * (S // o.denominator), s.numerator * (S // s.denominator))
+                for s, o in zip(piece.scale, piece.offset))
+        return tuple([a * den + b * x for x, (a, b) in zip(p, coefficients)])
 
-    def orbit(self, p: Point, steps: int) -> list:
-        """States [x, f(x), ..., f^steps(x)]; escapes are absorbing."""
-        states = [p] * (steps + 1)  # sized once: appends would over-allocate
+    def orbit(self, p: Point, steps: int, den: int) -> list:
+        """States [x, f(x), ..., f^steps(x)] of x = p / den, each as integers
+        over den S^steps; escapes are absorbing."""
+        S = self.step_den
+        states = [ESCAPED] * (steps + 1)  # sized once: appends would over-allocate
+        states[0] = p
+        for t in range(steps):  # state t lies over den S^t
+            p = self.apply(p, den)
+            if p is ESCAPED:
+                break
+            den *= S
+            states[t + 1] = p
         for t in range(steps):
-            states[t + 1] = self.apply(states[t])
+            if states[t] is ESCAPED:
+                break
+            f = S ** (steps - t)
+            states[t] = tuple([x * f for x in states[t]])
         return states

@@ -3,18 +3,23 @@
 No command runs these, so they live beside the tests rather than in the
 package: the naive Bowen distance the greedy scan's kernel is checked
 against, the unsquared word boxes and block enlargements of the acceptance
-criteria, and the Fraction-coercing constructors, containment tests and log
-arithmetic the tests write their cases with.
+criteria, the `Fraction` box centers, piece images and seed sets the lattice
+paths replaced, and the Fraction-coercing constructors, containment tests
+and log arithmetic the tests write their cases with.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from mmdim.constructions import MARGIN
-from mmdim.geometry import Box, Cube, Point
+from mmdim.estimators import SeedSet
+from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import HorseshoeMap
-from mmdim.mapping import ESCAPED, PAMap
+from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 from mmdim.symbolic import LogExpr
+
+Point = tuple[Fraction, ...]
 
 
 def box_of(*intervals: Sequence) -> Box:
@@ -38,6 +43,61 @@ def box_contains(box: Box, p: Point) -> bool:
 
 def cube_contains(cube: Cube, p: Point) -> bool:
     return box_contains(cube_box(cube), p)
+
+
+def box_center(box: Box) -> Point:
+    return tuple((lo + hi) / 2 for lo, hi in box.intervals)
+
+
+def piece_image(piece: AffinePiece, p: Point) -> Point:
+    """The piece's image of p by plain `Fraction` arithmetic, o + s x."""
+    return tuple(o + s * x for x, s, o in zip(p, piece.scale, piece.offset))
+
+
+def lattice_point(p: Point) -> tuple[tuple[int, ...], int]:
+    """(numerators, den): p over the lcm of its coordinates' denominators."""
+    den = math.lcm(*(x.denominator for x in p))
+    return tuple(x.numerator * (den // x.denominator) for x in p), den
+
+
+def fraction_point(p: tuple[int, ...], den: int) -> Point:
+    return tuple(Fraction(x, den) for x in p)
+
+
+def seed_set(points) -> SeedSet:
+    """The distinct `Fraction` points in lexicographic order, over the lcm
+    of every coordinate's denominator."""
+    points = list(points)
+    den = math.lcm(1, *(x.denominator for p in points for x in p))
+    return SeedSet(tuple(sorted({tuple(x.numerator * (den // x.denominator) for x in p)
+                                 for p in points})), den)
+
+
+def seed_points(seeds: SeedSet, points=None) -> list[Point]:
+    """The seeds, or the given points of them, as `Fraction` points."""
+    return [fraction_point(p, seeds.den) for p in (seeds.points if points is None else points)]
+
+
+def piece_at(pamap: PAMap, p: Point):
+    """`PAMap.piece_for` of a `Fraction` point."""
+    return pamap.piece_for(*lattice_point(p))
+
+
+def apply_map(pamap: PAMap, p) -> Point:
+    """One step of the map's lattice path on a `Fraction` point or ESCAPED."""
+    if p is ESCAPED:
+        return ESCAPED
+    x, den = lattice_point(p)
+    image = pamap.apply(x, den)
+    return image if image is ESCAPED else fraction_point(image, den * pamap.step_den)
+
+
+def map_orbit(pamap: PAMap, p: Point, steps: int) -> list:
+    """`PAMap.orbit` of a `Fraction` point, its states as `Fraction` points."""
+    x, den = lattice_point(p)
+    states = pamap.orbit(x, steps, den)
+    den *= pamap.step_den ** steps
+    return [s if s is ESCAPED else fraction_point(s, den) for s in states]
 
 
 def log_scale(expr: LogExpr, factor) -> LogExpr:
@@ -77,8 +137,8 @@ def bowen_distance(pamap: PAMap, x: Point, y: Point, m: int) -> BowenDistance:
     steps = 1
     truncated = False
     for _ in range(m - 1):
-        cx = pamap.apply(cx)
-        cy = pamap.apply(cy)
+        cx = apply_map(pamap, cx)
+        cy = apply_map(pamap, cy)
         if cx is ESCAPED or cy is ESCAPED:
             truncated = True
             break

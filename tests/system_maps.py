@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mmdim.constructions import IdentitySystem, StackedSystem
 from mmdim.mapping import ESCAPED
-from oracles import cube_contains
+from oracles import apply_map, cube_contains
 
 HALF = Fraction(1, 2)
 
@@ -43,7 +43,7 @@ def apply_system(system, p):
     if isinstance(system, StackedSystem):
         for block in system.blocks:
             if cube_contains(block.cube, p):
-                return block.geometry().pamap.apply(p) if block.active else p
+                return apply_map(block.geometry().pamap, p) if block.active else p
         return p
     for lower, half in ((True, system.lower), (False, system.upper)):
         if in_half(p, lower):

@@ -23,7 +23,6 @@ from mmdim.constructions import (
     solve_rate,
 )
 from mmdim.estimators import (
-    SeedSet,
     cylinder_centers,
     greedy_separated,
     growth_rate,
@@ -32,7 +31,15 @@ from mmdim.estimators import (
 from mmdim.geometry import find_interior_overlap
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
 from mmdim.symbolic import _eps_log_inv, enumerate_cylinders, extrapolate, rate_profile
-from oracles import bowen_distance, box_of, cube_of, enlarged_box, strip_word_box
+from oracles import (
+    bowen_distance,
+    box_center,
+    box_of,
+    cube_of,
+    enlarged_box,
+    seed_set,
+    strip_word_box,
+)
 
 F = Fraction
 
@@ -153,7 +160,7 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
 
     def word_centers(m):
         words = itertools.product(odd, repeat=m)
-        return SeedSet.of(strip_word_box(h, w).center() for w in words)
+        return seed_set(box_center(strip_word_box(h, w)) for w in words)
 
     single = growth_rate(h.pamap, word_centers, eps, (1, 2, 3, 4))
     assert single.counts == {1: 3, 2: 9, 3: 27, 4: 81}

@@ -21,7 +21,7 @@ from mmdim.constructions import (
 from mmdim.geometry import find_interior_overlap
 from mmdim.mapping import ESCAPED
 
-from oracles import box_of, cube_box, cube_of, enlarged_box
+from oracles import box_center, box_of, cube_box, cube_of, enlarged_box
 from system_maps import apply_system
 
 F = Fraction
@@ -233,12 +233,12 @@ class TestBuildStacked:
     def test_apply_inactive_block_is_identity(self):
         sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
         sys = build_stacked(sched, 2, 2)
-        p = cube_box(sys.block(2).cube).center()
+        p = box_center(cube_box(sys.block(2).cube))
         assert apply_system(sys, p) == p
 
     def test_apply_unmaterialized_active_block_raises(self):
         sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
-        p = cube_box(sys.block(11).cube).center()
+        p = box_center(cube_box(sys.block(11).cube))
         with pytest.raises(UnmaterializedBlockError):
             apply_system(sys, p)
 
@@ -246,7 +246,7 @@ class TestBuildStacked:
         h = geometric_system.block(1).geometry()
         corner = (F(0), F(1, 3))  # the (a, b) corner of block 1 is fixed
         assert apply_system(geometric_system, corner) == corner
-        even_mid = h.grid.strip_box(2).center()
+        even_mid = box_center(h.grid.strip_box(2))
         assert apply_system(geometric_system, even_mid) is ESCAPED
         assert apply_system(geometric_system, ESCAPED) is ESCAPED
 
@@ -345,7 +345,7 @@ class TestTwoBlock:
     def test_escape_propagates(self):
         two = build_two_block(1, 1, 2, 3)
         h = two.lower.block(1).geometry()
-        inner_escape = h.grid.strip_box(2).center()
+        inner_escape = box_center(h.grid.strip_box(2))
         p = tuple(c / 2 for c in inner_escape)
         assert apply_system(two.lower, inner_escape) is ESCAPED
         assert apply_system(two, p) is ESCAPED

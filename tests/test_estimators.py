@@ -15,7 +15,6 @@ from mmdim.constructions import (
     build_stacked,
 )
 from mmdim.estimators import (
-    SeedSet,
     cylinder_centers,
     greedy_separated,
     growth_rate,
@@ -25,7 +24,15 @@ from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import AffinePiece, PAMap
 from mmdim.specfile import SystemSpec, build_system
 from mmdim.symbolic import _eps_log_inv, rate_profile
-from oracles import bowen_distance, box_of, cube_box, cube_of
+from oracles import (
+    bowen_distance,
+    box_center,
+    box_of,
+    cube_box,
+    cube_of,
+    seed_points,
+    seed_set,
+)
 
 F = Fraction
 
@@ -37,12 +44,13 @@ def identity_pamap(dim=2) -> PAMap:
 
 def naive_greedy(pamap, seeds, m, eps):
     """Reference scan: keep a seed when its Bowen distance to every point
-    kept so far exceeds eps, computed pair by pair from scratch."""
+    kept so far exceeds eps, computed pair by pair from scratch on the
+    seeds as `Fraction` points; returns the kept seeds' lattice points."""
     chosen = []
-    for p in seeds.points:
-        if all(bowen_distance(pamap, p, c, m).value > eps for c in chosen):
-            chosen.append(p)
-    return tuple(chosen)
+    for p, x in zip(seeds.points, seed_points(seeds)):
+        if all(bowen_distance(pamap, x, c, m).value > eps for _, c in chosen):
+            chosen.append((p, x))
+    return tuple(p for p, _ in chosen)
 
 
 # name -> (cube lo, hi, dim, legs L, squared?) of the maps the hardened
@@ -99,17 +107,18 @@ def override_cases(draw):
 class TestSeedSet:
     def test_dedup_and_order(self):
         pts = [(F(1), F(0)), (F(0), F(1)), (F(1), F(0)), (F(0), F(0))]
-        seeds = SeedSet.of(pts)
-        assert seeds.points == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
+        seeds = seed_set(pts)
+        assert seeds.points == ((0, 0), (0, 1), (1, 0)) and seeds.den == 1
+        assert seed_set([(F(1, 2), F(1, 3))]) == (((3, 2),), 6)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(
         lambda n: st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=60)] * n),
                            max_size=40)))
     def test_matches_sorting_the_fractions(self, pts):
-        # the integer-key sort must keep the order and dedup of the Fractions
+        # lattice points over one den sort and dedup as the Fractions do
         pts += pts[::2]
-        assert SeedSet.of(pts).points == tuple(sorted(set(pts)))
+        assert seed_points(seed_set(pts)) == sorted(set(pts))
 
 
 class TestCylinderCenters:
@@ -121,7 +130,7 @@ class TestCylinderCenters:
     def test_centers_live_in_the_block(self, geometric_system):
         block = geometric_system.block(1)
         seeds = cylinder_centers(block.geometry(), 1, 2)
-        for p in seeds.points:
+        for p in seed_points(seeds):
             assert all(
                 lo < x < hi for x, (lo, hi) in zip(p, cube_box(block.cube).intervals)
             )
@@ -171,13 +180,13 @@ def unit_seeds():
 
 class TestGreedySeparated:
     def test_huge_eps_keeps_one_point(self, sq_unit):
-        seeds = SeedSet.of([(F(i, 10), F(1, 2)) for i in range(1, 6)])
+        seeds = seed_set([(F(i, 10), F(1, 2)) for i in range(1, 6)])
         result = greedy_separated(sq_unit, seeds, 1, F(2))
         assert len(result.chosen) == 1
 
     def test_identity_counts_ignore_m(self):
         pm = identity_pamap()
-        seeds = SeedSet.of([(F(i, 7), F(j, 7)) for i in range(8) for j in range(8)])
+        seeds = seed_set([(F(i, 7), F(j, 7)) for i in range(8) for j in range(8)])
         counts = {
             m: len(greedy_separated(pm, seeds, m, F(1, 7)).chosen) for m in (1, 2, 3)
         }
@@ -207,10 +216,11 @@ class TestGreedySeparated:
         eps = sys.block(1).eps
         result = greedy_separated(sq, seeds[2], 2, eps)
         assert len(result.chosen) == len(seeds[2].points) == 81
-        for a, b in itertools.combinations(result.chosen, 2):
+        chosen = seed_points(seeds[2], result.chosen)
+        for a, b in itertools.combinations(chosen, 2):
             assert bowen_distance(sq, a, b, 2).value > eps
-        for p in seeds[2].points:
-            assert any(bowen_distance(sq, p, c, 2).value <= eps for c in result.chosen)
+        for p in seed_points(seeds[2]):
+            assert any(bowen_distance(sq, p, c, 2).value <= eps for c in chosen)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -225,7 +235,7 @@ class TestGreedySeparated:
         st.integers(min_value=1, max_value=3),
     )
     def test_matches_naive_greedy(self, sq_unit, points, eps, m):
-        seeds = SeedSet.of(points)
+        seeds = seed_set(points)
         result = greedy_separated(sq_unit, seeds, m, eps)
         assert result.chosen == naive_greedy(sq_unit, seeds, m, eps)
 
@@ -239,19 +249,44 @@ class TestGreedySeparated:
     def test_matches_naive_greedy_on_hard_seeds(self, scan_maps, data, name, eps, m):
         pamap, grid = scan_maps[name]
         eps = eps * grid.cube.side
-        seeds = SeedSet.of(data.draw(hard_seeds(grid, eps)))
+        seeds = seed_set(data.draw(hard_seeds(grid, eps)))
         result = greedy_separated(pamap, seeds, m, eps)
         assert result.chosen == naive_greedy(pamap, seeds, m, eps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 12).map(lambda i: F(i, 12))] * 2), max_size=14),
+        st.sampled_from([F(1, 7), F(2, 7), F(1, 11), F(3, 11), F(5, 13), F(2, 35), F(1, 25)]),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_naive_greedy_at_an_eps_coprime_to_the_seeds(self, sq_unit, points, eps, m):
+        # the seeds' den divides 12 and eps's denominator is prime to it, so
+        # the scan moves the seeds to g = lcm(den, eps.d) before their orbits
+        seeds = seed_set(points)
+        assert math.gcd(seeds.den, eps.denominator) == 1
+        result = greedy_separated(sq_unit, seeds, m, eps)
+        assert result.chosen == naive_greedy(sq_unit, seeds, m, eps)
+        assert set(result.chosen) <= set(seeds.points)
+
+    @pytest.mark.parametrize("eps", [F(1, 49), F(2, 77), F(1, 15)])
+    def test_cylinder_centers_match_naive_greedy_off_their_lattice(self, unit_seeds, eps):
+        # the 81 depth-2 centers lie over den = 3750; 49 and 77 share no
+        # factor with it, and 15 divides it
+        sys, seeds = unit_seeds
+        sq = square(sys.block(1).geometry())
+        assert seeds[2].den == 3750
+        result = greedy_separated(sq, seeds[2], 2, eps)
+        assert result.chosen == naive_greedy(sq, seeds[2], 2, eps)
+
     def test_empty_seed_set(self, sq_unit):
-        result = greedy_separated(sq_unit, SeedSet.of([]), 2, F(1, 5))
+        result = greedy_separated(sq_unit, seed_set([]), 2, F(1, 5))
         assert result.chosen == () and result.pairs == 0 and not result.truncated
 
     def test_cover_check_runs(self, sq_unit, monkeypatch):
         # a kernel that calls every pair separated leaves no seed covered,
         # not even by itself, so the self-check must raise
         monkeypatch.setattr(estimators, "orbits_separate", lambda *args: True)
-        seeds = SeedSet.of([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))])
+        seeds = seed_set([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))])
         with pytest.raises(AssertionError, match="cover check"):
             greedy_separated(sq_unit, seeds, 2, F(1, 5))
 
@@ -274,15 +309,15 @@ class TestGreedySeparated:
         assert calls <= 40_000
 
     def test_truncated_flag(self, sq_unit, unit_square_h):
-        escaper = unit_square_h.grid.strip_box(2).center()
+        escaper = box_center(unit_square_h.grid.strip_box(2))
         survivor = (F(1, 2), F(1, 2))
-        seeds = SeedSet.of([escaper, survivor])
+        seeds = seed_set([escaper, survivor])
         result = greedy_separated(sq_unit, seeds, 3, F(1, 100))
         assert result.truncated
-        assert not greedy_separated(sq_unit, SeedSet.of([survivor]), 3, F(1, 2)).truncated
+        assert not greedy_separated(sq_unit, seed_set([survivor]), 3, F(1, 2)).truncated
 
     def test_validation(self, sq_unit):
-        seeds = SeedSet.of([(F(0), F(0))])
+        seeds = seed_set([(F(0), F(0))])
         with pytest.raises(ValueError, match="m >= 1"):
             greedy_separated(sq_unit, seeds, 0, F(1, 5))
         with pytest.raises(ValueError, match="positive"):
@@ -291,7 +326,7 @@ class TestGreedySeparated:
 
 class TestGreedySpanning:
     def test_single_target(self, sq_unit):
-        result = greedy_separated(sq_unit, SeedSet.of([(F(1, 3), F(1, 3))]), 2, F(1, 9))
+        result = greedy_separated(sq_unit, seed_set([(F(1, 3), F(1, 3))]), 2, F(1, 9))
         assert len(result.chosen) == 1
 
     def test_coarse_cover_is_smaller(self, unit_seeds):
@@ -306,7 +341,7 @@ class TestGreedySpanning:
 class TestGrowthRate:
     def test_identity_rate_is_zero(self):
         pm = identity_pamap()
-        seeds = SeedSet.of([(F(i, 9), F(0)) for i in range(10)])
+        seeds = seed_set([(F(i, 9), F(0)) for i in range(10)])
         rate = growth_rate(pm, lambda m: seeds, F(1, 100), (1, 2, 3))
         assert rate.rate == pytest.approx(0.0, abs=1e-12)
         assert rate.residual == pytest.approx(0.0, abs=1e-12)
@@ -324,10 +359,10 @@ class TestGrowthRate:
         assert rate.residual < 1e-12
 
     def test_needs_two_usable_counts(self, sq_unit):
-        empty = SeedSet.of([])
+        empty = seed_set([])
         with pytest.raises(ValueError, match="two m values"):
             growth_rate(sq_unit, lambda m: empty, F(1, 5), (1, 2, 3))
-        seeds = SeedSet.of([(F(1, 2), F(1, 2))])
+        seeds = seed_set([(F(1, 2), F(1, 2))])
         with pytest.raises(ValueError, match="two m values"):
             growth_rate(sq_unit, lambda m: seeds, F(1, 5), (2,))
 

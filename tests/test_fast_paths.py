@@ -1,6 +1,7 @@
-"""Equivalence of the indexed piece lookup, the closed-form cylinder boxes,
-the closed-form squared map and the trie-keyed greedy scan with the slow paths
-they replaced, which are kept here as oracles."""
+"""Equivalence of the indexed piece lookup, the integer lattice step and
+orbit, the lattice cylinder centers, the closed-form cylinder boxes, the
+closed-form squared map and the trie-keyed greedy scan with the slow paths
+they replaced, which are kept here and in tests/oracles.py as oracles."""
 
 import functools
 import itertools
@@ -13,18 +14,26 @@ from hypothesis import given, settings, strategies as st
 from test_estimators import naive_greedy
 
 from mmdim.constructions import Schedule, build_stacked, build_two_block
-from mmdim.estimators import (
-    SeedSet,
-    _to_lattice,
-    cylinder_centers,
-    greedy_separated,
-    orbits_separate,
-)
-from mmdim.geometry import Box, Cube
+from mmdim.estimators import cylinder_centers, greedy_separated, orbits_separate
+from mmdim.geometry import Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
-from oracles import box_contains, box_of, cube_of, strip_word_box
+from oracles import (
+    apply_map,
+    box_center,
+    box_contains,
+    box_of,
+    cube_of,
+    fraction_point,
+    lattice_point,
+    map_orbit,
+    piece_at,
+    piece_image,
+    seed_points,
+    seed_set,
+    strip_word_box,
+)
 
 F = Fraction
 
@@ -38,17 +47,24 @@ def scan_piece_for(ordered, p):
 
 
 def scan_orbit(ordered, p, steps):
-    """Oracle orbit: `PAMap.orbit` with every step found by the linear scan."""
+    """Oracle orbit: `PAMap.orbit` on `Fraction` points, with every step
+    found by the linear scan and taken by plain `Fraction` arithmetic."""
     states = [p]
     for _ in range(steps):
         piece = None if states[-1] is ESCAPED else scan_piece_for(ordered, states[-1])
-        states.append(ESCAPED if piece is None else piece.apply_point(states[-1]))
+        states.append(ESCAPED if piece is None else piece_image(piece, states[-1]))
     return states
 
 
-def fraction_step(piece, p):
-    """Oracle: the piece's image of p by plain `Fraction` arithmetic."""
-    return tuple(o + s * x for x, s, o in zip(p, piece.scale, piece.offset))
+def check_lattice_orbit(pamap, ordered, x, den, steps):
+    """`PAMap.orbit` of x / den against the scan, every state an integer
+    tuple over den S^steps; returns the scan's orbit."""
+    want = scan_orbit(ordered, fraction_point(x, den), steps)
+    got = pamap.orbit(x, steps, den)
+    final = den * pamap.step_den ** steps
+    assert all(type(c) is int for s in got if s is not ESCAPED for c in s)
+    assert [s if s is ESCAPED else fraction_point(s, final) for s in got] == want
+    return want
 
 
 def _grid_piece(ivs, k):
@@ -149,7 +165,7 @@ def face_points(pamap):
     a few pieces, moved by -1, 0 or +1 unit on each axis at once."""
     u = lattice_unit(pamap)
     for piece in pamap.pieces:
-        center = piece.domain.center()
+        center = box_center(piece.domain)
         for axis, (lo, hi) in enumerate(piece.domain.intervals):
             for x in (lo - u, lo, lo + u, hi - u, hi, hi + u):
                 yield center[:axis] + (x,) + center[axis + 1:]
@@ -166,9 +182,9 @@ class TestIndexedLookup:
         pamap = maps[name]
         p = data.draw(lookup_points(pamap))
         piece = scan_piece_for(ordered[name], p)
-        assert pamap.piece_for(p) is piece
-        assert pamap.apply(p) == (ESCAPED if piece is None else fraction_step(piece, p))
-        assert pamap.orbit(p, 3) == scan_orbit(ordered[name], p, 3)
+        assert piece_at(pamap, p) is piece
+        assert apply_map(pamap, p) == (ESCAPED if piece is None else piece_image(piece, p))
+        assert map_orbit(pamap, p, 3) == scan_orbit(ordered[name], p, 3)
 
     @pytest.mark.parametrize("name", LATTICE_MAPS)
     def test_on_and_one_lattice_unit_off_every_face(self, lookup_maps, name):
@@ -179,9 +195,9 @@ class TestIndexedLookup:
         pamap = maps[name]
         for p in face_points(pamap):
             piece = scan_piece_for(ordered[name], p)
-            assert pamap.piece_for(p) is piece, p
-            assert pamap.apply(p) == (ESCAPED if piece is None else fraction_step(piece, p))
-            assert pamap.orbit(p, 2) == scan_orbit(ordered[name], p, 2)
+            assert piece_at(pamap, p) is piece, p
+            assert apply_map(pamap, p) == (ESCAPED if piece is None else piece_image(piece, p))
+            check_lattice_orbit(pamap, ordered[name], *lattice_point(p), 2)
 
     def test_coprime_denominators_multiply(self, lookup_maps):
         maps, ordered = lookup_maps
@@ -192,7 +208,7 @@ class TestIndexedLookup:
         u = lattice_unit(pamap)
         for x in (F(3, 11) - u, F(3, 11), F(3, 11) + u):
             for y in (F(0), F(1, 23), F(1, 23) + u, F(2, 19) - u, F(2, 19), F(16, 19) + u):
-                assert pamap.piece_for((x, y)) is scan_piece_for(ordered["coprime"], (x, y))
+                assert piece_at(pamap, (x, y)) is scan_piece_for(ordered["coprime"], (x, y))
 
     def test_every_face_point_of_the_square_map(self, lookup_maps):
         # every first-axis cut of the squared map, at every transverse face
@@ -202,28 +218,28 @@ class TestIndexedLookup:
         ys = [F(0), F(1, 5), F(2, 5), F(1, 2), F(1)]
         for x in cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]:
             for y in ys:
-                assert pamap.piece_for((x, y)) is scan_piece_for(ordered["square n=2 L=3"], (x, y))
+                assert piece_at(pamap, (x, y)) is scan_piece_for(ordered["square n=2 L=3"], (x, y))
 
     def test_transverse_miss_escapes(self):
         # the first coordinate picks the slot; the other axes still decide
         piece = AffinePiece(box_of((0, F(1, 3)), (0, F(1, 2))), (F(1), F(1)), (F(0), F(0)))
         pamap = PAMap(cube_of(0, 1, 2), (piece,))
         for x in (F(0), F(1, 6), F(1, 3)):
-            assert pamap.piece_for((x, F(1, 2))) is piece
-            assert pamap.piece_for((x, F(3, 4))) is None
-            assert pamap.apply((x, F(3, 4))) is ESCAPED
+            assert piece_at(pamap, (x, F(1, 2))) is piece
+            assert piece_at(pamap, (x, F(3, 4))) is None
+            assert apply_map(pamap, (x, F(3, 4))) is ESCAPED
 
     def test_ties_go_to_the_smallest_piece(self):
         pamap = hand_built_maps()["2x2 grid"]
-        centre = pamap.piece_for((F(1, 2), F(1, 2)))
+        centre = piece_at(pamap, (F(1, 2), F(1, 2)))
         assert centre.domain == box_of((0, F(1, 2)), (0, F(1, 2)))
 
     def test_wrong_dimension_rejected(self):
         pamap = hand_built_maps()["2x2 grid"]
         with pytest.raises(ValueError, match="dimension mismatch"):
-            pamap.piece_for((F(1, 3),))
+            pamap.piece_for((1,), 3)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            pamap.piece_for((F(7), F(0), F(0)))
+            pamap.piece_for((7, 0, 0), 1)
 
 
 def invert(piece):
@@ -395,36 +411,46 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
 
 class TestOneDenominatorArithmetic:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(rationals, rationals, rationals.filter(bool)), min_size=1, max_size=3))
-    def test_apply_point_matches_fraction_arithmetic(self, axes):
+    @given(st.lists(st.tuples(rationals, rationals, rationals.filter(bool)),
+                    min_size=1, max_size=3), st.integers(1, 30))
+    def test_lattice_step_matches_fraction_arithmetic(self, axes, k):
+        # the point over k times its least den comes back over that den times S
         p, offset, scale = zip(*axes)
         piece = AffinePiece(box_of(*[(-3, 3)] * len(axes)), scale, offset)
-        assert piece.apply_point(p) == fraction_step(piece, p)
+        pamap = PAMap(cube_of(-3, 3, len(axes)), (piece,))
+        x, den = lattice_point(p)
+        image = pamap.apply(tuple(c * k for c in x), den * k)
+        assert fraction_point(image, den * k * pamap.step_den) == piece_image(piece, p)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(rationals, rationals).map(sorted), min_size=1, max_size=3))
-    def test_center_matches_fraction_arithmetic(self, intervals):
-        box = Box(tuple(tuple(iv) for iv in intervals))
-        assert box.center() == tuple((lo + hi) / 2 for lo, hi in intervals)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("B", [F(1), F(5, 4), F(6, 7)])
+    def test_cylinder_centers_match_the_box_centers(self, B, n, m):
+        # the benchmark's B choices, whose lo and side have denominators 1, 2, 7 and 4, 7
+        h = build_stacked(Schedule.geometric(B, 1), n, 1).block(1).geometry()
+        seeds = cylinder_centers(h, 1, m)
+        lo, side = h.grid.cube.lo, h.grid.cube.side
+        kappa = 2 * 3 ** (n - 1) - 1
+        assert seeds.den == 2 * lo.denominator * side.denominator * kappa ** (2 * m - 1) * 5
+        boxes = enumerate_cylinders(h, 1, m)
+        assert seed_points(seeds) == sorted({box_center(box) for _, box in boxes})
 
 
 def cell_list_greedy(pamap, seeds, m, eps):
-    """Oracle: the greedy scan with kept points filed by the cells
-    `x // thr` of their first two axes at step 0 only, each seed compared
-    with the kept points of the 3 x 3 cells around its own."""
-    pts = seeds.points
-    lattice = [pamap.orbit(p, m - 1) for p in pts]
-    thr = _to_lattice(lattice, eps)
-    axes = min(len(pts[0]), 2) if pts else 0
+    """Oracle: the greedy scan on `Fraction` orbits with kept points filed
+    by the cells `x // eps` of their first two axes at step 0 only, each
+    seed compared with the kept points of the 3 x 3 cells around its own."""
+    orbits = [map_orbit(pamap, p, m - 1) for p in seed_points(seeds)]
+    axes = min(len(orbits[0][0]), 2) if orbits else 0
     offsets = list(itertools.product((-1, 0, 1), repeat=axes))
     cells, chosen = {}, []
-    for i, orbit in enumerate(lattice):
-        key = tuple(x // thr for x in orbit[0][:axes])
+    for i, orbit in enumerate(orbits):
+        key = tuple(x // eps for x in orbit[0][:axes])
         near = (j for off in offsets
                 for j in cells.get(tuple(a + b for a, b in zip(key, off)), ()))
-        if all(orbits_separate(orbit, lattice[j], thr) for j in near):
+        if all(orbits_separate(orbit, orbits[j], eps) for j in near):
             cells.setdefault(key, []).append(i)
-            chosen.append(pts[i])
+            chosen.append(seeds.points[i])
     return tuple(chosen)
 
 
@@ -477,9 +503,9 @@ def scan_cases(draw):
     )
     points = draw(st.lists(point, min_size=8, max_size=30))
     if draw(st.booleans()):  # survivors of step 1 only, so that t* >= 2 when m >= 2
-        points = [p for p in points if pamap.orbit(p, 1)[1] is not ESCAPED]
-    seeds = SeedSet.of(points)
-    orbits = [pamap.orbit(p, m - 1) for p in seeds.points]
+        points = [p for p in points if map_orbit(pamap, p, 1)[1] is not ESCAPED]
+    seeds = seed_set(points)
+    orbits = [map_orbit(pamap, p, m - 1) for p in seed_points(seeds)]
     diffs = sorted({
         abs(a - b)
         for x, y in itertools.combinations(orbits, 2)
@@ -506,8 +532,8 @@ class TestTrieScan:
         # eps at step 0 and separate later: t* = 1 < m, and the scan is truncated
         pamap, h = scan_map(name)
         words = [(1,), (2,), (1, 2), (1, 1, 1, 2), (3, 1, 1, 1), (3, 1, 1, 3)]
-        seeds = SeedSet.of(escaping_point(h, w, t) for w in words for t in (F(1, 3), F(1, 2)))
-        orbits = [pamap.orbit(p, 2) for p in seeds.points]
+        seeds = seed_set(escaping_point(h, w, t) for w in words for t in (F(1, 3), F(1, 2)))
+        orbits = [map_orbit(pamap, p, 2) for p in seed_points(seeds)]
         assert {o.index(ESCAPED) if ESCAPED in o else None for o in orbits} == {1, 2, None}
         eps = h.cube.side / 10
         result = greedy_separated(pamap, seeds, 3, eps)
@@ -524,3 +550,60 @@ class TestTrieScan:
         h = block.geometry()
         result = greedy_separated(square(h), cylinder_centers(h, k, m), m, block.eps)
         assert len(result.chosen) == result.seed_count == result.pairs == block.L ** (2 * m)
+
+
+# every map of the lookup tests, and the horseshoes the trie scan runs on
+ORBIT_MAPS = ALL_LOOKUP_MAPS + [f"trie: {name}" for name in sorted(TRIE_SCAN_MAPS)]
+
+
+def orbit_map(lookup_maps, name):
+    """(map, pieces in lexicographic domain order) of an `ORBIT_MAPS` entry."""
+    if name.startswith("trie: "):
+        pamap = scan_map(name[len("trie: "):])[0]
+        return pamap, sorted(pamap.pieces, key=lambda piece: piece.domain.intervals)
+    maps, ordered = lookup_maps
+    return maps[name], ordered[name]
+
+
+@st.composite
+def coprime_lattice_points(draw, pamap):
+    """(x, den): den = q^e, q the least prime above 5 that does not divide
+    the map's S, and x anywhere in the cube or up to one unit outside it."""
+    q = next(q for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) if pamap.step_den % q)
+    den = q ** draw(st.integers(1, 4))
+    lo, hi = pamap.ambient.lo * den, pamap.ambient.hi * den
+    ends = st.integers(math.floor(lo) - 1, math.ceil(hi) + 1)
+    return tuple(draw(ends) for _ in range(pamap.ambient.dim)), den
+
+
+class TestLatticeOrbit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(ORBIT_MAPS), st.integers(0, 3))
+    def test_matches_the_scan(self, lookup_maps, data, name, steps):
+        # a random rational over its least den times a drawn factor, or a
+        # point over a den prime to S
+        pamap, ordered = orbit_map(lookup_maps, name)
+        if data.draw(st.booleans()):
+            x, den = lattice_point(data.draw(lookup_points(pamap)))
+            k = data.draw(st.sampled_from([1, 2, 3, 7, pamap.step_den]))
+            x, den = tuple(c * k for c in x), den * k
+        else:
+            x, den = data.draw(coprime_lattice_points(pamap))
+            assert math.gcd(den, pamap.step_den) == 1
+        assert pamap.piece_for(x, den) is scan_piece_for(ordered, fraction_point(x, den))
+        check_lattice_orbit(pamap, ordered, x, den, steps)
+
+    @pytest.mark.parametrize("name", sorted(TRIE_SCAN_MAPS))
+    def test_escapes_at_every_step(self, name):
+        # an even strip at position j of an unsquared word: the unsquared
+        # orbit escapes at step j + 1, the squared one at step (j + 2) // 2
+        pamap, h = scan_map(name)
+        ordered = sorted(pamap.pieces, key=lambda piece: piece.domain.intervals)
+        escapes = set()
+        for j in range(6):
+            for t in (F(1, 3), F(1, 2), F(5, 7)):
+                x, den = lattice_point(escaping_point(h, (1,) * j + (2,), t))
+                for steps in range(4):
+                    orbit = check_lattice_orbit(pamap, ordered, x, den, steps)
+                    escapes.add(orbit.index(ESCAPED) if ESCAPED in orbit else None)
+        assert {1, 2, 3} <= escapes

@@ -1,4 +1,9 @@
-"""Tests for affine pieces, piecewise maps, and escape semantics."""
+"""Tests for affine pieces, piecewise maps, and escape semantics.
+
+The map steps integer numerators over a denominator; `apply_map`,
+`map_orbit` and `piece_at` (tests/oracles.py) take and give `Fraction`
+points through that lattice path.
+"""
 
 from fractions import Fraction
 
@@ -6,7 +11,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from oracles import box_contains, box_of, cube_of, leg_for_strip
+from oracles import (
+    apply_map,
+    box_center,
+    box_contains,
+    box_of,
+    cube_of,
+    leg_for_strip,
+    map_orbit,
+    piece_at,
+    piece_image,
+)
 
 F = Fraction
 
@@ -27,14 +42,19 @@ class TestEscaped:
         assert _Escaped() is ESCAPED
 
     def test_absorbing(self):
+        # (2, 2) lies outside the cube: it escapes at step 1 and stays escaped
         m = identity_map()
-        assert m.apply(ESCAPED) is ESCAPED
+        assert m.orbit((2, 2), 3, 1) == [(2, 2), ESCAPED, ESCAPED, ESCAPED]
 
 
 class TestAffinePiece:
     def test_apply_point(self):
         piece = AffinePiece(unit_box(), (F(3), F(1, 5)), (F(-1), F(2, 5)))
-        assert piece.apply_point((F(1, 2), F(0))) == (F(1, 2), F(2, 5))
+        assert piece_image(piece, (F(1, 2), F(0))) == (F(1, 2), F(2, 5))
+        # S = 5: the point 1/2 over 2 lands over 10 as (5, 4)
+        pamap = PAMap(cube_of(0, 1, 2), (piece,))
+        assert pamap.step_den == 5 and pamap.apply((1, 0), 2) == (5, 4)
+        assert apply_map(pamap, (F(1, 2), F(0))) == (F(1, 2), F(2, 5))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimensions disagree"):
@@ -59,7 +79,7 @@ class TestAffinePiece:
         second = AffinePiece(unit_box(), (F(-5), F(1, 5)), (F(5), F(0)))
         comp = first.then(second, first.domain)
         for p in [(F(0), F(0)), (F(1, 7), F(2, 3)), (F(1), F(1))]:
-            assert comp.apply_point(p) == second.apply_point(first.apply_point(p))
+            assert piece_image(comp, p) == piece_image(second, piece_image(first, p))
 
     @given(
         st.tuples(
@@ -69,15 +89,15 @@ class TestAffinePiece:
     )
     def test_image_box_contains_images_of_domain_points(self, point):
         piece = AffinePiece(unit_box(), (F(-3), F(1, 7)), (F(2), F(-1)))
-        assert box_contains(piece.map_box(piece.domain), piece.apply_point(point))
+        assert box_contains(piece.map_box(piece.domain), piece_image(piece, point))
 
 
 class TestPAMap:
     def test_identity_map_fixes_points(self):
         m = identity_map()
         p = (F(1, 3), F(1, 2))
-        assert m.apply(p) == p
-        assert m.orbit(p, 4) == [p] * 5
+        assert apply_map(m, p) == p
+        assert map_orbit(m, p, 4) == [p] * 5
 
     def test_overlapping_domains_rejected(self):
         a = AffinePiece(box_of((0, F(1, 2)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
@@ -103,23 +123,23 @@ class TestPAMap:
         right = AffinePiece(box_of((F(1, 2), 1), (0, 1)), (F(1), F(1)), (F(10), F(0)))
         for pieces in [(left, right), (right, left)]:
             m = PAMap(cube_of(0, 1, 2), pieces)
-            assert m.apply((F(1, 2), F(1, 3))) == (F(1, 2), F(1, 3))
-            assert m.piece_for((F(1, 2), F(1, 3))) is left
+            assert apply_map(m, (F(1, 2), F(1, 3))) == (F(1, 2), F(1, 3))
+            assert piece_at(m, (F(1, 2), F(1, 3))) is left
 
     def test_gap_point_escapes(self):
         piece = AffinePiece(box_of((0, F(1, 3)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
         m = PAMap(cube_of(0, 1, 2), (piece,))
-        assert m.apply((F(1, 2), F(1, 2))) is ESCAPED
+        assert apply_map(m, (F(1, 2), F(1, 2))) is ESCAPED
 
     def test_point_outside_ambient_escapes(self):
         m = identity_map()
-        assert m.apply((F(2), F(2))) is ESCAPED
+        assert apply_map(m, (F(2), F(2))) is ESCAPED
 
     def test_orbit_pads_after_escape(self):
         # x -> 3x on [0, 1/3]: the point 1/4 survives one step then escapes
         piece = AffinePiece(box_of((0, F(1, 3)), (0, 1)), (F(3), F(1)), (F(0), F(0)))
         m = PAMap(cube_of(0, 1, 2), (piece,))
-        orbit = m.orbit((F(1, 4), F(0)), 4)
+        orbit = map_orbit(m, (F(1, 4), F(0)), 4)
         assert orbit == [
             (F(1, 4), F(0)),
             (F(3, 4), F(0)),
@@ -130,7 +150,18 @@ class TestPAMap:
 
     def test_orbit_zero_steps(self):
         m = identity_map()
-        assert m.orbit((F(1, 2), F(1, 2)), 0) == [(F(1, 2), F(1, 2))]
+        assert map_orbit(m, (F(1, 2), F(1, 2)), 0) == [(F(1, 2), F(1, 2))]
+        assert m.orbit((1, 1), 0, 2) == [(1, 1)]
+
+    def test_orbit_states_share_one_denominator(self):
+        # x -> (x + 1) / 3 on both axes: S = 3, and each state of a 2-step
+        # orbit of p / den comes back over den 3^2, the unreduced numerators
+        third = AffinePiece(unit_box(), (F(1, 3), F(1, 3)), (F(1, 3), F(1, 3)))
+        m = PAMap(cube_of(0, 1, 2), (third,))
+        assert m.step_den == 3
+        assert m.orbit((0, 2), 2, 2) == [(0, 18), (6, 12), (8, 10)]
+        assert map_orbit(m, (F(0), F(1)), 2) == [(F(0), F(1)), (F(1, 3), F(2, 3)),
+                                                  (F(4, 9), F(5, 9))]
 
 
 class TestHorseshoePAMap:
@@ -141,16 +172,16 @@ class TestHorseshoePAMap:
         pm = unit_square_h.pamap
         for l in range(1, grid.strip_count + 1):
             box = grid.strip_box(l)
-            mid = box.center()
+            mid = box_center(box)
             # oracle: locate the s-cell of the point directly from the grid
             cell = next(
                 i for i in range(1, len(grid.s)) if grid.s[i - 1] <= mid[0] <= grid.s[i]
             )
             assert cell == l
             if l % 2 == 0:
-                assert pm.apply(mid) is ESCAPED
+                assert apply_map(pm, mid) is ESCAPED
             else:
-                assert pm.apply(mid) is not ESCAPED
+                assert apply_map(pm, mid) is not ESCAPED
 
     def test_injective_within_a_strip(self, unit_square_h):
         pm = unit_square_h.pamap
@@ -160,7 +191,7 @@ class TestHorseshoePAMap:
             for i in range(5)
             for j in range(5)
         ]
-        images = [pm.apply(p) for p in pts]
+        images = [apply_map(pm, p) for p in pts]
         assert len(set(images)) == len(pts)
 
     def test_injective_across_strips(self, unit_square_h):
@@ -169,8 +200,8 @@ class TestHorseshoePAMap:
         pm = unit_square_h.pamap
         images = {}
         for l in grid.odd_strip_indices():
-            p = grid.strip_box(l).center()
-            img = pm.apply(p)
+            p = box_center(grid.strip_box(l))
+            img = apply_map(pm, p)
             leg = leg_for_strip(unit_square_h, l)
             assert box_contains(grid.leg_box(leg), img)
             images[l] = img

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmdim.mapping import ESCAPED
-from mmdim.estimators import SeedSet, greedy_separated, orbits_separate
-from oracles import bowen_distance, dist_maxnorm
+from mmdim.estimators import greedy_separated, orbits_separate
+from oracles import bowen_distance, box_center, dist_maxnorm, map_orbit, seed_set
 
 F = Fraction
 
@@ -58,7 +58,7 @@ class TestCompareSeparation:
         assert orbits_separate([past], [origin], F(1, 5))
 
     def test_rejects_nonpositive_eps(self, unit_square_h):
-        seeds = SeedSet.of([(F(1, 2), F(1, 2))])
+        seeds = seed_set([(F(1, 2), F(1, 2))])
         for eps in (F(0), F(-1, 5)):
             with pytest.raises(ValueError, match="positive"):
                 greedy_separated(unit_square_h.pamap, seeds, 1, eps)
@@ -84,7 +84,7 @@ class TestBowenDistance:
         pm = unit_square_h.pamap
         x, y = (F(1, 10), F(1, 2)), (F(3, 20), F(1, 2))
         m = 2
-        ox, oy = pm.orbit(x, m - 1), pm.orbit(y, m - 1)
+        ox, oy = map_orbit(pm, x, m - 1), map_orbit(pm, y, m - 1)
         assert all(s is not ESCAPED for s in ox + oy)
         expected = max(dist_maxnorm(a, b) for a, b in zip(ox, oy))
         got = bowen_distance(pm, x, y, m)
@@ -93,7 +93,7 @@ class TestBowenDistance:
 
     def test_truncated_when_an_orbit_escapes(self, unit_square_h):
         pm = unit_square_h.pamap
-        even_mid = unit_square_h.grid.strip_box(2).center()
+        even_mid = box_center(unit_square_h.grid.strip_box(2))
         d = bowen_distance(pm, even_mid, (F(1, 2), F(1, 2)), 4)
         assert d.truncated and d.steps == 1
         assert d.value == dist_maxnorm(even_mid, (F(1, 2), F(1, 2)))
@@ -156,6 +156,6 @@ class TestOrbitsSeparate:
     def test_agrees_with_bowen_distance(self, unit_square_h, x, y, m):
         pm = unit_square_h.pamap
         eps = F(1, 5)
-        ox, oy = pm.orbit(x, m - 1), pm.orbit(y, m - 1)
+        ox, oy = map_orbit(pm, x, m - 1), map_orbit(pm, y, m - 1)
         want = bowen_distance(pm, x, y, m).value > eps
         assert orbits_separate(ox, oy, eps) == want

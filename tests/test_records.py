@@ -19,7 +19,7 @@ from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe
 from mmdim.mapping import AffinePiece, PAMap
 from mmdim.symbolic import CylinderCode
-from oracles import box_of, cube_of
+from oracles import box_center, box_of, cube_of, lattice_point
 
 F = Fraction
 UNIT = box_of((0, 1), (0, 1))
@@ -112,10 +112,12 @@ def test_caches_take_no_part_in_equality():
     assert h.cube.side == 1 and h.leg_of and h.strip_of
     assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
     assert set(vars(h)) == {"leg_of", "strip_of"} and vars(fresh) == {}
-    piece = h.pamap.piece_for(h.pamap.pieces[0].domain.center())
-    piece.apply_point(piece.domain.center())
-    assert set(vars(piece)) == {"_coefficients"} and vars(fresh.pamap.pieces[0]) == {}
-    assert piece == fresh.pamap.pieces[0] and hash(piece) == hash(fresh.pamap.pieces[0])
+    x, den = lattice_point(box_center(h.pamap.pieces[0].domain))
+    h.pamap.orbit(x, 1, den)
+    assert not hasattr(h.pamap.pieces[0], "__dict__")  # the step cache is the map's
+    assert {"step_den", "_steps"} <= set(vars(h.pamap)) and h.pamap._steps
+    assert "step_den" not in vars(fresh.pamap) and not fresh.pamap._steps
+    assert h.pamap == fresh.pamap and hash(h.pamap) == hash(fresh.pamap)
 
 
 @pytest.mark.parametrize("beta,direct", [

@@ -37,7 +37,16 @@ from mmdim.symbolic import (
     rate_profile,
 )
 from mmdim.geometry import find_interior_overlap
-from oracles import bowen_distance, box_contains, cube_of, log_scale, log_sub, strip_word_box
+from oracles import (
+    apply_map,
+    bowen_distance,
+    box_center,
+    box_contains,
+    cube_of,
+    log_scale,
+    log_sub,
+    strip_word_box,
+)
 
 F = Fraction
 
@@ -261,7 +270,7 @@ class TestSelectedStrips:
                 for a, b in zip(chosen, chosen[1:]):
                     gap = grid.strip_box(b).intervals[0][0] - grid.strip_box(a).intervals[0][1]
                     assert gap >= eps
-                    centers = grid.strip_box(b).center()[0] - grid.strip_box(a).center()[0]
+                    centers = box_center(grid.strip_box(b))[0] - box_center(grid.strip_box(a))[0]
                     assert centers > eps
 
     def test_count_is_three_to_the_k(self):
@@ -280,7 +289,7 @@ def follows_itinerary(h, sq, code, p) -> bool:
         cell = grid.strip_box(l).intersect(grid.leg_box(leg))
         if not box_contains(cell, cur):
             return False
-        cur = sq.apply(cur)
+        cur = apply_map(sq, cur)
     return True
 
 
@@ -315,7 +324,7 @@ class TestCylinderGeometry:
             # nesting: the depth-2 box refines its depth-1 prefix
             prefix = cylinder_geometry(h, CylinderCode(1, code.word[:1]))
             assert prefix.intersect(box) == box
-            assert follows_itinerary(h, sq, code, box.center())
+            assert follows_itinerary(h, sq, code, box_center(box))
             boxes.append(box)
         assert len(boxes) == 3 ** (2 * 2) == 81
         assert find_interior_overlap(boxes) is None
@@ -326,7 +335,7 @@ class TestCylinderGeometry:
         sq = square(h)
         seen = {}
         for code, box in enumerate_cylinders(h, 1, 2):
-            c = box.center()
+            c = box_center(box)
             assert c not in seen
             seen[c] = code
             # the center fails every other code's membership test by
@@ -341,7 +350,7 @@ class TestCylinderGeometry:
         # at eps = 1/5, strictly
         h = unit_square_h
         sq = square(h)
-        centers = [box.center() for _, box in enumerate_cylinders(h, 1, 2)]
+        centers = [box_center(box) for _, box in enumerate_cylinders(h, 1, 2)]
         eps = F(1, 5)
         for a, b in itertools.combinations(centers, 2):
             assert bowen_distance(sq, a, b, 2).value > eps
@@ -349,7 +358,7 @@ class TestCylinderGeometry:
     def test_depth_three_sampled_separation(self, unit_square_h):
         h = unit_square_h
         sq = square(h)
-        centers = [box.center() for _, box in enumerate_cylinders(h, 1, 3)]
+        centers = [box_center(box) for _, box in enumerate_cylinders(h, 1, 3)]
         assert len(centers) == 729
         rng = random.Random(7)
         eps = F(1, 5)
