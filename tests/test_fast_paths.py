@@ -184,7 +184,7 @@ class TestIndexedLookup:
         piece = scan_piece_for(ordered[name], p)
         assert piece_at(pamap, p) is piece
         assert apply_map(pamap, p) == (ESCAPED if piece is None else piece_image(piece, p))
-        assert map_orbit(pamap, p, 3) == scan_orbit(ordered[name], p, 3)
+        check_lattice_orbit(pamap, ordered[name], *lattice_point(p), 3)
 
     @pytest.mark.parametrize("name", LATTICE_MAPS)
     def test_on_and_one_lattice_unit_off_every_face(self, lookup_maps, name):
