@@ -51,7 +51,7 @@ class TestAffinePiece:
     def test_apply_point(self):
         piece = AffinePiece(unit_box(), (F(3), F(1, 5)), (F(-1), F(2, 5)))
         assert piece_image(piece, (F(1, 2), F(0))) == (F(1, 2), F(2, 5))
-        # S = 5: the point 1/2 over 2 lands over 10 as (5, 4)
+        # S = 5: the point (1, 0) over 2 lands over 10 as (5, 4)
         pamap = PAMap(cube_of(0, 1, 2), (piece,))
         assert pamap.step_den == 5 and pamap.apply((1, 0), 2) == (5, 4)
         assert apply_map(pamap, (F(1, 2), F(0))) == (F(1, 2), F(2, 5))
