@@ -6,8 +6,9 @@ estimates against the schedule's analytic targets; `--help` lists each
 command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or spec error or an
-unwritable output path.
+Exit codes: 0 success, 1 verification failure (`verify` outside its
+tolerance, or `estimate` keeping fewer than L^(n m) cylinder centers at a
+block's own eps), 2 usage or spec error or an unwritable output path.
 CSV and JSON go to the requested output path (stdout by default for CSV);
 human-readable progress and reports go to stderr.
 """
@@ -200,6 +201,16 @@ def estimate(system_path, k, m_max, eps_str, budget, out) -> int:
     for m, count in sorted(row.counts.items()):
         print(f"k={k} m={m} eps={row.eps_exact} count={count} "
               f"seeds={row.seeds[m]} pairs={row.pairs[m]}", file=sys.stderr)
+    if eps_value is not None:
+        print(f"--eps {eps_value} is a probe, not block {k}'s own eps: its counts decide nothing",
+              file=sys.stderr)
+        return 0
+    # at the block's own eps the L^(n m) cylinder centers are all separated
+    for m, count in sorted(row.counts.items()):
+        expected = system.block(k).L ** (system.n * m)
+        if count != expected:
+            print(f"k={k} m={m} count={count} expected={expected}", file=sys.stderr)
+            return 1
     return 0
 
 

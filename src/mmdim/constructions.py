@@ -8,7 +8,10 @@ L_k, plus an activity predicate.  Sizes follow either
 
 Blocks are laid out along the first axis of [0, 1]^n with disjoint
 enlargements (a 1/10 side margin per face, clipped to the unit cube), the
-active ones carrying an L_k-leg horseshoe and the inactive ones the identity.
+active ones carrying an L_k-leg horseshoe f and the inactive ones the
+identity.  An active block's map is g = f∘f, the map `estimate` scans: at
+the block's own eps, f's separated counts grow by L_k^(n-1) per step and
+g's by L_k^n.
 A two-block system embeds one system in [0, 1/2]^n and another in [1/2, 1]^n
 through scale-2 homothety charts; everything outside is the identity.
 

@@ -1,15 +1,14 @@
 """Exact rational geometry primitives: boxes and cubes.
 
 All coordinates are `fractions.Fraction`.  Nothing in this module ever
-touches floating point; every containment / intersection / disjointness
-question is decided exactly.
+touches floating point; every disjointness question is decided exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 def rational_from_str(s: str) -> Fraction:
@@ -46,26 +45,6 @@ class Box(_BoxFields):
     def dim(self) -> int:
         return len(self.intervals)
 
-    def is_degenerate(self) -> bool:
-        """True if some axis has zero width (empty interior)."""
-        return any(lo == hi for lo, hi in self.intervals)
-
-    def intersect(self, other: "Box") -> "Box | None":
-        """Exact intersection; None when empty."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        ivs = []
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if lo > hi:
-                return None
-            ivs.append((lo, hi))
-        return Box(tuple(ivs))
-
-    def interiors_overlap(self, other: "Box") -> bool:
-        hit = self.intersect(other)
-        return hit is not None and not hit.is_degenerate()
-
 
 class _CubeFields(NamedTuple):
     lo: Fraction
@@ -88,36 +67,14 @@ class Cube(_CubeFields):
         return self.hi - self.lo
 
 
-def find_interior_overlap(boxes: Sequence[Box]) -> tuple[int, int] | None:
-    """Return (i, j), i < j, with boxes[i] and boxes[j] overlapping in interior, or None."""
-    for i, j in _first_axis_sweep(boxes):
-        if boxes[i].interiors_overlap(boxes[j]):
+def find_interior_overlap(slabs: Sequence[Box]) -> tuple[int, int] | None:
+    """Return (i, j), i < j, with slabs[i] and slabs[j] overlapping in interior, or None.
+
+    Each box is a first-axis interval of positive width times one shared box.
+    Sorted by lower end, they overlap when one starts before the one before ends.
+    """
+    order = sorted(range(len(slabs)), key=lambda i: slabs[i].intervals[0][0])
+    for i, j in zip(order, order[1:]):
+        if slabs[j].intervals[0][0] < slabs[i].intervals[0][1]:
             return min(i, j), max(i, j)
     return None
-
-
-def find_cross_overlap(left: Sequence[Box], right: Sequence[Box]) -> tuple[int, int] | None:
-    """Return (i, j) with left[i] and right[j] overlapping in interior, or None."""
-    boxes, n = [*left, *right], len(left)
-    for i, j in _first_axis_sweep(boxes):
-        if (i < n) != (j < n) and boxes[i].interiors_overlap(boxes[j]):
-            return (i, j - n) if i < n else (j, i - n)
-    return None
-
-
-def _first_axis_sweep(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
-    """Yield (i, j) for every pair of boxes whose first-axis intervals
-    overlap in interior, j entered before i.
-
-    Boxes enter in order of their lower first-axis ends (ties in index
-    order) and drop out once the sweep reaches their upper ends.  Every
-    piecewise-affine map here is a family of slabs along the first axis,
-    which keeps at most one box open: O(N log N), not O(N^2).
-    """
-    open_boxes: list[int] = []
-    for i in sorted(range(len(boxes)), key=lambda i: boxes[i].intervals[0][0]):
-        lo = boxes[i].intervals[0][0]
-        open_boxes[:] = [j for j in open_boxes if boxes[j].intervals[0][1] > lo]
-        for j in open_boxes:
-            yield i, j
-        open_boxes.append(i)

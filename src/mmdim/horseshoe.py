@@ -14,6 +14,11 @@ contracted by 1/(2L - 1) transversally.  Strips are matched to legs in
 boustrophedon (snake) order running from the leg containing (a, ..., a, b)
 to the leg containing (b, ..., b, a), which makes those two corners fixed
 points with orientation-preserving pieces throughout.
+
+This one step f is not the block's map: block k applies g = f∘f, the map
+`square` builds and `estimate` scans.  At the block's own eps, f tells apart
+only its L^(n-1) strips, so f's separated counts grow by L^(n-1) per step,
+and g's by L^n.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .geometry import Box, Cube, find_cross_overlap
+from .geometry import Box, Cube, find_interior_overlap
 from .mapping import AffinePiece, PAMap
 
 
@@ -235,13 +240,12 @@ def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
     add("each strip maps onto its assigned leg", images_ok, detail)
     add("every leg crosses the full first axis", crossing_ok)
 
-    even_strips = [grid.strip_box(l) for l in range(2, grid.strip_count + 1, 2)]
-    covered = find_cross_overlap([p.domain for p in h.pamap.pieces], even_strips)
-    add(
-        "even strips escape (no piece covers them)",
-        covered is None,
-        "" if covered is None else f"piece {covered[0]} covers strip {2 * covered[1] + 2}",
-    )
+    # no two pieces (PAMap checks) or strips overlap: a hit is a piece and a strip
+    domains = [p.domain for p in h.pamap.pieces]
+    evens = [grid.strip_box(l) for l in range(2, grid.strip_count + 1, 2)]
+    hit = find_interior_overlap(domains + evens)
+    add("even strips escape (no piece covers them)", hit is None,
+        "" if hit is None else f"piece {hit[0]} covers strip {2 * (hit[1] - len(domains)) + 2}")
 
     # a = lo, b = hi over den = lo.d hi.d; a fixed corner's one-step orbit
     # holds the corner twice

@@ -1,18 +1,18 @@
-"""Piecewise-affine maps on a cube, with absorbing escape semantics.
+"""Piecewise-affine maps on the slabs of a cube, with absorbing escape.
 
-A `PAMap` is a finite list of `AffinePiece`s whose domains have pairwise
-disjoint interiors.  Applying the map to a point inside some piece domain
-gives the exact affine image; points inside the ambient cube but outside
-every piece domain (and points already outside) go to the absorbing
-`ESCAPED` state.  Orbits that escape stay escaped.  Points are integer
-numerators over a denominator the caller names, and a step multiplies that
-denominator by the map's own, so no step builds a `Fraction` or takes a gcd.
+A `PAMap` is a list of `AffinePiece`s on slabs: each domain is a first-axis
+interval of positive width times the whole cube, as a horseshoe's strips
+are, and no two overlap in interior.  A point in a slab goes to its exact
+affine image; a point in a gap between slabs, or outside the cube, goes to
+the absorbing `ESCAPED` state.  Points are integer numerators over a
+denominator the caller names, and a step multiplies that denominator by the
+map's own, so no step builds a `Fraction` or takes a gcd.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -81,55 +81,42 @@ class _PAMapFields(NamedTuple):
 
 
 class PAMap(_PAMapFields):
-    """Piecewise-affine map with escape outside the piece domains.
+    """Piecewise-affine map on slabs, with escape outside them.
 
-    A point on a shared boundary is resolved to the lexicographically
-    smallest domain containing it, deterministically.  A point's candidates
-    are indexed by its first coordinate on the lattice of one denominator D,
-    the lcm of every domain end's: the distinct first-axis ends times D are
-    the integer cuts, and slot 2i + 1 holds the pieces containing cut i, slot
-    2i those containing the open gap just below it, smallest domain first,
-    each beside its transverse bounds times D (one tuple per distinct
-    bounds).  A step takes a point over den to its image over den S, S the
-    lcm of the denominators of every piece's scale and offset; each piece's
-    scale and offset times S are built when a step first lands in it.  The
-    index and those step coefficients take no part in equality.
+    A point on an end that two slabs share goes to the lower slab.  Lookups
+    run on the lattice of one denominator D, the lcm of the cube's and every
+    slab end's: one bisect of the first coordinate into the slabs' upper
+    ends times D, a test of that slab's lower end, and a test of the other
+    coordinates against the cube's ends times D.  A step takes a point over
+    den to its image over den S, S the lcm of the denominators of every
+    piece's scale and offset; each piece's scale and offset times S are
+    built when a step first lands in it.  The index and those step
+    coefficients take no part in equality.
     """
 
     def __new__(cls, ambient, pieces):
-        for piece in pieces:
-            if piece.domain.dim != ambient.dim:
+        across = ((ambient.lo, ambient.hi),) * (ambient.dim - 1)
+        for i, piece in enumerate(pieces):
+            ivs = piece.domain.intervals
+            if len(ivs) != ambient.dim:
                 raise ValueError("piece dimension differs from ambient cube")
+            if not ivs[0][0] < ivs[0][1] or ivs[1:] != across:
+                raise ValueError(f"piece domain {i} is not a slab of positive width")
         hit = find_interior_overlap([p.domain for p in pieces])
         if hit is not None:
             i, j = hit
             raise ValueError(f"piece domains {i} and {j} have overlapping interiors")
         self = tuple.__new__(cls, (ambient, pieces))
-        den = math.lcm(*{x.denominator for p in pieces for iv in p.domain.intervals for x in iv})
-        ends = [x.numerator * (den // x.denominator)
-                for p in pieces for x in p.domain.intervals[0]]
-        cuts, rank = [], [0] * len(ends)  # slab ends arrive nearly sorted
-        for i in sorted(range(len(ends)), key=ends.__getitem__):
-            if not cuts or cuts[-1] != ends[i]:
-                cuts.append(ends[i])
-            rank[i] = len(cuts) - 1
-        slots: list[tuple] = [()] * (2 * len(cuts) + 1)
-        shared, crowded = {}, {}  # distinct bounds; the slots of more than one piece
-        for i, piece in enumerate(pieces):
-            bounds = tuple((a.numerator * (den // a.denominator),
-                            b.numerator * (den // b.denominator))
-                           for a, b in piece.domain.intervals[1:])
-            entry = (piece, shared.setdefault(bounds, bounds))
-            alone = (entry,)  # every slot of a lone piece holds this one tuple
-            for j in range(2 * rank[2 * i] + 1, 2 * rank[2 * i + 1] + 2):
-                if slots[j]:
-                    crowded.setdefault(j, list(slots[j])).append(entry)
-                else:
-                    slots[j] = alone
-        # smallest domain first, ties in the given order (the tie rule)
-        for j, entries in crowded.items():
-            slots[j] = tuple(sorted(entries, key=lambda e: e[0].domain.intervals))
-        self._den, self._cuts, self._slots, self._steps = den, cuts, slots, {}
+        den = math.lcm(ambient.lo.denominator, ambient.hi.denominator,
+                       *{x.denominator for p in pieces for x in p.domain.intervals[0]})
+
+        def lattice(x: Fraction) -> int:
+            return x.numerator * (den // x.denominator)
+
+        self._slabs = sorted(pieces, key=lambda p: p.domain.intervals[0][0])
+        self._lows = [lattice(p.domain.intervals[0][0]) for p in self._slabs]
+        self._highs = [lattice(p.domain.intervals[0][1]) for p in self._slabs]
+        self._den, self._cube, self._steps = den, (lattice(ambient.lo), lattice(ambient.hi)), {}
         return self
 
     @cached_property
@@ -138,25 +125,20 @@ class PAMap(_PAMapFields):
         return math.lcm(*{x.denominator for p in self.pieces for x in p.scale + p.offset})
 
     def piece_for(self, p: Point, den: int) -> AffinePiece | None:
-        """The piece whose domain holds the point p / den, or None."""
+        """The piece whose slab holds the point p / den, or None."""
         if len(p) != self.ambient.dim:
             raise ValueError("dimension mismatch")
-        D, cuts = self._den, self._cuts
-        q, r = divmod(p[0] * D, den)
-        if r:  # p[0] D / den lies strictly between q and q + 1, so on no cut
-            slot = 2 * bisect_right(cuts, q)
-        else:
-            i = bisect_left(cuts, q)
-            slot = 2 * i + (i < len(cuts) and cuts[i] == q)
-        # every piece in the slot contains p[0] / den; the other axes are
-        # tested inline as lo den <= x D <= hi den
-        for piece, bounds in self._slots[slot]:
-            for x, (lo, hi) in zip(p[1:], bounds):
-                if not lo * den <= x * D <= hi * den:
-                    break
-            else:
-                return piece
-        return None
+        D = self._den
+        x = p[0] * D
+        # the first slab ending at or after p[0] / den: a shared end goes to the lower
+        i = bisect_left(self._highs, -(-x // den))
+        if i == len(self._highs) or self._lows[i] * den > x:
+            return None
+        lo, hi = self._cube
+        for y in p[1:]:
+            if not lo * den <= y * D <= hi * den:
+                return None
+        return self._slabs[i]
 
     def apply(self, p: Point, den: int):
         """The image of the point p / den as integers over den S, or ESCAPED."""

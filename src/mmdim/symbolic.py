@@ -9,9 +9,10 @@ exponent range is the widest `decimal` allows; `ln` and `exp` are correctly
 rounded there, and each ln(a) is computed once per process.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
-eps_k = |E_k| / (2 L_k - 1) and each step of the squared block map codes
-L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so depth-m words
-number L_k^(nm) (= 3^(knm) on the default leg schedule).  The quotient
+eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
+one step of f tells apart only its L_k^(n-1) strips at eps_k, while each
+step of g codes L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so
+depth-m words number L_k^(nm) (= 3^(knm) on the default leg schedule).  The quotient
 n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of block k
 and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both converge to
 the same limit.

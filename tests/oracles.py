@@ -3,14 +3,15 @@
 No command runs these, so they live beside the tests rather than in the
 package: the naive Bowen distance the greedy scan's kernel is checked
 against, the unsquared word boxes and block enlargements of the acceptance
-criteria, the `Fraction` box centers, piece images and seed sets the lattice
+criteria, the box intersections and the overlap sweep for boxes of any
+shape, the `Fraction` box centers, piece images and seed sets the lattice
 paths replaced, and the Fraction-coercing constructors, containment tests
 and log arithmetic the tests write their cases with.
 """
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from mmdim.constructions import MARGIN
 from mmdim.estimators import SeedSet
@@ -43,6 +44,56 @@ def box_contains(box: Box, p: Point) -> bool:
 
 def cube_contains(cube: Cube, p: Point) -> bool:
     return box_contains(cube_box(cube), p)
+
+
+def is_degenerate(box: Box) -> bool:
+    """True if some axis has zero width (empty interior)."""
+    return any(lo == hi for lo, hi in box.intervals)
+
+
+def box_intersect(a: Box, b: Box) -> Box | None:
+    """Exact intersection; None when empty."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    ivs = []
+    for (alo, ahi), (blo, bhi) in zip(a.intervals, b.intervals):
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo > hi:
+            return None
+        ivs.append((lo, hi))
+    return Box(tuple(ivs))
+
+
+def interiors_overlap(a: Box, b: Box) -> bool:
+    hit = box_intersect(a, b)
+    return hit is not None and not is_degenerate(hit)
+
+
+def find_box_overlap(boxes: Sequence[Box]) -> tuple[int, int] | None:
+    """Return (i, j), i < j, with boxes[i] and boxes[j] overlapping in
+    interior, or None: `geometry.find_interior_overlap` for boxes of any
+    shape, such as cylinders and block enlargements."""
+    for i, j in first_axis_sweep(boxes):
+        if interiors_overlap(boxes[i], boxes[j]):
+            return min(i, j), max(i, j)
+    return None
+
+
+def first_axis_sweep(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
+    """Yield (i, j) for every pair of boxes whose first-axis intervals
+    overlap in interior, j entered before i.
+
+    Boxes enter in order of their lower first-axis ends (ties in index
+    order) and drop out once the sweep reaches their upper ends, so boxes
+    that mostly tile the first axis keep few open at once.
+    """
+    open_boxes: list[int] = []
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i].intervals[0][0]):
+        lo = boxes[i].intervals[0][0]
+        open_boxes[:] = [j for j in open_boxes if boxes[j].intervals[0][1] > lo]
+        for j in open_boxes:
+            yield i, j
+        open_boxes.append(i)
 
 
 def box_center(box: Box) -> Point:

@@ -1,17 +1,19 @@
 """One step of a whole system, for the tests that check the stacked layout.
 
-No command steps a whole system: the scans run one block's horseshoe, so
-this map lives with the tests.  Inside an active block it is the block's
-horseshoe, inside an inactive block and outside every block it is the
-identity.  A two-block system conjugates each corner cube [0,1/2]^n and
+No command steps a whole system: the scans run one block's map, so this
+map lives with the tests.  Inside an active block it is the block map
+g = f∘f, the squared horseshoe that `estimate` scans (`horseshoe.square`);
+inside an inactive block and outside every block it is the identity.  A two-block system conjugates each corner cube [0,1/2]^n and
 [1/2,1]^n to its half's unit-cube system by the scale-2 homothety chart;
 points on the shared boundary belong to the lower half.  ESCAPED is
 absorbing.
 """
 
+import functools
 from fractions import Fraction
 
 from mmdim.constructions import IdentitySystem, StackedSystem
+from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
 from oracles import apply_map, cube_contains
 
@@ -36,6 +38,12 @@ def in_half(p, lower: bool) -> bool:
     return all(HALF <= c <= 1 for c in p)
 
 
+@functools.cache
+def block_map(block):
+    """g = f∘f for the block's horseshoe f: the map `estimate` scans."""
+    return square(block.geometry())
+
+
 def apply_system(system, p):
     """The image of p under one step of a stacked, identity or two-block system."""
     if p is ESCAPED or isinstance(system, IdentitySystem):
@@ -43,7 +51,7 @@ def apply_system(system, p):
     if isinstance(system, StackedSystem):
         for block in system.blocks:
             if cube_contains(block.cube, p):
-                return apply_map(block.geometry().pamap, p) if block.active else p
+                return apply_map(block_map(block), p) if block.active else p
         return p
     for lower, half in ((True, system.lower), (False, system.upper)):
         if in_half(p, lower):

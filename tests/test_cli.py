@@ -14,6 +14,7 @@ import pytest
 
 import mmdim
 from mmdim.cli import main
+from mmdim.constructions import Block
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
@@ -308,12 +309,29 @@ class TestEstimate:
         assert numeric["eps_exact"] == symbolic["eps_exact"] == "100/987"
         assert abs(float(numeric["lower_ratio"]) - float(symbolic["lower_ratio"])) <= 1e-9
 
+    def test_shortfall_at_the_blocks_own_eps_exits_1(self, cli, tmp_spec, tmp_path,
+                                                     monkeypatch):
+        # eps = side / (2L - 3), wider than a leg: the square keeps 9, 54 and
+        # 324 of its 9, 81 and 729 cylinder centers, and the first shortfall
+        # is named
+        monkeypatch.setattr(Block, "eps", property(lambda b: b.cube.side / (2 * b.L - 3)))
+        spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
+        out = str(tmp_path / "shrunk.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        result = cli(["estimate", out, "--k", "1"])
+        assert result.exit_code == 1, result.output
+        assert "k=1 m=3 eps=1/9 count=324 seeds=729" in result.stderr
+        assert result.stderr.splitlines()[-1] == "k=1 m=2 count=54 expected=81"
+
     def test_eps_override(self, cli, geometric_file):
+        # 1 of 9 and 1 of 81 kept: a probe decides nothing, so it exits 0
         result = cli(
             ["estimate", geometric_file, "--k", "1", "--m", "2", "--eps", "2"]
         )
         assert result.exit_code == 0
         assert "count=1" in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            "--eps 2 is a probe, not block 1's own eps: its counts decide nothing")
         row = parse_csv(result.stdout)[0]
         assert float(row["lower_rate"]) == pytest.approx(0.0, abs=1e-12)
 

@@ -1,5 +1,6 @@
 """Tests for size schedules, cube placement, and the assembled systems."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,20 @@ from mmdim.constructions import (
     place_cubes,
     solve_rate,
 )
-from mmdim.geometry import find_interior_overlap
+from mmdim.estimators import cylinder_centers
 from mmdim.mapping import ESCAPED
 
-from oracles import box_center, box_of, cube_box, cube_of, enlarged_box
+from oracles import (
+    box_center,
+    box_intersect,
+    box_of,
+    cube_box,
+    cube_of,
+    dist_maxnorm,
+    enlarged_box,
+    find_box_overlap,
+    seed_points,
+)
 from system_maps import apply_system
 
 F = Fraction
@@ -265,10 +276,37 @@ class TestBuildStacked:
         # inside the ambient cube
         sys = build_stacked(sched, n, 8)
         enlargements = [enlarged_box(b.cube) for b in sys.blocks]
-        assert find_interior_overlap(enlargements) is None
+        assert find_box_overlap(enlargements) is None
         unit = box_of(*(((0, 1),) * n))
         for box in enlargements:
-            assert unit.intersect(box) == box  # inside the unit cube
+            assert box_intersect(unit, box) == box  # inside the unit cube
+
+
+class TestBlockMap:
+    """The system's map on block k is g = f∘f, the map `estimate` scans.
+
+    At the block's own eps its L^(n m) depth-m cylinder centers are pairwise
+    separated under g's Bowen distance, so its separated counts grow by L^n
+    per step.  Under f they would not: f keeps 27 of the 81 centers at
+    n = 2, m = 2, since one step of f crosses one of L^(n-1) strips.
+    """
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
+    def test_block_one_centers_are_pairwise_separated(self, n, m):
+        system = build_stacked(Schedule.geometric(1, 1), n, 1)
+        block = system.block(1)
+        centers = seed_points(cylinder_centers(block.geometry(), 1, m))
+        assert len(centers) == block.L ** (n * m)
+        orbits = []
+        for p in centers:
+            orbit = [p]
+            for _ in range(m - 1):
+                orbit.append(apply_system(system, orbit[-1]))
+            assert ESCAPED not in orbit
+            orbits.append(orbit)
+        for x, y in itertools.combinations(orbits, 2):
+            bowen = max(dist_maxnorm(a, b) for a, b in zip(x, y))
+            assert bowen > block.eps
 
 
 class TestIdentitySystem:

@@ -282,12 +282,24 @@ class TestGreedySeparated:
         assert result.chosen == () and result.pairs == 0 and not result.truncated
 
     def test_cover_check_runs(self, sq_unit, monkeypatch):
-        # a kernel that calls every pair separated leaves no seed covered,
-        # not even by itself, so the self-check must raise
-        monkeypatch.setattr(estimators, "orbits_separate", lambda *args: True)
-        seeds = seed_set([(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))])
+        # a kernel that rejects the second seed in the scan and then calls
+        # every pair separated leaves that seed uncovered, so the self-check
+        # must raise; a kept seed covers itself and is not compared
+        answers = itertools.chain([False], itertools.repeat(True))
+        monkeypatch.setattr(estimators, "orbits_separate", lambda *args: next(answers))
+        seeds = seed_set([(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2) + F(1, 1000))])
         with pytest.raises(AssertionError, match="cover check"):
             greedy_separated(sq_unit, seeds, 2, F(1, 5))
+
+    def test_cover_check_compares_only_rejected_seeds(self, sq_unit):
+        # three seeds within eps of each other at every step, and one far
+        # off: the scan keeps two and rejects two, and the cover check
+        # compares each rejected seed with its witness once
+        near = [(F(1, 2), F(1, 2) + F(i, 1000)) for i in range(3)]
+        seeds = seed_set(near + [(F(1, 10), F(1, 10))])
+        result = greedy_separated(sq_unit, seeds, 1, F(1, 5))
+        assert len(result.chosen) == 2
+        assert result.pairs == 2 + 2  # one scan comparison and one cover check each
 
     def test_pairs_count_every_kernel_call(self, geometric_system, monkeypatch):
         # the greedy_square benchmark inputs: block 1 of the geometric

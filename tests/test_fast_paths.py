@@ -15,7 +15,7 @@ from test_estimators import naive_greedy
 
 from mmdim.constructions import Schedule, build_stacked, build_two_block
 from mmdim.estimators import cylinder_centers, greedy_separated, orbits_separate
-from mmdim.geometry import Cube
+from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
@@ -23,9 +23,11 @@ from oracles import (
     apply_map,
     box_center,
     box_contains,
+    box_intersect,
     box_of,
     cube_of,
     fraction_point,
+    is_degenerate,
     lattice_point,
     map_orbit,
     piece_at,
@@ -67,36 +69,34 @@ def check_lattice_orbit(pamap, ordered, x, den, steps):
     return want
 
 
-def _grid_piece(ivs, k):
-    scale = tuple(F(k + 2, 3) * (-1) ** (k + i) for i in range(len(ivs)))
-    offset = tuple(F(i - k, 5) for i in range(len(ivs)))
-    return AffinePiece(box_of(*ivs), scale, offset)
+def _slab_piece(cube, ends, k):
+    """A piece on the slab `ends` times the cube, whose scale and offset vary with k."""
+    scale = tuple(F(k + 2, 3) * (-1) ** (k + i) for i in range(cube.dim))
+    offset = tuple(F(i - k, 5) for i in range(cube.dim))
+    return AffinePiece(Box((ends,) + ((cube.lo, cube.hi),) * (cube.dim - 1)), scale, offset)
 
 
 def hand_built_maps():
-    """Maps whose pieces share faces and have equal, nested, overlapping or
-    degenerate first-axis intervals."""
+    """Slab maps whose slabs touch, leave gaps, come out of order, cover the
+    whole cube or have pairwise coprime denominators, at n = 2 and 3."""
     h, q, t = F(1, 2), F(1, 4), F(3, 4)
-    grid_2x2 = [[(0, h), (0, h)], [(0, h), (h, 1)], [(h, 1), (0, h)], [(h, 1), (h, 1)]]
-    nested = [[(0, 1), (0, F(1, 3))], [(q, t), (F(1, 3), F(2, 3))],
-              [(0, h), (F(2, 3), 1)], [(h, 1), (F(2, 3), 1)]]
-    staggered = [[(0, h), (0, h)], [(q, t), (h, 1)], [(h, 1), (0, q)],
-                 [(t, 1), (q, h)], [(h, h), (q, h)]]
-    degenerate = [[(0, 0), (0, 1)], [(0, h), (0, 1)], [(q, q), (0, 1)], [(1, 1), (0, h)]]
-    cube_3d = [[(0, h), (0, 1), (0, h)], [(h, 1), (0, h), (0, h)],
-               [(q, 1), (0, 1), (h, 1)], [(h, 1), (h, 1), (0, q)]]
-    # cut denominators 7, 11, 13 and transverse ones 17, 19, 23, pairwise
-    # coprime, so that the map's one denominator is their product
-    coprime = [[(0, F(1, 7)), (0, 1)], [(F(1, 7), F(3, 11)), (F(1, 17), F(16, 19))],
-               [(F(3, 11), F(6, 13)), (F(2, 19), 1)], [(F(3, 11), F(6, 13)), (0, F(1, 23))],
-               [(F(6, 13), 1), (0, 1)]]
-    out = {}
-    for name, boxes in [("2x2 grid", grid_2x2), ("nested", nested), ("staggered", staggered),
-                        ("degenerate", degenerate), ("3d", cube_3d), ("coprime", coprime)]:
-        dim = len(boxes[0])
-        pieces = tuple(_grid_piece(ivs, k) for k, ivs in enumerate(boxes))
-        out[name] = PAMap(cube_of(0, 1, dim), pieces)
-    return out
+    unit2, unit3 = cube_of(0, 1, 2), cube_of(0, 1, 3)
+    # the cube's corners 1/17 and 22/23 and the slab ends 1/7, 3/11, 6/13
+    # and 18/19 have pairwise coprime denominators, so that the map's one
+    # denominator is their product
+    coprime_cube = cube_of(F(1, 17), F(22, 23), 2)
+    layouts = {
+        "touching": (unit2, [(0, q), (q, h), (h, 1)]),
+        "gaps": (unit2, [(F(1, 8), q), (F(3, 8), h), (t, 1)]),
+        "out of order": (unit2, [(h, t), (0, q), (t, 1), (q, F(3, 8))]),
+        "whole cube": (unit2, [(0, 1)]),
+        "3d": (unit3, [(0, F(1, 3)), (F(1, 3), h), (F(2, 3), 1)]),
+        "coprime": (coprime_cube, [(F(1, 17), F(1, 7)), (F(1, 7), F(3, 11)),
+                                   (F(6, 13), F(18, 19)), (F(18, 19), F(22, 23))]),
+    }
+    return {name: PAMap(cube, tuple(_slab_piece(cube, (F(lo), F(hi)), k)
+                                    for k, (lo, hi) in enumerate(slabs)))
+            for name, (cube, slabs) in layouts.items()}
 
 
 # Cubes with non-dyadic corners and sides, so that no endpoint is exact in
@@ -203,12 +203,13 @@ class TestIndexedLookup:
         maps, ordered = lookup_maps
         pamap = maps["coprime"]
         assert pamap._den == 7 * 11 * 13 * 17 * 19 * 23 == 1 / lattice_unit(pamap)
-        # the cut 3/11 and a unit either side of it, at the transverse ends
-        # of the pieces on both sides
+        # the shared end 1/7, the gap's ends 3/11 and 6/13 and a unit either
+        # side of each, on the cube's transverse faces and a unit past them
         u = lattice_unit(pamap)
-        for x in (F(3, 11) - u, F(3, 11), F(3, 11) + u):
-            for y in (F(0), F(1, 23), F(1, 23) + u, F(2, 19) - u, F(2, 19), F(16, 19) + u):
-                assert piece_at(pamap, (x, y)) is scan_piece_for(ordered["coprime"], (x, y))
+        for end in (F(1, 7), F(3, 11), F(6, 13)):
+            for x in (end - u, end, end + u):
+                for y in (F(1, 17) - u, F(1, 17), F(1, 2), F(22, 23), F(22, 23) + u):
+                    assert piece_at(pamap, (x, y)) is scan_piece_for(ordered["coprime"], (x, y))
 
     def test_every_face_point_of_the_square_map(self, lookup_maps):
         # every first-axis cut of the squared map, at every transverse face
@@ -221,21 +222,17 @@ class TestIndexedLookup:
                 assert piece_at(pamap, (x, y)) is scan_piece_for(ordered["square n=2 L=3"], (x, y))
 
     def test_transverse_miss_escapes(self):
-        # the first coordinate picks the slot; the other axes still decide
-        piece = AffinePiece(box_of((0, F(1, 3)), (0, F(1, 2))), (F(1), F(1)), (F(0), F(0)))
+        # the first coordinate picks the slab; the other axes still decide
+        piece = AffinePiece(box_of((0, F(1, 3)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
         pamap = PAMap(cube_of(0, 1, 2), (piece,))
         for x in (F(0), F(1, 6), F(1, 3)):
-            assert piece_at(pamap, (x, F(1, 2))) is piece
-            assert piece_at(pamap, (x, F(3, 4))) is None
-            assert apply_map(pamap, (x, F(3, 4))) is ESCAPED
-
-    def test_ties_go_to_the_smallest_piece(self):
-        pamap = hand_built_maps()["2x2 grid"]
-        centre = piece_at(pamap, (F(1, 2), F(1, 2)))
-        assert centre.domain == box_of((0, F(1, 2)), (0, F(1, 2)))
+            assert piece_at(pamap, (x, F(1))) is piece
+            for y in (F(-1, 4), F(1) + F(1, 10**9)):
+                assert piece_at(pamap, (x, y)) is None
+                assert apply_map(pamap, (x, y)) is ESCAPED
 
     def test_wrong_dimension_rejected(self):
-        pamap = hand_built_maps()["2x2 grid"]
+        pamap = hand_built_maps()["touching"]
         with pytest.raises(ValueError, match="dimension mismatch"):
             pamap.piece_for((1,), 3)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -251,7 +248,7 @@ def invert(piece):
 
 def preimage_box(piece, box):
     """Oracle: the exact preimage of `box` under the piece, within its domain."""
-    return invert(piece).map_box(box).intersect(piece.domain)
+    return box_intersect(invert(piece).map_box(box), piece.domain)
 
 
 def preimage_square(h):
@@ -263,7 +260,7 @@ def preimage_square(h):
     for l, first in by_strip.items():
         for l2, second in by_strip.items():
             domain = preimage_box(first, grid.strip_box(l2))
-            assert domain is not None and not domain.is_degenerate()
+            assert domain is not None and not is_degenerate(domain)
             pieces.append(first.then(second, domain))
     return PAMap(h.cube, tuple(pieces))
 
@@ -296,7 +293,7 @@ def _piece_of(h, l):
 
 
 def _cell_box(h, l, leg):
-    box = h.grid.strip_box(l).intersect(h.grid.leg_box(leg))
+    box = box_intersect(h.grid.strip_box(l), h.grid.leg_box(leg))
     if box is None:
         raise AssertionError(f"strip {l} and leg {leg} do not meet")
     return box
@@ -317,7 +314,7 @@ def pullback_cylinder(h, code):
         l, leg = code.word[t]
         pulled = preimage_box(_piece_of(h, mids[t]), box)
         pulled = preimage_box(_piece_of(h, l), pulled)
-        box = pulled.intersect(_cell_box(h, l, leg))
+        box = box_intersect(pulled, _cell_box(h, l, leg))
     return box
 
 
@@ -542,14 +539,15 @@ class TestTrieScan:
         assert result.chosen == naive_greedy(pamap, seeds, 3, eps)
 
     @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (1, 3), (2, 2)])
-    def test_native_eps_scans_compare_only_the_cover(self, geometric_system, k, m):
+    def test_native_eps_scans_make_no_comparison(self, geometric_system, k, m):
         # every cylinder center is kept, and no kept point shares all of a
         # seed's trie cells within 1: the scan makes no comparison, and the
-        # cover check one per seed, against itself
+        # cover check none either, since a kept seed covers itself
         block = geometric_system.block(k)
         h = block.geometry()
         result = greedy_separated(square(h), cylinder_centers(h, k, m), m, block.eps)
-        assert len(result.chosen) == result.seed_count == result.pairs == block.L ** (2 * m)
+        assert len(result.chosen) == result.seed_count == block.L ** (2 * m)
+        assert result.pairs == 0
 
 
 # every map of the lookup tests, and the horseshoes the trie scan runs on

@@ -63,7 +63,7 @@ GOLDEN = {
     ),
     ("square", "estimate --k 1 --m 3"): (
         "ad7946c72bb8413c8cdf5d81d8bdd8da029b00430f20fe1d303e1c82d08477d1",
-        "33f7b0544c5eab9e553dc9d2d9e2cd0c1e17ae5b47231bcc39459e344d0cff02",
+        "47d1f989282f6992797113e596672aa7386871f930f00eb374bc75ade2df5beb",
         0,
     ),
     ("square", "validate"): (
@@ -83,7 +83,7 @@ GOLDEN = {
     ),
     ("cube", "estimate --k 1 --m 2 --eps 3/10"): (
         "ef44137bcfb8c4880e6b36447f55b1a6296dc3b9c2755c72ebd1638035a7f605",
-        "9bf32f4816138f84753e7ded484ef154e9a16916ff711135e0dcbcef0b980574",
+        "64d1b7753992c686d8024bac579b5525395a1e4b8898e39b45bfde1e5108a197",
         0,
     ),
 }

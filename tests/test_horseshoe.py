@@ -20,7 +20,15 @@ from mmdim.horseshoe import (
     validate_horseshoe,
 )
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from oracles import apply_map, box_center, box_contains, box_of, cube_of, leg_for_strip
+from oracles import (
+    apply_map,
+    box_center,
+    box_contains,
+    box_intersect,
+    box_of,
+    cube_of,
+    leg_for_strip,
+)
 
 F = Fraction
 
@@ -291,7 +299,7 @@ class TestSquare:
             src = next(
                 l
                 for l in grid.odd_strip_indices()
-                if grid.strip_box(l).intersect(piece.domain) == piece.domain
+                if box_intersect(grid.strip_box(l), piece.domain) == piece.domain
             )
             mid = apply_map(unit_square_h.pamap, box_center(piece.domain))
             dst = next(

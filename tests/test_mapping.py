@@ -102,8 +102,10 @@ class TestPAMap:
     def test_overlapping_domains_rejected(self):
         a = AffinePiece(box_of((0, F(1, 2)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
         b = AffinePiece(box_of((F(1, 4), 1), (0, 1)), (F(1), F(1)), (F(0), F(0)))
-        with pytest.raises(ValueError, match="overlapping interiors"):
-            PAMap(cube_of(0, 1, 2), (a, b))
+        nested = AffinePiece(box_of((F(1, 4), F(1, 3)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
+        for pieces in [(a, b), (b, a), (a, nested), (nested, a)]:
+            with pytest.raises(ValueError, match="piece domains 0 and 1 have overlapping"):
+                PAMap(cube_of(0, 1, 2), pieces)
 
     def test_touching_domains_allowed(self):
         a = AffinePiece(box_of((0, F(1, 2)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
@@ -116,15 +118,34 @@ class TestPAMap:
         with pytest.raises(ValueError, match="ambient"):
             PAMap(cube_of(0, 1, 2), (piece,))
 
-    def test_boundary_resolves_to_lexicographically_smallest_piece(self):
-        # both pieces contain the shared face x = 1/2 but send it to
-        # different places; the piece with the smaller domain must win
+    @pytest.mark.parametrize("domain", [
+        box_of((0, F(1, 2)), (0, F(1, 2))),        # short of the cube transversally
+        box_of((0, F(1, 2)), (F(-1, 2), 1)),       # beyond it
+        box_of((0, F(1, 2)), (F(1, 3), F(2, 3))),  # inside it
+    ])
+    def test_non_slab_domain_rejected(self, domain):
+        piece = AffinePiece(domain, (F(1), F(1)), (F(0), F(0)))
+        with pytest.raises(ValueError, match="piece domain 0 is not a slab"):
+            PAMap(cube_of(0, 1, 2), (piece,))
+
+    def test_zero_width_slab_rejected(self):
+        wide = AffinePiece(box_of((0, F(1, 2)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
+        flat = AffinePiece(box_of((F(3, 4), F(3, 4)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
+        with pytest.raises(ValueError, match="piece domain 1 is not a slab of positive width"):
+            PAMap(cube_of(0, 1, 2), (wide, flat))
+
+    def test_shared_end_goes_to_the_lower_slab(self):
+        # both pieces contain the shared end x = 1/2 but send it to
+        # different places; the lower slab must win, in either piece order
         left = AffinePiece(box_of((0, F(1, 2)), (0, 1)), (F(1), F(1)), (F(0), F(0)))
         right = AffinePiece(box_of((F(1, 2), 1), (0, 1)), (F(1), F(1)), (F(10), F(0)))
         for pieces in [(left, right), (right, left)]:
             m = PAMap(cube_of(0, 1, 2), pieces)
-            assert apply_map(m, (F(1, 2), F(1, 3))) == (F(1, 2), F(1, 3))
-            assert piece_at(m, (F(1, 2), F(1, 3))) is left
+            for y in (F(0), F(1, 3), F(1)):
+                assert apply_map(m, (F(1, 2), y)) == (F(1, 2), y)
+                assert piece_at(m, (F(1, 2), y)) is left
+            assert piece_at(m, (F(1, 2) + F(1, 10**9), F(1, 3))) is right
+            assert piece_at(m, (F(1), F(1))) is right
 
     def test_gap_point_escapes(self):
         piece = AffinePiece(box_of((0, F(1, 3)), (0, 1)), (F(1), F(1)), (F(0), F(0)))

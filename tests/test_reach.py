@@ -26,15 +26,9 @@ import mmdim
 
 SRC = Path(mmdim.__file__).resolve().parent
 
-_OVERLAP = ("the overlap invariant: it runs only when the first-axis sweep finds two "
-            "overlapping slabs, which no valid map has")
-
 # Definitions no command enters, kept on purpose, with the reason.
 ALLOWED = {
     "constructions.py:Block.horseshoe": "bench/tracing.py reads it to count the built blocks",
-    "geometry.py:Box.intersect": _OVERLAP,
-    "geometry.py:Box.interiors_overlap": _OVERLAP,
-    "geometry.py:Box.is_degenerate": _OVERLAP,
 }
 
 SPECS = {

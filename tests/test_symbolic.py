@@ -36,13 +36,14 @@ from mmdim.symbolic import (
     log_ratio,
     rate_profile,
 )
-from mmdim.geometry import find_interior_overlap
 from oracles import (
     apply_map,
     bowen_distance,
     box_center,
     box_contains,
+    box_intersect,
     cube_of,
+    find_box_overlap,
     log_scale,
     log_sub,
     strip_word_box,
@@ -286,7 +287,7 @@ def follows_itinerary(h, sq, code, p) -> bool:
     for l, leg in code.word:
         if cur is ESCAPED:
             return False
-        cell = grid.strip_box(l).intersect(grid.leg_box(leg))
+        cell = box_intersect(grid.strip_box(l), grid.leg_box(leg))
         if not box_contains(cell, cur):
             return False
         cur = apply_map(sq, cur)
@@ -298,7 +299,7 @@ class TestCylinderGeometry:
         h = unit_square_h
         code = CylinderCode(1, (((3, (5,))),))
         box = cylinder_geometry(h, code)
-        assert box == h.grid.strip_box(3).intersect(h.grid.leg_box((5,)))
+        assert box == box_intersect(h.grid.strip_box(3), h.grid.leg_box((5,)))
         assert [hi - lo for lo, hi in box.intervals] == [F(1, 5), F(1, 5)]
 
     def test_code_validation(self):
@@ -323,11 +324,11 @@ class TestCylinderGeometry:
             assert hi - lo == F(1, 125)
             # nesting: the depth-2 box refines its depth-1 prefix
             prefix = cylinder_geometry(h, CylinderCode(1, code.word[:1]))
-            assert prefix.intersect(box) == box
+            assert box_intersect(prefix, box) == box
             assert follows_itinerary(h, sq, code, box_center(box))
             boxes.append(box)
         assert len(boxes) == 3 ** (2 * 2) == 81
-        assert find_interior_overlap(boxes) is None
+        assert find_box_overlap(boxes) is None
 
     def test_center_itineraries_are_distinct(self, unit_square_h):
         # two different codes never share a center
@@ -377,8 +378,8 @@ class TestStripWordBox:
         for w, box in zip(words, boxes):
             lo, hi = box.intervals[0]
             assert hi - lo == F(1, 25)
-            assert h.grid.strip_box(w[0]).intersect(box) == box
-        assert find_interior_overlap(boxes) is None
+            assert box_intersect(h.grid.strip_box(w[0]), box) == box
+        assert find_box_overlap(boxes) is None
         assert len(boxes) == 9
 
 
