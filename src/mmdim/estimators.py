@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .constructions import StackedSystem, UnmaterializedBlockError
+from .constructions import StackedSystem
 from .horseshoe import HorseshoeMap, square
 from .mapping import ESCAPED, PAMap, Point
-from .symbolic import DEFAULT_BUDGET, enumerate_cylinders, fit_line, rate_profile
+from .symbolic import LogExpr, enumerate_cylinders, fit_line, rate_profile
 
 
 class SeedSet(NamedTuple):
@@ -90,10 +90,7 @@ def orbits_separate(orbit_x, orbit_y, eps: Fraction) -> bool:
 
 class GreedyResult(NamedTuple):
     chosen: tuple[Point, ...]  # kept seeds, over the seeds' den
-    m: int
-    eps: Fraction
     seed_count: int
-    truncated: bool  # some orbit escaped before step m
     pairs: int  # orbits_separate calls made by the scan and its cover check
 
 
@@ -137,7 +134,6 @@ def greedy_separated(
     g = math.lcm(den, eps.denominator)
     lattice = pts if g == den else [tuple(x * (g // den) for x in p) for p in pts]
     orbits = [pamap.orbit(p, m - 1, g) for p in lattice]
-    truncated = any(orbit[-1] is ESCAPED for orbit in orbits)
     thr = eps.numerator * (g // eps.denominator) * pamap.step_den ** (m - 1)
     # t*: the leading states in which no orbit has escaped (state 0 never has)
     steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in orbits)), m)
@@ -174,43 +170,24 @@ def greedy_separated(
                 break
         else:
             raise AssertionError("greedy result failed its own cover check")
-    return GreedyResult(
-        chosen=tuple(pts[i] for i in chosen),
-        m=m,
-        eps=eps,
-        seed_count=len(pts),
-        truncated=truncated,
-        pairs=pairs,
-    )
+    return GreedyResult(tuple(pts[i] for i in chosen), len(pts), pairs)
 
 
-class GrowthRate(NamedTuple):
-    rate: float  # least-squares slope of ln(count) against m
-    counts: dict[int, int]
-    residual: float
-    seeds: dict[int, int]  # seed count per m
-    pairs: dict[int, int]  # GreedyResult.pairs per m
+# Cylinders a scan may enumerate per depth.
+CYLINDER_BUDGET = 1_000_000
 
 
-def growth_rate(
-    pamap: PAMap,
-    seed_factory: Callable[[int], SeedSet],
-    eps: Fraction,
-    m_values: Sequence[int],
-) -> GrowthRate:
-    counts: dict[int, int] = {}
-    seeds: dict[int, int] = {}
-    pairs: dict[int, int] = {}
-    for m in sorted(set(m_values)):
-        result = greedy_separated(pamap, seed_factory(m), m, eps)
-        counts[m] = len(result.chosen)
-        seeds[m] = result.seed_count
-        pairs[m] = result.pairs
-    usable = [(m, c) for m, c in counts.items() if c > 0]
-    if len(usable) < 2:
-        raise ValueError("growth rate needs at least two m values with nonzero counts")
-    slope, _, residual = fit_line([m for m, _ in usable], [math.log(c) for _, c in usable])
-    return GrowthRate(slope, counts, residual, seeds, pairs)
+def _cylinder_count(rate: LogExpr, m: int) -> int:
+    """exp(m rate) in integers: the depth-m cylinder count of a symbolic row
+    whose rate is n ln L_k.  Raises unless every coefficient times m is a
+    whole number."""
+    count = 1
+    for a, c in rate.terms:
+        power = c * m
+        if power.denominator != 1 or power < 0:
+            raise ValueError(f"exp({m} rate) is not an integer: ln {a} has coefficient {c}")
+        count *= a ** power.numerator
+    return count
 
 
 class NumericRateRow(NamedTuple):
@@ -220,63 +197,69 @@ class NumericRateRow(NamedTuple):
     ratios use the symbolic row's two denominators.  `upper_ratio` therefore
     certifies nothing yet: the kept set spans the seeds, not the block, and
     no count bounds the block's spanning number from above (ROADMAP item 5).
+    A row with an `error` has no rate: either nothing was scanned, or
+    `expected` is set and the last depth in `counts` kept another count.
     """
 
     k: int
-    active: bool
-    rate: float
-    ratio: float  # rate / |ln eps_{k+1}|, comparable with the symbolic rows
-    upper_ratio: float  # rate / (ln 4 + |ln eps_k|)
     eps_exact: Fraction | None
     counts: dict[int, int]
     seeds: dict[int, int]  # per m, like counts
     pairs: dict[int, int]  # GreedyResult.pairs per m
+    rate: float = 0.0
+    ratio: float = 0.0  # rate / |ln eps_{k+1}|, comparable with the symbolic rows
+    upper_ratio: float = 0.0  # rate / (ln 4 + |ln eps_k|)
     error: str | None = None
+    expected: int | None = None  # the symbolic count the last depth missed
 
 
 def mdim_numeric_profile(
     system: StackedSystem,
     k: int,
     m_max: int = 3,
-    budget: int = DEFAULT_BUDGET,
     eps_override: Fraction | None = None,
 ) -> NumericRateRow:
-    """Greedy growth rate of block k over depths 1..m_max.
+    """Greedy growth rate of block k over depths 1..m_max, m_max >= 2.
 
-    The preconditions are checked in this order, before any geometry is
-    built: a k outside 1..k_max raises ValueError (rate_profile would form
-    L_k = 3^k); an inactive block gives a zero row; an active block without
-    materialized geometry raises UnmaterializedBlockError, since no honest
-    measurement exists; and a block whose L^(n m) cylinders exceed `budget`
-    at some depth gets an error row naming the first such depth.  With
-    `eps_override` the greedy scans run at that scale instead of the block's
-    own eps_k.  The counts are not judged here: `mmdim estimate` holds them
-    to L^(n m) at the native scale.
+    Before any geometry is built: a k outside 1..k_max is refused (rate_profile
+    would form L_k = 3^k), an inactive block gives a zero row, and a block
+    whose symbolic cylinder count exp(m rate) exceeds CYLINDER_BUDGET at some
+    depth is refused, naming the first such depth.  A refusal is an error row
+    with no counts.  An unmaterialized block (L^(n-1) > GEOMETRY_BUDGET) is
+    over the budget at m = 2 already, so its geometry is never asked for.
+
+    Then each depth's cylinder centers are built and scanned in turn.  At
+    the block's own eps they are the witness for sep(m, eps_k) >= exp(m rate),
+    so the first depth that keeps another count ends the scans with an error
+    row whose `expected` is that count.  With `eps_override` the scans run at
+    that scale instead, and their counts decide nothing.
     """
-    block = system.block(k)
-    (bound,) = rate_profile(system, [k])
+    try:
+        block = system.block(k)
+    except ValueError as exc:
+        return NumericRateRow(k, None, {}, {}, {}, error=str(exc))
     if not block.active:
-        return NumericRateRow(k, False, 0.0, 0.0, 0.0, block.eps, {}, {}, {})
-    if not block.materialized:
-        raise UnmaterializedBlockError(f"block {k} exceeds the geometry budget")
+        return NumericRateRow(k, block.eps, {}, {}, {})
+    (bound,) = rate_profile(system, [k])
+    expected = {}
     for m in range(1, m_max + 1):
-        total = block.L ** (system.n * m)
-        if total > budget:
-            error = f"{total} cylinders at (k={k}, m={m}) exceed budget {budget}"
-            return NumericRateRow(k, True, 0.0, 0.0, 0.0, block.eps, {}, {}, {}, error=error)
+        expected[m] = _cylinder_count(bound.rate, m)
+        if expected[m] > CYLINDER_BUDGET:
+            error = f"{expected[m]} cylinders at (k={k}, m={m}) exceed budget {CYLINDER_BUDGET}"
+            return NumericRateRow(k, block.eps, {}, {}, {}, error=error)
     h = block.geometry()
-    eps_used = block.eps if eps_override is None else Fraction(eps_override)
-    # each depth's seeds are built when its scan runs
-    measured = growth_rate(square(h), lambda m: cylinder_centers(h, k, m),
-                           eps_used, range(1, m_max + 1))
-    return NumericRateRow(
-        k,
-        True,
-        measured.rate,
-        measured.rate / bound.lower_den.to_float(),
-        measured.rate / bound.upper_den.to_float(),
-        eps_used,
-        measured.counts,
-        seeds=measured.seeds,
-        pairs=measured.pairs,
-    )
+    g = square(h)
+    eps = block.eps if eps_override is None else Fraction(eps_override)
+    counts: dict[int, int] = {}
+    seeds: dict[int, int] = {}
+    pairs: dict[int, int] = {}
+    for m in range(1, m_max + 1):
+        # each depth's seeds are built when its scan runs
+        result = greedy_separated(g, cylinder_centers(h, k, m), m, eps)
+        counts[m], seeds[m], pairs[m] = len(result.chosen), result.seed_count, result.pairs
+        if eps_override is None and counts[m] != expected[m]:
+            error = f"{counts[m]} of {expected[m]} cylinder centers separated at m={m}"
+            return NumericRateRow(k, eps, counts, seeds, pairs, error=error, expected=expected[m])
+    rate, _, _ = fit_line(list(counts), [math.log(c) for c in counts.values()])
+    return NumericRateRow(k, eps, counts, seeds, pairs, rate,
+                          rate / bound.lower_den.to_float(), rate / bound.upper_den.to_float())

@@ -194,10 +194,6 @@ def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     return Box((first,) + tuple((grid.t[i - 1], grid.t[i]) for i in code.word[0][1]))
 
 
-# Cylinders a scan may enumerate per depth unless told otherwise.
-DEFAULT_BUDGET = 1_000_000
-
-
 def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[CylinderCode, Box]]:
     """Brute-force oracle: all L^(n m) depth-m codes over selected strips x legs."""
     strips = _selected_strip_indices(h.grid.L, h.grid.n)

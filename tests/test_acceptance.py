@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from test_estimators import naive_greedy
+from test_estimators import measured_growth, naive_greedy
 from test_horseshoe import MUTANTS
 
 from mmdim.constructions import (
@@ -25,10 +25,10 @@ from mmdim.constructions import (
 from mmdim.estimators import (
     cylinder_centers,
     greedy_separated,
-    growth_rate,
     mdim_numeric_profile,
 )
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
+from mmdim.mapping import ESCAPED
 from mmdim.symbolic import _eps_log_inv, enumerate_cylinders, extrapolate, rate_profile
 from oracles import (
     bowen_distance,
@@ -117,7 +117,7 @@ def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     elapsed = time.perf_counter() - t0
     expected = block.L ** (geometric_system.n * 3)
     assert len(result.chosen) == expected == 729
-    assert not result.truncated
+    assert all(sq.orbit(p, 2, seeds.den)[-1] is not ESCAPED for p in seeds.points)
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     print(
         "ACCEPTANCE 4: PASS -- greedy scan at m=3, eps=1/15 keeps all "
@@ -150,12 +150,12 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
     h = block.geometry()
     eps = block.eps
 
-    squared = growth_rate(
+    counts, squared, residual = measured_growth(
         square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
     )
-    assert squared.counts == {1: 9, 2: 81, 3: 729}
-    assert abs(squared.rate - 2 * math.log(3)) < 1e-6
-    assert squared.residual < 1e-9
+    assert counts == {1: 9, 2: 81, 3: 729}
+    assert abs(squared - 2 * math.log(3)) < 1e-6
+    assert residual < 1e-9
 
     odd = h.grid.odd_strip_indices()
 
@@ -163,15 +163,15 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
         words = itertools.product(odd, repeat=m)
         return seed_set(box_center(strip_word_box(h, w)) for w in words)
 
-    single = growth_rate(h.pamap, word_centers, eps, (1, 2, 3, 4))
-    assert single.counts == {1: 3, 2: 9, 3: 27, 4: 81}
-    assert abs(single.rate - math.log(3)) < 1e-6
-    assert single.residual < 1e-9
+    counts, single, residual = measured_growth(h.pamap, word_centers, eps, (1, 2, 3, 4))
+    assert counts == {1: 3, 2: 9, 3: 27, 4: 81}
+    assert abs(single - math.log(3)) < 1e-6
+    assert residual < 1e-9
     elapsed = time.perf_counter() - t0
     print(
         "ACCEPTANCE 6: PASS -- measured slopes "
-        f"{squared.rate:.9f} (squared map; 2 ln 3 = {2 * math.log(3):.9f}) and "
-        f"{single.rate:.9f} (single map; ln 3 = {math.log(3):.9f}), "
+        f"{squared:.9f} (squared map; 2 ln 3 = {2 * math.log(3):.9f}) and "
+        f"{single:.9f} (single map; ln 3 = {math.log(3):.9f}), "
         f"both within 1e-6, in {elapsed:.2f}s"
     )
 
@@ -269,7 +269,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     # no estimate, measured or symbolic, ever exceeds the ambient dimension
     for system in (geometric_system, build_stacked(Schedule.quadratic(1), 2, 1)):
         row = mdim_numeric_profile(system, 1, m_max=2)
-        assert row.error is None and row.active
+        assert row.error is None and row.counts
         at_eps = row.rate / _eps_log_inv(system.schedule, row.k).to_float()
         assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
     for system in systems + [two]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mmdim
+from mmdim import estimators
 from mmdim.cli import main
 from mmdim.constructions import Block
 from mmdim.specfile import (
@@ -24,6 +25,7 @@ from mmdim.specfile import (
     system_to_jsonable,
     write_json,
 )
+from mmdim.symbolic import LogExpr
 
 F = Fraction
 
@@ -311,17 +313,29 @@ class TestEstimate:
 
     def test_shortfall_at_the_blocks_own_eps_exits_1(self, cli, tmp_spec, tmp_path,
                                                      monkeypatch):
-        # eps = side / (2L - 3), wider than a leg: the square keeps 9, 54 and
-        # 324 of its 9, 81 and 729 cylinder centers, and the first shortfall
-        # is named
+        # eps = side / (2L - 3), wider than a leg: the square keeps 9 and 54
+        # of its 9 and 81 cylinder centers, and the first shortfall ends the
+        # scans before the 729-seed depth and writes an error row
         monkeypatch.setattr(Block, "eps", property(lambda b: b.cube.side / (2 * b.L - 3)))
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
         out = str(tmp_path / "shrunk.json")
         assert cli(["build", spec, "-o", out]).exit_code == 0
         result = cli(["estimate", out, "--k", "1"])
         assert result.exit_code == 1, result.output
-        assert "k=1 m=3 eps=1/9 count=324 seeds=729" in result.stderr
         assert result.stderr.splitlines()[-1] == "k=1 m=2 count=54 expected=81"
+        assert "k=1 m=2 eps=1/9 count=54 seeds=81" in result.stderr
+        assert "m=3" not in result.stderr
+        assert result.stdout.splitlines()[1] == "1,1/9,,,,,,numeric"
+
+    def test_symbolic_rate_plus_ln_3_exits_1(self, cli, geometric_file, monkeypatch):
+        # the expected count is exp(m rate) of the symbolic row itself, so a
+        # rate one ln 3 too large expects 27 of the 9 depth-1 centers
+        real = estimators.rate_profile
+        monkeypatch.setattr(estimators, "rate_profile", lambda system, ks: [
+            b._replace(rate=b.rate + LogExpr.of(3)) for b in real(system, ks)])
+        result = cli(["estimate", geometric_file, "--k", "1"])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines()[-1] == "k=1 m=1 count=9 expected=27"
 
     def test_eps_override(self, cli, geometric_file):
         # 1 of 9 and 1 of 81 kept: a probe decides nothing, so it exits 0
@@ -360,33 +374,25 @@ class TestEstimate:
         assert result.exit_code == 2, result.output
         assert "block 100000000 is not materialized (k_max = 3)" in result.stderr
 
-    def test_unmaterialized_k_exits_2_before_the_budget_check(self, cli, tmp_spec, tmp_path):
-        # L_11 = 177,147 pieces exceed the geometry budget, and 3^66 cylinders
-        # at m = 3 exceed --budget; the unmaterialized block is reported first
+    def test_unmaterialized_k_exits_2_over_budget(self, cli, tmp_spec, tmp_path):
+        # L_11 = 177,147 pieces exceed the geometry budget, and its 3^22
+        # cylinders at m = 1 the cylinder budget, which refuses it first
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=11)
         path = str(tmp_path / "deep.json")
         assert cli(["build", spec, "-o", path]).exit_code == 0
-        result = cli(
-            ["estimate", path, "--k", "11", "--budget", "1000000000000000000000000"]
-        )
+        result = cli(["estimate", path, "--k", "11"])
         assert result.exit_code == 2, result.output
-        assert "block 11 exceeds the geometry budget" in result.stderr
-
-    def test_budget_overflow_is_soft(self, cli, geometric_file):
-        result = cli(
-            ["estimate", geometric_file, "--k", "1", "--budget", "100"]
-        )
-        assert result.exit_code == 0
-        assert "exceed budget 100" in result.stderr
-        assert parse_csv(result.stdout)[0]["lower_rate"] == ""
+        assert result.stderr == ("k=11: 31381059609 cylinders at (k=11, m=1) "
+                                 "exceed budget 1000000\n")
+        assert result.stdout.splitlines()[1] == "11,1/62761942071,,,,,,numeric"
 
     def test_over_budget_depth_fails_before_any_scan(self, cli, geometric_file):
-        # 9^8 cylinders at m = 4; the 531,441 at m = 3 fit the default budget,
-        # so the check must come before the first depth's cylinders are built
+        # 9^8 cylinders at m = 4; the 531,441 at m = 3 fit the budget, so the
+        # check must come before the first depth's cylinders are built
         t0 = time.perf_counter()
         result = cli(["estimate", geometric_file, "--k", "2", "--m", "4"])
         assert time.perf_counter() - t0 < 2.0
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 2, result.output
         assert result.stdout.splitlines()[1] == "2,1/153,,,,,,numeric"
         assert result.stderr == "k=2: 43046721 cylinders at (k=2, m=4) exceed budget 1000000\n"
 
@@ -467,8 +473,7 @@ class TestHelp:
             ("build", {"-o --out": None}),
             ("validate", {}),
             ("profile", {"--kmax": "24", "-o --out": "stdout"}),
-            ("estimate", {"--k": None, "--m": "3", "--eps": None, "--budget": "1000000",
-                          "-o --out": "stdout"}),
+            ("estimate", {"--k": None, "--m": "3", "--eps": None, "-o --out": "stdout"}),
             ("verify", {"--tol": "0.05", "--kmax": "30"}),
         ],
     )
@@ -507,7 +512,7 @@ class TestUsage:
             (["estimate", "{system}", "--k", "0"], "--k"),
             (["estimate", "{system}", "--k", "one"], "--k"),
             (["estimate", "{system}", "--k", "1", "--m", "1"], "--m"),
-            (["estimate", "{system}", "--k", "1", "--budget", "0"], "--budget"),
+            (["estimate", "{system}", "--k", "1", "--budget", "1000000"], "--budget"),
             (["estimate", "{system}", "--k", "1", "--bogus"], "--bogus"),
             (["verify", "{system}", "--kma", "30"], "--kma"),  # no abbreviations
             (["check", "{system}"], "check"),

@@ -10,26 +10,28 @@ from hypothesis import given, settings, strategies as st
 from mmdim import estimators
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
+    GEOMETRY_BUDGET,
     Schedule,
-    UnmaterializedBlockError,
     build_stacked,
 )
 from mmdim.estimators import (
+    CYLINDER_BUDGET,
+    _cylinder_count,
     cylinder_centers,
     greedy_separated,
-    growth_rate,
     mdim_numeric_profile,
 )
 from mmdim.horseshoe import build_horseshoe, square
-from mmdim.mapping import AffinePiece, PAMap
+from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 from mmdim.specfile import SystemSpec, build_system
-from mmdim.symbolic import _eps_log_inv, rate_profile
+from mmdim.symbolic import LogExpr, _eps_log_inv, fit_line, rate_profile
 from oracles import (
     bowen_distance,
     box_center,
     box_of,
     cube_box,
     cube_of,
+    map_orbit,
     seed_points,
     seed_set,
 )
@@ -51,6 +53,14 @@ def naive_greedy(pamap, seeds, m, eps):
         if all(bowen_distance(pamap, x, c, m).value > eps for _, c in chosen):
             chosen.append((p, x))
     return tuple(p for p, _ in chosen)
+
+
+def measured_growth(pamap, seeds_at, eps, ms):
+    """Greedy counts at each depth m, and the least-squares slope and RMS
+    residual of ln(count) against m."""
+    counts = {m: len(greedy_separated(pamap, seeds_at(m), m, eps).chosen) for m in ms}
+    slope, _, residual = fit_line(list(counts), [math.log(c) for c in counts.values()])
+    return counts, slope, residual
 
 
 # name -> (cube lo, hi, dim, legs L, squared?) of the maps the hardened
@@ -279,7 +289,7 @@ class TestGreedySeparated:
 
     def test_empty_seed_set(self, sq_unit):
         result = greedy_separated(sq_unit, seed_set([]), 2, F(1, 5))
-        assert result.chosen == () and result.pairs == 0 and not result.truncated
+        assert result.chosen == () and result.pairs == 0
 
     def test_cover_check_runs(self, sq_unit, monkeypatch):
         # a kernel that rejects the second seed in the scan and then calls
@@ -319,13 +329,15 @@ class TestGreedySeparated:
         # the all-pairs scan and its cover check made 538,083 calls here
         assert calls <= 40_000
 
-    def test_truncated_flag(self, sq_unit, unit_square_h):
+    def test_escaping_orbit_is_scanned_on_its_surviving_prefix(self, sq_unit, unit_square_h):
+        # an even strip's center escapes before the last state; it is
+        # separated from the survivor at step 0, so both are kept
         escaper = box_center(unit_square_h.grid.strip_box(2))
         survivor = (F(1, 2), F(1, 2))
-        seeds = seed_set([escaper, survivor])
-        result = greedy_separated(sq_unit, seeds, 3, F(1, 100))
-        assert result.truncated
-        assert not greedy_separated(sq_unit, seed_set([survivor]), 3, F(1, 2)).truncated
+        assert map_orbit(sq_unit, escaper, 2)[-1] is ESCAPED
+        assert map_orbit(sq_unit, survivor, 2)[-1] is not ESCAPED
+        result = greedy_separated(sq_unit, seed_set([escaper, survivor]), 3, F(1, 100))
+        assert len(result.chosen) == 2 and result.pairs == 0
 
     def test_validation(self, sq_unit):
         seeds = seed_set([(F(0), F(0))])
@@ -353,29 +365,21 @@ class TestGrowthRate:
     def test_identity_rate_is_zero(self):
         pm = identity_pamap()
         seeds = seed_set([(F(i, 9), F(0)) for i in range(10)])
-        rate = growth_rate(pm, lambda m: seeds, F(1, 100), (1, 2, 3))
-        assert rate.rate == pytest.approx(0.0, abs=1e-12)
-        assert rate.residual == pytest.approx(0.0, abs=1e-12)
-        assert set(rate.counts) == {1, 2, 3}
+        counts, rate, residual = measured_growth(pm, lambda m: seeds, F(1, 100), (1, 2, 3))
+        assert rate == pytest.approx(0.0, abs=1e-12)
+        assert residual == pytest.approx(0.0, abs=1e-12)
+        assert set(counts) == {1, 2, 3}
 
     def test_squared_block_rate_is_two_log_three(self, unit_seeds):
         sys, _ = unit_seeds
         h = sys.block(1).geometry()
         eps = sys.block(1).eps
-        rate = growth_rate(
+        counts, rate, residual = measured_growth(
             square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
         )
-        assert rate.counts == {1: 9, 2: 81, 3: 729}
-        assert rate.rate == pytest.approx(2 * math.log(3), abs=1e-12)
-        assert rate.residual < 1e-12
-
-    def test_needs_two_usable_counts(self, sq_unit):
-        empty = seed_set([])
-        with pytest.raises(ValueError, match="two m values"):
-            growth_rate(sq_unit, lambda m: empty, F(1, 5), (1, 2, 3))
-        seeds = seed_set([(F(1, 2), F(1, 2))])
-        with pytest.raises(ValueError, match="two m values"):
-            growth_rate(sq_unit, lambda m: seeds, F(1, 5), (2,))
+        assert counts == {1: 9, 2: 81, 3: 729}
+        assert rate == pytest.approx(2 * math.log(3), abs=1e-12)
+        assert residual < 1e-12
 
 
 class TestNumericProfile:
@@ -389,33 +393,68 @@ class TestNumericProfile:
         assert at_eps == pytest.approx(2 * math.log(3) / math.log(15), abs=1e-12)
         assert row.eps_exact == F(1, 15)
 
-    def test_budget_produces_error_row(self, geometric_system):
-        row = mdim_numeric_profile(geometric_system, 1, budget=100)
+    def test_budget_produces_error_row(self, geometric_system, monkeypatch):
+        monkeypatch.setattr(estimators, "CYLINDER_BUDGET", 100)
+        row = mdim_numeric_profile(geometric_system, 1)
         assert row.error == "729 cylinders at (k=1, m=3) exceed budget 100"
-        assert row.active and row.counts == {}
+        assert row.counts == {} and row.expected is None and row.eps_exact == F(1, 15)
 
     @pytest.mark.parametrize("budget", [728, 729])
-    def test_budget_admits_exactly_its_count(self, geometric_system, budget):
+    def test_budget_admits_exactly_its_count(self, geometric_system, monkeypatch, budget):
         # block 1 has 729 cylinders at m = 3
-        row = mdim_numeric_profile(geometric_system, 1, budget=budget)
+        monkeypatch.setattr(estimators, "CYLINDER_BUDGET", budget)
+        row = mdim_numeric_profile(geometric_system, 1)
         assert (row.error is None) == (budget == 729)
 
     @pytest.mark.parametrize("k", [2, 11])
-    def test_inactive_row_is_zero(self, k):
+    def test_inactive_row_is_zero(self, monkeypatch, k):
         # block 11 is also too large to build and every count exceeds
         # budget 1; the inactive check comes before both
+        monkeypatch.setattr(estimators, "CYLINDER_BUDGET", 1)
         sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
         sys = build_stacked(sched, 2, 11)
-        row = mdim_numeric_profile(sys, k, budget=1)
-        assert not row.active and row.rate == 0.0 and row.error is None
+        row = mdim_numeric_profile(sys, k)
+        assert row.counts == {} and row.rate == 0.0 and row.error is None
         assert row.eps_exact == sys.block(k).eps
 
-    def test_unmaterialized_block_raises_before_the_budget_check(self):
-        # L_11 = 3^11 pieces exceed the geometry budget; 3^66 cylinders at
-        # m = 3 exceed the cylinder budget too, and the block check wins
+    def test_out_of_range_k_is_refused(self, geometric_system):
+        row = mdim_numeric_profile(geometric_system, 9)
+        assert row.error == "block 9 is not materialized (k_max = 3)"
+        assert row.eps_exact is None and row.counts == {} and row.expected is None
+
+    def test_unmaterialized_block_is_refused_by_the_budget(self):
+        # L_11 = 3^11 pieces exceed the geometry budget, and 3^22 cylinders
+        # at m = 1 the cylinder budget; no geometry is asked for
         sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
-        with pytest.raises(UnmaterializedBlockError, match="block 11 exceeds"):
-            mdim_numeric_profile(sys, 11, budget=10**24)
+        assert not sys.block(11).materialized
+        row = mdim_numeric_profile(sys, 11)
+        assert row.error == "31381059609 cylinders at (k=11, m=1) exceed budget 1000000"
+        assert row.eps_exact == sys.block(11).eps and sys.block(11).horseshoe is None
+
+    def test_every_unmaterialized_block_is_over_budget_at_m_2(self):
+        # L^(n-1) > GEOMETRY_BUDGET gives L^(2n) > GEOMETRY_BUDGET^2, so
+        # mdim_numeric_profile refuses such a block before its geometry
+        assert GEOMETRY_BUDGET ** 2 > CYLINDER_BUDGET
+
+    def test_shortfall_stops_at_the_first_short_depth(self, geometric_system, monkeypatch):
+        # a symbolic rate plus ln 3 expects 27 of the 9 depth-1 centers
+        real = estimators.rate_profile
+
+        def plus_ln3(system, ks):
+            return [b._replace(rate=b.rate + LogExpr.of(3)) for b in real(system, ks)]
+
+        monkeypatch.setattr(estimators, "rate_profile", plus_ln3)
+        row = mdim_numeric_profile(geometric_system, 1)
+        assert row.counts == row.seeds == {1: 9} and row.expected == 27
+        assert row.error == "9 of 27 cylinder centers separated at m=1"
+
+    def test_expected_count_is_exp_of_m_rate_in_integers(self):
+        rate = LogExpr.of(3, 2) + LogExpr.of(2, F(1, 2))
+        assert _cylinder_count(rate, 2) == 3**4 * 2
+        assert _cylinder_count(LogExpr.zero(), 5) == 1
+        for bad, m in ((rate, 1), (LogExpr.of(3, -1), 1)):
+            with pytest.raises(ValueError, match="not an integer"):
+                _cylinder_count(bad, m)
 
     def test_ratio_bounded_by_dimension(self, geometric_system):
         row = mdim_numeric_profile(geometric_system, 1, m_max=2)

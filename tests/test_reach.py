@@ -59,7 +59,7 @@ CORPUS = [
     ["estimate", "{cube}", "--k", "1", "--m", "2", "--eps", "3/10", "-o", "{out}"],
     ["estimate", "{override}", "--k", "2", "--m", "2"],
     # the error cases
-    ["estimate", "{square}", "--k", "2", "--m", "3", "--budget", "100"],
+    ["estimate", "{square}", "--k", "2", "--m", "4"],
     ["estimate", "{square}", "--k", "9"],
     ["estimate", "{square}", "--k", "1", "--eps", "abc"],
     ["estimate", "{square}", "--k", "1", "--eps", "-1"],

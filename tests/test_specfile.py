@@ -294,7 +294,7 @@ class TestCsvExport:
         assert rows[0]["lower_rate"] == rows[0]["upper_rate"]
 
     def test_numeric_error_row_blanks_values(self):
-        row = NumericRateRow(3, True, 0.0, 0.0, 0.0, F(1, 459), {}, {}, {}, error="budget")
+        row = NumericRateRow(3, F(1, 459), {}, {}, {}, error="budget")
         out = numeric_csv_rows([row])[0]
         assert out["k"] == "3" and out["eps_exact"] == "1/459"
         assert out["lower_rate"] == out["lower_ratio"] == ""
