@@ -7,7 +7,8 @@ command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
 
 Exit codes: 0 success, 1 verification failure (`verify` outside its
-tolerance, or `estimate` keeping another count than the symbolic row's
+tolerance, `verify` or `profile` meeting a row whose exact eps is not
+exp(-|ln eps|), or `estimate` keeping another count than the symbolic row's
 exp(m rate) of cylinder centers at a block's own eps), 2 usage or spec
 error, a refused `estimate` (a block outside the file, or more cylinders
 than the budget at some depth), or an unwritable output path.
@@ -99,6 +100,15 @@ def _check_kmax(spec: SystemSpec, kmax: int) -> None:
         raise UsageError(f"--kmax {kmax}: {exc}")
 
 
+def _eps_mismatch(rows) -> bool:
+    """Report the first row whose exact eps is not exp(-|ln eps|); True if any."""
+    for row in rows:
+        if row.eps_exact is not None and (value := 1 / row.eps_log_inv.exp()) != row.eps_exact:
+            print(f"k={row.k} eps={row.eps_exact} exp(-|ln eps|)={value}", file=sys.stderr)
+            return True
+    return False
+
+
 def _write_rows(out: str | None, rows) -> None:
     if out is None:
         write_profile_csv(sys.stdout, rows)
@@ -162,6 +172,8 @@ def profile(system_path: str, kmax: int, out: str | None) -> int:
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
+    if _eps_mismatch(rows):
+        return 1
     _write_rows(out, symbolic_csv_rows(rows))
     lo, hi = analytic_targets(system)
     if len(rows) >= 4:
@@ -214,6 +226,8 @@ def verify(system_path: str, tol: float, kmax: int) -> int:
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
+    if _eps_mismatch(rows):
+        return 1
     fit = extrapolate(rows)
     target_lo, target_hi = analytic_targets(system)
     table = [

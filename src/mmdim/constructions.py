@@ -135,6 +135,10 @@ class Schedule(_ScheduleFields):
             )
         return self.B / 3**exponent.numerator
 
+    def eps(self, k: int) -> Fraction:
+        """The one eps_k = |E_k| / (2 L_k - 1) every output prints; raises like `size`."""
+        return self.size(k) / (2 * self.legs(k) - 1)
+
     def legs(self, k: int) -> int:
         if k < 1:
             raise ScheduleError("block indices start at 1")
@@ -255,11 +259,6 @@ class Block(_BlockFields):
                 raise UnmaterializedBlockError(f"block {self.k} exceeds the geometry budget")
             self._horseshoe = build_horseshoe(self.cube, self.L)
         return self._horseshoe
-
-    @property
-    def eps(self) -> Fraction:
-        """Separation scale of the block: side / (2 L - 1)."""
-        return self.cube.side / (2 * self.L - 1)
 
 
 class StackedSystem(NamedTuple):

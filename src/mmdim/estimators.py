@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .constructions import StackedSystem
 from .horseshoe import HorseshoeMap, square
 from .mapping import ESCAPED, PAMap, Point
-from .symbolic import LogExpr, enumerate_cylinders, fit_line, rate_profile
+from .symbolic import enumerate_cylinders, fit_line, rate_profile
 
 
 class SeedSet(NamedTuple):
@@ -61,11 +61,12 @@ def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
     half, t_half = side.numerator * lo.denominator * eta, side.numerator * lo.denominator * power
     base = lo.numerator * (den // lo.denominator)
     t_center = [base + (2 * i - 1) * t_half for i in range(eta + 1)]
-    points = set()
+    points, codes = set(), 0
     for code, box in enumerate_cylinders(h, k, m):
         a, d = box.intervals[0][0].as_integer_ratio()
         points.add((a * (den // d) + half, *[t_center[i] for i in code.word[0][1]]))
-    if len(points) != h.grid.L ** (h.grid.n * m):
+        codes += 1
+    if len(points) != codes:
         raise AssertionError("cylinder centers must be pairwise distinct")
     return SeedSet(tuple(sorted(points)), den)
 
@@ -123,7 +124,9 @@ def greedy_separated(
     The cover check then confirms, for every rejected seed, that some kept
     point is not separated from it: the witness first, then every kept
     point.  It raises if none is.  A kept seed covers itself, so it is not
-    compared.
+    compared.  The check is vacuous: it repeats the pure call that rejected
+    the seed, so only a kernel that keeps state reaches its fallback or its
+    raise (ROADMAP item 7), and it adds one to `pairs` per rejected seed.
     """
     if m < 1:
         raise ValueError("greedy selection needs m >= 1")
@@ -177,19 +180,6 @@ def greedy_separated(
 CYLINDER_BUDGET = 1_000_000
 
 
-def _cylinder_count(rate: LogExpr, m: int) -> int:
-    """exp(m rate) in integers: the depth-m cylinder count of a symbolic row
-    whose rate is n ln L_k.  Raises unless every coefficient times m is a
-    whole number."""
-    count = 1
-    for a, c in rate.terms:
-        power = c * m
-        if power.denominator != 1 or power < 0:
-            raise ValueError(f"exp({m} rate) is not an integer: ln {a} has coefficient {c}")
-        count *= a ** power.numerator
-    return count
-
-
 class NumericRateRow(NamedTuple):
     """Measured growth of one block, ready for profile CSV export.
 
@@ -210,7 +200,7 @@ class NumericRateRow(NamedTuple):
     ratio: float = 0.0  # rate / |ln eps_{k+1}|, comparable with the symbolic rows
     upper_ratio: float = 0.0  # rate / (ln 4 + |ln eps_k|)
     error: str | None = None
-    expected: int | None = None  # the symbolic count the last depth missed
+    expected: Fraction | None = None  # the symbolic count exp(m rate) the last depth missed
 
 
 def mdim_numeric_profile(
@@ -219,7 +209,7 @@ def mdim_numeric_profile(
     m_max: int = 3,
     eps_override: Fraction | None = None,
 ) -> NumericRateRow:
-    """Greedy growth rate of block k over depths 1..m_max, m_max >= 2.
+    """Greedy growth rate of block k over depths 1..m_max; m_max < 2 raises.
 
     Before any geometry is built: a k outside 1..k_max is refused (rate_profile
     would form L_k = 3^k), an inactive block gives a zero row, and a block
@@ -234,22 +224,26 @@ def mdim_numeric_profile(
     row whose `expected` is that count.  With `eps_override` the scans run at
     that scale instead, and their counts decide nothing.
     """
+    if m_max < 2:
+        raise ValueError(f"a growth rate needs depths 1..m_max with m_max >= 2, got {m_max}")
     try:
         block = system.block(k)
     except ValueError as exc:
         return NumericRateRow(k, None, {}, {}, {}, error=str(exc))
+    native = system.schedule.eps(k)
     if not block.active:
-        return NumericRateRow(k, block.eps, {}, {}, {})
+        return NumericRateRow(k, native, {}, {}, {})
     (bound,) = rate_profile(system, [k])
+    per_step = bound.rate.exp()  # L_k^n cylinders per step of the squared map
     expected = {}
     for m in range(1, m_max + 1):
-        expected[m] = _cylinder_count(bound.rate, m)
+        expected[m] = per_step**m
         if expected[m] > CYLINDER_BUDGET:
             error = f"{expected[m]} cylinders at (k={k}, m={m}) exceed budget {CYLINDER_BUDGET}"
-            return NumericRateRow(k, block.eps, {}, {}, {}, error=error)
+            return NumericRateRow(k, native, {}, {}, {}, error=error)
     h = block.geometry()
     g = square(h)
-    eps = block.eps if eps_override is None else Fraction(eps_override)
+    eps = native if eps_override is None else Fraction(eps_override)
     counts: dict[int, int] = {}
     seeds: dict[int, int] = {}
     pairs: dict[int, int] = {}

@@ -287,7 +287,7 @@ def _system_payload(system: System) -> dict:
                 "anchor": rational_to_str(block.cube.lo),
                 "side": rational_to_str(block.cube.side),
                 "L": block.L,
-                "eps": rational_to_str(block.eps),
+                "eps": rational_to_str(system.schedule.eps(block.k)),
                 "active": block.active,
                 "materialized": block.materialized,
             }
@@ -361,48 +361,40 @@ def write_json(path: str, obj: object) -> None:
         fh.write(canonical_dumps(obj))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _csv_row(
     k: int,
     eps_exact: Fraction | None,
     source: str,
-    eps_float: float | Fraction | None = None,
     rate: float | None = None,
     lower_ratio: float | None = None,
     upper_ratio: float | None = None,
 ) -> dict:
-    """One profile row: `rate` is written as both the lower and the upper
-    rate, and a value left None is written empty."""
+    """One profile row: a row with a rate writes eps_exact rounded to a float
+    as `eps_float` and `rate` as both the lower and the upper rate; a value
+    left None is written empty."""
+    eps_float = eps_exact if rate is not None else None
     floats = (eps_float, rate, rate, lower_ratio, upper_ratio)
     return dict(zip(PROFILE_COLUMNS, (
         str(k),
         rational_to_str(eps_exact) if eps_exact is not None else "",
-        *("" if x is None else _fmt(x) for x in floats),
+        *("" if x is None else format(float(x), ".12g") for x in floats),
         source,
     )))
 
 
 def symbolic_csv_rows(profile: Sequence[RateBound]) -> list[dict]:
-    rows = []
-    for b in profile:
-        eps_float = b.eps_float()
-        rows.append(_csv_row(
-            b.k, b.eps_exact, SOURCE_SYMBOLIC, eps_float if eps_float == eps_float else None,
-            b.rate.to_float(), b.lower_ratio(), b.upper_ratio(),
-        ))
-    return rows
+    return [
+        _csv_row(b.k, b.eps_exact, SOURCE_SYMBOLIC,
+                 b.rate.to_float(), b.lower_ratio(), b.upper_ratio())
+        for b in profile
+    ]
 
 
 def numeric_csv_rows(rows: Sequence[NumericRateRow]) -> list[dict]:
     return [
         _csv_row(row.k, row.eps_exact, SOURCE_NUMERIC)
         if row.error is not None
-        else _csv_row(
-            row.k, row.eps_exact, SOURCE_NUMERIC, row.eps_exact, row.rate, row.ratio, row.upper_ratio
-        )
+        else _csv_row(row.k, row.eps_exact, SOURCE_NUMERIC, row.rate, row.ratio, row.upper_ratio)
         for row in rows
     ]
 

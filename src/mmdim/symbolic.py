@@ -5,8 +5,9 @@ metric mean dimension are all stored as integer-argument log expressions
 (sums c_i * ln(a_i) with rational c_i, integer a_i >= 2) and only evaluated
 numerically on demand, with the standard library's `decimal` at WORKING_DPS
 significant digits.  Every operation runs in one module-level context whose
-exponent range is the widest `decimal` allows; `ln` and `exp` are correctly
-rounded there, and each ln(a) is computed once per process.
+exponent range is the widest `decimal` allows; `ln` is correctly rounded
+there, and each ln(a) is computed once per process.  With integer
+coefficients an expression is the log of a rational; `LogExpr.exp` returns it.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
@@ -40,8 +41,8 @@ if TYPE_CHECKING:
     from .horseshoe import HorseshoeMap
 
 # Each evaluation ends as one float (about 16 significant digits).  Cancelling
-# terms of a sum and exp(-x), which turns x's absolute error into a relative
-# one, cost a few of the 30 digits, far from the float's last one.
+# terms of a sum and dividing two sums cost a few of the 30 digits, far from
+# the float's last one.
 WORKING_DPS = 30
 
 # Not the thread's context (28 digits): every operation names this one.
@@ -103,6 +104,16 @@ class LogExpr(NamedTuple):
     def to_float(self) -> float:
         return float(self.eval())
 
+    def exp(self) -> Fraction:
+        """exp of the expression, exactly; raises ValueError unless every
+        coefficient is an integer."""
+        value = Fraction(1)
+        for a, c in self.terms:
+            if c.denominator != 1:
+                raise ValueError(f"exp is not rational: ln {a} has coefficient {c}")
+            value *= Fraction(a) ** c.numerator
+        return value
+
 
 def log_ratio(num: LogExpr, den: LogExpr) -> float:
     """num/den at the working precision; zero numerator short-circuits to 0."""
@@ -114,18 +125,10 @@ def log_ratio(num: LogExpr, den: LogExpr) -> float:
     return float(_CONTEXT.divide(num.eval(), d))
 
 
-def eps_exact(schedule: Schedule, k: int) -> Fraction | None:
-    """Separation scale eps_k = |E_k| / (2 L_k - 1) of the placed side, or
-    None when the sides are irrational."""
-    if not schedule.has_rational_sizes():
-        return None
-    return schedule.size(k) / (2 * schedule.legs(k) - 1)
-
-
 @cache
 def _eps_log_inv(sched: Schedule, k: int) -> LogExpr:
     """|ln eps_k| as an exact log expression; exp of its negation is
-    eps_exact(sched, k)."""
+    sched.eps(k), which `verify` and `profile` check on every row."""
     # row k's lower denominator is row k+1's eps log: each is built once
     expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
     if sched.kind == GEOMETRIC:
@@ -227,11 +230,6 @@ class RateBound(NamedTuple):
     def upper_ratio(self) -> float:
         return log_ratio(self.rate, self.upper_den)
 
-    def eps_float(self) -> float:
-        if self.eps_log_inv.is_zero:
-            return float("nan")
-        return float(_CONTEXT.exp(_CONTEXT.minus(self.eps_log_inv.eval())))
-
 
 def _zero_bound(k: int) -> RateBound:
     z = LogExpr.zero()
@@ -239,7 +237,7 @@ def _zero_bound(k: int) -> RateBound:
 
 
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
-    eps, log_inv = eps_exact(schedule, k), _eps_log_inv(schedule, k)
+    eps, log_inv = schedule.eps(k), _eps_log_inv(schedule, k)
     if not schedule.is_active(k):
         z = LogExpr.zero()
         return RateBound(k, False, z, z, z, eps, log_inv)

@@ -113,7 +113,7 @@ def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     block = geometric_system.block(1)
     sq = square(block.geometry())
     seeds = cylinder_centers(block.geometry(), 1, 3)
-    result = greedy_separated(sq, seeds, 3, block.eps)
+    result = greedy_separated(sq, seeds, 3, geometric_system.schedule.eps(1))
     elapsed = time.perf_counter() - t0
     expected = block.L ** (geometric_system.n * 3)
     assert len(result.chosen) == expected == 729
@@ -148,7 +148,7 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
     t0 = time.perf_counter()
     block = geometric_system.block(1)
     h = block.geometry()
-    eps = block.eps
+    eps = geometric_system.schedule.eps(1)
 
     counts, squared, residual = measured_growth(
         square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
@@ -245,8 +245,9 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     block = geometric_system.block(1)
     sq = square(block.geometry())
     seeds = cylinder_centers(block.geometry(), 1, 2)
-    chosen = greedy_separated(sq, seeds, 2, block.eps).chosen
-    assert chosen == naive_greedy(sq, seeds, 2, block.eps)
+    eps = geometric_system.schedule.eps(1)
+    chosen = greedy_separated(sq, seeds, 2, eps).chosen
+    assert chosen == naive_greedy(sq, seeds, 2, eps)
 
     # enlarged block cubes stay inside the ambient cube with pairwise
     # disjoint interiors, for every materialized family we build

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import mmdim
-from mmdim import estimators
+from mmdim import estimators, symbolic
 from mmdim.cli import main
-from mmdim.constructions import Block
+from mmdim.constructions import Schedule
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
@@ -316,7 +316,7 @@ class TestEstimate:
         # eps = side / (2L - 3), wider than a leg: the square keeps 9 and 54
         # of its 9 and 81 cylinder centers, and the first shortfall ends the
         # scans before the 729-seed depth and writes an error row
-        monkeypatch.setattr(Block, "eps", property(lambda b: b.cube.side / (2 * b.L - 3)))
+        monkeypatch.setattr(Schedule, "eps", lambda s, k: s.size(k) / (2 * s.legs(k) - 3))
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
         out = str(tmp_path / "shrunk.json")
         assert cli(["build", spec, "-o", out]).exit_code == 0
@@ -452,6 +452,31 @@ class TestVerify:
     def test_kmax_floor(self, cli, geometric_file):
         result = cli(["verify", geometric_file, "--kmax", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_log_form_off_by_r_ln_3_exits_1(self, cli, geometric_file, monkeypatch, command):
+        # |ln eps_k| shifted by r ln 3: the ratios would divide by the log of
+        # 3 / eps_k while the CSV prints eps_k; nothing is written
+        real = symbolic._eps_log_inv
+        monkeypatch.setattr(symbolic, "_eps_log_inv",
+                            lambda sched, k: real(sched, k) + LogExpr.of(3, sched.r))
+        result = cli([command, geometric_file])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "k=1 eps=1/15 exp(-|ln eps|)=1/45\n"
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_eps_over_2l_minus_3_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
+        # eps_k = |E_k| / (2 L_k - 3) in the system file and the CSV, while
+        # the log form keeps 2 L_k - 1
+        monkeypatch.setattr(Schedule, "eps", lambda s, k: s.size(k) / (2 * s.legs(k) - 3))
+        spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
+        out = str(tmp_path / "shrunk.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        result = cli([command, out])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "k=1 eps=1/9 exp(-|ln eps|)=1/15\n"
 
 
 class TestHelp:

@@ -213,8 +213,8 @@ class TestBuildStacked:
         assert b1.cube == cube_of(0, F(1, 3), 2)
         assert b2.cube == cube_of(F(2, 3), F(2, 3) + F(1, 9), 2)
         assert (b1.L, b2.L) == (3, 9)
-        assert b1.eps == F(1, 15)
-        assert b2.eps == F(1, 9) / 17
+        assert sys.schedule.eps(1) == F(1, 15)
+        assert sys.schedule.eps(2) == F(1, 9) / 17
         assert all(b.active and b.materialized for b in sys.blocks)
 
     def test_block_index_errors(self, geometric_system):
@@ -306,7 +306,7 @@ class TestBlockMap:
             orbits.append(orbit)
         for x, y in itertools.combinations(orbits, 2):
             bowen = max(dist_maxnorm(a, b) for a, b in zip(x, y))
-            assert bowen > block.eps
+            assert bowen > system.schedule.eps(1)
 
 
 class TestIdentitySystem:

@@ -16,7 +16,6 @@ from mmdim.constructions import (
 )
 from mmdim.estimators import (
     CYLINDER_BUDGET,
-    _cylinder_count,
     cylinder_centers,
     greedy_separated,
     mdim_numeric_profile,
@@ -145,13 +144,16 @@ class TestCylinderCenters:
                 lo < x < hi for x, (lo, hi) in zip(p, cube_box(block.cube).intervals)
             )
 
-    def test_duplicate_centers_raise(self, geometric_system, monkeypatch):
+    @pytest.mark.parametrize("kept", [-1, None])
+    def test_duplicate_centers_raise(self, geometric_system, monkeypatch, kept):
+        # a copy of the first cylinder replaces the last one, or is added
+        # after all of them: either way fewer centers than codes
         real = estimators.enumerate_cylinders
 
         def with_duplicate(*args):
             cylinders = list(real(*args))
-            yield from cylinders[:-1]
-            yield cylinders[0]  # the last cylinder replaced by a copy of the first
+            yield from cylinders[:kept]
+            yield cylinders[0]
 
         monkeypatch.setattr(estimators, "enumerate_cylinders", with_duplicate)
         with pytest.raises(AssertionError, match="pairwise distinct"):
@@ -170,7 +172,8 @@ class TestCylinderCenters:
         seeds = cylinder_centers(h, k, m)  # raises on a repeated center
         assert block.L == L and len(seeds.points) == L ** (n * m)
         # a depth-1 scan compares step-0 points only and never applies the map
-        kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, block.eps)
+        eps = system.schedule.eps(k)
+        kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, eps)
         bound = rate_profile(system, [k])[0]
         numeric = math.log(len(kept.chosen)) / m / bound.lower_den.to_float()
         assert abs(numeric - bound.lower_ratio()) <= 1e-9
@@ -213,7 +216,7 @@ class TestGreedySeparated:
     def test_monotone_in_m(self, unit_seeds):
         sys, seeds = unit_seeds
         sq = square(sys.block(1).geometry())
-        eps = sys.block(1).eps
+        eps = sys.schedule.eps(1)
         a = len(greedy_separated(sq, seeds[2], 1, eps).chosen)
         b = len(greedy_separated(sq, seeds[2], 2, eps).chosen)
         assert a <= b
@@ -223,7 +226,7 @@ class TestGreedySeparated:
         # verified here directly from the Bowen distance matrix
         sys, seeds = unit_seeds
         sq = square(sys.block(1).geometry())
-        eps = sys.block(1).eps
+        eps = sys.schedule.eps(1)
         result = greedy_separated(sq, seeds[2], 2, eps)
         assert len(result.chosen) == len(seeds[2].points) == 81
         chosen = seed_points(seeds[2], result.chosen)
@@ -355,7 +358,7 @@ class TestGreedySpanning:
     def test_coarse_cover_is_smaller(self, unit_seeds):
         sys, seeds = unit_seeds
         sq = square(sys.block(1).geometry())
-        eps = sys.block(1).eps
+        eps = sys.schedule.eps(1)
         fine = len(greedy_separated(sq, seeds[2], 2, eps).chosen)
         coarse = len(greedy_separated(sq, seeds[2], 2, 4 * eps).chosen)
         assert coarse < fine == 81
@@ -373,7 +376,7 @@ class TestGrowthRate:
     def test_squared_block_rate_is_two_log_three(self, unit_seeds):
         sys, _ = unit_seeds
         h = sys.block(1).geometry()
-        eps = sys.block(1).eps
+        eps = sys.schedule.eps(1)
         counts, rate, residual = measured_growth(
             square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
         )
@@ -415,7 +418,7 @@ class TestNumericProfile:
         sys = build_stacked(sched, 2, 11)
         row = mdim_numeric_profile(sys, k)
         assert row.counts == {} and row.rate == 0.0 and row.error is None
-        assert row.eps_exact == sys.block(k).eps
+        assert row.eps_exact == sys.schedule.eps(k)
 
     def test_out_of_range_k_is_refused(self, geometric_system):
         row = mdim_numeric_profile(geometric_system, 9)
@@ -429,7 +432,7 @@ class TestNumericProfile:
         assert not sys.block(11).materialized
         row = mdim_numeric_profile(sys, 11)
         assert row.error == "31381059609 cylinders at (k=11, m=1) exceed budget 1000000"
-        assert row.eps_exact == sys.block(11).eps and sys.block(11).horseshoe is None
+        assert row.eps_exact == sys.schedule.eps(11) and sys.block(11).horseshoe is None
 
     def test_every_unmaterialized_block_is_over_budget_at_m_2(self):
         # L^(n-1) > GEOMETRY_BUDGET gives L^(2n) > GEOMETRY_BUDGET^2, so
@@ -448,13 +451,11 @@ class TestNumericProfile:
         assert row.counts == row.seeds == {1: 9} and row.expected == 27
         assert row.error == "9 of 27 cylinder centers separated at m=1"
 
-    def test_expected_count_is_exp_of_m_rate_in_integers(self):
-        rate = LogExpr.of(3, 2) + LogExpr.of(2, F(1, 2))
-        assert _cylinder_count(rate, 2) == 3**4 * 2
-        assert _cylinder_count(LogExpr.zero(), 5) == 1
-        for bad, m in ((rate, 1), (LogExpr.of(3, -1), 1)):
-            with pytest.raises(ValueError, match="not an integer"):
-                _cylinder_count(bad, m)
+    @pytest.mark.parametrize("m_max", [1, 0, -1])
+    def test_depths_below_two_are_refused(self, geometric_system, m_max):
+        # one depth leaves no slope to fit, and none nothing to scan
+        with pytest.raises(ValueError, match="m_max >= 2"):
+            mdim_numeric_profile(geometric_system, 1, m_max=m_max)
 
     def test_ratio_bounded_by_dimension(self, geometric_system):
         row = mdim_numeric_profile(geometric_system, 1, m_max=2)

@@ -545,7 +545,8 @@ class TestTrieScan:
         # cover check none either, since a kept seed covers itself
         block = geometric_system.block(k)
         h = block.geometry()
-        result = greedy_separated(square(h), cylinder_centers(h, k, m), m, block.eps)
+        eps = geometric_system.schedule.eps(k)
+        result = greedy_separated(square(h), cylinder_centers(h, k, m), m, eps)
         assert len(result.chosen) == result.seed_count == block.L ** (2 * m)
         assert result.pairs == 0
 

@@ -15,6 +15,7 @@ from mmdim.constructions import (
     QUADRATIC_SIZE_CAP,
     IdentitySystem,
     Schedule,
+    ScheduleError,
     build_stacked,
     build_two_block,
 )
@@ -23,7 +24,6 @@ from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
     CylinderCode,
     LogExpr,
-    RateBound,
     WORKING_DPS,
     _eps_log_inv,
     _ln,
@@ -31,7 +31,6 @@ from mmdim.symbolic import (
     analytic_targets,
     cylinder_geometry,
     enumerate_cylinders,
-    eps_exact,
     extrapolate,
     log_ratio,
     rate_profile,
@@ -82,6 +81,12 @@ class TestLogExpr:
             LogExpr.of(0)
         with pytest.raises(ValueError):
             LogExpr.of_rational(F(-1, 2))
+
+    def test_exp(self):
+        assert LogExpr.zero().exp() == 1
+        assert (LogExpr.of(3, 2) + LogExpr.of_rational(F(2, 5))).exp() == F(18, 5)
+        with pytest.raises(ValueError, match="ln 2 has coefficient 1/2"):
+            (LogExpr.of(3) + LogExpr.of(2, F(1, 2))).exp()
 
     def test_eval_carries_the_working_precision(self):
         got = LogExpr.of(3, 1000).eval()
@@ -170,22 +175,15 @@ class TestDecimalAgainstMpmath:
         assert_close(got, exact, error)
 
     @settings(max_examples=200, deadline=None)
-    @given(log_exprs())
-    @example(LogExpr.of(2 * 3**4000 - 1) + LogExpr.of(3, 4000))
-    @example(log_sub(log_sub(LogExpr.of(6), LogExpr.of(2)), LogExpr.of(3)))
-    def test_eps_float(self, log_inv):
-        z = LogExpr.zero()
-        bound = RateBound(1, True, z, z, z, None, log_inv)
-        if log_inv.is_zero:
-            assert math.isnan(bound.eps_float())
-            return
-        with mpmath.workdps(60):
-            x = oracle(log_inv)
-            exact = mpmath.exp(-x)
-        if x < -700:  # eps above the float range: eps files never hold one
-            return
-        got = bound.eps_float()
-        assert_close(got, exact, 1e-28 * magnitude(log_inv) * float(exact))
+    @given(st.lists(st.tuples(LOG_ARGS, st.integers(-3, 3)), max_size=4))
+    @example([(2 * 3**4000 - 1, 1), (3, 4000)])
+    @example([(6, 1), (2, -1), (3, -1)])
+    def test_exp_is_the_exact_product(self, terms):
+        # the expression normalizes its terms; the product takes them as drawn
+        expr = LogExpr.zero()
+        for a, c in terms:
+            expr = expr + LogExpr.of(a, c)
+        assert expr.exp() == math.prod(F(a) ** c for a, c in terms)
 
     @settings(max_examples=100, deadline=None)
     @given(LOG_ARGS)
@@ -200,31 +198,34 @@ class TestDecimalAgainstMpmath:
 class TestEpsSchedule:
     def test_geometric_values(self):
         sched = Schedule.geometric(1, 1)
-        assert eps_exact(sched, 1) == F(1, 15)
-        assert eps_exact(sched, 2) == F(1, 153)
-        vals = [eps_exact(sched, k) for k in range(1, 9)]
+        assert sched.eps(1) == F(1, 15)
+        assert sched.eps(2) == F(1, 153)
+        vals = [sched.eps(k) for k in range(1, 9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_quadratic_values(self):
         # B = 1 exceeds the packing cap, so eps uses the placed B = 500/987
         sched = Schedule.quadratic(1)
-        assert eps_exact(sched, 2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
+        assert sched.eps(2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
         assert _eps_log_inv(sched, 2) == (
             LogExpr.of(17) + LogExpr.of(2, 2) + LogExpr.of_rational(1 / QUADRATIC_SIZE_CAP)
         )
 
     def test_log_inv_matches_exact(self):
-        for sched in [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2))]:
-            for k in (1, 2, 5):
-                with mpmath.workdps(WORKING_DPS):
-                    approx = float(mpmath.exp(-_eps_log_inv(sched, k).eval()))
-                assert abs(approx - float(eps_exact(sched, k))) < 1e-17
+        scheds = [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2)),
+                  Schedule.geometric(1, 1, leg_override=((2, 5),))]
+        for sched in scheds:
+            for k in (1, 2, 5, 400):
+                assert 1 / _eps_log_inv(sched, k).exp() == sched.eps(k)
 
     def test_irrational_sizes_have_no_exact_value(self):
         sched = Schedule.geometric(1, F(1, 2))
-        assert eps_exact(sched, 1) is None
+        with pytest.raises(ScheduleError, match="irrational"):
+            sched.eps(1)
         # the log form needs no radicals: |ln eps_1| = ln 5 + (1/2) ln 3
         assert _eps_log_inv(sched, 1) == LogExpr.of(5) + LogExpr.of(3, F(1, 2))
+        with pytest.raises(ValueError, match="not rational"):
+            _eps_log_inv(sched, 1).exp()
 
     def test_profile_eps_is_the_block_eps(self):
         # every block's eps_k is one number: the profile's exact and log
@@ -242,8 +243,8 @@ class TestEpsSchedule:
         for system in systems:
             rows = rate_profile(system, range(1, system.k_max + 1))
             for row, block in zip(rows, system.blocks):
-                assert row.eps_exact == block.eps
-                assert abs(row.eps_float() - float(block.eps)) < 1e-17
+                assert row.eps_exact == block.cube.side / (2 * block.L - 1)
+                assert 1 / row.eps_log_inv.exp() == row.eps_exact
 
 
 class TestSelectedStrips:
@@ -422,7 +423,7 @@ class TestRateProfile:
     def test_eps_fields(self, geometric_system):
         row = rate_profile(geometric_system, [2])[0]
         assert row.eps_exact == F(1, 153)
-        assert abs(row.eps_float() - 1 / 153) < 1e-16
+        assert row.eps_log_inv.exp() == 153
 
     def test_leg_override_changes_rate(self):
         sched = Schedule.geometric(1, 1, leg_override=((1, 5),))
@@ -452,7 +453,7 @@ class TestRateProfile:
         for row in rows:
             assert not row.active
             assert row.lower_ratio() == row.upper_ratio() == 0.0
-            assert math.isnan(row.eps_float())
+            assert row.eps_exact is None and row.eps_log_inv.is_zero
 
     def test_rejects_bad_indices(self, geometric_system):
         with pytest.raises(ValueError):
