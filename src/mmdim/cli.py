@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Commands: build a system from a JSON spec, validate its geometry, export
-symbolic or numeric rate profiles as CSV, and verify extrapolated dimension
-estimates against the schedule's analytic targets; `--help` lists each
+symbolic or numeric rate profiles as CSV, and verify the profile's exact
+limits against the schedule's analytic targets; `--help` lists each
 command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
 
-Exit codes: 0 success, 1 verification failure (`verify` outside its
-tolerance, `verify` or `profile` meeting a row whose exact eps is not
-exp(-|ln eps|), or `estimate` keeping another count than the symbolic row's
-exp(m rate) of cylinder centers at a block's own eps), 2 usage or spec
-error, a refused `estimate` (a block outside the file, or more cylinders
-than the budget at some depth), or an unwritable output path.
+Exit codes: 0 success, 1 verification failure (`verify` finding a limit
+other than its target, `verify` or `profile` meeting a row whose exact eps
+is not exp(-|ln eps|), or `estimate` keeping another count than the
+symbolic row's exp(m rate) of cylinder centers at a block's own eps), 2
+usage or spec error, a refused `estimate` (a block outside the file, or
+more cylinders than the budget at some depth), or an unwritable output
+path.
 CSV and JSON go to the requested output path (stdout by default for CSV);
 human-readable progress and reports go to stderr.
 """
@@ -168,20 +169,16 @@ def validate(system_path: str) -> int:
 
 
 def profile(system_path: str, kmax: int, out: str | None) -> int:
-    """Export the symbolic rate profile as CSV, with an extrapolation summary."""
+    """Export the symbolic rate profile as CSV, with its exact limits."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
     if _eps_mismatch(rows):
         return 1
     _write_rows(out, symbolic_csv_rows(rows))
-    lo, hi = analytic_targets(system)
-    if len(rows) >= 4:
-        fit = extrapolate(rows)
-        print(f"extrapolated liminf ~ {fit.liminf_estimate:.6g} (target {lo}), "
-              f"limsup ~ {fit.limsup_estimate:.6g} (target {hi})", file=sys.stderr)
-    else:
-        print("extrapolation needs kmax >= 4; skipped", file=sys.stderr)
+    (lo, hi), (target_lo, target_hi) = extrapolate(system), analytic_targets(system)
+    print(f"limits: liminf = {lo} (target {target_lo}), limsup = {hi} (target {target_hi})",
+          file=sys.stderr)
     return 0
 
 
@@ -219,39 +216,17 @@ def estimate(system_path, k, m_max, eps_str, out) -> int:
     return 0
 
 
-def verify(system_path: str, tol: float, kmax: int) -> int:
-    """Check extrapolated dimension estimates against the analytic targets."""
-    if not tol >= 0:  # also NaN, which no difference is within
-        raise UsageError(f"--tol must be a non-negative number (got {tol})")
+def verify(system_path: str, kmax: int) -> int:
+    """Check the profile's exact limits against the analytic targets."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
-    rows = rate_profile(system, range(1, kmax + 1))
-    if _eps_mismatch(rows):
+    if _eps_mismatch(rate_profile(system, range(1, kmax + 1))):
         return 1
-    fit = extrapolate(rows)
-    target_lo, target_hi = analytic_targets(system)
-    table = [
-        ("liminf", float(target_lo), fit.liminf_estimate),
-        ("limsup", float(target_hi), fit.limsup_estimate),
-    ]
-    ok = True
-    print(f"{'quantity':<10}{'target':>12}{'estimate':>14}{'|diff|':>12}  within")
-    for name, target, estimate_value in table:
-        diff = abs(estimate_value - target)
-        within = diff <= tol
-        ok &= within
-        print(f"{name:<10}{target:>12.6g}{estimate_value:>14.6g}{diff:>12.3g}  "
-              f"{'yes' if within else 'NO'}")
-    sys.stdout.flush()  # the table precedes the notes when both streams share a file
-    for name, limit_fit in (("liminf", fit.liminf_fit), ("limsup", fit.limsup_fit)):
-        note = " (degenerate)" if limit_fit.degenerate else ""
-        if limit_fit.points == 2:  # a line through two points fits them exactly
-            note = " (2 points: exact line)"
-        print(f"{name} fit: residual {limit_fit.residual:.3g} over {limit_fit.points} tail points"
-              + note, file=sys.stderr)
-    print(f"spanning-side estimates: liminf ~ {fit.upper_liminf_estimate:.6g}, "
-          f"limsup ~ {fit.upper_limsup_estimate:.6g}", file=sys.stderr)
-    return 0 if ok else 1
+    targets, limits = analytic_targets(system), extrapolate(system)
+    print(f"{'quantity':<10}{'target':>12}{'limit':>12}  equal")
+    for name, target, limit in zip(("liminf", "limsup"), targets, limits):
+        print(f"{name:<10}{str(target):>12}{str(limit):>12}  {'yes' if limit == target else 'NO'}")
+    return 0 if limits == targets else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -278,11 +253,8 @@ def _parser() -> argparse.ArgumentParser:
     for run in (profile, estimate):
         sub[run].add_argument("-o", "--out", type=_file_path, metavar="PATH",
                               help="CSV output path (default: stdout).")
-    sub[verify].add_argument("--tol", type=float, default=0.05,
-                             help="Allowed |estimate - target| for both limits. "
-                                  "(default: %(default)s)")
     sub[verify].add_argument("--kmax", type=_int_range(4, MAX_STORED_DIGITS), default=30,
-                             help="Profile block indices 1..kmax before extrapolating. "
+                             help="Check the exact eps of block indices 1..kmax. "
                                   "(default: %(default)s)")
     for each in (parser, *sub.values()):  # --help alone, with no -h, as mmdim always had
         each.add_argument("--help", action="help", help="Show this message and exit.")

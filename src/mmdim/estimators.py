@@ -92,7 +92,7 @@ def orbits_separate(orbit_x, orbit_y, eps: Fraction) -> bool:
 class GreedyResult(NamedTuple):
     chosen: tuple[Point, ...]  # kept seeds, over the seeds' den
     seed_count: int
-    pairs: int  # orbits_separate calls made by the scan and its cover check
+    pairs: int  # orbits_separate calls the scan made
 
 
 def greedy_separated(
@@ -118,15 +118,8 @@ def greedy_separated(
     the frontier at each level is at most three times the previous one and
     never larger than the kept set; after step 0's levels the candidates are
     a subset of those in the 3 x 3 step-0 cells of the first two axes.  The
-    order in which the candidates are tried decides only which kept point is
-    recorded as the seed's witness, never whether the seed is kept.
-
-    The cover check then confirms, for every rejected seed, that some kept
-    point is not separated from it: the witness first, then every kept
-    point.  It raises if none is.  A kept seed covers itself, so it is not
-    compared.  The check is vacuous: it repeats the pure call that rejected
-    the seed, so only a kernel that keeps state reaches its fallback or its
-    raise (ROADMAP item 7), and it adds one to `pairs` per rejected seed.
+    order in which the candidates are tried decides only how many are
+    compared, never whether the seed is kept.
     """
     if m < 1:
         raise ValueError("greedy selection needs m >= 1")
@@ -141,7 +134,7 @@ def greedy_separated(
     # t*: the leading states in which no orbit has escaped (state 0 never has)
     steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in orbits)), m)
     trie: dict = {}
-    witness: list[int] = []
+    chosen: list[int] = []
     pairs = 0
     for i, orbit in enumerate(orbits):
         key = [x // thr for state in orbit[:steps] for x in state]
@@ -150,29 +143,16 @@ def greedy_separated(
             frontier = [h for node in frontier for d in (c - 1, c, c + 1) if (h := node.get(d))]
             if not frontier:
                 break
-        close = i
         for j in itertools.chain.from_iterable(frontier):
             pairs += 1
             if not orbits_separate(orbit, orbits[j], thr):
-                close = j
                 break
-        witness.append(close)
-        if close == i:
+        else:
+            chosen.append(i)
             node = trie
             for c in key[:-1]:
                 node = node.setdefault(c, {})
             node.setdefault(key[-1], []).append(i)
-    chosen = [i for i, w in enumerate(witness) if w == i]
-    # cover property: every seed within eps (Bowen d_m) of some chosen point
-    for i, w in enumerate(witness):
-        if w == i:
-            continue
-        for j in itertools.chain((w,), chosen):
-            pairs += 1
-            if not orbits_separate(orbits[i], orbits[j], thr):
-                break
-        else:
-            raise AssertionError("greedy result failed its own cover check")
     return GreedyResult(tuple(pts[i] for i in chosen), len(pts), pairs)
 
 

@@ -16,7 +16,7 @@ step of g codes L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so
 depth-m words number L_k^(nm) (= 3^(knm) on the default leg schedule).  The quotient
 n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of block k
 and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both converge to
-the same limit.
+the same limit, which `extrapolate` gives exactly.
 """
 
 from __future__ import annotations
@@ -125,17 +125,6 @@ def log_ratio(num: LogExpr, den: LogExpr) -> float:
     return float(_CONTEXT.divide(num.eval(), d))
 
 
-@cache
-def _eps_log_inv(sched: Schedule, k: int) -> LogExpr:
-    """|ln eps_k| as an exact log expression; exp of its negation is
-    sched.eps(k), which `verify` and `profile` check on every row."""
-    # row k's lower denominator is row k+1's eps log: each is built once
-    expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
-    if sched.kind == GEOMETRIC:
-        return expr + LogExpr.of(3, k * sched.r)
-    return expr + LogExpr.of(k, 2)
-
-
 def _selected_strip_indices(L: int, n: int) -> list[int]:
     """L odd strip indices of an L-leg block whose mutual gaps beat its eps.
 
@@ -236,6 +225,30 @@ def _zero_bound(k: int) -> RateBound:
     return RateBound(k, False, z, z, z, None, z)
 
 
+@cache
+def _eps_log_inv(sched: Schedule, k: int) -> LogExpr:
+    """|ln eps_k| as an exact log expression; exp of its negation is
+    sched.eps(k), which `verify` and `profile` check on every row."""
+    # row k's lower denominator is row k+1's eps log: each is built once
+    expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
+    if sched.kind == GEOMETRIC:
+        return expr + LogExpr.of(3, k * sched.r)
+    return expr + LogExpr.of(k, 2)
+
+
+def _growth(schedule: Schedule, n: int) -> tuple[int, Fraction, int]:
+    """(c, a, b) with an active row's rate c k ln 3 and |ln eps_k| =
+    a k ln 3 + b ln k + O(1), at every k but the finitely many leg overrides.
+
+    L_k = 3^k gives the rate n ln L_k = n k ln 3 and ln(2 L_k - 1) =
+    k ln 3 + O(1); the side |E_k| adds k r ln 3 (geometric) or 2 ln k
+    (quadratic) to |ln eps_k|.
+    """
+    if schedule.kind == GEOMETRIC:
+        return n, 1 + schedule.r, 0
+    return n, Fraction(1), 2
+
+
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
     eps, log_inv = schedule.eps(k), _eps_log_inv(schedule, k)
     if not schedule.is_active(k):
@@ -291,34 +304,6 @@ def _two_block_bound(system: TwoBlockSystem, k: int) -> RateBound:
     return winner._replace(active=spike)
 
 
-class FitResult(NamedTuple):
-    value: float
-    slope: float
-    residual: float
-    points: int
-    degenerate: bool
-
-
-class ExtrapolationResult(NamedTuple):
-    """c - d/k tail fits of the profile's lower ratios on both subsequences."""
-
-    liminf_estimate: float
-    limsup_estimate: float
-    liminf_fit: FitResult
-    limsup_fit: FitResult
-    upper_liminf_estimate: float
-    upper_limsup_estimate: float
-
-
-FIT_TAIL = 12
-
-
-def _tail(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    # largest-k half of the subsequence, capped at FIT_TAIL entries
-    keep = max(2, min(FIT_TAIL, -(-len(points) // 2)))
-    return points[-keep:]
-
-
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float] | None:
     """Least-squares line y ~ intercept + slope * x, fitted about the means.
 
@@ -337,50 +322,31 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, fl
     return slope, intercept, residual
 
 
-def _fit_c_minus_d_over_k(points: list[tuple[int, float]]) -> FitResult:
-    if not points:
-        return FitResult(0.0, 0.0, 0.0, 0, True)
-    if len(points) == 1:
-        return FitResult(points[0][1], 0.0, 0.0, 1, True)
-    pts = _tail(sorted(points))
-    ys = [y for _, y in pts]
-    line = fit_line([1.0 / k for k, _ in pts], ys)
-    if line is None:
-        return FitResult(ys[-1], 0.0, 0.0, len(pts), True)
-    slope, c, residual = line
-    return FitResult(c, -slope, residual, len(pts), False)
+def _subsequence_limits(system: System) -> tuple[Fraction, Fraction]:
+    """Limits of the profile's ratios off the self powers k = j^j and on them."""
+    if isinstance(system, IdentitySystem):
+        return Fraction(0), Fraction(0)
+    if isinstance(system, StackedSystem):
+        c, a, _ = _growth(system.schedule, system.n)
+        return (Fraction(0) if system.schedule.is_sparse else c / a), c / a
+    if isinstance(system, TwoBlockSystem):
+        low, up = _subsequence_limits(system.lower), _subsequence_limits(system.upper)
+        return max(low[0], up[0]), max(low[1], up[1])
+    raise TypeError(f"unknown system type {type(system).__name__}")
 
 
-def extrapolate(profile: Sequence[RateBound]) -> ExtrapolationResult:
-    """Estimate the inferior/superior limits of the profile ratios.
+def extrapolate(system: System) -> tuple[Fraction, Fraction]:
+    """Exact (liminf, limsup) over k of the profile's ratios.
 
-    Active rows chase the superior limit (for sparse systems they are the
-    spikes), inactive rows the inferior one; a profile that is all active or
-    all inactive has a single limit and gets one shared fit.
+    An active row's rate c k ln 3 over either denominator, a k ln 3 +
+    b ln k + O(1) (`_growth`), tends to c / a, and an inactive row is 0.  A
+    sparse schedule is active only at the self powers, so its rows tend to
+    c / a on them and to 0 off them; a two-block row is the larger half's,
+    so on each subsequence it tends to the larger half's limit.  The liminf
+    and the limsup are the smaller and the larger subsequence limit.
     """
-    if len(profile) < 4:
-        raise ValueError("extrapolation needs at least 4 profile rows")
-    rows = sorted(profile, key=lambda b: b.k)
-    lower_pts = [(b.k, b.lower_ratio()) for b in rows]
-    upper_pts = [(b.k, b.upper_ratio()) for b in rows]
-    act = [i for i, b in enumerate(rows) if b.active]
-    inact = [i for i, b in enumerate(rows) if not b.active]
-    if act and inact:
-        sup_l = _fit_c_minus_d_over_k([lower_pts[i] for i in act])
-        inf_l = _fit_c_minus_d_over_k([lower_pts[i] for i in inact])
-        sup_u = _fit_c_minus_d_over_k([upper_pts[i] for i in act])
-        inf_u = _fit_c_minus_d_over_k([upper_pts[i] for i in inact])
-    else:
-        sup_l = inf_l = _fit_c_minus_d_over_k(lower_pts)
-        sup_u = inf_u = _fit_c_minus_d_over_k(upper_pts)
-    return ExtrapolationResult(
-        liminf_estimate=inf_l.value,
-        limsup_estimate=sup_l.value,
-        liminf_fit=inf_l,
-        limsup_fit=sup_l,
-        upper_liminf_estimate=inf_u.value,
-        upper_limsup_estimate=sup_u.value,
-    )
+    limits = _subsequence_limits(system)
+    return min(limits), max(limits)
 
 
 def analytic_targets(system: System) -> tuple[Fraction, Fraction]:

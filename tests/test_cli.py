@@ -6,14 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmdim
-from mmdim import estimators, symbolic
+from mmdim import cli as cli_module, estimators, symbolic
 from mmdim.cli import main
 from mmdim.constructions import Schedule
 from mmdim.specfile import (
@@ -212,8 +214,7 @@ class TestProfile:
         assert len(rows) == 24
         assert list(rows[0]) == list(PROFILE_COLUMNS)
         assert all(r["source"] == "symbolic" for r in rows)
-        assert "extrapolated liminf ~" in result.stderr
-        assert "target 1" in result.stderr
+        assert result.stderr == "limits: liminf = 1 (target 1), limsup = 1 (target 1)\n"
 
     def test_output_file(self, cli, geometric_file, tmp_path):
         out = str(tmp_path / "profile.csv")
@@ -222,10 +223,12 @@ class TestProfile:
         rows = parse_csv(open(out).read())
         assert [r["k"] for r in rows] == [str(k) for k in range(1, 7)]
 
-    def test_small_kmax_skips_extrapolation(self, cli, geometric_file):
-        result = cli(["profile", geometric_file, "--kmax", "3"])
+    def test_small_kmax_prints_the_limits(self, cli, geometric_file):
+        # the limits are exact, so they need no rows to fit
+        result = cli(["profile", geometric_file, "--kmax", "1"])
         assert result.exit_code == 0
-        assert "skipped" in result.stderr
+        assert len(parse_csv(result.stdout)) == 1
+        assert result.stderr == "limits: liminf = 1 (target 1), limsup = 1 (target 1)\n"
 
     @pytest.mark.parametrize("command,kmax", [("profile", "5000"), ("verify", "100000")])
     def test_oversized_kmax_fails_fast(self, cli, geometric_file, command, kmax):
@@ -409,45 +412,82 @@ class TestEstimate:
             assert "stacked" in result.stderr
 
 
+def verify_table(liminf: tuple[str, str, str], limsup: tuple[str, str, str]) -> str:
+    """The stdout of `verify`: (target, limit, verdict) for each limit."""
+    rows = [f"{'quantity':<10}{'target':>12}{'limit':>12}  equal"]
+    for name, (target, limit, verdict) in (("liminf", liminf), ("limsup", limsup)):
+        rows.append(f"{name:<10}{target:>12}{limit:>12}  {verdict}")
+    return "\n".join(rows) + "\n"
+
+
+# buildable specs whose limits verify prints exactly, with their (liminf, limsup)
+VERIFIED_SPECS = {
+    "geometric r=1": (dict(kind="geometric", n=2, B="1", r="1", kMax=3), ("1", "1")),
+    "geometric r=2": (dict(kind="geometric", n=2, B="1", r="2", kMax=3), ("2/3", "2/3")),
+    "geometric n=3": (dict(kind="geometric", n=3, B="1", r="1", kMax=2), ("3/2", "3/2")),
+    "quadratic n=2": (dict(kind="quadratic", n=2, B="1", kMax=30), ("2", "2")),
+    "quadratic n=3": (dict(kind="quadratic", n=3, B="1", kMax=4), ("3", "3")),
+    "sparse geometric": (dict(kind="sparse", n=2, B="1", r="1", kMax=4), ("0", "1")),
+    "sparse quadratic": (dict(kind="sparse", n=2, B="1", kMax=4), ("0", "2")),
+    "two_block 2/3..1": (dict(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30),
+                         ("2/3", "1")),
+    "two_block 1..2": (dict(kind="two_block", n=2, alpha="1", beta="2", kMax=4), ("1", "2")),
+    "two_block 0..1": (dict(kind="two_block", n=2, alpha="0", beta="1", kMax=4), ("0", "1")),
+    "two_block 1..3": (dict(kind="two_block", n=3, alpha="1", beta="3", kMax=4), ("1", "3")),
+    "leg override": (dict(kind="geometric", n=2, B="1", r="2", kMax=2,
+                          legScheduleOverride={"2": 5}), ("2/3", "2/3")),
+    "identity": (dict(kind="identity", n=2), ("0", "0")),
+}
+
+
+@st.composite
+def buildable_specs(draw) -> dict:
+    """Geometric, sparse, quadratic and two-block specs within the size caps."""
+    n = draw(st.sampled_from([2, 3]))
+    k_max = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["geometric", "sparse", "quadratic", "two_block"]))
+    if kind == "two_block":
+        values = [F(0), *(F(n, j + 1) for j in (1, 2, 3)), F(n)]
+        alpha, beta = sorted(draw(st.lists(st.sampled_from(values), min_size=2, max_size=2)))
+        return dict(kind=kind, n=n, alpha=str(alpha), beta=str(beta), kMax=k_max)
+    if kind == "quadratic":
+        B = draw(st.fractions(F(1, 12), 1, max_denominator=12))
+        return dict(kind=kind, n=n, B=str(B), kMax=k_max)
+    r = draw(st.integers(1, 3))
+    # cap is the largest B whose blocks keep disjoint enlargements when placed
+    cap = (3**r - 1) / (1 + F(1, 10) + F(1, 10 * 3**r))
+    B = cap * F(draw(st.integers(1, 12)), 12)
+    return dict(kind=kind, n=n, B=str(B), r=str(r), kMax=k_max)
+
+
 class TestVerify:
-    def test_geometric_passes(self, cli, geometric_file):
-        result = cli(["verify", geometric_file, "--tol", "0.02"])
-        assert result.exit_code == 0
-        assert result.stdout.count("yes") == 2
-        assert "liminf" in result.stdout and "limsup" in result.stdout
-        assert "spanning-side estimates" in result.stderr
-        assert "liminf fit: residual" in result.stderr
-        assert "limsup fit: residual" in result.stderr
-        assert "tail points" not in result.stdout
+    @settings(max_examples=100, deadline=None)
+    @given(buildable_specs())
+    def test_every_buildable_spec_verifies(self, cli, fields):
+        with tempfile.TemporaryDirectory() as root:
+            spec, system = os.path.join(root, "spec.json"), os.path.join(root, "system.json")
+            write_json(spec, fields)
+            assert cli(["build", spec, "-o", system]).exit_code == 0
+            result = cli(["verify", system])
+        assert result.exit_code == 0, (fields, result.output)
+        assert result.stdout.count("  yes\n") == 2
 
-    def test_impossible_tolerance_fails(self, cli, geometric_file):
-        result = cli(["verify", geometric_file, "--tol", "1e-9"])
-        assert result.exit_code == 1
-        assert "NO" in result.stdout
-
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_bad_tolerance_exits_2(self, cli, geometric_file, tol):
-        # a tolerance no difference can meet is a usage error, not a failed check
-        result = cli(["verify", geometric_file, "--tol", tol])
-        assert result.exit_code == 2
-        assert "--tol must be a non-negative number" in result.stderr
-        assert result.stdout == ""
-
-    def test_identity_is_exact(self, cli, tmp_spec, tmp_path):
-        spec = tmp_spec(kind="identity", n=2)
-        out = str(tmp_path / "id.json")
-        cli(["build", spec, "-o", out])
-        result = cli(["verify", out, "--tol", "0"])
-        assert result.exit_code == 0
-
-    def test_two_block_default_tolerance(self, cli, tmp_spec, tmp_path):
-        spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)
-        out = str(tmp_path / "two.json")
-        cli(["build", spec, "-o", out])
+    @pytest.mark.parametrize("name", sorted(VERIFIED_SPECS))
+    def test_prints_exact_limits_equal_to_the_targets(self, cli, tmp_spec, tmp_path, name):
+        fields, (lo, hi) = VERIFIED_SPECS[name]
+        out = str(tmp_path / "system.json")
+        assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
         result = cli(["verify", out])
-        assert result.exit_code == 0, result.stdout
-        assert "limsup fit: residual 0 over 2 tail points (2 points: exact line)" in result.stderr
-        assert "(2 points" not in result.stdout
+        assert result.exit_code == 0, result.output
+        assert result.stdout == verify_table((lo, lo, "yes"), (hi, hi, "yes"))
+        assert result.stderr == ""
+
+    def test_a_limit_off_its_target_exits_1(self, cli, geometric_file, monkeypatch):
+        # the limits stay exact; only the targets they are compared with move
+        monkeypatch.setattr(cli_module, "analytic_targets", lambda system: (F(1), F(3, 2)))
+        result = cli(["verify", geometric_file])
+        assert result.exit_code == 1
+        assert result.stdout == verify_table(("1", "1", "yes"), ("3/2", "1", "NO"))
 
     def test_kmax_floor(self, cli, geometric_file):
         result = cli(["verify", geometric_file, "--kmax", "2"])
@@ -499,7 +539,7 @@ class TestHelp:
             ("validate", {}),
             ("profile", {"--kmax": "24", "-o --out": "stdout"}),
             ("estimate", {"--k": None, "--m": "3", "--eps": None, "-o --out": "stdout"}),
-            ("verify", {"--tol": "0.05", "--kmax": "30"}),
+            ("verify", {"--kmax": "30"}),
         ],
     )
     def test_command_help_lists_every_option_with_its_default(self, cli, command, options):
@@ -532,7 +572,7 @@ class TestUsage:
             (["profile", "{system}", "--kmax", "0"], "--kmax"),
             (["profile", "{system}", "--kmax", "4001"], "--kmax"),
             (["verify", "{system}", "--kmax", "3"], "--kmax"),
-            (["verify", "{system}", "--tol", "x"], "--tol"),
+            (["verify", "{system}", "--tol", "0.05"], "--tol"),
             (["estimate", "{system}"], "--k"),
             (["estimate", "{system}", "--k", "0"], "--k"),
             (["estimate", "{system}", "--k", "one"], "--k"),
@@ -555,12 +595,14 @@ class TestUsage:
         assert name in result.stderr.splitlines()[-1]
         assert result.stdout == ""
 
-    def test_main_returns_the_code_when_not_standalone(self, cli, tmp_spec, tmp_path, capsys):
-        two_block, quadratic = str(tmp_path / "two_block.system.json"), str(tmp_path / "q.system.json")
-        for out, fields in ((two_block, dict(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30)),
-                            (quadratic, dict(kind="quadratic", n=2, B="1", kMax=3))):
-            assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
-        assert main(["verify", two_block], standalone_mode=False) == 0
+    def test_main_returns_the_code_when_not_standalone(
+        self, cli, tmp_spec, tmp_path, capsys, monkeypatch
+    ):
+        quadratic = str(tmp_path / "q.system.json")
+        fields = dict(kind="quadratic", n=2, B="1", kMax=3)
+        assert cli(["build", tmp_spec(**fields), "-o", quadratic]).exit_code == 0
+        assert main(["verify", quadratic], standalone_mode=False) == 0
+        monkeypatch.setattr(cli_module, "analytic_targets", lambda system: (F(2), F(3)))
         assert main(["verify", quadratic], standalone_mode=False) == 1
         with pytest.raises(SystemExit) as exited:
             main(["verify", quadratic])

@@ -294,25 +294,30 @@ class TestGreedySeparated:
         result = greedy_separated(sq_unit, seed_set([]), 2, F(1, 5))
         assert result.chosen == () and result.pairs == 0
 
-    def test_cover_check_runs(self, sq_unit, monkeypatch):
-        # a kernel that rejects the second seed in the scan and then calls
-        # every pair separated leaves that seed uncovered, so the self-check
-        # must raise; a kept seed covers itself and is not compared
-        answers = itertools.chain([False], itertools.repeat(True))
-        monkeypatch.setattr(estimators, "orbits_separate", lambda *args: next(answers))
-        seeds = seed_set([(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2) + F(1, 1000))])
-        with pytest.raises(AssertionError, match="cover check"):
-            greedy_separated(sq_unit, seeds, 2, F(1, 5))
-
-    def test_cover_check_compares_only_rejected_seeds(self, sq_unit):
+    def test_pairs_count_only_scan_comparisons(self, sq_unit):
         # three seeds within eps of each other at every step, and one far
-        # off: the scan keeps two and rejects two, and the cover check
-        # compares each rejected seed with its witness once
+        # off: the scan keeps two and rejects two, each after one comparison
         near = [(F(1, 2), F(1, 2) + F(i, 1000)) for i in range(3)]
         seeds = seed_set(near + [(F(1, 10), F(1, 10))])
         result = greedy_separated(sq_unit, seeds, 1, F(1, 5))
         assert len(result.chosen) == 2
-        assert result.pairs == 2 + 2  # one scan comparison and one cover check each
+        assert result.pairs == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 12).map(lambda i: F(i, 12))] * 2), max_size=14),
+        st.sampled_from([F(1, 7), F(2, 7), F(1, 11), F(3, 11), F(5, 13), F(1, 25)]),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_every_rejected_seed_lies_within_eps_of_a_kept_one(self, sq_unit, points, eps, m):
+        # the kept points span the seeds: the Bowen distance of the naive
+        # oracle puts each rejected seed within eps of some kept seed
+        seeds = seed_set(points)
+        kept = set(greedy_separated(sq_unit, seeds, m, eps).chosen)
+        kept_points = [x for p, x in zip(seeds.points, seed_points(seeds)) if p in kept]
+        for p, x in zip(seeds.points, seed_points(seeds)):
+            if p not in kept:
+                assert any(bowen_distance(sq_unit, x, c, m).value <= eps for c in kept_points)
 
     def test_pairs_count_every_kernel_call(self, geometric_system, monkeypatch):
         # the greedy_square benchmark inputs: block 1 of the geometric
@@ -329,7 +334,7 @@ class TestGreedySeparated:
         row = mdim_numeric_profile(geometric_system, 1)
         assert row.counts == row.seeds == {1: 9, 2: 81, 3: 729}
         assert sum(row.pairs.values()) == calls
-        # the all-pairs scan and its cover check made 538,083 calls here
+        # an all-pairs scan makes 36 + 3,240 + 265,356 calls here
         assert calls <= 40_000
 
     def test_escaping_orbit_is_scanned_on_its_surviving_prefix(self, sq_unit, unit_square_h):

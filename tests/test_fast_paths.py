@@ -541,8 +541,7 @@ class TestTrieScan:
     @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (1, 3), (2, 2)])
     def test_native_eps_scans_make_no_comparison(self, geometric_system, k, m):
         # every cylinder center is kept, and no kept point shares all of a
-        # seed's trie cells within 1: the scan makes no comparison, and the
-        # cover check none either, since a kept seed covers itself
+        # seed's trie cells within 1: the scan makes no comparison
         block = geometric_system.block(k)
         h = block.geometry()
         eps = geometric_system.schedule.eps(k)

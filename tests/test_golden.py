@@ -23,42 +23,42 @@ SPECS = {
 GOLDEN = {
     ("square", "profile --kmax 30"): (
         "b69f30d925630ff82688a4c34e3aeccf71d759050eaaebd90fcf5c0fae062e00",
-        "8d11aed2687883667191c2671ca11f2860f5030db11418e4341b8d754aaffbd1",
+        "8f0eb11b76054c3d489bb9971ac12419ff3c6b8d6670592453f31606fe2f75b4",
         0,
     ),
     ("square", "verify"): (
-        "2a485c327848d096df2c75f0f6fd471e7e85239eefd8e051ef0be43360d3feb4",
-        "390e4c7c581154000ebe8e892917899d806e42a6ffaa4078e356c4f472bd32fb",
+        "1bc661ccf36b7371697b22b49391e176d59ce5df9eec4a97d78afb19f55f730e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
     ("quadratic", "profile --kmax 30"): (
         "7ae578b2945a2e9bbc5b989f6cce193177483da940f566fc582f766e5af2a9b6",
-        "9f925957672cabe83140f382420d3e8260a39712d27e0d6bc22284499b2bfadf",
+        "204859da6d0071c54315c466920c0ab172025a9b30a13d38f3205723127ae997",
         0,
     ),
     ("quadratic", "verify"): (
-        "f8a53efa20702837df2ba8d581ee06d20326b499afcacaf1b11f87c5dd4c0990",
-        "da255654653f99bf64ef34fa8d264fff6520482e35d614edea8c5382c7f6f09a",
-        1,
+        "37db0270fd08e3263e09cf67f6a15bdd4cd01c0eb6cee23b942785baa3681441",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
     ),
     ("sparse", "profile --kmax 30"): (
         "809158579971c1de7d1242c815c5cff7f39f3527a1552fbc3e44e1b2a2665f49",
-        "e68dbe04288bcf0c850c173a6a62d3d623a8145190d3e6479800a878f2ced7a2",
+        "f9d52533e4fcffdc010afef700b76b04464ebce0c36d7b915904ad896f66f62f",
         0,
     ),
     ("sparse", "verify"): (
-        "2eaec1255ae7275a81ba1a506ad32c7e7cc2870081d12eaeeed38289b9d472f5",
-        "7b6b1b05cade32f1e99c69b27a86becc5c798e3c8afb6a0d5b94da3eaa135d8c",
+        "6a25f7be6f9ae504625f7fe78681e83a67195615b17f0dd072dbd9fb87c51418",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
     ("two_block", "profile --kmax 30"): (
         "de2b632347e9a0b7703d21e0a576673584c5dee26b069163867abd51af6dd269",
-        "135882a0a45d9a52a3bdb582ae0a2d99ab782583bc48a66faa025b08fd160fb6",
+        "d1409e4004ac832ae7b45f6b17c5a20395675f4ef424ee870f8036993b977b07",
         0,
     ),
     ("two_block", "verify"): (
-        "ef062d885c0d3df4f8f6887ed6a4d05e40bdacf728fa96ca89deb759fbd7efbb",
-        "08a78747a550e245f97223e7f8f987435f6bf6e6bf462fb3cc49841f85e0fd01",
+        "48770f64d9d56ebd0a5f8f9ccb31625180a17f6beab808551ddec0f29da31310",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
     ("square", "estimate --k 1 --m 3"): (
@@ -83,7 +83,7 @@ GOLDEN = {
     ),
     ("cube", "estimate --k 1 --m 2 --eps 3/10"): (
         "ef44137bcfb8c4880e6b36447f55b1a6296dc3b9c2755c72ebd1638035a7f605",
-        "64d1b7753992c686d8024bac579b5525395a1e4b8898e39b45bfde1e5108a197",
+        "615dc9f08c8922be1d366307d4aa1891f10c8b38e54d1200c1a8a6d6b82f9241",
         0,
     ),
 }

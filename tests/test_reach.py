@@ -69,7 +69,6 @@ CORPUS = [
     ["verify", "{bad_json}"],
     ["build", "{bad_json}", "-o", "{out}"],
     ["profile", "{square}", "--kmax", "31"],
-    ["verify", "{square}", "--tol", "nan"],
     ["build", "{spec_square}", "-o", "{no_dir}"],
     ["--help"],
     *([command, "--help"] for command in ("build", "validate", "profile", "estimate", "verify")),

@@ -27,7 +27,9 @@ from mmdim.symbolic import (
     WORKING_DPS,
     _eps_log_inv,
     _ln,
+    _growth,
     _selected_strip_indices,
+    _stacked_bound,
     analytic_targets,
     cylinder_geometry,
     enumerate_cylinders,
@@ -475,37 +477,89 @@ class TestRateProfile:
                 assert row.rate == dense.rate
 
 
+# (schedule, n) of every leg and size law, at B = 1 (placed at the quadratic
+# cap 500/987 when the sizes are quadratic)
+GROWTH_SCHEDULES = {
+    "geometric r=1": (Schedule.geometric(1, 1), 2),
+    "geometric r=2": (Schedule.geometric(1, 2), 2),
+    "geometric r=3": (Schedule.geometric(1, 3), 3),
+    "quadratic": (Schedule.quadratic(1), 2),
+    "sparse": (Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2),
+    "sparse quadratic": (Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 3),
+    "leg override": (Schedule.geometric(1, 2, leg_override=((2, 5), (7, 3))), 2),
+}
+
+# |ln eps_k| - (a k ln 3 + b ln k) = ln(2 - 3^-k) - ln B lies in
+# [ln(5/3), ln 2] - ln B, and ln(987/500) < 0.7 bounds -ln B here
+GROWTH_CONSTANT = 2.0
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("name", sorted(GROWTH_SCHEDULES))
+    def test_rows_grow_at_the_stated_coefficients(self, name):
+        schedule, n = GROWTH_SCHEDULES[name]
+        c, a, b = _growth(schedule, n)
+        overridden = {k for k, _ in schedule.leg_override or ()}
+        ln3 = math.log(3)
+        active = 0
+        for k in range(1, 401):
+            if k in overridden:
+                continue
+            eps_log = _eps_log_inv(schedule, k).to_float()
+            assert abs(eps_log - (a * k * ln3 + b * math.log(k))) <= GROWTH_CONSTANT, k
+            row = _stacked_bound(schedule, n, k)
+            if row.active:
+                active += 1
+                assert abs(row.rate.to_float() - c * k * ln3) <= GROWTH_CONSTANT, k
+        assert active == (4 if schedule.is_sparse else 400 - len(overridden))
+
+
 class TestExtrapolate:
-    def test_needs_four_rows(self, geometric_system):
-        with pytest.raises(ValueError, match="at least 4"):
-            extrapolate(rate_profile(geometric_system, [1, 2, 3]))
+    @pytest.mark.parametrize(
+        "system,limits",
+        [
+            (build_stacked(Schedule.geometric(1, 1), 2, 3), (1, 1)),
+            (build_stacked(Schedule.geometric(1, 2), 2, 3), (F(2, 3), F(2, 3))),
+            (build_stacked(Schedule.geometric(1, 2), 3, 2), (1, 1)),
+            (build_stacked(Schedule.quadratic(1), 2, 3), (2, 2)),
+            (build_stacked(Schedule.quadratic(1), 3, 2), (3, 3)),
+            (build_stacked(Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2, 4), (0, 1)),
+            (build_stacked(Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 2, 4), (0, 2)),
+            (build_stacked(Schedule.geometric(1, 2, leg_override=((2, 5),)), 2, 2),
+             (F(2, 3), F(2, 3))),
+            (IdentitySystem(2), (0, 0)),
+            (build_two_block(F(2, 3), 1, 2, 30), (F(2, 3), 1)),
+            (build_two_block(1, 2, 2, 4), (1, 2)),
+            (build_two_block(0, 1, 2, 4), (0, 1)),
+            (build_two_block(1, 1, 2, 4), (1, 1)),
+            (build_two_block(1, 3, 3, 4), (1, 3)),
+        ],
+    )
+    def test_exact_limits_equal_the_targets(self, system, limits):
+        got = extrapolate(system)
+        assert got == limits == analytic_targets(system)
+        assert all(type(limit) is Fraction for limit in got)
 
-    def test_dense_geometric_converges_to_one(self, geometric_system):
-        result = extrapolate(rate_profile(geometric_system, range(1, 25)))
-        assert abs(result.liminf_estimate - 1) < 0.02
-        assert abs(result.limsup_estimate - 1) < 0.02
-        assert result.liminf_fit is result.limsup_fit
-        assert not result.liminf_fit.degenerate
-        assert result.liminf_fit.slope > 0  # ratios rise like c - d/k
-        assert result.liminf_fit.residual < 0.01
+    def test_two_block_takes_the_larger_half_on_each_subsequence(self):
+        # a dense half above the sparse half's spikes wins on both
+        # subsequences: the rows tend to 1 everywhere
+        sparse = build_stacked(Schedule.geometric(1, 3, active=ACTIVE_SELF_POWERS), 2, 4)
+        dense = build_stacked(Schedule.geometric(1, 1), 2, 4)
+        two = build_two_block(F(1, 2), 1, 2, 4)._replace(lower=sparse, upper=dense)
+        assert extrapolate(two) == (1, 1)
 
-    def test_identity_profile_is_flat_zero(self):
-        result = extrapolate(rate_profile(IdentitySystem(2), range(1, 9)))
-        assert result.liminf_estimate == result.limsup_estimate == 0.0
+    def test_rows_approach_the_limits(self):
+        # the ratios at k = 400 lie within 2 / k of the limits they tend to
+        two = build_two_block(F(2, 3), 1, 2, 4)
+        lo, hi = extrapolate(two)
+        on, off = rate_profile(two, [256, 400])  # 256 = 4^4 is a self power
+        assert abs(off.lower_ratio() - lo) < 2 / 400
+        assert abs(on.lower_ratio() - hi) < 2 / 256
+        assert abs(on.upper_ratio() - hi) < 2 / 256
 
-    def test_sparse_splits_subsequences(self):
-        sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
-        sys = build_stacked(sched, 2, 30)
-        result = extrapolate(rate_profile(sys, range(1, 31)))
-        assert result.liminf_estimate == 0.0
-        assert result.limsup_estimate > 0.9
-        assert result.liminf_fit is not result.limsup_fit
-
-    def test_two_block_estimates(self):
-        two = build_two_block(F(2, 3), 1, 2, 30)
-        result = extrapolate(rate_profile(two, range(1, 31)))
-        assert abs(result.liminf_estimate - 2 / 3) < 0.05
-        assert abs(result.limsup_estimate - 1) < 0.05
+    def test_unknown_system_type(self):
+        with pytest.raises(TypeError, match="unknown system type"):
+            extrapolate(object())
 
 
 class TestAnalyticTargets:
