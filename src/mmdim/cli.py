@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Commands: build a system from a JSON spec, validate its geometry, export
-symbolic or numeric rate profiles as CSV, and verify the profile's exact
-limits against the schedule's analytic targets; `--help` lists each
+symbolic or numeric rate profiles as CSV, and verify the profile's rows and
+exact limits against the schedule's analytic targets; `--help` lists each
 command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
 
 Exit codes: 0 success, 1 verification failure (`verify` finding a limit
 other than its target, `verify` or `profile` meeting a row whose exact eps
-is not exp(-|ln eps|), or `estimate` keeping another count than the
+is not exp(-|ln eps|) or that strays from the growth its limits assume
+(`symbolic.row_fault`), or `estimate` keeping another count than the
 symbolic row's exp(m rate) of cylinder centers at a block's own eps), 2
 usage or spec error, a refused `estimate` (a block outside the file, or
 more cylinders than the budget at some depth), or an unwritable output
@@ -43,7 +44,7 @@ from .specfile import (
     write_json,
     write_profile_csv,
 )
-from .symbolic import analytic_targets, extrapolate, rate_profile
+from .symbolic import analytic_targets, extrapolate, rate_profile, row_fault
 
 
 class UsageError(Exception):
@@ -99,15 +100,6 @@ def _check_kmax(spec: SystemSpec, kmax: int) -> None:
         SystemSpec.from_jsonable(spec.to_jsonable() | {"kMax": kmax})
     except SpecFileError as exc:
         raise UsageError(f"--kmax {kmax}: {exc}")
-
-
-def _eps_mismatch(rows) -> bool:
-    """Report the first row whose exact eps is not exp(-|ln eps|); True if any."""
-    for row in rows:
-        if row.eps_exact is not None and (value := 1 / row.eps_log_inv.exp()) != row.eps_exact:
-            print(f"k={row.k} eps={row.eps_exact} exp(-|ln eps|)={value}", file=sys.stderr)
-            return True
-    return False
 
 
 def _write_rows(out: str | None, rows) -> None:
@@ -173,7 +165,8 @@ def profile(system_path: str, kmax: int, out: str | None) -> int:
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
-    if _eps_mismatch(rows):
+    if (fault := row_fault(system, range(1, kmax + 1))) is not None:
+        print(fault, file=sys.stderr)
         return 1
     _write_rows(out, symbolic_csv_rows(rows))
     (lo, hi), (target_lo, target_hi) = extrapolate(system), analytic_targets(system)
@@ -217,10 +210,11 @@ def estimate(system_path, k, m_max, eps_str, out) -> int:
 
 
 def verify(system_path: str, kmax: int) -> int:
-    """Check the profile's exact limits against the analytic targets."""
+    """Check the profile's rows, then its exact limits against the analytic targets."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
-    if _eps_mismatch(rate_profile(system, range(1, kmax + 1))):
+    if (fault := row_fault(system, range(1, kmax + 1))) is not None:
+        print(fault, file=sys.stderr)
         return 1
     targets, limits = analytic_targets(system), extrapolate(system)
     print(f"{'quantity':<10}{'target':>12}{'limit':>12}  equal")
@@ -254,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
         sub[run].add_argument("-o", "--out", type=_file_path, metavar="PATH",
                               help="CSV output path (default: stdout).")
     sub[verify].add_argument("--kmax", type=_int_range(4, MAX_STORED_DIGITS), default=30,
-                             help="Check the exact eps of block indices 1..kmax. "
+                             help="Check the rows of block indices 1..kmax. "
                                   "(default: %(default)s)")
     for each in (parser, *sub.values()):  # --help alone, with no -h, as mmdim always had
         each.add_argument("--help", action="help", help="Show this message and exit.")

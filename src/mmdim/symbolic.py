@@ -16,7 +16,8 @@ step of g codes L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so
 depth-m words number L_k^(nm) (= 3^(knm) on the default leg schedule).  The quotient
 n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of block k
 and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both converge to
-the same limit, which `extrapolate` gives exactly.
+the same limit, which `extrapolate` gives exactly for rows that pass
+`row_fault`.
 """
 
 from __future__ import annotations
@@ -242,7 +243,9 @@ def _growth(schedule: Schedule, n: int) -> tuple[int, Fraction, int]:
 
     L_k = 3^k gives the rate n ln L_k = n k ln 3 and ln(2 L_k - 1) =
     k ln 3 + O(1); the side |E_k| adds k r ln 3 (geometric) or 2 ln k
-    (quadratic) to |ln eps_k|.
+    (quadratic) to |ln eps_k|.  Active rows therefore tend to c / a, the
+    n / (1 + r) or n the construction prescribes; `_stacked_fault` holds
+    each row to these coefficients.
     """
     if schedule.kind == GEOMETRIC:
         return n, 1 + schedule.r, 0
@@ -271,7 +274,9 @@ def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
     if isinstance(system, StackedSystem):
         return [_stacked_bound(system.schedule, system.n, k) for k in ks]
     if isinstance(system, TwoBlockSystem):
-        return [_two_block_bound(system, k) for k in ks]
+        halves = (system.lower, system.upper)
+        return [_two_block_bound(system, *(_half_bound(h, system.n, k) for h in halves))
+                for k in ks]
     raise TypeError(f"unknown system type {type(system).__name__}")
 
 
@@ -281,7 +286,7 @@ def _half_bound(half, n: int, k: int) -> RateBound:
     return _stacked_bound(half.schedule, n, k)
 
 
-def _two_block_bound(system: TwoBlockSystem, k: int) -> RateBound:
+def _two_block_bound(system: TwoBlockSystem, low: RateBound, up: RateBound) -> RateBound:
     """Max rule: the combined bound at index k is the larger half's bound.
 
     Both halves sit in scale-2 charts, which shift |ln eps| by the constant
@@ -290,18 +295,61 @@ def _two_block_bound(system: TwoBlockSystem, k: int) -> RateBound:
     at the sparse half's spikes, which is what separates the superior-limit
     subsequence from the inferior one downstream.
     """
-    low = _half_bound(system.lower, system.n, k)
-    up = _half_bound(system.upper, system.n, k)
     if (low.lower_ratio(), low.active) >= (up.lower_ratio(), up.active):
         winner, half = low, system.lower
     else:
         winner, half = up, system.upper
-    spike = (
-        winner.active
-        and isinstance(half, StackedSystem)
-        and half.schedule.is_sparse
-    )
+    spike = winner.active and isinstance(half, StackedSystem) and half.schedule.is_sparse
     return winner._replace(active=spike)
+
+
+def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
+    """How a stacked row strays from its exact eps or from `_growth`, or None.
+
+    exp(-|ln eps_k|) must be eps_k.  Outside the leg overrides the rate must
+    be c k ln 3 exactly, and each log the row divides by, at its own index
+    j (k + 1 for the lower denominator), must be a j ln 3 + b ln j + ln(1/B)
+    plus a remainder in [0, ln 8]: ln((2 L_j - 1) / L_j) < ln 2 for |ln
+    eps_j|, and ln 4 more for the upper denominator.
+    """
+    k, inverse = row.k, row.eps_log_inv.exp()
+    if 1 / inverse != row.eps_exact:
+        return f"k={k} eps={row.eps_exact} exp(-|ln eps|)={1 / inverse}"
+    c, a, b = _growth(schedule, n)
+    overridden = {kk for kk, _ in schedule.leg_override or ()}
+    logs = [("|ln eps|", inverse, k)]
+    if row.active:
+        if k not in overridden and row.rate.exp() != 3 ** (c * k):
+            return f"k={k} rate is not {c} k ln 3"
+        logs += [("lower_den", row.lower_den.exp(), k + 1), ("upper_den", row.upper_den.exp(), k)]
+    for name, value, j in logs:
+        excess = value * schedule.placed_B / (3 ** int(a * j) * j**b)
+        if j not in overridden and not 1 <= excess <= 8:
+            return f"k={k} {name} is not {a} j ln 3 + {b} ln j + ln(1/B) + [0, ln 8] at j={j}"
+    return None
+
+
+def row_fault(system: System, k_range: Sequence[int]) -> str | None:
+    """The first way a row at k_range strays from what `extrapolate` assumes, or None.
+
+    Every stacked half's own rows pass `_stacked_fault`, and a two-block row
+    is, but for its active flag, the row of a half with the larger lower
+    ratio.  Rows that do, at every k, have the limits `extrapolate` gives.
+    """
+    two_block = isinstance(system, TwoBlockSystem)
+    halves = (system.lower, system.upper) if two_block else (system,)
+    for k in sorted(set(k_range)):
+        rows = [_half_bound(half, system.n, k) for half in halves]
+        for half, row in zip(halves, rows):
+            if isinstance(half, StackedSystem):
+                if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
+                    return fault
+        if two_block:
+            row, best = _two_block_bound(system, *rows), max(half.lower_ratio() for half in rows)
+            if not any(row._replace(active=half.active) == half and half.lower_ratio() == best
+                       for half in rows):
+                return f"k={k} two-block row is not its larger half's"
+    return None
 
 
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float] | None:
@@ -322,31 +370,22 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, fl
     return slope, intercept, residual
 
 
-def _subsequence_limits(system: System) -> tuple[Fraction, Fraction]:
-    """Limits of the profile's ratios off the self powers k = j^j and on them."""
-    if isinstance(system, IdentitySystem):
-        return Fraction(0), Fraction(0)
-    if isinstance(system, StackedSystem):
-        c, a, _ = _growth(system.schedule, system.n)
-        return (Fraction(0) if system.schedule.is_sparse else c / a), c / a
-    if isinstance(system, TwoBlockSystem):
-        low, up = _subsequence_limits(system.lower), _subsequence_limits(system.upper)
-        return max(low[0], up[0]), max(low[1], up[1])
-    raise TypeError(f"unknown system type {type(system).__name__}")
-
-
 def extrapolate(system: System) -> tuple[Fraction, Fraction]:
-    """Exact (liminf, limsup) over k of the profile's ratios.
+    """Exact (liminf, limsup) over k of the profile's ratios, for rows that
+    pass `row_fault`.
 
-    An active row's rate c k ln 3 over either denominator, a k ln 3 +
-    b ln k + O(1) (`_growth`), tends to c / a, and an inactive row is 0.  A
-    sparse schedule is active only at the self powers, so its rows tend to
-    c / a on them and to 0 off them; a two-block row is the larger half's,
-    so on each subsequence it tends to the larger half's limit.  The liminf
-    and the limsup are the smaller and the larger subsequence limit.
+    An active stacked row's rate c k ln 3 over either denominator, a k ln 3 +
+    b ln k + O(1) (`_growth`), tends to c / a, and an inactive row is 0; a
+    sparse schedule is active only at the self powers k = j^j, so its rows
+    tend to c / a on them and to 0 off them.  Those are the stacked system's
+    `analytic_targets`.  A two-block row is the larger half's, and both
+    halves share the self powers, so on each subsequence it tends to the
+    larger half's limit.
     """
-    limits = _subsequence_limits(system)
-    return min(limits), max(limits)
+    if isinstance(system, TwoBlockSystem):
+        low, up = analytic_targets(system.lower), analytic_targets(system.upper)
+        return max(low[0], up[0]), max(low[1], up[1])
+    return analytic_targets(system)
 
 
 def analytic_targets(system: System) -> tuple[Fraction, Fraction]:
@@ -354,11 +393,8 @@ def analytic_targets(system: System) -> tuple[Fraction, Fraction]:
     if isinstance(system, IdentitySystem):
         return Fraction(0), Fraction(0)
     if isinstance(system, StackedSystem):
-        sched = system.schedule
-        value = Fraction(system.n) if sched.kind != GEOMETRIC else Fraction(system.n) / (sched.r + 1)
-        if sched.is_sparse:
-            return Fraction(0), value
-        return value, value
+        c, a, _ = _growth(system.schedule, system.n)
+        return (Fraction(0) if system.schedule.is_sparse else c / a), c / a
     if isinstance(system, TwoBlockSystem):
         return system.alpha, system.beta
     raise TypeError(f"unknown system type {type(system).__name__}")

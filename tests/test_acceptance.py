@@ -29,7 +29,13 @@ from mmdim.estimators import (
 )
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
 from mmdim.mapping import ESCAPED
-from mmdim.symbolic import _eps_log_inv, enumerate_cylinders, extrapolate, rate_profile
+from mmdim.symbolic import (
+    _eps_log_inv,
+    enumerate_cylinders,
+    extrapolate,
+    rate_profile,
+    row_fault,
+)
 from oracles import (
     bowen_distance,
     box_center,
@@ -57,7 +63,9 @@ def test_criterion_1_unit_target_on_the_square():
     ups = [row.upper_ratio() for row in rows]
     assert _strictly_increasing(lows)
     assert _strictly_increasing(ups)
+    assert row_fault(system, range(1, 25)) is None
     assert extrapolate(system) == (1, 1)
+    assert 1 - lows[-1] < 2 / 24 and 1 - ups[-1] < 2 / 24
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     print(
@@ -75,6 +83,7 @@ def test_criterion_2_prescribed_targets_in_other_dimensions():
         system = build_stacked(schedule, n, 2)
         lows = [row.lower_ratio() for row in rate_profile(system, range(1, 25))]
         assert _strictly_increasing(lows) and lows[-1] < target
+        assert row_fault(system, range(1, 25)) is None
         assert extrapolate(system) == (target, target)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"(n={n}) took {elapsed:.2f}s"
@@ -93,6 +102,7 @@ def test_criterion_3_quadratic_sizes_reach_full_dimension():
     lows = [row.lower_ratio() for row in rows]
     assert _strictly_increasing(lows)
     assert lows[-1] > 0.9 * n
+    assert row_fault(system, range(1, 101)) is None
     assert extrapolate(system) == (n, n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -178,6 +188,7 @@ def test_criterion_7_two_block_limits_split_and_obey_max_rule():
     system = build_two_block(alpha, beta, 2, 30)
     ks = range(1, 31)
     rows = rate_profile(system, ks)
+    assert row_fault(system, ks) is None
     assert extrapolate(system) == (alpha, beta)
 
     assert {row.k for row in rows if row.active} == {1, 4, 27}

@@ -518,6 +518,31 @@ class TestVerify:
         assert result.stdout == ""
         assert result.stderr == "k=1 eps=1/9 exp(-|ln eps|)=1/15\n"
 
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_a_rate_off_its_growth_exits_1(self, cli, geometric_file, monkeypatch, command):
+        # (n - 1) k ln 3 would move every limit; the eps check alone passes it
+        real = symbolic._stacked_bound
+        monkeypatch.setattr(symbolic, "_stacked_bound", lambda sched, n, k: real(
+            sched, n, k)._replace(rate=LogExpr.of(3, (n - 1) * k)))
+        result = cli([command, geometric_file])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "k=1 rate is not 2 k ln 3\n"
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
+        # every two-block row taken from the smaller half tends to the
+        # smaller half's limits, not alpha and beta
+        monkeypatch.setattr(symbolic, "_two_block_bound", lambda system, low, up: min(
+            low, up, key=symbolic.RateBound.lower_ratio)._replace(active=False))
+        spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=4)
+        out = str(tmp_path / "two.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        result = cli([command, out])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "k=1 two-block row is not its larger half's\n"
+
 
 class TestHelp:
     def test_group_lists_commands(self, cli):

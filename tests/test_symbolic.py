@@ -10,6 +10,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mmdim import symbolic
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
     QUADRATIC_SIZE_CAP,
@@ -27,15 +28,17 @@ from mmdim.symbolic import (
     WORKING_DPS,
     _eps_log_inv,
     _ln,
-    _growth,
+    RateBound,
     _selected_strip_indices,
     _stacked_bound,
+    _stacked_fault,
     analytic_targets,
     cylinder_geometry,
     enumerate_cylinders,
     extrapolate,
     log_ratio,
     rate_profile,
+    row_fault,
 )
 from oracles import (
     apply_map,
@@ -489,29 +492,69 @@ GROWTH_SCHEDULES = {
     "leg override": (Schedule.geometric(1, 2, leg_override=((2, 5), (7, 3))), 2),
 }
 
-# |ln eps_k| - (a k ln 3 + b ln k) = ln(2 - 3^-k) - ln B lies in
-# [ln(5/3), ln 2] - ln B, and ln(987/500) < 0.7 bounds -ln B here
-GROWTH_CONSTANT = 2.0
+
+def _smaller_half(system, low, up):
+    """The max rule reversed: the half with the smaller lower ratio wins."""
+    return min(low, up, key=RateBound.lower_ratio)._replace(active=False)
 
 
-class TestGrowth:
+class TestRowFault:
     @pytest.mark.parametrize("name", sorted(GROWTH_SCHEDULES))
-    def test_rows_grow_at_the_stated_coefficients(self, name):
+    def test_rows_to_k_400_grow_at_the_stated_coefficients(self, name):
         schedule, n = GROWTH_SCHEDULES[name]
-        c, a, b = _growth(schedule, n)
-        overridden = {k for k, _ in schedule.leg_override or ()}
-        ln3 = math.log(3)
-        active = 0
-        for k in range(1, 401):
-            if k in overridden:
-                continue
-            eps_log = _eps_log_inv(schedule, k).to_float()
-            assert abs(eps_log - (a * k * ln3 + b * math.log(k))) <= GROWTH_CONSTANT, k
-            row = _stacked_bound(schedule, n, k)
-            if row.active:
-                active += 1
-                assert abs(row.rate.to_float() - c * k * ln3) <= GROWTH_CONSTANT, k
-        assert active == (4 if schedule.is_sparse else 400 - len(overridden))
+        assert row_fault(build_stacked(schedule, n, 1), range(1, 401)) is None
+
+    @pytest.mark.parametrize("alpha,beta,n", [(F(2, 3), 1, 2), (1, 2, 2), (0, 1, 2), (1, 3, 3)])
+    def test_two_block_rows_to_k_400_pass(self, alpha, beta, n):
+        assert row_fault(build_two_block(alpha, beta, n, 1), range(1, 401)) is None
+
+    def test_identity_has_no_rows_to_check(self):
+        assert row_fault(IdentitySystem(2), range(1, 31)) is None
+
+    @pytest.mark.parametrize(
+        "field,value,fault",
+        [
+            ("rate", LogExpr.of(3, 3), "k=3 rate is not 2 k ln 3"),
+            ("upper_den", LogExpr.of(4) + LogExpr.of(3, 3),
+             "k=3 upper_den is not 3 j ln 3 + 0 ln j + ln(1/B) + [0, ln 8] at j=3"),
+            ("lower_den", _eps_log_inv(Schedule.geometric(1, 2), 3),
+             "k=3 lower_den is not 3 j ln 3 + 0 ln j + ln(1/B) + [0, ln 8] at j=4"),
+        ],
+    )
+    def test_a_row_off_its_growth_is_reported(self, field, value, fault):
+        # (n - 1) k ln 3 as the rate, |E_k| dropped from the upper
+        # denominator, row k's own log as the lower one: each would move the
+        # limits, and the eps check alone passes all three
+        schedule = Schedule.geometric(1, 2)
+        row = _stacked_bound(schedule, 2, 3)._replace(**{field: value})
+        assert _stacked_fault(schedule, 2, row) == fault
+
+    def test_a_log_without_its_2_ln_k_is_reported(self):
+        # eps_k and |ln eps_k| agree, but the quadratic size lost its 1/k^2
+        schedule = Schedule.quadratic(1)
+        row = _stacked_bound(schedule, 2, 3)
+        log = row.eps_log_inv + LogExpr.of(3, -2)
+        row = row._replace(eps_log_inv=log, eps_exact=1 / log.exp())
+        assert _stacked_fault(schedule, 2, row).endswith("at j=3")
+
+    def test_a_reversed_max_rule_is_reported(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "_two_block_bound", _smaller_half)
+        two = build_two_block(F(2, 3), 1, 2, 1)
+        assert row_fault(two, range(1, 31)) == "k=1 two-block row is not its larger half's"
+
+    def test_the_losing_half_is_checked(self, monkeypatch):
+        # at k = 2 the dense half wins, so the combined row never shows the
+        # sparse half's shifted log
+        real = symbolic._eps_log_inv
+
+        def shifted(sched, k):
+            shift = sched.is_sparse and k == 2
+            return real(sched, k) + (LogExpr.of(3) if shift else LogExpr.zero())
+
+        monkeypatch.setattr(symbolic, "_eps_log_inv", shifted)
+        two = build_two_block(F(2, 3), 1, 2, 1)
+        assert rate_profile(two, [2])[0].eps_log_inv == real(two.upper.schedule, 2)
+        assert row_fault(two, range(1, 31)) == "k=2 eps=1/153 exp(-|ln eps|)=1/459"
 
 
 class TestExtrapolate:
@@ -539,6 +582,7 @@ class TestExtrapolate:
         got = extrapolate(system)
         assert got == limits == analytic_targets(system)
         assert all(type(limit) is Fraction for limit in got)
+        assert row_fault(system, range(1, 31)) is None  # rows that tend to these limits
 
     def test_two_block_takes_the_larger_half_on_each_subsequence(self):
         # a dense half above the sparse half's spikes wins on both
