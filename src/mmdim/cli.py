@@ -7,10 +7,10 @@ command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
 
 Exit codes: 0 success, 1 verification failure (`verify` finding a limit
-other than its target, `verify` or `profile` meeting a row whose exact eps
-is not exp(-|ln eps|) or that strays from the growth its limits assume
-(`symbolic.row_fault`), or `estimate` keeping another count than the
-symbolic row's exp(m rate) of cylinder centers at a block's own eps), 2
+other than its target, `verify` or `profile` meeting a row that strays
+from the growth its limits assume (`symbolic.row_fault`), or `estimate`
+keeping another count than the symbolic row's L^(n m) cylinder centers at
+a block's own eps), 2
 usage or spec error, a refused `estimate` (a block outside the file, or
 more cylinders than the budget at some depth), or an unwritable output
 path.
@@ -247,7 +247,7 @@ def _parser() -> argparse.ArgumentParser:
     for run in (profile, estimate):
         sub[run].add_argument("-o", "--out", type=_file_path, metavar="PATH",
                               help="CSV output path (default: stdout).")
-    sub[verify].add_argument("--kmax", type=_int_range(4, MAX_STORED_DIGITS), default=30,
+    sub[verify].add_argument("--kmax", type=_int_range(1, MAX_STORED_DIGITS), default=30,
                              help="Check the rows of block indices 1..kmax. "
                                   "(default: %(default)s)")
     for each in (parser, *sub.values()):  # --help alone, with no -h, as mmdim always had

@@ -214,7 +214,7 @@ def mdim_numeric_profile(
     if not block.active:
         return NumericRateRow(k, native, {}, {}, {})
     (bound,) = rate_profile(system, [k])
-    per_step = bound.rate.exp()  # L_k^n cylinders per step of the squared map
+    per_step = bound.L**bound.n  # cylinders per step of the squared map
     expected = {}
     for m in range(1, m_max + 1):
         expected[m] = per_step**m
@@ -236,4 +236,4 @@ def mdim_numeric_profile(
             return NumericRateRow(k, eps, counts, seeds, pairs, error=error, expected=expected[m])
     rate, _, _ = fit_line(list(counts), [math.log(c) for c in counts.values()])
     return NumericRateRow(k, eps, counts, seeds, pairs, rate,
-                          rate / bound.lower_den.to_float(), rate / bound.upper_den.to_float())
+                          rate / float(bound.lower_den), rate / float(bound.upper_den))

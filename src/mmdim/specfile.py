@@ -385,7 +385,7 @@ def _csv_row(
 def symbolic_csv_rows(profile: Sequence[RateBound]) -> list[dict]:
     return [
         _csv_row(b.k, b.eps_exact, SOURCE_SYMBOLIC,
-                 b.rate.to_float(), b.lower_ratio(), b.upper_ratio())
+                 float(b.rate), b.lower_ratio(), b.upper_ratio())
         for b in profile
     ]
 

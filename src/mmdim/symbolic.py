@@ -1,13 +1,13 @@
 """Exact separated/spanning rate bounds and cylinder combinatorics.
 
-Separation scales, per-step code counts, and the log quotients that bound
-metric mean dimension are all stored as integer-argument log expressions
-(sums c_i * ln(a_i) with rational c_i, integer a_i >= 2) and only evaluated
-numerically on demand, with the standard library's `decimal` at WORKING_DPS
-significant digits.  Every operation runs in one module-level context whose
-exponent range is the widest `decimal` allows; `ln` is correctly rounded
-there, and each ln(a) is computed once per process.  With integer
-coefficients an expression is the log of a rational; `LogExpr.exp` returns it.
+A profile row holds exact values: its block's leg count L_k and the scales
+eps_k and eps_{k+1}, as rationals.  Each log its ratios take is the log of
+one of these, evaluated only on demand, with the standard library's
+`decimal` at WORKING_DPS significant digits: ln q = ln p - ln d for q = p/d,
+in one module-level context whose exponent range is the widest `decimal`
+allows; `ln` is correctly rounded there, and each ln(a) is computed once per
+process.  No decision evaluates a log: `row_fault`, the two-block max rule
+and `extrapolate` compare rationals.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
@@ -41,9 +41,9 @@ from .geometry import Box
 if TYPE_CHECKING:
     from .horseshoe import HorseshoeMap
 
-# Each evaluation ends as one float (about 16 significant digits).  Cancelling
-# terms of a sum and dividing two sums cost a few of the 30 digits, far from
-# the float's last one.
+# Each evaluation ends as one float (about 16 significant digits).  The
+# difference ln p - ln d and the quotient of two logs cost a few of the 30
+# digits, far from the float's last one.
 WORKING_DPS = 30
 
 # Not the thread's context (28 digits): every operation names this one.
@@ -52,78 +52,13 @@ _CONTEXT = Context(prec=WORKING_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 @cache
 def _ln(a: int) -> Decimal:
-    # a profile row reuses the arguments of its neighbours' rows
+    # a row's rate enters its CSV value and both of its ratios
     return _CONTEXT.ln(a)
 
 
-class LogExpr(NamedTuple):
-    """Exact sum of rational multiples of logs of integers >= 2."""
-
-    terms: tuple[tuple[int, Fraction], ...]  # (argument, coefficient), sorted
-
-    @staticmethod
-    def _normalize(parts: dict[int, Fraction]) -> "LogExpr":
-        clean = {a: c for a, c in parts.items() if c != 0 and a != 1}
-        return LogExpr(tuple(sorted(clean.items())))
-
-    @staticmethod
-    def zero() -> "LogExpr":
-        return LogExpr(())
-
-    @staticmethod
-    def of(argument: int, coefficient=1) -> "LogExpr":
-        if argument < 1:
-            raise ValueError("log arguments must be positive integers")
-        return LogExpr._normalize({argument: Fraction(coefficient)})
-
-    @staticmethod
-    def of_rational(q: Fraction, coefficient=1) -> "LogExpr":
-        """ln(p/q) as ln p - ln q."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("log arguments must be positive")
-        c = Fraction(coefficient)
-        return LogExpr._normalize({q.numerator: c, q.denominator: -c})
-
-    def __add__(self, other: "LogExpr") -> "LogExpr":
-        parts = dict(self.terms)
-        for a, c in other.terms:
-            parts[a] = parts.get(a, Fraction(0)) + c
-        return LogExpr._normalize(parts)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self) -> Decimal:
-        ctx = _CONTEXT
-        total = Decimal(0)
-        for a, c in self.terms:
-            total = ctx.add(total, ctx.multiply(ctx.divide(c.numerator, c.denominator), _ln(a)))
-        return total
-
-    def to_float(self) -> float:
-        return float(self.eval())
-
-    def exp(self) -> Fraction:
-        """exp of the expression, exactly; raises ValueError unless every
-        coefficient is an integer."""
-        value = Fraction(1)
-        for a, c in self.terms:
-            if c.denominator != 1:
-                raise ValueError(f"exp is not rational: ln {a} has coefficient {c}")
-            value *= Fraction(a) ** c.numerator
-        return value
-
-
-def log_ratio(num: LogExpr, den: LogExpr) -> float:
-    """num/den at the working precision; zero numerator short-circuits to 0."""
-    if num.is_zero:
-        return 0.0
-    d = den.eval()
-    if d <= 0:
-        raise ZeroDivisionError("log-expression denominator is not positive")
-    return float(_CONTEXT.divide(num.eval(), d))
+def _ln_q(q: Fraction) -> Decimal:
+    """ln q of a positive rational, at the working precision."""
+    return _CONTEXT.subtract(_ln(q.numerator), _ln(q.denominator))
 
 
 def _selected_strip_indices(L: int, n: int) -> list[int]:
@@ -198,92 +133,92 @@ def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[Cylin
 
 
 class RateBound(NamedTuple):
-    """Symbolic separated/spanning dimension bounds for one block index.
+    """Separated/spanning dimension bounds for one block index, held exactly.
 
-    `rate` is the per-step growth n ln L_k of the cylinder count; rate /
-    lower_den bounds the separated growth against |ln eps_{k+1}| from below
-    and rate / upper_den the spanning growth against ln(4 / eps_k) from
-    above.  Inactive blocks carry a zero rate.
+    Each step of the block map codes L^n cylinders, so the rate is n ln L;
+    rate / lower_den, with lower_den = ln(1 / eps_next) = |ln eps_{k+1}|,
+    bounds the separated growth from below, and rate / upper_den, with
+    upper_den = ln(4 / eps_exact), the spanning growth from above.  A row of
+    zero rate (an inactive block, or the identity) has L = 1 and no eps_next.
+    The logs are evaluated only when asked for.
     """
 
     k: int
     active: bool
-    rate: LogExpr
-    lower_den: LogExpr
-    upper_den: LogExpr
+    n: int
+    L: int
     eps_exact: Fraction | None
-    eps_log_inv: LogExpr
+    eps_next: Fraction | None
+
+    @property
+    def rate(self) -> Decimal:
+        return _CONTEXT.multiply(self.n, _ln(self.L))
+
+    @property
+    def lower_den(self) -> Decimal:
+        return _ln_q(1 / self.eps_next)
+
+    @property
+    def upper_den(self) -> Decimal:
+        return _ln_q(4 / self.eps_exact)
 
     def lower_ratio(self) -> float:
-        return log_ratio(self.rate, self.lower_den)
+        return 0.0 if self.L == 1 else float(_CONTEXT.divide(self.rate, self.lower_den))
 
     def upper_ratio(self) -> float:
-        return log_ratio(self.rate, self.upper_den)
+        return 0.0 if self.L == 1 else float(_CONTEXT.divide(self.rate, self.upper_den))
 
 
-def _zero_bound(k: int) -> RateBound:
-    z = LogExpr.zero()
-    return RateBound(k, False, z, z, z, None, z)
-
-
-@cache
-def _eps_log_inv(sched: Schedule, k: int) -> LogExpr:
-    """|ln eps_k| as an exact log expression; exp of its negation is
-    sched.eps(k), which `verify` and `profile` check on every row."""
-    # row k's lower denominator is row k+1's eps log: each is built once
-    expr = LogExpr.of(2 * sched.legs(k) - 1) + LogExpr.of_rational(sched.placed_B, -1)
-    if sched.kind == GEOMETRIC:
-        return expr + LogExpr.of(3, k * sched.r)
-    return expr + LogExpr.of(k, 2)
-
-
-def _growth(schedule: Schedule, n: int) -> tuple[int, Fraction, int]:
-    """(c, a, b) with an active row's rate c k ln 3 and |ln eps_k| =
-    a k ln 3 + b ln k + O(1), at every k but the finitely many leg overrides.
+def _growth(schedule: Schedule) -> tuple[Fraction, int]:
+    """(a, b) with |ln eps_k| = a k ln 3 + b ln k + O(1), at every k but the
+    finitely many leg overrides, where an active row's rate is n k ln 3.
 
     L_k = 3^k gives the rate n ln L_k = n k ln 3 and ln(2 L_k - 1) =
     k ln 3 + O(1); the side |E_k| adds k r ln 3 (geometric) or 2 ln k
-    (quadratic) to |ln eps_k|.  Active rows therefore tend to c / a, the
+    (quadratic) to |ln eps_k|.  Active rows therefore tend to n / a, the
     n / (1 + r) or n the construction prescribes; `_stacked_fault` holds
     each row to these coefficients.
     """
     if schedule.kind == GEOMETRIC:
-        return n, 1 + schedule.r, 0
-    return n, Fraction(1), 2
+        return 1 + schedule.r, 0
+    return Fraction(1), 2
 
 
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
-    eps, log_inv = schedule.eps(k), _eps_log_inv(schedule, k)
     if not schedule.is_active(k):
-        z = LogExpr.zero()
-        return RateBound(k, False, z, z, z, eps, log_inv)
-    L = schedule.legs(k)
-    rate = LogExpr.of(3, n * k) if L == 3**k else LogExpr.of(L, n)
-    lower_den = _eps_log_inv(schedule, k + 1)
-    upper_den = LogExpr.of(4) + log_inv
-    return RateBound(k, True, rate, lower_den, upper_den, eps, log_inv)
+        return RateBound(k, False, n, 1, schedule.eps(k), None)
+    return RateBound(k, True, n, schedule.legs(k), schedule.eps(k), schedule.eps(k + 1))
 
 
 def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
-    """Symbolic profile rows for each k; needs no materialized geometry."""
+    """Profile rows for each k; needs no materialized geometry."""
     ks = sorted(set(k_range))
     if not ks or ks[0] < 1:
         raise ValueError("profile indices must be >= 1")
-    if isinstance(system, IdentitySystem):
-        return [_zero_bound(k) for k in ks]
-    if isinstance(system, StackedSystem):
-        return [_stacked_bound(system.schedule, system.n, k) for k in ks]
     if isinstance(system, TwoBlockSystem):
         halves = (system.lower, system.upper)
         return [_two_block_bound(system, *(_half_bound(h, system.n, k) for h in halves))
                 for k in ks]
-    raise TypeError(f"unknown system type {type(system).__name__}")
+    return [_half_bound(system, system.n, k) for k in ks]
 
 
 def _half_bound(half, n: int, k: int) -> RateBound:
     if isinstance(half, IdentitySystem):
-        return _zero_bound(k)
-    return _stacked_bound(half.schedule, n, k)
+        return RateBound(k, False, n, 1, None, None)
+    if isinstance(half, StackedSystem):
+        return _stacked_bound(half.schedule, n, k)
+    raise TypeError(f"unknown system type {type(half).__name__}")
+
+
+def _rank(row: RateBound) -> Fraction:
+    """Orders the halves' rows at one k as their lower ratios do, exactly.
+
+    Both halves come from `solve_rate`, which overrides no leg count, so
+    their active rows share n and L_k = 3^k (`_stacked_fault` checks it),
+    and the larger ratio n ln L_k / |ln eps_{k+1}| has the larger eps_{k+1}.
+    A zero rate ranks lowest.
+    """
+    return Fraction(0) if row.L == 1 else row.eps_next
 
 
 def _two_block_bound(system: TwoBlockSystem, low: RateBound, up: RateBound) -> RateBound:
@@ -291,11 +226,12 @@ def _two_block_bound(system: TwoBlockSystem, low: RateBound, up: RateBound) -> R
 
     Both halves sit in scale-2 charts, which shift |ln eps| by the constant
     ln 2; the constant drops out of every limit, so bounds are compared at
-    equal k in inner coordinates.  The combined row is flagged active only
-    at the sparse half's spikes, which is what separates the superior-limit
-    subsequence from the inferior one downstream.
+    equal k in inner coordinates.  Ties go to the active row, then to the
+    lower half.  The combined row is flagged active only at the sparse
+    half's spikes, which is what separates the superior-limit subsequence
+    from the inferior one downstream.
     """
-    if (low.lower_ratio(), low.active) >= (up.lower_ratio(), up.active):
+    if (_rank(low), low.active) >= (_rank(up), up.active):
         winner, half = low, system.lower
     else:
         winner, half = up, system.upper
@@ -304,28 +240,28 @@ def _two_block_bound(system: TwoBlockSystem, low: RateBound, up: RateBound) -> R
 
 
 def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
-    """How a stacked row strays from its exact eps or from `_growth`, or None.
+    """How a stacked row strays from `_growth`, or None.
 
-    exp(-|ln eps_k|) must be eps_k.  Outside the leg overrides the rate must
-    be c k ln 3 exactly, and each log the row divides by, at its own index
-    j (k + 1 for the lower denominator), must be a j ln 3 + b ln j + ln(1/B)
-    plus a remainder in [0, ln 8]: ln((2 L_j - 1) / L_j) < ln 2 for |ln
-    eps_j|, and ln 4 more for the upper denominator.
+    Outside the leg overrides an active row must have the rate n k ln 3,
+    with L = 3^k, and each scale whose log the row divides by, eps_j at its
+    own index j (k + 1 for the lower denominator), must have |ln eps_j| =
+    a j ln 3 + b ln j + ln(1/B) + ln((2 L_j - 1) / L_j), a remainder in
+    [ln(5/3), ln 2).  The upper denominator is ln 4 + |ln eps_k| by
+    definition.
     """
-    k, inverse = row.k, row.eps_log_inv.exp()
-    if 1 / inverse != row.eps_exact:
-        return f"k={k} eps={row.eps_exact} exp(-|ln eps|)={1 / inverse}"
-    c, a, b = _growth(schedule, n)
+    k = row.k
+    a, b = _growth(schedule)
     overridden = {kk for kk, _ in schedule.leg_override or ()}
-    logs = [("|ln eps|", inverse, k)]
+    scales = [("|ln eps|", row.eps_exact, k)]
     if row.active:
-        if k not in overridden and row.rate.exp() != 3 ** (c * k):
-            return f"k={k} rate is not {c} k ln 3"
-        logs += [("lower_den", row.lower_den.exp(), k + 1), ("upper_den", row.upper_den.exp(), k)]
-    for name, value, j in logs:
-        excess = value * schedule.placed_B / (3 ** int(a * j) * j**b)
-        if j not in overridden and not 1 <= excess <= 8:
-            return f"k={k} {name} is not {a} j ln 3 + {b} ln j + ln(1/B) + [0, ln 8] at j={j}"
+        if k not in overridden and (row.n, row.L) != (n, 3**k):
+            return f"k={k} rate is not {n} k ln 3"
+        scales.append(("lower_den", row.eps_next, k + 1))
+    for name, eps, j in scales:
+        excess = schedule.placed_B / (eps * 3 ** int(a * j) * j**b)
+        if j not in overridden and not Fraction(5, 3) <= excess < 2:
+            return (f"k={k} {name} is not {a} j ln 3 + {b} ln j + ln(1/B) + "
+                    f"[ln(5/3), ln 2) at j={j}")
     return None
 
 
@@ -333,8 +269,8 @@ def row_fault(system: System, k_range: Sequence[int]) -> str | None:
     """The first way a row at k_range strays from what `extrapolate` assumes, or None.
 
     Every stacked half's own rows pass `_stacked_fault`, and a two-block row
-    is, but for its active flag, the row of a half with the larger lower
-    ratio.  Rows that do, at every k, have the limits `extrapolate` gives.
+    is, but for its active flag, the row of a half of the highest `_rank`.
+    Rows that do, at every k, have the limits `extrapolate` gives.
     """
     two_block = isinstance(system, TwoBlockSystem)
     halves = (system.lower, system.upper) if two_block else (system,)
@@ -345,8 +281,8 @@ def row_fault(system: System, k_range: Sequence[int]) -> str | None:
                 if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
                     return fault
         if two_block:
-            row, best = _two_block_bound(system, *rows), max(half.lower_ratio() for half in rows)
-            if not any(row._replace(active=half.active) == half and half.lower_ratio() == best
+            row, best = _two_block_bound(system, *rows), max(map(_rank, rows))
+            if not any(row._replace(active=half.active) == half and _rank(half) == best
                        for half in rows):
                 return f"k={k} two-block row is not its larger half's"
     return None
@@ -374,10 +310,10 @@ def extrapolate(system: System) -> tuple[Fraction, Fraction]:
     """Exact (liminf, limsup) over k of the profile's ratios, for rows that
     pass `row_fault`.
 
-    An active stacked row's rate c k ln 3 over either denominator, a k ln 3 +
-    b ln k + O(1) (`_growth`), tends to c / a, and an inactive row is 0; a
+    An active stacked row's rate n k ln 3 over either denominator, a k ln 3 +
+    b ln k + O(1) (`_growth`), tends to n / a, and an inactive row is 0; a
     sparse schedule is active only at the self powers k = j^j, so its rows
-    tend to c / a on them and to 0 off them.  Those are the stacked system's
+    tend to n / a on them and to 0 off them.  Those are the stacked system's
     `analytic_targets`.  A two-block row is the larger half's, and both
     halves share the self powers, so on each subsequence it tends to the
     larger half's limit.
@@ -393,8 +329,9 @@ def analytic_targets(system: System) -> tuple[Fraction, Fraction]:
     if isinstance(system, IdentitySystem):
         return Fraction(0), Fraction(0)
     if isinstance(system, StackedSystem):
-        c, a, _ = _growth(system.schedule, system.n)
-        return (Fraction(0) if system.schedule.is_sparse else c / a), c / a
+        a, _ = _growth(system.schedule)
+        target = system.n / a
+        return (Fraction(0) if system.schedule.is_sparse else target), target
     if isinstance(system, TwoBlockSystem):
         return system.alpha, system.beta
     raise TypeError(f"unknown system type {type(system).__name__}")

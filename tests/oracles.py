@@ -5,8 +5,8 @@ package: the naive Bowen distance the greedy scan's kernel is checked
 against, the unsquared word boxes and block enlargements of the acceptance
 criteria, the box intersections and the overlap sweep for boxes of any
 shape, the `Fraction` box centers, piece images and seed sets the lattice
-paths replaced, and the Fraction-coercing constructors, containment tests
-and log arithmetic the tests write their cases with.
+paths replaced, and the Fraction-coercing constructors and containment
+tests the tests write their cases with.
 """
 
 import math
@@ -18,7 +18,6 @@ from mmdim.estimators import SeedSet
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import HorseshoeMap
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.symbolic import LogExpr
 
 Point = tuple[Fraction, ...]
 
@@ -149,15 +148,6 @@ def map_orbit(pamap: PAMap, p: Point, steps: int) -> list:
     states = pamap.orbit(x, steps, den)
     den *= pamap.step_den ** steps
     return [s if s is ESCAPED else fraction_point(s, den) for s in states]
-
-
-def log_scale(expr: LogExpr, factor) -> LogExpr:
-    f = Fraction(factor)
-    return LogExpr._normalize({a: c * f for a, c in expr.terms})
-
-
-def log_sub(a: LogExpr, b: LogExpr) -> LogExpr:
-    return a + log_scale(b, -1)
 
 
 def dist_maxnorm(x: Point, y: Point) -> Fraction:

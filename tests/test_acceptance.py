@@ -30,7 +30,6 @@ from mmdim.estimators import (
 from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
 from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
-    _eps_log_inv,
     enumerate_cylinders,
     extrapolate,
     rate_profile,
@@ -275,7 +274,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     for system in (geometric_system, build_stacked(Schedule.quadratic(1), 2, 1)):
         row = mdim_numeric_profile(system, 1, m_max=2)
         assert row.error is None and row.counts
-        at_eps = row.rate / _eps_log_inv(system.schedule, row.k).to_float()
+        at_eps = row.rate / math.log(1 / system.schedule.eps(row.k))
         assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
     for system in systems + [two]:
         for row in rate_profile(system, range(1, 41)):

@@ -27,7 +27,6 @@ from mmdim.specfile import (
     system_to_jsonable,
     write_json,
 )
-from mmdim.symbolic import LogExpr
 
 F = Fraction
 
@@ -331,11 +330,12 @@ class TestEstimate:
         assert result.stdout.splitlines()[1] == "1,1/9,,,,,,numeric"
 
     def test_symbolic_rate_plus_ln_3_exits_1(self, cli, geometric_file, monkeypatch):
-        # the expected count is exp(m rate) of the symbolic row itself, so a
-        # rate one ln 3 too large expects 27 of the 9 depth-1 centers
+        # the expected count is L^(n m) of the symbolic row itself, so a
+        # row with n = 3 (at k = 1, a rate one ln 3 too large) expects 27 of
+        # the 9 depth-1 centers
         real = estimators.rate_profile
         monkeypatch.setattr(estimators, "rate_profile", lambda system, ks: [
-            b._replace(rate=b.rate + LogExpr.of(3)) for b in real(system, ks)])
+            b._replace(n=3) for b in real(system, ks)])
         result = cli(["estimate", geometric_file, "--k", "1"])
         assert result.exit_code == 1, result.output
         assert result.stderr.splitlines()[-1] == "k=1 m=1 count=9 expected=27"
@@ -482,6 +482,21 @@ class TestVerify:
         assert result.stdout == verify_table((lo, lo, "yes"), (hi, hi, "yes"))
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("name", sorted(VERIFIED_SPECS))
+    def test_takes_no_logarithm(self, cli, tmp_spec, tmp_path, monkeypatch, name):
+        # the row checks and the two-block max rule compare exact rationals
+        fields, (lo, hi) = VERIFIED_SPECS[name]
+        out = str(tmp_path / "system.json")
+        assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
+
+        def no_ln(a):
+            raise AssertionError(f"verify took ln {a}")
+
+        monkeypatch.setattr(symbolic, "_ln", no_ln)
+        result = cli(["verify", out])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == verify_table((lo, lo, "yes"), (hi, hi, "yes"))
+
     def test_a_limit_off_its_target_exits_1(self, cli, geometric_file, monkeypatch):
         # the limits stay exact; only the targets they are compared with move
         monkeypatch.setattr(cli_module, "analytic_targets", lambda system: (F(1), F(3, 2)))
@@ -490,25 +505,15 @@ class TestVerify:
         assert result.stdout == verify_table(("1", "1", "yes"), ("3/2", "1", "NO"))
 
     def test_kmax_floor(self, cli, geometric_file):
-        result = cli(["verify", geometric_file, "--kmax", "2"])
-        assert result.exit_code == 2
-
-    @pytest.mark.parametrize("command", ["verify", "profile"])
-    def test_log_form_off_by_r_ln_3_exits_1(self, cli, geometric_file, monkeypatch, command):
-        # |ln eps_k| shifted by r ln 3: the ratios would divide by the log of
-        # 3 / eps_k while the CSV prints eps_k; nothing is written
-        real = symbolic._eps_log_inv
-        monkeypatch.setattr(symbolic, "_eps_log_inv",
-                            lambda sched, k: real(sched, k) + LogExpr.of(3, sched.r))
-        result = cli([command, geometric_file])
-        assert result.exit_code == 1, result.output
-        assert result.stdout == ""
-        assert result.stderr == "k=1 eps=1/15 exp(-|ln eps|)=1/45\n"
+        assert cli(["verify", geometric_file, "--kmax", "0"]).exit_code == 2
+        result = cli(["verify", geometric_file, "--kmax", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == verify_table(("1", "1", "yes"), ("1", "1", "yes"))
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_eps_over_2l_minus_3_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
-        # eps_k = |E_k| / (2 L_k - 3) in the system file and the CSV, while
-        # the log form keeps 2 L_k - 1
+        # eps_k = |E_k| / (2 L_k - 3) in the system file, the CSV and the
+        # ratios: |ln eps_1| falls below 2 ln 3 + ln(5/3)
         monkeypatch.setattr(Schedule, "eps", lambda s, k: s.size(k) / (2 * s.legs(k) - 3))
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
         out = str(tmp_path / "shrunk.json")
@@ -516,14 +521,15 @@ class TestVerify:
         result = cli([command, out])
         assert result.exit_code == 1, result.output
         assert result.stdout == ""
-        assert result.stderr == "k=1 eps=1/9 exp(-|ln eps|)=1/15\n"
+        assert result.stderr == (
+            "k=1 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=1\n")
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_a_rate_off_its_growth_exits_1(self, cli, geometric_file, monkeypatch, command):
-        # (n - 1) k ln 3 would move every limit; the eps check alone passes it
+        # (n - 1) k ln 3 would move every limit
         real = symbolic._stacked_bound
         monkeypatch.setattr(symbolic, "_stacked_bound", lambda sched, n, k: real(
-            sched, n, k)._replace(rate=LogExpr.of(3, (n - 1) * k)))
+            sched, n, k)._replace(n=n - 1))
         result = cli([command, geometric_file])
         assert result.exit_code == 1, result.output
         assert result.stdout == ""
@@ -596,7 +602,7 @@ class TestUsage:
             (["profile", "{system}", "-o", "{dir}"], "-o/--out"),
             (["profile", "{system}", "--kmax", "0"], "--kmax"),
             (["profile", "{system}", "--kmax", "4001"], "--kmax"),
-            (["verify", "{system}", "--kmax", "3"], "--kmax"),
+            (["verify", "{system}", "--kmax", "0"], "--kmax"),
             (["verify", "{system}", "--tol", "0.05"], "--tol"),
             (["estimate", "{system}"], "--k"),
             (["estimate", "{system}", "--k", "0"], "--k"),

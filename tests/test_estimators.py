@@ -23,7 +23,7 @@ from mmdim.estimators import (
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
 from mmdim.specfile import SystemSpec, build_system
-from mmdim.symbolic import LogExpr, _eps_log_inv, fit_line, rate_profile
+from mmdim.symbolic import fit_line, rate_profile
 from oracles import (
     bowen_distance,
     box_center,
@@ -175,7 +175,7 @@ class TestCylinderCenters:
         eps = system.schedule.eps(k)
         kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, eps)
         bound = rate_profile(system, [k])[0]
-        numeric = math.log(len(kept.chosen)) / m / bound.lower_den.to_float()
+        numeric = math.log(len(kept.chosen)) / m / float(bound.lower_den)
         assert abs(numeric - bound.lower_ratio()) <= 1e-9
 
 
@@ -397,7 +397,7 @@ class TestNumericProfile:
         assert row.error is None
         assert row.counts == {1: 9, 2: 81, 3: 729}
         assert abs(row.ratio - bound.lower_ratio()) <= 1e-9
-        at_eps = row.rate / _eps_log_inv(geometric_system.schedule, 1).to_float()
+        at_eps = row.rate / math.log(1 / geometric_system.schedule.eps(1))
         assert at_eps == pytest.approx(2 * math.log(3) / math.log(15), abs=1e-12)
         assert row.eps_exact == F(1, 15)
 
@@ -445,11 +445,12 @@ class TestNumericProfile:
         assert GEOMETRY_BUDGET ** 2 > CYLINDER_BUDGET
 
     def test_shortfall_stops_at_the_first_short_depth(self, geometric_system, monkeypatch):
-        # a symbolic rate plus ln 3 expects 27 of the 9 depth-1 centers
+        # a symbolic row with n = 3, a rate one ln 3 too large at k = 1,
+        # expects 27 of the 9 depth-1 centers
         real = estimators.rate_profile
 
         def plus_ln3(system, ks):
-            return [b._replace(rate=b.rate + LogExpr.of(3)) for b in real(system, ks)]
+            return [b._replace(n=3) for b in real(system, ks)]
 
         monkeypatch.setattr(estimators, "rate_profile", plus_ln3)
         row = mdim_numeric_profile(geometric_system, 1)
@@ -464,7 +465,7 @@ class TestNumericProfile:
 
     def test_ratio_bounded_by_dimension(self, geometric_system):
         row = mdim_numeric_profile(geometric_system, 1, m_max=2)
-        at_eps = row.rate / _eps_log_inv(geometric_system.schedule, row.k).to_float()
+        at_eps = row.rate / math.log(1 / geometric_system.schedule.eps(row.k))
         assert row.ratio <= geometric_system.n
         assert at_eps <= geometric_system.n
 

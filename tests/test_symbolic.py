@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mmdim import symbolic
 from mmdim.constructions import (
+    ACTIVE_ALL,
     ACTIVE_SELF_POWERS,
     QUADRATIC_SIZE_CAP,
     IdentitySystem,
@@ -24,10 +25,10 @@ from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
     CylinderCode,
-    LogExpr,
     WORKING_DPS,
-    _eps_log_inv,
+    _half_bound,
     _ln,
+    _ln_q,
     RateBound,
     _selected_strip_indices,
     _stacked_bound,
@@ -36,7 +37,6 @@ from mmdim.symbolic import (
     cylinder_geometry,
     enumerate_cylinders,
     extrapolate,
-    log_ratio,
     rate_profile,
     row_fault,
 )
@@ -48,100 +48,31 @@ from oracles import (
     box_intersect,
     cube_of,
     find_box_overlap,
-    log_scale,
-    log_sub,
     strip_word_box,
 )
 
 F = Fraction
 
 
-class TestLogExpr:
-    def test_single_log(self):
-        assert abs(LogExpr.of(3).to_float() - math.log(3)) < 1e-15
+class TestLn:
+    def test_ln_q(self):
+        assert abs(float(_ln_q(F(2, 3))) - math.log(2 / 3)) < 1e-15
+        assert _ln_q(F(1)) == 0
+        assert _ln_q(F(6, 2)) == _ln(3)  # q is in lowest terms
 
-    def test_addition_merges_terms(self):
-        e = LogExpr.of(3, 2) + LogExpr.of(3)
-        assert e == LogExpr.of(3, 3)
-        assert abs(e.to_float() - 3 * math.log(3)) < 1e-14
-
-    def test_subtraction_cancels(self):
-        assert log_sub(LogExpr.of(5), LogExpr.of(5)).is_zero
-
-    def test_rational_argument(self):
-        e = LogExpr.of_rational(F(2, 3))
-        assert abs(e.to_float() - math.log(2 / 3)) < 1e-15
-        assert LogExpr.of_rational(F(2, 3), -1) == log_sub(LogExpr.of(3), LogExpr.of(2))
-
-    def test_log_of_one_is_zero(self):
-        assert LogExpr.of(1).is_zero
-        assert LogExpr.of_rational(F(1)).is_zero
-
-    def test_scale(self):
-        assert log_scale(LogExpr.of(3), F(1, 2)) == LogExpr.of(3, F(1, 2))
-        assert log_scale(LogExpr.of(3), 0).is_zero
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            LogExpr.of(0)
-        with pytest.raises(ValueError):
-            LogExpr.of_rational(F(-1, 2))
-
-    def test_exp(self):
-        assert LogExpr.zero().exp() == 1
-        assert (LogExpr.of(3, 2) + LogExpr.of_rational(F(2, 5))).exp() == F(18, 5)
-        with pytest.raises(ValueError, match="ln 2 has coefficient 1/2"):
-            (LogExpr.of(3) + LogExpr.of(2, F(1, 2))).exp()
-
-    def test_eval_carries_the_working_precision(self):
-        got = LogExpr.of(3, 1000).eval()
+    def test_ln_q_carries_the_working_precision(self):
+        got = _ln_q(F(3**1000, 2))
         with mpmath.workdps(60):
-            assert abs(mpmath.mpf(str(got)) - 1000 * mpmath.log(3)) < mpmath.mpf(10) ** -24
-
-    def test_log_ratio(self):
-        assert log_ratio(LogExpr.zero(), LogExpr.zero()) == 0.0
-        val = log_ratio(LogExpr.of(9), LogExpr.of(3))
-        assert abs(val - 2) < 1e-15
-        with pytest.raises(ZeroDivisionError):
-            log_ratio(LogExpr.of(2), LogExpr.zero())
-        with pytest.raises(ZeroDivisionError):
-            log_ratio(LogExpr.of(2), LogExpr.of_rational(F(1, 2)))
+            exact = 1000 * mpmath.log(3) - mpmath.log(2)
+            assert abs(mpmath.mpf(str(got)) - exact) < mpmath.mpf(10) ** -24
 
 
 # Log arguments as the profiles form them, up to the largest kMax a spec allows.
 LOG_ARGS = st.one_of(
-    st.integers(2, 10**6),
+    st.integers(1, 10**6),
     st.integers(1, 4000).map(lambda k: 2 * 3**k - 1),
     st.integers(1, 4000).map(lambda k: 3**k),
 )
-COEFFICIENTS = st.fractions(-50, 50, max_denominator=50)
-
-
-@st.composite
-def log_exprs(draw, positive=False):
-    """Random LogExprs; unless positive, often with a sum that is exactly 0
-    in value but not in form, such as ln 6 - ln 2 - ln 3."""
-    coefficients = COEFFICIENTS.filter(lambda c: c > 0) if positive else COEFFICIENTS
-    expr = LogExpr.zero()
-    for _ in range(draw(st.integers(int(positive), 4))):
-        expr = expr + LogExpr.of(draw(LOG_ARGS), draw(coefficients))
-    if not positive and draw(st.booleans()):
-        a, b = draw(LOG_ARGS), draw(LOG_ARGS)
-        zero = log_sub(log_sub(LogExpr.of(a * b), LogExpr.of(a)), LogExpr.of(b))
-        expr = expr + log_scale(zero, draw(coefficients))
-    return expr
-
-
-def oracle(expr: LogExpr) -> mpmath.mpf:
-    """expr through mpmath; call inside workdps(60)."""
-    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.log(a)
-                       for a, c in expr.terms)
-
-
-def magnitude(expr: LogExpr) -> float:
-    """Sum of |c| ln a: the 30-digit evaluation's absolute error is below
-    1e-28 times this, whatever cancels."""
-    return 1 + sum(float(abs(c)) * math.log(a) for a, c in expr.terms)
 
 
 def assert_close(got: float, exact, error: float) -> None:
@@ -150,45 +81,54 @@ def assert_close(got: float, exact, error: float) -> None:
     assert abs(got - exact) <= 2.0**-52 * abs(exact) + error + math.ulp(0.0)
 
 
+@st.composite
+def profile_rows(draw):
+    """A row of a random buildable system at k <= 400, with the system's n."""
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["geometric", "quadratic", "two_block"]))
+    if kind == "two_block":
+        alpha, beta = sorted(draw(st.lists(st.sampled_from(
+            [F(0), *(F(n, j + 1) for j in (1, 2, 3)), F(n)]), min_size=2, max_size=2)))
+        system = build_two_block(alpha, beta, n, 1)
+    else:
+        B = draw(st.fractions(F(1, 12), 1, max_denominator=12))
+        active = draw(st.sampled_from([ACTIVE_ALL, ACTIVE_SELF_POWERS]))
+        schedule = (Schedule.quadratic(B, active) if kind == "quadratic"
+                    else Schedule.geometric(B, draw(st.integers(1, 3)), active))
+        system = build_stacked(schedule, n, 1)
+    k = draw(st.one_of(st.integers(1, 30), st.integers(1, 400)))
+    return rate_profile(system, [k])[0]
+
+
 class TestDecimalAgainstMpmath:
     """The working-precision evaluation against mpmath at 60 digits."""
 
     @settings(max_examples=200, deadline=None)
-    @given(log_exprs())
-    @example(log_sub(log_sub(LogExpr.of(6), LogExpr.of(2)), LogExpr.of(3)))
-    @example(log_sub(log_sub(LogExpr.of(2 * 3**4000 - 1), LogExpr.of(3, 4000)), LogExpr.of(2)))
-    def test_to_float(self, expr):
+    @given(LOG_ARGS, LOG_ARGS)
+    @example(6, 6)
+    @example(2 * 3**4000 - 1, 2 * 3**4000)
+    def test_ln_q(self, p, d):
+        # ln p and ln d are each correctly rounded to 30 digits, and so is
+        # their difference, however much of it cancels
+        got = _ln_q(F(p, d))
         with mpmath.workdps(60):
-            exact = oracle(expr)
-        got = expr.to_float()
-        assert_close(got, exact, 1e-28 * magnitude(expr))
-        if abs(exact) * 1e3 >= magnitude(expr):  # nothing much cancels
-            assert got == float(exact)
+            exact = mpmath.log(p) - mpmath.log(d)
+        assert_close(float(got), exact, 1e-28 * (1 + math.log(p) + math.log(d)))
+        if abs(exact) * 1e3 >= 1 + math.log(p) + math.log(d):  # nothing much cancels
+            assert float(got) == float(exact)
 
     @settings(max_examples=200, deadline=None)
-    @given(log_exprs(), log_exprs(positive=True))
-    @example(log_sub(log_sub(LogExpr.of(6), LogExpr.of(2)), LogExpr.of(3)), LogExpr.of(3))
-    def test_log_ratio(self, num, den):
-        with mpmath.workdps(60):
-            exact = oracle(num) / oracle(den)
-            den_value = float(oracle(den))
-        got = log_ratio(num, den)
-        if num.is_zero:
-            assert got == 0.0
+    @given(profile_rows())
+    def test_ratios(self, row):
+        if row.L == 1:
+            assert row.lower_ratio() == row.upper_ratio() == 0.0
             return
-        error = 1e-28 * (magnitude(num) + abs(float(exact)) * magnitude(den)) / den_value
-        assert_close(got, exact, error)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(LOG_ARGS, st.integers(-3, 3)), max_size=4))
-    @example([(2 * 3**4000 - 1, 1), (3, 4000)])
-    @example([(6, 1), (2, -1), (3, -1)])
-    def test_exp_is_the_exact_product(self, terms):
-        # the expression normalizes its terms; the product takes them as drawn
-        expr = LogExpr.zero()
-        for a, c in terms:
-            expr = expr + LogExpr.of(a, c)
-        assert expr.exp() == math.prod(F(a) ** c for a, c in terms)
+        with mpmath.workdps(60):
+            rate = row.n * mpmath.log(row.L)
+            exact = [rate / (mpmath.log(q.numerator) - mpmath.log(q.denominator))
+                     for q in (1 / row.eps_next, 4 / row.eps_exact)]
+        for got, value in zip((row.lower_ratio(), row.upper_ratio()), exact):
+            assert_close(got, value, 1e-27 * abs(float(value)))
 
     @settings(max_examples=100, deadline=None)
     @given(LOG_ARGS)
@@ -212,29 +152,15 @@ class TestEpsSchedule:
         # B = 1 exceeds the packing cap, so eps uses the placed B = 500/987
         sched = Schedule.quadratic(1)
         assert sched.eps(2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
-        assert _eps_log_inv(sched, 2) == (
-            LogExpr.of(17) + LogExpr.of(2, 2) + LogExpr.of_rational(1 / QUADRATIC_SIZE_CAP)
-        )
-
-    def test_log_inv_matches_exact(self):
-        scheds = [Schedule.geometric(2, 2), Schedule.quadratic(F(1, 2)),
-                  Schedule.geometric(1, 1, leg_override=((2, 5),))]
-        for sched in scheds:
-            for k in (1, 2, 5, 400):
-                assert 1 / _eps_log_inv(sched, k).exp() == sched.eps(k)
 
     def test_irrational_sizes_have_no_exact_value(self):
         sched = Schedule.geometric(1, F(1, 2))
         with pytest.raises(ScheduleError, match="irrational"):
             sched.eps(1)
-        # the log form needs no radicals: |ln eps_1| = ln 5 + (1/2) ln 3
-        assert _eps_log_inv(sched, 1) == LogExpr.of(5) + LogExpr.of(3, F(1, 2))
-        with pytest.raises(ValueError, match="not rational"):
-            _eps_log_inv(sched, 1).exp()
 
     def test_profile_eps_is_the_block_eps(self):
-        # every block's eps_k is one number: the profile's exact and log
-        # forms both equal the built block's side / (2 L_k - 1)
+        # every block's eps_k is one number: the profile's rows hold the
+        # built blocks' side / (2 L_k - 1), and an active row the next one's
         dense_to_full = build_two_block(1, 2, 2, 5)
         systems = [
             build_stacked(Schedule.geometric(1, 1), 2, 4),
@@ -249,7 +175,8 @@ class TestEpsSchedule:
             rows = rate_profile(system, range(1, system.k_max + 1))
             for row, block in zip(rows, system.blocks):
                 assert row.eps_exact == block.cube.side / (2 * block.L - 1)
-                assert 1 / row.eps_log_inv.exp() == row.eps_exact
+            for row, after in zip(rows, rows[1:]):
+                assert row.eps_next == (after.eps_exact if row.active else None)
 
 
 class TestSelectedStrips:
@@ -428,13 +355,14 @@ class TestRateProfile:
     def test_eps_fields(self, geometric_system):
         row = rate_profile(geometric_system, [2])[0]
         assert row.eps_exact == F(1, 153)
-        assert row.eps_log_inv.exp() == 153
+        assert row.eps_next == F(1, 1431)
 
     def test_leg_override_changes_rate(self):
         sched = Schedule.geometric(1, 1, leg_override=((1, 5),))
         sys = build_stacked(sched, 2, 2)
         row = rate_profile(sys, [1])[0]
-        assert row.rate == LogExpr.of(5, 2)
+        assert (row.n, row.L) == (2, 5)
+        assert abs(float(row.rate) - 2 * math.log(5)) < 1e-15
 
     def test_quadratic_ratio_approaches_dimension(self):
         sys = build_stacked(Schedule.quadratic(1), 2, 2)
@@ -458,7 +386,7 @@ class TestRateProfile:
         for row in rows:
             assert not row.active
             assert row.lower_ratio() == row.upper_ratio() == 0.0
-            assert row.eps_exact is None and row.eps_log_inv.is_zero
+            assert row.L == 1 and row.eps_exact is None
 
     def test_rejects_bad_indices(self, geometric_system):
         with pytest.raises(ValueError):
@@ -477,7 +405,7 @@ class TestRateProfile:
             assert abs(row.lower_ratio() - expected) < 1e-15
             if not row.active:
                 # between spikes the dense half carries the bound
-                assert row.rate == dense.rate
+                assert row == dense._replace(active=False)
 
 
 # (schedule, n) of every leg and size law, at B = 1 (placed at the quadratic
@@ -514,28 +442,38 @@ class TestRowFault:
     @pytest.mark.parametrize(
         "field,value,fault",
         [
-            ("rate", LogExpr.of(3, 3), "k=3 rate is not 2 k ln 3"),
-            ("upper_den", LogExpr.of(4) + LogExpr.of(3, 3),
-             "k=3 upper_den is not 3 j ln 3 + 0 ln j + ln(1/B) + [0, ln 8] at j=3"),
-            ("lower_den", _eps_log_inv(Schedule.geometric(1, 2), 3),
-             "k=3 lower_den is not 3 j ln 3 + 0 ln j + ln(1/B) + [0, ln 8] at j=4"),
+            ("n", 1, "k=3 rate is not 2 k ln 3"),
+            ("L", 9, "k=3 rate is not 2 k ln 3"),
+            ("eps_exact", F(1, 27 * 51),
+             "k=3 |ln eps| is not 3 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=3"),
+            ("eps_next", Schedule.geometric(1, 2).eps(3),
+             "k=3 lower_den is not 3 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=4"),
         ],
     )
     def test_a_row_off_its_growth_is_reported(self, field, value, fault):
-        # (n - 1) k ln 3 as the rate, |E_k| dropped from the upper
-        # denominator, row k's own log as the lower one: each would move the
-        # limits, and the eps check alone passes all three
+        # (n - 1) k ln 3 or (n/2) k ln 3 as the rate, eps_k over 2 L_k - 3,
+        # row k's own eps as the next one: each would move the limits or the
+        # printed ratios
         schedule = Schedule.geometric(1, 2)
         row = _stacked_bound(schedule, 2, 3)._replace(**{field: value})
         assert _stacked_fault(schedule, 2, row) == fault
 
-    def test_a_log_without_its_2_ln_k_is_reported(self):
-        # eps_k and |ln eps_k| agree, but the quadratic size lost its 1/k^2
+    def test_an_eps_without_its_2_ln_k_is_reported(self):
+        # the quadratic size lost its 1/k^2
         schedule = Schedule.quadratic(1)
         row = _stacked_bound(schedule, 2, 3)
-        log = row.eps_log_inv + LogExpr.of(3, -2)
-        row = row._replace(eps_log_inv=log, eps_exact=1 / log.exp())
+        row = row._replace(eps_exact=row.eps_exact * 9)
         assert _stacked_fault(schedule, 2, row).endswith("at j=3")
+
+    def test_the_remainder_range_is_tight(self):
+        # ln((2 L_j - 1) / L_j) is ln(5/3) at j = 1 and tends to ln 2
+        schedule = Schedule.geometric(1, 1)
+        first, far = _stacked_bound(schedule, 2, 1), _stacked_bound(schedule, 2, 400)
+        assert _stacked_fault(schedule, 2, first) is None
+        assert _stacked_fault(schedule, 2, far) is None
+        for row in (first._replace(eps_exact=first.eps_exact * F(5, 4)),
+                    far._replace(eps_exact=far.eps_exact * F(9, 10))):
+            assert _stacked_fault(schedule, 2, row) is not None
 
     def test_a_reversed_max_rule_is_reported(self, monkeypatch):
         monkeypatch.setattr(symbolic, "_two_block_bound", _smaller_half)
@@ -544,17 +482,30 @@ class TestRowFault:
 
     def test_the_losing_half_is_checked(self, monkeypatch):
         # at k = 2 the dense half wins, so the combined row never shows the
-        # sparse half's shifted log
-        real = symbolic._eps_log_inv
-
-        def shifted(sched, k):
-            shift = sched.is_sparse and k == 2
-            return real(sched, k) + (LogExpr.of(3) if shift else LogExpr.zero())
-
-        monkeypatch.setattr(symbolic, "_eps_log_inv", shifted)
+        # sparse half's shifted eps; from k = 1 the sparse spike's lower
+        # denominator reads it first
         two = build_two_block(F(2, 3), 1, 2, 1)
-        assert rate_profile(two, [2])[0].eps_log_inv == real(two.upper.schedule, 2)
-        assert row_fault(two, range(1, 31)) == "k=2 eps=1/153 exp(-|ln eps|)=1/459"
+        real = Schedule.eps
+        monkeypatch.setattr(Schedule, "eps", lambda sched, k: real(sched, k) / (
+            3 if sched.is_sparse and k == 2 else 1))
+        assert rate_profile(two, [2])[0] == _stacked_bound(two.upper.schedule, 2, 2)._replace(
+            active=False)
+        assert row_fault(two, range(2, 31)) == (
+            "k=2 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=2")
+        assert row_fault(two, range(1, 31)).startswith("k=1 lower_den is not")
+
+    @pytest.mark.parametrize("alpha,beta,n", [
+        (F(2, 3), 1, 2), (1, 2, 2), (0, 2, 2), (F(1, 2), F(1, 2), 2), (1, F(3, 2), 3), (0, 3, 3),
+    ])
+    def test_the_exact_max_rule_picks_the_float_ratios_half(self, alpha, beta, n):
+        # the rule the 30-digit ratios decided, with ties to the active row
+        # and then to the lower half
+        two = build_two_block(alpha, beta, n, 1)
+        for k in range(1, 401):
+            low, up = (_half_bound(half, n, k) for half in (two.lower, two.upper))
+            floats = low if (low.lower_ratio(), low.active) >= (up.lower_ratio(), up.active) else up
+            row = symbolic._two_block_bound(two, low, up)
+            assert row == floats._replace(active=row.active), k
 
 
 class TestExtrapolate:
