@@ -5,6 +5,10 @@ symbolic or numeric rate profiles as CSV, and verify the profile's rows and
 exact limits against the schedule's analytic targets; `--help` lists each
 command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
+A standalone `main` owns its process: it runs the command with the cyclic
+garbage collector off and freezes every object before it exits, so neither
+the command nor the interpreter's exit walks the long-lived objects, while an
+in-process caller keeps its collector as it was.
 
 Exit codes: 0 success, 1 verification failure (`verify` finding a limit
 other than its target, `verify` or `profile` meeting a row that strays
@@ -21,6 +25,7 @@ human-readable progress and reports go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -259,6 +264,8 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Exact horseshoe systems with prescribed metric mean dimension."""
     args = vars(_parser().parse_args(argv))
     run, parser = args.pop("run"), args.pop("parser")
+    if standalone_mode:
+        gc.disable()  # a command makes no cyclic garbage that grows with its work
     try:
         code = run(**args)
     except UsageError as exc:
@@ -266,6 +273,9 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     except CannotWrite as exc:
         print(exc, file=sys.stderr)
         code = 2
+    finally:
+        if standalone_mode:
+            gc.freeze()  # the exit's forced collections find nothing to walk
     if not standalone_mode:
         return code
     sys.exit(code)

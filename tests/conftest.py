@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,6 +10,19 @@ from mmdim.cli import main
 from mmdim.constructions import Schedule, build_stacked
 from mmdim.horseshoe import build_horseshoe
 from oracles import cube_of
+
+
+@pytest.fixture(autouse=True)
+def _collector_restored():
+    """Turn the collector back on after each test.
+
+    A standalone `main` run in process disables the cyclic collector and
+    freezes every object, as it does for the process it owns; without this the
+    rest of the session would run with the collector off.
+    """
+    yield
+    gc.unfreeze()
+    gc.enable()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import gc
 import io
 import os
 import re
@@ -639,6 +640,62 @@ class TestUsage:
             main(["verify", quadratic])
         assert exited.value.code == 1
         assert "NO" in capsys.readouterr().out
+
+
+class TestCollector:
+    """A standalone main owns its process: it runs the command with the cyclic
+    collector off and exits with every object frozen; an in-process caller
+    keeps its collector as it was."""
+
+    COMMANDS = {"success": (["verify", "{system}"], 0),
+                "usage error": (["estimate", "{system}", "--k", "1", "--eps", "0"], 2)}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_standalone_main_exits_with_the_collector_off_and_frozen(
+        self, geometric_file, capsys, command
+    ):
+        args, code = self.COMMANDS[command]
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(system=geometric_file) for arg in args])
+        assert exited.value.code == code
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_in_process_main_keeps_the_callers_collector(
+        self, cli, geometric_file, command, enabled
+    ):
+        args, code = self.COMMANDS[command]
+        (gc.enable if enabled else gc.disable)()  # after geometric_file's own run of main
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli([arg.format(system=geometric_file) for arg in args]).exit_code == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_cyclic_garbage_does_not_grow_with_work(self, cli, tmp_spec, tmp_path):
+        # the premise of turning the collector off: what a command leaves for it
+        # (the argument parser's cycles) is the same at every size of work
+        files = {}
+        for name, fields in {"square": dict(kind="geometric", n=2, B="1", r="1", kMax=3),
+                             "square1": dict(kind="geometric", n=2, B="1", r="1", kMax=1),
+                             "two_block": dict(kind="two_block", n=2, alpha="2/3", beta="1",
+                                               kMax=30)}.items():
+            files[name] = str(tmp_path / f"{name}.system.json")
+            spec = tmp_spec(f"{name}.json", **fields)
+            assert cli(["build", spec, "-o", files[name]]).exit_code == 0
+        pairs = [(["estimate", files["square"], "--k", "1", "--m", "2"],
+                  ["estimate", files["square"], "--k", "1", "--m", "3"]),
+                 (["verify", files["two_block"], "--kmax", "4"],
+                  ["verify", files["two_block"], "--kmax", "30"]),
+                 (["validate", files["square1"]], ["validate", files["square"]])]
+        gc.disable()
+        for pair in pairs:
+            found = []
+            for args in pair:
+                gc.collect()
+                assert cli(args).exit_code == 0
+                found.append(gc.collect())
+            assert found[0] == found[1], pair
 
 
 class TestUnwritableOutput:
