@@ -1,7 +1,7 @@
 """Stacked horseshoe systems with prescribed size/leg schedules.
 
-A schedule assigns block k (k = 1, 2, ...) a cube side |E_k| and a leg count
-L_k, plus an activity predicate.  Sizes follow either
+A schedule assigns block k (k = 1, 2, ...) a cube side |E_k| and the leg count
+L_k = 3^k, plus an activity predicate.  Sizes follow either
 
 * geometric decay  |E_k| = B / 3^(k r)  with rate parameter r > 0, or
 * quadratic decay  |E_k| = B / k^2, with B capped at QUADRATIC_SIZE_CAP.
@@ -67,7 +67,6 @@ class _ScheduleFields(NamedTuple):
     B: Fraction
     r: Fraction | None = None
     active: str = ACTIVE_ALL  # "all" | "self-powers"
-    leg_override: tuple[tuple[int, int], ...] | None = None
 
 
 class Schedule(_ScheduleFields):
@@ -93,19 +92,15 @@ class Schedule(_ScheduleFields):
                 raise ScheduleError("quadratic schedules need B <= 1")
         if self.active not in (ACTIVE_ALL, ACTIVE_SELF_POWERS):
             raise ScheduleError("active must be 'all' or 'self-powers'")
-        if self.leg_override:
-            for k, L in self.leg_override:
-                if L < 3 or L % 2 == 0:
-                    raise ScheduleError(f"leg override at k={k} must be odd and >= 3")
         return self
 
     @staticmethod
-    def geometric(B, r, active=ACTIVE_ALL, leg_override=None) -> "Schedule":
-        return Schedule(GEOMETRIC, Fraction(B), Fraction(r), active, leg_override)
+    def geometric(B, r, active=ACTIVE_ALL) -> "Schedule":
+        return Schedule(GEOMETRIC, Fraction(B), Fraction(r), active)
 
     @staticmethod
-    def quadratic(B, active=ACTIVE_ALL, leg_override=None) -> "Schedule":
-        return Schedule(QUADRATIC, Fraction(B), None, active, leg_override)
+    def quadratic(B, active=ACTIVE_ALL) -> "Schedule":
+        return Schedule(QUADRATIC, Fraction(B), None, active)
 
     @property
     def is_sparse(self) -> bool:
@@ -142,10 +137,6 @@ class Schedule(_ScheduleFields):
     def legs(self, k: int) -> int:
         if k < 1:
             raise ScheduleError("block indices start at 1")
-        if self.leg_override:
-            for kk, L in self.leg_override:
-                if kk == k:
-                    return L
         return 3**k
 
     def is_active(self, k: int) -> bool:

@@ -92,7 +92,7 @@ def _digits(x: int) -> int:
     return len(str(abs(x)))
 
 
-def _stored_digits(B: Fraction, r: Fraction | None, k_max: int, leg_override) -> float:
+def _stored_digits(B: Fraction, r: Fraction | None, k_max: int) -> float:
     """Upper estimate of the decimal digits of the numerators and denominators
     of the anchors, sides and eps that blocks 1..k_max store.
 
@@ -104,8 +104,7 @@ def _stored_digits(B: Fraction, r: Fraction | None, k_max: int, leg_override) ->
     placement refuses it.
     """
     base = _digits(B.numerator) + _digits(B.denominator) + 2
-    legs = [k_max * _LOG10_3] + [math.log10(L) for _, L in leg_override or ()]
-    leg = max(legs) + 1
+    leg = k_max * _LOG10_3 + 1
     if r is None:
         return base + max(2.08 * math.log10(math.e) * k_max, 2 * math.log10(k_max) + leg)
     if r.denominator != 1:
@@ -113,7 +112,7 @@ def _stored_digits(B: Fraction, r: Fraction | None, k_max: int, leg_override) ->
     return base + k_max * r.numerator * _LOG10_3 + leg
 
 
-def _check_stored_digits(B, r, k_max, leg_override, field: str | None) -> None:
+def _check_stored_digits(B, r, k_max, field: str | None) -> None:
     """Raise unless blocks 1..k_max store rationals within MAX_STORED_DIGITS.
 
     `field` names the spec field that sets the rate, for the message.
@@ -121,38 +120,12 @@ def _check_stored_digits(B, r, k_max, leg_override, field: str | None) -> None:
     hint = "'kMax'" if field is None else f"'kMax' or {field!r}"
     if r is not None and r > MAX_STORED_DIGITS:
         raise SpecFileError(f"rate r above {MAX_STORED_DIGITS}; lower {hint}")
-    digits = _stored_digits(B, r, k_max, leg_override)
+    digits = _stored_digits(B, r, k_max)
     if digits > MAX_STORED_DIGITS:
         raise SpecFileError(
             f"blocks 1..{k_max} would store rationals of about {digits:.0f} digits, "
             f"above {MAX_STORED_DIGITS}; lower {hint}"
         )
-
-
-def _parse_leg_override(data: dict) -> tuple[tuple[int, int], ...] | None:
-    raw = data.get("legScheduleOverride")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or not raw:
-        raise SpecFileError(
-            "field 'legScheduleOverride' must be a non-empty object {k: L}"
-        )
-    pairs: dict[int, int] = {}
-    for key, value in raw.items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise SpecFileError(f"legScheduleOverride key {key!r} is not an integer")
-        if k < 1:
-            raise SpecFileError(f"legScheduleOverride key {key!r} must be >= 1")
-        if k in pairs:
-            raise SpecFileError(f"legScheduleOverride names k={k} twice (key {key!r})")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 3 or value % 2 == 0:
-            raise SpecFileError(
-                f"legScheduleOverride[{key}] must be an odd integer >= 3"
-            )
-        pairs[k] = value
-    return tuple(sorted(pairs.items()))
 
 
 class SystemSpec(NamedTuple):
@@ -165,7 +138,6 @@ class SystemSpec(NamedTuple):
     k_max: int | None = None
     alpha: Fraction | None = None
     beta: Fraction | None = None
-    leg_override: tuple[tuple[int, int], ...] | None = None
 
     @staticmethod
     def from_jsonable(data: object) -> "SystemSpec":
@@ -176,7 +148,7 @@ class SystemSpec(NamedTuple):
             raise SpecFileError(f"field 'kind' must be one of {SPEC_KINDS}, got {kind!r}")
         allowed = {"kind", "n"}
         if kind in (KIND_GEOMETRIC, KIND_QUADRATIC, KIND_SPARSE):
-            allowed |= {"B", "kMax", "legScheduleOverride"}
+            allowed |= {"B", "kMax"}
         if kind in (KIND_GEOMETRIC, KIND_SPARSE):
             allowed |= {"r"}
         if kind == KIND_TWO_BLOCK:
@@ -209,9 +181,9 @@ class SystemSpec(NamedTuple):
             beta = _require_rational(data, "beta")
             for field, target in (("alpha", alpha), ("beta", beta)):
                 if 0 < target < n:  # a dense or sparse half with rate n/target - 1
-                    _check_stored_digits(Fraction(1), n / target - 1, k_max, None, field)
+                    _check_stored_digits(Fraction(1), n / target - 1, k_max, field)
                 elif target == n:  # a quadratic half
-                    _check_stored_digits(Fraction(1), None, k_max, None, field)
+                    _check_stored_digits(Fraction(1), None, k_max, field)
             return SystemSpec(kind=kind, n=n, k_max=k_max, alpha=alpha, beta=beta)
 
         if "B" not in data:
@@ -224,11 +196,8 @@ class SystemSpec(NamedTuple):
             r = _require_rational(data, "r")
         elif kind == KIND_SPARSE and "r" in data:
             r = _require_rational(data, "r")
-        leg_override = _parse_leg_override(data)
-        _check_stored_digits(B, r, k_max, leg_override, "r" if r is not None else None)
-        return SystemSpec(
-            kind=kind, n=n, B=B, r=r, k_max=k_max, leg_override=leg_override
-        )
+        _check_stored_digits(B, r, k_max, "r" if r is not None else None)
+        return SystemSpec(kind=kind, n=n, B=B, r=r, k_max=k_max)
 
     def to_jsonable(self) -> dict:
         out: dict = {"kind": self.kind, "n": self.n}
@@ -242,8 +211,6 @@ class SystemSpec(NamedTuple):
             out["alpha"] = rational_to_str(self.alpha)
         if self.beta is not None:
             out["beta"] = rational_to_str(self.beta)
-        if self.leg_override is not None:
-            out["legScheduleOverride"] = {str(k): L for k, L in self.leg_override}
         return out
 
 
@@ -253,18 +220,13 @@ def build_system(spec: SystemSpec) -> System:
     if spec.kind == KIND_TWO_BLOCK:
         return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max)
     if spec.kind == KIND_GEOMETRIC:
-        schedule = Schedule.geometric(spec.B, spec.r, leg_override=spec.leg_override)
+        schedule = Schedule.geometric(spec.B, spec.r)
     elif spec.kind == KIND_QUADRATIC:
-        schedule = Schedule.quadratic(spec.B, leg_override=spec.leg_override)
-    else:  # sparse: self-power activity over either size law
-        if spec.r is not None:
-            schedule = Schedule.geometric(
-                spec.B, spec.r, active=ACTIVE_SELF_POWERS, leg_override=spec.leg_override
-            )
-        else:
-            schedule = Schedule.quadratic(
-                spec.B, active=ACTIVE_SELF_POWERS, leg_override=spec.leg_override
-            )
+        schedule = Schedule.quadratic(spec.B)
+    elif spec.r is not None:  # sparse: self-power activity over either size law
+        schedule = Schedule.geometric(spec.B, spec.r, active=ACTIVE_SELF_POWERS)
+    else:
+        schedule = Schedule.quadratic(spec.B, active=ACTIVE_SELF_POWERS)
     return build_stacked(schedule, spec.n, spec.k_max)
 
 
@@ -272,8 +234,6 @@ def _schedule_payload(schedule: Schedule) -> dict:
     out = {"kind": schedule.kind, "B": rational_to_str(schedule.B), "active": schedule.active}
     if schedule.r is not None:
         out["r"] = rational_to_str(schedule.r)
-    if schedule.leg_override is not None:
-        out["legScheduleOverride"] = {str(k): L for k, L in schedule.leg_override}
     return out
 
 

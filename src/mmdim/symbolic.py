@@ -13,11 +13,11 @@ For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
 one step of f tells apart only its L_k^(n-1) strips at eps_k, while each
 step of g codes L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so
-depth-m words number L_k^(nm) (= 3^(knm) on the default leg schedule).  The quotient
-n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of block k
-and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both converge to
-the same limit, which `extrapolate` gives exactly for rows that pass
-`row_fault`.
+depth-m words number L_k^(nm) = 3^(knm), as every block has L_k = 3^k.  The
+quotient n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of
+block k and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both
+converge to the same limit, which `extrapolate` gives exactly for rows that
+pass `row_fault`.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class RateBound(NamedTuple):
 
 
 def _growth(schedule: Schedule) -> tuple[Fraction, int]:
-    """(a, b) with |ln eps_k| = a k ln 3 + b ln k + O(1), at every k but the
-    finitely many leg overrides, where an active row's rate is n k ln 3.
+    """(a, b) with |ln eps_k| = a k ln 3 + b ln k + O(1), at every k, where an
+    active row's rate is n k ln 3.
 
     L_k = 3^k gives the rate n ln L_k = n k ln 3 and ln(2 L_k - 1) =
     k ln 3 + O(1); the side |E_k| adds k r ln 3 (geometric) or 2 ln k
@@ -213,9 +213,9 @@ def _half_bound(half, n: int, k: int) -> RateBound:
 def _rank(row: RateBound) -> Fraction:
     """Orders the halves' rows at one k as their lower ratios do, exactly.
 
-    Both halves come from `solve_rate`, which overrides no leg count, so
-    their active rows share n and L_k = 3^k (`_stacked_fault` checks it),
-    and the larger ratio n ln L_k / |ln eps_{k+1}| has the larger eps_{k+1}.
+    Every block has L_k = 3^k, so the halves' active rows share n and L_k
+    (`_stacked_fault` checks it), and the larger ratio n ln L_k /
+    |ln eps_{k+1}| has the larger eps_{k+1}.
     A zero rate ranks lowest.
     """
     return Fraction(0) if row.L == 1 else row.eps_next
@@ -242,24 +242,23 @@ def _two_block_bound(system: TwoBlockSystem, low: RateBound, up: RateBound) -> R
 def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
     """How a stacked row strays from `_growth`, or None.
 
-    Outside the leg overrides an active row must have the rate n k ln 3,
-    with L = 3^k, and each scale whose log the row divides by, eps_j at its
-    own index j (k + 1 for the lower denominator), must have |ln eps_j| =
+    An active row must have the rate n k ln 3, with L = 3^k, and each scale
+    whose log the row divides by, eps_j at its own index j (k + 1 for the
+    lower denominator), must have |ln eps_j| =
     a j ln 3 + b ln j + ln(1/B) + ln((2 L_j - 1) / L_j), a remainder in
     [ln(5/3), ln 2).  The upper denominator is ln 4 + |ln eps_k| by
     definition.
     """
     k = row.k
     a, b = _growth(schedule)
-    overridden = {kk for kk, _ in schedule.leg_override or ()}
     scales = [("|ln eps|", row.eps_exact, k)]
     if row.active:
-        if k not in overridden and (row.n, row.L) != (n, 3**k):
+        if (row.n, row.L) != (n, 3**k):
             return f"k={k} rate is not {n} k ln 3"
         scales.append(("lower_den", row.eps_next, k + 1))
     for name, eps, j in scales:
         excess = schedule.placed_B / (eps * 3 ** int(a * j) * j**b)
-        if j not in overridden and not Fraction(5, 3) <= excess < 2:
+        if not Fraction(5, 3) <= excess < 2:
             return (f"k={k} {name} is not {a} j ln 3 + {b} ln j + ln(1/B) + "
                     f"[ln(5/3), ln 2) at j={j}")
     return None
@@ -311,27 +310,36 @@ def extrapolate(system: System) -> tuple[Fraction, Fraction]:
     pass `row_fault`.
 
     An active stacked row's rate n k ln 3 over either denominator, a k ln 3 +
-    b ln k + O(1) (`_growth`), tends to n / a, and an inactive row is 0; a
-    sparse schedule is active only at the self powers k = j^j, so its rows
-    tend to n / a on them and to 0 off them.  Those are the stacked system's
-    `analytic_targets`.  A two-block row is the larger half's, and both
-    halves share the self powers, so on each subsequence it tends to the
-    larger half's limit.
+    b ln k + O(1), tends to n / a, with a the coefficient of `_growth` that
+    `_stacked_fault` holds each row to, and an inactive row is 0; a sparse
+    schedule is active only at the self powers k = j^j, so its rows tend to
+    n / a on them and to 0 off them.  A two-block row is the larger half's,
+    and both halves share the self powers, so on each subsequence it tends
+    to the larger half's limit.
     """
     if isinstance(system, TwoBlockSystem):
-        low, up = analytic_targets(system.lower), analytic_targets(system.upper)
+        low, up = extrapolate(system.lower), extrapolate(system.upper)
         return max(low[0], up[0]), max(low[1], up[1])
-    return analytic_targets(system)
+    if isinstance(system, IdentitySystem):
+        return Fraction(0), Fraction(0)
+    if not isinstance(system, StackedSystem):
+        raise TypeError(f"unknown system type {type(system).__name__}")
+    a, _ = _growth(system.schedule)
+    limit = system.n / a
+    return (Fraction(0) if system.schedule.is_sparse else limit), limit
 
 
 def analytic_targets(system: System) -> tuple[Fraction, Fraction]:
-    """Exact (liminf, limsup) the construction prescribes."""
+    """Exact (liminf, limsup) the construction prescribes, from its own fields:
+    n / (1 + r) for a geometric schedule and n for a quadratic one, with
+    liminf 0 when sparse; (alpha, beta) for a two-block system; 0 for the
+    identity."""
     if isinstance(system, IdentitySystem):
         return Fraction(0), Fraction(0)
     if isinstance(system, StackedSystem):
-        a, _ = _growth(system.schedule)
-        target = system.n / a
-        return (Fraction(0) if system.schedule.is_sparse else target), target
+        schedule = system.schedule
+        target = system.n / (1 + schedule.r) if schedule.kind == GEOMETRIC else Fraction(system.n)
+        return (Fraction(0) if schedule.is_sparse else target), target
     if isinstance(system, TwoBlockSystem):
         return system.alpha, system.beta
     raise TypeError(f"unknown system type {type(system).__name__}")

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import io
 import os
 import re
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import mmdim
 from mmdim import cli as cli_module, estimators, symbolic
 from mmdim.cli import main
-from mmdim.constructions import Schedule
+from mmdim.constructions import Schedule, StackedSystem
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
@@ -91,8 +92,9 @@ class TestBuild:
             (dict(kind="geometric", n=2, B="1", r="1", kMax=3, shape="round"), "shape"),
             (dict(kind="geometric", n=2, B="1", r="0", kMax=3), "r > 0"),
             (dict(kind="geometric", n=2, B="5", r="1", kMax=3), "B <= 3"),
+            # every block has L_k = 3^k; no field sets a leg count
             (dict(kind="geometric", n=2, B="1", r="2", kMax=2,
-                  legScheduleOverride={"1": 5, "01": 7}), "k=1 twice"),
+                  legScheduleOverride={"2": 5}), "'legScheduleOverride' do not apply"),
         ],
     )
     def test_bad_spec_exits_2_naming_problem(
@@ -143,6 +145,27 @@ class TestBuild:
             assert time.perf_counter() - t0 < 2.0
             assert result.exit_code == 2, result.output
             assert needle in result.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "profile", "estimate", "validate"])
+    def test_a_stored_leg_override_exits_2(self, cli, tmp_spec, tmp_path, command):
+        # the file earlier versions wrote for this spec with block 2 at L = 5:
+        # the spec and the schedule name the override, and block 2 stores L and
+        # eps = side / (2 L - 1)
+        fields = dict(kind="geometric", n=3, B="1", r="2", kMax=3)
+        out = str(tmp_path / "override.json")
+        assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
+        data = read_json(out)
+        data["spec"]["legScheduleOverride"] = {"2": 5}
+        data["system"]["schedule"]["legScheduleOverride"] = {"2": 5}
+        data["system"]["blocks"][1].update(L=5, eps="1/729")
+        write_json(out, data)
+        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digest == "dc8cf8456131cab3cd893d9e5548d0bd9bffa8dcfb42364d14a4655b3e7002cf"
+        args = [command, out] + (["--k", "2", "--m", "2"] if command == "estimate" else [])
+        result = cli(args)
+        assert result.exit_code == 2, result.output
+        assert "'legScheduleOverride' do not apply" in result.stderr
+        assert result.stdout == ""
 
 
 class TestValidate:
@@ -288,19 +311,6 @@ class TestEstimate:
         symbolic = float(parse_csv(prof.stdout)[0]["lower_ratio"])
         assert abs(numeric - symbolic) <= 1e-9
 
-    def test_leg_override_block(self, cli, tmp_spec, tmp_path):
-        spec = tmp_spec(kind="geometric", n=2, B="1", r="2", kMax=2,
-                        legScheduleOverride={"2": 5})
-        out = str(tmp_path / "override.json")
-        assert cli(["build", spec, "-o", out]).exit_code == 0
-        est = cli(["estimate", out, "--k", "2", "--m", "2"])
-        assert est.exit_code == 0, est.output
-        assert "k=2 m=2 eps=1/729 count=625" in est.stderr  # 5^(n m) cylinders
-        prof = cli(["profile", out, "--kmax", "2"])
-        numeric, symbolic = parse_csv(est.stdout)[0], parse_csv(prof.stdout)[1]
-        assert numeric["eps_exact"] == symbolic["eps_exact"] == "1/729"
-        assert numeric["lower_ratio"] == symbolic["lower_ratio"] == "0.304761058016"
-
     def test_quadratic_eps_is_the_placed_one(self, cli, tmp_spec, tmp_path):
         # B = 1 is above the packing cap: block 1's side is 500/987, not 1
         spec = tmp_spec(kind="quadratic", n=2, B="1", kMax=3)
@@ -435,8 +445,6 @@ VERIFIED_SPECS = {
     "two_block 1..2": (dict(kind="two_block", n=2, alpha="1", beta="2", kMax=4), ("1", "2")),
     "two_block 0..1": (dict(kind="two_block", n=2, alpha="0", beta="1", kMax=4), ("0", "1")),
     "two_block 1..3": (dict(kind="two_block", n=3, alpha="1", beta="3", kMax=4), ("1", "3")),
-    "leg override": (dict(kind="geometric", n=2, B="1", r="2", kMax=2,
-                          legScheduleOverride={"2": 5}), ("2/3", "2/3")),
     "identity": (dict(kind="identity", n=2), ("0", "0")),
 }
 
@@ -505,25 +513,78 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.stdout == verify_table(("1", "1", "yes"), ("3/2", "1", "NO"))
 
+    @pytest.mark.parametrize("name,row", [("geometric r=1", ("2/3", "1", "NO")),
+                                          ("geometric n=3", ("1", "3/2", "NO"))])
+    def test_targets_off_the_construction_exit_1(self, cli, tmp_spec, tmp_path, monkeypatch,
+                                                 name, row):
+        # targets n / (a + 1) from the rows' own growth coefficient a: the
+        # limits come from `_growth`, not from the targets, and stay n / a
+        real = symbolic.analytic_targets
+
+        def shifted(system):
+            if not isinstance(system, StackedSystem):
+                return real(system)
+            a, _ = symbolic._growth(system.schedule)
+            return system.n / (a + 1), system.n / (a + 1)
+
+        for module in (symbolic, cli_module):
+            monkeypatch.setattr(module, "analytic_targets", shifted)
+        out = str(tmp_path / "system.json")
+        assert cli(["build", tmp_spec(**VERIFIED_SPECS[name][0]), "-o", out]).exit_code == 0
+        result = cli(["verify", out])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == verify_table(row, row)
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_a_growth_off_the_schedule_exits_1(self, cli, geometric_file, monkeypatch, command):
+        # a + 1 would hold the rows to, and take the limits from, the wrong
+        # coefficient; the rows' own eps do not grow at it
+        real = symbolic._growth
+        monkeypatch.setattr(symbolic, "_growth", lambda schedule: (real(schedule)[0] + 1,
+                                                                   real(schedule)[1]))
+        result = cli([command, geometric_file])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == (
+            "k=1 |ln eps| is not 3 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=1\n")
+
     def test_kmax_floor(self, cli, geometric_file):
         assert cli(["verify", geometric_file, "--kmax", "0"]).exit_code == 2
         result = cli(["verify", geometric_file, "--kmax", "1"])
         assert result.exit_code == 0, result.output
         assert result.stdout == verify_table(("1", "1", "yes"), ("1", "1", "yes"))
 
-    @pytest.mark.parametrize("command", ["verify", "profile"])
-    def test_eps_over_2l_minus_3_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command,mutant", [
+        pytest.param(command, mutant, id=command + suffix)
+        for mutant, suffix in (("2L - 3", ""), ("eps_2 / 7", "-eps_2 over 7"))
+        for command in ("verify", "profile")])
+    def test_eps_over_2l_minus_3_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command,
+                                         mutant):
         # eps_k = |E_k| / (2 L_k - 3) in the system file, the CSV and the
-        # ratios: |ln eps_1| falls below 2 ln 3 + ln(5/3)
-        monkeypatch.setattr(Schedule, "eps", lambda s, k: s.size(k) / (2 * s.legs(k) - 3))
-        spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
-        out = str(tmp_path / "shrunk.json")
-        assert cli(["build", spec, "-o", out]).exit_code == 0
-        result = cli([command, out])
-        assert result.exit_code == 1, result.output
-        assert result.stdout == ""
-        assert result.stderr == (
-            "k=1 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=1\n")
+        # ratios: on the square |ln eps_1| falls below 2 ln 3 + ln(5/3).
+        # eps_2 alone seven times smaller: every spec with a block 2 has an
+        # active block 1, whose lower denominator is |ln eps_2|
+        real = Schedule.eps
+        monkeypatch.setattr(Schedule, "eps", {
+            "2L - 3": lambda s, k: s.size(k) / (2 * s.legs(k) - 3),
+            "eps_2 / 7": lambda s, k: real(s, k) / (7 if k == 2 else 1),
+        }[mutant])
+        if mutant == "2L - 3":
+            specs = [VERIFIED_SPECS["geometric r=1"][0]]
+            fault = ("k=1 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2)",
+                     " at j=1\n")
+        else:
+            specs = [fields for fields, _ in VERIFIED_SPECS.values() if fields.get("kMax", 0) >= 2]
+            fault = ("k=1 lower_den is not ", " ln j + ln(1/B) + [ln(5/3), ln 2) at j=2\n")
+            assert len(specs) == len(VERIFIED_SPECS) - 1  # all but the identity
+        for i, fields in enumerate(specs):
+            out = str(tmp_path / f"shrunk{i}.json")
+            assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
+            result = cli([command, out])
+            assert result.exit_code == 1, (fields, result.output)
+            assert result.stdout == ""
+            assert result.stderr.count("\n") == 1, (fields, result.stderr)
+            assert result.stderr.startswith(fault[0]) and result.stderr.endswith(fault[1])
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_a_rate_off_its_growth_exits_1(self, cli, geometric_file, monkeypatch, command):

@@ -73,16 +73,9 @@ class TestSchedule:
         with pytest.raises(ScheduleError, match="start at 1"):
             Schedule.geometric(1, 1).legs(0)
 
-    def test_legs_default_and_override(self):
-        sched = Schedule.geometric(1, 1)
-        assert [sched.legs(k) for k in (1, 2, 3)] == [3, 9, 27]
-        over = Schedule.geometric(1, 1, leg_override=((2, 5),))
-        assert over.legs(1) == 3
-        assert over.legs(2) == 5
-
-    def test_leg_override_must_be_odd(self):
-        with pytest.raises(ScheduleError, match="odd"):
-            Schedule.geometric(1, 1, leg_override=((1, 4),))
+    def test_legs_are_powers_of_3(self):
+        for sched in (Schedule.geometric(1, 1), Schedule.quadratic(1, ACTIVE_SELF_POWERS)):
+            assert [sched.legs(k) for k in (1, 2, 3, 10)] == [3, 9, 27, 3**10]
 
     def test_activity_patterns(self):
         dense = Schedule.geometric(1, 1)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmdim import estimators
 from mmdim.constructions import (
@@ -20,9 +20,9 @@ from mmdim.estimators import (
     greedy_separated,
     mdim_numeric_profile,
 )
+from mmdim.geometry import Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.specfile import SystemSpec, build_system
 from mmdim.symbolic import fit_line, rate_profile
 from oracles import (
     bowen_distance,
@@ -102,15 +102,15 @@ def hard_seeds(grid, eps):
 
 
 @st.composite
-def override_cases(draw):
-    """(n, L, kMax, k, m): an odd L in 3..11 overriding block k <= kMax,
-    at a depth m with at most 2,000 cylinders."""
+def leg_cases(draw):
+    """(n, L, cube, m): an odd L in 3..11 on a cube of side 1/3^j inside
+    [0, 1]^n, at a depth m with at most 2,000 cylinders."""
     n = draw(st.sampled_from((2, 3)))
     L = draw(st.sampled_from(range(3, 12, 2)))
-    k_max = draw(st.integers(1, 3))
-    k = draw(st.integers(1, k_max))
+    side = F(1, 3 ** draw(st.integers(0, 4)))
+    lo = side * draw(st.integers(0, int(1 / side) - 1))
     m = draw(st.integers(1, max(d for d in (1, 2, 3) if L ** (n * d) <= 2000)))
-    return n, L, k_max, k, m
+    return n, L, Cube(lo, lo + side, n), m
 
 
 class TestSeedSet:
@@ -160,23 +160,18 @@ class TestCylinderCenters:
             cylinder_centers(geometric_system.block(1).geometry(), 1, 1)
 
     @settings(max_examples=25, deadline=None)
-    @given(override_cases())
-    def test_leg_override_specs(self, case):
-        n, L, k_max, k, m = case
-        system = build_system(SystemSpec.from_jsonable({
-            "kind": "geometric", "n": n, "B": "1", "r": "1", "kMax": k_max,
-            "legScheduleOverride": {str(k): L},
-        }))
-        block = system.block(k)
-        h = block.geometry()
-        seeds = cylinder_centers(h, k, m)  # raises on a repeated center
-        assert block.L == L and len(seeds.points) == L ** (n * m)
+    @given(leg_cases())
+    @example((2, 5, Cube(F(8, 9), F(73, 81), 2), 2))  # block 2's cube of the r = 2 square
+    def test_any_odd_leg_count(self, case):
+        # every block has L_k = 3^k; the horseshoe layer takes any odd L, and
+        # at its own eps side / (2 L - 1) the greedy scan keeps every center
+        n, L, cube, m = case
+        h = build_horseshoe(cube, L)
+        seeds = cylinder_centers(h, 1, m)  # raises on a repeated center
+        assert len(seeds.points) == L ** (n * m)
         # a depth-1 scan compares step-0 points only and never applies the map
-        eps = system.schedule.eps(k)
-        kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, eps)
-        bound = rate_profile(system, [k])[0]
-        numeric = math.log(len(kept.chosen)) / m / float(bound.lower_den)
-        assert abs(numeric - bound.lower_ratio()) <= 1e-9
+        kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, cube.side / (2 * L - 1))
+        assert len(kept.chosen) == L ** (n * m)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_estimators import naive_greedy
 
-from mmdim.constructions import Schedule, build_stacked, build_two_block
+from mmdim.constructions import Block, Schedule, build_stacked, build_two_block
 from mmdim.estimators import cylinder_centers, greedy_separated, orbits_separate
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
@@ -321,12 +321,12 @@ def pullback_cylinder(h, code):
 def _blocks():
     geometric2 = build_stacked(Schedule.geometric(1, 1), 2, 1)
     geometric3 = build_stacked(Schedule.geometric(1, 1), 3, 1)
-    override = build_stacked(Schedule.geometric(1, 2, leg_override=((2, 5),)), 2, 2)
     two_block_upper = build_two_block(F(2, 3), 1, 2, 5).upper
     return {
         "geometric n=2": (geometric2.block(1), 3),
         "geometric n=3": (geometric3.block(1), 2),
-        "override L=5": (override.block(2), 2),
+        # five legs on the cube of block 2 of the r = 2 square, where L_2 = 9
+        "L=5": (Block(2, Cube(F(8, 9), F(73, 81), 2), 5, True), 2),
         "two_block upper half, block 1": (two_block_upper.block(1), 3),
         "two_block upper half, block 2": (two_block_upper.block(2), 1),
     }

@@ -37,11 +37,6 @@ SPECS = {
         {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 5},
         "8f2847388610368c1f4931ced24ab7aa7b55dc7b4bdcd802bb20d91ec027ce6a",
     ),
-    "override": (
-        {"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 3,
-         "legScheduleOverride": {"2": 5}},
-        "dc8cf8456131cab3cd893d9e5548d0bd9bffa8dcfb42364d14a4655b3e7002cf",
-    ),
     "two_block": (
         {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 5},
         "8d1f36273f5d76c623703bc4e96a923bc95ab169e6fc48ce4f12cfa5a3f8c14d",

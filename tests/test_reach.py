@@ -41,8 +41,6 @@ SPECS = {
     "two_block_1_2": {"kind": "two_block", "n": 2, "alpha": "1", "beta": "2", "kMax": 4},
     "two_block_0_1": {"kind": "two_block", "n": 2, "alpha": "0", "beta": "1", "kMax": 4},
     "identity": {"kind": "identity", "n": 2},
-    "override": {"kind": "geometric", "n": 2, "B": "1", "r": "2", "kMax": 2,
-                 "legScheduleOverride": {"2": 5}},
 }
 
 # Arguments after the command name; {name} is a built system file, {spec_name}
@@ -57,7 +55,6 @@ CORPUS = [
     # the benchmark's estimates
     ["estimate", "{square}", "--k", "1", "--m", "3", "-o", "{out}"],
     ["estimate", "{cube}", "--k", "1", "--m", "2", "--eps", "3/10", "-o", "{out}"],
-    ["estimate", "{override}", "--k", "2", "--m", "2"],
     # the error cases
     ["estimate", "{square}", "--k", "2", "--m", "4"],
     ["estimate", "{square}", "--k", "9"],

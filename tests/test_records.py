@@ -51,10 +51,6 @@ INVALID = [
     (lambda: Schedule("quadratic", F(2)), ScheduleError, "quadratic schedules need B <= 1"),
     (lambda: Schedule("geometric", F(1), F(1), active="odd"), ScheduleError,
      "active must be 'all' or 'self-powers'"),
-    (lambda: Schedule("geometric", F(1), F(1), leg_override=((2, 4),)), ScheduleError,
-     "leg override at k=2 must be odd and >= 3"),
-    (lambda: Schedule("quadratic", F(1), None, "all", ((1, 1),)), ScheduleError,
-     "leg override at k=1 must be odd and >= 3"),
     (lambda: CylinderCode(1, ()), ValueError, "cylinder codes need depth >= 1"),
     (lambda: CylinderCode(1, ((1, (1,)), (2, (1,)))), ValueError,
      "strip index 2 must be odd and positive"),

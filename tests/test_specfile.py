@@ -45,7 +45,7 @@ class TestSystemSpecParsing:
         assert (spec.kind, spec.n, spec.B, spec.r, spec.k_max) == (
             "geometric", 2, 1, 1, 3,
         )
-        assert spec.alpha is None and spec.leg_override is None
+        assert spec.alpha is None
 
     def test_quadratic(self):
         spec = SystemSpec.from_jsonable({"kind": "quadratic", "n": 3, "B": "1/2", "kMax": 5})
@@ -71,12 +71,6 @@ class TestSystemSpecParsing:
         spec = SystemSpec.from_jsonable({"kind": "identity", "n": 4})
         assert spec.k_max is None
 
-    def test_leg_override(self):
-        spec = SystemSpec.from_jsonable(
-            dict(GEOMETRIC_SPEC, legScheduleOverride={"2": 5})
-        )
-        assert spec.leg_override == ((2, 5),)
-
     @pytest.mark.parametrize(
         "mutation,needle",
         [
@@ -88,12 +82,13 @@ class TestSystemSpecParsing:
             ({"B": 1}, "p/q"),
             ({"B": "one"}, "B"),
             ({"kMax": "3"}, "kMax"),
-            ({"legScheduleOverride": {}}, "legScheduleOverride"),
-            ({"legScheduleOverride": {"2": 4}}, "odd"),
-            ({"legScheduleOverride": {"x": 5}}, "not an integer"),
+            # every block has L_k = 3^k: a leg override is refused whatever its value
+            ({"legScheduleOverride": {}}, "'legScheduleOverride' do not apply"),
+            ({"legScheduleOverride": {"2": 4}}, "'legScheduleOverride' do not apply"),
+            ({"legScheduleOverride": {"x": 5}}, "'legScheduleOverride' do not apply"),
             ({"alpha": "1"}, "alpha"),
-            ({"legScheduleOverride": {"1": 5, "01": 7}}, "k=1 twice"),
-            ({"legScheduleOverride": {"1": 5, " 1": 5}}, "k=1 twice"),
+            ({"legScheduleOverride": {"1": 5, "01": 7}}, "'legScheduleOverride' do not apply"),
+            ({"legScheduleOverride": {"2": 5}}, "'legScheduleOverride' do not apply"),
         ],
     )
     def test_rejections_name_the_field(self, mutation, needle):
@@ -121,7 +116,6 @@ class TestSystemSpecParsing:
             ({"kMax": 4001}, "kMax"),
             ({"r": "4001"}, "rate r"),
             ({"kMax": 2500, "r": "3"}, "digits"),
-            ({"kMax": 3, "legScheduleOverride": {"2": 10**4001 + 1}}, "digits"),
             ({"kind": "quadratic", "r": None, "kMax": 4500}, "kMax"),
             ({"kind": "two_block", "B": None, "r": None, "alpha": "1/10000", "beta": "1"},
              "'alpha'"),
@@ -138,7 +132,7 @@ class TestSystemSpecParsing:
         "data",
         [
             GEOMETRIC_SPEC | {"kMax": 60, "B": "5/4"},
-            GEOMETRIC_SPEC | {"kMax": 20, "r": "4", "legScheduleOverride": {"3": 999}},
+            GEOMETRIC_SPEC | {"kMax": 20, "r": "4"},
             {"kind": "quadratic", "n": 2, "B": "3/7", "kMax": 200},
             {"kind": "sparse", "n": 3, "B": "1", "kMax": 50},
             {"kind": "two_block", "n": 2, "alpha": "1/2", "beta": "2", "kMax": 40},
@@ -152,9 +146,9 @@ class TestSystemSpecParsing:
         longest = max(len(part) for part in re.findall(r"\d+", text))
         if spec.kind == "two_block":
             r = spec.n / spec.alpha - 1 if spec.alpha < spec.n else None
-            estimate = _stored_digits(F(1), r, spec.k_max, None)
+            estimate = _stored_digits(F(1), r, spec.k_max)
         else:
-            estimate = _stored_digits(spec.B, spec.r, spec.k_max, spec.leg_override)
+            estimate = _stored_digits(spec.B, spec.r, spec.k_max)
         assert longest <= estimate
 
     def test_non_object_rejected(self):
@@ -169,7 +163,6 @@ class TestSystemSpecParsing:
             {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 9},
             {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 6},
             {"kind": "identity", "n": 2},
-            dict(GEOMETRIC_SPEC, legScheduleOverride={"1": 5, "2": 7}),
         ],
     )
     def test_jsonable_round_trip(self, data):
@@ -314,8 +307,7 @@ FUZZ_SPECS = [
     {"kind": "quadratic", "n": 2, "B": "1", "kMax": 3},
     {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 4},
     {"kind": "sparse", "n": 2, "B": "1/2", "kMax": 4},
-    {"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 2,
-     "legScheduleOverride": {"2": 5}},
+    {"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 2},
     {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 5},
     {"kind": "two_block", "n": 2, "alpha": "0", "beta": "2", "kMax": 4},
     {"kind": "identity", "n": 2},

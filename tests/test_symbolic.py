@@ -166,7 +166,7 @@ class TestEpsSchedule:
             build_stacked(Schedule.geometric(1, 1), 2, 4),
             build_stacked(Schedule.quadratic(1), 2, 4),  # B above the cap
             build_stacked(Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 2, 5),
-            build_stacked(Schedule.geometric(1, 1, leg_override=((2, 5), (3, 7))), 3, 3),
+            build_stacked(Schedule.geometric(1, 2), 3, 3),
             dense_to_full.lower,  # sparse quadratic half, beta = n
             dense_to_full.upper,
             build_two_block(F(2, 3), 1, 2, 5).lower,
@@ -357,11 +357,9 @@ class TestRateProfile:
         assert row.eps_exact == F(1, 153)
         assert row.eps_next == F(1, 1431)
 
-    def test_leg_override_changes_rate(self):
-        sched = Schedule.geometric(1, 1, leg_override=((1, 5),))
-        sys = build_stacked(sched, 2, 2)
-        row = rate_profile(sys, [1])[0]
-        assert (row.n, row.L) == (2, 5)
+    def test_rate_is_n_ln_L(self):
+        # a row's rate is n ln L for any leg count, not only L_k = 3^k
+        row = RateBound(1, True, 2, 5, F(1, 27), F(1, 729))
         assert abs(float(row.rate) - 2 * math.log(5)) < 1e-15
 
     def test_quadratic_ratio_approaches_dimension(self):
@@ -417,7 +415,6 @@ GROWTH_SCHEDULES = {
     "quadratic": (Schedule.quadratic(1), 2),
     "sparse": (Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2),
     "sparse quadratic": (Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 3),
-    "leg override": (Schedule.geometric(1, 2, leg_override=((2, 5), (7, 3))), 2),
 }
 
 
@@ -519,8 +516,7 @@ class TestExtrapolate:
             (build_stacked(Schedule.quadratic(1), 3, 2), (3, 3)),
             (build_stacked(Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2, 4), (0, 1)),
             (build_stacked(Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 2, 4), (0, 2)),
-            (build_stacked(Schedule.geometric(1, 2, leg_override=((2, 5),)), 2, 2),
-             (F(2, 3), F(2, 3))),
+            (build_stacked(Schedule.geometric(1, 3), 2, 2), (F(1, 2), F(1, 2))),
             (IdentitySystem(2), (0, 0)),
             (build_two_block(F(2, 3), 1, 2, 30), (F(2, 3), 1)),
             (build_two_block(1, 2, 2, 4), (1, 2)),
