@@ -70,7 +70,7 @@ class _ScheduleFields(NamedTuple):
 
 
 class Schedule(_ScheduleFields):
-    """Size law, leg law, and activity pattern for a stacked system."""
+    """Size law and activity pattern for a stacked system; L_k = 3^k."""
 
     __slots__ = ()
 

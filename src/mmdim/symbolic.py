@@ -170,8 +170,8 @@ class RateBound(NamedTuple):
 
 
 def _growth(schedule: Schedule) -> tuple[Fraction, int]:
-    """(a, b) with |ln eps_k| = a k ln 3 + b ln k + O(1), at every k, where an
-    active row's rate is n k ln 3.
+    """(a, b) with |ln eps_k| = a k ln 3 + b ln k + O(1), where an active
+    row's rate is n k ln 3.
 
     L_k = 3^k gives the rate n ln L_k = n k ln 3 and ln(2 L_k - 1) =
     k ln 3 + O(1); the side |E_k| adds k r ln 3 (geometric) or 2 ln k
