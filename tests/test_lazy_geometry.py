@@ -37,6 +37,12 @@ SPECS = {
         {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 5},
         "8f2847388610368c1f4931ced24ab7aa7b55dc7b4bdcd802bb20d91ec027ce6a",
     ),
+    # unchanged by the removal of leg overrides: it is the digest of the same
+    # spec built while the spec format still took "legScheduleOverride"
+    "geometric n=3": (
+        {"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 3},
+        "d686757d541dd91ad4225eca0a551aaf652e915d2cd58410f12d78b60c5efd4f",
+    ),
     "two_block": (
         {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 5},
         "8d1f36273f5d76c623703bc4e96a923bc95ab169e6fc48ce4f12cfa5a3f8c14d",

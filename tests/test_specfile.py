@@ -116,6 +116,7 @@ class TestSystemSpecParsing:
             ({"kMax": 4001}, "kMax"),
             ({"r": "4001"}, "rate r"),
             ({"kMax": 2500, "r": "3"}, "digits"),
+            ({"kind": "quadratic", "r": None, "kMax": 3, "B": "1/1" + "0" * 4001}, "digits"),
             ({"kind": "quadratic", "r": None, "kMax": 4500}, "kMax"),
             ({"kind": "two_block", "B": None, "r": None, "alpha": "1/10000", "beta": "1"},
              "'alpha'"),
