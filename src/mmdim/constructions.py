@@ -262,7 +262,7 @@ class StackedSystem(NamedTuple):
 
     def block(self, k: int) -> Block:
         if not 1 <= k <= self.k_max:
-            raise ValueError(f"block {k} is not materialized (k_max = {self.k_max})")
+            raise ValueError(f"block {k} is outside the file (kMax = {self.k_max})")
         return self.blocks[k - 1]
 
 
@@ -296,7 +296,6 @@ class TwoBlockSystem(NamedTuple):
     beta: Fraction
     lower: Union[StackedSystem, IdentitySystem]
     upper: Union[StackedSystem, IdentitySystem]
-    k_max: int
 
     kind = "two-block"
 
@@ -325,7 +324,7 @@ def build_two_block(alpha, beta, n: int, k_max: int) -> TwoBlockSystem:
 
     if alpha == beta:
         shared = dense(alpha)
-        return TwoBlockSystem(n, alpha, beta, shared, shared, k_max)
+        return TwoBlockSystem(n, alpha, beta, shared, shared)
 
     lower = build_stacked(solve_rate(beta, n, ACTIVE_SELF_POWERS), n, k_max)
-    return TwoBlockSystem(n, alpha, beta, lower, dense(alpha), k_max)
+    return TwoBlockSystem(n, alpha, beta, lower, dense(alpha))

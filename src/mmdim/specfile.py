@@ -1,7 +1,7 @@
 """JSON spec/system files and CSV profile export.
 
 Spec files describe a system to build; system files additionally record each
-block's cube, leg count, eps and activity, and can be reloaded losslessly.
+block's cube, eps and activity, and can be reloaded losslessly.
 All rationals cross the file boundary as "p/q" strings, JSON is dumped in one
 canonical form (sorted keys, compact separators, trailing newline), and
 loading a system file rebuilds it from its own spec and cross-checks the
@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constructions import (
     ACTIVE_SELF_POWERS,
-    GEOMETRY_BUDGET,
     IdentitySystem,
     Schedule,
     StackedSystem,
@@ -32,7 +31,7 @@ from .symbolic import RateBound
 if TYPE_CHECKING:
     from .estimators import NumericRateRow
 
-SYSTEM_FORMAT = "mmdim-system/2"
+SYSTEM_FORMAT = "mmdim-system/3"
 
 KIND_GEOMETRIC = "geometric"
 KIND_QUADRATIC = "quadratic"
@@ -238,36 +237,28 @@ def _schedule_payload(schedule: Schedule) -> dict:
 
 
 def _system_payload(system: System) -> dict:
+    """What the spec does not state: each half's schedule and blocks."""
     if isinstance(system, IdentitySystem):
-        return {"kind": system.kind, "n": system.n}
+        return {"kind": system.kind}
     if isinstance(system, StackedSystem):
         blocks = [
             {
                 "k": block.k,
                 "anchor": rational_to_str(block.cube.lo),
                 "side": rational_to_str(block.cube.side),
-                "L": block.L,
                 "eps": rational_to_str(system.schedule.eps(block.k)),
                 "active": block.active,
-                "materialized": block.materialized,
             }
             for block in system.blocks
         ]
         return {
             "kind": system.kind,
-            "n": system.n,
-            "kMax": system.k_max,
-            "geometryBudget": GEOMETRY_BUDGET,
             "schedule": _schedule_payload(system.schedule),
             "blocks": blocks,
         }
     if isinstance(system, TwoBlockSystem):
         return {
             "kind": system.kind,
-            "n": system.n,
-            "kMax": system.k_max,
-            "alpha": rational_to_str(system.alpha),
-            "beta": rational_to_str(system.beta),
             "lower": _system_payload(system.lower),
             "upper": _system_payload(system.upper),
         }

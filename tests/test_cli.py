@@ -29,6 +29,7 @@ from mmdim.specfile import (
     system_to_jsonable,
     write_json,
 )
+from test_lazy_geometry import as_format_2
 
 F = Fraction
 
@@ -64,8 +65,11 @@ class TestBuild:
         assert result.exit_code == 0
         assert f"wrote {out}" in result.stderr
         data = read_json(out)
-        assert data["format"] == "mmdim-system/2"
-        assert len(data["system"]["blocks"]) == 3
+        assert data["format"] == "mmdim-system/3"
+        assert set(data["system"]) == {"kind", "schedule", "blocks"}
+        assert [set(b) for b in data["system"]["blocks"]] == [
+            {"k", "anchor", "side", "eps", "active"}
+        ] * 3
 
     def test_idempotent_and_loader_round_trips(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
@@ -146,25 +150,34 @@ class TestBuild:
             assert result.exit_code == 2, result.output
             assert needle in result.stderr
 
+    @pytest.mark.parametrize("version", ["2", "3"])
     @pytest.mark.parametrize("command", ["verify", "profile", "estimate", "validate"])
-    def test_a_stored_leg_override_exits_2(self, cli, tmp_spec, tmp_path, command):
-        # the file earlier versions wrote for this spec with block 2 at L = 5:
-        # the spec and the schedule name the override, and block 2 stores L and
-        # eps = side / (2 L - 1)
+    def test_a_stored_leg_override_exits_2(self, cli, tmp_spec, tmp_path, command, version):
+        # the file of this spec with block 2 at L = 5: the spec and the
+        # schedule name the override, and block 2 stores eps = side / (2 L - 1),
+        # and L too in the format /2 that earlier versions wrote
         fields = dict(kind="geometric", n=3, B="1", r="2", kMax=3)
         out = str(tmp_path / "override.json")
         assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
         data = read_json(out)
+        if version == "2":
+            data = as_format_2(data)
+            data["system"]["blocks"][1]["L"] = 5
         data["spec"]["legScheduleOverride"] = {"2": 5}
         data["system"]["schedule"]["legScheduleOverride"] = {"2": 5}
-        data["system"]["blocks"][1].update(L=5, eps="1/729")
+        data["system"]["blocks"][1]["eps"] = "1/729"
         write_json(out, data)
-        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
-        assert digest == "dc8cf8456131cab3cd893d9e5548d0bd9bffa8dcfb42364d14a4655b3e7002cf"
+        if version == "2":
+            digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+            assert digest == "dc8cf8456131cab3cd893d9e5548d0bd9bffa8dcfb42364d14a4655b3e7002cf"
+            needles = ["'mmdim-system/2'", "run `mmdim build` on the spec stored under its 'spec' key"]
+        else:
+            needles = ["'legScheduleOverride' do not apply"]
         args = [command, out] + (["--k", "2", "--m", "2"] if command == "estimate" else [])
         result = cli(args)
         assert result.exit_code == 2, result.output
-        assert "'legScheduleOverride' do not apply" in result.stderr
+        for needle in needles:
+            assert needle in result.stderr
         assert result.stdout == ""
 
 
@@ -200,11 +213,20 @@ class TestValidate:
         assert result.exit_code == 2
         assert "does not match" in result.stderr
 
-    @pytest.mark.parametrize("budget", [8, -1, "8", 10**7, 100000.0])
-    def test_hand_edited_geometry_budget_is_rejected(self, cli, geometric_file, budget):
-        # the budget is a constant; a file stating another one is not a rebuild
+    @pytest.mark.parametrize("level, key, value", [
+        ("system", "geometryBudget", 100000),
+        ("system", "geometryBudget", 8),
+        ("block", "L", 3),
+        ("block", "materialized", True),
+        ("system", "n", 2),
+        ("system", "kMax", 3),
+    ])
+    def test_a_restated_derived_field_is_rejected(self, cli, geometric_file, level, key, value):
+        # the spec and the block index fix these; a file stating one, even at
+        # the value format /2 stored, is not a rebuild
         data = read_json(geometric_file)
-        data["system"]["geometryBudget"] = budget
+        target = data["system"]["blocks"][0] if level == "block" else data["system"]
+        target[key] = value
         write_json(geometric_file, data)
         for args in (["verify", geometric_file], ["validate", geometric_file],
                      ["estimate", geometric_file, "--k", "1"]):
@@ -212,10 +234,12 @@ class TestValidate:
             assert result.exit_code == 2, result.output
             assert "does not match its spec rebuild" in result.stderr
 
-    def test_format_1_file_exits_2_with_rebuild_hint(self, cli, geometric_file):
-        data = read_json(geometric_file)
-        data["format"] = "mmdim-system/1"
-        data["system"]["blocks"][0]["assignment"] = [[1, [5]], [3, [3]], [5, [1]]]
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_historic_file_exits_2_with_rebuild_hint(self, cli, geometric_file, version):
+        data = as_format_2(read_json(geometric_file))
+        data["format"] = f"mmdim-system/{version}"
+        if version == "1":
+            data["system"]["blocks"][0]["assignment"] = [[1, [5]], [3, [3]], [5, [1]]]
         with pytest.raises(SpecFileError, match="mmdim build"):
             load_system(data)
         write_json(geometric_file, data)
@@ -224,7 +248,7 @@ class TestValidate:
             result = cli([command, geometric_file])
             assert time.perf_counter() - t0 < 2.0
             assert result.exit_code == 2, result.output
-            assert "'mmdim-system/1'" in result.stderr
+            assert f"'mmdim-system/{version}'" in result.stderr
             assert "run `mmdim build` on the spec stored under its 'spec' key" in result.stderr
             assert "Traceback" not in result.output
 
@@ -386,7 +410,7 @@ class TestEstimate:
         result = cli(["estimate", geometric_file, "--k", "100000000"])
         assert time.perf_counter() - t0 < 2.0
         assert result.exit_code == 2, result.output
-        assert "block 100000000 is not materialized (k_max = 3)" in result.stderr
+        assert "block 100000000 is outside the file (kMax = 3)" in result.stderr
 
     def test_unmaterialized_k_exits_2_over_budget(self, cli, tmp_spec, tmp_path):
         # L_11 = 177,147 pieces exceed the geometry budget, and its 3^22

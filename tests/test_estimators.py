@@ -422,7 +422,7 @@ class TestNumericProfile:
 
     def test_out_of_range_k_is_refused(self, geometric_system):
         row = mdim_numeric_profile(geometric_system, 9)
-        assert row.error == "block 9 is not materialized (k_max = 3)"
+        assert row.error == "block 9 is outside the file (kMax = 3)"
         assert row.eps_exact is None and row.counts == {} and row.expected is None
 
     def test_unmaterialized_block_is_refused_by_the_budget(self):

@@ -253,9 +253,9 @@ class TestLoadSystem:
         with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
 
-    @pytest.mark.parametrize("field, value", [("L", 3.0), ("active", 1), ("k", True)])
+    @pytest.mark.parametrize("field, value", [("k", 1.0), ("active", 1), ("k", True)])
     def test_values_equal_only_under_python_eq_rejected(self, field, value):
-        # block 1 stores L 3, active true and k 1; Python's == takes these for them
+        # block 1 stores k 1 and active true; Python's == takes these for them
         payload = self.build_payload()
         payload["system"]["blocks"][0][field] = value
         with pytest.raises(SpecFileError, match="does not match"):
