@@ -136,16 +136,17 @@ def build(spec_path: str, out: str) -> int:
 
 def validate(system_path: str) -> int:
     """Re-derive and check every materialized block's geometry."""
-    # the horseshoe layer loads here, not with the symbolic commands
-    from .horseshoe import validate_horseshoe
+    # the validator loads here, not with the commands that build horseshoes to scan
+    from .validation import validate_horseshoe
 
     _, system = _load(system_path)
-    halves = [system]
-    if isinstance(system, TwoBlockSystem):
-        halves = [system.lower, system.upper]
+    halves = [("", system)]
+    if isinstance(system, TwoBlockSystem):  # alpha = beta shares one system
+        halves = ([("both halves: ", system.lower)] if system.lower is system.upper else
+                  [("lower half: ", system.lower), ("upper half: ", system.upper)])
     failures = 0
     blocks_seen = 0
-    for half in halves:
+    for name, half in halves:
         if isinstance(half, IdentitySystem):
             continue
         for block in half.blocks:
@@ -154,7 +155,7 @@ def validate(system_path: str) -> int:
             blocks_seen += 1
             report = validate_horseshoe(block.geometry())
             status = "ok" if report.passed else "FAILED"
-            print(f"block k={block.k} (L={block.L}): "
+            print(f"{name}block k={block.k} (L={block.L}): "
                   f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks {status}",
                   file=sys.stderr)
             for check in report.failures():

@@ -6,14 +6,14 @@ iterate that already separates it.  Two points separate at (m, eps) when
 their Bowen distance, max over 0 <= i < m of the max-norm distance of
 f^i x and f^i y, exceeds eps.
 
-The scan works on an integer lattice fixed before it starts.  The seeds are
+The scan works on integer lattices fixed before it starts.  The seeds are
 integer numerators over one denominator den; with g = lcm(den, eps's
-denominator), every orbit is stepped on integers over g S^t, S the map's
-step denominator, and handed back over g S^(m-1), where eps is the integer
-threshold eps g S^(m-1).  Each comparison is then an `int` subtraction
+denominator), every orbit holds its state t as integers over g S^t, S the
+map's step denominator, and step t compares them with its own integer
+threshold thr_t = eps g S^t.  Each comparison is then an `int` subtraction
 deciding what the `Fraction` one decided.  Kept points are filed in a trie
 (a cell list, Bentley, Stanat & Williams, IPL 1977, one level per axis per
-step) keyed by their cells `x // threshold` on every axis at each of the
+step) keyed by their cells `x // thr_t` on every axis at each of the
 first t* steps, t* being the number of leading states in which no orbit has
 escaped.  Two points that are not separated are within the threshold at
 each of those steps, so their cells differ by at most 1 at every level; a
@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .constructions import StackedSystem
 from .horseshoe import HorseshoeMap, square
 from .mapping import ESCAPED, PAMap, Point
-from .symbolic import enumerate_cylinders, fit_line, rate_profile
+from .symbolic import enumerate_cylinders, rate_profile
 
 
 class SeedSet(NamedTuple):
@@ -71,20 +71,22 @@ def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
     return SeedSet(tuple(sorted(points)), den)
 
 
-def orbits_separate(orbit_x, orbit_y, eps: Fraction) -> bool:
-    """Early-exit kernel on precomputed orbits: does some step exceed eps?
+def orbits_separate(orbit_x, orbit_y, thresholds) -> bool:
+    """Early-exit kernel on precomputed orbits: does some step t differ by
+    more than thresholds[t]?
 
     Orbits are aligned state lists (ESCAPED entries allowed); iteration stops
     at the first escaped step, so the decision uses the surviving prefix.
-    States may also hold integers with an integer `eps`: orbits and eps
-    scaled by one common factor, as the greedy scan passes them, give the
-    same decision, exactly, with no `Fraction` arithmetic.
+    `Fraction` states take eps at every step.  States may also hold integers
+    with integer thresholds: state t and thresholds[t] scaled by one common
+    factor, as the greedy scan passes them, give the same decision, exactly,
+    with no `Fraction` arithmetic.
     """
-    for sx, sy in zip(orbit_x, orbit_y):
+    for sx, sy, thr in zip(orbit_x, orbit_y, thresholds):
         if sx is ESCAPED or sy is ESCAPED:
             return False
         for a, b in zip(sx, sy):
-            if a - b > eps or b - a > eps:
+            if a - b > thr or b - a > thr:
                 return True
     return False
 
@@ -108,13 +110,14 @@ def greedy_separated(
     points are also an eps-spanning set of the seeds.
 
     Seeds are taken in order and each is kept when it is separated from
-    every point kept before it.  The comparisons run on the integer lattice
-    of the module docstring: eps becomes the integer `thr = eps g S^(m-1)`,
-    which `orbits_separate` compares exactly as it compared eps.  Only kept
-    points in the trie leaves a seed reaches are compared with it; a point
-    outside them differs from the seed by more than `thr` on some axis at
-    some step before t*, where neither orbit has escaped, so it is separated
-    and cannot reject the seed.  Every frontier node holds a kept point, so
+    every point kept before it.  The comparisons run on the integer lattices
+    of the module docstring: at step t eps becomes the integer
+    `thr_t = eps g S^t`, which `orbits_separate` compares with state t
+    exactly as it compared eps.  Only kept points in the trie leaves a seed
+    reaches are compared with it; a point outside them differs from the
+    seed by more than `thr_t` on some axis at some step t before t*, where
+    neither orbit has escaped, so it is separated and cannot reject the
+    seed.  Every frontier node holds a kept point, so
     the frontier at each level is at most three times the previous one and
     never larger than the kept set; after step 0's levels the candidates are
     a subset of those in the 3 x 3 step-0 cells of the first two axes.  The
@@ -130,14 +133,14 @@ def greedy_separated(
     g = math.lcm(den, eps.denominator)
     lattice = pts if g == den else [tuple(x * (g // den) for x in p) for p in pts]
     orbits = [pamap.orbit(p, m - 1, g) for p in lattice]
-    thr = eps.numerator * (g // eps.denominator) * pamap.step_den ** (m - 1)
+    thresholds = [eps.numerator * (g // eps.denominator) * pamap.step_den**t for t in range(m)]
     # t*: the leading states in which no orbit has escaped (state 0 never has)
     steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in orbits)), m)
     trie: dict = {}
     chosen: list[int] = []
     pairs = 0
     for i, orbit in enumerate(orbits):
-        key = [x // thr for state in orbit[:steps] for x in state]
+        key = [x // thr for state, thr in zip(orbit[:steps], thresholds) for x in state]
         frontier = [trie]
         for c in key:
             frontier = [h for node in frontier for d in (c - 1, c, c + 1) if (h := node.get(d))]
@@ -145,7 +148,7 @@ def greedy_separated(
                 break
         for j in itertools.chain.from_iterable(frontier):
             pairs += 1
-            if not orbits_separate(orbit, orbits[j], thr):
+            if not orbits_separate(orbit, orbits[j], thresholds):
                 break
         else:
             chosen.append(i)
@@ -154,6 +157,24 @@ def greedy_separated(
                 node = node.setdefault(c, {})
             node.setdefault(key[-1], []).append(i)
     return GreedyResult(tuple(pts[i] for i in chosen), len(pts), pairs)
+
+
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float] | None:
+    """Least-squares line y ~ intercept + slope * x, fitted about the means.
+
+    Returns (slope, intercept, RMS residual), or None when all xs are equal.
+    """
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        return None
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    residual = (sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / n) ** 0.5
+    return slope, intercept, residual
 
 
 # Cylinders a scan may enumerate per depth.

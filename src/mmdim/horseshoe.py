@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .geometry import Box, Cube, find_interior_overlap
+from .geometry import Box, Cube
 from .mapping import AffinePiece, PAMap
 
 
@@ -129,13 +129,27 @@ class HorseshoeMap(_HorseshoeFields):
         l - 1 in base kappa = `grid.strip_count`, the first strip most
         significant.
         """
-        kappa, digits = self.grid.strip_count, 0
+        kappa, base, step, den = self.word_lattice
+        digits = 0
         for l in word:
             digits = digits * kappa + l - 1
+        scale = kappa ** len(word)
+        base, den = base * scale + step * digits, den * scale
+        return Fraction(base, den), Fraction(base + step, den)
+
+    @cached_property
+    def word_lattice(self) -> tuple[int, int, int, int]:
+        """(kappa, lo.n side.d, side.n lo.d, lo.d side.d): lo and side over
+        one denominator, which `word_interval` scales by kappa^len(word)."""
         lo, side = self.grid.cube.lo, self.grid.cube.side
-        den = lo.denominator * side.denominator * kappa ** len(word)
-        base, step = lo.numerator * (den // lo.denominator), side.numerator * lo.denominator
-        return Fraction(base + step * digits, den), Fraction(base + step * (digits + 1), den)
+        return (self.grid.strip_count, lo.numerator * side.denominator,
+                side.numerator * lo.denominator, lo.denominator * side.denominator)
+
+    @cached_property
+    def leg_cells(self) -> dict[tuple[int, ...], tuple[tuple[Fraction, Fraction], ...]]:
+        """Odd leg -> its transverse t-cells, the axes of its box after the first."""
+        t = self.grid.t
+        return {leg: tuple((t[i - 1], t[i]) for i in leg) for leg in self.grid.odd_leg_indices()}
 
     @cached_property
     def leg_of(self) -> dict[int, tuple[int, ...]]:
@@ -145,11 +159,6 @@ class HorseshoeMap(_HorseshoeFields):
     @cached_property
     def strip_of(self) -> dict[tuple[int, ...], int]:
         return {leg: l for l, leg in reversed(self.assignment)}
-
-    def strip_for_leg(self, leg: tuple[int, ...]) -> int:
-        if leg not in self.strip_of:
-            raise KeyError(f"leg {leg} is not assigned")
-        return self.strip_of[leg]
 
 
 def _strip_piece(grid: SubdivisionGrid, l: int, leg: tuple[int, ...]) -> AffinePiece:
@@ -166,97 +175,6 @@ def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
     assignment = tuple(zip(grid.odd_strip_indices(), boustrophedon_legs(L, grid.n)))
     pieces = tuple(_strip_piece(grid, l, leg) for l, leg in assignment)
     return HorseshoeMap(grid, assignment, PAMap(cube, pieces))
-
-
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-class ValidationReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
-    """Check the defining identities; failures come back as report entries."""
-    grid, cube = h.grid, h.grid.cube
-    checks: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str = ""):
-        checks.append(CheckResult(name, passed, detail))
-
-    L, n = grid.L, grid.n
-    t_step = Fraction(cube.side, 2 * L - 1)
-    s_step = Fraction(cube.side, 2 * L ** (n - 1) - 1)
-    t_ok = len(grid.t) == 2 * L and all(
-        b - a == t_step for a, b in zip(grid.t, grid.t[1:])
-    ) and grid.t[0] == cube.lo and grid.t[-1] == cube.hi
-    add("t-grid uniform spacing", t_ok)
-    s_ok = len(grid.s) == 2 * L ** (n - 1) and all(
-        b - a == s_step for a, b in zip(grid.s, grid.s[1:])
-    ) and grid.s[0] == cube.lo and grid.s[-1] == cube.hi
-    add("s-grid uniform spacing", s_ok)
-
-    odd = grid.odd_strip_indices()
-    assigned_strips = [l for l, _ in h.assignment]
-    add(
-        "one piece per odd strip",
-        sorted(assigned_strips) == odd and len(h.pamap.pieces) == len(odd),
-        f"assigned {sorted(assigned_strips)} vs odd strips {odd}",
-    )
-    add(
-        "strip-to-leg assignment is a bijection",
-        sorted(leg for _, leg in h.assignment) == sorted(grid.odd_leg_indices()),
-    )
-
-    def key(box):  # integer pairs: equal when the Fractions are, hashed with no modular inverse
-        return tuple(x for lo, hi in box.intervals
-                     for x in (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-
-    by_domain = {key(p.domain): p for p in h.pamap.pieces}
-    images_ok, crossing_ok, domains_ok = True, True, True
-    detail = ""
-    for l, leg in h.assignment:
-        piece = by_domain.get(key(grid.strip_box(l)))
-        if piece is None:
-            domains_ok = False
-            detail = f"no piece with domain = strip {l}"
-            continue
-        img = piece.map_box(piece.domain)
-        if img != grid.leg_box(leg):
-            images_ok = False
-            detail = f"strip {l} image differs from leg {leg}"
-        if img.intervals[0] != (cube.lo, cube.hi):
-            crossing_ok = False
-    add("piece domains are exactly the odd strips", domains_ok, detail)
-    add("each strip maps onto its assigned leg", images_ok, detail)
-    add("every leg crosses the full first axis", crossing_ok)
-
-    # no two pieces (PAMap checks) or strips overlap: a hit is a piece and a strip
-    domains = [p.domain for p in h.pamap.pieces]
-    evens = [grid.strip_box(l) for l in range(2, grid.strip_count + 1, 2)]
-    hit = find_interior_overlap(domains + evens)
-    add("even strips escape (no piece covers them)", hit is None,
-        "" if hit is None else f"piece {hit[0]} covers strip {2 * (hit[1] - len(domains)) + 2}")
-
-    # a = lo, b = hi over den = lo.d hi.d; a fixed corner's one-step orbit
-    # holds the corner twice
-    den = cube.lo.denominator * cube.hi.denominator
-    a, b = cube.lo.numerator * cube.hi.denominator, cube.hi.numerator * cube.lo.denominator
-    for name, corner in (("a,...,a,b", (a,) * (n - 1) + (b,)),
-                         ("b,...,b,a", (b,) * (n - 1) + (a,))):
-        before, after = h.pamap.orbit(corner, 1, den)
-        add(f"corner ({name}) is fixed", before == after)
-
-    return ValidationReport(tuple(checks))
 
 
 def square(h: HorseshoeMap) -> PAMap:

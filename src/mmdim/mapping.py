@@ -154,20 +154,15 @@ class PAMap(_PAMapFields):
         return tuple([a * den + b * x for x, (a, b) in zip(p, coefficients)])
 
     def orbit(self, p: Point, steps: int, den: int) -> list:
-        """States [x, f(x), ..., f^steps(x)] of x = p / den, each as integers
-        over den S^steps; escapes are absorbing."""
+        """States [x, f(x), ..., f^steps(x)] of x = p / den, state t as
+        integers over den S^t; escapes are absorbing."""
         S = self.step_den
         states = [ESCAPED] * (steps + 1)  # sized once: appends would over-allocate
         states[0] = p
-        for t in range(steps):  # state t lies over den S^t
+        for t in range(steps):
             p = self.apply(p, den)
             if p is ESCAPED:
                 break
             den *= S
             states[t + 1] = p
-        for t in range(steps):
-            if states[t] is ESCAPED:
-                break
-            f = S ** (steps - t)
-            states[t] = tuple([x * f for x in states[t]])
         return states

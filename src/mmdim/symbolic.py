@@ -104,31 +104,29 @@ def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
     """Exact box of points whose squared-map itinerary follows the code.
 
     Transverse axes only contract, so the box is the first leg's t-cells
-    times a first-axis interval: `HorseshoeMap.word_interval` of the 2m - 1
-    strips the unsquared map visits, l_t and then the strip whose leg is
-    step t+1's (the strip-to-leg bijection forces it) for each squared step
-    t, and l_(m-1) last.
+    (`HorseshoeMap.leg_cells`) times a first-axis interval: the
+    `word_interval` of the 2m - 1 strips the unsquared map visits, l_t and
+    then the strip whose leg is step t+1's (the strip-to-leg bijection
+    forces it) for each squared step t, and l_(m-1) last.
     """
-    grid = h.grid
-    for l, leg in code.word:
+    word, strip_of = code.word, h.strip_of
+    for l, leg in word:
         if l not in h.leg_of:
             raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
-        if leg not in h.strip_of:
-            grid.leg_box(leg)  # raises on a bad leg index
-    strips = []
-    for (l, _), (_, leg) in zip(code.word, code.word[1:]):
-        strips += [l, h.strip_for_leg(leg)]
-    first = h.word_interval(strips + [code.word[-1][0]])
-    return Box((first,) + tuple((grid.t[i - 1], grid.t[i]) for i in code.word[0][1]))
+        if leg not in strip_of:
+            h.grid.leg_box(leg)  # raises on a bad leg index
+    strips = [x for (l, _), (_, leg) in zip(word, word[1:]) for x in (l, strip_of[leg])]
+    strips.append(word[-1][0])
+    return Box((h.word_interval(strips),) + h.leg_cells[word[0][1]])
 
 
 def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[CylinderCode, Box]]:
     """Brute-force oracle: all L^(n m) depth-m codes over selected strips x legs."""
     strips = _selected_strip_indices(h.grid.L, h.grid.n)
-    legs = h.grid.odd_leg_indices()
-    steps = list(itertools.product(strips, legs))
+    steps = tuple(itertools.product(strips, h.grid.odd_leg_indices()))
+    CylinderCode(k, steps)  # checks every step once, so each word of them skips the check
     for word in itertools.product(steps, repeat=m):
-        code = CylinderCode(k, tuple(word))
+        code = CylinderCode._make((k, word))
         yield code, cylinder_geometry(h, code)
 
 
@@ -285,24 +283,6 @@ def row_fault(system: System, k_range: Sequence[int]) -> str | None:
                        for half in rows):
                 return f"k={k} two-block row is not its larger half's"
     return None
-
-
-def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float] | None:
-    """Least-squares line y ~ intercept + slope * x, fitted about the means.
-
-    Returns (slope, intercept, RMS residual), or None when all xs are equal.
-    """
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return None
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    residual = (sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / n) ** 0.5
-    return slope, intercept, residual
 
 
 def extrapolate(system: System) -> tuple[Fraction, Fraction]:

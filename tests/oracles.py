@@ -143,11 +143,12 @@ def apply_map(pamap: PAMap, p) -> Point:
 
 
 def map_orbit(pamap: PAMap, p: Point, steps: int) -> list:
-    """`PAMap.orbit` of a `Fraction` point, its states as `Fraction` points."""
+    """`PAMap.orbit` of a `Fraction` point, its states as `Fraction` points:
+    state t is read over den S^t."""
     x, den = lattice_point(p)
     states = pamap.orbit(x, steps, den)
-    den *= pamap.step_den ** steps
-    return [s if s is ESCAPED else fraction_point(s, den) for s in states]
+    return [s if s is ESCAPED else fraction_point(s, den * pamap.step_den ** t)
+            for t, s in enumerate(states)]
 
 
 def dist_maxnorm(x: Point, y: Point) -> Fraction:
@@ -202,6 +203,22 @@ def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
     for l in word[:-1]:
         leg_for_strip(h, l)  # KeyError: an even strip has no image
     return Box((h.word_interval(word),) + box.intervals[1:])
+
+
+def cylinder_box(h: HorseshoeMap, code) -> Box:
+    """Box of a cylinder code from the grid alone: `word_interval` of the
+    unsquared strip word (each step's strip, then the strip assigned to the
+    next step's leg), times the first leg's t-cells read off `grid.t`."""
+    for l, leg in code.word:
+        if l not in h.leg_of:
+            raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
+        h.grid.leg_box(leg)  # raises on a bad leg index
+    strips = []
+    for (l, _), (_, leg) in zip(code.word, code.word[1:]):
+        strips += [l, next(s for s, assigned in h.assignment if assigned == leg)]
+    t = h.grid.t
+    first = h.word_interval(strips + [code.word[-1][0]])
+    return Box((first,) + tuple((t[i - 1], t[i]) for i in code.word[0][1]))
 
 
 def enlarged_box(cube: Cube) -> Box:

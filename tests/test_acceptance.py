@@ -27,7 +27,7 @@ from mmdim.estimators import (
     greedy_separated,
     mdim_numeric_profile,
 )
-from mmdim.horseshoe import build_horseshoe, square, validate_horseshoe
+from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
     enumerate_cylinders,
@@ -35,6 +35,7 @@ from mmdim.symbolic import (
     rate_profile,
     row_fault,
 )
+from mmdim.validation import validate_horseshoe
 from oracles import (
     bowen_distance,
     box_center,

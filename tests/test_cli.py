@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmdim
-from mmdim import cli as cli_module, estimators, symbolic
+from mmdim import cli as cli_module, estimators, symbolic, validation
 from mmdim.cli import main
 from mmdim.constructions import Schedule, StackedSystem
 from mmdim.specfile import (
@@ -196,6 +196,44 @@ class TestValidate:
         assert result.exit_code == 0
         # sparse half materializes k in {1, 4}; dense half k = 1..4
         assert result.stderr.count("checks ok") == 6
+
+    def test_two_block_lines_name_their_half(self, cli, tmp_spec, tmp_path, monkeypatch):
+        # a failure in the dense half's block 1 cannot be read as the sparse half's
+        spec = tmp_spec(kind="two_block", n=2, alpha="1/2", beta="1", kMax=4)
+        out = str(tmp_path / "two.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        real, calls = validation.validate_horseshoe, []
+
+        def third_fails(h):
+            report = real(h)
+            calls.append(h)
+            if len(calls) == 3:
+                last = report.checks[-1]._replace(passed=False, detail="mutated")
+                report = report._replace(checks=report.checks[:-1] + (last,))
+            return report
+
+        monkeypatch.setattr(validation, "validate_horseshoe", third_fails)
+        result = cli(["validate", out])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "lower half: block k=1 (L=3): 10/10 checks ok",
+            "lower half: block k=4 (L=81): 10/10 checks ok",
+            "upper half: block k=1 (L=3): 9/10 checks FAILED",
+            "  FAIL corner (b,...,b,a) is fixed: mutated",
+            "upper half: block k=2 (L=9): 10/10 checks ok",
+            "upper half: block k=3 (L=27): 10/10 checks ok",
+            "upper half: block k=4 (L=81): 10/10 checks ok",
+        ]
+
+    def test_a_shared_half_is_checked_once(self, cli, tmp_spec, tmp_path):
+        # alpha = beta puts one system in both corners
+        spec = tmp_spec(kind="two_block", n=2, alpha="1", beta="1", kMax=3)
+        out = str(tmp_path / "two.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        result = cli(["validate", out])
+        assert result.exit_code == 0
+        assert result.stderr.splitlines() == [
+            f"both halves: block k={k} (L={3 ** k}): 10/10 checks ok" for k in (1, 2, 3)]
 
     def test_identity_has_nothing_to_check(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="identity", n=2)
@@ -839,6 +877,12 @@ class TestImports:
             assert not loaded & SCAN_ONLY_MODULES, command
         # the listing sees a module loaded inside a command
         assert "mmdim.estimators" in loaded_modules["estimate"]
+
+    def test_only_validate_loads_the_validator(self, loaded_modules):
+        # estimate builds horseshoes too, but never checks them
+        assert len(loaded_modules) == 5
+        for command, loaded in loaded_modules.items():
+            assert ("mmdim.validation" in loaded) == (command == "validate"), command
 
     def test_no_command_loads_a_metrics_module(self, loaded_modules):
         # orbits_separate, the one function mmdim.metrics held, is in estimators

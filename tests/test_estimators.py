@@ -17,13 +17,14 @@ from mmdim.constructions import (
 from mmdim.estimators import (
     CYLINDER_BUDGET,
     cylinder_centers,
+    fit_line,
     greedy_separated,
     mdim_numeric_profile,
 )
 from mmdim.geometry import Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.symbolic import fit_line, rate_profile
+from mmdim.symbolic import rate_profile
 from oracles import (
     bowen_distance,
     box_center,

@@ -59,13 +59,13 @@ def scan_orbit(ordered, p, steps):
 
 
 def check_lattice_orbit(pamap, ordered, x, den, steps):
-    """`PAMap.orbit` of x / den against the scan, every state an integer
-    tuple over den S^steps; returns the scan's orbit."""
+    """`PAMap.orbit` of x / den against the scan, state t an integer tuple
+    over den S^t; returns the scan's orbit."""
     want = scan_orbit(ordered, fraction_point(x, den), steps)
     got = pamap.orbit(x, steps, den)
-    final = den * pamap.step_den ** steps
     assert all(type(c) is int for s in got if s is not ESCAPED for c in s)
-    assert [s if s is ESCAPED else fraction_point(s, final) for s in got] == want
+    assert [s if s is ESCAPED else fraction_point(s, den * pamap.step_den ** t)
+            for t, s in enumerate(got)] == want
     return want
 
 
@@ -308,7 +308,7 @@ def pullback_cylinder(h, code):
         if l not in strips:
             raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
         grid.leg_box(leg)  # validates leg indices
-    mids = [h.strip_for_leg(leg) for _, leg in code.word[1:]]
+    mids = [h.strip_of[leg] for _, leg in code.word[1:]]
     box = _cell_box(h, *code.word[-1])
     for t in range(len(code.word) - 2, -1, -1):
         l, leg = code.word[t]
@@ -445,7 +445,7 @@ def cell_list_greedy(pamap, seeds, m, eps):
         key = tuple(x // eps for x in orbit[0][:axes])
         near = (j for off in offsets
                 for j in cells.get(tuple(a + b for a, b in zip(key, off)), ()))
-        if all(orbits_separate(orbit, orbits[j], eps) for j in near):
+        if all(orbits_separate(orbit, orbits[j], [eps] * m) for j in near):
             cells.setdefault(key, []).append(i)
             chosen.append(seeds.points[i])
     return tuple(chosen)

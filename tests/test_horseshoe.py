@@ -17,9 +17,9 @@ from mmdim.horseshoe import (
     build_horseshoe,
     square,
     subdivide,
-    validate_horseshoe,
 )
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
+from mmdim.validation import validate_horseshoe
 from oracles import (
     apply_map,
     box_center,
@@ -128,11 +128,10 @@ class TestBuildHorseshoe:
 
     def test_assignment_lookup(self, unit_square_h):
         assert leg_for_strip(unit_square_h, 1) == (5,)
-        assert unit_square_h.strip_for_leg((5,)) == 1
+        assert unit_square_h.strip_of[(5,)] == 1
         with pytest.raises(KeyError):
             leg_for_strip(unit_square_h, 2)
-        with pytest.raises(KeyError):
-            unit_square_h.strip_for_leg((2,))
+        assert (2,) not in unit_square_h.strip_of
 
     def test_corners_fixed(self, unit_square_h):
         assert apply_map(unit_square_h.pamap, (F(0), F(1))) == (F(0), F(1))

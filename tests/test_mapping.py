@@ -174,13 +174,13 @@ class TestPAMap:
         assert map_orbit(m, (F(1, 2), F(1, 2)), 0) == [(F(1, 2), F(1, 2))]
         assert m.orbit((1, 1), 0, 2) == [(1, 1)]
 
-    def test_orbit_states_share_one_denominator(self):
-        # x -> (x + 1) / 3 on both axes: S = 3, and each state of a 2-step
-        # orbit of p / den comes back over den 3^2, the unreduced numerators
+    def test_orbit_state_t_lies_over_den_times_s_to_the_t(self):
+        # x -> (x + 1) / 3 on both axes: S = 3, and state t of an orbit of
+        # p / den comes back over den 3^t, the unreduced numerators
         third = AffinePiece(unit_box(), (F(1, 3), F(1, 3)), (F(1, 3), F(1, 3)))
         m = PAMap(cube_of(0, 1, 2), (third,))
         assert m.step_den == 3
-        assert m.orbit((0, 2), 2, 2) == [(0, 18), (6, 12), (8, 10)]
+        assert m.orbit((0, 2), 2, 2) == [(0, 2), (2, 4), (8, 10)]
         assert map_orbit(m, (F(0), F(1)), 2) == [(F(0), F(1)), (F(1, 3), F(2, 3)),
                                                   (F(4, 9), F(5, 9))]
 

@@ -49,13 +49,13 @@ class TestCompareSeparation:
         x, y = (F(1, 5), F(0)), (F(0), F(1, 5))
         eps = F(1, 5)
         assert dist_maxnorm(x, y) == eps
-        assert not orbits_separate([x], [y], eps)
+        assert not orbits_separate([x], [y], [eps])
 
     def test_strictness(self):
         at, past = (F(1, 5), F(0)), (F(1, 5) + F(1, 1000), F(0))
         origin = (F(0), F(0))
-        assert not orbits_separate([at], [origin], F(1, 5))
-        assert orbits_separate([past], [origin], F(1, 5))
+        assert not orbits_separate([at], [origin], [F(1, 5)])
+        assert orbits_separate([past], [origin], [F(1, 5)])
 
     def test_rejects_nonpositive_eps(self, unit_square_h):
         seeds = seed_set([(F(1, 2), F(1, 2))])
@@ -149,8 +149,8 @@ class TestOrbitsSeparate:
     def test_escaped_prefix_only(self):
         ox = [(F(0), F(0)), ESCAPED]
         oy = [(F(1), F(1)), (F(0), F(0))]
-        assert orbits_separate(ox, oy, F(1, 2))
-        assert not orbits_separate([ESCAPED], [(F(0), F(0))], F(1, 100))
+        assert orbits_separate(ox, oy, [F(1, 2)] * 2)
+        assert not orbits_separate([ESCAPED], [(F(0), F(0))], [F(1, 100)])
 
     @given(point2, point2, st.integers(min_value=1, max_value=4))
     def test_agrees_with_bowen_distance(self, unit_square_h, x, y, m):
@@ -158,4 +158,4 @@ class TestOrbitsSeparate:
         eps = F(1, 5)
         ox, oy = map_orbit(pm, x, m - 1), map_orbit(pm, y, m - 1)
         want = bowen_distance(pm, x, y, m).value > eps
-        assert orbits_separate(ox, oy, eps) == want
+        assert orbits_separate(ox, oy, [eps] * m) == want
