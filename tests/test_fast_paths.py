@@ -26,6 +26,7 @@ from oracles import (
     box_intersect,
     box_of,
     cube_of,
+    cylinder_box,
     fraction_point,
     is_degenerate,
     lattice_point,
@@ -340,7 +341,8 @@ class TestClosedFormCylinders:
         for m in range(1, max_depth + 1):
             count = 0
             for code, box in enumerate_cylinders(h, block.k, m):
-                assert box == pullback_cylinder(h, code), code
+                assert type(code) is CylinderCode and code == CylinderCode(block.k, code.word)
+                assert box == pullback_cylinder(h, code) == cylinder_box(h, code), code
                 count += 1
             assert count == block.L ** (h.grid.n * m)
 
@@ -356,8 +358,9 @@ class TestClosedFormCylinders:
         code = tuple.__new__(CylinderCode, (1, word))  # skips the code's own parity check
         with pytest.raises(ValueError) as old:
             pullback_cylinder(unit_square_h, code)
-        with pytest.raises(ValueError, match=re.escape(str(old.value))):
-            cylinder_geometry(unit_square_h, code)
+        for run in (cylinder_box, cylinder_geometry):
+            with pytest.raises(ValueError, match=re.escape(str(old.value))):
+                run(unit_square_h, code)
 
 
 @functools.cache

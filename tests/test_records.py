@@ -105,9 +105,10 @@ def test_records_keep_value_semantics():
 
 def test_caches_take_no_part_in_equality():
     h, fresh = build_horseshoe(cube_of(0, 1, 2), 3), build_horseshoe(cube_of(0, 1, 2), 3)
-    assert h.cube.side == 1 and h.leg_of and h.strip_of
+    assert h.cube.side == 1 and h.leg_of and h.strip_of and h.word_lattice and h.leg_cells
     assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
-    assert set(vars(h)) == {"leg_of", "strip_of"} and vars(fresh) == {}
+    assert set(vars(h)) == {"leg_of", "strip_of", "word_lattice", "leg_cells"}
+    assert vars(fresh) == {}
     x, den = lattice_point(box_center(h.pamap.pieces[0].domain))
     h.pamap.orbit(x, 1, den)
     assert not hasattr(h.pamap.pieces[0], "__dict__")  # the step cache is the map's

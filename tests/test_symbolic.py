@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import re
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from mmdim.constructions import (
     build_stacked,
     build_two_block,
 )
-from mmdim.horseshoe import build_horseshoe, square
+from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
     CylinderCode,
@@ -48,7 +47,6 @@ from oracles import (
     box_contains,
     box_intersect,
     cube_of,
-    cylinder_box,
     find_box_overlap,
     strip_word_box,
 )
@@ -248,33 +246,6 @@ class TestCylinderGeometry:
     def test_unknown_strip_rejected(self, unit_square_h):
         with pytest.raises(ValueError, match="not an odd strip"):
             cylinder_geometry(unit_square_h, CylinderCode(1, ((7, (5,)),)))
-
-    @pytest.mark.parametrize("lo,hi,n,max_m", [
-        (0, 1, 2, 3), (0, 1, 3, 2), (F(1, 3), F(4, 5), 2, 3), (F(1, 3), F(4, 5), 3, 2)])
-    def test_every_code_matches_the_grid_oracle(self, lo, hi, n, max_m):
-        # the cached lattice integers and leg cells give the box the grid gives
-        h = build_horseshoe(cube_of(lo, hi, n), 3)
-        for m in range(1, max_m + 1):
-            codes = 0
-            for code, box in enumerate_cylinders(h, 1, m):
-                assert type(code) is CylinderCode and code == CylinderCode(1, code.word)
-                assert box == cylinder_box(h, code), code
-                codes += 1
-            assert codes == 3 ** (n * m)
-
-    @pytest.mark.parametrize("word", [
-        ((7, (1,)),),                  # strip beyond the block
-        ((1, (5,)), (4, (3,))),        # even strip at a later step
-        ((1, (7,)),),                  # leg beyond the t-grid
-        ((3, (1,)), (1, (9,))),        # bad leg at a later step
-        ((3, (1, 1)),),                # leg with too many entries
-    ])
-    def test_a_bad_strip_or_leg_raises_as_the_oracle_does(self, unit_square_h, word):
-        code = tuple.__new__(CylinderCode, (1, word))  # skips the code's own parity check
-        with pytest.raises(ValueError) as want:
-            cylinder_box(unit_square_h, code)
-        with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            cylinder_geometry(unit_square_h, code)
 
     def test_depth_two_family(self, unit_square_h):
         h = unit_square_h
