@@ -44,8 +44,8 @@ class SeedSet(NamedTuple):
     den: int
 
 
-def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
-    """Centers of the L^(n m) depth-m selected cylinders of block k's
+def cylinder_centers(h: HorseshoeMap, m: int) -> SeedSet:
+    """Centers of the L^(n m) depth-m selected cylinders of a block's
     horseshoe `h`; enumerates all of them, so the caller bounds L^(n m).
 
     The centers lie on the lattice of D0 = 2 lo.d side.d kappa^(2m-1) (2L-1).
@@ -61,12 +61,12 @@ def cylinder_centers(h: HorseshoeMap, k: int, m: int) -> SeedSet:
     half, t_half = side.numerator * lo.denominator * eta, side.numerator * lo.denominator * power
     base = lo.numerator * (den // lo.denominator)
     t_center = [base + (2 * i - 1) * t_half for i in range(eta + 1)]
-    points, codes = set(), 0
-    for code, box in enumerate_cylinders(h, k, m):
+    points, words = set(), 0
+    for word, box in enumerate_cylinders(h, m):
         a, d = box.intervals[0][0].as_integer_ratio()
-        points.add((a * (den // d) + half, *[t_center[i] for i in code.word[0][1]]))
-        codes += 1
-    if len(points) != codes:
+        points.add((a * (den // d) + half, *[t_center[i] for i in word[0][1]]))
+        words += 1
+    if len(points) != words:
         raise AssertionError("cylinder centers must be pairwise distinct")
     return SeedSet(tuple(sorted(points)), den)
 
@@ -250,7 +250,7 @@ def mdim_numeric_profile(
     pairs: dict[int, int] = {}
     for m in range(1, m_max + 1):
         # each depth's seeds are built when its scan runs
-        result = greedy_separated(g, cylinder_centers(h, k, m), m, eps)
+        result = greedy_separated(g, cylinder_centers(h, m), m, eps)
         counts[m], seeds[m], pairs[m] = len(result.chosen), result.seed_count, result.pairs
         if eps_override is None and counts[m] != expected[m]:
             error = f"{counts[m]} of {expected[m]} cylinder centers separated at m={m}"

@@ -21,11 +21,6 @@ def rational_from_str(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
-def rational_to_str(q: Fraction) -> str:
-    """Canonical string form: lowest terms, positive denominator."""
-    return str(Fraction(q))
-
-
 class _BoxFields(NamedTuple):
     intervals: tuple[tuple[Fraction, Fraction], ...]
 

@@ -25,7 +25,7 @@ from .constructions import (
     build_stacked,
     build_two_block,
 )
-from .geometry import rational_from_str, rational_to_str
+from .geometry import rational_from_str
 from .symbolic import RateBound
 
 if TYPE_CHECKING:
@@ -203,13 +203,13 @@ class SystemSpec(NamedTuple):
         if self.k_max is not None:
             out["kMax"] = self.k_max
         if self.B is not None:
-            out["B"] = rational_to_str(self.B)
+            out["B"] = str(self.B)
         if self.r is not None:
-            out["r"] = rational_to_str(self.r)
+            out["r"] = str(self.r)
         if self.alpha is not None:
-            out["alpha"] = rational_to_str(self.alpha)
+            out["alpha"] = str(self.alpha)
         if self.beta is not None:
-            out["beta"] = rational_to_str(self.beta)
+            out["beta"] = str(self.beta)
         return out
 
 
@@ -230,9 +230,9 @@ def build_system(spec: SystemSpec) -> System:
 
 
 def _schedule_payload(schedule: Schedule) -> dict:
-    out = {"kind": schedule.kind, "B": rational_to_str(schedule.B), "active": schedule.active}
+    out = {"kind": schedule.kind, "B": str(schedule.B), "active": schedule.active}
     if schedule.r is not None:
-        out["r"] = rational_to_str(schedule.r)
+        out["r"] = str(schedule.r)
     return out
 
 
@@ -244,9 +244,9 @@ def _system_payload(system: System) -> dict:
         blocks = [
             {
                 "k": block.k,
-                "anchor": rational_to_str(block.cube.lo),
-                "side": rational_to_str(block.cube.side),
-                "eps": rational_to_str(system.schedule.eps(block.k)),
+                "anchor": str(block.cube.lo),
+                "side": str(block.cube.side),
+                "eps": str(system.schedule.eps(block.k)),
                 "active": block.active,
             }
             for block in system.blocks
@@ -327,7 +327,7 @@ def _csv_row(
     floats = (eps_float, rate, rate, lower_ratio, upper_ratio)
     return dict(zip(PROFILE_COLUMNS, (
         str(k),
-        rational_to_str(eps_exact) if eps_exact is not None else "",
+        str(eps_exact) if eps_exact is not None else "",
         *("" if x is None else format(float(x), ".12g") for x in floats),
         source,
     )))

@@ -7,7 +7,7 @@ one of these, evaluated only on demand, with the standard library's
 in one module-level context whose exponent range is the widest `decimal`
 allows; `ln` is correctly rounded there, and each ln(a) is computed once per
 process.  No decision evaluates a log: `row_fault`, the two-block max rule
-and `extrapolate` compare rationals.
+(`_larger_half`) and `extrapolate` compare rationals.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
@@ -73,61 +73,37 @@ def _selected_strip_indices(L: int, n: int) -> list[int]:
     return [2 * j * stride + 1 for j in range(L)]
 
 
-class _CodeFields(NamedTuple):
-    k: int
-    word: tuple[tuple[int, tuple[int, ...]], ...]
+def cylinder_geometry(h: HorseshoeMap, word: Sequence[tuple[int, tuple[int, ...]]]) -> Box:
+    """Exact box of points whose squared-map itinerary follows the word, one
+    (strip, leg) step per application of g.
 
-
-class CylinderCode(_CodeFields):
-    """Depth-m itinerary of the squared block map: one (strip, leg) per step."""
-
-    __slots__ = ()
-
-    def __new__(cls, k, word):
-        if not word:
-            raise ValueError("cylinder codes need depth >= 1")
-        for l, leg in word:
-            _check_step(l, leg)
-        return tuple.__new__(cls, (k, word))
-
-
-@cache
-def _check_step(l: int, leg: tuple[int, ...]) -> None:
-    """Raise on an even or nonpositive index; a bad step raises every time."""
-    if l % 2 == 0 or l < 1:
-        raise ValueError(f"strip index {l} must be odd and positive")
-    if any(i % 2 == 0 or i < 1 for i in leg):
-        raise ValueError(f"leg index {leg} must be odd and positive")
-
-
-def cylinder_geometry(h: HorseshoeMap, code: CylinderCode) -> Box:
-    """Exact box of points whose squared-map itinerary follows the code.
-
-    Transverse axes only contract, so the box is the first leg's t-cells
-    (`HorseshoeMap.leg_cells`) times a first-axis interval: the
-    `word_interval` of the 2m - 1 strips the unsquared map visits, l_t and
-    then the strip whose leg is step t+1's (the strip-to-leg bijection
-    forces it) for each squared step t, and l_(m-1) last.
+    Raises ValueError at a step whose strip is not one of the horseshoe's odd
+    strips (`h.leg_of`), or whose leg is not one of its odd legs
+    (`h.strip_of`): an even, nonpositive or out-of-range index, or a leg with
+    the wrong number of axes.  Transverse axes only contract, so the box is
+    the first leg's t-cells (`HorseshoeMap.leg_cells`) times a first-axis
+    interval: the `word_interval` of the 2m - 1 strips the unsquared map
+    visits, l_t and then the strip whose leg is step t+1's (the strip-to-leg
+    bijection forces it) for each squared step t, and l_(m-1) last.
     """
-    word, strip_of = code.word, h.strip_of
+    leg_of, strip_of = h.leg_of, h.strip_of
     for l, leg in word:
-        if l not in h.leg_of:
-            raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
+        if l not in leg_of:
+            raise ValueError(f"strip {l} is not an odd strip of the horseshoe")
         if leg not in strip_of:
-            h.grid.leg_box(leg)  # raises on a bad leg index
+            raise ValueError(f"leg {leg} is not an odd leg of the horseshoe")
     strips = [x for (l, _), (_, leg) in zip(word, word[1:]) for x in (l, strip_of[leg])]
     strips.append(word[-1][0])
     return Box((h.word_interval(strips),) + h.leg_cells[word[0][1]])
 
 
-def enumerate_cylinders(h: HorseshoeMap, k: int, m: int) -> Iterator[tuple[CylinderCode, Box]]:
-    """Brute-force oracle: all L^(n m) depth-m codes over selected strips x legs."""
+def enumerate_cylinders(h: HorseshoeMap, m: int) -> Iterator[tuple[tuple, Box]]:
+    """All L^(n m) depth-m words over selected strips x legs, with their boxes;
+    `estimate`'s seeds are the boxes' centers."""
     strips = _selected_strip_indices(h.grid.L, h.grid.n)
     steps = tuple(itertools.product(strips, h.grid.odd_leg_indices()))
-    CylinderCode(k, steps)  # checks every step once, so each word of them skips the check
     for word in itertools.product(steps, repeat=m):
-        code = CylinderCode._make((k, word))
-        yield code, cylinder_geometry(h, code)
+        yield word, cylinder_geometry(h, word)
 
 
 class RateBound(NamedTuple):
@@ -188,16 +164,20 @@ def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
     return RateBound(k, True, n, schedule.legs(k), schedule.eps(k), schedule.eps(k + 1))
 
 
+def _halves(system: System) -> tuple[System, ...]:
+    """(lower, upper) of a two-block system; the system alone otherwise."""
+    if isinstance(system, TwoBlockSystem):
+        return system.lower, system.upper
+    return (system,)
+
+
 def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
     """Profile rows for each k; needs no materialized geometry."""
     ks = sorted(set(k_range))
     if not ks or ks[0] < 1:
         raise ValueError("profile indices must be >= 1")
-    if isinstance(system, TwoBlockSystem):
-        halves = (system.lower, system.upper)
-        return [_two_block_bound(system, *(_half_bound(h, system.n, k) for h in halves))
-                for k in ks]
-    return [_half_bound(system, system.n, k) for k in ks]
+    halves = _halves(system)
+    return [_larger_half([_half_bound(half, system.n, k) for half in halves]) for k in ks]
 
 
 def _half_bound(half, n: int, k: int) -> RateBound:
@@ -214,27 +194,21 @@ def _rank(row: RateBound) -> Fraction:
     Every block has L_k = 3^k, so the halves' active rows share n and L_k
     (`_stacked_fault` checks it), and the larger ratio n ln L_k /
     |ln eps_{k+1}| has the larger eps_{k+1}.
-    A zero rate ranks lowest.
+    A zero rate (L = 1, an inactive row) ranks lowest; rows of equal rank
+    are left to `_larger_half`'s tie rule.
     """
     return Fraction(0) if row.L == 1 else row.eps_next
 
 
-def _two_block_bound(system: TwoBlockSystem, low: RateBound, up: RateBound) -> RateBound:
-    """Max rule: the combined bound at index k is the larger half's bound.
+def _larger_half(rows: Sequence[RateBound]) -> RateBound:
+    """Max rule: a system's row at index k is the row of its half of the
+    highest `_rank`; ties go to the first row, the lower half's.
 
-    Both halves sit in scale-2 charts, which shift |ln eps| by the constant
-    ln 2; the constant drops out of every limit, so bounds are compared at
-    equal k in inner coordinates.  Ties go to the active row, then to the
-    lower half.  The combined row is flagged active only at the sparse
-    half's spikes, which is what separates the superior-limit subsequence
-    from the inferior one downstream.
+    Both halves of a two-block system sit in scale-2 charts, which shift
+    |ln eps| by the constant ln 2; the constant drops out of every limit, so
+    rows are compared at equal k in inner coordinates.
     """
-    if (_rank(low), low.active) >= (_rank(up), up.active):
-        winner, half = low, system.lower
-    else:
-        winner, half = up, system.upper
-    spike = winner.active and isinstance(half, StackedSystem) and half.schedule.is_sparse
-    return winner._replace(active=spike)
+    return max(rows, key=_rank)
 
 
 def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
@@ -266,22 +240,19 @@ def row_fault(system: System, k_range: Sequence[int]) -> str | None:
     """The first way a row at k_range strays from what `extrapolate` assumes, or None.
 
     Every stacked half's own rows pass `_stacked_fault`, and a two-block row
-    is, but for its active flag, the row of a half of the highest `_rank`.
-    Rows that do, at every k, have the limits `extrapolate` gives.
+    is the row of a half of the highest `_rank`.  Rows that do, at every k,
+    have the limits `extrapolate` gives.
     """
-    two_block = isinstance(system, TwoBlockSystem)
-    halves = (system.lower, system.upper) if two_block else (system,)
+    halves = _halves(system)
     for k in sorted(set(k_range)):
         rows = [_half_bound(half, system.n, k) for half in halves]
         for half, row in zip(halves, rows):
             if isinstance(half, StackedSystem):
                 if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
                     return fault
-        if two_block:
-            row, best = _two_block_bound(system, *rows), max(map(_rank, rows))
-            if not any(row._replace(active=half.active) == half and _rank(half) == best
-                       for half in rows):
-                return f"k={k} two-block row is not its larger half's"
+        row = _larger_half(rows)
+        if row not in rows or _rank(row) != max(map(_rank, rows)):
+            return f"k={k} two-block row is not its larger half's"
     return None
 
 
@@ -293,20 +264,20 @@ def extrapolate(system: System) -> tuple[Fraction, Fraction]:
     b ln k + O(1), tends to n / a, with a the coefficient of `_growth` that
     `_stacked_fault` holds each row to, and an inactive row is 0; a sparse
     schedule is active only at the self powers k = j^j, so its rows tend to
-    n / a on them and to 0 off them.  A two-block row is the larger half's,
+    n / a on them and to 0 off them.  A two-block row is its larger half's,
     and both halves share the self powers, so on each subsequence it tends
     to the larger half's limit.
     """
-    if isinstance(system, TwoBlockSystem):
-        low, up = extrapolate(system.lower), extrapolate(system.upper)
-        return max(low[0], up[0]), max(low[1], up[1])
-    if isinstance(system, IdentitySystem):
-        return Fraction(0), Fraction(0)
-    if not isinstance(system, StackedSystem):
-        raise TypeError(f"unknown system type {type(system).__name__}")
-    a, _ = _growth(system.schedule)
-    limit = system.n / a
-    return (Fraction(0) if system.schedule.is_sparse else limit), limit
+    limits = []
+    for half in _halves(system):
+        if isinstance(half, IdentitySystem):
+            limits.append((Fraction(0), Fraction(0)))
+        elif isinstance(half, StackedSystem):
+            limit = half.n / _growth(half.schedule)[0]
+            limits.append((Fraction(0) if half.schedule.is_sparse else limit, limit))
+        else:
+            raise TypeError(f"unknown system type {type(half).__name__}")
+    return max(lo for lo, _ in limits), max(hi for _, hi in limits)
 
 
 def analytic_targets(system: System) -> tuple[Fraction, Fraction]:

@@ -205,20 +205,30 @@ def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
     return Box((h.word_interval(word),) + box.intervals[1:])
 
 
-def cylinder_box(h: HorseshoeMap, code) -> Box:
-    """Box of a cylinder code from the grid alone: `word_interval` of the
+def check_word(h: HorseshoeMap, word) -> None:
+    """Oracle: raise as `cylinder_geometry` does on a step whose strip is not
+    an odd s-cell index in 1..2 L^(n-1) - 1, or whose leg is not n - 1 odd
+    t-cell indices in 1..2 L - 1, read off the grid's counts."""
+    grid = h.grid
+    for l, leg in word:
+        if not (l % 2 == 1 and 1 <= l <= grid.strip_count):
+            raise ValueError(f"strip {l} is not an odd strip of the horseshoe")
+        if not (len(leg) == grid.n - 1
+                and all(i % 2 == 1 and 1 <= i <= grid.leg_cell_count for i in leg)):
+            raise ValueError(f"leg {leg} is not an odd leg of the horseshoe")
+
+
+def cylinder_box(h: HorseshoeMap, word) -> Box:
+    """Box of a cylinder word from the grid alone: `word_interval` of the
     unsquared strip word (each step's strip, then the strip assigned to the
     next step's leg), times the first leg's t-cells read off `grid.t`."""
-    for l, leg in code.word:
-        if l not in h.leg_of:
-            raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
-        h.grid.leg_box(leg)  # raises on a bad leg index
+    check_word(h, word)
     strips = []
-    for (l, _), (_, leg) in zip(code.word, code.word[1:]):
+    for (l, _), (_, leg) in zip(word, word[1:]):
         strips += [l, next(s for s, assigned in h.assignment if assigned == leg)]
     t = h.grid.t
-    first = h.word_interval(strips + [code.word[-1][0]])
-    return Box((first,) + tuple((t[i - 1], t[i]) for i in code.word[0][1]))
+    first = h.word_interval(strips + [word[-1][0]])
+    return Box((first,) + tuple((t[i - 1], t[i]) for i in word[0][1]))
 
 
 def enlarged_box(cube: Cube) -> Box:

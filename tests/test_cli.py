@@ -663,8 +663,8 @@ class TestVerify:
     def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
         # every two-block row taken from the smaller half tends to the
         # smaller half's limits, not alpha and beta
-        monkeypatch.setattr(symbolic, "_two_block_bound", lambda system, low, up: min(
-            low, up, key=symbolic.RateBound.lower_ratio)._replace(active=False))
+        monkeypatch.setattr(symbolic, "_larger_half", lambda rows: min(
+            rows, key=symbolic.RateBound.lower_ratio))
         spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=4)
         out = str(tmp_path / "two.json")
         assert cli(["build", spec, "-o", out]).exit_code == 0

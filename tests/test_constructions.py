@@ -288,7 +288,7 @@ class TestBlockMap:
     def test_block_one_centers_are_pairwise_separated(self, n, m):
         system = build_stacked(Schedule.geometric(1, 1), n, 1)
         block = system.block(1)
-        centers = seed_points(cylinder_centers(block.geometry(), 1, m))
+        centers = seed_points(cylinder_centers(block.geometry(), m))
         assert len(centers) == block.L ** (n * m)
         orbits = []
         for p in centers:

@@ -134,12 +134,12 @@ class TestSeedSet:
 class TestCylinderCenters:
     def test_counts(self, geometric_system):
         h = geometric_system.block(1).geometry()
-        assert len(cylinder_centers(h, 1, 1).points) == 9
-        assert len(cylinder_centers(h, 1, 3).points) == 729
+        assert len(cylinder_centers(h, 1).points) == 9
+        assert len(cylinder_centers(h, 3).points) == 729
 
     def test_centers_live_in_the_block(self, geometric_system):
         block = geometric_system.block(1)
-        seeds = cylinder_centers(block.geometry(), 1, 2)
+        seeds = cylinder_centers(block.geometry(), 2)
         for p in seed_points(seeds):
             assert all(
                 lo < x < hi for x, (lo, hi) in zip(p, cube_box(block.cube).intervals)
@@ -158,7 +158,7 @@ class TestCylinderCenters:
 
         monkeypatch.setattr(estimators, "enumerate_cylinders", with_duplicate)
         with pytest.raises(AssertionError, match="pairwise distinct"):
-            cylinder_centers(geometric_system.block(1).geometry(), 1, 1)
+            cylinder_centers(geometric_system.block(1).geometry(), 1)
 
     @settings(max_examples=25, deadline=None)
     @given(leg_cases())
@@ -168,7 +168,7 @@ class TestCylinderCenters:
         # at its own eps side / (2 L - 1) the greedy scan keeps every center
         n, L, cube, m = case
         h = build_horseshoe(cube, L)
-        seeds = cylinder_centers(h, 1, m)  # raises on a repeated center
+        seeds = cylinder_centers(h, m)  # raises on a repeated center
         assert len(seeds.points) == L ** (n * m)
         # a depth-1 scan compares step-0 points only and never applies the map
         kept = greedy_separated(square(h) if m > 1 else h.pamap, seeds, m, cube.side / (2 * L - 1))
@@ -184,7 +184,7 @@ def sq_unit():
 def unit_seeds():
     sys = build_stacked(Schedule.geometric(1, 1), 2, 1)
     # block 1 of this single-block system is the cube [0, 1/3]^2
-    return sys, {m: cylinder_centers(sys.block(1).geometry(), 1, m) for m in (1, 2)}
+    return sys, {m: cylinder_centers(sys.block(1).geometry(), m) for m in (1, 2)}
 
 
 class TestGreedySeparated:
@@ -379,7 +379,7 @@ class TestGrowthRate:
         h = sys.block(1).geometry()
         eps = sys.schedule.eps(1)
         counts, rate, residual = measured_growth(
-            square(h), lambda m: cylinder_centers(h, 1, m), eps, (1, 2, 3)
+            square(h), lambda m: cylinder_centers(h, m), eps, (1, 2, 3)
         )
         assert counts == {1: 9, 2: 81, 3: 729}
         assert rate == pytest.approx(2 * math.log(3), abs=1e-12)

@@ -18,13 +18,14 @@ from mmdim.estimators import cylinder_centers, greedy_separated, orbits_separate
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
-from mmdim.symbolic import CylinderCode, cylinder_geometry, enumerate_cylinders
+from mmdim.symbolic import cylinder_geometry, enumerate_cylinders
 from oracles import (
     apply_map,
     box_center,
     box_contains,
     box_intersect,
     box_of,
+    check_word,
     cube_of,
     cylinder_box,
     fraction_point,
@@ -300,19 +301,14 @@ def _cell_box(h, l, leg):
     return box
 
 
-def pullback_cylinder(h, code):
+def pullback_cylinder(h, word):
     """Oracle: the final (strip, leg) cell pulled back through the two strip
     pieces of every earlier squared step, as whole boxes."""
-    strips = {l for l, _ in h.assignment}
-    grid = h.grid
-    for l, leg in code.word:
-        if l not in strips:
-            raise ValueError(f"strip {l} is not an odd strip of block {code.k}")
-        grid.leg_box(leg)  # validates leg indices
-    mids = [h.strip_of[leg] for _, leg in code.word[1:]]
-    box = _cell_box(h, *code.word[-1])
-    for t in range(len(code.word) - 2, -1, -1):
-        l, leg = code.word[t]
+    check_word(h, word)
+    mids = [h.strip_of[leg] for _, leg in word[1:]]
+    box = _cell_box(h, *word[-1])
+    for t in range(len(word) - 2, -1, -1):
+        l, leg = word[t]
         pulled = preimage_box(_piece_of(h, mids[t]), box)
         pulled = preimage_box(_piece_of(h, l), pulled)
         box = box_intersect(pulled, _cell_box(h, l, leg))
@@ -335,32 +331,32 @@ def _blocks():
 
 class TestClosedFormCylinders:
     @pytest.mark.parametrize("name", sorted(_blocks()))
-    def test_every_code_matches_the_pullback(self, name):
+    def test_every_word_matches_the_pullback(self, name):
         block, max_depth = _blocks()[name]
         h = block.geometry()
         for m in range(1, max_depth + 1):
-            count = 0
-            for code, box in enumerate_cylinders(h, block.k, m):
-                assert type(code) is CylinderCode and code == CylinderCode(block.k, code.word)
-                assert box == pullback_cylinder(h, code) == cylinder_box(h, code), code
-                count += 1
-            assert count == block.L ** (h.grid.n * m)
+            words = set()
+            for word, box in enumerate_cylinders(h, m):
+                assert len(word) == m
+                assert box == pullback_cylinder(h, word) == cylinder_box(h, word), word
+                words.add(word)
+            assert len(words) == block.L ** (h.grid.n * m)
 
     @pytest.mark.parametrize("word", [
         ((2, (1,)),),                  # even strip
         ((7, (1,)),),                  # strip beyond the block
         ((1, (5,)), (4, (3,))),        # even strip at a later step
         ((1, (7,)),),                  # leg beyond the t-grid
+        ((3, (4,)),),                  # even leg
         ((3, (1,)), (1, (9,))),        # bad leg at a later step
         ((3, (1, 1)),),                # leg with too many entries
     ])
-    def test_invalid_codes_raise_as_before(self, unit_square_h, word):
-        code = tuple.__new__(CylinderCode, (1, word))  # skips the code's own parity check
-        with pytest.raises(ValueError) as old:
-            pullback_cylinder(unit_square_h, code)
+    def test_invalid_words_raise_as_the_oracle_does(self, unit_square_h, word):
+        with pytest.raises(ValueError) as oracle:
+            pullback_cylinder(unit_square_h, word)
         for run in (cylinder_box, cylinder_geometry):
-            with pytest.raises(ValueError, match=re.escape(str(old.value))):
-                run(unit_square_h, code)
+            with pytest.raises(ValueError, match=re.escape(str(oracle.value))):
+                run(unit_square_h, word)
 
 
 @functools.cache
@@ -396,8 +392,8 @@ class TestClosedFormStripWords:
     def test_cylinder_geometry_matches_the_pullback(self, case, data):
         h, word = case
         legs = h.grid.odd_leg_indices()
-        code = CylinderCode(1, tuple((l, data.draw(st.sampled_from(legs))) for l in word))
-        assert cylinder_geometry(h, code) == pullback_cylinder(h, code)
+        word = tuple((l, data.draw(st.sampled_from(legs))) for l in word)
+        assert cylinder_geometry(h, word) == pullback_cylinder(h, word)
 
     @pytest.mark.parametrize("n,L", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7)])
     @pytest.mark.parametrize("lo,hi", NON_DYADIC_CUBES[:2])
@@ -428,11 +424,11 @@ class TestOneDenominatorArithmetic:
     def test_cylinder_centers_match_the_box_centers(self, B, n, m):
         # the benchmark's B choices, whose lo and side have denominators 1, 2, 7 and 4, 7
         h = build_stacked(Schedule.geometric(B, 1), n, 1).block(1).geometry()
-        seeds = cylinder_centers(h, 1, m)
+        seeds = cylinder_centers(h, m)
         lo, side = h.grid.cube.lo, h.grid.cube.side
         kappa = 2 * 3 ** (n - 1) - 1
         assert seeds.den == 2 * lo.denominator * side.denominator * kappa ** (2 * m - 1) * 5
-        boxes = enumerate_cylinders(h, 1, m)
+        boxes = enumerate_cylinders(h, m)
         assert seed_points(seeds) == sorted({box_center(box) for _, box in boxes})
 
 
@@ -548,7 +544,7 @@ class TestTrieScan:
         block = geometric_system.block(k)
         h = block.geometry()
         eps = geometric_system.schedule.eps(k)
-        result = greedy_separated(square(h), cylinder_centers(h, k, m), m, eps)
+        result = greedy_separated(square(h), cylinder_centers(h, m), m, eps)
         assert len(result.chosen) == result.seed_count == block.L ** (2 * m)
         assert result.pairs == 0
 

@@ -18,7 +18,7 @@ from mmdim.constructions import (
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe
 from mmdim.mapping import AffinePiece, PAMap
-from mmdim.symbolic import CylinderCode
+from mmdim.symbolic import cylinder_geometry
 from oracles import box_center, box_of, cube_of, lattice_point
 
 F = Fraction
@@ -51,11 +51,6 @@ INVALID = [
     (lambda: Schedule("quadratic", F(2)), ScheduleError, "quadratic schedules need B <= 1"),
     (lambda: Schedule("geometric", F(1), F(1), active="odd"), ScheduleError,
      "active must be 'all' or 'self-powers'"),
-    (lambda: CylinderCode(1, ()), ValueError, "cylinder codes need depth >= 1"),
-    (lambda: CylinderCode(1, ((1, (1,)), (2, (1,)))), ValueError,
-     "strip index 2 must be odd and positive"),
-    (lambda: CylinderCode(1, ((1, (3, 4)),)), ValueError,
-     "leg index (3, 4) must be odd and positive"),
 ]
 
 
@@ -72,27 +67,25 @@ def test_box_keeps_ordered_negative_and_mixed_ends():
         assert Box(intervals).intervals == intervals
 
 
-def test_a_bad_step_raises_each_time_it_is_built():
-    messages = []
+# The unit square's L = 3 horseshoe: kappa = 5 strips and 2 L - 1 = 5 t-cells,
+# so odd strips 1, 3, 5 and odd legs (1,), (3,), (5,).
+BAD_WORDS = [
+    (((2, (1,)),), "strip 2 is not an odd strip of the horseshoe"),
+    (((1, (1,)), (7, (1,))), "strip 7 is not an odd strip of the horseshoe"),
+    (((3, (1,)), (3, (4,))), "leg (4,) is not an odd leg of the horseshoe"),
+    (((5, (7,)),), "leg (7,) is not an odd leg of the horseshoe"),
+    (((1, (3, 1)),), "leg (3, 1) is not an odd leg of the horseshoe"),
+]
+
+
+@pytest.mark.parametrize("word,message", BAD_WORDS, ids=[m for _, m in BAD_WORDS])
+def test_a_bad_step_raises_each_time_it_is_met(word, message):
+    # a good step checked first lets no bad step through, now or later
+    h = build_horseshoe(cube_of(0, 1, 2), 3)
     for _ in range(2):
         with pytest.raises(ValueError) as info:
-            CylinderCode(1, ((3, (1,)), (3, (4,))))
-        messages.append(str(info.value))
-    assert messages == ["leg index (4,) must be odd and positive"] * 2
-
-
-def test_a_checked_step_lets_no_bad_step_with_its_strip_through():
-    CylinderCode(1, ((5, (3,)),))  # (5, (3,)) is now checked
-    with pytest.raises(ValueError) as info:
-        CylinderCode(1, ((5, (3,)), (5, (2,))))
-    assert str(info.value) == "leg index (2,) must be odd and positive"
-    with pytest.raises(ValueError) as info:
-        CylinderCode(1, ((5, (3,)), (5, (3, 0))))
-    assert str(info.value) == "leg index (3, 0) must be odd and positive"
-    CylinderCode(1, ((3, (5,)),))
-    with pytest.raises(ValueError) as info:
-        CylinderCode(1, ((3, (5,)), (4, (5,))))
-    assert str(info.value) == "strip index 4 must be odd and positive"
+            cylinder_geometry(h, word)
+        assert str(info.value) == message
 
 
 def test_records_keep_value_semantics():

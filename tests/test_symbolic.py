@@ -24,7 +24,6 @@ from mmdim.constructions import (
 from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
-    CylinderCode,
     WORKING_DPS,
     _half_bound,
     _ln,
@@ -213,11 +212,11 @@ class TestSelectedStrips:
             assert len(_selected_strip_indices(3**k, 4)) == 3**k
 
 
-def follows_itinerary(h, sq, code, p) -> bool:
-    """Membership oracle: the point's squared-map itinerary equals the code."""
+def follows_itinerary(h, sq, word, p) -> bool:
+    """Membership oracle: the point's squared-map itinerary equals the word."""
     grid = h.grid
     cur = p
-    for l, leg in code.word:
+    for l, leg in word:
         if cur is ESCAPED:
             return False
         cell = box_intersect(grid.strip_box(l), grid.leg_box(leg))
@@ -230,53 +229,42 @@ def follows_itinerary(h, sq, code, p) -> bool:
 class TestCylinderGeometry:
     def test_depth_one_is_the_cell(self, unit_square_h):
         h = unit_square_h
-        code = CylinderCode(1, (((3, (5,))),))
-        box = cylinder_geometry(h, code)
+        box = cylinder_geometry(h, ((3, (5,)),))
         assert box == box_intersect(h.grid.strip_box(3), h.grid.leg_box((5,)))
         assert [hi - lo for lo, hi in box.intervals] == [F(1, 5), F(1, 5)]
 
-    def test_code_validation(self):
-        with pytest.raises(ValueError, match="depth >= 1"):
-            CylinderCode(1, ())
-        with pytest.raises(ValueError, match="odd"):
-            CylinderCode(1, ((2, (5,)),))
-        with pytest.raises(ValueError, match="odd"):
-            CylinderCode(1, ((3, (4,)),))
-
     def test_unknown_strip_rejected(self, unit_square_h):
         with pytest.raises(ValueError, match="not an odd strip"):
-            cylinder_geometry(unit_square_h, CylinderCode(1, ((7, (5,)),)))
+            cylinder_geometry(unit_square_h, ((7, (5,)),))
 
     def test_depth_two_family(self, unit_square_h):
         h = unit_square_h
         sq = square(h)
         boxes = []
-        for code, box in enumerate_cylinders(h, 1, 2):
+        for word, box in enumerate_cylinders(h, 2):
             # each squared step divides the first-axis width by 25
             lo, hi = box.intervals[0]
             assert hi - lo == F(1, 125)
             # nesting: the depth-2 box refines its depth-1 prefix
-            prefix = cylinder_geometry(h, CylinderCode(1, code.word[:1]))
+            prefix = cylinder_geometry(h, word[:1])
             assert box_intersect(prefix, box) == box
-            assert follows_itinerary(h, sq, code, box_center(box))
+            assert follows_itinerary(h, sq, word, box_center(box))
             boxes.append(box)
         assert len(boxes) == 3 ** (2 * 2) == 81
         assert find_box_overlap(boxes) is None
 
     def test_center_itineraries_are_distinct(self, unit_square_h):
-        # two different codes never share a center
+        # two different words never share a center
         h = unit_square_h
         sq = square(h)
         seen = {}
-        for code, box in enumerate_cylinders(h, 1, 2):
+        for word, box in enumerate_cylinders(h, 2):
             c = box_center(box)
             assert c not in seen
-            seen[c] = code
-            # the center fails every other code's membership test by
+            seen[c] = word
+            # the center fails every other word's membership test by
             # construction; spot-check one competitor
-            other = next(
-                cd for cd, _ in enumerate_cylinders(h, 1, 1) if cd.word != code.word[:1]
-            )
+            other = next(w for w, _ in enumerate_cylinders(h, 1) if w != word[:1])
             assert not follows_itinerary(h, sq, other, c)
 
     def test_depth_two_centers_separate(self, unit_square_h):
@@ -284,7 +272,7 @@ class TestCylinderGeometry:
         # at eps = 1/5, strictly
         h = unit_square_h
         sq = square(h)
-        centers = [box_center(box) for _, box in enumerate_cylinders(h, 1, 2)]
+        centers = [box_center(box) for _, box in enumerate_cylinders(h, 2)]
         eps = F(1, 5)
         for a, b in itertools.combinations(centers, 2):
             assert bowen_distance(sq, a, b, 2).value > eps
@@ -292,7 +280,7 @@ class TestCylinderGeometry:
     def test_depth_three_sampled_separation(self, unit_square_h):
         h = unit_square_h
         sq = square(h)
-        centers = [box_center(box) for _, box in enumerate_cylinders(h, 1, 3)]
+        centers = [box_center(box) for _, box in enumerate_cylinders(h, 3)]
         assert len(centers) == 729
         rng = random.Random(7)
         eps = F(1, 5)
@@ -392,18 +380,17 @@ class TestRateProfile:
         with pytest.raises(ValueError):
             rate_profile(geometric_system, [0, 1])
 
-    def test_two_block_max_rule(self):
-        two = build_two_block(F(2, 3), 1, 2, 30)
-        rows = rate_profile(two, range(1, 31))
-        dense_rows = rate_profile(two.upper, range(1, 31))
-        sparse_rows = rate_profile(two.lower, range(1, 31))
-        for row, dense, sparse in zip(rows, dense_rows, sparse_rows):
-            assert row.active == (row.k in (1, 4, 27))
-            expected = max(dense.lower_ratio(), sparse.lower_ratio())
-            assert abs(row.lower_ratio() - expected) < 1e-15
-            if not row.active:
-                # between spikes the dense half carries the bound
-                assert row == dense._replace(active=False)
+    @pytest.mark.parametrize("alpha,beta", [(F(2, 3), 1), (1, 2), (0, 2), (1, 1)])
+    def test_two_block_rows_are_their_larger_halfs(self, alpha, beta):
+        # the sparse lower half carries the row at its spikes k = 1, 4, 27
+        # (at alpha = beta by the tie rule), and the dense upper half between
+        # them; at alpha = 0 the upper half is the identity, and the lower
+        # half's own zero rows win the tie
+        two = build_two_block(alpha, beta, 2, 30)
+        ks = range(1, 31)
+        for row, low, up in zip(*(rate_profile(s, ks) for s in (two, two.lower, two.upper))):
+            assert row == (low if row.k in (1, 4, 27) or alpha == 0 else up), row.k
+            assert row.lower_ratio() == max(low.lower_ratio(), up.lower_ratio())
 
 
 # (schedule, n) of every leg and size law, at B = 1 (placed at the quadratic
@@ -418,9 +405,9 @@ GROWTH_SCHEDULES = {
 }
 
 
-def _smaller_half(system, low, up):
+def _smaller_half(rows):
     """The max rule reversed: the half with the smaller lower ratio wins."""
-    return min(low, up, key=RateBound.lower_ratio)._replace(active=False)
+    return min(rows, key=RateBound.lower_ratio)
 
 
 class TestRowFault:
@@ -473,7 +460,7 @@ class TestRowFault:
             assert _stacked_fault(schedule, 2, row) is not None
 
     def test_a_reversed_max_rule_is_reported(self, monkeypatch):
-        monkeypatch.setattr(symbolic, "_two_block_bound", _smaller_half)
+        monkeypatch.setattr(symbolic, "_larger_half", _smaller_half)
         two = build_two_block(F(2, 3), 1, 2, 1)
         assert row_fault(two, range(1, 31)) == "k=1 two-block row is not its larger half's"
 
@@ -485,8 +472,7 @@ class TestRowFault:
         real = Schedule.eps
         monkeypatch.setattr(Schedule, "eps", lambda sched, k: real(sched, k) / (
             3 if sched.is_sparse and k == 2 else 1))
-        assert rate_profile(two, [2])[0] == _stacked_bound(two.upper.schedule, 2, 2)._replace(
-            active=False)
+        assert rate_profile(two, [2])[0] == _stacked_bound(two.upper.schedule, 2, 2)
         assert row_fault(two, range(2, 31)) == (
             "k=2 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=2")
         assert row_fault(two, range(1, 31)).startswith("k=1 lower_den is not")
@@ -501,8 +487,7 @@ class TestRowFault:
         for k in range(1, 401):
             low, up = (_half_bound(half, n, k) for half in (two.lower, two.upper))
             floats = low if (low.lower_ratio(), low.active) >= (up.lower_ratio(), up.active) else up
-            row = symbolic._two_block_bound(two, low, up)
-            assert row == floats._replace(active=row.active), k
+            assert symbolic._larger_half([low, up]) == floats, k
 
 
 class TestExtrapolate:
