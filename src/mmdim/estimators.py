@@ -159,22 +159,15 @@ def greedy_separated(
     return GreedyResult(tuple(pts[i] for i in chosen), len(pts), pairs)
 
 
-def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float] | None:
-    """Least-squares line y ~ intercept + slope * x, fitted about the means.
-
-    Returns (slope, intercept, RMS residual), or None when all xs are equal.
-    """
+def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of y against x, fitted about the means; the xs
+    must not all be equal."""
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return None
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    residual = (sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / n) ** 0.5
-    return slope, intercept, residual
+    return sxy / sxx
 
 
 # Cylinders a scan may enumerate per depth.
@@ -255,6 +248,6 @@ def mdim_numeric_profile(
         if eps_override is None and counts[m] != expected[m]:
             error = f"{counts[m]} of {expected[m]} cylinder centers separated at m={m}"
             return NumericRateRow(k, eps, counts, seeds, pairs, error=error, expected=expected[m])
-    rate, _, _ = fit_line(list(counts), [math.log(c) for c in counts.values()])
+    rate = fit_slope(list(counts), [math.log(c) for c in counts.values()])
     return NumericRateRow(k, eps, counts, seeds, pairs, rate,
                           rate / float(bound.lower_den), rate / float(bound.upper_den))

@@ -350,6 +350,22 @@ class TestProfile:
             assert result.exit_code == 2, result.output
             assert "digits" in result.stderr
 
+    def test_two_block_ties_go_to_the_lower_half(self, cli, tmp_spec, tmp_path):
+        # on 0..1 both halves are inactive off the spikes; the lower half's
+        # rows carry its eps, and a tie sent to the upper (identity) half
+        # would print them with empty eps columns
+        spec = tmp_spec(kind="two_block", n=2, alpha="0", beta="1", kMax=4)
+        out = str(tmp_path / "two.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        result = cli(["profile", out, "--kmax", "5"])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert [lines[k] for k in (2, 3, 5)] == [
+            "2,1/153,0.00653594771242,0,0,0,0,symbolic",
+            "3,1/1431,0.000698812019567,0,0,0,0,symbolic",
+            "5,1/117855,8.48500275763e-06,0,0,0,0,symbolic",
+        ]
+
     def test_ratios_increase(self, cli, geometric_file):
         result = cli(["profile", geometric_file, "--kmax", "12"])
         ratios = [float(r["lower_ratio"]) for r in parse_csv(result.stdout)]

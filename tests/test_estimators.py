@@ -17,7 +17,7 @@ from mmdim.constructions import (
 from mmdim.estimators import (
     CYLINDER_BUDGET,
     cylinder_centers,
-    fit_line,
+    fit_slope,
     greedy_separated,
     mdim_numeric_profile,
 )
@@ -59,7 +59,10 @@ def measured_growth(pamap, seeds_at, eps, ms):
     """Greedy counts at each depth m, and the least-squares slope and RMS
     residual of ln(count) against m."""
     counts = {m: len(greedy_separated(pamap, seeds_at(m), m, eps).chosen) for m in ms}
-    slope, _, residual = fit_line(list(counts), [math.log(c) for c in counts.values()])
+    xs, ys = list(counts), [math.log(c) for c in counts.values()]
+    slope = fit_slope(xs, ys)
+    intercept = sum(ys) / len(ys) - slope * sum(xs) / len(xs)
+    residual = (sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys)) / len(xs)) ** 0.5
     return counts, slope, residual
 
 
