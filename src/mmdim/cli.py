@@ -41,6 +41,7 @@ from .specfile import (
     SpecFileError,
     SystemSpec,
     build_system,
+    check_sizes,
     load_system,
     numeric_csv_rows,
     read_json,
@@ -99,10 +100,8 @@ def _load(path: str):
 
 def _check_kmax(spec: SystemSpec, kmax: int) -> None:
     """Hold --kmax to the size caps a spec file with kMax = kmax would meet."""
-    if spec.k_max is None:
-        return
     try:
-        SystemSpec.from_jsonable(spec.to_jsonable() | {"kMax": kmax})
+        check_sizes(spec._replace(k_max=kmax))
     except SpecFileError as exc:
         raise UsageError(f"--kmax {kmax}: {exc}")
 

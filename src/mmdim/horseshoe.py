@@ -182,12 +182,13 @@ def square(h: HorseshoeMap) -> PAMap:
 
     One piece per ordered pair of odd strips (l, l'): its domain is the part
     of strip l that lands in strip l' after one application, and the piece is
-    the exact composition of the two strip maps.  Full crossing makes that
+    the exact composition of the two strip maps, the map's own pieces, which
+    `build_horseshoe` lists in `assignment` order.  Full crossing makes that
     domain the word (l, l')'s `word_interval` times the cube's transverse
     sides, so there are L^(2(n-1)) pieces.
     """
     grid = h.grid
-    by_strip = {l: _strip_piece(grid, l, leg) for l, leg in h.assignment}
+    by_strip = {l: piece for (l, _), piece in zip(h.assignment, h.pamap.pieces)}
     transverse = ((grid.cube.lo, grid.cube.hi),) * (grid.n - 1)
     pieces = tuple(
         first.then(second, Box((h.word_interval((l, l2)),) + transverse))

@@ -16,7 +16,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constructions import (
+    ACTIVE_ALL,
     ACTIVE_SELF_POWERS,
+    GEOMETRIC,
+    QUADRATIC,
     IdentitySystem,
     Schedule,
     StackedSystem,
@@ -33,12 +36,17 @@ if TYPE_CHECKING:
 
 SYSTEM_FORMAT = "mmdim-system/3"
 
-KIND_GEOMETRIC = "geometric"
-KIND_QUADRATIC = "quadratic"
-KIND_SPARSE = "sparse"
-KIND_TWO_BLOCK = "two_block"
-KIND_IDENTITY = "identity"
-SPEC_KINDS = (KIND_GEOMETRIC, KIND_QUADRATIC, KIND_SPARSE, KIND_TWO_BLOCK, KIND_IDENTITY)
+# The fields each spec kind takes besides "kind" and "n", in check order,
+# each required (True) or optional (False).  "kMax" is an integer, the
+# SystemSpec's k_max; the others are "p/q" rationals.
+KIND_FIELDS = {
+    "geometric": {"kMax": True, "B": True, "r": True},
+    "quadratic": {"kMax": True, "B": True},
+    "sparse": {"kMax": True, "B": True, "r": False},
+    "two_block": {"kMax": True, "alpha": True, "beta": True},
+    "identity": {},
+}
+SPEC_KINDS = tuple(KIND_FIELDS)
 
 PROFILE_COLUMNS = (
     "k",
@@ -111,22 +119,6 @@ def _stored_digits(B: Fraction, r: Fraction | None, k_max: int) -> float:
     return base + k_max * r.numerator * _LOG10_3 + leg
 
 
-def _check_stored_digits(B, r, k_max, field: str | None) -> None:
-    """Raise unless blocks 1..k_max store rationals within MAX_STORED_DIGITS.
-
-    `field` names the spec field that sets the rate, for the message.
-    """
-    hint = "'kMax'" if field is None else f"'kMax' or {field!r}"
-    if r is not None and r > MAX_STORED_DIGITS:
-        raise SpecFileError(f"rate r above {MAX_STORED_DIGITS}; lower {hint}")
-    digits = _stored_digits(B, r, k_max)
-    if digits > MAX_STORED_DIGITS:
-        raise SpecFileError(
-            f"blocks 1..{k_max} would store rationals of about {digits:.0f} digits, "
-            f"above {MAX_STORED_DIGITS}; lower {hint}"
-        )
-
-
 class SystemSpec(NamedTuple):
     """Validated contents of a spec file; one kind, only its own fields."""
 
@@ -145,87 +137,75 @@ class SystemSpec(NamedTuple):
         kind = data.get("kind")
         if kind not in SPEC_KINDS:
             raise SpecFileError(f"field 'kind' must be one of {SPEC_KINDS}, got {kind!r}")
-        allowed = {"kind", "n"}
-        if kind in (KIND_GEOMETRIC, KIND_QUADRATIC, KIND_SPARSE):
-            allowed |= {"B", "kMax"}
-        if kind in (KIND_GEOMETRIC, KIND_SPARSE):
-            allowed |= {"r"}
-        if kind == KIND_TWO_BLOCK:
-            allowed |= {"alpha", "beta", "kMax"}
-        extra = sorted(set(data) - allowed)
+        extra = sorted(set(data) - {"kind", "n", *KIND_FIELDS[kind]})
         if extra:
             hint = ""
-            if kind == KIND_QUADRATIC and "r" in extra:
+            if kind == "quadratic" and "r" in extra:
                 hint = " (quadratic schedules take no rate r)"
             raise SpecFileError(
                 f"field(s) {', '.join(map(repr, extra))} do not apply to kind {kind!r}{hint}"
             )
         if "n" not in data:
             raise SpecFileError("field 'n' is required")
-        n = _require_int(data, "n", 2, MAX_N)
-
-        if kind == KIND_IDENTITY:
-            return SystemSpec(kind=kind, n=n)
-
-        if "kMax" not in data:
-            raise SpecFileError("field 'kMax' is required")
-        # a first cap that keeps the digit estimate's arithmetic in float range
-        k_max = _require_int(data, "kMax", 1, MAX_STORED_DIGITS)
-
-        if kind == KIND_TWO_BLOCK:
-            for field in ("alpha", "beta"):
-                if field not in data:
-                    raise SpecFileError(f"field {field!r} is required for two_block")
-            alpha = _require_rational(data, "alpha")
-            beta = _require_rational(data, "beta")
-            for field, target in (("alpha", alpha), ("beta", beta)):
-                if 0 < target < n:  # a dense or sparse half with rate n/target - 1
-                    _check_stored_digits(Fraction(1), n / target - 1, k_max, field)
-                elif target == n:  # a quadratic half
-                    _check_stored_digits(Fraction(1), None, k_max, field)
-            return SystemSpec(kind=kind, n=n, k_max=k_max, alpha=alpha, beta=beta)
-
-        if "B" not in data:
-            raise SpecFileError("field 'B' is required")
-        B = _require_rational(data, "B")
-        r = None
-        if kind == KIND_GEOMETRIC:
-            if "r" not in data:
-                raise SpecFileError("field 'r' is required for geometric schedules")
-            r = _require_rational(data, "r")
-        elif kind == KIND_SPARSE and "r" in data:
-            r = _require_rational(data, "r")
-        _check_stored_digits(B, r, k_max, "r" if r is not None else None)
-        return SystemSpec(kind=kind, n=n, B=B, r=r, k_max=k_max)
+        values = {"n": _require_int(data, "n", 2, MAX_N)}
+        for field, required in KIND_FIELDS[kind].items():
+            if field == "kMax" and field in data:
+                # a first cap that keeps check_sizes' arithmetic in float range
+                values["k_max"] = _require_int(data, field, 1, MAX_STORED_DIGITS)
+            elif field in data:
+                values[field] = _require_rational(data, field)
+            elif required:
+                raise SpecFileError(f"field {field!r} is required for kind {kind!r}")
+        spec = SystemSpec(kind, **values)
+        check_sizes(spec)
+        return spec
 
     def to_jsonable(self) -> dict:
         out: dict = {"kind": self.kind, "n": self.n}
-        if self.k_max is not None:
-            out["kMax"] = self.k_max
-        if self.B is not None:
-            out["B"] = str(self.B)
-        if self.r is not None:
-            out["r"] = str(self.r)
-        if self.alpha is not None:
-            out["alpha"] = str(self.alpha)
-        if self.beta is not None:
-            out["beta"] = str(self.beta)
+        for field in KIND_FIELDS[self.kind]:
+            if field == "kMax":
+                out[field] = self.k_max
+            elif (value := getattr(self, field)) is not None:
+                out[field] = str(value)
         return out
 
 
-def build_system(spec: SystemSpec) -> System:
-    if spec.kind == KIND_IDENTITY:
-        return IdentitySystem(spec.n)
-    if spec.kind == KIND_TWO_BLOCK:
-        return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max)
-    if spec.kind == KIND_GEOMETRIC:
-        schedule = Schedule.geometric(spec.B, spec.r)
-    elif spec.kind == KIND_QUADRATIC:
-        schedule = Schedule.quadratic(spec.B)
-    elif spec.r is not None:  # sparse: self-power activity over either size law
-        schedule = Schedule.geometric(spec.B, spec.r, active=ACTIVE_SELF_POWERS)
+def check_sizes(spec: SystemSpec) -> None:
+    """Raise unless blocks 1..kMax of each half store rationals within
+    MAX_STORED_DIGITS.
+
+    A half's rate is the spec's r, or n/target - 1 for a two-block target
+    in (0, n); a quadratic half (target n) has none, and the identity
+    (target 0) stores nothing.  No `Schedule` is built here: its checks
+    form 3^r, which a rate past the cap would take too long to form.
+    """
+    if spec.kind == "identity":
+        return
+    if spec.kind == "two_block":
+        halves = [(Fraction(1), spec.n / target - 1 if target < spec.n else None, field)
+                  for field, target in (("alpha", spec.alpha), ("beta", spec.beta))
+                  if 0 < target <= spec.n]
     else:
-        schedule = Schedule.quadratic(spec.B, active=ACTIVE_SELF_POWERS)
+        halves = [(spec.B, spec.r, None if spec.r is None else "r")]
+    for B, r, field in halves:  # field names what sets the rate, for the message
+        hint = "'kMax'" if field is None else f"'kMax' or {field!r}"
+        if r is not None and r > MAX_STORED_DIGITS:
+            raise SpecFileError(f"rate r above {MAX_STORED_DIGITS}; lower {hint}")
+        digits = _stored_digits(B, r, spec.k_max)
+        if digits > MAX_STORED_DIGITS:
+            raise SpecFileError(
+                f"blocks 1..{spec.k_max} would store rationals of about {digits:.0f} digits, "
+                f"above {MAX_STORED_DIGITS}; lower {hint}"
+            )
+
+
+def build_system(spec: SystemSpec) -> System:
+    if spec.kind == "identity":
+        return IdentitySystem(spec.n)
+    if spec.kind == "two_block":
+        return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max)
+    active = ACTIVE_SELF_POWERS if spec.kind == "sparse" else ACTIVE_ALL
+    schedule = Schedule(QUADRATIC if spec.r is None else GEOMETRIC, spec.B, spec.r, active)
     return build_stacked(schedule, spec.n, spec.k_max)
 
 

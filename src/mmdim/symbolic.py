@@ -113,12 +113,11 @@ class RateBound(NamedTuple):
     rate / lower_den, with lower_den = ln(1 / eps_next) = |ln eps_{k+1}|,
     bounds the separated growth from below, and rate / upper_den, with
     upper_den = ln(4 / eps_exact), the spanning growth from above.  A row of
-    zero rate (an inactive block, or the identity) has L = 1 and no eps_next.
-    The logs are evaluated only when asked for.
+    zero rate (an inactive block, or the identity) has L = 1 and no eps_next,
+    and every other row is active.  The logs are evaluated only when asked for.
     """
 
     k: int
-    active: bool
     n: int
     L: int
     eps_exact: Fraction | None
@@ -160,8 +159,8 @@ def _growth(schedule: Schedule) -> tuple[Fraction, int]:
 
 def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
     if not schedule.is_active(k):
-        return RateBound(k, False, n, 1, schedule.eps(k), None)
-    return RateBound(k, True, n, schedule.legs(k), schedule.eps(k), schedule.eps(k + 1))
+        return RateBound(k, n, 1, schedule.eps(k), None)
+    return RateBound(k, n, schedule.legs(k), schedule.eps(k), schedule.eps(k + 1))
 
 
 def _halves(system: System) -> tuple[System, ...]:
@@ -182,7 +181,7 @@ def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
 
 def _half_bound(half, n: int, k: int) -> RateBound:
     if isinstance(half, IdentitySystem):
-        return RateBound(k, False, n, 1, None, None)
+        return RateBound(k, n, 1, None, None)
     if isinstance(half, StackedSystem):
         return _stacked_bound(half.schedule, n, k)
     raise TypeError(f"unknown system type {type(half).__name__}")
@@ -212,11 +211,12 @@ def _larger_half(rows: Sequence[RateBound]) -> RateBound:
 
 
 def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
-    """How a stacked row strays from `_growth`, or None.
+    """How a stacked row strays from `_growth` and the schedule's activity, or None.
 
-    An active row must have the rate n k ln 3, with L = 3^k, and each scale
-    whose log the row divides by, eps_j at its own index j (k + 1 for the
-    lower denominator), must have |ln eps_j| =
+    The row at an active k must have the rate n k ln 3, with L = 3^k, and
+    the row at an inactive k the rate 0, with L = 1 and no eps_next.  Each
+    scale whose log the row divides by, eps_j at its own index j (k + 1 for
+    the lower denominator), must have |ln eps_j| =
     a j ln 3 + b ln j + ln(1/B) + ln((2 L_j - 1) / L_j), a remainder in
     [ln(5/3), ln 2).  The upper denominator is ln 4 + |ln eps_k| by
     definition.
@@ -224,10 +224,12 @@ def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
     k = row.k
     a, b = _growth(schedule)
     scales = [("|ln eps|", row.eps_exact, k)]
-    if row.active:
+    if schedule.is_active(k):
         if (row.n, row.L) != (n, 3**k):
             return f"k={k} rate is not {n} k ln 3"
         scales.append(("lower_den", row.eps_next, k + 1))
+    elif (row.L, row.eps_next) != (1, None):
+        return f"k={k} rate is not 0 at an inactive block"
     for name, eps, j in scales:
         excess = schedule.placed_B / (eps * 3 ** int(a * j) * j**b)
         if not Fraction(5, 3) <= excess < 2:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import mmdim
 from mmdim import cli as cli_module, estimators, symbolic, validation
 from mmdim.cli import main
-from mmdim.constructions import Schedule, StackedSystem
+from mmdim.constructions import ACTIVE_ALL, ACTIVE_SELF_POWERS, Schedule, StackedSystem
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
@@ -398,6 +398,7 @@ class TestEstimate:
         assert est.exit_code == 0, est.output
         assert "k=1 m=3 eps=100/987 count=729" in est.stderr
         prof = cli(["profile", out, "--kmax", "4"])
+        assert prof.exit_code == 0, prof.output
         numeric, symbolic = parse_csv(est.stdout)[0], parse_csv(prof.stdout)[0]
         assert numeric["eps_exact"] == symbolic["eps_exact"] == "100/987"
         assert abs(float(numeric["lower_ratio"]) - float(symbolic["lower_ratio"])) <= 1e-9
@@ -674,6 +675,35 @@ class TestVerify:
         assert result.exit_code == 1, result.output
         assert result.stdout == ""
         assert result.stderr == "k=1 rate is not 2 k ln 3\n"
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_an_inactive_row_at_an_active_block_exits_1(self, cli, geometric_file, monkeypatch,
+                                                        command):
+        # block 2 of the square is active; its row taken from the sparse
+        # schedule of the same sizes has rate 0, L = 1 and no eps_next
+        real = symbolic._stacked_bound
+        monkeypatch.setattr(symbolic, "_stacked_bound", lambda sched, n, k: real(
+            sched._replace(active=ACTIVE_SELF_POWERS) if k == 2 else sched, n, k))
+        result = cli([command, geometric_file])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "k=2 rate is not 2 k ln 3\n"
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_an_active_row_at_an_inactive_block_exits_1(self, cli, tmp_spec, tmp_path,
+                                                        monkeypatch, command):
+        # block 2 of a sparse schedule lies in a gap between the self powers;
+        # its row taken from the dense schedule of the same sizes has a rate
+        real = symbolic._stacked_bound
+        monkeypatch.setattr(symbolic, "_stacked_bound", lambda sched, n, k: real(
+            sched._replace(active=ACTIVE_ALL) if k == 2 else sched, n, k))
+        spec = tmp_spec(kind="sparse", n=2, B="1", r="1", kMax=4)
+        out = str(tmp_path / "sparse.json")
+        assert cli(["build", spec, "-o", out]).exit_code == 0
+        result = cli([command, out])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "k=2 rate is not 0 at an inactive block\n"
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):

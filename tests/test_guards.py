@@ -140,6 +140,17 @@ GUARDS = [
           "exits; no library module touches gc, so no function changes an "
           "in-process caller's collector",
           skip=("cli.py",)),
+    Guard("One table of spec fields in src/mmdim",
+          r"KIND_(GEOMETRIC|QUADRATIC|SPARSE|TWO_BLOCK|IDENTITY)|_check_stored_digits"
+          r"|to_jsonable\(\) \|", SRC,
+          "specfile.KIND_FIELDS alone says which fields each kind takes, and "
+          "specfile.check_sizes alone holds a spec, or --kmax, to the digit caps "
+          "without re-parsing it"),
+    Guard("A row's activity is the schedule's in src/mmdim",
+          r"row\.active|RateBound\(k, (True|False)", SRC,
+          "a profile row is active exactly when its L is not 1, and "
+          "symbolic._stacked_fault holds it to schedule.is_active(k), so no flag "
+          "of its own can state an activity its L contradicts"),
 ]
 
 

@@ -309,6 +309,13 @@ class TestSquare:
             pairs.add((src, dst))
         assert pairs == set(itertools.product((1, 3, 5), repeat=2))
 
+    def test_composes_the_maps_own_pieces(self):
+        # a map whose pieces are not the canonical strip maps is squared as built
+        h = mutant_shifted_legs()
+        pieces = h.pamap.pieces
+        assert [(p.scale, p.offset) for p in square(h).pieces] == [
+            (q.scale, q.offset) for q in (a.then(b, a.domain) for a in pieces for b in pieces)]
+
     def test_square_scales(self, unit_square_h):
         for piece in square(unit_square_h).pieces:
             assert piece.scale == (F(25), F(1, 25))

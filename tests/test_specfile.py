@@ -109,6 +109,26 @@ class TestSystemSpecParsing:
             with pytest.raises(SpecFileError, match=drop):
                 SystemSpec.from_jsonable(data)
 
+    @pytest.mark.parametrize("data,field", [  # geometric's are test_missing_required_fields'
+        pytest.param(data, field, id=f"{data['kind']}-{field}")
+        for data, required in (
+            ({"kind": "quadratic", "n": 2, "B": "1", "kMax": 4}, ("n", "kMax", "B")),
+            ({"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 4}, ("n", "kMax", "B")),
+            ({"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 4},
+             ("n", "kMax", "alpha", "beta")),
+            ({"kind": "identity", "n": 2}, ("n",)),
+        )
+        for field in required
+    ])
+    def test_every_kind_names_a_missing_required_field(self, data, field):
+        with pytest.raises(SpecFileError, match=f"field '{field}' is required"):
+            SystemSpec.from_jsonable({k: v for k, v in data.items() if k != field})
+
+    def test_kmax_is_no_field_of_identity(self):
+        # sparse's optional r is test_sparse_with_and_without_rate's
+        with pytest.raises(SpecFileError, match="'kMax' do not apply to kind 'identity'"):
+            SystemSpec.from_jsonable({"kind": "identity", "n": 2, "kMax": 3})
+
     @pytest.mark.parametrize(
         "data,needle",
         [

@@ -175,7 +175,7 @@ class TestEpsSchedule:
             for row, block in zip(rows, system.blocks):
                 assert row.eps_exact == block.cube.side / (2 * block.L - 1)
             for row, after in zip(rows, rows[1:]):
-                assert row.eps_next == (after.eps_exact if row.active else None)
+                assert row.eps_next == (after.eps_exact if row.L != 1 else None)
 
 
 class TestSelectedStrips:
@@ -323,7 +323,7 @@ class TestRateProfile:
     def test_dense_geometric_matches_closed_form(self, geometric_system):
         rows = rate_profile(geometric_system, range(1, 25))
         for row in rows:
-            assert row.active
+            assert row.L == 3**row.k
             assert abs(row.lower_ratio() - direct_lower_ratio(row.k)) < 1e-12
             assert abs(row.upper_ratio() - direct_upper_ratio(row.k)) < 1e-12
 
@@ -347,7 +347,7 @@ class TestRateProfile:
 
     def test_rate_is_n_ln_L(self):
         # a row's rate is n ln L for any leg count, not only L_k = 3^k
-        row = RateBound(1, True, 2, 5, F(1, 27), F(1, 729))
+        row = RateBound(1, 2, 5, F(1, 27), F(1, 729))
         assert abs(float(row.rate) - 2 * math.log(5)) < 1e-15
 
     def test_quadratic_ratio_approaches_dimension(self):
@@ -362,15 +362,14 @@ class TestRateProfile:
         sys = build_stacked(sched, 2, 10)
         rows = rate_profile(sys, range(1, 11))
         for row in rows:
-            assert row.active == (row.k in (1, 4))
-            if not row.active:
+            assert (row.L != 1) == (row.k in (1, 4))
+            if row.L == 1:
                 assert row.lower_ratio() == 0.0
                 assert row.eps_exact is not None
 
     def test_identity_rows_are_zero(self):
         rows = rate_profile(IdentitySystem(2), range(1, 5))
         for row in rows:
-            assert not row.active
             assert row.lower_ratio() == row.upper_ratio() == 0.0
             assert row.L == 1 and row.eps_exact is None
 
@@ -486,7 +485,7 @@ class TestRowFault:
         two = build_two_block(alpha, beta, n, 1)
         for k in range(1, 401):
             low, up = (_half_bound(half, n, k) for half in (two.lower, two.upper))
-            floats = low if (low.lower_ratio(), low.active) >= (up.lower_ratio(), up.active) else up
+            floats = low if (low.lower_ratio(), low.L) >= (up.lower_ratio(), up.L) else up
             assert symbolic._larger_half([low, up]) == floats, k
 
 
