@@ -12,12 +12,12 @@ in-process caller keeps its collector as it was.
 
 Exit codes: 0 success, 1 verification failure (`verify` finding a limit
 other than its target, `verify` or `profile` meeting a row that strays
-from the growth its limits assume (`symbolic.row_fault`), or `estimate`
-keeping another count than the symbolic row's L^(n m) cylinder centers at
-a block's own eps), 2
-usage or spec error, a refused `estimate` (a block outside the file, or
-more cylinders than the budget at some depth), or an unwritable output
-path.
+from the growth its limits assume, or `estimate` keeping another count than
+the symbolic row's L^(n m) cylinder centers at a block's own eps), 2 usage
+or spec error, a refused `estimate` (a block outside the file, or more
+cylinders than the budget at some depth), or an unwritable output path.  The
+row check is `symbolic.extrapolate`'s: it raises `symbolic.RowFault` before
+either command writes anything, and `main` prints the fault's one line.
 CSV and JSON go to the requested output path (stdout by default for CSV);
 human-readable progress and reports go to stderr.
 """
@@ -50,7 +50,7 @@ from .specfile import (
     write_json,
     write_profile_csv,
 )
-from .symbolic import analytic_targets, extrapolate, rate_profile, row_fault
+from .symbolic import RowFault, analytic_targets, extrapolate, rate_profile
 
 
 class UsageError(Exception):
@@ -170,11 +170,9 @@ def profile(system_path: str, kmax: int, out: str | None) -> int:
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
-    if (fault := row_fault(system, range(1, kmax + 1))) is not None:
-        print(fault, file=sys.stderr)
-        return 1
+    lo, hi = extrapolate(system, range(1, kmax + 1))
     _write_rows(out, symbolic_csv_rows(rows))
-    (lo, hi), (target_lo, target_hi) = extrapolate(system), analytic_targets(system)
+    target_lo, target_hi = analytic_targets(system)
     print(f"limits: liminf = {lo} (target {target_lo}), limsup = {hi} (target {target_hi})",
           file=sys.stderr)
     return 0
@@ -218,10 +216,7 @@ def verify(system_path: str, kmax: int) -> int:
     """Check the profile's rows, then its exact limits against the analytic targets."""
     spec, system = _load(system_path)
     _check_kmax(spec, kmax)
-    if (fault := row_fault(system, range(1, kmax + 1))) is not None:
-        print(fault, file=sys.stderr)
-        return 1
-    targets, limits = analytic_targets(system), extrapolate(system)
+    targets, limits = analytic_targets(system), extrapolate(system, range(1, kmax + 1))
     print(f"{'quantity':<10}{'target':>12}{'limit':>12}  equal")
     for name, target, limit in zip(("liminf", "limsup"), targets, limits):
         print(f"{name:<10}{str(target):>12}{str(limit):>12}  {'yes' if limit == target else 'NO'}")
@@ -273,6 +268,9 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     except CannotWrite as exc:
         print(exc, file=sys.stderr)
         code = 2
+    except RowFault as exc:
+        print(exc, file=sys.stderr)
+        code = 1
     finally:
         if standalone_mode:
             gc.freeze()  # the exit's forced collections find nothing to walk

@@ -3,7 +3,8 @@
 A schedule assigns block k (k = 1, 2, ...) a cube side |E_k| and the leg count
 L_k = 3^k, plus an activity predicate.  Sizes follow either
 
-* geometric decay  |E_k| = B / 3^(k r)  with rate parameter r > 0, or
+* geometric decay  |E_k| = B / 3^(k r)  with an integer rate r >= 1 (any other
+  r makes some side irrational, and `Schedule` refuses it), or
 * quadratic decay  |E_k| = B / k^2, with B capped at QUADRATIC_SIZE_CAP.
 
 Blocks are laid out along the first axis of [0, 1]^n with disjoint
@@ -83,7 +84,9 @@ class Schedule(_ScheduleFields):
         if self.kind == GEOMETRIC:
             if self.r is None or self.r <= 0:
                 raise ScheduleError("geometric schedules need r > 0")
-            if self.r.denominator == 1 and self.B > 3**self.r.numerator - 1:
+            if self.r.denominator != 1:
+                raise ScheduleError("cannot place cubes with irrational sides (non-integer r)")
+            if self.B > 3**self.r.numerator - 1:
                 raise ScheduleError("geometric sizes must sum to at most 1 (B <= 3^r - 1)")
         else:
             if self.r is not None:
@@ -106,9 +109,6 @@ class Schedule(_ScheduleFields):
     def is_sparse(self) -> bool:
         return self.active != ACTIVE_ALL
 
-    def has_rational_sizes(self) -> bool:
-        return self.kind == QUADRATIC or self.r.denominator == 1
-
     @property
     def placed_B(self) -> Fraction:
         """B as placed: quadratic sides above the packing cap shrink to it."""
@@ -117,21 +117,15 @@ class Schedule(_ScheduleFields):
         return self.B
 
     def size(self, k: int) -> Fraction:
-        """Exact placed side |E_k|; raises when 3^(k r) is irrational."""
+        """Exact placed side |E_k|."""
         if k < 1:
             raise ScheduleError("block indices start at 1")
         if self.kind == QUADRATIC:
             return self.placed_B / k**2
-        exponent = k * self.r
-        if exponent.denominator != 1:
-            raise ScheduleError(
-                f"|E_{k}| = B/3^({k}*{self.r}) is irrational; "
-                "only integer rates materialize exactly"
-            )
-        return self.B / 3**exponent.numerator
+        return self.B / 3 ** (k * self.r.numerator)
 
     def eps(self, k: int) -> Fraction:
-        """The one eps_k = |E_k| / (2 L_k - 1) every output prints; raises like `size`."""
+        """The one eps_k = |E_k| / (2 L_k - 1) every output prints."""
         return self.size(k) / (2 * self.legs(k) - 1)
 
     def legs(self, k: int) -> int:
@@ -162,9 +156,9 @@ def solve_rate(alpha: Fraction, n: int, active: str = ACTIVE_ALL) -> Schedule:
 def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, Fraction]]:
     """First-axis anchors and sides for blocks 1..count inside [0, 1]^n.
 
-    Geometric schedules use the telescoping anchors a_0 = 0,
-    a_m = sum_{i<m} C/3^(i r) with C = (3^r - 1)/3^r, whose slot lengths sum
-    to exactly 1; block k occupies the slot [a_{k-1}, a_k).  Quadratic
+    Geometric schedules use the closed-form anchors a_m = 1 - 3^(-m r), the
+    partial sums of the slot lengths (1 - 3^(-r)) 3^(-i r), which sum to
+    exactly 1; block k occupies the slot [a_{k-1}, a_k).  Quadratic
     schedules pack abutting slots of width (6/5)|E_k|; `Schedule.size` has
     already rescaled the sides when B exceeds the packing cap.
     """
@@ -174,24 +168,17 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
         raise ScheduleError("count must be >= 0")
     if count == 0:
         return []
-    if not schedule.has_rational_sizes():
-        raise ScheduleError("cannot place cubes with irrational sides (non-integer r)")
 
     out: list[tuple[Fraction, Fraction]] = []
     if schedule.kind == GEOMETRIC:
-        r = schedule.r.numerator
-        pow_r = 3**r
-        C = Fraction(pow_r - 1, pow_r)
+        pow_r = 3**schedule.r.numerator
         # margins of MARGIN of each side must fit between consecutive blocks
         if schedule.B * (1 + MARGIN + MARGIN / pow_r) > pow_r - 1:
             raise ScheduleError(
                 f"B too large for disjoint {MARGIN} enlargements under geometric placement"
             )
-        anchor = Fraction(0)
         for k in range(1, count + 1):
-            side = schedule.size(k)
-            out.append((anchor, side))
-            anchor += C / Fraction(3) ** ((k - 1) * r)
+            out.append((1 - Fraction(1, pow_r ** (k - 1)), schedule.size(k)))
     else:
         slot_lo = Fraction(0)
         for k in range(1, count + 1):

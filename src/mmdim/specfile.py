@@ -107,8 +107,9 @@ def _stored_digits(B: Fraction, r: Fraction | None, k_max: int) -> float:
     dividing den(B) 3^(k r).  Quadratic anchors sum the sides B/j^2, so their
     denominators divide 50 den(B) lcm(1..k)^2 < 50 den(B) e^(2.08 k)
     (Rosser & Schoenfeld's bound on the Chebyshev function).  eps adds a
-    factor 2 L_k - 1 to the side.  A non-integer rate r stores no block: cube
-    placement refuses it.
+    factor 2 L_k - 1 to the side.  A non-integer rate r stores no block, as
+    `Schedule` refuses it; this cap runs before any `Schedule` is built,
+    since building one forms 3^r.
     """
     base = _digits(B.numerator) + _digits(B.denominator) + 2
     leg = k_max * _LOG10_3 + 1

@@ -6,8 +6,9 @@ one of these, evaluated only on demand, with the standard library's
 `decimal` at WORKING_DPS significant digits: ln q = ln p - ln d for q = p/d,
 in one module-level context whose exponent range is the widest `decimal`
 allows; `ln` is correctly rounded there, and each ln(a) is computed once per
-process.  No decision evaluates a log: `row_fault`, the two-block max rule
-(`_larger_half`) and `extrapolate` compare rationals.
+process.  No decision evaluates a log: the two-block max rule
+(`_larger_half`) and `extrapolate`, which holds every row to its growth
+before it returns limits, compare rationals.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
 eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
@@ -16,8 +17,8 @@ step of g codes L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so
 depth-m words number L_k^(nm) = 3^(knm), as every block has L_k = 3^k.  The
 quotient n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of
 block k and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both
-converge to the same limit, which `extrapolate` gives exactly for rows that
-pass `row_fault`.
+converge to the same limit, which `extrapolate` gives exactly once the rows
+hold to their growth; it raises `RowFault` on the first row that does not.
 """
 
 from __future__ import annotations
@@ -238,40 +239,26 @@ def _stacked_fault(schedule: Schedule, n: int, row: RateBound) -> str | None:
     return None
 
 
-def row_fault(system: System, k_range: Sequence[int]) -> str | None:
-    """The first way a row at k_range strays from what `extrapolate` assumes, or None.
+class RowFault(Exception):
+    """A profile row strays from the growth its limits assume: one line, and exit 1."""
 
-    Every stacked half's own rows pass `_stacked_fault`, and a two-block row
-    is the row of a half of the highest `_rank`.  Rows that do, at every k,
-    have the limits `extrapolate` gives.
+
+def extrapolate(system: System, k_range: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """Exact (liminf, limsup) over k of the profile's ratios, once every row
+    at k_range holds to them; raises RowFault on the first row that does not.
+
+    Each stacked half's own row must pass `_stacked_fault`, and a two-block
+    row must be `max` of its halves' rows by `_rank`: the first row of top
+    rank, the lower half's on a tie.  An active stacked row's rate n k ln 3
+    over either denominator, a k ln 3 + b ln k + O(1), tends to n / a, with a
+    the coefficient of `_growth`, and an inactive row is 0; a sparse schedule
+    is active only at the self powers k = j^j, so its rows tend to n / a on
+    them and to 0 off them.  A two-block row is its larger half's, and both
+    halves share the self powers, so on each subsequence it tends to the
+    larger half's limit.
     """
-    halves = _halves(system)
-    for k in sorted(set(k_range)):
-        rows = [_half_bound(half, system.n, k) for half in halves]
-        for half, row in zip(halves, rows):
-            if isinstance(half, StackedSystem):
-                if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
-                    return fault
-        row = _larger_half(rows)
-        if row not in rows or _rank(row) != max(map(_rank, rows)):
-            return f"k={k} two-block row is not its larger half's"
-    return None
-
-
-def extrapolate(system: System) -> tuple[Fraction, Fraction]:
-    """Exact (liminf, limsup) over k of the profile's ratios, for rows that
-    pass `row_fault`.
-
-    An active stacked row's rate n k ln 3 over either denominator, a k ln 3 +
-    b ln k + O(1), tends to n / a, with a the coefficient of `_growth` that
-    `_stacked_fault` holds each row to, and an inactive row is 0; a sparse
-    schedule is active only at the self powers k = j^j, so its rows tend to
-    n / a on them and to 0 off them.  A two-block row is its larger half's,
-    and both halves share the self powers, so on each subsequence it tends
-    to the larger half's limit.
-    """
-    limits = []
-    for half in _halves(system):
+    halves, limits = _halves(system), []
+    for half in halves:
         if isinstance(half, IdentitySystem):
             limits.append((Fraction(0), Fraction(0)))
         elif isinstance(half, StackedSystem):
@@ -279,6 +266,14 @@ def extrapolate(system: System) -> tuple[Fraction, Fraction]:
             limits.append((Fraction(0) if half.schedule.is_sparse else limit, limit))
         else:
             raise TypeError(f"unknown system type {type(half).__name__}")
+    for k in sorted(set(k_range)):
+        rows = [_half_bound(half, system.n, k) for half in halves]
+        for half, row in zip(halves, rows):
+            if isinstance(half, StackedSystem):
+                if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
+                    raise RowFault(fault)
+        if _larger_half(rows) != max(rows, key=_rank):
+            raise RowFault(f"k={k} two-block row is not its larger half's")
     return max(lo for lo, _ in limits), max(hi for _, hi in limits)
 
 

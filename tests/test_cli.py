@@ -96,6 +96,12 @@ class TestBuild:
             (dict(kind="geometric", n=2, B="1", r="1", kMax=3, shape="round"), "shape"),
             (dict(kind="geometric", n=2, B="1", r="0", kMax=3), "r > 0"),
             (dict(kind="geometric", n=2, B="5", r="1", kMax=3), "B <= 3"),
+            # 3^(k r) is irrational at some k: the schedule refuses r = 5/3,
+            # and the two-block half that alpha = 3/4 asks for
+            (dict(kind="geometric", n=2, B="1", r="5/3", kMax=3),
+             "cannot place cubes with irrational sides (non-integer r)"),
+            (dict(kind="two_block", n=2, alpha="3/4", beta="1", kMax=3),
+             "cannot place cubes with irrational sides (non-integer r)"),
             # every block has L_k = 3^k; no field sets a leg count
             (dict(kind="geometric", n=2, B="1", r="2", kMax=2,
                   legScheduleOverride={"2": 5}), "'legScheduleOverride' do not apply"),
@@ -705,19 +711,30 @@ class TestVerify:
         assert result.stdout == ""
         assert result.stderr == "k=2 rate is not 0 at an inactive block\n"
 
-    @pytest.mark.parametrize("command", ["verify", "profile"])
-    def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command,mutant", [
+        pytest.param(command, mutant, id=command + suffix)
+        for mutant, suffix in (("smaller half", ""), ("ties up", "-ties to the upper half"))
+        for command in ("verify", "profile")])
+    def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command,
+                                         mutant):
         # every two-block row taken from the smaller half tends to the
-        # smaller half's limits, not alpha and beta
-        monkeypatch.setattr(symbolic, "_larger_half", lambda rows: min(
-            rows, key=symbolic.RateBound.lower_ratio))
-        spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=4)
+        # smaller half's limits, not alpha and beta.  Ties sent to the upper
+        # half take, on two_block 0..1, the identity's row at every gap
+        # between the self powers: rank 0 like the sparse half's, but with no
+        # eps, so the CSV's eps columns go empty
+        rule, alpha, k = {
+            "smaller half": (lambda rows: min(rows, key=symbolic.RateBound.lower_ratio),
+                             "2/3", 1),
+            "ties up": (lambda rows: max(reversed(rows), key=symbolic._rank), "0", 2),
+        }[mutant]
+        monkeypatch.setattr(symbolic, "_larger_half", rule)
+        spec = tmp_spec(kind="two_block", n=2, alpha=alpha, beta="1", kMax=4)
         out = str(tmp_path / "two.json")
         assert cli(["build", spec, "-o", out]).exit_code == 0
         result = cli([command, out])
         assert result.exit_code == 1, result.output
         assert result.stdout == ""
-        assert result.stderr == "k=1 two-block row is not its larger half's\n"
+        assert result.stderr == f"k={k} two-block row is not its larger half's\n"
 
 
 class TestHelp:

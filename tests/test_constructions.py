@@ -56,16 +56,13 @@ class TestSchedule:
         assert sched.size(10) == F(5, 987)
         assert Schedule.quadratic(F(1, 2)).size(2) == F(1, 8)
 
-    def test_fractional_rate_is_partially_rational(self):
-        # r = 1/2: odd blocks need 3^(k/2), but even ones are exact
-        sched = Schedule.geometric(1, F(1, 2))
-        assert sched.size(2) == F(1, 3)
-        assert sched.size(6) == F(1, 27)
-        with pytest.raises(ScheduleError, match="irrational"):
-            sched.size(1)
-        assert not sched.has_rational_sizes()
-        assert Schedule.geometric(1, 1).has_rational_sizes()
-        assert Schedule.quadratic(1).has_rational_sizes()
+    @pytest.mark.parametrize("r", [F(1, 2), F(5, 3), F(7, 2)])
+    def test_a_fractional_rate_is_refused_at_construction(self, r):
+        # odd blocks need 3^(k r) with k r not an integer, so the schedule,
+        # and with it every side, is refused
+        with pytest.raises(ScheduleError,
+                           match=r"^cannot place cubes with irrational sides \(non-integer r\)$"):
+            Schedule.geometric(1, r)
 
     def test_size_rejects_bad_index(self):
         with pytest.raises(ScheduleError, match="start at 1"):

@@ -114,8 +114,8 @@ GUARDS = [
           r"FIT_TAIL|_fit_c_minus_d_over_k|ExtrapolationResult|FitResult"
           r"|liminf_estimate|--tol", SRC,
           "symbolic.extrapolate returns the profile's liminf and limsup as exact "
-          "rationals n / a from symbolic._growth, the coefficients "
-          "symbolic.row_fault holds every row to, not from the targets; "
+          "rationals n / a from symbolic._growth, the coefficients it holds "
+          "every row to before it returns, not from the targets; "
           "symbolic.analytic_targets states the targets from the spec alone, and "
           "verify compares the two for equality; no float tail fit or tolerance "
           "stands in for them"),
@@ -151,6 +151,15 @@ GUARDS = [
           "a profile row is active exactly when its L is not 1, and "
           "symbolic._stacked_fault holds it to schedule.is_active(k), so no flag "
           "of its own can state an activity its L contradicts"),
+    Guard("One verdict call in src/mmdim", r"row_fault", SRC,
+          "symbolic.extrapolate holds every row to its growth and raises "
+          "symbolic.RowFault before it returns limits, so verify and profile "
+          "cannot read limits off rows that no check has seen"),
+    Guard("One refusal of a non-integer rate in src/mmdim",
+          r"has_rational_sizes|only integer rates materialize", SRC,
+          "Schedule refuses a non-integer geometric rate when it is built, so "
+          "every schedule's sides are rational and neither Schedule.size nor "
+          "place_cubes asks again"),
 ]
 
 

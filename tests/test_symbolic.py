@@ -25,6 +25,7 @@ from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
     WORKING_DPS,
+    RowFault,
     _half_bound,
     _ln,
     _ln_q,
@@ -37,7 +38,6 @@ from mmdim.symbolic import (
     enumerate_cylinders,
     extrapolate,
     rate_profile,
-    row_fault,
 )
 from oracles import (
     apply_map,
@@ -152,10 +152,11 @@ class TestEpsSchedule:
         sched = Schedule.quadratic(1)
         assert sched.eps(2) == QUADRATIC_SIZE_CAP / 68 == F(125, 16779)
 
-    def test_irrational_sizes_have_no_exact_value(self):
-        sched = Schedule.geometric(1, F(1, 2))
-        with pytest.raises(ScheduleError, match="irrational"):
-            sched.eps(1)
+    def test_a_rate_with_irrational_sizes_is_refused(self):
+        # 3^(k/2) is irrational at odd k, active or not: no schedule, so no
+        # eps, exists, not even at the exact even k
+        with pytest.raises(ScheduleError, match=r"irrational sides \(non-integer r\)"):
+            Schedule.geometric(1, F(1, 2), active=ACTIVE_SELF_POWERS)
 
     def test_profile_eps_is_the_block_eps(self):
         # every block's eps_k is one number: the profile's rows hold the
@@ -413,14 +414,15 @@ class TestRowFault:
     @pytest.mark.parametrize("name", sorted(GROWTH_SCHEDULES))
     def test_rows_to_k_400_grow_at_the_stated_coefficients(self, name):
         schedule, n = GROWTH_SCHEDULES[name]
-        assert row_fault(build_stacked(schedule, n, 1), range(1, 401)) is None
+        system = build_stacked(schedule, n, 1)
+        assert extrapolate(system, range(1, 401)) == analytic_targets(system)
 
     @pytest.mark.parametrize("alpha,beta,n", [(F(2, 3), 1, 2), (1, 2, 2), (0, 1, 2), (1, 3, 3)])
     def test_two_block_rows_to_k_400_pass(self, alpha, beta, n):
-        assert row_fault(build_two_block(alpha, beta, n, 1), range(1, 401)) is None
+        assert extrapolate(build_two_block(alpha, beta, n, 1), range(1, 401)) == (alpha, beta)
 
     def test_identity_has_no_rows_to_check(self):
-        assert row_fault(IdentitySystem(2), range(1, 31)) is None
+        assert extrapolate(IdentitySystem(2), range(1, 31)) == (0, 0)
 
     @pytest.mark.parametrize(
         "field,value,fault",
@@ -461,7 +463,8 @@ class TestRowFault:
     def test_a_reversed_max_rule_is_reported(self, monkeypatch):
         monkeypatch.setattr(symbolic, "_larger_half", _smaller_half)
         two = build_two_block(F(2, 3), 1, 2, 1)
-        assert row_fault(two, range(1, 31)) == "k=1 two-block row is not its larger half's"
+        with pytest.raises(RowFault, match="^k=1 two-block row is not its larger half's$"):
+            extrapolate(two, range(1, 31))
 
     def test_the_losing_half_is_checked(self, monkeypatch):
         # at k = 2 the dense half wins, so the combined row never shows the
@@ -472,9 +475,12 @@ class TestRowFault:
         monkeypatch.setattr(Schedule, "eps", lambda sched, k: real(sched, k) / (
             3 if sched.is_sparse and k == 2 else 1))
         assert rate_profile(two, [2])[0] == _stacked_bound(two.upper.schedule, 2, 2)
-        assert row_fault(two, range(2, 31)) == (
+        with pytest.raises(RowFault) as fault:
+            extrapolate(two, range(2, 31))
+        assert str(fault.value) == (
             "k=2 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2) at j=2")
-        assert row_fault(two, range(1, 31)).startswith("k=1 lower_den is not")
+        with pytest.raises(RowFault, match="^k=1 lower_den is not"):
+            extrapolate(two, range(1, 31))
 
     @pytest.mark.parametrize("alpha,beta,n", [
         (F(2, 3), 1, 2), (1, 2, 2), (0, 2, 2), (F(1, 2), F(1, 2), 2), (1, F(3, 2), 3), (0, 3, 3),
@@ -510,10 +516,9 @@ class TestExtrapolate:
         ],
     )
     def test_exact_limits_equal_the_targets(self, system, limits):
-        got = extrapolate(system)
+        got = extrapolate(system, range(1, 31))  # rows that tend to these limits
         assert got == limits == analytic_targets(system)
         assert all(type(limit) is Fraction for limit in got)
-        assert row_fault(system, range(1, 31)) is None  # rows that tend to these limits
 
     def test_two_block_takes_the_larger_half_on_each_subsequence(self):
         # a dense half above the sparse half's spikes wins on both
@@ -521,12 +526,12 @@ class TestExtrapolate:
         sparse = build_stacked(Schedule.geometric(1, 3, active=ACTIVE_SELF_POWERS), 2, 4)
         dense = build_stacked(Schedule.geometric(1, 1), 2, 4)
         two = build_two_block(F(1, 2), 1, 2, 4)._replace(lower=sparse, upper=dense)
-        assert extrapolate(two) == (1, 1)
+        assert extrapolate(two, range(1, 31)) == (1, 1)
 
     def test_rows_approach_the_limits(self):
         # the ratios at k = 400 lie within 2 / k of the limits they tend to
         two = build_two_block(F(2, 3), 1, 2, 4)
-        lo, hi = extrapolate(two)
+        lo, hi = extrapolate(two, [256, 400])
         on, off = rate_profile(two, [256, 400])  # 256 = 4^4 is a self power
         assert abs(off.lower_ratio() - lo) < 2 / 400
         assert abs(on.lower_ratio() - hi) < 2 / 256
@@ -534,7 +539,7 @@ class TestExtrapolate:
 
     def test_unknown_system_type(self):
         with pytest.raises(TypeError, match="unknown system type"):
-            extrapolate(object())
+            extrapolate(object(), [1])
 
 
 class TestAnalyticTargets:
