@@ -15,9 +15,12 @@ other than its target, `verify` or `profile` meeting a row that strays
 from the growth its limits assume, or `estimate` keeping another count than
 the symbolic row's L^(n m) cylinder centers at a block's own eps), 2 usage
 or spec error, a refused `estimate` (a block outside the file, or more
-cylinders than the budget at some depth), or an unwritable output path.  The
-row check is `symbolic.extrapolate`'s: it raises `symbolic.RowFault` before
-either command writes anything, and `main` prints the fault's one line.
+cylinders than the budget at some depth), or an unwritable output path.
+Commands raise and `main` maps: a `UsageError`, or a spec file's
+`SpecFileError` or a schedule's `ScheduleError`, prints the command's usage
+and its one line (exit 2); a `CannotWrite` prints its line (exit 2); and a
+`symbolic.RowFault`, which `extrapolate` raises before `verify` or `profile`
+writes anything, prints the fault's line (exit 1).
 CSV and JSON go to the requested output path (stdout by default for CSV);
 human-readable progress and reports go to stderr.
 """
@@ -91,13 +94,6 @@ def _int_range(lo: int, hi: int | None = None):
     return integer
 
 
-def _load(path: str):
-    try:
-        return load_system(read_json(path))
-    except (SpecFileError, ScheduleError) as exc:
-        raise UsageError(str(exc))
-
-
 def _check_kmax(spec: SystemSpec, kmax: int) -> None:
     """Hold --kmax to the size caps a spec file with kMax = kmax would meet."""
     try:
@@ -119,12 +115,8 @@ def _write_rows(out: str | None, rows) -> None:
 
 def build(spec_path: str, out: str) -> int:
     """Build the system a spec file describes and write it with its geometry."""
-    try:
-        spec = SystemSpec.from_jsonable(read_json(spec_path))
-        system = build_system(spec)
-        payload = system_to_jsonable(system, spec)
-    except (SpecFileError, ScheduleError) as exc:
-        raise UsageError(str(exc))
+    spec = SystemSpec.from_jsonable(read_json(spec_path))
+    payload = system_to_jsonable(build_system(spec), spec)
     try:
         write_json(out, payload)
     except OSError as exc:
@@ -138,7 +130,7 @@ def validate(system_path: str) -> int:
     # the validator loads here, not with the commands that build horseshoes to scan
     from .validation import validate_horseshoe
 
-    _, system = _load(system_path)
+    _, system = load_system(read_json(system_path))
     halves = [("", system)]
     if isinstance(system, TwoBlockSystem):  # alpha = beta shares one system
         halves = ([("both halves: ", system.lower)] if system.lower is system.upper else
@@ -152,14 +144,14 @@ def validate(system_path: str) -> int:
             if not block.materialized:
                 continue
             blocks_seen += 1
-            report = validate_horseshoe(block.geometry())
-            status = "ok" if report.passed else "FAILED"
+            checks = validate_horseshoe(block.geometry())
+            failed = [c for c in checks if not c.passed]
             print(f"{name}block k={block.k} (L={block.L}): "
-                  f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks {status}",
-                  file=sys.stderr)
-            for check in report.failures():
+                  f"{len(checks) - len(failed)}/{len(checks)} checks "
+                  f"{'FAILED' if failed else 'ok'}", file=sys.stderr)
+            for check in failed:
                 print(f"  FAIL {check.name}: {check.detail}", file=sys.stderr)
-                failures += 1
+            failures += len(failed)
     if blocks_seen == 0:
         print("no materialized blocks; file-level checks passed", file=sys.stderr)
     return 1 if failures else 0
@@ -167,7 +159,7 @@ def validate(system_path: str) -> int:
 
 def profile(system_path: str, kmax: int, out: str | None) -> int:
     """Export the symbolic rate profile as CSV, with its exact limits."""
-    spec, system = _load(system_path)
+    spec, system = load_system(read_json(system_path))
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
     lo, hi = extrapolate(system, range(1, kmax + 1))
@@ -183,7 +175,7 @@ def estimate(system_path, k, m_max, eps_str, out) -> int:
     # the scan's layers load here, not with the commands that never scan
     from .estimators import mdim_numeric_profile
 
-    _, system = _load(system_path)
+    _, system = load_system(read_json(system_path))
     if not isinstance(system, StackedSystem):
         raise UsageError(f"estimates run on stacked systems (got {type(system).__name__})")
     eps_value = None
@@ -214,7 +206,7 @@ def estimate(system_path, k, m_max, eps_str, out) -> int:
 
 def verify(system_path: str, kmax: int) -> int:
     """Check the profile's rows, then its exact limits against the analytic targets."""
-    spec, system = _load(system_path)
+    spec, system = load_system(read_json(system_path))
     _check_kmax(spec, kmax)
     targets, limits = analytic_targets(system), extrapolate(system, range(1, kmax + 1))
     print(f"{'quantity':<10}{'target':>12}{'limit':>12}  equal")
@@ -263,7 +255,7 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
         gc.disable()  # a command makes no cyclic garbage that grows with its work
     try:
         code = run(**args)
-    except UsageError as exc:
+    except (UsageError, SpecFileError, ScheduleError) as exc:
         parser.error(str(exc))
     except CannotWrite as exc:
         print(exc, file=sys.stderr)

@@ -116,10 +116,6 @@ class _HorseshoeFields(NamedTuple):
 
 
 class HorseshoeMap(_HorseshoeFields):
-    @property
-    def cube(self) -> Cube:
-        return self.grid.cube
-
     def word_interval(self, word: Sequence[int]) -> tuple[Fraction, Fraction]:
         """First-axis interval of the points whose unsquared itinerary visits
         the (unchecked) strips of `word` in order.
@@ -195,4 +191,4 @@ def square(h: HorseshoeMap) -> PAMap:
         for l, first in by_strip.items()
         for l2, second in by_strip.items()
     )
-    return PAMap(h.cube, pieces)
+    return PAMap(grid.cube, pieces)

@@ -24,7 +24,6 @@ from .constructions import (
     Schedule,
     StackedSystem,
     System,
-    TwoBlockSystem,
     build_stacked,
     build_two_block,
 )
@@ -237,13 +236,11 @@ def _system_payload(system: System) -> dict:
             "schedule": _schedule_payload(system.schedule),
             "blocks": blocks,
         }
-    if isinstance(system, TwoBlockSystem):
-        return {
-            "kind": system.kind,
-            "lower": _system_payload(system.lower),
-            "upper": _system_payload(system.upper),
-        }
-    raise TypeError(f"unknown system type {type(system).__name__}")
+    return {
+        "kind": system.kind,
+        "lower": _system_payload(system.lower),
+        "upper": _system_payload(system.upper),
+    }
 
 
 def system_to_jsonable(system: System, spec: SystemSpec) -> dict:
@@ -267,9 +264,8 @@ def load_system(data: object) -> tuple[SystemSpec, System]:
         raise SpecFileError("system file needs 'spec' and 'system' fields")
     spec = SystemSpec.from_jsonable(data["spec"])
     system = build_system(spec)
-    rebuilt = system_to_jsonable(system, spec)
-    # == takes 3.0 for 3 and 1 for true; the canonical text tells them apart
-    if rebuilt != data or canonical_dumps(rebuilt) != canonical_dumps(data):
+    # equal canonical text is equal values, and tells 3.0 from 3 and 1 from true
+    if canonical_dumps(system_to_jsonable(system, spec)) != canonical_dumps(data):
         raise SpecFileError("stored system geometry does not match its spec rebuild")
     return spec, system
 

@@ -171,21 +171,21 @@ def _halves(system: System) -> tuple[System, ...]:
     return (system,)
 
 
-def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
-    """Profile rows for each k; needs no materialized geometry."""
+def _half_rows(system: System, k_range: Sequence[int]) -> Iterator[list[RateBound]]:
+    """Each half's row at each k of k_range, in increasing k: the zero row for
+    the identity, `_stacked_bound` for a stacked half."""
     ks = sorted(set(k_range))
     if not ks or ks[0] < 1:
         raise ValueError("profile indices must be >= 1")
     halves = _halves(system)
-    return [_larger_half([_half_bound(half, system.n, k) for half in halves]) for k in ks]
+    for k in ks:
+        yield [RateBound(k, system.n, 1, None, None) if isinstance(half, IdentitySystem)
+               else _stacked_bound(half.schedule, system.n, k) for half in halves]
 
 
-def _half_bound(half, n: int, k: int) -> RateBound:
-    if isinstance(half, IdentitySystem):
-        return RateBound(k, n, 1, None, None)
-    if isinstance(half, StackedSystem):
-        return _stacked_bound(half.schedule, n, k)
-    raise TypeError(f"unknown system type {type(half).__name__}")
+def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
+    """Profile rows for each k; needs no materialized geometry."""
+    return [_larger_half(rows) for rows in _half_rows(system, k_range)]
 
 
 def _rank(row: RateBound) -> Fraction:
@@ -245,7 +245,8 @@ class RowFault(Exception):
 
 def extrapolate(system: System, k_range: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact (liminf, limsup) over k of the profile's ratios, once every row
-    at k_range holds to them; raises RowFault on the first row that does not.
+    at k_range (one at least) holds to them; raises RowFault on the first row
+    that does not.
 
     Each stacked half's own row must pass `_stacked_fault`, and a two-block
     row must be `max` of its halves' rows by `_rank`: the first row of top
@@ -261,19 +262,16 @@ def extrapolate(system: System, k_range: Sequence[int]) -> tuple[Fraction, Fract
     for half in halves:
         if isinstance(half, IdentitySystem):
             limits.append((Fraction(0), Fraction(0)))
-        elif isinstance(half, StackedSystem):
+        else:
             limit = half.n / _growth(half.schedule)[0]
             limits.append((Fraction(0) if half.schedule.is_sparse else limit, limit))
-        else:
-            raise TypeError(f"unknown system type {type(half).__name__}")
-    for k in sorted(set(k_range)):
-        rows = [_half_bound(half, system.n, k) for half in halves]
+    for rows in _half_rows(system, k_range):
         for half, row in zip(halves, rows):
             if isinstance(half, StackedSystem):
                 if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
                     raise RowFault(fault)
         if _larger_half(rows) != max(rows, key=_rank):
-            raise RowFault(f"k={k} two-block row is not its larger half's")
+            raise RowFault(f"k={rows[0].k} two-block row is not its larger half's")
     return max(lo for lo, _ in limits), max(hi for _, hi in limits)
 
 
@@ -288,6 +286,4 @@ def analytic_targets(system: System) -> tuple[Fraction, Fraction]:
         schedule = system.schedule
         target = system.n / (1 + schedule.r) if schedule.kind == GEOMETRIC else Fraction(system.n)
         return (Fraction(0) if schedule.is_sparse else target), target
-    if isinstance(system, TwoBlockSystem):
-        return system.alpha, system.beta
-    raise TypeError(f"unknown system type {type(system).__name__}")
+    return system.alpha, system.beta

@@ -19,19 +19,8 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-class ValidationReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
-    """Check the defining identities; failures come back as report entries."""
+def validate_horseshoe(h: HorseshoeMap) -> tuple[CheckResult, ...]:
+    """Check the defining identities; a failure is a check that did not pass."""
     grid, cube = h.grid, h.grid.cube
     checks: list[CheckResult] = []
 
@@ -101,4 +90,4 @@ def validate_horseshoe(h: HorseshoeMap) -> ValidationReport:
         before, after = h.pamap.orbit(corner, 1, den)
         add(f"corner ({name}) is fixed", after == tuple(x * S for x in before))
 
-    return ValidationReport(tuple(checks))
+    return tuple(checks)

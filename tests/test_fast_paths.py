@@ -264,7 +264,7 @@ def preimage_square(h):
             domain = preimage_box(first, grid.strip_box(l2))
             assert domain is not None and not is_degenerate(domain)
             pieces.append(first.then(second, domain))
-    return PAMap(h.cube, tuple(pieces))
+    return PAMap(h.grid.cube, tuple(pieces))
 
 
 def pull_back_chain(h, word):
@@ -473,7 +473,7 @@ def escaping_point(h, word, t):
     at fraction t of that word's first-axis interval; an even strip at
     position j makes the unsquared orbit escape at step j + 1."""
     a, b = h.word_interval(word)
-    return (a + (b - a) * t, *[h.cube.lo + h.cube.side * t] * (h.grid.n - 1))
+    return (a + (b - a) * t, *[h.grid.cube.lo + h.grid.cube.side * t] * (h.grid.n - 1))
 
 
 @st.composite
@@ -485,7 +485,7 @@ def scan_cases(draw):
     cases take eps equal to a coordinate difference of two surviving
     states at the same step, a tie that `x // thr` must not split."""
     pamap, h = scan_map(draw(st.sampled_from(sorted(TRIE_SCAN_MAPS))))
-    lo, side, n = h.cube.lo, h.cube.side, h.grid.n
+    lo, side, n = h.grid.cube.lo, h.grid.cube.side, h.grid.n
     m = draw(st.integers(1, 3))
     eps0 = side * draw(st.fractions(F(1, 40), F(1, 2), max_denominator=40))
     fraction = st.fractions(0, 1, max_denominator=12)
@@ -531,7 +531,7 @@ class TestTrieScan:
         seeds = seed_set(escaping_point(h, w, t) for w in words for t in (F(1, 3), F(1, 2)))
         orbits = [map_orbit(pamap, p, 2) for p in seed_points(seeds)]
         assert {o.index(ESCAPED) if ESCAPED in o else None for o in orbits} == {1, 2, None}
-        eps = h.cube.side / 10
+        eps = h.grid.cube.side / 10
         result = greedy_separated(pamap, seeds, 3, eps)
         assert any(o[-1] is ESCAPED for o in orbits)
         assert result.chosen == cell_list_greedy(pamap, seeds, 3, eps)

@@ -1,5 +1,5 @@
 """Golden outputs: SHA-256 of stdout and stderr, and the exit code, of the
-symbolic, brute-force and validate commands at default settings.
+symbolic, brute-force and validate commands, and of `build`'s refusals.
 
 A refactor that keeps the checker's behaviour keeps these bytes; a change
 that means to alter an output updates the digest it names.
@@ -17,6 +17,11 @@ SPECS = {
     "quadratic": {"kind": "quadratic", "n": 2, "B": "1", "kMax": 3},
     "sparse": {"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 4},
     "two_block": {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 30},
+    # alpha = beta: both halves are one system
+    "shared": {"kind": "two_block", "n": 2, "alpha": "1/2", "beta": "1/2", "kMax": 4},
+    # alpha = 0: the lower half is the identity
+    "zero_lower": {"kind": "two_block", "n": 2, "alpha": "0", "beta": "1", "kMax": 4},
+    "identity": {"kind": "identity", "n": 2},
 }
 
 # (system, arguments after the system path) -> (stdout, stderr, exit code)
@@ -86,6 +91,66 @@ GOLDEN = {
         "615dc9f08c8922be1d366307d4aa1891f10c8b38e54d1200c1a8a6d6b82f9241",
         0,
     ),
+    ("square", "verify --kmax 1"): (
+        "1bc661ccf36b7371697b22b49391e176d59ce5df9eec4a97d78afb19f55f730e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    ("shared", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c0f4f3366ef41f8488fea1044119b487ef23f38fbe75da80051be45e1bf21813",
+        0,
+    ),
+    ("shared", "profile --kmax 30"): (
+        "ffaffe71abe5fbbebdefcca1f5d892f6be20e87bcf0634844df4a7b371923b64",
+        "f8e96af5a250674d0d0736c29b8d0e8882a4e34e095651eeeaa5bb46573a1703",
+        0,
+    ),
+    ("zero_lower", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5c3352b6808e383f6ebf9af279d293420a57f2e5533503326d92bf9ba8ecd1a1",
+        0,
+    ),
+    ("zero_lower", "profile --kmax 30"): (
+        "809158579971c1de7d1242c815c5cff7f39f3527a1552fbc3e44e1b2a2665f49",
+        "f9d52533e4fcffdc010afef700b76b04464ebce0c36d7b915904ad896f66f62f",
+        0,
+    ),
+    ("identity", "profile --kmax 30"): (
+        "26c290e81cf3d0692c55c701de6d0e1579ec0be8dccff80172cbeab393829bfc",
+        "80c86d2dbc614c3737746230cbf4c91670a0ae4aaece204d7f3e5527c8fc06df",
+        0,
+    ),
+}
+
+# `build` on a spec it refuses -> (spec, (stdout, stderr, exit code)); no
+# message names a path
+REFUSED = {
+    # 3^(k r) is irrational at some k
+    "geometric r=5/3": (
+        {"kind": "geometric", "n": 2, "B": "1", "r": "5/3", "kMax": 3},
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "e0514ffe6e2d62da3669783d6091ded3c9e4bf5d472636569110f405288a9eac", 2),
+    ),
+    # no room for the 1/10 enlargements at r = 1
+    "geometric B=9/5": (
+        {"kind": "geometric", "n": 2, "B": "9/5", "r": "1", "kMax": 3},
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "8b8f38c35afaf5084d8214d6c03fe29e0b427a3b6e508ea22ca573f34ee285ae", 2),
+    ),
+    # the lower half's rate 2/(3/4) - 1 = 5/3
+    "two_block 3/4..1": (
+        {"kind": "two_block", "n": 2, "alpha": "3/4", "beta": "1", "kMax": 3},
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "e0514ffe6e2d62da3669783d6091ded3c9e4bf5d472636569110f405288a9eac", 2),
+    ),
+    # the lower half's rate is past the digit cap
+    "two_block alpha=1/10^19": (
+        {"kind": "two_block", "n": 2, "alpha": "1/10000000000000000000", "beta": "1",
+         "kMax": 3},
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "3696110669fffe355b06f79bc111f0e86e7291d5a9ab44155bd1728de86a8aca", 2),
+    ),
 }
 
 
@@ -112,3 +177,14 @@ def test_output_bytes_are_pinned(cli, systems, system, args):
     result = cli([command, systems[system], *rest])
     got = (sha256(result.stdout), sha256(result.stderr), result.exit_code)
     assert got == GOLDEN[system, args], result.output
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refusal_bytes_are_pinned(cli, tmp_path, name):
+    spec, golden = REFUSED[name]
+    spec_path, system_path = tmp_path / "spec.json", tmp_path / "system.json"
+    write_json(spec_path, spec)
+    result = cli(["build", str(spec_path), "-o", str(system_path)])
+    got = (sha256(result.stdout), sha256(result.stderr), result.exit_code)
+    assert got == golden, result.output
+    assert not system_path.exists()

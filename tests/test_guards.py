@@ -160,6 +160,13 @@ GUARDS = [
           "Schedule refuses a non-integer geometric rate when it is built, so "
           "every schedule's sides are rational and neither Schedule.size nor "
           "place_cubes asks again"),
+    Guard("Commands call the deciding code directly in src/mmdim",
+          r"def _load\b|ValidationReport|_half_bound|unknown system type", SRC,
+          "cli.main maps spec and schedule errors to exit 2, so each command calls "
+          "load_system(read_json(path)) itself; validate_horseshoe returns its checks; "
+          "symbolic._half_rows builds each half's rows once for rate_profile and "
+          "extrapolate; System is a closed union of three records, so no branch "
+          "refuses an unknown type"),
 ]
 
 

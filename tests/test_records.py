@@ -98,7 +98,7 @@ def test_records_keep_value_semantics():
 
 def test_caches_take_no_part_in_equality():
     h, fresh = build_horseshoe(cube_of(0, 1, 2), 3), build_horseshoe(cube_of(0, 1, 2), 3)
-    assert h.cube.side == 1 and h.leg_of and h.strip_of and h.word_lattice and h.leg_cells
+    assert h.grid.cube.side == 1 and h.leg_of and h.strip_of and h.word_lattice and h.leg_cells
     assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
     assert set(vars(h)) == {"leg_of", "strip_of", "word_lattice", "leg_cells"}
     assert vars(fresh) == {}

@@ -26,7 +26,7 @@ from mmdim.mapping import ESCAPED
 from mmdim.symbolic import (
     WORKING_DPS,
     RowFault,
-    _half_bound,
+    _half_rows,
     _ln,
     _ln_q,
     RateBound,
@@ -489,10 +489,9 @@ class TestRowFault:
         # the rule the 30-digit ratios decided, with ties to the active row
         # and then to the lower half
         two = build_two_block(alpha, beta, n, 1)
-        for k in range(1, 401):
-            low, up = (_half_bound(half, n, k) for half in (two.lower, two.upper))
+        for low, up in _half_rows(two, range(1, 401)):
             floats = low if (low.lower_ratio(), low.L) >= (up.lower_ratio(), up.L) else up
-            assert symbolic._larger_half([low, up]) == floats, k
+            assert symbolic._larger_half([low, up]) == floats, low.k
 
 
 class TestExtrapolate:
@@ -537,9 +536,10 @@ class TestExtrapolate:
         assert abs(on.lower_ratio() - hi) < 2 / 256
         assert abs(on.upper_ratio() - hi) < 2 / 256
 
-    def test_unknown_system_type(self):
-        with pytest.raises(TypeError, match="unknown system type"):
-            extrapolate(object(), [1])
+    def test_an_empty_range_is_refused(self):
+        # limits from no checked row would be a verdict no row supports
+        with pytest.raises(ValueError, match="profile indices must be >= 1"):
+            extrapolate(build_stacked(Schedule.geometric(1, 1), 2, 3), [])
 
 
 class TestAnalyticTargets:
