@@ -2,7 +2,7 @@
 
 Commands: build a system from a JSON spec, validate its geometry, export
 symbolic or numeric rate profiles as CSV, and verify the profile's rows and
-exact limits against the schedule's analytic targets; `--help` lists each
+exact limits against the spec's analytic targets; `--help` lists each
 command's options with their defaults.  `main(argv, standalone_mode=False)`
 returns the exit code instead of exiting; a usage error exits 2 either way.
 A standalone `main` owns its process: it runs the command with the cyclic
@@ -32,17 +32,13 @@ import gc
 import os
 import sys
 
-from .constructions import (
-    IdentitySystem,
-    ScheduleError,
-    StackedSystem,
-    TwoBlockSystem,
-)
+from .constructions import UNIT, ScheduleError
 from .geometry import rational_from_str
 from .specfile import (
     MAX_STORED_DIGITS,
     SpecFileError,
     SystemSpec,
+    analytic_targets,
     build_system,
     check_sizes,
     load_system,
@@ -53,7 +49,7 @@ from .specfile import (
     write_json,
     write_profile_csv,
 )
-from .symbolic import RowFault, analytic_targets, extrapolate, rate_profile
+from .symbolic import RowFault, extrapolate, rate_profile
 
 
 class UsageError(Exception):
@@ -131,16 +127,14 @@ def validate(system_path: str) -> int:
     from .validation import validate_horseshoe
 
     _, system = load_system(read_json(system_path))
-    halves = [("", system)]
-    if isinstance(system, TwoBlockSystem):  # alpha = beta shares one system
-        halves = ([("both halves: ", system.lower)] if system.lower is system.upper else
-                  [("lower half: ", system.lower), ("upper half: ", system.upper)])
+    parts = [("" if chart == UNIT else "lower half: " if chart.offset == 0 else "upper half: ",
+              part) for chart, part in system.parts]
+    if len(parts) == 2 and parts[0][1] is parts[1][1]:  # alpha = beta shares one system
+        parts = [("both halves: ", parts[0][1])]
     failures = 0
     blocks_seen = 0
-    for name, half in halves:
-        if isinstance(half, IdentitySystem):
-            continue
-        for block in half.blocks:
+    for name, part in parts:
+        for block in part.blocks:
             if not block.materialized:
                 continue
             blocks_seen += 1
@@ -164,7 +158,7 @@ def profile(system_path: str, kmax: int, out: str | None) -> int:
     rows = rate_profile(system, range(1, kmax + 1))
     lo, hi = extrapolate(system, range(1, kmax + 1))
     _write_rows(out, symbolic_csv_rows(rows))
-    target_lo, target_hi = analytic_targets(system)
+    target_lo, target_hi = analytic_targets(spec)
     print(f"limits: liminf = {lo} (target {target_lo}), limsup = {hi} (target {target_hi})",
           file=sys.stderr)
     return 0
@@ -175,9 +169,9 @@ def estimate(system_path, k, m_max, eps_str, out) -> int:
     # the scan's layers load here, not with the commands that never scan
     from .estimators import mdim_numeric_profile
 
-    _, system = load_system(read_json(system_path))
-    if not isinstance(system, StackedSystem):
-        raise UsageError(f"estimates run on stacked systems (got {type(system).__name__})")
+    spec, system = load_system(read_json(system_path))
+    if [chart for chart, _ in system.parts] != [UNIT]:
+        raise UsageError(f"estimates run on stacked systems (got kind {spec.kind!r})")
     eps_value = None
     if eps_str is not None:
         try:
@@ -208,7 +202,7 @@ def verify(system_path: str, kmax: int) -> int:
     """Check the profile's rows, then its exact limits against the analytic targets."""
     spec, system = load_system(read_json(system_path))
     _check_kmax(spec, kmax)
-    targets, limits = analytic_targets(system), extrapolate(system, range(1, kmax + 1))
+    targets, limits = analytic_targets(spec), extrapolate(system, range(1, kmax + 1))
     print(f"{'quantity':<10}{'target':>12}{'limit':>12}  equal")
     for name, target, limit in zip(("liminf", "limsup"), targets, limits):
         print(f"{name:<10}{str(target):>12}{str(limit):>12}  {'yes' if limit == target else 'NO'}")

@@ -1,4 +1,4 @@
-"""Stacked horseshoe systems with prescribed size/leg schedules.
+"""Horseshoe systems with prescribed size/leg schedules, as charted stacked parts.
 
 A schedule assigns block k (k = 1, 2, ...) a cube side |E_k| and the leg count
 L_k = 3^k, plus an activity predicate.  Sizes follow either
@@ -7,14 +7,18 @@ L_k = 3^k, plus an activity predicate.  Sizes follow either
   r makes some side irrational, and `Schedule` refuses it), or
 * quadratic decay  |E_k| = B / k^2, with B capped at QUADRATIC_SIZE_CAP.
 
-Blocks are laid out along the first axis of [0, 1]^n with disjoint
-enlargements (a 1/10 side margin per face, clipped to the unit cube), the
-active ones carrying an L_k-leg horseshoe f and the inactive ones the
-identity.  An active block's map is g = f∘f, the map `estimate` scans: at
-the block's own eps, f's separated counts grow by L_k^(n-1) per step and
-g's by L_k^n.
-A two-block system embeds one system in [0, 1/2]^n and another in [1/2, 1]^n
-through scale-2 homothety charts; everything outside is the identity.
+A stacked system lays its blocks along the diagonal of [0, 1]^n: block k is
+the cube [a_k, a_k + |E_k|]^n, with disjoint enlargements (a 1/10 side
+margin per face, clipped to the unit cube).  The active blocks carry an
+L_k-leg horseshoe f and the inactive ones the identity.  An active block's
+map is g = f∘f, the map `estimate` scans: at the block's own eps, f's
+separated counts grow by L_k^(n-1) per step and g's by L_k^n.
+
+A `System` is its parts: each is a stacked system seen through a `Chart`, a
+homothety of [0, 1]^n onto a cube inside it; everything outside the parts is
+the identity.  A stacked spec is one part in the unit chart, a two-block
+system is two parts in the corner charts [0, 1/2]^n and [1/2, 1]^n, and the
+identity has none.
 
 The systems record that layout; no command steps a whole system.  A block's
 horseshoe, and with it the `horseshoe` and `mapping` layers, loads only when
@@ -24,7 +28,7 @@ horseshoe, and with it the `horseshoe` and `mapping` layers, loads only when
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import Cube
 
@@ -154,7 +158,8 @@ def solve_rate(alpha: Fraction, n: int, active: str = ACTIVE_ALL) -> Schedule:
 
 
 def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, Fraction]]:
-    """First-axis anchors and sides for blocks 1..count inside [0, 1]^n.
+    """Anchors a and sides for blocks 1..count inside [0, 1]^n; block k is
+    the cube [a, a + side]^n.
 
     Geometric schedules use the closed-form anchors a_m = 1 - 3^(-m r), the
     partial sums of the slot lengths (1 - 3^(-r)) 3^(-i r), which sum to
@@ -261,57 +266,47 @@ def build_stacked(schedule: Schedule, n: int, k_max: int) -> StackedSystem:
     return StackedSystem(n, schedule, k_max, blocks)
 
 
-class IdentitySystem(NamedTuple):
-    """The identity map; metric mean dimension 0."""
+class Chart(NamedTuple):
+    """The homothety x -> offset + scale x on every axis of [0, 1]^n.
 
-    n: int
-
-    kind = "identity"
-
-
-class TwoBlockSystem(NamedTuple):
-    """Two systems riding the corner cubes [0,1/2]^n and [1/2,1]^n.
-
-    Each half is conjugated to a unit-cube system by the scale-2 homothety
-    chart of its corner; the charts are bi-Lipschitz with constant 2, which
-    leaves metric mean dimension unchanged.  Points on the shared boundary
-    belong to the lower half; points in neither corner are fixed.
+    A chart is bi-Lipschitz with constant 1/scale, which leaves metric mean
+    dimension unchanged.
     """
 
+    offset: Fraction
+    scale: Fraction
+
+
+UNIT = Chart(Fraction(0), Fraction(1))
+
+
+class System(NamedTuple):
+    """The stacked systems of `parts`, each a (Chart, StackedSystem) pair, in
+    their charts; the identity outside them.  Points on a boundary two
+    charts share belong to the first part."""
+
     n: int
-    alpha: Fraction
-    beta: Fraction
-    lower: Union[StackedSystem, IdentitySystem]
-    upper: Union[StackedSystem, IdentitySystem]
-
-    kind = "two-block"
+    parts: tuple[tuple[Chart, StackedSystem], ...]
 
 
-System = Union[StackedSystem, TwoBlockSystem, IdentitySystem]
-
-
-def build_two_block(alpha, beta, n: int, k_max: int) -> TwoBlockSystem:
+def build_two_block(alpha, beta, n: int, k_max: int) -> System:
     """System with lower metric mean dimension alpha and upper beta.
 
-    The lower corner carries a sparse system active at the self powers
-    {j^j}, realizing beta as the superior limit while contributing nothing
-    in between; the upper corner carries the dense system for alpha, which
-    pins the inferior limit.  Requires 0 <= alpha <= beta <= n.
+    The lower corner [0, 1/2]^n carries a sparse system active at the self
+    powers {j^j}, realizing beta as the superior limit while contributing
+    nothing in between; the upper corner [1/2, 1]^n carries the dense system
+    for alpha, which pins the inferior limit.  A corner whose target is 0
+    holds the identity, so it is no part; when alpha = beta both parts hold
+    one dense system.  Requires 0 <= alpha <= beta <= n.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if n < 2:
         raise ScheduleError("systems need dimension n >= 2")
     if not 0 <= alpha <= beta <= n:
         raise ScheduleError(f"need 0 <= alpha <= beta <= n, got ({alpha}, {beta})")
-
-    def dense(target) -> Union[StackedSystem, IdentitySystem]:
-        if target == 0:
-            return IdentitySystem(n)
-        return build_stacked(solve_rate(target, n), n, k_max)
-
-    if alpha == beta:
-        shared = dense(alpha)
-        return TwoBlockSystem(n, alpha, beta, shared, shared)
-
-    lower = build_stacked(solve_rate(beta, n, ACTIVE_SELF_POWERS), n, k_max)
-    return TwoBlockSystem(n, alpha, beta, lower, dense(alpha))
+    upper = build_stacked(solve_rate(alpha, n), n, k_max) if alpha > 0 else None
+    lower = upper if alpha == beta else build_stacked(
+        solve_rate(beta, n, ACTIVE_SELF_POWERS), n, k_max)
+    half = Fraction(1, 2)
+    corners = ((Chart(Fraction(0), half), lower), (Chart(half, half), upper))
+    return System(n, tuple((chart, part) for chart, part in corners if part is not None))

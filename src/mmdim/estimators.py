@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .constructions import StackedSystem
+from .constructions import System
 from .horseshoe import HorseshoeMap, square
 from .mapping import ESCAPED, PAMap, Point
 from .symbolic import enumerate_cylinders, rate_profile
@@ -198,12 +198,13 @@ class NumericRateRow(NamedTuple):
 
 
 def mdim_numeric_profile(
-    system: StackedSystem,
+    system: System,
     k: int,
     m_max: int = 3,
     eps_override: Fraction | None = None,
 ) -> NumericRateRow:
-    """Greedy growth rate of block k over depths 1..m_max; m_max < 2 raises.
+    """Greedy growth rate of block k of a system's one part, in the unit
+    chart, over depths 1..m_max; m_max < 2 raises.
 
     Before any geometry is built: a k outside 1..k_max is refused (rate_profile
     would form L_k = 3^k), an inactive block gives a zero row, and a block
@@ -220,11 +221,12 @@ def mdim_numeric_profile(
     """
     if m_max < 2:
         raise ValueError(f"a growth rate needs depths 1..m_max with m_max >= 2, got {m_max}")
+    ((_, stacked),) = system.parts
     try:
-        block = system.block(k)
+        block = stacked.block(k)
     except ValueError as exc:
         return NumericRateRow(k, None, {}, {}, {}, error=str(exc))
-    native = system.schedule.eps(k)
+    native = stacked.schedule.eps(k)
     if not block.active:
         return NumericRateRow(k, native, {}, {}, {})
     (bound,) = rate_profile(system, [k])

@@ -20,7 +20,7 @@ from .constructions import (
     ACTIVE_SELF_POWERS,
     GEOMETRIC,
     QUADRATIC,
-    IdentitySystem,
+    UNIT,
     Schedule,
     StackedSystem,
     System,
@@ -201,12 +201,24 @@ def check_sizes(spec: SystemSpec) -> None:
 
 def build_system(spec: SystemSpec) -> System:
     if spec.kind == "identity":
-        return IdentitySystem(spec.n)
+        return System(spec.n, ())
     if spec.kind == "two_block":
         return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max)
     active = ACTIVE_SELF_POWERS if spec.kind == "sparse" else ACTIVE_ALL
     schedule = Schedule(QUADRATIC if spec.r is None else GEOMETRIC, spec.B, spec.r, active)
-    return build_stacked(schedule, spec.n, spec.k_max)
+    return System(spec.n, ((UNIT, build_stacked(schedule, spec.n, spec.k_max)),))
+
+
+def analytic_targets(spec: SystemSpec) -> tuple[Fraction, Fraction]:
+    """Exact (liminf, limsup) the spec prescribes, from its own fields:
+    n / (1 + r) with r given and n without, with liminf 0 when sparse;
+    (alpha, beta) for a two-block spec; 0 for the identity."""
+    if spec.kind == "identity":
+        return Fraction(0), Fraction(0)
+    if spec.kind == "two_block":
+        return spec.alpha, spec.beta
+    target = Fraction(spec.n) if spec.r is None else spec.n / (1 + spec.r)
+    return (Fraction(0) if spec.kind == "sparse" else target), target
 
 
 def _schedule_payload(schedule: Schedule) -> dict:
@@ -216,38 +228,37 @@ def _schedule_payload(schedule: Schedule) -> dict:
     return out
 
 
-def _system_payload(system: System) -> dict:
-    """What the spec does not state: each half's schedule and blocks."""
-    if isinstance(system, IdentitySystem):
-        return {"kind": system.kind}
-    if isinstance(system, StackedSystem):
-        blocks = [
-            {
-                "k": block.k,
-                "anchor": str(block.cube.lo),
-                "side": str(block.cube.side),
-                "eps": str(system.schedule.eps(block.k)),
-                "active": block.active,
-            }
-            for block in system.blocks
-        ]
-        return {
-            "kind": system.kind,
-            "schedule": _schedule_payload(system.schedule),
-            "blocks": blocks,
+def _stacked_payload(system: StackedSystem) -> dict:
+    blocks = [
+        {
+            "k": block.k,
+            "anchor": str(block.cube.lo),
+            "side": str(block.cube.side),
+            "eps": str(system.schedule.eps(block.k)),
+            "active": block.active,
         }
-    return {
-        "kind": system.kind,
-        "lower": _system_payload(system.lower),
-        "upper": _system_payload(system.upper),
-    }
+        for block in system.blocks
+    ]
+    return {"kind": system.kind, "schedule": _schedule_payload(system.schedule), "blocks": blocks}
+
+
+def _system_payload(system: System, spec: SystemSpec) -> dict:
+    """What the spec does not state: each part's schedule and blocks, under
+    its corner's name for a two-block spec; a corner with no part is the
+    identity."""
+    corners = {chart.offset: _stacked_payload(part) for chart, part in system.parts}
+    identity = {"kind": "identity"}
+    if spec.kind == "two_block":
+        return {"kind": "two-block", "lower": corners.get(0, identity),
+                "upper": corners.get(Fraction(1, 2), identity)}
+    return corners.get(0, identity)
 
 
 def system_to_jsonable(system: System, spec: SystemSpec) -> dict:
     return {
         "format": SYSTEM_FORMAT,
         "spec": spec.to_jsonable(),
-        "system": _system_payload(system),
+        "system": _system_payload(system, spec),
     }
 
 

@@ -29,14 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .constructions import (
-    GEOMETRIC,
-    IdentitySystem,
-    Schedule,
-    StackedSystem,
-    System,
-    TwoBlockSystem,
-)
+from .constructions import GEOMETRIC, Schedule, System
 from .geometry import Box
 
 if TYPE_CHECKING:
@@ -164,23 +157,15 @@ def _stacked_bound(schedule: Schedule, n: int, k: int) -> RateBound:
     return RateBound(k, n, schedule.legs(k), schedule.eps(k), schedule.eps(k + 1))
 
 
-def _halves(system: System) -> tuple[System, ...]:
-    """(lower, upper) of a two-block system; the system alone otherwise."""
-    if isinstance(system, TwoBlockSystem):
-        return system.lower, system.upper
-    return (system,)
-
-
 def _half_rows(system: System, k_range: Sequence[int]) -> Iterator[list[RateBound]]:
-    """Each half's row at each k of k_range, in increasing k: the zero row for
-    the identity, `_stacked_bound` for a stacked half."""
+    """Each part's `_stacked_bound` row at each k of k_range, in increasing k;
+    the identity's zero row alone for a system of no parts."""
     ks = sorted(set(k_range))
     if not ks or ks[0] < 1:
         raise ValueError("profile indices must be >= 1")
-    halves = _halves(system)
     for k in ks:
-        yield [RateBound(k, system.n, 1, None, None) if isinstance(half, IdentitySystem)
-               else _stacked_bound(half.schedule, system.n, k) for half in halves]
+        yield [_stacked_bound(part.schedule, system.n, k) for _, part in system.parts] or [
+            RateBound(k, system.n, 1, None, None)]
 
 
 def rate_profile(system: System, k_range: Sequence[int]) -> list[RateBound]:
@@ -201,10 +186,10 @@ def _rank(row: RateBound) -> Fraction:
 
 
 def _larger_half(rows: Sequence[RateBound]) -> RateBound:
-    """Max rule: a system's row at index k is the row of its half of the
+    """Max rule: a system's row at index k is the row of its part of the
     highest `_rank`; ties go to the first row, the lower half's.
 
-    Both halves of a two-block system sit in scale-2 charts, which shift
+    Both halves of a two-block system sit in charts of scale 1/2, which shift
     |ln eps| by the constant ln 2; the constant drops out of every limit, so
     rows are compared at equal k in inner coordinates.
     """
@@ -248,42 +233,25 @@ def extrapolate(system: System, k_range: Sequence[int]) -> tuple[Fraction, Fract
     at k_range (one at least) holds to them; raises RowFault on the first row
     that does not.
 
-    Each stacked half's own row must pass `_stacked_fault`, and a two-block
-    row must be `max` of its halves' rows by `_rank`: the first row of top
-    rank, the lower half's on a tie.  An active stacked row's rate n k ln 3
+    Each part's own row must pass `_stacked_fault`, and a system's row must
+    be `max` of its parts' rows by `_rank`: the first row of top rank, the
+    lower half's on a tie.  An active stacked row's rate n k ln 3
     over either denominator, a k ln 3 + b ln k + O(1), tends to n / a, with a
     the coefficient of `_growth`, and an inactive row is 0; a sparse schedule
     is active only at the self powers k = j^j, so its rows tend to n / a on
     them and to 0 off them.  A two-block row is its larger half's, and both
     halves share the self powers, so on each subsequence it tends to the
-    larger half's limit.
+    larger half's limit.  The limits are the largest over the parts, and 0
+    with no part.
     """
-    halves, limits = _halves(system), []
-    for half in halves:
-        if isinstance(half, IdentitySystem):
-            limits.append((Fraction(0), Fraction(0)))
-        else:
-            limit = half.n / _growth(half.schedule)[0]
-            limits.append((Fraction(0) if half.schedule.is_sparse else limit, limit))
+    limits = [(Fraction(0), Fraction(0))]
+    for _, part in system.parts:
+        limit = system.n / _growth(part.schedule)[0]
+        limits.append((Fraction(0) if part.schedule.is_sparse else limit, limit))
     for rows in _half_rows(system, k_range):
-        for half, row in zip(halves, rows):
-            if isinstance(half, StackedSystem):
-                if (fault := _stacked_fault(half.schedule, system.n, row)) is not None:
-                    raise RowFault(fault)
+        for (_, part), row in zip(system.parts, rows):
+            if (fault := _stacked_fault(part.schedule, system.n, row)) is not None:
+                raise RowFault(fault)
         if _larger_half(rows) != max(rows, key=_rank):
             raise RowFault(f"k={rows[0].k} two-block row is not its larger half's")
     return max(lo for lo, _ in limits), max(hi for _, hi in limits)
-
-
-def analytic_targets(system: System) -> tuple[Fraction, Fraction]:
-    """Exact (liminf, limsup) the construction prescribes, from its own fields:
-    n / (1 + r) for a geometric schedule and n for a quadratic one, with
-    liminf 0 when sparse; (alpha, beta) for a two-block system; 0 for the
-    identity."""
-    if isinstance(system, IdentitySystem):
-        return Fraction(0), Fraction(0)
-    if isinstance(system, StackedSystem):
-        schedule = system.schedule
-        target = system.n / (1 + schedule.r) if schedule.kind == GEOMETRIC else Fraction(system.n)
-        return (Fraction(0) if schedule.is_sparse else target), target
-    return system.alpha, system.beta

@@ -46,6 +46,7 @@ from oracles import (
     seed_set,
     strip_word_box,
 )
+from system_maps import unit_system
 
 F = Fraction
 
@@ -56,7 +57,7 @@ def _strictly_increasing(xs):
 
 def test_criterion_1_unit_target_on_the_square():
     t0 = time.perf_counter()
-    system = build_stacked(Schedule.geometric(1, 1), 2, 3)
+    system = unit_system(build_stacked(Schedule.geometric(1, 1), 2, 3))
     rows = rate_profile(system, range(1, 25))
     lows = [row.lower_ratio() for row in rows]
     ups = [row.upper_ratio() for row in rows]
@@ -78,7 +79,7 @@ def test_criterion_2_prescribed_targets_in_other_dimensions():
     for n, target in ((3, F(1)), (2, F(1, 2))):
         t0 = time.perf_counter()
         schedule = solve_rate(target, n)
-        system = build_stacked(schedule, n, 2)
+        system = unit_system(build_stacked(schedule, n, 2))
         lows = [row.lower_ratio() for row in rate_profile(system, range(1, 25))]
         assert _strictly_increasing(lows) and lows[-1] < target
         assert extrapolate(system, range(1, 25)) == (target, target)
@@ -94,7 +95,7 @@ def test_criterion_2_prescribed_targets_in_other_dimensions():
 def test_criterion_3_quadratic_sizes_reach_full_dimension():
     n = 2
     t0 = time.perf_counter()
-    system = build_stacked(Schedule.quadratic(1), n, 2)
+    system = unit_system(build_stacked(Schedule.quadratic(1), n, 2))
     rows = rate_profile(system, range(1, 101))
     lows = [row.lower_ratio() for row in rows]
     assert _strictly_increasing(lows)
@@ -186,8 +187,7 @@ def test_criterion_7_two_block_limits_split_and_obey_max_rule():
     rows = rate_profile(system, ks)
     assert extrapolate(system, ks) == (alpha, beta)
 
-    sparse_rows = rate_profile(system.lower, ks)
-    dense_rows = rate_profile(system.upper, ks)
+    sparse_rows, dense_rows = (rate_profile(unit_system(part), ks) for _, part in system.parts)
     # the sparse half's row at its spikes, the dense half's between them
     assert {row.k for row, srow in zip(rows, sparse_rows) if row == srow} == {1, 4, 27}
     for row, srow, drow in zip(rows, sparse_rows, dense_rows):
@@ -256,8 +256,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
         build_stacked(Schedule.geometric(1, 2), 3, 2),
         build_stacked(Schedule.quadratic(1), 2, 3),
         build_stacked(Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2, 4),
-        two.lower,
-        two.upper,
+        *(part for _, part in two.parts),
     ]
     for system in systems:
         enlargements = [enlarged_box(b.cube) for b in system.blocks]
@@ -268,11 +267,11 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
 
     # no estimate, measured or symbolic, ever exceeds the ambient dimension
     for system in (geometric_system, build_stacked(Schedule.quadratic(1), 2, 1)):
-        row = mdim_numeric_profile(system, 1, m_max=2)
+        row = mdim_numeric_profile(unit_system(system), 1, m_max=2)
         assert row.error is None and row.counts
         at_eps = row.rate / math.log(1 / system.schedule.eps(row.k))
         assert row.ratio <= 2 and row.upper_ratio <= 2 and at_eps <= 2
-    for system in systems + [two]:
+    for system in [*map(unit_system, systems), two]:
         for row in rate_profile(system, range(1, 41)):
             assert row.lower_ratio() <= system.n + 1e-15
             assert row.upper_ratio() <= system.n + 1e-15

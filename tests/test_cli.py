@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 import mmdim
 from mmdim import cli as cli_module, estimators, symbolic, validation
 from mmdim.cli import main
-from mmdim.constructions import ACTIVE_ALL, ACTIVE_SELF_POWERS, Schedule, StackedSystem
+from mmdim.constructions import ACTIVE_ALL, ACTIVE_SELF_POWERS, Schedule
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
+    build_system,
     canonical_dumps,
     load_system,
     read_json,
@@ -592,7 +593,7 @@ class TestVerify:
 
     def test_a_limit_off_its_target_exits_1(self, cli, geometric_file, monkeypatch):
         # the limits stay exact; only the targets they are compared with move
-        monkeypatch.setattr(cli_module, "analytic_targets", lambda system: (F(1), F(3, 2)))
+        monkeypatch.setattr(cli_module, "analytic_targets", lambda spec: (F(1), F(3, 2)))
         result = cli(["verify", geometric_file])
         assert result.exit_code == 1
         assert result.stdout == verify_table(("1", "1", "yes"), ("3/2", "1", "NO"))
@@ -603,16 +604,12 @@ class TestVerify:
                                                  name, row):
         # targets n / (a + 1) from the rows' own growth coefficient a: the
         # limits come from `_growth`, not from the targets, and stay n / a
-        real = symbolic.analytic_targets
+        def shifted(spec):
+            ((_, part),) = build_system(spec).parts  # a stacked spec is one part
+            a, _ = symbolic._growth(part.schedule)
+            return spec.n / (a + 1), spec.n / (a + 1)
 
-        def shifted(system):
-            if not isinstance(system, StackedSystem):
-                return real(system)
-            a, _ = symbolic._growth(system.schedule)
-            return system.n / (a + 1), system.n / (a + 1)
-
-        for module in (symbolic, cli_module):
-            monkeypatch.setattr(module, "analytic_targets", shifted)
+        monkeypatch.setattr(cli_module, "analytic_targets", shifted)
         out = str(tmp_path / "system.json")
         assert cli(["build", tmp_spec(**VERIFIED_SPECS[name][0]), "-o", out]).exit_code == 0
         result = cli(["verify", out])
@@ -710,30 +707,21 @@ class TestVerify:
         assert result.stdout == ""
         assert result.stderr == "k=2 rate is not 0 at an inactive block\n"
 
-    @pytest.mark.parametrize("command,mutant", [
-        pytest.param(command, mutant, id=command + suffix)
-        for mutant, suffix in (("smaller half", ""), ("ties up", "-ties to the upper half"))
-        for command in ("verify", "profile")])
-    def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command,
-                                         mutant):
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_a_reversed_max_rule_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch, command):
         # every two-block row taken from the smaller half tends to the
-        # smaller half's limits, not alpha and beta.  Ties sent to the upper
-        # half take, on two_block 0..1, the identity's row at every gap
-        # between the self powers: rank 0 like the sparse half's, but with no
-        # eps, so the CSV's eps columns go empty
-        rule, alpha, k = {
-            "smaller half": (lambda rows: min(rows, key=symbolic.RateBound.lower_ratio),
-                             "2/3", 1),
-            "ties up": (lambda rows: max(reversed(rows), key=symbolic._rank), "0", 2),
-        }[mutant]
-        monkeypatch.setattr(symbolic, "_larger_half", rule)
-        spec = tmp_spec(kind="two_block", n=2, alpha=alpha, beta="1", kMax=4)
+        # smaller half's limits, not alpha and beta.  No spec builds two
+        # parts whose distinct rows tie, so the tie rule's mutant is
+        # killed in process (test_symbolic's test_a_tie_sent_to_the_upper_half_is_reported)
+        monkeypatch.setattr(symbolic, "_larger_half",
+                            lambda rows: min(rows, key=symbolic.RateBound.lower_ratio))
+        spec = tmp_spec(kind="two_block", n=2, alpha="2/3", beta="1", kMax=4)
         out = str(tmp_path / "two.json")
         assert cli(["build", spec, "-o", out]).exit_code == 0
         result = cli([command, out])
         assert result.exit_code == 1, result.output
         assert result.stdout == ""
-        assert result.stderr == f"k={k} two-block row is not its larger half's\n"
+        assert result.stderr == "k=1 two-block row is not its larger half's\n"
 
 
 class TestHelp:
@@ -819,7 +807,7 @@ class TestUsage:
         fields = dict(kind="quadratic", n=2, B="1", kMax=3)
         assert cli(["build", tmp_spec(**fields), "-o", quadratic]).exit_code == 0
         assert main(["verify", quadratic], standalone_mode=False) == 0
-        monkeypatch.setattr(cli_module, "analytic_targets", lambda system: (F(2), F(3)))
+        monkeypatch.setattr(cli_module, "analytic_targets", lambda spec: (F(2), F(3)))
         assert main(["verify", quadratic], standalone_mode=False) == 1
         with pytest.raises(SystemExit) as exited:
             main(["verify", quadratic])

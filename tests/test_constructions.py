@@ -8,11 +8,11 @@ import pytest
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
     QUADRATIC_SIZE_CAP,
-    IdentitySystem,
+    Chart,
     Schedule,
     ScheduleError,
     StackedSystem,
-    TwoBlockSystem,
+    System,
     UnmaterializedBlockError,
     build_stacked,
     build_two_block,
@@ -21,6 +21,7 @@ from mmdim.constructions import (
 )
 from mmdim.estimators import cylinder_centers
 from mmdim.mapping import ESCAPED
+from mmdim.symbolic import extrapolate
 
 from oracles import (
     box_center,
@@ -33,7 +34,7 @@ from oracles import (
     find_box_overlap,
     seed_points,
 )
-from system_maps import apply_system
+from system_maps import apply_system, unit_system
 
 F = Fraction
 
@@ -229,27 +230,28 @@ class TestBuildStacked:
 
     def test_apply_outside_blocks_is_identity(self, geometric_system):
         p = (F(1, 2), F(1, 2))  # in the gap between blocks 1 and 2
-        assert apply_system(geometric_system, p) == p
+        assert apply_system(unit_system(geometric_system), p) == p
 
     def test_apply_inactive_block_is_identity(self):
         sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
         sys = build_stacked(sched, 2, 2)
         p = box_center(cube_box(sys.block(2).cube))
-        assert apply_system(sys, p) == p
+        assert apply_system(unit_system(sys), p) == p
 
     def test_apply_unmaterialized_active_block_raises(self):
         sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
         p = box_center(cube_box(sys.block(11).cube))
         with pytest.raises(UnmaterializedBlockError):
-            apply_system(sys, p)
+            apply_system(unit_system(sys), p)
 
     def test_apply_block_dynamics_and_escape(self, geometric_system):
         h = geometric_system.block(1).geometry()
+        whole = unit_system(geometric_system)
         corner = (F(0), F(1, 3))  # the (a, b) corner of block 1 is fixed
-        assert apply_system(geometric_system, corner) == corner
+        assert apply_system(whole, corner) == corner
         even_mid = box_center(h.grid.strip_box(2))
-        assert apply_system(geometric_system, even_mid) is ESCAPED
-        assert apply_system(geometric_system, ESCAPED) is ESCAPED
+        assert apply_system(whole, even_mid) is ESCAPED
+        assert apply_system(whole, ESCAPED) is ESCAPED
 
     @pytest.mark.parametrize(
         "sched,n",
@@ -291,7 +293,7 @@ class TestBlockMap:
         for p in centers:
             orbit = [p]
             for _ in range(m - 1):
-                orbit.append(apply_system(system, orbit[-1]))
+                orbit.append(apply_system(unit_system(system), orbit[-1]))
             assert ESCAPED not in orbit
             orbits.append(orbit)
         for x, y in itertools.combinations(orbits, 2):
@@ -299,10 +301,10 @@ class TestBlockMap:
             assert bowen > system.schedule.eps(1)
 
 
-class TestIdentitySystem:
+class TestIdentity:
     def test_identity(self):
-        sys = IdentitySystem(2)
-        assert sys.kind == "identity"
+        sys = System(2, ())
+        assert build_two_block(0, 0, 2, 3) == sys  # both halves are the identity
         p = (F(1, 3), F(1, 2))
         assert apply_system(sys, p) == p
         assert apply_system(sys, ESCAPED) is ESCAPED
@@ -311,25 +313,26 @@ class TestIdentitySystem:
 class TestTwoBlock:
     def test_shapes(self):
         two = build_two_block(F(2, 3), 1, 2, 5)
-        assert isinstance(two, TwoBlockSystem)
-        assert two.kind == "two-block"
-        assert (two.alpha, two.beta) == (F(2, 3), 1)
+        (lower_chart, lower), (upper_chart, upper) = two.parts
+        assert (lower_chart, upper_chart) == (Chart(0, F(1, 2)), Chart(F(1, 2), F(1, 2)))
+        assert extrapolate(two, range(1, 6)) == (F(2, 3), 1)
         # superior limit beta = 1 needs r = 1 sparse; inferior alpha = 2/3
         # needs r = 2 dense
-        assert two.lower.schedule.r == 1
-        assert two.lower.schedule.active == ACTIVE_SELF_POWERS
-        assert two.upper.schedule.r == 2
-        assert not two.upper.schedule.is_sparse
+        assert lower.schedule.r == 1
+        assert lower.schedule.active == ACTIVE_SELF_POWERS
+        assert upper.schedule.r == 2
+        assert not upper.schedule.is_sparse
 
     def test_equal_targets_share_one_system(self):
-        two = build_two_block(1, 1, 2, 4)
-        assert two.lower is two.upper
-        assert not two.lower.schedule.is_sparse
+        (_, lower), (_, upper) = build_two_block(1, 1, 2, 4).parts
+        assert lower is upper
+        assert not lower.schedule.is_sparse
 
     def test_zero_lower_target_uses_identity(self):
-        two = build_two_block(0, 1, 2, 4)
-        assert isinstance(two.upper, IdentitySystem)
-        assert isinstance(two.lower, StackedSystem)
+        # alpha = 0: the upper corner is the identity, so the lower is the one part
+        ((chart, lower),) = build_two_block(0, 1, 2, 4).parts
+        assert chart == Chart(0, F(1, 2))
+        assert isinstance(lower, StackedSystem)
 
     def test_rejections(self):
         with pytest.raises(ScheduleError, match="0 <= alpha <= beta"):
@@ -351,7 +354,7 @@ class TestTwoBlock:
     def test_chart_conjugation_matches_inner_orbit(self):
         two = build_two_block(1, 1, 2, 3)
         inner_p = (F(1, 6), F(1, 12))  # odd strip 3 of block 1, not fixed
-        inner_image = apply_system(two.lower, inner_p)
+        inner_image = apply_system(unit_system(two.parts[0][1]), inner_p)
         assert inner_image not in (ESCAPED, inner_p)
         p = tuple(c / 2 for c in inner_p)
         assert apply_system(two, p) == tuple(c / 2 for c in inner_image)
@@ -363,7 +366,7 @@ class TestTwoBlock:
         two = build_two_block(1, 1, 2, 3)
         mid = (F(1, 2), F(1, 2))
         assert apply_system(two, mid) == mid
-        assert apply_system(two.upper, (F(0), F(0))) != (F(0), F(0))
+        assert apply_system(unit_system(two.parts[1][1]), (F(0), F(0))) != (F(0), F(0))
 
     def test_outside_both_corners_fixed(self):
         two = build_two_block(1, 1, 2, 3)
@@ -372,9 +375,10 @@ class TestTwoBlock:
 
     def test_escape_propagates(self):
         two = build_two_block(1, 1, 2, 3)
-        h = two.lower.block(1).geometry()
+        lower = two.parts[0][1]
+        h = lower.block(1).geometry()
         inner_escape = box_center(h.grid.strip_box(2))
         p = tuple(c / 2 for c in inner_escape)
-        assert apply_system(two.lower, inner_escape) is ESCAPED
+        assert apply_system(unit_system(lower), inner_escape) is ESCAPED
         assert apply_system(two, p) is ESCAPED
         assert apply_system(two, ESCAPED) is ESCAPED

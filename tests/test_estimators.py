@@ -35,6 +35,7 @@ from oracles import (
     seed_points,
     seed_set,
 )
+from system_maps import unit_system
 
 F = Fraction
 
@@ -330,7 +331,7 @@ class TestGreedySeparated:
             return real(*args)
 
         monkeypatch.setattr(estimators, "orbits_separate", counted)
-        row = mdim_numeric_profile(geometric_system, 1)
+        row = mdim_numeric_profile(unit_system(geometric_system), 1)
         assert row.counts == row.seeds == {1: 9, 2: 81, 3: 729}
         assert sum(row.pairs.values()) == calls
         # an all-pairs scan makes 36 + 3,240 + 265,356 calls here
@@ -391,8 +392,8 @@ class TestGrowthRate:
 
 class TestNumericProfile:
     def test_matches_symbolic_lower_ratio(self, geometric_system):
-        row = mdim_numeric_profile(geometric_system, 1)
-        (bound,) = rate_profile(geometric_system, [1])
+        row = mdim_numeric_profile(unit_system(geometric_system), 1)
+        (bound,) = rate_profile(unit_system(geometric_system), [1])
         assert row.error is None
         assert row.counts == {1: 9, 2: 81, 3: 729}
         assert abs(row.ratio - bound.lower_ratio()) <= 1e-9
@@ -402,7 +403,7 @@ class TestNumericProfile:
 
     def test_budget_produces_error_row(self, geometric_system, monkeypatch):
         monkeypatch.setattr(estimators, "CYLINDER_BUDGET", 100)
-        row = mdim_numeric_profile(geometric_system, 1)
+        row = mdim_numeric_profile(unit_system(geometric_system), 1)
         assert row.error == "729 cylinders at (k=1, m=3) exceed budget 100"
         assert row.counts == {} and row.expected is None and row.eps_exact == F(1, 15)
 
@@ -410,7 +411,7 @@ class TestNumericProfile:
     def test_budget_admits_exactly_its_count(self, geometric_system, monkeypatch, budget):
         # block 1 has 729 cylinders at m = 3
         monkeypatch.setattr(estimators, "CYLINDER_BUDGET", budget)
-        row = mdim_numeric_profile(geometric_system, 1)
+        row = mdim_numeric_profile(unit_system(geometric_system), 1)
         assert (row.error is None) == (budget == 729)
 
     @pytest.mark.parametrize("k", [2, 11])
@@ -420,12 +421,12 @@ class TestNumericProfile:
         monkeypatch.setattr(estimators, "CYLINDER_BUDGET", 1)
         sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
         sys = build_stacked(sched, 2, 11)
-        row = mdim_numeric_profile(sys, k)
+        row = mdim_numeric_profile(unit_system(sys), k)
         assert row.counts == {} and row.rate == 0.0 and row.error is None
         assert row.eps_exact == sys.schedule.eps(k)
 
     def test_out_of_range_k_is_refused(self, geometric_system):
-        row = mdim_numeric_profile(geometric_system, 9)
+        row = mdim_numeric_profile(unit_system(geometric_system), 9)
         assert row.error == "block 9 is outside the file (kMax = 3)"
         assert row.eps_exact is None and row.counts == {} and row.expected is None
 
@@ -434,7 +435,7 @@ class TestNumericProfile:
         # at m = 1 the cylinder budget; no geometry is asked for
         sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
         assert not sys.block(11).materialized
-        row = mdim_numeric_profile(sys, 11)
+        row = mdim_numeric_profile(unit_system(sys), 11)
         assert row.error == "31381059609 cylinders at (k=11, m=1) exceed budget 1000000"
         assert row.eps_exact == sys.schedule.eps(11) and sys.block(11).horseshoe is None
 
@@ -452,7 +453,7 @@ class TestNumericProfile:
             return [b._replace(n=3) for b in real(system, ks)]
 
         monkeypatch.setattr(estimators, "rate_profile", plus_ln3)
-        row = mdim_numeric_profile(geometric_system, 1)
+        row = mdim_numeric_profile(unit_system(geometric_system), 1)
         assert row.counts == row.seeds == {1: 9} and row.expected == 27
         assert row.error == "9 of 27 cylinder centers separated at m=1"
 
@@ -460,16 +461,16 @@ class TestNumericProfile:
     def test_depths_below_two_are_refused(self, geometric_system, m_max):
         # one depth leaves no slope to fit, and none nothing to scan
         with pytest.raises(ValueError, match="m_max >= 2"):
-            mdim_numeric_profile(geometric_system, 1, m_max=m_max)
+            mdim_numeric_profile(unit_system(geometric_system), 1, m_max=m_max)
 
     def test_ratio_bounded_by_dimension(self, geometric_system):
-        row = mdim_numeric_profile(geometric_system, 1, m_max=2)
+        row = mdim_numeric_profile(unit_system(geometric_system), 1, m_max=2)
         at_eps = row.rate / math.log(1 / geometric_system.schedule.eps(row.k))
         assert row.ratio <= geometric_system.n
         assert at_eps <= geometric_system.n
 
     def test_eps_override_skips_symbolic_check(self, geometric_system):
-        row = mdim_numeric_profile(geometric_system, 1, m_max=2, eps_override=F(1, 5))
+        row = mdim_numeric_profile(unit_system(geometric_system), 1, m_max=2, eps_override=F(1, 5))
         assert row.eps_exact == F(1, 5)
-        native = mdim_numeric_profile(geometric_system, 1, m_max=2)
+        native = mdim_numeric_profile(unit_system(geometric_system), 1, m_max=2)
         assert row.counts != native.counts or row.ratio != native.ratio

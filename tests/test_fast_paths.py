@@ -318,7 +318,7 @@ def pullback_cylinder(h, word):
 def _blocks():
     geometric2 = build_stacked(Schedule.geometric(1, 1), 2, 1)
     geometric3 = build_stacked(Schedule.geometric(1, 1), 3, 1)
-    two_block_upper = build_two_block(F(2, 3), 1, 2, 5).upper
+    two_block_upper = build_two_block(F(2, 3), 1, 2, 5).parts[1][1]
     return {
         "geometric n=2": (geometric2.block(1), 3),
         "geometric n=3": (geometric3.block(1), 2),

@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 of stdout and stderr, and the exit code, of the
-symbolic, brute-force and validate commands, and of `build`'s refusals.
+symbolic, brute-force and validate commands, and of `build`'s refusals; and
+SHA-256 of each file `build` writes.
 
 A refactor that keeps the checker's behaviour keeps these bytes; a change
 that means to alter an output updates the digest it names.
@@ -19,8 +20,10 @@ SPECS = {
     "two_block": {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 30},
     # alpha = beta: both halves are one system
     "shared": {"kind": "two_block", "n": 2, "alpha": "1/2", "beta": "1/2", "kMax": 4},
-    # alpha = 0: the lower half is the identity
+    # alpha = 0: the lower half is the sparse beta system, the upper the identity
     "zero_lower": {"kind": "two_block", "n": 2, "alpha": "0", "beta": "1", "kMax": 4},
+    # alpha = beta = 0: both halves are the identity
+    "zero_both": {"kind": "two_block", "n": 2, "alpha": "0", "beta": "0", "kMax": 4},
     "identity": {"kind": "identity", "n": 2},
 }
 
@@ -121,6 +124,64 @@ GOLDEN = {
         "80c86d2dbc614c3737746230cbf4c91670a0ae4aaece204d7f3e5527c8fc06df",
         0,
     ),
+    ("shared", "verify"): (
+        "ba5fd48ea9f0d82ca1faa550ce879ed5fc4f4cbc2d13eae607f3f0b4e696d76a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    ("zero_lower", "verify"): (
+        "6a25f7be6f9ae504625f7fe78681e83a67195615b17f0dd072dbd9fb87c51418",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    ("identity", "verify"): (
+        "39efb83c2cd79031c9eb2d0b900246f6455b5974327280edbce1bfb94f2f90d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    ("zero_both", "verify"): (
+        "39efb83c2cd79031c9eb2d0b900246f6455b5974327280edbce1bfb94f2f90d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    ("zero_both", "profile --kmax 30"): (
+        "26c290e81cf3d0692c55c701de6d0e1579ec0be8dccff80172cbeab393829bfc",
+        "80c86d2dbc614c3737746230cbf4c91670a0ae4aaece204d7f3e5527c8fc06df",
+        0,
+    ),
+    ("identity", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f8a0c5eff36c5162492ba1155cbe7ed6ee8483add57f561a2910551f9eea6810",
+        0,
+    ),
+    ("zero_both", "validate"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f8a0c5eff36c5162492ba1155cbe7ed6ee8483add57f561a2910551f9eea6810",
+        0,
+    ),
+    ("identity", "estimate --k 1"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c031698d4ad015acf05c32404199080f09ae42d728e7adc53447464d206c823f",
+        2,
+    ),
+    ("two_block", "estimate --k 1"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "21cd44fa8b8cd752020269663eb399a54c3dc686efaf90c8c24f4f3be30ae5c8",
+        2,
+    ),
+}
+
+# `build`'s file for each SPECS entry -> SHA-256 of its bytes
+BUILT = {
+    "square": "5125ce4d817367d9db87ab76c4eaf07f5e0b30bd0b06145d70ada3ff43117e96",
+    "cube": "5946d74dcabf1ba3a492939cbeecabae6d47bf7ec7ea0a6e0d7ed69e6b944635",
+    "quadratic": "b653eb7b9b2f636497a0553a4547f330cf089996851fa9c89dca85e2f69f4279",
+    "sparse": "168aee3e98b3c5b51d03d02b8001016d4ac33f85ffb87f493d9839ff1b0f839c",
+    "two_block": "0fceefae1e8d4ed9b537cc70df3f1894805e49b1789855cccf920fd3a31c1ac6",
+    "shared": "bf8784b7df7e931cba755e14a5a423543a40bb092cebbbcfa9eb7e1f876d57c2",
+    "zero_lower": "ec98dcd229e040f1ee5aa23d61df697318e78827fde7cb4e8882278b6499930c",
+    "zero_both": "c69e7adba20a2f5bd67582ceb29d00849d9fbbd18c839c92d4d02c7e2d86427d",
+    "identity": "9d1453a67c4443c168b257304cfe8c90a475f58b83eeb38d532026db95a2451b",
 }
 
 # `build` on a spec it refuses -> (spec, (stdout, stderr, exit code)); no
@@ -177,6 +238,12 @@ def test_output_bytes_are_pinned(cli, systems, system, args):
     result = cli([command, systems[system], *rest])
     got = (sha256(result.stdout), sha256(result.stderr), result.exit_code)
     assert got == GOLDEN[system, args], result.output
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_built_file_bytes_are_pinned(systems, name):
+    with open(systems[name], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == BUILT[name]
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))

@@ -116,7 +116,7 @@ GUARDS = [
           "symbolic.extrapolate returns the profile's liminf and limsup as exact "
           "rationals n / a from symbolic._growth, the coefficients it holds "
           "every row to before it returns, not from the targets; "
-          "symbolic.analytic_targets states the targets from the spec alone, and "
+          "specfile.analytic_targets(spec) states the targets from the spec alone, and "
           "verify compares the two for equality; no float tail fit or tolerance "
           "stands in for them"),
     Guard("No derived fields in system files", r'"(L|materialized|geometryBudget)"',
@@ -165,8 +165,13 @@ GUARDS = [
           "cli.main maps spec and schedule errors to exit 2, so each command calls "
           "load_system(read_json(path)) itself; validate_horseshoe returns its checks; "
           "symbolic._half_rows builds each half's rows once for rate_profile and "
-          "extrapolate; System is a closed union of three records, so no branch "
-          "refuses an unknown type"),
+          "extrapolate; a system is one record, so no branch refuses an unknown type"),
+    Guard("One system record in src/mmdim",
+          r"IdentitySystem|TwoBlockSystem|\b_halves\b|isinstance\([^)]*System\b", SRC,
+          "a System is its (Chart, StackedSystem) parts: a stacked spec is one part in "
+          "the unit chart, a two-block spec its halves in the corner charts, and the "
+          "identity no part, so every consumer loops over system.parts and none "
+          "tells systems apart by type"),
 ]
 
 

@@ -116,5 +116,5 @@ def test_caches_take_no_part_in_equality():
     (F(2), Schedule.quadratic(1, active=ACTIVE_SELF_POWERS)),
 ])
 def test_two_block_sparse_schedule_is_built_directly(beta, direct):
-    lower = build_two_block(F(1, 2), beta, 2, 3).lower
+    lower = build_two_block(F(1, 2), beta, 2, 3).parts[0][1]
     assert lower.schedule == direct and type(lower.schedule) is Schedule

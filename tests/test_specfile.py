@@ -12,16 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
-    IdentitySystem,
+    UNIT,
+    Chart,
     ScheduleError,
     StackedSystem,
-    TwoBlockSystem,
+    System,
 )
 from mmdim.estimators import NumericRateRow, mdim_numeric_profile
 from mmdim.specfile import (
     PROFILE_COLUMNS,
     SpecFileError,
     SystemSpec,
+    analytic_targets,
     build_system,
     canonical_dumps,
     load_system,
@@ -33,6 +35,7 @@ from mmdim.specfile import (
     write_profile_csv,
 )
 from mmdim.symbolic import rate_profile
+from system_maps import unit_system
 
 F = Fraction
 
@@ -193,26 +196,42 @@ class TestSystemSpecParsing:
 
 class TestBuildSystem:
     def test_kinds(self):
-        assert isinstance(build_system(SystemSpec.from_jsonable(GEOMETRIC_SPEC)), StackedSystem)
+        ((chart, part),) = build_system(SystemSpec.from_jsonable(GEOMETRIC_SPEC)).parts
+        assert chart == UNIT and isinstance(part, StackedSystem)
         ident = build_system(SystemSpec.from_jsonable({"kind": "identity", "n": 2}))
-        assert isinstance(ident, IdentitySystem)
+        assert ident == System(2, ())
         two = build_system(
             SystemSpec.from_jsonable(
                 {"kind": "two_block", "n": 2, "alpha": "2/3", "beta": "1", "kMax": 4}
             )
         )
-        assert isinstance(two, TwoBlockSystem)
+        assert [chart for chart, _ in two.parts] == [Chart(0, F(1, 2)), Chart(F(1, 2), F(1, 2))]
 
     def test_sparse_kinds_set_activity(self):
         geo = build_system(
             SystemSpec.from_jsonable({"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 5})
         )
-        assert geo.schedule.active == ACTIVE_SELF_POWERS
-        assert geo.schedule.kind == "geometric"
+        assert geo.parts[0][1].schedule.active == ACTIVE_SELF_POWERS
+        assert geo.parts[0][1].schedule.kind == "geometric"
         quad = build_system(
             SystemSpec.from_jsonable({"kind": "sparse", "n": 2, "B": "1", "kMax": 5})
         )
-        assert quad.schedule.kind == "quadratic"
+        assert quad.parts[0][1].schedule.kind == "quadratic"
+
+
+class TestAnalyticTargets:
+    def test_all_kinds(self):
+        def targets(data):
+            return analytic_targets(SystemSpec.from_jsonable(data))
+
+        assert targets({"kind": "identity", "n": 3}) == (0, 0)
+        assert targets({"kind": "geometric", "n": 2, "B": "1", "r": "1", "kMax": 2}) == (1, 1)
+        assert targets({"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 2}) == (1, 1)
+        assert targets({"kind": "quadratic", "n": 2, "B": "1", "kMax": 2}) == (2, 2)
+        assert targets({"kind": "sparse", "n": 2, "B": "1", "r": "1", "kMax": 4}) == (0, 1)
+        assert targets({"kind": "sparse", "n": 3, "B": "1", "kMax": 4}) == (0, 3)
+        two = {"kind": "two_block", "n": 2, "alpha": "1/2", "beta": "1", "kMax": 4}
+        assert targets(two) == (F(1, 2), 1)
 
 
 class TestCanonicalJson:
@@ -285,23 +304,23 @@ class TestLoadSystem:
 
 class TestCsvExport:
     def test_symbolic_rows(self, geometric_system):
-        rows = symbolic_csv_rows(rate_profile(geometric_system, [1, 2]))
+        rows = symbolic_csv_rows(rate_profile(unit_system(geometric_system), [1, 2]))
         assert [set(r) for r in rows] == [set(PROFILE_COLUMNS)] * 2
         first = rows[0]
         assert first["k"] == "1" and first["source"] == "symbolic"
         assert first["eps_exact"] == "1/15"
         assert first["eps_float"] == format(1 / 15, ".12g")
         assert float(first["lower_ratio"]) == pytest.approx(
-            rate_profile(geometric_system, [1])[0].lower_ratio(), abs=1e-12
+            rate_profile(unit_system(geometric_system), [1])[0].lower_ratio(), abs=1e-12
         )
 
     def test_identity_rows_leave_eps_blank(self):
-        rows = symbolic_csv_rows(rate_profile(IdentitySystem(2), [1]))
+        rows = symbolic_csv_rows(rate_profile(System(2, ()), [1]))
         assert rows[0]["eps_exact"] == "" and rows[0]["eps_float"] == ""
         assert rows[0]["lower_ratio"] == "0"
 
     def test_numeric_rows(self, geometric_system):
-        rows = numeric_csv_rows([mdim_numeric_profile(geometric_system, 1, m_max=2)])
+        rows = numeric_csv_rows([mdim_numeric_profile(unit_system(geometric_system), 1, m_max=2)])
         assert rows[0]["source"] == "numeric"
         assert rows[0]["eps_exact"] == "1/15"
         assert float(rows[0]["lower_rate"]) > 0
@@ -315,7 +334,8 @@ class TestCsvExport:
 
     def test_write_profile_csv(self, geometric_system):
         buf = io.StringIO()
-        write_profile_csv(buf, symbolic_csv_rows(rate_profile(geometric_system, [1, 2, 3])))
+        rows = symbolic_csv_rows(rate_profile(unit_system(geometric_system), [1, 2, 3]))
+        write_profile_csv(buf, rows)
         lines = buf.getvalue().splitlines()
         assert lines[0] == ",".join(PROFILE_COLUMNS)
         assert len(lines) == 4

@@ -15,25 +15,26 @@ from mmdim.constructions import (
     ACTIVE_ALL,
     ACTIVE_SELF_POWERS,
     QUADRATIC_SIZE_CAP,
-    IdentitySystem,
     Schedule,
     ScheduleError,
+    System,
     build_stacked,
     build_two_block,
 )
 from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
+from mmdim.specfile import SystemSpec, analytic_targets, build_system
 from mmdim.symbolic import (
     WORKING_DPS,
     RowFault,
     _half_rows,
     _ln,
     _ln_q,
+    _rank,
     RateBound,
     _selected_strip_indices,
     _stacked_bound,
     _stacked_fault,
-    analytic_targets,
     cylinder_geometry,
     enumerate_cylinders,
     extrapolate,
@@ -49,6 +50,7 @@ from oracles import (
     find_box_overlap,
     strip_word_box,
 )
+from system_maps import unit_system
 
 F = Fraction
 
@@ -94,7 +96,7 @@ def profile_rows(draw):
         active = draw(st.sampled_from([ACTIVE_ALL, ACTIVE_SELF_POWERS]))
         schedule = (Schedule.quadratic(B, active) if kind == "quadratic"
                     else Schedule.geometric(B, draw(st.integers(1, 3)), active))
-        system = build_stacked(schedule, n, 1)
+        system = unit_system(build_stacked(schedule, n, 1))
     k = draw(st.one_of(st.integers(1, 30), st.integers(1, 400)))
     return rate_profile(system, [k])[0]
 
@@ -167,12 +169,12 @@ class TestEpsSchedule:
             build_stacked(Schedule.quadratic(1), 2, 4),  # B above the cap
             build_stacked(Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 2, 5),
             build_stacked(Schedule.geometric(1, 2), 3, 3),
-            dense_to_full.lower,  # sparse quadratic half, beta = n
-            dense_to_full.upper,
-            build_two_block(F(2, 3), 1, 2, 5).lower,
+            dense_to_full.parts[0][1],  # sparse quadratic half, beta = n
+            dense_to_full.parts[1][1],
+            build_two_block(F(2, 3), 1, 2, 5).parts[0][1],
         ]
         for system in systems:
-            rows = rate_profile(system, range(1, system.k_max + 1))
+            rows = rate_profile(unit_system(system), range(1, system.k_max + 1))
             for row, block in zip(rows, system.blocks):
                 assert row.eps_exact == block.cube.side / (2 * block.L - 1)
             for row, after in zip(rows, rows[1:]):
@@ -322,27 +324,27 @@ def direct_upper_ratio(k: int, dps: int = 40) -> float:
 
 class TestRateProfile:
     def test_dense_geometric_matches_closed_form(self, geometric_system):
-        rows = rate_profile(geometric_system, range(1, 25))
+        rows = rate_profile(unit_system(geometric_system), range(1, 25))
         for row in rows:
             assert row.L == 3**row.k
             assert abs(row.lower_ratio() - direct_lower_ratio(row.k)) < 1e-12
             assert abs(row.upper_ratio() - direct_upper_ratio(row.k)) < 1e-12
 
     def test_k_twelve_spot_values(self, geometric_system):
-        row = rate_profile(geometric_system, [12])[0]
+        row = rate_profile(unit_system(geometric_system), [12])[0]
         assert abs(row.upper_ratio() - direct_upper_ratio(12)) < 1e-12
         assert 0.9 < row.upper_ratio() < 1
         assert row.lower_ratio() < 1
 
     def test_ratios_increase_toward_target(self, geometric_system):
-        rows = rate_profile(geometric_system, range(1, 25))
+        rows = rate_profile(unit_system(geometric_system), range(1, 25))
         lows = [r.lower_ratio() for r in rows]
         assert all(a < b for a, b in zip(lows, lows[1:]))
         assert all(v < 1 for v in lows)  # n/(r+1) = 1 bounds the profile
         assert lows[-1] > 0.9
 
     def test_eps_fields(self, geometric_system):
-        row = rate_profile(geometric_system, [2])[0]
+        row = rate_profile(unit_system(geometric_system), [2])[0]
         assert row.eps_exact == F(1, 153)
         assert row.eps_next == F(1, 1431)
 
@@ -352,7 +354,7 @@ class TestRateProfile:
         assert abs(float(row.rate) - 2 * math.log(5)) < 1e-15
 
     def test_quadratic_ratio_approaches_dimension(self):
-        sys = build_stacked(Schedule.quadratic(1), 2, 2)
+        sys = unit_system(build_stacked(Schedule.quadratic(1), 2, 2))
         rows = rate_profile(sys, range(1, 101))
         lows = [r.lower_ratio() for r in rows]
         assert all(a < b for a, b in zip(lows, lows[1:]))
@@ -360,7 +362,7 @@ class TestRateProfile:
 
     def test_sparse_rows_inactive_with_eps(self):
         sched = Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS)
-        sys = build_stacked(sched, 2, 10)
+        sys = unit_system(build_stacked(sched, 2, 10))
         rows = rate_profile(sys, range(1, 11))
         for row in rows:
             assert (row.L != 1) == (row.k in (1, 4))
@@ -369,16 +371,16 @@ class TestRateProfile:
                 assert row.eps_exact is not None
 
     def test_identity_rows_are_zero(self):
-        rows = rate_profile(IdentitySystem(2), range(1, 5))
+        rows = rate_profile(System(2, ()), range(1, 5))
         for row in rows:
             assert row.lower_ratio() == row.upper_ratio() == 0.0
             assert row.L == 1 and row.eps_exact is None
 
     def test_rejects_bad_indices(self, geometric_system):
         with pytest.raises(ValueError):
-            rate_profile(geometric_system, [])
+            rate_profile(unit_system(geometric_system), [])
         with pytest.raises(ValueError):
-            rate_profile(geometric_system, [0, 1])
+            rate_profile(unit_system(geometric_system), [0, 1])
 
     @pytest.mark.parametrize("alpha,beta", [(F(2, 3), 1), (1, 2), (0, 2), (1, 1)])
     def test_two_block_rows_are_their_larger_halfs(self, alpha, beta):
@@ -387,21 +389,33 @@ class TestRateProfile:
         # them; at alpha = 0 the upper half is the identity, and the lower
         # half's own zero rows win the tie
         two = build_two_block(alpha, beta, 2, 30)
+        halves = [unit_system(part) for _, part in two.parts]
+        if alpha == 0:
+            halves.append(System(2, ()))  # the identity upper half
         ks = range(1, 31)
-        for row, low, up in zip(*(rate_profile(s, ks) for s in (two, two.lower, two.upper))):
+        for row, low, up in zip(*(rate_profile(s, ks) for s in (two, *halves))):
             assert row == (low if row.k in (1, 4, 27) or alpha == 0 else up), row.k
             assert row.lower_ratio() == max(low.lower_ratio(), up.lower_ratio())
 
 
-# (schedule, n) of every leg and size law, at B = 1 (placed at the quadratic
-# cap 500/987 when the sizes are quadratic)
-GROWTH_SCHEDULES = {
-    "geometric r=1": (Schedule.geometric(1, 1), 2),
-    "geometric r=2": (Schedule.geometric(1, 2), 2),
-    "geometric r=3": (Schedule.geometric(1, 3), 3),
-    "quadratic": (Schedule.quadratic(1), 2),
-    "sparse": (Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2),
-    "sparse quadratic": (Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 3),
+def stacked_spec(kind: str, n: int, k_max: int, r=None) -> SystemSpec:
+    """A stacked spec at B = 1 (placed at the quadratic cap 500/987 when the
+    sizes are quadratic, that is when r is None)."""
+    return SystemSpec(kind, n, F(1), None if r is None else F(r), k_max)
+
+
+def two_block_spec(alpha, beta, n: int, k_max: int) -> SystemSpec:
+    return SystemSpec("two_block", n, k_max=k_max, alpha=F(alpha), beta=F(beta))
+
+
+# the spec of every leg and size law
+GROWTH_SPECS = {
+    "geometric r=1": stacked_spec("geometric", 2, 1, r=1),
+    "geometric r=2": stacked_spec("geometric", 2, 1, r=2),
+    "geometric r=3": stacked_spec("geometric", 3, 1, r=3),
+    "quadratic": stacked_spec("quadratic", 2, 1),
+    "sparse": stacked_spec("sparse", 2, 1, r=1),
+    "sparse quadratic": stacked_spec("sparse", 3, 1),
 }
 
 
@@ -411,18 +425,17 @@ def _smaller_half(rows):
 
 
 class TestRowFault:
-    @pytest.mark.parametrize("name", sorted(GROWTH_SCHEDULES))
+    @pytest.mark.parametrize("name", sorted(GROWTH_SPECS))
     def test_rows_to_k_400_grow_at_the_stated_coefficients(self, name):
-        schedule, n = GROWTH_SCHEDULES[name]
-        system = build_stacked(schedule, n, 1)
-        assert extrapolate(system, range(1, 401)) == analytic_targets(system)
+        spec = GROWTH_SPECS[name]
+        assert extrapolate(build_system(spec), range(1, 401)) == analytic_targets(spec)
 
     @pytest.mark.parametrize("alpha,beta,n", [(F(2, 3), 1, 2), (1, 2, 2), (0, 1, 2), (1, 3, 3)])
     def test_two_block_rows_to_k_400_pass(self, alpha, beta, n):
         assert extrapolate(build_two_block(alpha, beta, n, 1), range(1, 401)) == (alpha, beta)
 
     def test_identity_has_no_rows_to_check(self):
-        assert extrapolate(IdentitySystem(2), range(1, 31)) == (0, 0)
+        assert extrapolate(System(2, ()), range(1, 31)) == (0, 0)
 
     @pytest.mark.parametrize(
         "field,value,fault",
@@ -466,6 +479,20 @@ class TestRowFault:
         with pytest.raises(RowFault, match="^k=1 two-block row is not its larger half's$"):
             extrapolate(two, range(1, 31))
 
+    def test_a_tie_sent_to_the_upper_half_is_reported(self, monkeypatch):
+        # two sparse parts of different rates are both inactive at k = 2, so
+        # their rows tie at rank 0 but differ in eps; the rule takes the lower
+        # part's, and a rule that sends ties up is caught there
+        sparse = [build_stacked(Schedule.geometric(1, r, active=ACTIVE_SELF_POWERS), 2, 1)
+                  for r in (1, 2)]
+        charts = [chart for chart, _ in build_two_block(F(2, 3), 1, 2, 1).parts]
+        two = System(2, tuple(zip(charts, sparse)))
+        assert rate_profile(two, [2])[0] == _stacked_bound(sparse[0].schedule, 2, 2)
+        assert extrapolate(two, range(1, 31)) == (0, 1)
+        monkeypatch.setattr(symbolic, "_larger_half", lambda rows: max(reversed(rows), key=_rank))
+        with pytest.raises(RowFault, match="^k=2 two-block row is not its larger half's$"):
+            extrapolate(two, range(1, 31))
+
     def test_the_losing_half_is_checked(self, monkeypatch):
         # at k = 2 the dense half wins, so the combined row never shows the
         # sparse half's shifted eps; from k = 1 the sparse spike's lower
@@ -474,7 +501,7 @@ class TestRowFault:
         real = Schedule.eps
         monkeypatch.setattr(Schedule, "eps", lambda sched, k: real(sched, k) / (
             3 if sched.is_sparse and k == 2 else 1))
-        assert rate_profile(two, [2])[0] == _stacked_bound(two.upper.schedule, 2, 2)
+        assert rate_profile(two, [2])[0] == _stacked_bound(two.parts[1][1].schedule, 2, 2)
         with pytest.raises(RowFault) as fault:
             extrapolate(two, range(2, 31))
         assert str(fault.value) == (
@@ -489,34 +516,36 @@ class TestRowFault:
         # the rule the 30-digit ratios decided, with ties to the active row
         # and then to the lower half
         two = build_two_block(alpha, beta, n, 1)
-        for low, up in _half_rows(two, range(1, 401)):
+        for rows in _half_rows(two, range(1, 401)):
+            # at alpha = 0 the upper half, the identity, is no part: its zero row stands in
+            low, up = (*rows, RateBound(rows[0].k, n, 1, None, None))[:2]
             floats = low if (low.lower_ratio(), low.L) >= (up.lower_ratio(), up.L) else up
             assert symbolic._larger_half([low, up]) == floats, low.k
 
 
 class TestExtrapolate:
     @pytest.mark.parametrize(
-        "system,limits",
+        "spec,limits",
         [
-            (build_stacked(Schedule.geometric(1, 1), 2, 3), (1, 1)),
-            (build_stacked(Schedule.geometric(1, 2), 2, 3), (F(2, 3), F(2, 3))),
-            (build_stacked(Schedule.geometric(1, 2), 3, 2), (1, 1)),
-            (build_stacked(Schedule.quadratic(1), 2, 3), (2, 2)),
-            (build_stacked(Schedule.quadratic(1), 3, 2), (3, 3)),
-            (build_stacked(Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2, 4), (0, 1)),
-            (build_stacked(Schedule.quadratic(1, active=ACTIVE_SELF_POWERS), 2, 4), (0, 2)),
-            (build_stacked(Schedule.geometric(1, 3), 2, 2), (F(1, 2), F(1, 2))),
-            (IdentitySystem(2), (0, 0)),
-            (build_two_block(F(2, 3), 1, 2, 30), (F(2, 3), 1)),
-            (build_two_block(1, 2, 2, 4), (1, 2)),
-            (build_two_block(0, 1, 2, 4), (0, 1)),
-            (build_two_block(1, 1, 2, 4), (1, 1)),
-            (build_two_block(1, 3, 3, 4), (1, 3)),
+            (stacked_spec("geometric", 2, 3, r=1), (1, 1)),
+            (stacked_spec("geometric", 2, 3, r=2), (F(2, 3), F(2, 3))),
+            (stacked_spec("geometric", 3, 2, r=2), (1, 1)),
+            (stacked_spec("quadratic", 2, 3), (2, 2)),
+            (stacked_spec("quadratic", 3, 2), (3, 3)),
+            (stacked_spec("sparse", 2, 4, r=1), (0, 1)),
+            (stacked_spec("sparse", 2, 4), (0, 2)),
+            (stacked_spec("geometric", 2, 2, r=3), (F(1, 2), F(1, 2))),
+            (SystemSpec("identity", 2), (0, 0)),
+            (two_block_spec(F(2, 3), 1, 2, 30), (F(2, 3), 1)),
+            (two_block_spec(1, 2, 2, 4), (1, 2)),
+            (two_block_spec(0, 1, 2, 4), (0, 1)),
+            (two_block_spec(1, 1, 2, 4), (1, 1)),
+            (two_block_spec(1, 3, 3, 4), (1, 3)),
         ],
     )
-    def test_exact_limits_equal_the_targets(self, system, limits):
-        got = extrapolate(system, range(1, 31))  # rows that tend to these limits
-        assert got == limits == analytic_targets(system)
+    def test_exact_limits_equal_the_targets(self, spec, limits):
+        got = extrapolate(build_system(spec), range(1, 31))  # rows that tend to these limits
+        assert got == limits == analytic_targets(spec)
         assert all(type(limit) is Fraction for limit in got)
 
     def test_two_block_takes_the_larger_half_on_each_subsequence(self):
@@ -524,7 +553,8 @@ class TestExtrapolate:
         # subsequences: the rows tend to 1 everywhere
         sparse = build_stacked(Schedule.geometric(1, 3, active=ACTIVE_SELF_POWERS), 2, 4)
         dense = build_stacked(Schedule.geometric(1, 1), 2, 4)
-        two = build_two_block(F(1, 2), 1, 2, 4)._replace(lower=sparse, upper=dense)
+        two = build_two_block(F(1, 2), 1, 2, 4)
+        two = two._replace(parts=((two.parts[0][0], sparse), (two.parts[1][0], dense)))
         assert extrapolate(two, range(1, 31)) == (1, 1)
 
     def test_rows_approach_the_limits(self):
@@ -539,18 +569,5 @@ class TestExtrapolate:
     def test_an_empty_range_is_refused(self):
         # limits from no checked row would be a verdict no row supports
         with pytest.raises(ValueError, match="profile indices must be >= 1"):
-            extrapolate(build_stacked(Schedule.geometric(1, 1), 2, 3), [])
+            extrapolate(unit_system(build_stacked(Schedule.geometric(1, 1), 2, 3)), [])
 
-
-class TestAnalyticTargets:
-    def test_all_kinds(self):
-        assert analytic_targets(IdentitySystem(3)) == (0, 0)
-        assert analytic_targets(build_stacked(Schedule.geometric(1, 1), 2, 2)) == (1, 1)
-        assert analytic_targets(build_stacked(Schedule.geometric(1, 2), 3, 2)) == (1, 1)
-        assert analytic_targets(build_stacked(Schedule.quadratic(1), 2, 2)) == (2, 2)
-        sparse = build_stacked(
-            Schedule.geometric(1, 1, active=ACTIVE_SELF_POWERS), 2, 4
-        )
-        assert analytic_targets(sparse) == (0, 1)
-        two = build_two_block(F(1, 2), 1, 2, 4)
-        assert analytic_targets(two) == (F(1, 2), 1)
