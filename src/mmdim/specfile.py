@@ -339,9 +339,7 @@ def numeric_csv_rows(rows: Sequence[NumericRateRow]) -> list[dict]:
 
 
 def write_profile_csv(fh, rows: Sequence[dict]) -> None:
-    import csv  # only the commands that write CSV load it
-
-    writer = csv.DictWriter(fh, fieldnames=PROFILE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    """Write the header and the rows as comma-joined lines; no field holds a
+    comma, a quote or a line break, so none is quoted."""
+    for line in [PROFILE_COLUMNS, *([row[c] for c in PROFILE_COLUMNS] for row in rows)]:
+        fh.write(",".join(line) + "\n")

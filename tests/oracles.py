@@ -5,19 +5,24 @@ package: the naive Bowen distance the greedy scan's kernel is checked
 against, the unsquared word boxes and block enlargements of the acceptance
 criteria, the box intersections and the overlap sweep for boxes of any
 shape, the `Fraction` box centers, piece images and seed sets the lattice
-paths replaced, and the Fraction-coercing constructors and containment
-tests the tests write their cases with.
+paths replaced, the Fraction-coercing constructors and containment tests
+the tests write their cases with, and the `argparse` parser the command line
+was read with before `mmdim.cli` read it from its own table.
 """
 
+import argparse
 import math
+import os
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
+from mmdim import cli
 from mmdim.constructions import MARGIN
 from mmdim.estimators import SeedSet
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import HorseshoeMap
 from mmdim.mapping import ESCAPED, AffinePiece, PAMap
+from mmdim.specfile import MAX_STORED_DIGITS
 
 Point = tuple[Fraction, ...]
 
@@ -238,3 +243,69 @@ def enlarged_box(cube: Cube) -> Box:
     for lo, hi in cube_box(cube).intervals:
         ivs.append((max(Fraction(0), lo - pad), min(Fraction(1), hi + pad)))
     return Box(tuple(ivs))
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Head the usage "Usage:", as mmdim always has."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+def _file_path(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"'{path}' is a directory")
+    return path
+
+
+def _existing_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"'{path}' does not exist")
+    return _file_path(path)
+
+
+def _int_range(lo: int, hi: int | None = None):
+    """An integer option's type: at least lo, and at most hi unless it is None."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {lo}<=x"
+                                             + ("" if hi is None else f"<={hi}"))
+        return value
+    return integer
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The `argparse` parser of the five commands, as `mmdim.cli` built it
+    before its own table: `parse_args(argv)` holds the command as `run`, its
+    parser as `parser`, and the command's keyword arguments."""
+    style = dict(formatter_class=_Formatter, allow_abbrev=False, add_help=False)
+    parser = argparse.ArgumentParser(prog="mmdim", description=cli.main.__doc__, **style)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = {}
+    for run in (cli.build, cli.validate, cli.profile, cli.estimate, cli.verify):
+        sub[run] = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                       **style)
+        sub[run].set_defaults(run=run, parser=sub[run])
+        path = "spec_path" if run is cli.build else "system_path"
+        sub[run].add_argument(path, metavar=path.upper(), type=_existing_file)
+    sub[cli.build].add_argument("-o", "--out", required=True, type=_file_path, metavar="PATH",
+                                help="Where to write the built system JSON.")
+    sub[cli.profile].add_argument("--kmax", type=_int_range(1, MAX_STORED_DIGITS), default=24,
+                                  help="Profile block indices 1..kmax. (default: %(default)s)")
+    sub[cli.estimate].add_argument("--k", type=_int_range(1), required=True,
+                                   help="Block index to measure.")
+    sub[cli.estimate].add_argument("--m", dest="m_max", metavar="M", type=_int_range(2),
+                                   default=3,
+                                   help="Greedy scans run at depths 1..m. (default: %(default)s)")
+    sub[cli.estimate].add_argument("--eps", dest="eps_str", metavar="EPS",
+                                   help='Override the separation scale (a "p/q" rational).')
+    for run in (cli.profile, cli.estimate):
+        sub[run].add_argument("-o", "--out", type=_file_path, metavar="PATH",
+                              help="CSV output path (default: stdout).")
+    sub[cli.verify].add_argument("--kmax", type=_int_range(1, MAX_STORED_DIGITS), default=30,
+                                 help="Check the rows of block indices 1..kmax. "
+                                      "(default: %(default)s)")
+    for each in (parser, *sub.values()):  # --help alone, with no -h, as mmdim always had
+        each.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser

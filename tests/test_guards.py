@@ -51,8 +51,15 @@ GUARDS = [
           "logs are evaluated with the standard library's decimal; mpmath is only "
           "the tests' oracle, and importing it costs every command"),
     Guard("No click in src/mmdim or pyproject.toml", r"click", (*SRC, "pyproject.toml"),
-          "the CLI is built on the standard library's argparse; importing click "
+          "mmdim.cli reads argv from its own table of commands; importing click "
           "cost every command about 26 ms of start-up"),
+    Guard("No argparse or csv in src/mmdim", r"argparse|\bcsv\b", SRC,
+          "mmdim.cli.COMMANDS is the one table of the commands and their options, "
+          "and cli._parse reads argv from it; argparse with the gettext and locale "
+          "it loads, and building its parsers, cost every command 4-6 ms of CPU, "
+          "more than verify's own work; no profile field needs quoting, so "
+          "specfile.write_profile_csv joins the fields itself and no command imports "
+          "csv (the argparse parser is the tests' oracle, in tests/oracles.py)"),
     Guard("No dataclasses in src/mmdim", r"dataclass", SRC,
           "records are typing.NamedTuples; dataclasses (with the inspect it imports) "
           "and its generated methods cost every command about 30 ms of start-up"),
@@ -217,3 +224,27 @@ def test_validator_loads_with_validate_alone():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_commands_load_no_argparse_locale_or_csv(tmp_path):
+    # a fresh interpreter runs verify, profile and estimate through main, then
+    # lists what they loaded beyond what the interpreter had loaded before
+    spec, system = tmp_path / "spec.json", tmp_path / "system.json"
+    spec.write_text('{"kind": "geometric", "n": 2, "B": "1", "r": "1", "kMax": 3}')
+    code = f"""
+import contextlib, io, sys
+before = set(sys.modules)
+from mmdim.cli import main
+commands = [["build", {str(spec)!r}, "-o", {str(system)!r}], ["verify", {str(system)!r}],
+            ["profile", {str(system)!r}], ["estimate", {str(system)!r}, "--k", "1", "--m", "2"]]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv, standalone_mode=False) == 0, argv
+print(sorted(set(sys.modules) - before))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    loaded = eval(result.stdout)
+    assert "mmdim.estimators" in loaded  # the listing sees a module loaded inside a command
+    assert [m for m in loaded if m.lstrip("_") in {"argparse", "gettext", "locale", "csv"}] == []

@@ -342,6 +342,20 @@ class TestCsvExport:
         parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
         assert [r["k"] for r in parsed] == ["1", "2", "3"]
 
+    def test_write_profile_csv_writes_the_csv_modules_bytes(self, geometric_system):
+        # the standard library's writer is the oracle: every kind of row, an
+        # identity row's and an error row's empty fields included, needs no quoting
+        profile = rate_profile(unit_system(geometric_system), range(1, 31))
+        rows = (symbolic_csv_rows(profile) + symbolic_csv_rows(rate_profile(System(2, ()), [1]))
+                + numeric_csv_rows([mdim_numeric_profile(unit_system(geometric_system), 1, 2),
+                                    NumericRateRow(3, F(1, 459), {}, {}, {}, error="budget")]))
+        ours, theirs = io.StringIO(), io.StringIO()
+        write_profile_csv(ours, rows)
+        writer = csv.DictWriter(theirs, fieldnames=PROFILE_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert ours.getvalue() == theirs.getvalue()
+
 
 FUZZ_SPECS = [
     GEOMETRIC_SPEC,
