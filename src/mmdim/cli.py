@@ -39,13 +39,13 @@ from .specfile import (
     SystemSpec,
     analytic_targets,
     build_system,
+    canonical_dumps,
     check_sizes,
     load_system,
     numeric_csv_rows,
     read_json,
     symbolic_csv_rows,
     system_to_jsonable,
-    write_json,
     write_profile_csv,
 )
 from .symbolic import RowFault, extrapolate, rate_profile
@@ -112,10 +112,7 @@ def build(spec_path: str, out: str) -> int:
     """Build the system a spec file describes and write it with its geometry."""
     spec = SystemSpec.from_jsonable(read_json(spec_path))
     payload = system_to_jsonable(build_system(spec), spec)
-    try:
-        write_json(out, payload)
-    except OSError as exc:
-        raise CannotWrite(f"cannot write {out}: {exc.strerror or exc}") from None
+    _write(out, lambda fh: fh.write(canonical_dumps(payload)))
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

@@ -286,18 +286,15 @@ def canonical_dumps(obj: object) -> str:
 
 
 def read_json(path: str) -> object:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as exc:  # also integers past Python's int->str limit
-            raise SpecFileError(f"{path}: not valid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise SpecFileError(f"{path}: JSON nested too deeply") from exc
-
-
-def write_json(path: str, obj: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
+    except OSError as exc:  # unreadable: permission denied, or an I/O error
+        raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # also integers past Python's int->str limit
+        raise SpecFileError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: JSON nested too deeply") from exc
 
 
 def _csv_row(

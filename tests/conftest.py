@@ -1,14 +1,12 @@
-import contextlib
 import gc
-import io
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
-from mmdim.cli import main
 from mmdim.constructions import Schedule, build_stacked
 from mmdim.horseshoe import build_horseshoe
+
+import corpus
 from oracles import cube_of
 
 
@@ -44,21 +42,5 @@ def q(request):
 
 @pytest.fixture(scope="session")
 def cli():
-    """Run `mmdim ARGS` in process: main(args, standalone_mode=False).
-
-    Returns exit_code, stdout, stderr and output (stdout then stderr).  A
-    usage error or --help ends in SystemExit, whose code is the exit code;
-    any other exception propagates, so a traceback fails the test.
-    """
-
-    def run(args: list[str]) -> SimpleNamespace:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(args, standalone_mode=False)
-            except SystemExit as exc:
-                code = exc.code
-        return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
-                               output=out.getvalue() + err.getvalue())
-
-    return run
+    """Run `mmdim ARGS` in process, as the corpus runs its matrix: see corpus.run."""
+    return corpus.run

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmdim
-from mmdim import cli as cli_module, estimators, symbolic, validation
+from mmdim import cli as cli_module, estimators, specfile, symbolic, validation
 from mmdim.cli import main
 from mmdim.constructions import ACTIVE_ALL, ACTIVE_SELF_POWERS, Schedule
 from mmdim.specfile import (
@@ -29,8 +29,8 @@ from mmdim.specfile import (
     load_system,
     read_json,
     system_to_jsonable,
-    write_json,
 )
+from corpus import SPECS
 from oracles import argparse_parser
 from test_lazy_geometry import as_format_2
 
@@ -41,7 +41,7 @@ F = Fraction
 def tmp_spec(tmp_path):
     def make(name="spec.json", **fields):
         path = tmp_path / name
-        write_json(path, fields)
+        path.write_text(canonical_dumps(fields))
         return str(path)
 
     return make
@@ -150,7 +150,7 @@ class TestBuild:
         data = dict(kind="geometric", n=2, B="1", r="1", kMax=3) | fields
         stored = read_json(geometric_file)
         stored["spec"] = data
-        write_json(geometric_file, stored)
+        Path(geometric_file).write_text(canonical_dumps(stored))
         for args in (["build", tmp_spec(**data), "-o", geometric_file + ".out"],
                      ["verify", geometric_file]):
             t0 = time.perf_counter()
@@ -175,7 +175,7 @@ class TestBuild:
         data["spec"]["legScheduleOverride"] = {"2": 5}
         data["system"]["schedule"]["legScheduleOverride"] = {"2": 5}
         data["system"]["blocks"][1]["eps"] = "1/729"
-        write_json(out, data)
+        Path(out).write_text(canonical_dumps(data))
         if version == "2":
             digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
             assert digest == "dc8cf8456131cab3cd893d9e5548d0bd9bffa8dcfb42364d14a4655b3e7002cf"
@@ -254,7 +254,7 @@ class TestValidate:
     def test_tampered_file_is_rejected(self, cli, geometric_file):
         data = read_json(geometric_file)
         data["system"]["blocks"][0]["side"] = "1/4"
-        write_json(geometric_file, data)
+        Path(geometric_file).write_text(canonical_dumps(data))
         result = cli(["validate", geometric_file])
         assert result.exit_code == 2
         assert "does not match" in result.stderr
@@ -273,7 +273,7 @@ class TestValidate:
         data = read_json(geometric_file)
         target = data["system"]["blocks"][0] if level == "block" else data["system"]
         target[key] = value
-        write_json(geometric_file, data)
+        Path(geometric_file).write_text(canonical_dumps(data))
         for args in (["verify", geometric_file], ["validate", geometric_file],
                      ["estimate", geometric_file, "--k", "1"]):
             result = cli(args)
@@ -288,7 +288,7 @@ class TestValidate:
             data["system"]["blocks"][0]["assignment"] = [[1, [5]], [3, [3]], [5, [1]]]
         with pytest.raises(SpecFileError, match="mmdim build"):
             load_system(data)
-        write_json(geometric_file, data)
+        Path(geometric_file).write_text(canonical_dumps(data))
         for command in ("validate", "profile", "verify"):
             t0 = time.perf_counter()
             result = cli([command, geometric_file])
@@ -518,24 +518,6 @@ def verify_table(liminf: tuple[str, str, str], limsup: tuple[str, str, str]) -> 
     return "\n".join(rows) + "\n"
 
 
-# buildable specs whose limits verify prints exactly, with their (liminf, limsup)
-VERIFIED_SPECS = {
-    "geometric r=1": (dict(kind="geometric", n=2, B="1", r="1", kMax=3), ("1", "1")),
-    "geometric r=2": (dict(kind="geometric", n=2, B="1", r="2", kMax=3), ("2/3", "2/3")),
-    "geometric n=3": (dict(kind="geometric", n=3, B="1", r="1", kMax=2), ("3/2", "3/2")),
-    "quadratic n=2": (dict(kind="quadratic", n=2, B="1", kMax=30), ("2", "2")),
-    "quadratic n=3": (dict(kind="quadratic", n=3, B="1", kMax=4), ("3", "3")),
-    "sparse geometric": (dict(kind="sparse", n=2, B="1", r="1", kMax=4), ("0", "1")),
-    "sparse quadratic": (dict(kind="sparse", n=2, B="1", kMax=4), ("0", "2")),
-    "two_block 2/3..1": (dict(kind="two_block", n=2, alpha="2/3", beta="1", kMax=30),
-                         ("2/3", "1")),
-    "two_block 1..2": (dict(kind="two_block", n=2, alpha="1", beta="2", kMax=4), ("1", "2")),
-    "two_block 0..1": (dict(kind="two_block", n=2, alpha="0", beta="1", kMax=4), ("0", "1")),
-    "two_block 1..3": (dict(kind="two_block", n=3, alpha="1", beta="3", kMax=4), ("1", "3")),
-    "identity": (dict(kind="identity", n=2), ("0", "0")),
-}
-
-
 @st.composite
 def buildable_specs(draw) -> dict:
     """Geometric, sparse, quadratic and two-block specs within the size caps."""
@@ -562,15 +544,15 @@ class TestVerify:
     def test_every_buildable_spec_verifies(self, cli, fields):
         with tempfile.TemporaryDirectory() as root:
             spec, system = os.path.join(root, "spec.json"), os.path.join(root, "system.json")
-            write_json(spec, fields)
+            Path(spec).write_text(canonical_dumps(fields))
             assert cli(["build", spec, "-o", system]).exit_code == 0
             result = cli(["verify", system])
         assert result.exit_code == 0, (fields, result.output)
         assert result.stdout.count("  yes\n") == 2
 
-    @pytest.mark.parametrize("name", sorted(VERIFIED_SPECS))
+    @pytest.mark.parametrize("name", sorted(SPECS))
     def test_prints_exact_limits_equal_to_the_targets(self, cli, tmp_spec, tmp_path, name):
-        fields, (lo, hi) = VERIFIED_SPECS[name]
+        fields, (lo, hi) = SPECS[name]
         out = str(tmp_path / "system.json")
         assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
         result = cli(["verify", out])
@@ -578,10 +560,10 @@ class TestVerify:
         assert result.stdout == verify_table((lo, lo, "yes"), (hi, hi, "yes"))
         assert result.stderr == ""
 
-    @pytest.mark.parametrize("name", sorted(VERIFIED_SPECS))
+    @pytest.mark.parametrize("name", sorted(SPECS))
     def test_takes_no_logarithm(self, cli, tmp_spec, tmp_path, monkeypatch, name):
         # the row checks and the two-block max rule compare exact rationals
-        fields, (lo, hi) = VERIFIED_SPECS[name]
+        fields, (lo, hi) = SPECS[name]
         out = str(tmp_path / "system.json")
         assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
 
@@ -600,8 +582,8 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.stdout == verify_table(("1", "1", "yes"), ("3/2", "1", "NO"))
 
-    @pytest.mark.parametrize("name,row", [("geometric r=1", ("2/3", "1", "NO")),
-                                          ("geometric n=3", ("1", "3/2", "NO"))])
+    @pytest.mark.parametrize("name,row", [("square", ("2/3", "1", "NO")),
+                                          ("cube", ("1", "3/2", "NO"))])
     def test_targets_off_the_construction_exit_1(self, cli, tmp_spec, tmp_path, monkeypatch,
                                                  name, row):
         # targets n / (a + 1) from the rows' own growth coefficient a: the
@@ -613,7 +595,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli_module, "analytic_targets", shifted)
         out = str(tmp_path / "system.json")
-        assert cli(["build", tmp_spec(**VERIFIED_SPECS[name][0]), "-o", out]).exit_code == 0
+        assert cli(["build", tmp_spec(**SPECS[name][0]), "-o", out]).exit_code == 0
         result = cli(["verify", out])
         assert result.exit_code == 1, result.output
         assert result.stdout == verify_table(row, row)
@@ -653,13 +635,16 @@ class TestVerify:
             "eps_2 / 7": lambda s, k: real(s, k) / (7 if k == 2 else 1),
         }[mutant])
         if mutant == "2L - 3":
-            specs = [VERIFIED_SPECS["geometric r=1"][0]]
+            specs = [SPECS["square"][0]]
             fault = ("k=1 |ln eps| is not 2 j ln 3 + 0 ln j + ln(1/B) + [ln(5/3), ln 2)",
                      " at j=1\n")
         else:
-            specs = [fields for fields, _ in VERIFIED_SPECS.values() if fields.get("kMax", 0) >= 2]
+            # every spec with a block 2: all but the identity and zero_both,
+            # which build no block, as their limsup 0 says
+            specs = [fields for fields, (_, hi) in SPECS.values()
+                     if fields.get("kMax", 0) >= 2 and hi != "0"]
             fault = ("k=1 lower_den is not ", " ln j + ln(1/B) + [ln(5/3), ln 2) at j=2\n")
-            assert len(specs) == len(VERIFIED_SPECS) - 1  # all but the identity
+            assert len(specs) == len(SPECS) - 2
         for i, fields in enumerate(specs):
             out = str(tmp_path / f"shrunk{i}.json")
             assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
@@ -992,6 +977,49 @@ class TestUnwritableOutput:
         assert result.stdout == ""
 
 
+class TestUnreadableInput:
+    """An input file that exists but cannot be read is a spec error: the
+    command's usage and one line naming the file, and exit 2, not a
+    traceback and exit 1, which only a failed verification gives."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+    @pytest.mark.parametrize("args", [["verify", "{path}"], ["build", "{path}", "-o", "{out}"]])
+    def test_an_io_error_exits_2(self, cli, tmp_path, args):
+        # reading a process's own memory from offset 0, which no mapping
+        # covers, fails with EIO
+        out = tmp_path / "out.json"
+        result = cli([arg.format(path="/proc/self/mem", out=out) for arg in args])
+        assert result.exit_code == 2, result.output
+        usage, error = result.stderr.splitlines()
+        assert usage.startswith(f"Usage: mmdim {args[0]} ")
+        assert error == f"mmdim {args[0]}: error: cannot read /proc/self/mem: Input/output error"
+        assert result.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["build", "{spec}", "-o", "{out}"],
+        ["verify", "{system}"],
+        ["validate", "{system}"],
+        ["profile", "{system}"],
+        ["estimate", "{system}", "--k", "1"],
+    ])
+    def test_permission_denied_exits_2(self, cli, tmp_spec, tmp_path, geometric_file,
+                                       monkeypatch, args):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        paths = dict(spec=tmp_spec(kind="identity", n=2), system=geometric_file,
+                     out=str(tmp_path / "out.json"))
+        monkeypatch.setattr(specfile, "open", denied, raising=False)
+        result = cli([arg.format(**paths) for arg in args])
+        assert result.exit_code == 2, result.output
+        path = paths["spec" if args[0] == "build" else "system"]
+        assert result.stderr.splitlines()[1] == (
+            f"mmdim {args[0]}: error: cannot read {path}: Permission denied")
+        assert result.stdout == ""
+        assert not os.path.exists(paths["out"])
+
+
 class TestClosedStdout:
     """A stdout whose reader has gone is an output that cannot be written: one
     line and exit 2, not a traceback and exit 1, which only a failed
@@ -1047,7 +1075,7 @@ def loaded_modules(tmp_path_factory) -> dict[str, set[str]]:
     """The modules each of the five commands loads, on the geometric square."""
     root = tmp_path_factory.mktemp("imports")
     spec, system = str(root / "spec.json"), str(root / "system.json")
-    write_json(spec, dict(kind="geometric", n=2, B="1", r="1", kMax=3))
+    Path(spec).write_text(canonical_dumps(dict(kind="geometric", n=2, B="1", r="1", kMax=3)))
     commands = {"build": ["build", spec, "-o", system], "verify": ["verify", system],
                 "profile": ["profile", system, "--kmax", "30"], "validate": ["validate", system],
                 "estimate": ["estimate", system, "--k", "1", "--m", "2"]}

@@ -173,6 +173,15 @@ GUARDS = [
           "load_system(read_json(path)) itself; validate_horseshoe returns its checks; "
           "symbolic._half_rows builds each half's rows once for rate_profile and "
           "extrapolate; a system is one record, so no branch refuses an unknown type"),
+    Guard("One write path in src/mmdim", r"write_json\b", SRC,
+          "cli._write writes every output path and stdout and maps an OSError to "
+          "CannotWrite, build's system file included; the tests write their files "
+          "with specfile.canonical_dumps"),
+    Guard("One spec table in tests", r"^(SPECS|VERIFIED_SPECS|GOLDEN|BUILT|REFUSED|CORPUS) =",
+          ("tests",),
+          "tests/corpus.py holds the one table of specs and the one command matrix; "
+          "tests/pins.json pins every output of the matrix, and test_reach runs it",
+          skip=("corpus.py",)),
     Guard("One system record in src/mmdim",
           r"IdentitySystem|TwoBlockSystem|\b_halves\b|isinstance\([^)]*System\b", SRC,
           "a System is its (Chart, StackedSystem) parts: a stacked spec is one part in "
