@@ -16,9 +16,10 @@ separated counts grow by L_k^(n-1) per step and g's by L_k^n.
 
 A `System` is its parts: each is a stacked system seen through a `Chart`, a
 homothety of [0, 1]^n onto a cube inside it; everything outside the parts is
-the identity.  A stacked spec is one part in the unit chart, a two-block
-system is two parts in the corner charts [0, 1/2]^n and [1/2, 1]^n, and the
-identity has none.
+the identity.  Which parts a spec has, in which charts, is decided in
+`specfile.spec_parts`: a stacked spec is one part in the unit chart, a
+two-block spec two parts in the corner charts [0, 1/2]^n and [1/2, 1]^n,
+and the identity none.
 
 The systems record that layout; no command steps a whole system.  A block's
 horseshoe, and with it the `horseshoe` and `mapping` layers, loads only when
@@ -141,22 +142,6 @@ class Schedule(_ScheduleFields):
         return self.active == ACTIVE_ALL or k in _self_power_set(k)
 
 
-def solve_rate(alpha: Fraction, n: int, active: str = ACTIVE_ALL) -> Schedule:
-    """Schedule whose stacked system has metric mean dimension alpha.
-
-    alpha in (0, n): geometric with r = n/alpha - 1; alpha = n: quadratic.
-    A sparse `active` pattern keeps alpha as the superior limit only.
-    """
-    alpha = Fraction(alpha)
-    if n < 2:
-        raise ScheduleError("systems need dimension n >= 2")
-    if alpha <= 0 or alpha > n:
-        raise ScheduleError(f"solvable targets lie in (0, {n}], got {alpha}")
-    if alpha == n:
-        return Schedule.quadratic(1, active)
-    return Schedule.geometric(1, Fraction(n, 1) / alpha - 1, active)
-
-
 def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, Fraction]]:
     """Anchors a and sides for blocks 1..count inside [0, 1]^n; block k is
     the cube [a, a + side]^n.
@@ -250,8 +235,6 @@ class StackedSystem(NamedTuple):
     k_max: int
     blocks: tuple[Block, ...]
 
-    kind = "stacked"
-
     def block(self, k: int) -> Block:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"block {k} is outside the file (kMax = {self.k_max})")
@@ -287,26 +270,3 @@ class System(NamedTuple):
 
     n: int
     parts: tuple[tuple[Chart, StackedSystem], ...]
-
-
-def build_two_block(alpha, beta, n: int, k_max: int) -> System:
-    """System with lower metric mean dimension alpha and upper beta.
-
-    The lower corner [0, 1/2]^n carries a sparse system active at the self
-    powers {j^j}, realizing beta as the superior limit while contributing
-    nothing in between; the upper corner [1/2, 1]^n carries the dense system
-    for alpha, which pins the inferior limit.  A corner whose target is 0
-    holds the identity, so it is no part; when alpha = beta both parts hold
-    one dense system.  Requires 0 <= alpha <= beta <= n.
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if n < 2:
-        raise ScheduleError("systems need dimension n >= 2")
-    if not 0 <= alpha <= beta <= n:
-        raise ScheduleError(f"need 0 <= alpha <= beta <= n, got ({alpha}, {beta})")
-    upper = build_stacked(solve_rate(alpha, n), n, k_max) if alpha > 0 else None
-    lower = upper if alpha == beta else build_stacked(
-        solve_rate(beta, n, ACTIVE_SELF_POWERS), n, k_max)
-    half = Fraction(1, 2)
-    corners = ((Chart(Fraction(0), half), lower), (Chart(half, half), upper))
-    return System(n, tuple((chart, part) for chart, part in corners if part is not None))

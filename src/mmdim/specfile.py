@@ -18,14 +18,13 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .constructions import (
     ACTIVE_ALL,
     ACTIVE_SELF_POWERS,
-    GEOMETRIC,
-    QUADRATIC,
     UNIT,
+    Chart,
     Schedule,
+    ScheduleError,
     StackedSystem,
     System,
     build_stacked,
-    build_two_block,
 )
 from .geometry import rational_from_str
 from .symbolic import RateBound
@@ -33,7 +32,7 @@ from .symbolic import RateBound
 if TYPE_CHECKING:
     from .estimators import NumericRateRow
 
-SYSTEM_FORMAT = "mmdim-system/3"
+SYSTEM_FORMAT = "mmdim-system/4"
 
 # The fields each spec kind takes besides "kind" and "n", in check order,
 # each required (True) or optional (False).  "kMax" is an integer, the
@@ -170,96 +169,112 @@ class SystemSpec(NamedTuple):
         return out
 
 
+def build_two_block(spec: SystemSpec) -> list[tuple[Chart, SystemSpec, str]]:
+    """The parts of a two-block spec: lower metric mean dimension alpha, upper beta.
+
+    The lower corner [0, 1/2]^n carries the sparse system for beta, active at
+    the self powers {j^j}, which realizes beta as the superior limit while
+    contributing nothing in between; the upper corner [1/2, 1]^n carries the
+    dense system for alpha, which pins the inferior limit.  When alpha = beta
+    both corners carry that one dense system.  A target t in (0, n) sets the
+    geometric rate r = n/t - 1, the target n the quadratic sizes, and a target
+    0 is the identity, no part.  Requires 0 <= alpha <= beta <= n.
+    """
+    if not 0 <= spec.alpha <= spec.beta <= spec.n:
+        raise ScheduleError(f"need 0 <= alpha <= beta <= n, got ({spec.alpha}, {spec.beta})")
+    half = Fraction(1, 2)
+    parts = []
+    for chart, field, sparse in ((Chart(Fraction(0), half), "beta", spec.alpha < spec.beta),
+                                 (Chart(half, half), "alpha", False)):
+        target = getattr(spec, field)
+        if target > 0:
+            r = spec.n / target - 1 if target < spec.n else None
+            kind = "sparse" if sparse else "quadratic" if r is None else "geometric"
+            parts.append((chart, SystemSpec(kind, spec.n, Fraction(1), r, spec.k_max), field))
+    return parts
+
+
+def spec_parts(spec: SystemSpec) -> list[tuple[Chart, SystemSpec, str | None]]:
+    """Each part of the spec's system, in order: its chart, its stacked spec
+    (geometric, quadratic or sparse) and the spec field that sets its rate,
+    None for a stacked spec of quadratic sizes.  A stacked spec is its own one
+    part in the unit chart, and the identity has none."""
+    if spec.kind == "identity":
+        return []
+    if spec.kind == "two_block":
+        return build_two_block(spec)
+    return [(UNIT, spec, None if spec.r is None else "r")]
+
+
 def check_sizes(spec: SystemSpec) -> None:
-    """Raise unless blocks 1..kMax of each half store rationals within
+    """Raise unless blocks 1..kMax of each part store rationals within
     MAX_STORED_DIGITS.
 
-    A half's rate is the spec's r, or n/target - 1 for a two-block target
-    in (0, n); a quadratic half (target n) has none, and the identity
-    (target 0) stores nothing.  No `Schedule` is built here: its checks
-    form 3^r, which a rate past the cap would take too long to form.
+    No `Schedule` is built here: its checks form 3^r, which a rate past the
+    cap would take too long to form.
     """
-    if spec.kind == "identity":
-        return
-    if spec.kind == "two_block":
-        halves = [(Fraction(1), spec.n / target - 1 if target < spec.n else None, field)
-                  for field, target in (("alpha", spec.alpha), ("beta", spec.beta))
-                  if 0 < target <= spec.n]
-    else:
-        halves = [(spec.B, spec.r, None if spec.r is None else "r")]
-    for B, r, field in halves:  # field names what sets the rate, for the message
+    for _, part, field in spec_parts(spec):  # field names what sets the rate, for the message
         hint = "'kMax'" if field is None else f"'kMax' or {field!r}"
-        if r is not None and r > MAX_STORED_DIGITS:
+        if part.r is not None and part.r > MAX_STORED_DIGITS:
             raise SpecFileError(f"rate r above {MAX_STORED_DIGITS}; lower {hint}")
-        digits = _stored_digits(B, r, spec.k_max)
+        digits = _stored_digits(part.B, part.r, part.k_max)
         if digits > MAX_STORED_DIGITS:
             raise SpecFileError(
-                f"blocks 1..{spec.k_max} would store rationals of about {digits:.0f} digits, "
+                f"blocks 1..{part.k_max} would store rationals of about {digits:.0f} digits, "
                 f"above {MAX_STORED_DIGITS}; lower {hint}"
             )
 
 
 def build_system(spec: SystemSpec) -> System:
-    if spec.kind == "identity":
-        return System(spec.n, ())
-    if spec.kind == "two_block":
-        return build_two_block(spec.alpha, spec.beta, spec.n, spec.k_max)
-    active = ACTIVE_SELF_POWERS if spec.kind == "sparse" else ACTIVE_ALL
-    schedule = Schedule(QUADRATIC if spec.r is None else GEOMETRIC, spec.B, spec.r, active)
-    return System(spec.n, ((UNIT, build_stacked(schedule, spec.n, spec.k_max)),))
+    """The spec's parts, each stacked spec built once: the two corners of an
+    alpha = beta spec hold one system."""
+    parts = spec_parts(spec)
+    built = {}
+    for part in dict.fromkeys(part for _, part, _ in parts):
+        active = ACTIVE_SELF_POWERS if part.kind == "sparse" else ACTIVE_ALL
+        schedule = (Schedule.quadratic(part.B, active) if part.r is None
+                    else Schedule.geometric(part.B, part.r, active))
+        built[part] = build_stacked(schedule, spec.n, spec.k_max)
+    return System(spec.n, tuple((chart, built[part]) for chart, part, _ in parts))
 
 
 def analytic_targets(spec: SystemSpec) -> tuple[Fraction, Fraction]:
-    """Exact (liminf, limsup) the spec prescribes, from its own fields:
-    n / (1 + r) with r given and n without, with liminf 0 when sparse;
-    (alpha, beta) for a two-block spec; 0 for the identity."""
-    if spec.kind == "identity":
-        return Fraction(0), Fraction(0)
-    if spec.kind == "two_block":
-        return spec.alpha, spec.beta
-    target = Fraction(spec.n) if spec.r is None else spec.n / (1 + spec.r)
-    return (Fraction(0) if spec.kind == "sparse" else target), target
-
-
-def _schedule_payload(schedule: Schedule) -> dict:
-    out = {"kind": schedule.kind, "B": str(schedule.B), "active": schedule.active}
-    if schedule.r is not None:
-        out["r"] = str(schedule.r)
-    return out
+    """Exact (liminf, limsup) the spec prescribes, from its own fields: each
+    part tends to n / (1 + r) with r given and to n without, with liminf 0
+    when sparse; the spec to the largest over its parts, and to 0 with none."""
+    targets = [(Fraction(0), Fraction(0))]
+    for _, part, _ in spec_parts(spec):
+        target = Fraction(part.n) if part.r is None else part.n / (1 + part.r)
+        targets.append((Fraction(0) if part.kind == "sparse" else target, target))
+    return max(lo for lo, _ in targets), max(hi for _, hi in targets)
 
 
 def _stacked_payload(system: StackedSystem) -> dict:
+    schedule = system.schedule
+    head = {"kind": schedule.kind, "B": str(schedule.B), "active": schedule.active}
+    if schedule.r is not None:
+        head["r"] = str(schedule.r)
     blocks = [
         {
             "k": block.k,
             "anchor": str(block.cube.lo),
             "side": str(block.cube.side),
-            "eps": str(system.schedule.eps(block.k)),
+            "eps": str(schedule.eps(block.k)),
             "active": block.active,
         }
         for block in system.blocks
     ]
-    return {"kind": system.kind, "schedule": _schedule_payload(system.schedule), "blocks": blocks}
-
-
-def _system_payload(system: System, spec: SystemSpec) -> dict:
-    """What the spec does not state: each part's schedule and blocks, under
-    its corner's name for a two-block spec; a corner with no part is the
-    identity."""
-    corners = {chart.offset: _stacked_payload(part) for chart, part in system.parts}
-    identity = {"kind": "identity"}
-    if spec.kind == "two_block":
-        return {"kind": "two-block", "lower": corners.get(0, identity),
-                "upper": corners.get(Fraction(1, 2), identity)}
-    return corners.get(0, identity)
+    return {"schedule": head, "blocks": blocks}
 
 
 def system_to_jsonable(system: System, spec: SystemSpec) -> dict:
-    return {
-        "format": SYSTEM_FORMAT,
-        "spec": spec.to_jsonable(),
-        "system": _system_payload(system, spec),
-    }
+    """What the spec does not state: each distinct part's schedule and blocks,
+    once, under "systems", and under "parts" the index of each part's, in the
+    spec's order.  The spec fixes the charts, so the file states none."""
+    payloads = [_stacked_payload(part) for _, part in system.parts]
+    systems = [p for i, p in enumerate(payloads) if p not in payloads[:i]]
+    return {"format": SYSTEM_FORMAT, "spec": spec.to_jsonable(),
+            "parts": [systems.index(p) for p in payloads], "systems": systems}
 
 
 def load_system(data: object) -> tuple[SystemSpec, System]:
@@ -271,8 +286,8 @@ def load_system(data: object) -> tuple[SystemSpec, System]:
             f"field 'format' must be {SYSTEM_FORMAT!r}, got {data.get('format')!r}; "
             "to rebuild the file, run `mmdim build` on the spec stored under its 'spec' key"
         )
-    if "spec" not in data or "system" not in data:
-        raise SpecFileError("system file needs 'spec' and 'system' fields")
+    if not {"spec", "parts", "systems"} <= data.keys():
+        raise SpecFileError("system file needs 'spec', 'parts' and 'systems' fields")
     spec = SystemSpec.from_jsonable(data["spec"])
     system = build_system(spec)
     # equal canonical text is equal values, and tells 3.0 from 3 and 1 from true

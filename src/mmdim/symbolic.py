@@ -239,10 +239,12 @@ def extrapolate(system: System, k_range: Sequence[int]) -> tuple[Fraction, Fract
     over either denominator, a k ln 3 + b ln k + O(1), tends to n / a, with a
     the coefficient of `_growth`, and an inactive row is 0; a sparse schedule
     is active only at the self powers k = j^j, so its rows tend to n / a on
-    them and to 0 off them.  A two-block row is its larger half's, and both
-    halves share the self powers, so on each subsequence it tends to the
-    larger half's limit.  The limits are the largest over the parts, and 0
-    with no part.
+    them and to 0 off them.  A system's row is its larger part's.  Its limits
+    are the largest of the parts' limits, and 0 with no part, only because
+    every sparse part is active on the same self powers: on them, and off
+    them, each part's rows tend to one value, so their max tends to the
+    largest.  Two sparse parts active on disjoint index sets could lift the
+    liminf of the max above every part's.
     """
     limits = [(Fraction(0), Fraction(0))]
     for _, part in system.parts:

@@ -1,4 +1,5 @@
-"""One step of a whole system, for the tests that check the stacked layout.
+"""One step of a whole system, for the tests that check the stacked layout,
+and the systems those tests step.
 
 No command steps a whole system: the scans run one block's map, so this
 map lives with the tests.  Inside an active block it is the block map
@@ -12,16 +13,27 @@ ESCAPED is absorbing.
 """
 
 import functools
+from fractions import Fraction
 
 from mmdim.constructions import UNIT, System
 from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
+from mmdim.specfile import SystemSpec, build_system
 from oracles import apply_map, cube_contains
 
 
 def unit_system(stacked) -> System:
     """A stacked system as the one part of a system, in the unit chart."""
     return System(stacked.n, ((UNIT, stacked),))
+
+
+def two_block_spec(alpha, beta, n: int, k_max: int) -> SystemSpec:
+    return SystemSpec("two_block", n, k_max=k_max, alpha=Fraction(alpha), beta=Fraction(beta))
+
+
+def two_block_system(alpha, beta, n: int, k_max: int) -> System:
+    """The system `build` makes of the two_block spec (alpha, beta, n, kMax)."""
+    return build_system(two_block_spec(alpha, beta, n, k_max))
 
 
 @functools.cache

@@ -19,8 +19,6 @@ from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
     Schedule,
     build_stacked,
-    build_two_block,
-    solve_rate,
 )
 from mmdim.estimators import (
     cylinder_centers,
@@ -46,7 +44,7 @@ from oracles import (
     seed_set,
     strip_word_box,
 )
-from system_maps import unit_system
+from system_maps import two_block_system, unit_system
 
 F = Fraction
 
@@ -78,7 +76,7 @@ def test_criterion_2_prescribed_targets_in_other_dimensions():
     reports = []
     for n, target in ((3, F(1)), (2, F(1, 2))):
         t0 = time.perf_counter()
-        schedule = solve_rate(target, n)
+        schedule = Schedule.geometric(1, n / target - 1)
         system = unit_system(build_stacked(schedule, n, 2))
         lows = [row.lower_ratio() for row in rate_profile(system, range(1, 25))]
         assert _strictly_increasing(lows) and lows[-1] < target
@@ -182,7 +180,7 @@ def test_criterion_6_measured_growth_matches_exact_slopes(geometric_system):
 def test_criterion_7_two_block_limits_split_and_obey_max_rule():
     t0 = time.perf_counter()
     alpha, beta = F(2, 3), F(1)
-    system = build_two_block(alpha, beta, 2, 30)
+    system = two_block_system(alpha, beta, 2, 30)
     ks = range(1, 31)
     rows = rate_profile(system, ks)
     assert extrapolate(system, ks) == (alpha, beta)
@@ -250,7 +248,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
 
     # enlarged block cubes stay inside the ambient cube with pairwise
     # disjoint interiors, for every materialized family we build
-    two = build_two_block(F(2, 3), F(1), 2, 4)
+    two = two_block_system(F(2, 3), F(1), 2, 4)
     systems = [
         geometric_system,
         build_stacked(Schedule.geometric(1, 2), 3, 2),

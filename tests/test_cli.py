@@ -32,7 +32,7 @@ from mmdim.specfile import (
 )
 from corpus import SPECS
 from oracles import argparse_parser
-from test_lazy_geometry import as_format_2
+from test_lazy_geometry import as_format_2, as_format_3
 
 F = Fraction
 
@@ -68,9 +68,10 @@ class TestBuild:
         assert result.exit_code == 0
         assert f"wrote {out}" in result.stderr
         data = read_json(out)
-        assert data["format"] == "mmdim-system/3"
-        assert set(data["system"]) == {"kind", "schedule", "blocks"}
-        assert [set(b) for b in data["system"]["blocks"]] == [
+        assert data["format"] == "mmdim-system/4"
+        assert data["parts"] == [0]
+        assert [set(system) for system in data["systems"]] == [{"schedule", "blocks"}]
+        assert [set(b) for b in data["systems"][0]["blocks"]] == [
             {"k", "anchor", "side", "eps", "active"}
         ] * 3
 
@@ -89,7 +90,9 @@ class TestBuild:
         out = str(tmp_path / "two.json")
         assert cli(["build", spec, "-o", out]).exit_code == 0
         data = read_json(out)
-        assert data["system"]["lower"]["schedule"]["active"] == "self-powers"
+        assert data["parts"] == [0, 1]
+        assert [system["schedule"]["active"] for system in data["systems"]] == [
+            "self-powers", "all"]
 
     @pytest.mark.parametrize(
         "fields,needle",
@@ -159,7 +162,7 @@ class TestBuild:
             assert result.exit_code == 2, result.output
             assert needle in result.stderr
 
-    @pytest.mark.parametrize("version", ["2", "3"])
+    @pytest.mark.parametrize("version", ["2", "4"])
     @pytest.mark.parametrize("command", ["verify", "profile", "estimate", "validate"])
     def test_a_stored_leg_override_exits_2(self, cli, tmp_spec, tmp_path, command, version):
         # the file of this spec with block 2 at L = 5: the spec and the
@@ -170,11 +173,12 @@ class TestBuild:
         assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
         data = read_json(out)
         if version == "2":
-            data = as_format_2(data)
+            data = as_format_2(as_format_3(data))
             data["system"]["blocks"][1]["L"] = 5
+        system = data["system"] if version == "2" else data["systems"][0]
         data["spec"]["legScheduleOverride"] = {"2": 5}
-        data["system"]["schedule"]["legScheduleOverride"] = {"2": 5}
-        data["system"]["blocks"][1]["eps"] = "1/729"
+        system["schedule"]["legScheduleOverride"] = {"2": 5}
+        system["blocks"][1]["eps"] = "1/729"
         Path(out).write_text(canonical_dumps(data))
         if version == "2":
             digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
@@ -253,7 +257,7 @@ class TestValidate:
 
     def test_tampered_file_is_rejected(self, cli, geometric_file):
         data = read_json(geometric_file)
-        data["system"]["blocks"][0]["side"] = "1/4"
+        data["systems"][0]["blocks"][0]["side"] = "1/4"
         Path(geometric_file).write_text(canonical_dumps(data))
         result = cli(["validate", geometric_file])
         assert result.exit_code == 2
@@ -266,12 +270,14 @@ class TestValidate:
         ("block", "materialized", True),
         ("system", "n", 2),
         ("system", "kMax", 3),
+        ("system", "kind", "stacked"),
     ])
     def test_a_restated_derived_field_is_rejected(self, cli, geometric_file, level, key, value):
         # the spec and the block index fix these; a file stating one, even at
-        # the value format /2 stored, is not a rebuild
+        # the value format /2 or /3 stored, is not a rebuild
         data = read_json(geometric_file)
-        target = data["system"]["blocks"][0] if level == "block" else data["system"]
+        system = data["systems"][0]
+        target = system["blocks"][0] if level == "block" else system
         target[key] = value
         Path(geometric_file).write_text(canonical_dumps(data))
         for args in (["verify", geometric_file], ["validate", geometric_file],
@@ -280,9 +286,11 @@ class TestValidate:
             assert result.exit_code == 2, result.output
             assert "does not match its spec rebuild" in result.stderr
 
-    @pytest.mark.parametrize("version", ["1", "2"])
+    @pytest.mark.parametrize("version", ["1", "2", "3"])
     def test_historic_file_exits_2_with_rebuild_hint(self, cli, geometric_file, version):
-        data = as_format_2(read_json(geometric_file))
+        data = as_format_3(read_json(geometric_file))
+        if version != "3":
+            data = as_format_2(data)
         data["format"] = f"mmdim-system/{version}"
         if version == "1":
             data["system"]["blocks"][0]["assignment"] = [[1, [5]], [3, [3]], [5, [1]]]

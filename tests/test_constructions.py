@@ -15,9 +15,7 @@ from mmdim.constructions import (
     System,
     UnmaterializedBlockError,
     build_stacked,
-    build_two_block,
     place_cubes,
-    solve_rate,
 )
 from mmdim.estimators import cylinder_centers
 from mmdim.mapping import ESCAPED
@@ -34,7 +32,7 @@ from oracles import (
     find_box_overlap,
     seed_points,
 )
-from system_maps import apply_system, unit_system
+from system_maps import apply_system, two_block_system, unit_system
 
 F = Fraction
 
@@ -103,27 +101,6 @@ class TestSchedule:
             Schedule.geometric(1, 1, active=[1, 2])
         with pytest.raises(ScheduleError, match="active"):
             Schedule.geometric(1, 1, active=frozenset({2, 3}))
-
-
-class TestSolveRate:
-    def test_examples(self):
-        assert solve_rate(1, 2).r == 1
-        assert solve_rate(1, 3).r == 2
-        assert solve_rate(F(1, 2), 2).r == 3
-        assert solve_rate(F(2, 3), 2).r == 2
-
-    def test_full_dimension_goes_quadratic(self):
-        sched = solve_rate(2, 2)
-        assert sched.kind == "quadratic"
-        assert sched.r is None
-
-    def test_rejections(self):
-        with pytest.raises(ScheduleError, match="solvable"):
-            solve_rate(0, 2)
-        with pytest.raises(ScheduleError, match="solvable"):
-            solve_rate(F(5, 2), 2)
-        with pytest.raises(ScheduleError, match="n >= 2"):
-            solve_rate(1, 1)
 
 
 class TestPlaceCubes:
@@ -197,7 +174,6 @@ class TestEnlargedBox:
 class TestBuildStacked:
     def test_three_block_example(self, geometric_system):
         sys = geometric_system
-        assert sys.kind == "stacked"
         assert sys.n == 2 and sys.k_max == 3
         assert len(sys.blocks) == 3
         b1, b2 = sys.block(1), sys.block(2)
@@ -304,7 +280,7 @@ class TestBlockMap:
 class TestIdentity:
     def test_identity(self):
         sys = System(2, ())
-        assert build_two_block(0, 0, 2, 3) == sys  # both halves are the identity
+        assert two_block_system(0, 0, 2, 3) == sys  # both halves are the identity
         p = (F(1, 3), F(1, 2))
         assert apply_system(sys, p) == p
         assert apply_system(sys, ESCAPED) is ESCAPED
@@ -312,7 +288,7 @@ class TestIdentity:
 
 class TestTwoBlock:
     def test_shapes(self):
-        two = build_two_block(F(2, 3), 1, 2, 5)
+        two = two_block_system(F(2, 3), 1, 2, 5)
         (lower_chart, lower), (upper_chart, upper) = two.parts
         assert (lower_chart, upper_chart) == (Chart(0, F(1, 2)), Chart(F(1, 2), F(1, 2)))
         assert extrapolate(two, range(1, 6)) == (F(2, 3), 1)
@@ -324,35 +300,37 @@ class TestTwoBlock:
         assert not upper.schedule.is_sparse
 
     def test_equal_targets_share_one_system(self):
-        (_, lower), (_, upper) = build_two_block(1, 1, 2, 4).parts
+        (_, lower), (_, upper) = two_block_system(1, 1, 2, 4).parts
         assert lower is upper
         assert not lower.schedule.is_sparse
 
     def test_zero_lower_target_uses_identity(self):
         # alpha = 0: the upper corner is the identity, so the lower is the one part
-        ((chart, lower),) = build_two_block(0, 1, 2, 4).parts
+        ((chart, lower),) = two_block_system(0, 1, 2, 4).parts
         assert chart == Chart(0, F(1, 2))
         assert isinstance(lower, StackedSystem)
 
     def test_rejections(self):
         with pytest.raises(ScheduleError, match="0 <= alpha <= beta"):
-            build_two_block(1, F(1, 2), 2, 4)
+            two_block_system(1, F(1, 2), 2, 4)
         with pytest.raises(ScheduleError, match="0 <= alpha <= beta"):
-            build_two_block(1, 3, 2, 4)
+            two_block_system(1, 3, 2, 4)
+        with pytest.raises(ScheduleError, match="0 <= alpha <= beta"):
+            two_block_system(-1, 1, 2, 4)
         with pytest.raises(ScheduleError, match="n >= 2"):
-            build_two_block(1, 1, 1, 4)
+            two_block_system(1, 1, 1, 4)
 
     def test_chart_conjugation_fixed_points(self):
         # the (a, b) corner of block 1 of each inner system is fixed, so its
         # image under each half's chart must be fixed for the whole system
-        two = build_two_block(1, 1, 2, 3)
+        two = two_block_system(1, 1, 2, 3)
         lower_pt = (F(0), F(1, 6))  # chart doubles to (0, 1/3)
         upper_pt = (F(1, 2), F(2, 3))  # chart sends to (0, 1/3) as well
         assert apply_system(two, lower_pt) == lower_pt
         assert apply_system(two, upper_pt) == upper_pt
 
     def test_chart_conjugation_matches_inner_orbit(self):
-        two = build_two_block(1, 1, 2, 3)
+        two = two_block_system(1, 1, 2, 3)
         inner_p = (F(1, 6), F(1, 12))  # odd strip 3 of block 1, not fixed
         inner_image = apply_system(unit_system(two.parts[0][1]), inner_p)
         assert inner_image not in (ESCAPED, inner_p)
@@ -363,18 +341,18 @@ class TestTwoBlock:
         # (1/2, 1/2) doubles to (1, 1) in the lower chart, which is outside
         # every block and hence fixed; the upper chart would send it into
         # block 1's dynamics instead
-        two = build_two_block(1, 1, 2, 3)
+        two = two_block_system(1, 1, 2, 3)
         mid = (F(1, 2), F(1, 2))
         assert apply_system(two, mid) == mid
         assert apply_system(unit_system(two.parts[1][1]), (F(0), F(0))) != (F(0), F(0))
 
     def test_outside_both_corners_fixed(self):
-        two = build_two_block(1, 1, 2, 3)
+        two = two_block_system(1, 1, 2, 3)
         p = (F(1, 4), F(3, 4))
         assert apply_system(two, p) == p
 
     def test_escape_propagates(self):
-        two = build_two_block(1, 1, 2, 3)
+        two = two_block_system(1, 1, 2, 3)
         lower = two.parts[0][1]
         h = lower.block(1).geometry()
         inner_escape = box_center(h.grid.strip_box(2))

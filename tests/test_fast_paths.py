@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_estimators import naive_greedy
 
-from mmdim.constructions import Block, Schedule, build_stacked, build_two_block
+from mmdim.constructions import Block, Schedule, build_stacked
 from mmdim.estimators import cylinder_centers, greedy_separated, orbits_separate
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe, square
@@ -38,6 +38,7 @@ from oracles import (
     seed_set,
     strip_word_box,
 )
+from system_maps import two_block_system
 
 F = Fraction
 
@@ -318,7 +319,7 @@ def pullback_cylinder(h, word):
 def _blocks():
     geometric2 = build_stacked(Schedule.geometric(1, 1), 2, 1)
     geometric3 = build_stacked(Schedule.geometric(1, 1), 3, 1)
-    two_block_upper = build_two_block(F(2, 3), 1, 2, 5).parts[1][1]
+    two_block_upper = two_block_system(F(2, 3), 1, 2, 5).parts[1][1]
     return {
         "geometric n=2": (geometric2.block(1), 3),
         "geometric n=3": (geometric3.block(1), 2),

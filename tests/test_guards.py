@@ -128,7 +128,7 @@ GUARDS = [
           "stands in for them"),
     Guard("No derived fields in system files", r'"(L|materialized|geometryBudget)"',
           ("src/mmdim/specfile.py",),
-          "a format /3 system file stores only what its spec does not state: a "
+          "a system file stores only what its spec does not state: a "
           "block's L is 3^k, whether it is materialized follows from k, n and the "
           "budget, and the spec holds n, kMax, alpha and beta"),
     Guard("No leg overrides in src/mmdim", r"legScheduleOverride|leg_override|overridden",
@@ -188,6 +188,15 @@ GUARDS = [
           "the unit chart, a two-block spec its halves in the corner charts, and the "
           "identity no part, so every consumer loops over system.parts and none "
           "tells systems apart by type"),
+    Guard("One part layout in src/mmdim", r'solve_rate|"(two-block|lower|upper)"|kind = "stacked"',
+          SRC,
+          "specfile.spec_parts alone turns a spec into its charted stacked specs and "
+          "the field that sets each rate, and check_sizes, build_system and "
+          "analytic_targets loop over them; a system file lists each distinct part's "
+          "payload once and names no corner and no kind of system"),
+    Guard("One part layout in src/mmdim", r"build_two_block", SRC,
+          "specfile.build_two_block is where a two_block spec expands into its parts",
+          skip=("specfile.py",)),
 ]
 
 

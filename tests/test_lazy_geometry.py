@@ -27,7 +27,7 @@ import corpus
 # "assignment" key deleted; lazy geometry must not change a byte.  Format /3
 # drops what the spec or the block index fixes, and `as_format_2` puts it
 # back, so a /3 file that turns into the pinned /2 bytes stores the same
-# values.  The /3 file's own digest is its `build` line's pin.
+# values.
 FORMAT_2 = {
     "square": "673bdb6aead610bd54f183a1a1fcea8d8641f1a52e0d20a5b9aae4a0b6b993e3",
     "quadratic_4": "9fc4a4f3e48e77d6124e4a92329ca084daa7c290fac48a9aab10f5d0427be57c",
@@ -40,9 +40,56 @@ FORMAT_2 = {
     "two_block": "362a6121acfb5d37f53a185b6805584c20ea0737b96803f08cd5c5257d3ecd68",
 }
 
+# SHA-256 of every corpus spec's system file in format /3, as its `build`
+# line last pinned it.  Format /4 stores each distinct part once and names no
+# corner, and `as_format_3` restates the /3 layout, so a /4 file that turns
+# into these bytes stores the same values.  The /4 file's own digest is its
+# `build` line's pin.
+FORMAT_3 = {
+    "square": "5125ce4d817367d9db87ab76c4eaf07f5e0b30bd0b06145d70ada3ff43117e96",
+    "geometric_r2": "4fccb7e35ee0126f959b59e2f1df0666bbd7dad79c88a8ac7992c3fbc4dd883e",
+    "cube": "5946d74dcabf1ba3a492939cbeecabae6d47bf7ec7ea0a6e0d7ed69e6b944635",
+    "geometric_n3_r2": "15c431cd0621d3caf4085a46518ae04257be3836d91dd54cf301bc1e8783c9eb",
+    "quadratic": "b653eb7b9b2f636497a0553a4547f330cf089996851fa9c89dca85e2f69f4279",
+    "quadratic_4": "a638d71ed45af80197e45281c3764c4ed5dbcb0209fb52e97d29755c6674964c",
+    "quadratic_30": "d02e7b845085cbd19091e55316cae6b951518ca0c0ba79e5871919b39590a6ed",
+    "quadratic_n3": "e1452c817cb43224a8d6bab18893d3a0cb6da877a7adb2e50c663034b1ea275d",
+    "sparse": "168aee3e98b3c5b51d03d02b8001016d4ac33f85ffb87f493d9839ff1b0f839c",
+    "sparse_5": "550ced0710471dd2bcfe821a05620c3f4c7dbbb8b4206ad77f56351355f8ab53",
+    "sparse_quadratic": "2513e563a84444a41436039aa0217ad8b95a06c554e19d979314c683b4b9f3c8",
+    "two_block": "0fceefae1e8d4ed9b537cc70df3f1894805e49b1789855cccf920fd3a31c1ac6",
+    "two_block_5": "3f0f5d8453c33c7d5854edeaed521e52808aee640a4b3f5ade90bacd504b6f11",
+    "two_block_1_2": "51dbb661886ede8592e50d479e446cb35b7253d6033e78969a5982d6783f026b",
+    "two_block_1_3": "c0ed15076a65a005fffa839b1fa3efd887f743b68e3d15c112f83c7cbea65896",
+    "shared": "bf8784b7df7e931cba755e14a5a423543a40bb092cebbbcfa9eb7e1f876d57c2",
+    "zero_lower": "ec98dcd229e040f1ee5aa23d61df697318e78827fde7cb4e8882278b6499930c",
+    "zero_lower_8": "32911e6268fa2cec01e4dcbc284312bfa2fb79f138e41bb727c35cce8d9ff6f3",
+    "zero_both": "c69e7adba20a2f5bd67582ceb29d00849d9fbbd18c839c92d4d02c7e2d86427d",
+    "identity": "9d1453a67c4443c168b257304cfe8c90a475f58b83eeb38d532026db95a2451b",
+}
+
 
 def spec_of(name: str) -> SystemSpec:
     return SystemSpec.from_jsonable(corpus.SPECS[name][0])
+
+
+def as_format_3(payload: dict) -> dict:
+    """The format /3 file of a format /4 payload.
+
+    /3 stored one system under "system": a stacked part's payload with its
+    "kind", the identity's kind alone, and for a two_block spec its "lower"
+    and "upper" corners, each a part's payload or the identity.  A two_block
+    spec's parts are its lower corner's, then its upper corner's, and a
+    corner whose target is 0 has none; as alpha <= beta, only the upper one
+    can lack a part while the lower has one.
+    """
+    systems = [dict(system, kind="stacked") for system in payload["systems"]]
+    parts = [systems[i] for i in payload["parts"]] + [{"kind": "identity"}] * 2
+    if payload["spec"]["kind"] == "two_block":
+        system = {"kind": "two-block", "lower": parts[0], "upper": parts[1]}
+    else:
+        system = parts[0]
+    return {"format": "mmdim-system/3", "spec": payload["spec"], "system": system}
 
 
 def as_format_2(payload: dict) -> dict:
@@ -120,19 +167,32 @@ def test_cache_takes_no_part_in_equality():
     assert repr(built) == repr(fresh)
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT_2))
+@pytest.mark.parametrize("name", sorted(FORMAT_3))
 def test_build_output_is_byte_identical(name, build_calls):
     spec = spec_of(name)
     payload = system_to_jsonable(build_system(spec), spec)
     pin = corpus.read_pins()[corpus.build_line(name)]
-    assert sha256(canonical_dumps(payload)) == pin["file"]
-    assert sha256(canonical_dumps(as_format_2(payload))) == FORMAT_2[name]
+    text, format_3 = canonical_dumps(payload), canonical_dumps(as_format_3(payload))
+    assert sha256(text) == pin["file"]
+    assert sha256(format_3) == FORMAT_3[name]
+    assert len(text) <= len(format_3)
+    if name in FORMAT_2:
+        assert sha256(canonical_dumps(as_format_2(as_format_3(payload)))) == FORMAT_2[name]
     assert build_calls == []
+
+
+def test_equal_targets_store_their_one_system_once():
+    spec = spec_of("shared")
+    payload = system_to_jsonable(build_system(spec), spec)
+    assert payload["parts"] == [0, 0] and len(payload["systems"]) == 1
+    # format /3 stored it twice, in 912 bytes, 383 of them repeated
+    assert len(canonical_dumps(payload)) <= 912 - 383
 
 
 def test_two_block_kmax_30_loads_and_profiles_without_geometry(build_calls):
     spec = spec_of("two_block")
     text = canonical_dumps(system_to_jsonable(build_system(spec), spec))
+    assert len(text) == 6979  # 7,033 bytes in format /3
     _, system = load_system(json.loads(text))
     rate_profile(system, range(1, 31))
     assert build_calls == []
@@ -163,7 +223,7 @@ def test_validate_builds_each_materialized_block_once(name, cli, build_calls, tm
 def test_tampered_unbuilt_block_is_rejected(build_calls):
     spec = spec_of("square")
     payload = system_to_jsonable(build_system(spec), spec)
-    payload["system"]["blocks"][2]["eps"] = "1/27"
+    payload["systems"][0]["blocks"][2]["eps"] = "1/27"
     with pytest.raises(SpecFileError, match="does not match"):
         load_system(payload)
     assert build_calls == []

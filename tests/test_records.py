@@ -13,13 +13,13 @@ from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
     Schedule,
     ScheduleError,
-    build_two_block,
 )
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe
 from mmdim.mapping import AffinePiece, PAMap
 from mmdim.symbolic import cylinder_geometry
 from oracles import box_center, box_of, cube_of, lattice_point
+from system_maps import two_block_system
 
 F = Fraction
 UNIT = box_of((0, 1), (0, 1))
@@ -116,5 +116,5 @@ def test_caches_take_no_part_in_equality():
     (F(2), Schedule.quadratic(1, active=ACTIVE_SELF_POWERS)),
 ])
 def test_two_block_sparse_schedule_is_built_directly(beta, direct):
-    lower = build_two_block(F(1, 2), beta, 2, 3).parts[0][1]
+    lower = two_block_system(F(1, 2), beta, 2, 3).parts[0][1]
     assert lower.schedule == direct and type(lower.schedule) is Schedule

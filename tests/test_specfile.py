@@ -25,16 +25,18 @@ from mmdim.specfile import (
     SystemSpec,
     analytic_targets,
     build_system,
+    build_two_block,
     canonical_dumps,
     load_system,
     numeric_csv_rows,
     read_json,
+    spec_parts,
     symbolic_csv_rows,
     system_to_jsonable,
     write_profile_csv,
 )
 from mmdim.symbolic import rate_profile
-from system_maps import unit_system
+from system_maps import two_block_spec, unit_system
 
 F = Fraction
 
@@ -142,7 +144,7 @@ class TestSystemSpecParsing:
             ({"kind": "quadratic", "r": None, "kMax": 4500}, "kMax"),
             ({"kind": "two_block", "B": None, "r": None, "alpha": "1/10000", "beta": "1"},
              "'alpha'"),
-            ({"kind": "two_block", "B": None, "r": None, "alpha": "1/2", "beta": "1/1000",
+            ({"kind": "two_block", "B": None, "r": None, "alpha": "1/2000", "beta": "1/1000",
               "kMax": 10}, "'beta'"),
         ],
     )
@@ -167,11 +169,8 @@ class TestSystemSpecParsing:
         spec = SystemSpec.from_jsonable(data)
         text = canonical_dumps(system_to_jsonable(build_system(spec), spec))
         longest = max(len(part) for part in re.findall(r"\d+", text))
-        if spec.kind == "two_block":
-            r = spec.n / spec.alpha - 1 if spec.alpha < spec.n else None
-            estimate = _stored_digits(F(1), r, spec.k_max)
-        else:
-            estimate = _stored_digits(spec.B, spec.r, spec.k_max)
+        estimate = max(_stored_digits(part.B, part.r, part.k_max)
+                       for _, part, _ in spec_parts(spec))
         assert longest <= estimate
 
     def test_non_object_rejected(self):
@@ -191,6 +190,40 @@ class TestSystemSpecParsing:
     def test_jsonable_round_trip(self, data):
         spec = SystemSpec.from_jsonable(data)
         assert SystemSpec.from_jsonable(spec.to_jsonable()) == spec
+
+
+class TestSpecParts:
+    @pytest.mark.parametrize("target, n, r", [(1, 2, 1), (1, 3, 2), (F(1, 2), 2, 3),
+                                              (F(2, 3), 2, 2)])
+    def test_a_target_below_n_sets_the_rate_n_over_target_minus_1(self, target, n, r):
+        # alpha = beta: both corners carry the one dense system
+        dense = SystemSpec("geometric", n, F(1), r, 4)
+        assert [(part, field) for _, part, field in
+                build_two_block(two_block_spec(target, target, n, 4))] == [
+            (dense, "beta"), (dense, "alpha")]
+
+    def test_the_full_dimension_goes_quadratic(self):
+        (_, lower, _), (_, upper, _) = build_two_block(two_block_spec(1, 2, 2, 4))
+        assert lower == SystemSpec("sparse", 2, F(1), None, 4)
+        assert upper == SystemSpec("geometric", 2, F(1), 1, 4)
+        ((_, both, _), _) = build_two_block(two_block_spec(2, 2, 2, 4))
+        assert both == SystemSpec("quadratic", 2, F(1), None, 4)
+
+    def test_corners_and_zero_targets(self):
+        half = F(1, 2)
+        assert [chart for chart, _, _ in build_two_block(two_block_spec(F(2, 3), 1, 2, 4))] == [
+            Chart(0, half), Chart(half, half)]
+        # alpha = 0: the upper corner is the identity, so no part
+        ((chart, lower, field),) = build_two_block(two_block_spec(0, 1, 2, 4))
+        assert (chart, lower.kind, field) == (Chart(0, half), "sparse", "beta")
+        assert build_two_block(two_block_spec(0, 0, 2, 4)) == []
+
+    def test_stacked_and_identity_specs(self):
+        geometric = SystemSpec.from_jsonable(GEOMETRIC_SPEC)
+        assert spec_parts(geometric) == [(UNIT, geometric, "r")]
+        quadratic = SystemSpec.from_jsonable({"kind": "quadratic", "n": 2, "B": "1", "kMax": 2})
+        assert spec_parts(quadratic) == [(UNIT, quadratic, None)]
+        assert spec_parts(SystemSpec.from_jsonable({"kind": "identity", "n": 2})) == []
 
 
 class TestBuildSystem:
@@ -278,15 +311,15 @@ class TestLoadSystem:
 
     def test_missing_sections_rejected(self):
         payload = self.build_payload()
-        del payload["system"]
-        with pytest.raises(SpecFileError, match="'spec' and 'system'"):
+        del payload["systems"]
+        with pytest.raises(SpecFileError, match="'spec', 'parts' and 'systems'"):
             load_system(payload)
         with pytest.raises(SpecFileError, match="JSON object"):
             load_system("nope")
 
     def test_tampered_geometry_rejected(self):
         payload = self.build_payload()
-        payload["system"]["blocks"][1]["eps"] = "1/7"
+        payload["systems"][0]["blocks"][1]["eps"] = "1/7"
         with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
 
@@ -294,7 +327,7 @@ class TestLoadSystem:
     def test_values_equal_only_under_python_eq_rejected(self, field, value):
         # block 1 stores k 1 and active true; Python's == takes these for them
         payload = self.build_payload()
-        payload["system"]["blocks"][0][field] = value
+        payload["systems"][0]["blocks"][0][field] = value
         with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
 

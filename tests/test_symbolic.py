@@ -15,11 +15,11 @@ from mmdim.constructions import (
     ACTIVE_ALL,
     ACTIVE_SELF_POWERS,
     QUADRATIC_SIZE_CAP,
+    Chart,
     Schedule,
     ScheduleError,
     System,
     build_stacked,
-    build_two_block,
 )
 from mmdim.horseshoe import square
 from mmdim.mapping import ESCAPED
@@ -50,7 +50,7 @@ from oracles import (
     find_box_overlap,
     strip_word_box,
 )
-from system_maps import unit_system
+from system_maps import two_block_spec, two_block_system, unit_system
 
 F = Fraction
 
@@ -90,7 +90,7 @@ def profile_rows(draw):
     if kind == "two_block":
         alpha, beta = sorted(draw(st.lists(st.sampled_from(
             [F(0), *(F(n, j + 1) for j in (1, 2, 3)), F(n)]), min_size=2, max_size=2)))
-        system = build_two_block(alpha, beta, n, 1)
+        system = two_block_system(alpha, beta, n, 1)
     else:
         B = draw(st.fractions(F(1, 12), 1, max_denominator=12))
         active = draw(st.sampled_from([ACTIVE_ALL, ACTIVE_SELF_POWERS]))
@@ -163,7 +163,7 @@ class TestEpsSchedule:
     def test_profile_eps_is_the_block_eps(self):
         # every block's eps_k is one number: the profile's rows hold the
         # built blocks' side / (2 L_k - 1), and an active row the next one's
-        dense_to_full = build_two_block(1, 2, 2, 5)
+        dense_to_full = two_block_system(1, 2, 2, 5)
         systems = [
             build_stacked(Schedule.geometric(1, 1), 2, 4),
             build_stacked(Schedule.quadratic(1), 2, 4),  # B above the cap
@@ -171,7 +171,7 @@ class TestEpsSchedule:
             build_stacked(Schedule.geometric(1, 2), 3, 3),
             dense_to_full.parts[0][1],  # sparse quadratic half, beta = n
             dense_to_full.parts[1][1],
-            build_two_block(F(2, 3), 1, 2, 5).parts[0][1],
+            two_block_system(F(2, 3), 1, 2, 5).parts[0][1],
         ]
         for system in systems:
             rows = rate_profile(unit_system(system), range(1, system.k_max + 1))
@@ -388,7 +388,7 @@ class TestRateProfile:
         # (at alpha = beta by the tie rule), and the dense upper half between
         # them; at alpha = 0 the upper half is the identity, and the lower
         # half's own zero rows win the tie
-        two = build_two_block(alpha, beta, 2, 30)
+        two = two_block_system(alpha, beta, 2, 30)
         halves = [unit_system(part) for _, part in two.parts]
         if alpha == 0:
             halves.append(System(2, ()))  # the identity upper half
@@ -402,10 +402,6 @@ def stacked_spec(kind: str, n: int, k_max: int, r=None) -> SystemSpec:
     """A stacked spec at B = 1 (placed at the quadratic cap 500/987 when the
     sizes are quadratic, that is when r is None)."""
     return SystemSpec(kind, n, F(1), None if r is None else F(r), k_max)
-
-
-def two_block_spec(alpha, beta, n: int, k_max: int) -> SystemSpec:
-    return SystemSpec("two_block", n, k_max=k_max, alpha=F(alpha), beta=F(beta))
 
 
 # the spec of every leg and size law
@@ -432,7 +428,7 @@ class TestRowFault:
 
     @pytest.mark.parametrize("alpha,beta,n", [(F(2, 3), 1, 2), (1, 2, 2), (0, 1, 2), (1, 3, 3)])
     def test_two_block_rows_to_k_400_pass(self, alpha, beta, n):
-        assert extrapolate(build_two_block(alpha, beta, n, 1), range(1, 401)) == (alpha, beta)
+        assert extrapolate(two_block_system(alpha, beta, n, 1), range(1, 401)) == (alpha, beta)
 
     def test_identity_has_no_rows_to_check(self):
         assert extrapolate(System(2, ()), range(1, 31)) == (0, 0)
@@ -475,7 +471,7 @@ class TestRowFault:
 
     def test_a_reversed_max_rule_is_reported(self, monkeypatch):
         monkeypatch.setattr(symbolic, "_larger_half", _smaller_half)
-        two = build_two_block(F(2, 3), 1, 2, 1)
+        two = two_block_system(F(2, 3), 1, 2, 1)
         with pytest.raises(RowFault, match="^k=1 two-block row is not its larger half's$"):
             extrapolate(two, range(1, 31))
 
@@ -485,7 +481,7 @@ class TestRowFault:
         # part's, and a rule that sends ties up is caught there
         sparse = [build_stacked(Schedule.geometric(1, r, active=ACTIVE_SELF_POWERS), 2, 1)
                   for r in (1, 2)]
-        charts = [chart for chart, _ in build_two_block(F(2, 3), 1, 2, 1).parts]
+        charts = [chart for chart, _ in two_block_system(F(2, 3), 1, 2, 1).parts]
         two = System(2, tuple(zip(charts, sparse)))
         assert rate_profile(two, [2])[0] == _stacked_bound(sparse[0].schedule, 2, 2)
         assert extrapolate(two, range(1, 31)) == (0, 1)
@@ -497,7 +493,7 @@ class TestRowFault:
         # at k = 2 the dense half wins, so the combined row never shows the
         # sparse half's shifted eps; from k = 1 the sparse spike's lower
         # denominator reads it first
-        two = build_two_block(F(2, 3), 1, 2, 1)
+        two = two_block_system(F(2, 3), 1, 2, 1)
         real = Schedule.eps
         monkeypatch.setattr(Schedule, "eps", lambda sched, k: real(sched, k) / (
             3 if sched.is_sparse and k == 2 else 1))
@@ -515,7 +511,7 @@ class TestRowFault:
     def test_the_exact_max_rule_picks_the_float_ratios_half(self, alpha, beta, n):
         # the rule the 30-digit ratios decided, with ties to the active row
         # and then to the lower half
-        two = build_two_block(alpha, beta, n, 1)
+        two = two_block_system(alpha, beta, n, 1)
         for rows in _half_rows(two, range(1, 401)):
             # at alpha = 0 the upper half, the identity, is no part: its zero row stands in
             low, up = (*rows, RateBound(rows[0].k, n, 1, None, None))[:2]
@@ -553,13 +549,25 @@ class TestExtrapolate:
         # subsequences: the rows tend to 1 everywhere
         sparse = build_stacked(Schedule.geometric(1, 3, active=ACTIVE_SELF_POWERS), 2, 4)
         dense = build_stacked(Schedule.geometric(1, 1), 2, 4)
-        two = build_two_block(F(1, 2), 1, 2, 4)
+        two = two_block_system(F(1, 2), 1, 2, 4)
         two = two._replace(parts=((two.parts[0][0], sparse), (two.parts[1][0], dense)))
         assert extrapolate(two, range(1, 31)) == (1, 1)
 
+    def test_three_parts_take_the_largest_of_their_limits(self):
+        # both sparse parts spike at the same self powers, so on them the
+        # rows tend to the r = 1 part's 1, and off them to the dense r = 2
+        # part's 2/3
+        third = F(1, 3)
+        parts = [build_stacked(Schedule.geometric(1, r, active), 2, 4)
+                 for r, active in ((1, ACTIVE_SELF_POWERS), (3, ACTIVE_SELF_POWERS),
+                                   (2, ACTIVE_ALL))]
+        system = System(2, tuple((Chart(i * third, third), part)
+                                 for i, part in enumerate(parts)))
+        assert extrapolate(system, range(1, 31)) == (F(2, 3), 1)
+
     def test_rows_approach_the_limits(self):
         # the ratios at k = 400 lie within 2 / k of the limits they tend to
-        two = build_two_block(F(2, 3), 1, 2, 4)
+        two = two_block_system(F(2, 3), 1, 2, 4)
         lo, hi = extrapolate(two, [256, 400])
         on, off = rate_profile(two, [256, 400])  # 256 = 4^4 is a self power
         assert abs(off.lower_ratio() - lo) < 2 / 400
