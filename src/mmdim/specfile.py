@@ -1,7 +1,7 @@
 """JSON spec/system files and CSV profile export.
 
 Spec files describe a system to build; system files additionally record each
-block's cube, eps and activity, and can be reloaded losslessly.
+block's cube and activity, and can be reloaded losslessly.
 All rationals cross the file boundary as "p/q" strings, JSON is dumped in one
 canonical form (sorted keys, compact separators, trailing newline), and
 loading a system file rebuilds it from its own spec and cross-checks the
@@ -32,7 +32,7 @@ from .symbolic import RateBound
 if TYPE_CHECKING:
     from .estimators import NumericRateRow
 
-SYSTEM_FORMAT = "mmdim-system/4"
+SYSTEM_FORMAT = "mmdim-system/5"
 
 # The fields each spec kind takes besides "kind" and "n", in check order,
 # each required (True) or optional (False).  "kMax" is an integer, the
@@ -61,8 +61,8 @@ SOURCE_NUMERIC = "numeric"
 
 
 # Python refuses to print integers of more than 4300 digits (its default
-# int->str limit), so every rational a system file stores must stay below
-# that.  Specs are checked against these caps before anything is built.
+# int->str limit), so every rational a system file stores or `profile` prints
+# must stay below that; specs meet these caps before anything is built.
 MAX_N = 64
 MAX_STORED_DIGITS = 4000
 _LOG10_3 = math.log10(3)
@@ -99,7 +99,8 @@ def _digits(x: int) -> int:
 
 def _stored_digits(B: Fraction, r: Fraction | None, k_max: int) -> float:
     """Upper estimate of the decimal digits of the numerators and denominators
-    of the anchors, sides and eps that blocks 1..k_max store.
+    of the anchors and sides that blocks 1..k_max store and the eps that
+    `profile` prints.
 
     Geometric sides B/3^(k r) and their telescoping anchors have denominators
     dividing den(B) 3^(k r).  Quadratic anchors sum the sides B/j^2, so their
@@ -250,20 +251,14 @@ def analytic_targets(spec: SystemSpec) -> tuple[Fraction, Fraction]:
 
 
 def _stacked_payload(system: StackedSystem) -> dict:
+    """The schedule and each block's cube and activity; block i of the list is
+    k = i + 1, and its eps is the schedule's, so neither is stored."""
     schedule = system.schedule
     head = {"kind": schedule.kind, "B": str(schedule.B), "active": schedule.active}
     if schedule.r is not None:
         head["r"] = str(schedule.r)
-    blocks = [
-        {
-            "k": block.k,
-            "anchor": str(block.cube.lo),
-            "side": str(block.cube.side),
-            "eps": str(schedule.eps(block.k)),
-            "active": block.active,
-        }
-        for block in system.blocks
-    ]
+    blocks = [{"anchor": str(block.cube.lo), "side": str(block.cube.side),
+               "active": block.active} for block in system.blocks]
     return {"schedule": head, "blocks": blocks}
 
 

@@ -6,7 +6,7 @@ that `verify` prints for it.  `matrix()` turns it into command lines:
 `--kmax 30`) and `validate` on every spec; `estimate --k 1 --m 2` on every
 stacked spec, and the benchmark's `greedy_square` and `coarse_cube`
 estimates; and the refusals: specs `build` refuses, tampered, float-typed,
-format /2 and /3, and invalid-JSON files, a missing file, an out-of-range `--kmax`,
+format /2, /3 and /4, and invalid-JSON files, a missing file, an out-of-range `--kmax`,
 refused estimates, unwritable `-o` paths, and every `--help`.
 `write_inputs(root)` writes the files those lines read, and `outputs(root)`
 runs the lines in order, in process, and returns each line's pin: the
@@ -111,9 +111,9 @@ REFUSED_SPECS = {
                              "beta": "1", "kMax": 3},
 }
 # system files every command that reads one refuses: the square's with a
-# block's eps changed, with the spec's n a float, with format /2 or /3, and
-# not JSON
-BAD_SYSTEMS = ["tampered", "float_typed", "format_2", "format_3", "invalid"]
+# block's side changed, with the spec's n a float, with format /2, /3 or /4,
+# and not JSON
+BAD_SYSTEMS = ["tampered", "float_typed", "format_2", "format_3", "format_4", "invalid"]
 
 
 def matrix() -> list[str]:
@@ -168,12 +168,13 @@ def write_inputs(root: str) -> None:
     spec = SystemSpec.from_jsonable(SPECS["square"][0])
     system = system_to_jsonable(build_system(spec), spec)
     tampered, float_typed = copy.deepcopy(system), copy.deepcopy(system)
-    tampered["systems"][0]["blocks"][2]["eps"] = "1/27"
+    tampered["systems"][0]["blocks"][2]["side"] = "1/81"
     float_typed["spec"]["n"] = 2.0
     files.update({system_path("tampered"): tampered,
                   system_path("float_typed"): float_typed,
                   system_path("format_2"): dict(system, format="mmdim-system/2"),
-                  system_path("format_3"): dict(system, format="mmdim-system/3")})
+                  system_path("format_3"): dict(system, format="mmdim-system/3"),
+                  system_path("format_4"): dict(system, format="mmdim-system/4")})
     for path, data in files.items():
         Path(path.format(root=root)).write_text(canonical_dumps(data))
     Path(system_path("invalid").format(root=root)).write_text("{")

@@ -32,7 +32,7 @@ from mmdim.specfile import (
 )
 from corpus import SPECS
 from oracles import argparse_parser
-from test_lazy_geometry import as_format_2, as_format_3
+from test_lazy_geometry import as_format_2, as_format_3, as_format_4
 
 F = Fraction
 
@@ -68,11 +68,11 @@ class TestBuild:
         assert result.exit_code == 0
         assert f"wrote {out}" in result.stderr
         data = read_json(out)
-        assert data["format"] == "mmdim-system/4"
+        assert data["format"] == "mmdim-system/5"
         assert data["parts"] == [0]
         assert [set(system) for system in data["systems"]] == [{"schedule", "blocks"}]
         assert [set(b) for b in data["systems"][0]["blocks"]] == [
-            {"k", "anchor", "side", "eps", "active"}
+            {"anchor", "side", "active"}
         ] * 3
 
     def test_idempotent_and_loader_round_trips(self, cli, tmp_spec, tmp_path):
@@ -162,23 +162,22 @@ class TestBuild:
             assert result.exit_code == 2, result.output
             assert needle in result.stderr
 
-    @pytest.mark.parametrize("version", ["2", "4"])
+    @pytest.mark.parametrize("version", ["2", "5"])
     @pytest.mark.parametrize("command", ["verify", "profile", "estimate", "validate"])
     def test_a_stored_leg_override_exits_2(self, cli, tmp_spec, tmp_path, command, version):
         # the file of this spec with block 2 at L = 5: the spec and the
-        # schedule name the override, and block 2 stores eps = side / (2 L - 1),
-        # and L too in the format /2 that earlier versions wrote
+        # schedule name the override, and in the format /2 that earlier
+        # versions wrote block 2 stores L and eps = side / (2 L - 1) too
         fields = dict(kind="geometric", n=3, B="1", r="2", kMax=3)
         out = str(tmp_path / "override.json")
         assert cli(["build", tmp_spec(**fields), "-o", out]).exit_code == 0
         data = read_json(out)
         if version == "2":
-            data = as_format_2(as_format_3(data))
-            data["system"]["blocks"][1]["L"] = 5
+            data = as_format_2(as_format_3(as_format_4(data)))
+            data["system"]["blocks"][1].update(L=5, eps="1/729")
         system = data["system"] if version == "2" else data["systems"][0]
         data["spec"]["legScheduleOverride"] = {"2": 5}
         system["schedule"]["legScheduleOverride"] = {"2": 5}
-        system["blocks"][1]["eps"] = "1/729"
         Path(out).write_text(canonical_dumps(data))
         if version == "2":
             digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
@@ -271,10 +270,12 @@ class TestValidate:
         ("system", "n", 2),
         ("system", "kMax", 3),
         ("system", "kind", "stacked"),
+        ("block", "k", 1),
+        ("block", "eps", "1/15"),
     ])
     def test_a_restated_derived_field_is_rejected(self, cli, geometric_file, level, key, value):
-        # the spec and the block index fix these; a file stating one, even at
-        # the value format /2 or /3 stored, is not a rebuild
+        # the spec, the schedule and the block index fix these; a file stating
+        # one, even at the value format /2, /3 or /4 stored, is not a rebuild
         data = read_json(geometric_file)
         system = data["systems"][0]
         target = system["blocks"][0] if level == "block" else system
@@ -286,10 +287,12 @@ class TestValidate:
             assert result.exit_code == 2, result.output
             assert "does not match its spec rebuild" in result.stderr
 
-    @pytest.mark.parametrize("version", ["1", "2", "3"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4"])
     def test_historic_file_exits_2_with_rebuild_hint(self, cli, geometric_file, version):
-        data = as_format_3(read_json(geometric_file))
-        if version != "3":
+        data = as_format_4(read_json(geometric_file))
+        if version != "4":
+            data = as_format_3(data)
+        if version in ("1", "2"):
             data = as_format_2(data)
         data["format"] = f"mmdim-system/{version}"
         if version == "1":

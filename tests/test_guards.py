@@ -197,6 +197,14 @@ GUARDS = [
     Guard("One part layout in src/mmdim", r"build_two_block", SRC,
           "specfile.build_two_block is where a two_block spec expands into its parts",
           skip=("specfile.py",)),
+    Guard("One system format in src/mmdim", r"mmdim-system/[1-4]", SRC,
+          "the loader reads format /5 alone and refuses every older file with the "
+          "rebuild hint, so no code path reads or writes an older layout"),
+    Guard("One system format in src/mmdim", r"schedule\.eps\(|\.eps\(block",
+          ("src/mmdim/specfile.py",),
+          "a system file stores each block's cube and activity only: block i of a "
+          "part is k = i + 1 and its eps is Schedule.eps(k), so the writer computes "
+          "no eps, and a file that restates k or eps does not match its rebuild"),
 ]
 
 

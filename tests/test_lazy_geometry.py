@@ -3,6 +3,7 @@ bytes, and which commands construct which blocks."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -41,10 +42,9 @@ FORMAT_2 = {
 }
 
 # SHA-256 of every corpus spec's system file in format /3, as its `build`
-# line last pinned it.  Format /4 stores each distinct part once and names no
-# corner, and `as_format_3` restates the /3 layout, so a /4 file that turns
-# into these bytes stores the same values.  The /4 file's own digest is its
-# `build` line's pin.
+# line pinned it before format /4.  Format /4 stores each distinct part once
+# and names no corner, and `as_format_3` restates the /3 layout, so a /4 file
+# that turns into these bytes stores the same values.
 FORMAT_3 = {
     "square": "5125ce4d817367d9db87ab76c4eaf07f5e0b30bd0b06145d70ada3ff43117e96",
     "geometric_r2": "4fccb7e35ee0126f959b59e2f1df0666bbd7dad79c88a8ac7992c3fbc4dd883e",
@@ -69,8 +69,53 @@ FORMAT_3 = {
 }
 
 
+# SHA-256 of every corpus spec's system file in format /4, as its `build`
+# line last pinned it.  Format /5 stores no block's k, its list position, and
+# no eps, which the schedule derives from the side, and `as_format_4` puts
+# both back, so a /5 file that turns into these bytes stores the same values.
+# The /5 file's own digest is its `build` line's pin.
+FORMAT_4 = {
+    "square": "7abe4f4bd337c01b56bdc7f0e44deb21e0e77a9db0c4afe7f97e8147ba9e77a1",
+    "geometric_r2": "1282ff850ecfc5f64b94174b1a4c7ebd3503a2c25ca741476ad7e3b95f489404",
+    "cube": "07b223abb772d5f07a269522e726da919c9259fb9d862571cf9733b764aec5a0",
+    "geometric_n3_r2": "f6e7e388b785cbf49a9fc02863e413a1b5e6dfedd6bd5c73c683e0e44ef55b1e",
+    "quadratic": "cf1e827569e30302ed2410ef8aa84940b627da1c085fc30b41f9c9c9b7a19cf2",
+    "quadratic_4": "dbb849e54c205dacf12cd286ecb2cd1a8512426b2b0598c308cd8db6e29b694c",
+    "quadratic_30": "18ae7d92ba7713a2d159d99b0cd0dec2cef73ef47904146b1d56b0186b8f566e",
+    "quadratic_n3": "4c0cda7f8f9cffca67b65073a199bf93f868e99554327ebadd77d1071c48004e",
+    "sparse": "1b4c2925ba0c532691f1377cbb51101fab7c62406a72155d86405eaccab413fe",
+    "sparse_5": "a1d4fc7aa925922916b1b50d62de86fbe39bc892b586ac3b1a2f8178cb8ad27d",
+    "sparse_quadratic": "60012a5337b7ef22db53a72eff23bda0026a1afbdcf822a2c5df40c6e9ff4ed8",
+    "two_block": "e0df94ecc9c19765476aca1471eac3ab627ba77ed1908c237dcf92dfeb9a6a32",
+    "two_block_5": "391cfe9f8b661cb731071adf8bd3662926001d0a381bac02a7589493c509d556",
+    "two_block_1_2": "a9127e679c5fb38c73a42f43397edd474a85c40f6b6a204383f5053105273c55",
+    "two_block_1_3": "28b21009f8e4d55f4265811002b8f93764d8653a3c27f7c8965fde7b22d97d43",
+    "shared": "86734bb5ce05bc178ced41bc9dd36548d743d13af3108c2fff59bce3debd0f02",
+    "zero_lower": "8e213832dbda00ce9d0465033415c8840e71a7086783122716cbb7c5b4c6ff93",
+    "zero_lower_8": "559f263423fc1dfdd87db58705542cc6666510fbdc0036a3eac2f9363dff47f2",
+    "zero_both": "73573ae4eeed9cd2f16250be10a46a005592d15ce3186c2be807c7413a1c78fb",
+    "identity": "8e3a9c0a0f6d27e715b4a2994c06f95269167e0b2fc18264c7a1fda303224102",
+}
+
+
 def spec_of(name: str) -> SystemSpec:
     return SystemSpec.from_jsonable(corpus.SPECS[name][0])
+
+
+def as_format_4(payload: dict) -> dict:
+    """The format /4 file of a format /5 payload.
+
+    /4 also stored each block's k, its position in the list counted from 1,
+    and its eps = side / (2 3^k - 1).
+    """
+    def restate(system: dict) -> dict:
+        return dict(system, blocks=[
+            dict(block, k=k, eps=str(Fraction(block["side"]) / (2 * 3 ** k - 1)))
+            for k, block in enumerate(system["blocks"], 1)
+        ])
+
+    return dict(payload, format="mmdim-system/4",
+                systems=[restate(system) for system in payload["systems"]])
 
 
 def as_format_3(payload: dict) -> dict:
@@ -167,18 +212,29 @@ def test_cache_takes_no_part_in_equality():
     assert repr(built) == repr(fresh)
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT_3))
+@pytest.mark.parametrize("name", sorted(FORMAT_4))
 def test_build_output_is_byte_identical(name, build_calls):
     spec = spec_of(name)
     payload = system_to_jsonable(build_system(spec), spec)
     pin = corpus.read_pins()[corpus.build_line(name)]
-    text, format_3 = canonical_dumps(payload), canonical_dumps(as_format_3(payload))
+    format_4 = as_format_4(payload)
+    text, text_4 = canonical_dumps(payload), canonical_dumps(format_4)
+    format_3 = canonical_dumps(as_format_3(format_4))
     assert sha256(text) == pin["file"]
+    assert sha256(text_4) == FORMAT_4[name]
     assert sha256(format_3) == FORMAT_3[name]
-    assert len(text) <= len(format_3)
+    assert len(text) <= len(text_4) <= len(format_3)
     if name in FORMAT_2:
-        assert sha256(canonical_dumps(as_format_2(as_format_3(payload)))) == FORMAT_2[name]
+        assert sha256(canonical_dumps(as_format_2(as_format_3(format_4)))) == FORMAT_2[name]
     assert build_calls == []
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_4))
+def test_each_block_stores_its_cube_and_activity_alone(name):
+    spec = spec_of(name)
+    payload = system_to_jsonable(build_system(spec), spec)
+    blocks = [block for system in payload["systems"] for block in system["blocks"]]
+    assert [block.keys() for block in blocks] == [{"anchor", "side", "active"}] * len(blocks)
 
 
 def test_equal_targets_store_their_one_system_once():
@@ -191,8 +247,10 @@ def test_equal_targets_store_their_one_system_once():
 
 def test_two_block_kmax_30_loads_and_profiles_without_geometry(build_calls):
     spec = spec_of("two_block")
-    text = canonical_dumps(system_to_jsonable(build_system(spec), spec))
-    assert len(text) == 6979  # 7,033 bytes in format /3
+    payload = system_to_jsonable(build_system(spec), spec)
+    text = canonical_dumps(payload)
+    assert len(text) == 4758  # 6,979 bytes in format /4 and 7,033 in /3
+    assert sha256(canonical_dumps(as_format_4(payload))) == FORMAT_4["two_block"]
     _, system = load_system(json.loads(text))
     rate_profile(system, range(1, 31))
     assert build_calls == []
@@ -223,7 +281,7 @@ def test_validate_builds_each_materialized_block_once(name, cli, build_calls, tm
 def test_tampered_unbuilt_block_is_rejected(build_calls):
     spec = spec_of("square")
     payload = system_to_jsonable(build_system(spec), spec)
-    payload["systems"][0]["blocks"][2]["eps"] = "1/27"
+    payload["systems"][0]["blocks"][2]["side"] = "1/81"
     with pytest.raises(SpecFileError, match="does not match"):
         load_system(payload)
     assert build_calls == []

@@ -319,15 +319,19 @@ class TestLoadSystem:
 
     def test_tampered_geometry_rejected(self):
         payload = self.build_payload()
-        payload["systems"][0]["blocks"][1]["eps"] = "1/7"
+        payload["systems"][0]["blocks"][1]["side"] = "1/7"
         with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
 
-    @pytest.mark.parametrize("field, value", [("k", 1.0), ("active", 1), ("k", True)])
+    @pytest.mark.parametrize("field, value", [("parts", 0.0), ("active", 1), ("parts", False)])
     def test_values_equal_only_under_python_eq_rejected(self, field, value):
-        # block 1 stores k 1 and active true; Python's == takes these for them
+        # the one part names system 0 and block 1 stores active true; Python's
+        # == takes these for them
         payload = self.build_payload()
-        payload["systems"][0]["blocks"][0][field] = value
+        if field == "parts":
+            payload["parts"][0] = value
+        else:
+            payload["systems"][0]["blocks"][0][field] = value
         with pytest.raises(SpecFileError, match="does not match"):
             load_system(payload)
 
