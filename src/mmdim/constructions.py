@@ -22,8 +22,8 @@ two-block spec two parts in the corner charts [0, 1/2]^n and [1/2, 1]^n,
 and the identity none.
 
 The systems record that layout; no command steps a whole system.  A block's
-horseshoe, and with it the `horseshoe` and `mapping` layers, loads only when
-`Block.geometry()` is first called.
+horseshoe is built only when `Block.geometry()` is called, and the
+`horseshoe` and `mapping` layers load with the first one.
 """
 
 from __future__ import annotations
@@ -69,46 +69,45 @@ def _self_power_set(limit: int) -> set[int]:
 
 
 class _ScheduleFields(NamedTuple):
-    kind: str
     B: Fraction
     r: Fraction | None = None
     active: str = ACTIVE_ALL  # "all" | "self-powers"
 
 
 class Schedule(_ScheduleFields):
-    """Size law and activity pattern for a stacked system; L_k = 3^k."""
+    """Size law (quadratic when r is None) and activity of a stacked system; L_k = 3^k."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in (GEOMETRIC, QUADRATIC):
-            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
         if self.B <= 0:
             raise ScheduleError("B must be positive")
-        if self.kind == GEOMETRIC:
-            if self.r is None or self.r <= 0:
+        if self.r is None:
+            if self.B > 1:
+                raise ScheduleError("quadratic schedules need B <= 1")
+        else:
+            if self.r <= 0:
                 raise ScheduleError("geometric schedules need r > 0")
             if self.r.denominator != 1:
                 raise ScheduleError("cannot place cubes with irrational sides (non-integer r)")
             if self.B > 3**self.r.numerator - 1:
                 raise ScheduleError("geometric sizes must sum to at most 1 (B <= 3^r - 1)")
-        else:
-            if self.r is not None:
-                raise ScheduleError("quadratic schedules take no rate r")
-            if self.B > 1:
-                raise ScheduleError("quadratic schedules need B <= 1")
         if self.active not in (ACTIVE_ALL, ACTIVE_SELF_POWERS):
             raise ScheduleError("active must be 'all' or 'self-powers'")
         return self
 
     @staticmethod
     def geometric(B, r, active=ACTIVE_ALL) -> "Schedule":
-        return Schedule(GEOMETRIC, Fraction(B), Fraction(r), active)
+        return Schedule(Fraction(B), Fraction(r), active)
 
     @staticmethod
     def quadratic(B, active=ACTIVE_ALL) -> "Schedule":
-        return Schedule(QUADRATIC, Fraction(B), None, active)
+        return Schedule(Fraction(B), None, active)
+
+    @property
+    def kind(self) -> str:
+        return QUADRATIC if self.r is None else GEOMETRIC
 
     @property
     def is_sparse(self) -> bool:
@@ -117,7 +116,7 @@ class Schedule(_ScheduleFields):
     @property
     def placed_B(self) -> Fraction:
         """B as placed: quadratic sides above the packing cap shrink to it."""
-        if self.kind == QUADRATIC:
+        if self.r is None:
             return min(self.B, QUADRATIC_SIZE_CAP)
         return self.B
 
@@ -125,7 +124,7 @@ class Schedule(_ScheduleFields):
         """Exact placed side |E_k|."""
         if k < 1:
             raise ScheduleError("block indices start at 1")
-        if self.kind == QUADRATIC:
+        if self.r is None:
             return self.placed_B / k**2
         return self.B / 3 ** (k * self.r.numerator)
 
@@ -142,9 +141,9 @@ class Schedule(_ScheduleFields):
         return self.active == ACTIVE_ALL or k in _self_power_set(k)
 
 
-def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, Fraction]]:
-    """Anchors a and sides for blocks 1..count inside [0, 1]^n; block k is
-    the cube [a, a + side]^n.
+def place_cubes(schedule: Schedule, count: int) -> list[tuple[Fraction, Fraction]]:
+    """Anchors a and sides for blocks 1..count along the diagonal of the unit
+    cube; in [0, 1]^n block k is the cube [a, a + side]^n.
 
     Geometric schedules use the closed-form anchors a_m = 1 - 3^(-m r), the
     partial sums of the slot lengths (1 - 3^(-r)) 3^(-i r), which sum to
@@ -152,15 +151,13 @@ def place_cubes(schedule: Schedule, n: int, count: int) -> list[tuple[Fraction, 
     schedules pack abutting slots of width (6/5)|E_k|; `Schedule.size` has
     already rescaled the sides when B exceeds the packing cap.
     """
-    if n < 2:
-        raise ScheduleError("systems need dimension n >= 2")
     if count < 0:
         raise ScheduleError("count must be >= 0")
     if count == 0:
         return []
 
     out: list[tuple[Fraction, Fraction]] = []
-    if schedule.kind == GEOMETRIC:
+    if schedule.r is not None:
         pow_r = 3**schedule.r.numerator
         # margins of MARGIN of each side must fit between consecutive blocks
         if schedule.B * (1 + MARGIN + MARGIN / pow_r) > pow_r - 1:
@@ -189,23 +186,21 @@ def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
     return build(cube, L)
 
 
-class _BlockFields(NamedTuple):
+class Block(NamedTuple):
+    """One cube of a stacked system.
+
+    `materialized` says whether the block carries a horseshoe that may be
+    built: it is active and its L^(n-1) pieces fit GEOMETRY_BUDGET.
+    `geometry()` builds it on each call; no command asks for it twice.
+    """
+
     k: int
     cube: Cube
     L: int
     active: bool
 
-
-class Block(_BlockFields):
-    """One cube of a stacked system.
-
-    `materialized` says whether the block carries a horseshoe that may be
-    built: it is active and its L^(n-1) pieces fit GEOMETRY_BUDGET.  The
-    horseshoe itself is built by `geometry()` on first use and cached; the
-    cache takes no part in equality, hashing or repr.
-    """
-
-    _horseshoe: HorseshoeMap | None = None
+    # no block holds a horseshoe; kept for the benchmark's built-block counter
+    horseshoe = None
 
     @property
     def materialized(self) -> bool:
@@ -213,40 +208,34 @@ class Block(_BlockFields):
         return (self.active and self.L <= GEOMETRY_BUDGET
                 and self.L ** (self.cube.dim - 1) <= GEOMETRY_BUDGET)
 
-    @property
-    def horseshoe(self) -> HorseshoeMap | None:
-        """The horseshoe if `geometry()` has built it, else None; builds nothing."""
-        return self._horseshoe
-
     def geometry(self) -> HorseshoeMap:
-        """The block's horseshoe, built on first use."""
-        if self._horseshoe is None:
-            if not self.active:
-                raise UnmaterializedBlockError(f"block {self.k} is inactive; it has no horseshoe")
-            if not self.materialized:
-                raise UnmaterializedBlockError(f"block {self.k} exceeds the geometry budget")
-            self._horseshoe = build_horseshoe(self.cube, self.L)
-        return self._horseshoe
+        """The block's horseshoe, built anew."""
+        if not self.active:
+            raise UnmaterializedBlockError(f"block {self.k} is inactive; it has no horseshoe")
+        if not self.materialized:
+            raise UnmaterializedBlockError(f"block {self.k} exceeds the geometry budget")
+        return build_horseshoe(self.cube, self.L)
 
 
 class StackedSystem(NamedTuple):
-    n: int
     schedule: Schedule
-    k_max: int
     blocks: tuple[Block, ...]
 
     def block(self, k: int) -> Block:
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"block {k} is outside the file (kMax = {self.k_max})")
+        if not 1 <= k <= len(self.blocks):
+            raise ValueError(f"block {k} is outside the file (kMax = {len(self.blocks)})")
         return self.blocks[k - 1]
 
 
 def build_stacked(schedule: Schedule, n: int, k_max: int) -> StackedSystem:
+    """Blocks 1..k_max of the schedule as n-cubes."""
+    if n < 2:
+        raise ScheduleError("systems need dimension n >= 2")
     blocks = tuple(
         Block(k, Cube(anchor, anchor + side, n), schedule.legs(k), schedule.is_active(k))
-        for k, (anchor, side) in enumerate(place_cubes(schedule, n, k_max), start=1)
+        for k, (anchor, side) in enumerate(place_cubes(schedule, k_max), start=1)
     )
-    return StackedSystem(n, schedule, k_max, blocks)
+    return StackedSystem(schedule, blocks)
 
 
 class Chart(NamedTuple):

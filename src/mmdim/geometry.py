@@ -7,7 +7,6 @@ touches floating point; every disjointness question is decided exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 
@@ -50,6 +49,8 @@ class _CubeFields(NamedTuple):
 class Cube(_CubeFields):
     """The cube [lo, hi]^dim."""
 
+    __slots__ = ()
+
     def __new__(cls, lo, hi, dim):
         if lo >= hi:
             raise ValueError("cube needs lo < hi")
@@ -57,7 +58,7 @@ class Cube(_CubeFields):
             raise ValueError("cube dimension must be positive")
         return tuple.__new__(cls, (lo, hi, dim))
 
-    @cached_property
+    @property
     def side(self) -> Fraction:
         return self.hi - self.lo
 

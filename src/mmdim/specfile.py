@@ -240,14 +240,16 @@ def build_system(spec: SystemSpec) -> System:
 
 
 def analytic_targets(spec: SystemSpec) -> tuple[Fraction, Fraction]:
-    """Exact (liminf, limsup) the spec prescribes, from its own fields: each
-    part tends to n / (1 + r) with r given and to n without, with liminf 0
-    when sparse; the spec to the largest over its parts, and to 0 with none."""
-    targets = [(Fraction(0), Fraction(0))]
-    for _, part, _ in spec_parts(spec):
-        target = Fraction(part.n) if part.r is None else part.n / (1 + part.r)
-        targets.append((Fraction(0) if part.kind == "sparse" else target, target))
-    return max(lo for lo, _ in targets), max(hi for _, hi in targets)
+    """Exact (liminf, limsup) the spec prescribes, from its own fields: a
+    two_block spec's (alpha, beta), the identity's (0, 0), and a stacked
+    spec's n / (1 + r), or n with no r, with liminf 0 when sparse.  Not read
+    off `spec_parts`, which `verify` checks: a broken expansion would agree."""
+    if spec.kind == "two_block":
+        return spec.alpha, spec.beta
+    if spec.kind == "identity":
+        return Fraction(0), Fraction(0)
+    target = Fraction(spec.n) if spec.r is None else spec.n / (1 + spec.r)
+    return (Fraction(0) if spec.kind == "sparse" else target), target
 
 
 def _stacked_payload(system: StackedSystem) -> dict:

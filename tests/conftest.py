@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import mmdim.constructions as constructions
 from mmdim.constructions import Schedule, build_stacked
 from mmdim.horseshoe import build_horseshoe
 
@@ -33,6 +34,19 @@ def unit_square_h():
 def geometric_system():
     """Geometric sizes 1/3^k, L_k = 3^k, n = 2, three materialized blocks."""
     return build_stacked(Schedule.geometric(1, 1), 2, 3)
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """Record (cube, L) of every horseshoe that `constructions` builds."""
+    calls = []
+
+    def counting(cube, L):
+        calls.append((cube, L))
+        return build_horseshoe(cube, L)
+
+    monkeypatch.setattr(constructions, "build_horseshoe", counting)
+    return calls
 
 
 @pytest.fixture()

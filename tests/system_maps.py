@@ -23,8 +23,9 @@ from oracles import apply_map, cube_contains
 
 
 def unit_system(stacked) -> System:
-    """A stacked system as the one part of a system, in the unit chart."""
-    return System(stacked.n, ((UNIT, stacked),))
+    """A stacked system as the one part of a system, in the unit chart; its
+    dimension is its blocks' cubes'."""
+    return System(stacked.blocks[0].cube.dim, ((UNIT, stacked),))
 
 
 def two_block_spec(alpha, beta, n: int, k_max: int) -> SystemSpec:

@@ -111,11 +111,12 @@ def test_criterion_3_quadratic_sizes_reach_full_dimension():
 def test_criterion_4_greedy_keeps_every_cylinder_center(geometric_system):
     t0 = time.perf_counter()
     block = geometric_system.block(1)
-    sq = square(block.geometry())
-    seeds = cylinder_centers(block.geometry(), 3)
+    h = block.geometry()
+    sq = square(h)
+    seeds = cylinder_centers(h, 3)
     result = greedy_separated(sq, seeds, 3, geometric_system.schedule.eps(1))
     elapsed = time.perf_counter() - t0
-    expected = block.L ** (geometric_system.n * 3)
+    expected = block.L ** (block.cube.dim * 3)
     assert len(result.chosen) == expected == 729
     assert all(sq.orbit(p, 2, seeds.den)[-1] is not ESCAPED for p in seeds.points)
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -239,9 +240,9 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     assert survivors > 100, f"only {survivors} fully surviving triples"
 
     # the greedy scan keeps exactly the seeds a naive pairwise scan keeps
-    block = geometric_system.block(1)
-    sq = square(block.geometry())
-    seeds = cylinder_centers(block.geometry(), 2)
+    h = geometric_system.block(1).geometry()
+    sq = square(h)
+    seeds = cylinder_centers(h, 2)
     eps = geometric_system.schedule.eps(1)
     chosen = greedy_separated(sq, seeds, 2, eps).chosen
     assert chosen == naive_greedy(sq, seeds, 2, eps)
@@ -259,7 +260,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     for system in systems:
         enlargements = [enlarged_box(b.cube) for b in system.blocks]
         assert find_box_overlap(enlargements) is None
-        unit = box_of(*(((0, 1),) * system.n))
+        unit = box_of(*(((0, 1),) * system.blocks[0].cube.dim))
         for box in enlargements:
             assert box_intersect(unit, box) == box  # inside the unit cube
 

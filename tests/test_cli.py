@@ -4,6 +4,7 @@ import contextlib
 import csv
 import gc
 import hashlib
+import inspect
 import io
 import os
 import re
@@ -610,6 +611,30 @@ class TestVerify:
         result = cli(["verify", out])
         assert result.exit_code == 1, result.output
         assert result.stdout == verify_table(row, row)
+
+    @pytest.mark.parametrize("edits,liminf,limsup", [
+        pytest.param([('"beta", spec.alpha < spec.beta)', '"beta", False)'),
+                      ('"alpha", False)', '"alpha", spec.alpha < spec.beta)')],
+                     ("2/3", "1", "NO"), ("1", "1", "yes"), id="sparse flag on the alpha part"),
+        pytest.param([("spec.n / target - 1", "spec.n / target")],
+                     ("2/3", "1/2", "NO"), ("1", "2/3", "NO"), id="rate n over target"),
+    ])
+    def test_a_broken_two_block_expansion_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch,
+                                                  edits, liminf, limsup):
+        # the targets are the spec's alpha and beta, not limits inverted
+        # from the parts that the expansion under test builds
+        source = inspect.getsource(specfile.build_two_block)
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        namespace = {}
+        exec(compile(source, specfile.__file__, "exec"), vars(specfile), namespace)
+        monkeypatch.setattr(specfile, "build_two_block", namespace["build_two_block"])
+        out = str(tmp_path / "two.json")
+        assert cli(["build", tmp_spec(**SPECS["two_block"][0]), "-o", out]).exit_code == 0
+        result = cli(["verify", out])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == verify_table(liminf, limsup)
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_a_growth_off_the_schedule_exits_1(self, cli, geometric_file, monkeypatch, command):

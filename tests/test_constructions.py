@@ -85,16 +85,12 @@ class TestSchedule:
 
 
     def test_validation_errors(self):
-        with pytest.raises(ScheduleError, match="unknown schedule kind"):
-            Schedule("cubic", F(1))
         with pytest.raises(ScheduleError, match="positive"):
             Schedule.geometric(0, 1)
         with pytest.raises(ScheduleError, match="r > 0"):
             Schedule.geometric(1, 0)
         with pytest.raises(ScheduleError, match="B <= 3"):
             Schedule.geometric(3, 1)  # sizes 1, 1/3, ... would overflow [0, 1]
-        with pytest.raises(ScheduleError, match="no rate"):
-            Schedule("quadratic", F(1), F(1))
         with pytest.raises(ScheduleError, match="B <= 1"):
             Schedule.quadratic(2)
         with pytest.raises(ScheduleError, match="active"):
@@ -105,7 +101,7 @@ class TestSchedule:
 
 class TestPlaceCubes:
     def test_geometric_unit_anchors(self):
-        assert place_cubes(Schedule.geometric(1, 1), 2, 3) == [
+        assert place_cubes(Schedule.geometric(1, 1), 3) == [
             (F(0), F(1, 3)),
             (F(2, 3), F(1, 9)),
             (F(8, 9), F(1, 27)),
@@ -113,14 +109,14 @@ class TestPlaceCubes:
 
     def test_geometric_anchors_telescope(self):
         # with B = 1, r = 1 the k-th anchor is 1 - 1/3^(k-1)
-        placed = place_cubes(Schedule.geometric(1, 1), 2, 20)
+        placed = place_cubes(Schedule.geometric(1, 1), 20)
         for k, (anchor, side) in enumerate(placed, start=1):
             assert anchor == 1 - F(1, 3) ** (k - 1)
             assert anchor + side <= 1
 
     def test_geometric_blocks_stay_in_slots(self):
         for B, r in [(1, 1), (1, 2), (F(3, 2), 1), (7, 2)]:
-            placed = place_cubes(Schedule.geometric(B, r), 2, 12)
+            placed = place_cubes(Schedule.geometric(B, r), 12)
             for (a1, s1), (a2, _) in zip(placed, placed[1:]):
                 assert a1 + s1 < a2
             assert all(a + s <= 1 for a, s in placed)
@@ -128,11 +124,11 @@ class TestPlaceCubes:
     def test_geometric_margin_rejection(self):
         # B = 9/5 leaves no room for the 1/10 enlargements at r = 1
         with pytest.raises(ScheduleError, match="enlargements"):
-            place_cubes(Schedule.geometric(F(9, 5), 1), 2, 2)
+            place_cubes(Schedule.geometric(F(9, 5), 1), 2)
 
     def test_quadratic_full_size_is_rescaled(self):
         sched = Schedule.quadratic(1)
-        placed = place_cubes(sched, 2, 4)
+        placed = place_cubes(sched, 4)
         assert placed[0][1] == QUADRATIC_SIZE_CAP
         assert placed[1][1] == QUADRATIC_SIZE_CAP / 4
         # the schedule's sides are the placed ones
@@ -140,10 +136,10 @@ class TestPlaceCubes:
 
     def test_quadratic_small_b_unscaled(self):
         sched = Schedule.quadratic(F(1, 10))
-        assert place_cubes(sched, 2, 2)[1][1] == F(1, 40)
+        assert place_cubes(sched, 2)[1][1] == F(1, 40)
 
     def test_quadratic_slots_abut_and_fit(self):
-        placed = place_cubes(Schedule.quadratic(1), 2, 50)
+        placed = place_cubes(Schedule.quadratic(1), 50)
         for (a1, s1), (a2, s2) in zip(placed, placed[1:]):
             # consecutive enlargements share exactly one face
             assert a1 + s1 + s1 / 10 == a2 - s2 / 10
@@ -151,11 +147,13 @@ class TestPlaceCubes:
         assert last_a + last_s * F(11, 10) < 1
 
     def test_edge_counts(self):
-        assert place_cubes(Schedule.geometric(1, 1), 2, 0) == []
+        assert place_cubes(Schedule.geometric(1, 1), 0) == []
         with pytest.raises(ScheduleError, match="count"):
-            place_cubes(Schedule.geometric(1, 1), 2, -1)
+            place_cubes(Schedule.geometric(1, 1), -1)
         with pytest.raises(ScheduleError, match="irrational"):
-            place_cubes(Schedule.geometric(1, F(1, 2)), 2, 3)
+            place_cubes(Schedule.geometric(1, F(1, 2)), 3)
+        with pytest.raises(ScheduleError, match="n >= 2"):
+            build_stacked(Schedule.geometric(1, 1), 1, 3)
 
 
 class TestEnlargedBox:
@@ -174,8 +172,7 @@ class TestEnlargedBox:
 class TestBuildStacked:
     def test_three_block_example(self, geometric_system):
         sys = geometric_system
-        assert sys.n == 2 and sys.k_max == 3
-        assert len(sys.blocks) == 3
+        assert len(sys.blocks) == 3 and {b.cube.dim for b in sys.blocks} == {2}
         b1, b2 = sys.block(1), sys.block(2)
         assert b1.cube == cube_of(0, F(1, 3), 2)
         assert b2.cube == cube_of(F(2, 3), F(2, 3) + F(1, 9), 2)

@@ -191,9 +191,10 @@ GUARDS = [
     Guard("One part layout in src/mmdim", r'solve_rate|"(two-block|lower|upper)"|kind = "stacked"',
           SRC,
           "specfile.spec_parts alone turns a spec into its charted stacked specs and "
-          "the field that sets each rate, and check_sizes, build_system and "
-          "analytic_targets loop over them; a system file lists each distinct part's "
-          "payload once and names no corner and no kind of system"),
+          "the field that sets each rate, and check_sizes and build_system loop over "
+          "them (analytic_targets reads the spec's own fields, so verify checks the "
+          "expansion); a system file lists each distinct part's payload once and "
+          "names no corner and no kind of system"),
     Guard("One part layout in src/mmdim", r"build_two_block", SRC,
           "specfile.build_two_block is where a two_block spec expands into its parts",
           skip=("specfile.py",)),
@@ -205,6 +206,14 @@ GUARDS = [
           "a system file stores each block's cube and activity only: block i of a "
           "part is k = i + 1 and its eps is Schedule.eps(k), so the writer computes "
           "no eps, and a file that restates k or eps does not match its rebuild"),
+    Guard("Construction records hold no cache", r"cached_property|_BlockFields|\b_horseshoe\b",
+          ("src/mmdim/constructions.py", "src/mmdim/geometry.py"),
+          "a block's horseshoe and a cube's side are computed on each call, as no "
+          "command reads either twice, so Block, Cube and StackedSystem are their "
+          "fields alone"),
+    Guard("Construction records hold no cache", r"unknown schedule kind", SRC,
+          "Schedule.kind is a property of the rate, quadratic exactly when r is None, "
+          "so no kind field can disagree with r and no check compares the two"),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Horseshoes are built on first use: equality with eager construction, file
-bytes, and which commands construct which blocks."""
+"""Horseshoes are built only when asked for: equality with eager
+construction, file bytes, and which commands construct which blocks."""
 
 import hashlib
 import json
@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import mmdim.constructions as constructions
 from mmdim.constructions import UnmaterializedBlockError
 from mmdim.horseshoe import build_horseshoe
 from mmdim.specfile import (
@@ -172,23 +171,11 @@ def stacked_halves(system):
     return [part for _, part in system.parts]
 
 
-@pytest.fixture()
-def build_calls(monkeypatch):
-    """Record (cube, L) of every horseshoe that `constructions` builds."""
-    calls = []
-
-    def counting(cube, L):
-        calls.append((cube, L))
-        return build_horseshoe(cube, L)
-
-    monkeypatch.setattr(constructions, "build_horseshoe", counting)
-    return calls
-
-
 # the kMax 30 two-block blocks reach L = 3^10, which take seconds to build
 @pytest.mark.parametrize("name", sorted(FORMAT_2.keys() - {"two_block"}))
-def test_lazy_horseshoe_equals_eager_build(name):
+def test_lazy_horseshoe_equals_eager_build(name, build_calls):
     system = build_system(spec_of(name))
+    assert build_calls == []
     materialized = 0
     for half in stacked_halves(system):
         for block in half.blocks:
@@ -197,19 +184,10 @@ def test_lazy_horseshoe_equals_eager_build(name):
                     block.geometry()
                 continue
             materialized += 1
-            assert block.horseshoe is None
-            h = block.geometry()
-            assert h == build_horseshoe(block.cube, block.L)
-            assert block.geometry() is h and block.horseshoe is h
+            assert block.geometry() == build_horseshoe(block.cube, block.L)
     assert materialized > 0
-
-
-def test_cache_takes_no_part_in_equality():
-    spec = spec_of("square")
-    built, fresh = build_system(spec), build_system(spec)
-    built.parts[0][1].block(1).geometry()
-    assert built == fresh and hash(built) == hash(fresh)
-    assert repr(built) == repr(fresh)
+    # one build per call, and none for a block that has no horseshoe
+    assert len(build_calls) == materialized
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT_4))

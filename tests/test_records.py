@@ -1,8 +1,10 @@
 """The immutable records: validated constructors, value semantics, caches.
 
 Every record is a `typing.NamedTuple`; the ones with an invariant check it
-in `__new__`, and the ones with a cache keep it in the instance `__dict__`,
-outside the fields.
+in `__new__`.  The construction records are plain values, their fields and
+nothing else: a block's horseshoe and a cube's side are computed on each
+call.  Only a horseshoe and its map cache: they keep the tables the scan
+reads per seed and per step in the instance `__dict__`, outside the fields.
 """
 
 from fractions import Fraction
@@ -11,8 +13,11 @@ import pytest
 
 from mmdim.constructions import (
     ACTIVE_SELF_POWERS,
+    Block,
     Schedule,
     ScheduleError,
+    StackedSystem,
+    build_stacked,
 )
 from mmdim.geometry import Box, Cube
 from mmdim.horseshoe import build_horseshoe
@@ -40,16 +45,13 @@ INVALID = [
      ValueError, "piece dimension differs from ambient cube"),
     (lambda: PAMap(cube_of(0, 1, 2), (AffinePiece(UNIT, (F(1),) * 2, (F(0),) * 2),) * 2),
      ValueError, "piece domains 0 and 1 have overlapping interiors"),
-    (lambda: Schedule("cubic", F(1)), ScheduleError, "unknown schedule kind 'cubic'"),
-    (lambda: Schedule("geometric", F(0), F(1)), ScheduleError, "B must be positive"),
-    (lambda: Schedule("geometric", F(1)), ScheduleError, "geometric schedules need r > 0"),
-    (lambda: Schedule("geometric", F(1), F(-1)), ScheduleError, "geometric schedules need r > 0"),
-    (lambda: Schedule("geometric", F(3), F(1)), ScheduleError,
+    (lambda: Schedule(F(0), F(1)), ScheduleError, "B must be positive"),
+    (lambda: Schedule(F(1), F(0)), ScheduleError, "geometric schedules need r > 0"),
+    (lambda: Schedule(F(1), F(-1)), ScheduleError, "geometric schedules need r > 0"),
+    (lambda: Schedule(F(3), F(1)), ScheduleError,
      "geometric sizes must sum to at most 1 (B <= 3^r - 1)"),
-    (lambda: Schedule("quadratic", F(1), F(1)), ScheduleError,
-     "quadratic schedules take no rate r"),
-    (lambda: Schedule("quadratic", F(2)), ScheduleError, "quadratic schedules need B <= 1"),
-    (lambda: Schedule("geometric", F(1), F(1), active="odd"), ScheduleError,
+    (lambda: Schedule(F(2)), ScheduleError, "quadratic schedules need B <= 1"),
+    (lambda: Schedule(F(1), F(1), active="odd"), ScheduleError,
      "active must be 'all' or 'self-powers'"),
 ]
 
@@ -94,6 +96,18 @@ def test_records_keep_value_semantics():
     assert cube == Cube(lo=F(0), hi=F(1), dim=2) and hash(cube) == hash(cube_of(0, 1, 2))
     with pytest.raises(AttributeError):
         cube.lo = F(1, 2)
+
+
+def test_construction_records_are_their_fields():
+    assert Schedule._fields == ("B", "r", "active")
+    assert Block._fields == ("k", "cube", "L", "active")
+    assert StackedSystem._fields == ("schedule", "blocks")
+    stacked = build_stacked(Schedule.geometric(1, 1), 2, 2)
+    for value in (stacked, stacked.schedule, stacked.blocks[0], stacked.blocks[0].cube):
+        assert not hasattr(value, "__dict__")
+    # the schedule's kind is its rate's: quadratic sizes exactly when r is None
+    assert stacked.schedule.kind == "geometric" and Schedule.quadratic(1).kind == "quadratic"
+    assert Schedule(F(1, 2)) == Schedule.quadratic(F(1, 2))
 
 
 def test_caches_take_no_part_in_equality():

@@ -174,7 +174,7 @@ class TestEpsSchedule:
             two_block_system(F(2, 3), 1, 2, 5).parts[0][1],
         ]
         for system in systems:
-            rows = rate_profile(unit_system(system), range(1, system.k_max + 1))
+            rows = rate_profile(unit_system(system), range(1, len(system.blocks) + 1))
             for row, block in zip(rows, system.blocks):
                 assert row.eps_exact == block.cube.side / (2 * block.L - 1)
             for row, after in zip(rows, rows[1:]):
