@@ -12,15 +12,16 @@ process: it runs the command with the cyclic garbage collector off and
 freezes every object before it exits, so the interpreter's exit walks none
 of them, while an in-process caller keeps its collector as it was.
 
-Exit codes: 0 success, 1 a failed verification (a limit off its target, a
-row off its growth, or an `estimate` count other than L^(n m) at a block's
-own eps), 2 a usage or spec error, a refused `estimate`, or an output path
-or stdout that cannot be written.  Commands raise and `main` maps: a
-`UsageError`, `SpecFileError` or `ScheduleError` prints the command's usage
-and its one line (exit 2), a `CannotWrite` its line (exit 2), and a
-`symbolic.RowFault`, which `extrapolate` raises before `verify` or `profile`
-writes anything, the fault's line (exit 1).  CSV and JSON go to the output
-path (stdout by default for CSV); progress and reports go to stderr.
+Exit codes: 0 success, 1 a failed verification (a `verify` or `profile`
+limit off its target, a row off its growth, or an `estimate` count other
+than L^(n m) at any eps up to its block's own), 2 a usage or spec error, a
+refused `estimate`, or an output path or stdout that cannot be written.
+Commands raise and `main` maps: a `UsageError`, `SpecFileError` or
+`ScheduleError` prints the command's usage and its one line (exit 2), a
+`CannotWrite` its line (exit 2), and a `symbolic.RowFault`, which
+`extrapolate` raises before `verify` or `profile` writes anything, the
+fault's line (exit 1).  CSV and JSON go to the output path (stdout by
+default for CSV); progress and reports go to stderr.
 """
 
 from __future__ import annotations
@@ -152,12 +153,12 @@ def profile(system_path: str, kmax: int, out: str | None) -> int:
     spec, system = load_system(read_json(system_path))
     _check_kmax(spec, kmax)
     rows = rate_profile(system, range(1, kmax + 1))
-    lo, hi = extrapolate(system, range(1, kmax + 1))
+    limits = lo, hi = extrapolate(system, range(1, kmax + 1))
     _write(out, lambda fh: write_profile_csv(fh, symbolic_csv_rows(rows)))
-    target_lo, target_hi = analytic_targets(spec)
+    targets = target_lo, target_hi = analytic_targets(spec)
     print(f"limits: liminf = {lo} (target {target_lo}), limsup = {hi} (target {target_hi})",
           file=sys.stderr)
-    return 0
+    return 0 if limits == targets else 1
 
 
 def estimate(system_path, k, m_max, eps_str, out) -> int:
@@ -181,14 +182,10 @@ def estimate(system_path, k, m_max, eps_str, out) -> int:
     for m, count in row.counts.items():
         print(f"k={k} m={m} eps={row.eps_exact} count={count} "
               f"seeds={row.seeds[m]} pairs={row.pairs[m]}", file=sys.stderr)
-    if row.expected is not None:
-        m = max(row.counts)
-        print(f"k={k} m={m} count={row.counts[m]} expected={row.expected}", file=sys.stderr)
-        return 1
     if row.error is not None:
-        print(f"k={k}: {row.error}", file=sys.stderr)
-        return 2
-    if eps_value is not None:
+        print(row.error, file=sys.stderr)
+        return 1 if row.decided else 2
+    if not row.decided:
         print(f"--eps {eps_value} is a probe, not block {k}'s own eps: its counts decide nothing",
               file=sys.stderr)
     return 0

@@ -181,8 +181,9 @@ class NumericRateRow(NamedTuple):
     ratios use the symbolic row's two denominators.  `upper_ratio` therefore
     certifies nothing yet: the kept set spans the seeds, not the block, and
     no count bounds the block's spanning number from above (ROADMAP item 5).
-    A row with an `error` has no rate: either nothing was scanned, or
-    `expected` is set and the last depth in `counts` kept another count.
+    A row with an `error` has no rate, and the error is the one line its
+    failure prints: either nothing was scanned, or the row `decided` and the
+    last depth in `counts` kept another count than `expected`.
     """
 
     k: int
@@ -195,6 +196,7 @@ class NumericRateRow(NamedTuple):
     upper_ratio: float = 0.0  # rate / (ln 4 + |ln eps_k|)
     error: str | None = None
     expected: Fraction | None = None  # the symbolic count exp(m rate) the last depth missed
+    decided: bool = False  # scanned at an eps up to the block's own: the counts are a verdict
 
 
 def mdim_numeric_profile(
@@ -210,14 +212,16 @@ def mdim_numeric_profile(
     would form L_k = 3^k), an inactive block gives a zero row, and a block
     whose symbolic cylinder count exp(m rate) exceeds CYLINDER_BUDGET at some
     depth is refused, naming the first such depth.  A refusal is an error row
-    with no counts.  An unmaterialized block (L^(n-1) > GEOMETRY_BUDGET) is
-    over the budget at m = 2 already, so its geometry is never asked for.
+    `k=K: <reason>` with no counts.  An unmaterialized block (L^(n-1) >
+    GEOMETRY_BUDGET) is over the budget at m = 2 already, so its geometry is
+    never asked for.
 
-    Then each depth's cylinder centers are built and scanned in turn.  At
-    the block's own eps they are the witness for sep(m, eps_k) >= exp(m rate),
-    so the first depth that keeps another count ends the scans with an error
-    row whose `expected` is that count.  With `eps_override` the scans run at
-    that scale instead, and their counts decide nothing.
+    Then each depth's cylinder centers are built and scanned in turn, at the
+    block's own eps or at `eps_override`.  At eps_k they witness sep(m, eps_k)
+    >= exp(m rate), and points more than eps_k apart are more than any smaller
+    eps apart, so at any eps up to eps_k the row decides: the first depth that
+    keeps another count ends the scans with the error `k=K m=M count=C
+    expected=E`.  Above eps_k the counts decide nothing.
     """
     if m_max < 2:
         raise ValueError(f"a growth rate needs depths 1..m_max with m_max >= 2, got {m_max}")
@@ -225,10 +229,12 @@ def mdim_numeric_profile(
     try:
         block = stacked.block(k)
     except ValueError as exc:
-        return NumericRateRow(k, None, {}, {}, {}, error=str(exc))
+        return NumericRateRow(k, None, {}, {}, {}, error=f"k={k}: {exc}")
     native = stacked.schedule.eps(k)
+    eps = native if eps_override is None else Fraction(eps_override)
+    decided = eps <= native
     if not block.active:
-        return NumericRateRow(k, native, {}, {}, {})
+        return NumericRateRow(k, native, {}, {}, {}, decided=decided)
     (bound,) = rate_profile(system, [k])
     per_step = bound.L**bound.n  # cylinders per step of the squared map
     expected = {}
@@ -236,10 +242,9 @@ def mdim_numeric_profile(
         expected[m] = per_step**m
         if expected[m] > CYLINDER_BUDGET:
             error = f"{expected[m]} cylinders at (k={k}, m={m}) exceed budget {CYLINDER_BUDGET}"
-            return NumericRateRow(k, native, {}, {}, {}, error=error)
+            return NumericRateRow(k, native, {}, {}, {}, error=f"k={k}: {error}")
     h = block.geometry()
     g = square(h)
-    eps = native if eps_override is None else Fraction(eps_override)
     counts: dict[int, int] = {}
     seeds: dict[int, int] = {}
     pairs: dict[int, int] = {}
@@ -247,9 +252,10 @@ def mdim_numeric_profile(
         # each depth's seeds are built when its scan runs
         result = greedy_separated(g, cylinder_centers(h, m), m, eps)
         counts[m], seeds[m], pairs[m] = len(result.chosen), result.seed_count, result.pairs
-        if eps_override is None and counts[m] != expected[m]:
-            error = f"{counts[m]} of {expected[m]} cylinder centers separated at m={m}"
-            return NumericRateRow(k, eps, counts, seeds, pairs, error=error, expected=expected[m])
+        if decided and counts[m] != expected[m]:
+            error = f"k={k} m={m} count={counts[m]} expected={expected[m]}"
+            return NumericRateRow(k, eps, counts, seeds, pairs, error=error,
+                                  expected=expected[m], decided=True)
     rate = fit_slope(list(counts), [math.log(c) for c in counts.values()])
-    return NumericRateRow(k, eps, counts, seeds, pairs, rate,
-                          rate / float(bound.lower_den), rate / float(bound.upper_den))
+    return NumericRateRow(k, eps, counts, seeds, pairs, rate, rate / float(bound.lower_den),
+                          rate / float(bound.upper_den), decided=decided)

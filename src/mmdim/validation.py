@@ -51,18 +51,14 @@ def validate_horseshoe(h: HorseshoeMap) -> tuple[CheckResult, ...]:
         sorted(leg for _, leg in h.assignment) == sorted(grid.odd_leg_indices()),
     )
 
-    def key(box):  # integer pairs: equal when the Fractions are, hashed with no modular inverse
-        return tuple(x for lo, hi in box.intervals
-                     for x in (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-
-    by_domain = {key(p.domain): p for p in h.pamap.pieces}
-    images_ok, crossing_ok, domains_ok = True, True, True
-    detail = ""
-    for l, leg in h.assignment:
-        piece = by_domain.get(key(grid.strip_box(l)))
-        if piece is None:
+    images_ok, crossing_ok = True, True
+    domains_ok = len(h.pamap.pieces) >= len(h.assignment)
+    detail = "" if domains_ok else "fewer pieces than strips"
+    # each entry's piece is the one at its position, which square composes
+    for (l, leg), piece in zip(h.assignment, h.pamap.pieces):
+        if piece.domain != grid.strip_box(l):
             domains_ok = False
-            detail = f"no piece with domain = strip {l}"
+            detail = f"strip {l}'s piece has another domain"
             continue
         img = piece.map_box(piece.domain)
         if img != grid.leg_box(leg):

@@ -204,7 +204,7 @@ def test_criterion_7_two_block_limits_split_and_obey_max_rule():
 def test_criterion_8_property_batteries(geometric_system, unit_square_h):
     t0 = time.perf_counter()
 
-    # round-trip validation across leg counts and dimensions, and the five
+    # round-trip validation across leg counts and dimensions, and the
     # canonical mutants each tripping the checks named for their defect
     for L, n in itertools.product((3, 5, 9), (2, 3)):
         checks = validate_horseshoe(build_horseshoe(cube_of(0, 1, n), L))
@@ -277,7 +277,7 @@ def test_criterion_8_property_batteries(geometric_system, unit_square_h):
 
     elapsed = time.perf_counter() - t0
     print(
-        "ACCEPTANCE 8: PASS -- validator 6/6 + 5 mutants caught, orbit-metric "
+        f"ACCEPTANCE 8: PASS -- validator 6/6 + {len(MUTANTS)} mutants caught, orbit-metric "
         f"axioms x1000 ({survivors} full triangles), greedy equal to a naive "
         f"scan on {len(seeds.points)} seeds, "
         "disjoint enlargements in 6 families, all ratios <= n, "

@@ -61,6 +61,18 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def patch_source(monkeypatch, module, name: str, edits) -> None:
+    """Replace module.name by its own source with each (old, new) edit made,
+    each old text occurring exactly once."""
+    source = inspect.getsource(getattr(module, name))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(compile(source, module.__file__, "exec"), vars(module), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
 class TestBuild:
     def test_writes_canonical_system(self, cli, tmp_spec, tmp_path):
         spec = tmp_spec(kind="geometric", n=2, B="1", r="1", kMax=3)
@@ -386,6 +398,18 @@ class TestProfile:
             "5,1/117855,8.48500275763e-06,0,0,0,0,symbolic",
         ]
 
+    def test_a_limit_off_its_target_exits_1(self, cli, tmp_spec, tmp_path, monkeypatch):
+        # with r = n/target the two-block parts grow too fast for the spec's
+        # alpha and beta; profile prints the limits as verify finds them
+        patch_source(monkeypatch, specfile, "build_two_block",
+                     [("spec.n / target - 1", "spec.n / target")])
+        out = str(tmp_path / "two.json")
+        assert cli(["build", tmp_spec(**SPECS["two_block_5"][0]), "-o", out]).exit_code == 0
+        result = cli(["profile", out])
+        assert result.exit_code == 1, result.output
+        assert len(parse_csv(result.stdout)) == 24
+        assert result.stderr == "limits: liminf = 1/2 (target 2/3), limsup = 2/3 (target 1)\n"
+
     def test_ratios_increase(self, cli, geometric_file):
         result = cli(["profile", geometric_file, "--kmax", "12"])
         ratios = [float(r["lower_ratio"]) for r in parse_csv(result.stdout)]
@@ -450,8 +474,31 @@ class TestEstimate:
         assert result.exit_code == 1, result.output
         assert result.stderr.splitlines()[-1] == "k=1 m=1 count=9 expected=27"
 
+    @pytest.mark.parametrize("eps", [None, "1/15", "1/20"])
+    def test_every_odd_strip_selected_exits_1_up_to_the_blocks_eps(
+            self, cli, tmp_spec, tmp_path, monkeypatch, eps):
+        # stride 1 selects three adjacent odd strips of the n = 3 cube's nine,
+        # which block 1's eps 1/15 does not tell apart; points more than 1/15
+        # apart are more than 1/20 apart, so each --eps decides as none does
+        monkeypatch.setattr(symbolic, "_selected_strip_indices",
+                            lambda L, n: [2 * j + 1 for j in range(L)])
+        out = str(tmp_path / "cube.json")
+        assert cli(["build", tmp_spec(**SPECS["cube"][0]), "-o", out]).exit_code == 0
+        result = cli(["estimate", out, "--k", "1", "--m", "2", *(["--eps", eps] if eps else [])])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines()[-1] == "k=1 m=1 count=18 expected=27"
+
+    def test_an_eps_below_the_blocks_own_decides(self, cli, geometric_file):
+        # 1/20 < 1/15: every center is kept again, and nothing is a probe
+        result = cli(["estimate", geometric_file, "--k", "1", "--m", "3", "--eps", "1/20"])
+        assert result.exit_code == 0, result.output
+        assert [line.split()[3] for line in result.stderr.splitlines()] == [
+            "count=9", "count=81", "count=729"]
+        assert "probe" not in result.stderr
+
     def test_eps_override(self, cli, geometric_file):
-        # 1 of 9 and 1 of 81 kept: a probe decides nothing, so it exits 0
+        # 1 of 9 and 1 of 81 kept: a probe above the block's eps decides
+        # nothing, so it exits 0
         result = cli(
             ["estimate", geometric_file, "--k", "1", "--m", "2", "--eps", "2"]
         )
@@ -623,13 +670,7 @@ class TestVerify:
                                                   edits, liminf, limsup):
         # the targets are the spec's alpha and beta, not limits inverted
         # from the parts that the expansion under test builds
-        source = inspect.getsource(specfile.build_two_block)
-        for old, new in edits:
-            assert source.count(old) == 1, old
-            source = source.replace(old, new)
-        namespace = {}
-        exec(compile(source, specfile.__file__, "exec"), vars(specfile), namespace)
-        monkeypatch.setattr(specfile, "build_two_block", namespace["build_two_block"])
+        patch_source(monkeypatch, specfile, "build_two_block", edits)
         out = str(tmp_path / "two.json")
         assert cli(["build", tmp_spec(**SPECS["two_block"][0]), "-o", out]).exit_code == 0
         result = cli(["verify", out])

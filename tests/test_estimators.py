@@ -404,7 +404,7 @@ class TestNumericProfile:
     def test_budget_produces_error_row(self, geometric_system, monkeypatch):
         monkeypatch.setattr(estimators, "CYLINDER_BUDGET", 100)
         row = mdim_numeric_profile(unit_system(geometric_system), 1)
-        assert row.error == "729 cylinders at (k=1, m=3) exceed budget 100"
+        assert row.error == "k=1: 729 cylinders at (k=1, m=3) exceed budget 100"
         assert row.counts == {} and row.expected is None and row.eps_exact == F(1, 15)
 
     @pytest.mark.parametrize("budget", [728, 729])
@@ -427,7 +427,7 @@ class TestNumericProfile:
 
     def test_out_of_range_k_is_refused(self, geometric_system):
         row = mdim_numeric_profile(unit_system(geometric_system), 9)
-        assert row.error == "block 9 is outside the file (kMax = 3)"
+        assert row.error == "k=9: block 9 is outside the file (kMax = 3)"
         assert row.eps_exact is None and row.counts == {} and row.expected is None
 
     def test_unmaterialized_block_is_refused_by_the_budget(self, build_calls):
@@ -436,7 +436,7 @@ class TestNumericProfile:
         sys = build_stacked(Schedule.geometric(1, 1), 2, 11)
         assert not sys.block(11).materialized
         row = mdim_numeric_profile(unit_system(sys), 11)
-        assert row.error == "31381059609 cylinders at (k=11, m=1) exceed budget 1000000"
+        assert row.error == "k=11: 31381059609 cylinders at (k=11, m=1) exceed budget 1000000"
         assert row.eps_exact == sys.schedule.eps(11) and build_calls == []
 
     def test_every_unmaterialized_block_is_over_budget_at_m_2(self):
@@ -455,7 +455,7 @@ class TestNumericProfile:
         monkeypatch.setattr(estimators, "rate_profile", plus_ln3)
         row = mdim_numeric_profile(unit_system(geometric_system), 1)
         assert row.counts == row.seeds == {1: 9} and row.expected == 27
-        assert row.error == "9 of 27 cylinder centers separated at m=1"
+        assert row.error == "k=1 m=1 count=9 expected=27"
 
     @pytest.mark.parametrize("m_max", [1, 0, -1])
     def test_depths_below_two_are_refused(self, geometric_system, m_max):

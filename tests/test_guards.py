@@ -214,6 +214,12 @@ GUARDS = [
     Guard("Construction records hold no cache", r"unknown schedule kind", SRC,
           "Schedule.kind is a property of the rate, quadratic exactly when r is None, "
           "so no kind field can disagree with r and no check compares the two"),
+    Guard("One rule per verdict in src/mmdim",
+          r"by_domain|cylinder centers separated|eps_override is None and|row\.expected", SRC,
+          "validate_horseshoe pairs each assignment entry with the piece at its "
+          "position, as horseshoe.square composes them; mdim_numeric_profile decides "
+          "at every eps up to the block's own and builds the one line each failure "
+          "prints, and its row's `decided` gives estimate's exit code"),
 ]
 
 

@@ -229,6 +229,21 @@ def mutant_swapped_corner_legs() -> HorseshoeMap:
     return HorseshoeMap(grid, assignment, PAMap(grid.cube, pieces))
 
 
+def mutant_pieces_reversed() -> HorseshoeMap:
+    """The right pieces in reverse order: `square` composes each assignment
+    entry's strip word with the piece at the entry's position."""
+    grid, assignment = _canonical_parts()
+    pieces = tuple(_strip_piece(grid, l, leg) for l, leg in reversed(assignment))
+    return HorseshoeMap(grid, assignment, PAMap(grid.cube, pieces))
+
+
+def mutant_missing_piece() -> HorseshoeMap:
+    """The last strip has no piece: its points escape instead of crossing."""
+    grid, assignment = _canonical_parts()
+    pieces = tuple(_strip_piece(grid, l, leg) for l, leg in assignment[:-1])
+    return HorseshoeMap(grid, assignment, PAMap(grid.cube, pieces))
+
+
 MUTANTS = {
     "duplicate leg": (
         mutant_duplicate_leg,
@@ -249,6 +264,14 @@ MUTANTS = {
     "swapped corner legs": (
         mutant_swapped_corner_legs,
         {"corner (a,...,a,b) is fixed", "corner (b,...,b,a) is fixed"},
+    ),
+    "pieces reversed": (
+        mutant_pieces_reversed,
+        {"piece domains are exactly the odd strips"},
+    ),
+    "missing piece": (
+        mutant_missing_piece,
+        {"one piece per odd strip", "piece domains are exactly the odd strips"},
     ),
 }
 
