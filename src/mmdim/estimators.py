@@ -14,13 +14,13 @@ threshold thr_t = eps g S^t.  Each comparison is then an `int` subtraction
 deciding what the `Fraction` one decided.  Kept points are filed in a trie
 (a cell list, Bentley, Stanat & Williams, IPL 1977, one level per axis per
 step) keyed by their cells `x // thr_t` on every axis at each of the
-first t* steps, t* being the number of leading states in which no orbit has
-escaped.  Two points that are not separated are within the threshold at
-each of those steps, so their cells differ by at most 1 at every level; a
-seed walks the trie keeping the children c - 1, c and c + 1 of its own cell
-c, and is compared only with the kept points in the leaves it reaches.
-Every point that could reject it is among them, so the kept set is the one
-the all-pairs scan keeps.
+first t* steps, t* being the length of the shortest orbit: an orbit ends at
+its last state before an escape.  Two points that are not separated are
+within the threshold at each of those steps, so their cells differ by at
+most 1 at every level; a seed walks the trie keeping the children c - 1, c
+and c + 1 of its own cell c, and is compared only with the kept points in
+the leaves it reaches.  Every point that could reject it is among them, so
+the kept set is the one the all-pairs scan keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from .constructions import System
 from .horseshoe import HorseshoeMap, square
-from .mapping import ESCAPED, PAMap, Point
+from .mapping import PAMap, Point
 from .symbolic import enumerate_cylinders, rate_profile
 
 
@@ -63,7 +63,7 @@ def cylinder_centers(h: HorseshoeMap, m: int) -> SeedSet:
     t_center = [base + (2 * i - 1) * t_half for i in range(eta + 1)]
     points, words = set(), 0
     for word, box in enumerate_cylinders(h, m):
-        a, d = box.intervals[0][0].as_integer_ratio()
+        a, d = box[0][0].as_integer_ratio()
         points.add((a * (den // d) + half, *[t_center[i] for i in word[0][1]]))
         words += 1
     if len(points) != words:
@@ -75,16 +75,15 @@ def orbits_separate(orbit_x, orbit_y, thresholds) -> bool:
     """Early-exit kernel on precomputed orbits: does some step t differ by
     more than thresholds[t]?
 
-    Orbits are aligned state lists (ESCAPED entries allowed); iteration stops
-    at the first escaped step, so the decision uses the surviving prefix.
+    Orbits are aligned state lists, each ending at its last state before an
+    escape; iteration stops at the shorter one, so the decision uses the
+    prefix both orbits reach.
     `Fraction` states take eps at every step.  States may also hold integers
     with integer thresholds: state t and thresholds[t] scaled by one common
     factor, as the greedy scan passes them, give the same decision, exactly,
     with no `Fraction` arithmetic.
     """
     for sx, sy, thr in zip(orbit_x, orbit_y, thresholds):
-        if sx is ESCAPED or sy is ESCAPED:
-            return False
         for a, b in zip(sx, sy):
             if a - b > thr or b - a > thr:
                 return True
@@ -115,8 +114,8 @@ def greedy_separated(
     `thr_t = eps g S^t`, which `orbits_separate` compares with state t
     exactly as it compared eps.  Only kept points in the trie leaves a seed
     reaches are compared with it; a point outside them differs from the
-    seed by more than `thr_t` on some axis at some step t before t*, where
-    neither orbit has escaped, so it is separated and cannot reject the
+    seed by more than `thr_t` on some axis at some step t before t*, the
+    length of the shortest orbit, so it is separated and cannot reject the
     seed.  Every frontier node holds a kept point, so
     the frontier at each level is at most three times the previous one and
     never larger than the kept set; after step 0's levels the candidates are
@@ -134,8 +133,8 @@ def greedy_separated(
     lattice = pts if g == den else [tuple(x * (g // den) for x in p) for p in pts]
     orbits = [pamap.orbit(p, m - 1, g) for p in lattice]
     thresholds = [eps.numerator * (g // eps.denominator) * pamap.step_den**t for t in range(m)]
-    # t*: the leading states in which no orbit has escaped (state 0 never has)
-    steps = next((t for t in range(m) if any(o[t] is ESCAPED for o in orbits)), m)
+    # t*: the states every orbit reaches (state 0 always)
+    steps = min(map(len, orbits), default=m)
     trie: dict = {}
     chosen: list[int] = []
     pairs = 0
@@ -183,7 +182,7 @@ class NumericRateRow(NamedTuple):
     no count bounds the block's spanning number from above (ROADMAP item 5).
     A row with an `error` has no rate, and the error is the one line its
     failure prints: either nothing was scanned, or the row `decided` and the
-    last depth in `counts` kept another count than `expected`.
+    last depth in `counts` kept another count than the symbolic one.
     """
 
     k: int
@@ -195,7 +194,6 @@ class NumericRateRow(NamedTuple):
     ratio: float = 0.0  # rate / |ln eps_{k+1}|, comparable with the symbolic rows
     upper_ratio: float = 0.0  # rate / (ln 4 + |ln eps_k|)
     error: str | None = None
-    expected: Fraction | None = None  # the symbolic count exp(m rate) the last depth missed
     decided: bool = False  # scanned at an eps up to the block's own: the counts are a verdict
 
 
@@ -254,8 +252,7 @@ def mdim_numeric_profile(
         counts[m], seeds[m], pairs[m] = len(result.chosen), result.seed_count, result.pairs
         if decided and counts[m] != expected[m]:
             error = f"k={k} m={m} count={counts[m]} expected={expected[m]}"
-            return NumericRateRow(k, eps, counts, seeds, pairs, error=error,
-                                  expected=expected[m], decided=True)
+            return NumericRateRow(k, eps, counts, seeds, pairs, error=error, decided=True)
     rate = fit_slope(list(counts), [math.log(c) for c in counts.values()])
     return NumericRateRow(k, eps, counts, seeds, pairs, rate, rate / float(bound.lower_den),
                           rate / float(bound.upper_den), decided=decided)

@@ -20,24 +20,17 @@ def rational_from_str(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
-class _BoxFields(NamedTuple):
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-
-class Box(_BoxFields):
-    """Axis-aligned box given by closed per-axis intervals [lo, hi]."""
+class Box(tuple):
+    """Axis-aligned box: the tuple of its closed per-axis intervals (lo, hi)."""
 
     __slots__ = ()
 
     def __new__(cls, intervals):
-        for lo, hi in intervals:  # lo > hi, as integer cross products
+        self = tuple.__new__(cls, intervals)
+        for lo, hi in self:  # lo > hi, as integer cross products
             if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
-        return tuple.__new__(cls, (intervals,))
-
-    @property
-    def dim(self) -> int:
-        return len(self.intervals)
+        return self
 
 
 class _CubeFields(NamedTuple):
@@ -69,8 +62,8 @@ def find_interior_overlap(slabs: Sequence[Box]) -> tuple[int, int] | None:
     Each box is a first-axis interval of positive width times one shared box.
     Sorted by lower end, they overlap when one starts before the one before ends.
     """
-    order = sorted(range(len(slabs)), key=lambda i: slabs[i].intervals[0][0])
+    order = sorted(range(len(slabs)), key=lambda i: slabs[i][0][0])
     for i, j in zip(order, order[1:]):
-        if slabs[j].intervals[0][0] < slabs[i].intervals[0][1]:
+        if slabs[j][0][0] < slabs[i][0][1]:
             return min(i, j), max(i, j)
     return None

@@ -65,7 +65,7 @@ class SubdivisionGrid(NamedTuple):
             if not 1 <= i <= self.leg_cell_count:
                 raise ValueError(f"t-cell index {i} out of range")
             ivs.append((self.t[i - 1], self.t[i]))
-        return Box(tuple(ivs))
+        return Box(ivs)
 
     def odd_leg_indices(self) -> list[tuple[int, ...]]:
         odd = range(1, self.leg_cell_count + 1, 2)

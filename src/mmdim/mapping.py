@@ -1,12 +1,13 @@
-"""Piecewise-affine maps on the slabs of a cube, with absorbing escape.
+"""Piecewise-affine maps on the slabs of a cube, with escape.
 
 A `PAMap` is a list of `AffinePiece`s on slabs: each domain is a first-axis
 interval of positive width times the whole cube, as a horseshoe's strips
 are, and no two overlap in interior.  A point in a slab goes to its exact
 affine image; a point in a gap between slabs, or outside the cube, goes to
-the absorbing `ESCAPED` state.  Points are integer numerators over a
-denominator the caller names, and a step multiplies that denominator by the
-map's own, so no step builds a `Fraction` or takes a gcd.
+`ESCAPED`, and an orbit ends at its last state before an escape.  Points
+are integer numerators over a denominator the caller names, and a step
+multiplies that denominator by the map's own, so no step builds a
+`Fraction` or takes a gcd.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .geometry import Box, Cube, find_interior_overlap
 
 
 class _Escaped:
-    """Absorbing out-of-system state."""
+    """Out-of-system state: the image of a point outside every slab."""
 
     _instance = None
 
@@ -52,7 +53,7 @@ class AffinePiece(_PieceFields):
     __slots__ = ()
 
     def __new__(cls, domain, scale, offset):
-        if not (domain.dim == len(scale) == len(offset)):
+        if not (len(domain) == len(scale) == len(offset)):
             raise ValueError("piece dimensions disagree")
         if any(s == 0 for s in scale):
             raise ValueError("piece scales must be nonzero")
@@ -60,11 +61,8 @@ class AffinePiece(_PieceFields):
 
     def map_box(self, box: Box) -> Box:
         """Exact affine image of an arbitrary box (not clipped to the domain)."""
-        ivs = []
-        for (lo, hi), s, o in zip(box.intervals, self.scale, self.offset):
-            a, b = o + s * lo, o + s * hi
-            ivs.append((a, b) if a <= b else (b, a))
-        return Box(tuple(ivs))
+        return Box(tuple(sorted((o + s * lo, o + s * hi)))
+                   for (lo, hi), s, o in zip(box, self.scale, self.offset))
 
     def then(self, other: "AffinePiece", domain: Box) -> "AffinePiece":
         """Composition other(self(x)) restricted to an explicitly given domain."""
@@ -97,10 +95,10 @@ class PAMap(_PAMapFields):
     def __new__(cls, ambient, pieces):
         across = ((ambient.lo, ambient.hi),) * (ambient.dim - 1)
         for i, piece in enumerate(pieces):
-            ivs = piece.domain.intervals
-            if len(ivs) != ambient.dim:
+            box = piece.domain
+            if len(box) != ambient.dim:
                 raise ValueError("piece dimension differs from ambient cube")
-            if not ivs[0][0] < ivs[0][1] or ivs[1:] != across:
+            if not box[0][0] < box[0][1] or box[1:] != across:
                 raise ValueError(f"piece domain {i} is not a slab of positive width")
         hit = find_interior_overlap([p.domain for p in pieces])
         if hit is not None:
@@ -108,14 +106,14 @@ class PAMap(_PAMapFields):
             raise ValueError(f"piece domains {i} and {j} have overlapping interiors")
         self = tuple.__new__(cls, (ambient, pieces))
         den = math.lcm(ambient.lo.denominator, ambient.hi.denominator,
-                       *{x.denominator for p in pieces for x in p.domain.intervals[0]})
+                       *{x.denominator for p in pieces for x in p.domain[0]})
 
         def lattice(x: Fraction) -> int:
             return x.numerator * (den // x.denominator)
 
-        self._slabs = sorted(pieces, key=lambda p: p.domain.intervals[0][0])
-        self._lows = [lattice(p.domain.intervals[0][0]) for p in self._slabs]
-        self._highs = [lattice(p.domain.intervals[0][1]) for p in self._slabs]
+        self._slabs = sorted(pieces, key=lambda p: p.domain[0][0])
+        self._lows = [lattice(p.domain[0][0]) for p in self._slabs]
+        self._highs = [lattice(p.domain[0][1]) for p in self._slabs]
         self._den, self._cube, self._steps = den, (lattice(ambient.lo), lattice(ambient.hi)), {}
         return self
 
@@ -155,14 +153,14 @@ class PAMap(_PAMapFields):
 
     def orbit(self, p: Point, steps: int, den: int) -> list:
         """States [x, f(x), ..., f^steps(x)] of x = p / den, state t as
-        integers over den S^t; escapes are absorbing."""
+        integers over den S^t; an orbit that escapes ends at its last state
+        before the escape."""
         S = self.step_den
-        states = [ESCAPED] * (steps + 1)  # sized once: appends would over-allocate
-        states[0] = p
+        states = [p] * (steps + 1)  # sized once: appends would over-allocate
         for t in range(steps):
             p = self.apply(p, den)
             if p is ESCAPED:
-                break
+                return states[:t + 1]
             den *= S
             states[t + 1] = p
         return states

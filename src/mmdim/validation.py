@@ -64,7 +64,7 @@ def validate_horseshoe(h: HorseshoeMap) -> tuple[CheckResult, ...]:
         if img != grid.leg_box(leg):
             images_ok = False
             detail = f"strip {l} image differs from leg {leg}"
-        if img.intervals[0] != (cube.lo, cube.hi):
+        if img[0] != (cube.lo, cube.hi):
             crossing_ok = False
     add("piece domains are exactly the odd strips", domains_ok, detail)
     add("each strip maps onto its assigned leg", images_ok, detail)
@@ -83,7 +83,7 @@ def validate_horseshoe(h: HorseshoeMap) -> tuple[CheckResult, ...]:
     a, b = cube.lo.numerator * cube.hi.denominator, cube.hi.numerator * cube.lo.denominator
     for name, corner in (("a,...,a,b", (a,) * (n - 1) + (b,)),
                          ("b,...,b,a", (b,) * (n - 1) + (a,))):
-        before, after = h.pamap.orbit(corner, 1, den)
-        add(f"corner ({name}) is fixed", after == tuple(x * S for x in before))
+        add(f"corner ({name}) is fixed",
+            h.pamap.apply(corner, den) == tuple(x * S for x in corner))
 
     return tuple(checks)

@@ -4,9 +4,10 @@
 that `verify` prints for it.  `matrix()` turns it into command lines:
 `build`, `verify` (default and `--kmax 1`), `profile` (default and
 `--kmax 30`) and `validate` on every spec; `estimate --k 1 --m 2` on every
-stacked spec, and the benchmark's `greedy_square` and `coarse_cube`
-estimates; and the refusals: specs `build` refuses, tampered, float-typed,
-format /2, /3 and /4, and invalid-JSON files, a missing file, an out-of-range `--kmax`,
+stacked spec, the benchmark's `greedy_square` and `coarse_cube` estimates,
+and the same two blocks at an `--eps` below and at their own; and the
+refusals: specs `build` refuses, tampered, float-typed, format /2, /3 and
+/4, and invalid-JSON files, a missing file, an out-of-range `--kmax`,
 refused estimates, unwritable `-o` paths, and every `--help`.
 `write_inputs(root)` writes the files those lines read, and `outputs(root)`
 runs the lines in order, in process, and returns each line's pin: the
@@ -131,9 +132,12 @@ def matrix() -> list[str]:
               if spec["kind"] in ("geometric", "quadratic", "sparse")]
     square, out = system_path("square"), "{root}/no-such-dir/out"
     lines += [
-        # the benchmark's greedy_square and coarse_cube estimates
+        # the benchmark's greedy_square and coarse_cube estimates, and the
+        # same blocks below and at their own eps (1/15), where the counts decide
         f"estimate {square} --k 1 --m 3",
         f"estimate {system_path('cube')} --k 1 --m 2 --eps 3/10",
+        f"estimate {square} --k 1 --m 3 --eps 1/20",
+        f"estimate {system_path('cube')} --k 1 --m 2 --eps 1/15",
         # an inactive block, whose row has rate 0
         f"estimate {system_path('sparse')} --k 2",
         # refused estimates: over the cylinder budget, past kMax, a bad or

@@ -29,7 +29,7 @@ Point = tuple[Fraction, ...]
 
 def box_of(*intervals: Sequence) -> Box:
     """Box from (lo, hi) pairs of anything Fraction accepts."""
-    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
+    return Box((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
 
 
 def cube_of(lo, hi, dim: int) -> Cube:
@@ -41,9 +41,9 @@ def cube_box(cube: Cube) -> Box:
 
 
 def box_contains(box: Box, p: Point) -> bool:
-    if len(p) != box.dim:
+    if len(p) != len(box):
         raise ValueError("dimension mismatch")
-    return all(lo <= x <= hi for x, (lo, hi) in zip(p, box.intervals))
+    return all(lo <= x <= hi for x, (lo, hi) in zip(p, box))
 
 
 def cube_contains(cube: Cube, p: Point) -> bool:
@@ -52,15 +52,15 @@ def cube_contains(cube: Cube, p: Point) -> bool:
 
 def is_degenerate(box: Box) -> bool:
     """True if some axis has zero width (empty interior)."""
-    return any(lo == hi for lo, hi in box.intervals)
+    return any(lo == hi for lo, hi in box)
 
 
 def box_intersect(a: Box, b: Box) -> Box | None:
     """Exact intersection; None when empty."""
-    if a.dim != b.dim:
+    if len(a) != len(b):
         raise ValueError("dimension mismatch")
     ivs = []
-    for (alo, ahi), (blo, bhi) in zip(a.intervals, b.intervals):
+    for (alo, ahi), (blo, bhi) in zip(a, b):
         lo, hi = max(alo, blo), min(ahi, bhi)
         if lo > hi:
             return None
@@ -92,16 +92,16 @@ def first_axis_sweep(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
     that mostly tile the first axis keep few open at once.
     """
     open_boxes: list[int] = []
-    for i in sorted(range(len(boxes)), key=lambda i: boxes[i].intervals[0][0]):
-        lo = boxes[i].intervals[0][0]
-        open_boxes[:] = [j for j in open_boxes if boxes[j].intervals[0][1] > lo]
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0][0]):
+        lo = boxes[i][0][0]
+        open_boxes[:] = [j for j in open_boxes if boxes[j][0][1] > lo]
         for j in open_boxes:
             yield i, j
         open_boxes.append(i)
 
 
 def box_center(box: Box) -> Point:
-    return tuple((lo + hi) / 2 for lo, hi in box.intervals)
+    return tuple((lo + hi) / 2 for lo, hi in box)
 
 
 def piece_image(piece: AffinePiece, p: Point) -> Point:
@@ -151,9 +151,8 @@ def map_orbit(pamap: PAMap, p: Point, steps: int) -> list:
     """`PAMap.orbit` of a `Fraction` point, its states as `Fraction` points:
     state t is read over den S^t."""
     x, den = lattice_point(p)
-    states = pamap.orbit(x, steps, den)
-    return [s if s is ESCAPED else fraction_point(s, den * pamap.step_den ** t)
-            for t, s in enumerate(states)]
+    return [fraction_point(s, den * pamap.step_den ** t)
+            for t, s in enumerate(pamap.orbit(x, steps, den))]
 
 
 def dist_maxnorm(x: Point, y: Point) -> Fraction:
@@ -207,7 +206,7 @@ def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:
     box = h.grid.strip_box(word[-1])
     for l in word[:-1]:
         leg_for_strip(h, l)  # KeyError: an even strip has no image
-    return Box((h.word_interval(word),) + box.intervals[1:])
+    return Box((h.word_interval(word),) + box[1:])
 
 
 def check_word(h: HorseshoeMap, word) -> None:
@@ -240,7 +239,7 @@ def enlarged_box(cube: Cube) -> Box:
     """The cube fattened by MARGIN * side per face, clipped to [0, 1]^n."""
     pad = cube.side * MARGIN
     ivs = []
-    for lo, hi in cube_box(cube).intervals:
+    for lo, hi in cube_box(cube):
         ivs.append((max(Fraction(0), lo - pad), min(Fraction(1), hi + pad)))
     return Box(tuple(ivs))
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmdim
-from mmdim import cli as cli_module, estimators, specfile, symbolic, validation
+from mmdim import cli as cli_module, estimators, horseshoe, mapping, specfile, symbolic, validation
 from mmdim.cli import main
 from mmdim.constructions import ACTIVE_ALL, ACTIVE_SELF_POWERS, Schedule
 from mmdim.specfile import (
@@ -487,6 +487,28 @@ class TestEstimate:
         result = cli(["estimate", out, "--k", "1", "--m", "2", *(["--eps", eps] if eps else [])])
         assert result.exit_code == 1, result.output
         assert result.stderr.splitlines()[-1] == "k=1 m=1 count=18 expected=27"
+
+    def test_escaping_orbits_are_scanned_on_their_common_prefix(self, cli, geometric_file,
+                                                                monkeypatch):
+        # pieces listed in reverse give `square` each strip's map on another
+        # strip's words, so orbits leave the strips and escape; the scan
+        # compares every center only on the states all orbits reach
+        patch_source(monkeypatch, horseshoe, "build_horseshoe",
+                     [("for l, leg in assignment)", "for l, leg in assignment)[::-1]")])
+        real, escapes = mapping.PAMap.apply, 0
+
+        def counted(self, p, den):
+            nonlocal escapes
+            image = real(self, p, den)
+            escapes += image is mapping.ESCAPED
+            return image
+
+        monkeypatch.setattr(mapping.PAMap, "apply", counted)
+        result = cli(["estimate", geometric_file, "--k", "1", "--m", "3"])
+        assert escapes > 0
+        assert result.exit_code == 1, result.output
+        assert "k=1 m=3 eps=1/15 count=153 seeds=729 pairs=900\n" in result.stderr
+        assert result.stderr.splitlines()[-1] == "k=1 m=3 count=153 expected=729"
 
     def test_an_eps_below_the_blocks_own_decides(self, cli, geometric_file):
         # 1/20 < 1/15: every center is kept again, and nothing is a probe

@@ -53,11 +53,14 @@ def scan_piece_for(ordered, p):
 
 def scan_orbit(ordered, p, steps):
     """Oracle orbit: `PAMap.orbit` on `Fraction` points, with every step
-    found by the linear scan and taken by plain `Fraction` arithmetic."""
+    found by the linear scan and taken by plain `Fraction` arithmetic,
+    ending at its last state before an escape."""
     states = [p]
     for _ in range(steps):
-        piece = None if states[-1] is ESCAPED else scan_piece_for(ordered, states[-1])
-        states.append(ESCAPED if piece is None else piece_image(piece, states[-1]))
+        piece = scan_piece_for(ordered, states[-1])
+        if piece is None:
+            break
+        states.append(piece_image(piece, states[-1]))
     return states
 
 
@@ -66,9 +69,8 @@ def check_lattice_orbit(pamap, ordered, x, den, steps):
     over den S^t; returns the scan's orbit."""
     want = scan_orbit(ordered, fraction_point(x, den), steps)
     got = pamap.orbit(x, steps, den)
-    assert all(type(c) is int for s in got if s is not ESCAPED for c in s)
-    assert [s if s is ESCAPED else fraction_point(s, den * pamap.step_den ** t)
-            for t, s in enumerate(got)] == want
+    assert all(type(c) is int for s in got for c in s)
+    assert [fraction_point(s, den * pamap.step_den ** t) for t, s in enumerate(got)] == want
     return want
 
 
@@ -120,7 +122,7 @@ def lookup_maps():
             hs = horseshoe_on(lo, hi, n, 3)
             maps[f"h n={n} L=3 on [{lo}, {hi}]"] = hs.pamap
             maps[f"square n={n} L=3 on [{lo}, {hi}]"] = square(hs)
-    ordered = {name: sorted(m.pieces, key=lambda piece: piece.domain.intervals)
+    ordered = {name: sorted(m.pieces, key=lambda piece: piece.domain)
                for name, m in maps.items()}
     return maps, ordered
 
@@ -133,7 +135,7 @@ def lookup_points(pamap):
     tiny = F(1, 10**9)
     axes = []
     for axis in range(dim):
-        faces = sorted({x for p in pamap.pieces for x in p.domain.intervals[axis]})
+        faces = sorted({x for p in pamap.pieces for x in p.domain[axis]})
         axes.append(st.one_of(
             st.fractions(min_value=lo - 1, max_value=hi + 1, max_denominator=50),
             st.fractions(min_value=lo, max_value=hi, max_denominator=10**6),
@@ -159,7 +161,7 @@ LATTICE_MAPS = sorted(hand_built_maps()) + [
 def lattice_unit(pamap):
     """1 / D, D the lcm of the denominators of every domain end."""
     return F(1, math.lcm(*{x.denominator for p in pamap.pieces
-                           for iv in p.domain.intervals for x in iv}))
+                           for iv in p.domain for x in iv}))
 
 
 def face_points(pamap):
@@ -169,12 +171,12 @@ def face_points(pamap):
     u = lattice_unit(pamap)
     for piece in pamap.pieces:
         center = box_center(piece.domain)
-        for axis, (lo, hi) in enumerate(piece.domain.intervals):
+        for axis, (lo, hi) in enumerate(piece.domain):
             for x in (lo - u, lo, lo + u, hi - u, hi, hi + u):
                 yield center[:axis] + (x,) + center[axis + 1:]
     for piece in pamap.pieces[::math.ceil(len(pamap.pieces) / 4)]:
         yield from itertools.product(*[(lo - u, lo, lo + u, hi - u, hi, hi + u)
-                                       for lo, hi in piece.domain.intervals])
+                                       for lo, hi in piece.domain])
 
 
 class TestIndexedLookup:
@@ -218,7 +220,7 @@ class TestIndexedLookup:
         # every first-axis cut of the squared map, at every transverse face
         maps, ordered = lookup_maps
         pamap = maps["square n=2 L=3"]
-        cuts = sorted({x for p in pamap.pieces for x in p.domain.intervals[0]})
+        cuts = sorted({x for p in pamap.pieces for x in p.domain[0]})
         ys = [F(0), F(1, 5), F(2, 5), F(1, 2), F(1)]
         for x in cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]:
             for y in ys:
@@ -288,9 +290,9 @@ def pull_back_box(h, word):
 
 
 def _piece_of(h, l):
-    target = tuple(h.grid.strip_box(l).intervals)
+    target = h.grid.strip_box(l)
     for piece in h.pamap.pieces:
-        if tuple(piece.domain.intervals) == target:
+        if piece.domain == target:
             return piece
     raise ValueError(f"no piece with domain = strip {l}")
 
@@ -386,7 +388,7 @@ class TestClosedFormStripWords:
         interval = h.word_interval(word)
         assert interval == pull_back_chain(h, word)
         assert strip_word_box(h, word) == pull_back_box(h, word)
-        assert interval == strip_word_box(h, word).intervals[0]
+        assert interval == strip_word_box(h, word)[0]
 
     @settings(max_examples=200, deadline=None)
     @given(strip_words(max_len=3), st.data())
@@ -500,13 +502,13 @@ def scan_cases(draw):
     )
     points = draw(st.lists(point, min_size=8, max_size=30))
     if draw(st.booleans()):  # survivors of step 1 only, so that t* >= 2 when m >= 2
-        points = [p for p in points if map_orbit(pamap, p, 1)[1] is not ESCAPED]
+        points = [p for p in points if len(map_orbit(pamap, p, 1)) == 2]
     seeds = seed_set(points)
     orbits = [map_orbit(pamap, p, m - 1) for p in seed_points(seeds)]
     diffs = sorted({
         abs(a - b)
         for x, y in itertools.combinations(orbits, 2)
-        for sx, sy in zip(x, y) if sx is not ESCAPED and sy is not ESCAPED
+        for sx, sy in zip(x, y)
         for a, b in zip(sx, sy) if a != b
     })
     if diffs and draw(st.booleans()):
@@ -525,16 +527,17 @@ class TestTrieScan:
 
     @pytest.mark.parametrize("name", ["unit square, squared", "[-1, 1]^2", "n=3 cube"])
     def test_escapes_at_different_steps(self, name):
-        # orbits escaping at steps 1 and 2 beside survivors that lie within
-        # eps at step 0 and separate later: t* = 1 < m, and the scan is truncated
+        # orbits escaping at steps 1 and 2 (of lengths 1 and 2) beside
+        # survivors that lie within eps at step 0 and separate later: t* = 1 < m,
+        # and the scan is truncated
         pamap, h = scan_map(name)
         words = [(1,), (2,), (1, 2), (1, 1, 1, 2), (3, 1, 1, 1), (3, 1, 1, 3)]
         seeds = seed_set(escaping_point(h, w, t) for w in words for t in (F(1, 3), F(1, 2)))
         orbits = [map_orbit(pamap, p, 2) for p in seed_points(seeds)]
-        assert {o.index(ESCAPED) if ESCAPED in o else None for o in orbits} == {1, 2, None}
+        assert {len(o) for o in orbits} == {1, 2, 3}
         eps = h.grid.cube.side / 10
         result = greedy_separated(pamap, seeds, 3, eps)
-        assert any(o[-1] is ESCAPED for o in orbits)
+        assert any(len(o) < 3 for o in orbits)
         assert result.chosen == cell_list_greedy(pamap, seeds, 3, eps)
         assert result.chosen == naive_greedy(pamap, seeds, 3, eps)
 
@@ -558,7 +561,7 @@ def orbit_map(lookup_maps, name):
     """(map, pieces in lexicographic domain order) of an `ORBIT_MAPS` entry."""
     if name.startswith("trie: "):
         pamap = scan_map(name[len("trie: "):])[0]
-        return pamap, sorted(pamap.pieces, key=lambda piece: piece.domain.intervals)
+        return pamap, sorted(pamap.pieces, key=lambda piece: piece.domain)
     maps, ordered = lookup_maps
     return maps[name], ordered[name]
 
@@ -596,12 +599,12 @@ class TestLatticeOrbit:
         # an even strip at position j of an unsquared word: the unsquared
         # orbit escapes at step j + 1, the squared one at step (j + 2) // 2
         pamap, h = scan_map(name)
-        ordered = sorted(pamap.pieces, key=lambda piece: piece.domain.intervals)
+        ordered = sorted(pamap.pieces, key=lambda piece: piece.domain)
         escapes = set()
         for j in range(6):
             for t in (F(1, 3), F(1, 2), F(5, 7)):
                 x, den = lattice_point(escaping_point(h, (1,) * j + (2,), t))
                 for steps in range(4):
                     orbit = check_lattice_orbit(pamap, ordered, x, den, steps)
-                    escapes.add(orbit.index(ESCAPED) if ESCAPED in orbit else None)
+                    escapes.add(len(orbit) if len(orbit) <= steps else None)
         assert {1, 2, 3} <= escapes

@@ -220,6 +220,14 @@ GUARDS = [
           "position, as horseshoe.square composes them; mdim_numeric_profile decides "
           "at every eps up to the block's own and builds the one line each failure "
           "prints, and its row's `decided` gives estimate's exit code"),
+    Guard("The map layer passes values", r"_BoxFields|\.intervals\b", SRC,
+          "a Box is the tuple of its per-axis intervals, so a reader indexes the box "
+          "itself and len(box) is its dimension"),
+    Guard("The map layer passes values", r"ESCAPED",
+          ("src/mmdim/estimators.py", "src/mmdim/validation.py"),
+          "PAMap.orbit ends at its last state before an escape, so the scan compares "
+          "the prefix two orbits reach and takes t* as the shortest orbit's length, "
+          "and validate checks a fixed corner with one PAMap.apply"),
 ]
 
 

@@ -67,7 +67,7 @@ class TestSubdivide:
 
     def test_strip_boxes_tile_the_cube(self):
         grid = subdivide(UNIT, 3)
-        cells = [grid.strip_box(l).intervals[0] for l in range(1, grid.strip_count + 1)]
+        cells = [grid.strip_box(l)[0] for l in range(1, grid.strip_count + 1)]
         assert sum(hi - lo for lo, hi in cells) == 1
         assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
         assert grid.odd_strip_indices() == [1, 3, 5]
@@ -165,8 +165,7 @@ class TestBuildHorseshoe:
 def prod_volume(box) -> Fraction:
     """Transverse volume: product of widths over all axes but the first."""
     out = F(1)
-    for axis in range(1, box.dim):
-        lo, hi = box.intervals[axis]
+    for lo, hi in box[1:]:
         out *= hi - lo
     return out
 

@@ -41,10 +41,12 @@ class TestEscaped:
 
         assert _Escaped() is ESCAPED
 
-    def test_absorbing(self):
-        # (2, 2) lies outside the cube: it escapes at step 1 and stays escaped
+    def test_orbit_ends_at_escape(self):
+        # (2, 2) lies outside the cube: it escapes at step 1, so its orbit is
+        # its one state
         m = identity_map()
-        assert m.orbit((2, 2), 3, 1) == [(2, 2), ESCAPED, ESCAPED, ESCAPED]
+        assert m.apply((2, 2), 1) is ESCAPED
+        assert m.orbit((2, 2), 3, 1) == [(2, 2)]
 
 
 class TestAffinePiece:
@@ -156,18 +158,12 @@ class TestPAMap:
         m = identity_map()
         assert apply_map(m, (F(2), F(2))) is ESCAPED
 
-    def test_orbit_pads_after_escape(self):
+    def test_orbit_ends_before_escape(self):
         # x -> 3x on [0, 1/3]: the point 1/4 survives one step then escapes
         piece = AffinePiece(box_of((0, F(1, 3)), (0, 1)), (F(3), F(1)), (F(0), F(0)))
         m = PAMap(cube_of(0, 1, 2), (piece,))
-        orbit = map_orbit(m, (F(1, 4), F(0)), 4)
-        assert orbit == [
-            (F(1, 4), F(0)),
-            (F(3, 4), F(0)),
-            ESCAPED,
-            ESCAPED,
-            ESCAPED,
-        ]
+        assert map_orbit(m, (F(1, 4), F(0)), 4) == [(F(1, 4), F(0)), (F(3, 4), F(0))]
+        assert m.orbit((1, 0), 4, 4) == [(1, 0), (3, 0)]
 
     def test_orbit_zero_steps(self):
         m = identity_map()
@@ -206,7 +202,7 @@ class TestHorseshoePAMap:
 
     def test_injective_within_a_strip(self, unit_square_h):
         pm = unit_square_h.pamap
-        lo, hi = unit_square_h.grid.strip_box(3).intervals[0]
+        lo, hi = unit_square_h.grid.strip_box(3)[0]
         pts = [
             (lo + F(i, 37) * (hi - lo), F(j, 11))
             for i in range(5)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mmdim.mapping import ESCAPED
 from mmdim.estimators import greedy_separated, orbits_separate
 from oracles import bowen_distance, box_center, dist_maxnorm, map_orbit, seed_set
 
@@ -85,7 +84,7 @@ class TestBowenDistance:
         x, y = (F(1, 10), F(1, 2)), (F(3, 20), F(1, 2))
         m = 2
         ox, oy = map_orbit(pm, x, m - 1), map_orbit(pm, y, m - 1)
-        assert all(s is not ESCAPED for s in ox + oy)
+        assert len(ox) == len(oy) == m  # neither escapes
         expected = max(dist_maxnorm(a, b) for a, b in zip(ox, oy))
         got = bowen_distance(pm, x, y, m)
         assert got.value == expected
@@ -146,11 +145,12 @@ class TestBowenDistance:
 
 
 class TestOrbitsSeparate:
-    def test_escaped_prefix_only(self):
-        ox = [(F(0), F(0)), ESCAPED]
+    def test_shorter_orbit_prefix_only(self):
+        # ox escapes at step 1: only the state both orbits reach is compared
+        ox = [(F(0), F(0))]
         oy = [(F(1), F(1)), (F(0), F(0))]
         assert orbits_separate(ox, oy, [F(1, 2)] * 2)
-        assert not orbits_separate([ESCAPED], [(F(0), F(0))], [F(1, 100)])
+        assert not orbits_separate(ox, [(F(0), F(0)), (F(1), F(1))], [F(1, 2)] * 2)
 
     @given(point2, point2, st.integers(min_value=1, max_value=4))
     def test_agrees_with_bowen_distance(self, unit_square_h, x, y, m):

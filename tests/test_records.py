@@ -1,7 +1,8 @@
 """The immutable records: validated constructors, value semantics, caches.
 
-Every record is a `typing.NamedTuple`; the ones with an invariant check it
-in `__new__`.  The construction records are plain values, their fields and
+Every record is a `typing.NamedTuple`, except a `Box`, which is the tuple
+of its per-axis intervals; the ones with an invariant check it in
+`__new__`.  The construction records are plain values, their fields and
 nothing else: a block's horseshoe and a cube's side are computed on each
 call.  Only a horseshoe and its map cache: they keep the tables the scan
 reads per seed and per step in the instance `__dict__`, outside the fields.
@@ -66,7 +67,8 @@ def test_validated_constructors_raise(make, error, message):
 def test_box_keeps_ordered_negative_and_mixed_ends():
     for intervals in [((F(-2, 3), F(-1, 2)),), ((-1, F(-1, 2)), (F(1, 3), 1)),
                       ((F(-1, 2), -F(1, 2)),)]:
-        assert Box(intervals).intervals == intervals
+        box = Box(intervals)
+        assert box == intervals and type(box) is Box and not hasattr(box, "__dict__")
 
 
 # The unit square's L = 3 horseshoe: kappa = 5 strips and 2 L - 1 = 5 t-cells,

@@ -204,7 +204,7 @@ class TestSelectedStrips:
                 assert len(chosen) == L and chosen[-1] <= grid.strip_count
                 eps = F(1, 2 * L - 1)
                 for a, b in zip(chosen, chosen[1:]):
-                    gap = grid.strip_box(b).intervals[0][0] - grid.strip_box(a).intervals[0][1]
+                    gap = grid.strip_box(b)[0][0] - grid.strip_box(a)[0][1]
                     assert gap >= eps
                     centers = box_center(grid.strip_box(b))[0] - box_center(grid.strip_box(a))[0]
                     assert centers > eps
@@ -234,7 +234,7 @@ class TestCylinderGeometry:
         h = unit_square_h
         box = cylinder_geometry(h, ((3, (5,)),))
         assert box == box_intersect(h.grid.strip_box(3), h.grid.leg_box((5,)))
-        assert [hi - lo for lo, hi in box.intervals] == [F(1, 5), F(1, 5)]
+        assert [hi - lo for lo, hi in box] == [F(1, 5), F(1, 5)]
 
     def test_unknown_strip_rejected(self, unit_square_h):
         with pytest.raises(ValueError, match="not an odd strip"):
@@ -246,7 +246,7 @@ class TestCylinderGeometry:
         boxes = []
         for word, box in enumerate_cylinders(h, 2):
             # each squared step divides the first-axis width by 25
-            lo, hi = box.intervals[0]
+            lo, hi = box[0]
             assert hi - lo == F(1, 125)
             # nesting: the depth-2 box refines its depth-1 prefix
             prefix = cylinder_geometry(h, word[:1])
@@ -300,7 +300,7 @@ class TestStripWordBox:
         words = list(itertools.product([1, 3, 5], repeat=2))
         boxes = [strip_word_box(h, w) for w in words]
         for w, box in zip(words, boxes):
-            lo, hi = box.intervals[0]
+            lo, hi = box[0]
             assert hi - lo == F(1, 25)
             assert box_intersect(h.grid.strip_box(w[0]), box) == box
         assert find_box_overlap(boxes) is None
