@@ -11,8 +11,8 @@ A stacked system lays its blocks along the diagonal of [0, 1]^n: block k is
 the cube [a_k, a_k + |E_k|]^n, with disjoint enlargements (a 1/10 side
 margin per face, clipped to the unit cube).  The active blocks carry an
 L_k-leg horseshoe f and the inactive ones the identity.  An active block's
-map is g = f∘f, the map `estimate` scans: at the block's own eps, f's
-separated counts grow by L_k^(n-1) per step and g's by L_k^n.
+map is g', f∘f on f's L_k selected strips (`horseshoe.square`), which
+`estimate` scans: its L_k^n pieces make its counts grow by L_k^n per step.
 
 A `System` is its parts: each is a stacked system seen through a `Chart`, a
 homothety of [0, 1]^n onto a cube inside it; everything outside the parts is

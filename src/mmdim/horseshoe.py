@@ -15,10 +15,13 @@ boustrophedon (snake) order running from the leg containing (a, ..., a, b)
 to the leg containing (b, ..., b, a), which makes those two corners fixed
 points with orientation-preserving pieces throughout.
 
-This one step f is not the block's map: block k applies g = f∘f, the map
-`square` builds and `estimate` scans.  At the block's own eps, f tells apart
-only its L^(n-1) strips, so f's separated counts grow by L^(n-1) per step,
-and g's by L^n.
+This one step f is not the block's map: block k applies g', f∘f on the L
+selected strips (`SubdivisionGrid.selected_strip_indices`), which `square`
+builds and `estimate` scans.  At the block's own eps, f tells apart only its
+L^(n-1) strips, so f's counts grow by L^(n-1) per step and those of g' by
+L^n.  Each of the L^n pieces of g' carries its slab across the whole first
+axis, so g' on its invariant set is the full shift on L^n symbols: h_top(g')
+= n ln L caps the block's growth at every eps, and escaping points add none.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class SubdivisionGrid(NamedTuple):
 
     def odd_strip_indices(self) -> list[int]:
         return list(range(1, self.strip_count + 1, 2))
+
+    def selected_strip_indices(self) -> list[int]:
+        """Every L^(n-2)-th odd strip, L of them, each 2 L^(n-2) - 1 s-cells (at
+        least one eps) from the next: the first strips of `square`'s pieces and
+        of `estimate`'s cylinders.  At n = 2 every odd strip is selected."""
+        return self.odd_strip_indices()[:: self.L ** (self.n - 2)]
 
     def strip_box(self, l: int) -> Box:
         if not 1 <= l <= self.strip_count:
@@ -174,21 +183,23 @@ def build_horseshoe(cube: Cube, L: int) -> HorseshoeMap:
 
 
 def square(h: HorseshoeMap) -> PAMap:
-    """The second iterate as an explicit piecewise-affine map.
+    """The block map g', f∘f on the selected strips, as an explicit
+    piecewise-affine map.
 
-    One piece per ordered pair of odd strips (l, l'): its domain is the part
-    of strip l that lands in strip l' after one application, and the piece is
-    the exact composition of the two strip maps, the map's own pieces, which
-    `build_horseshoe` lists in `assignment` order.  Full crossing makes that
-    domain the word (l, l')'s `word_interval` times the cube's transverse
-    sides, so there are L^(2(n-1)) pieces.
+    One piece per pair (l, l') of a selected strip l and an odd strip l': its
+    domain is the part of strip l that lands in strip l' after one
+    application, and the piece is the exact composition of the two strip
+    maps, the map's own pieces, which `build_horseshoe` lists in `assignment`
+    order.  Full crossing makes that domain the word (l, l')'s `word_interval`
+    times the cube's transverse sides, so there are L x L^(n-1) = L^n pieces.
+    Points of the other strips escape.
     """
     grid = h.grid
     by_strip = {l: piece for (l, _), piece in zip(h.assignment, h.pamap.pieces)}
     transverse = ((grid.cube.lo, grid.cube.hi),) * (grid.n - 1)
     pieces = tuple(
-        first.then(second, Box((h.word_interval((l, l2)),) + transverse))
-        for l, first in by_strip.items()
+        by_strip[l].then(second, Box((h.word_interval((l, l2)),) + transverse))
+        for l in grid.selected_strip_indices()
         for l2, second in by_strip.items()
     )
     return PAMap(grid.cube, pieces)

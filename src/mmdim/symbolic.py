@@ -11,14 +11,14 @@ process.  No decision evaluates a log: the two-block max rule
 before it returns limits, compare rationals.
 
 For block k of a stacked system (L_k legs per transverse axis) the scale is
-eps_k = |E_k| / (2 L_k - 1).  The block's map is g = f∘f, f its horseshoe:
-one step of f tells apart only its L_k^(n-1) strips at eps_k, while each
-step of g codes L_k selected strips x L_k^(n-1) legs = L_k^n cylinders, so
-depth-m words number L_k^(nm) = 3^(knm), as every block has L_k = 3^k.  The
-quotient n ln L_k / |ln eps_{k+1}| lower-bounds the dimension contribution of
-block k and n ln L_k / ln(4 (2 L_k - 1) / |E_k|) upper-bounds it; both
-converge to the same limit, which `extrapolate` gives exactly once the rows
-hold to their growth; it raises `RowFault` on the first row that does not.
+eps_k = |E_k| / (2 L_k - 1).  The block's map is g' (`horseshoe.square`), f∘f
+on the L_k selected strips of its horseshoe f: its L_k^n pieces are the L_k
+selected strips x L_k^(n-1) legs, so depth-m words number L_k^(nm) =
+3^(knm), as every block has L_k = 3^k.  The quotient n ln L_k / |ln eps_{k+1}|
+lower-bounds the dimension contribution of block k; n ln L_k /
+ln(4 (2 L_k - 1) / |E_k|) tends to the same limit but bounds nothing yet
+(ROADMAP item 30).  `extrapolate` gives that limit exactly once the rows hold
+to their growth; it raises `RowFault` on the first row that does not.
 """
 
 from __future__ import annotations
@@ -55,18 +55,6 @@ def _ln_q(q: Fraction) -> Decimal:
     return _CONTEXT.subtract(_ln(q.numerator), _ln(q.denominator))
 
 
-def _selected_strip_indices(L: int, n: int) -> list[int]:
-    """L odd strip indices of an L-leg block whose mutual gaps beat its eps.
-
-    There are L^(n-1) odd strips; taking every L^(n-2)-th one spaces the
-    selected strips at least two s-cells apart relative to the eps grid, so
-    cylinder seeds in distinct selected strips separate strictly in one
-    application.  For n = 2 every odd strip is selected.
-    """
-    stride = L ** (n - 2)
-    return [2 * j * stride + 1 for j in range(L)]
-
-
 def cylinder_geometry(h: HorseshoeMap, word: Sequence[tuple[int, tuple[int, ...]]]) -> Box:
     """Exact box of points whose squared-map itinerary follows the word, one
     (strip, leg) step per application of g.
@@ -94,21 +82,22 @@ def cylinder_geometry(h: HorseshoeMap, word: Sequence[tuple[int, tuple[int, ...]
 def enumerate_cylinders(h: HorseshoeMap, m: int) -> Iterator[tuple[tuple, Box]]:
     """All L^(n m) depth-m words over selected strips x legs, with their boxes;
     `estimate`'s seeds are the boxes' centers."""
-    strips = _selected_strip_indices(h.grid.L, h.grid.n)
-    steps = tuple(itertools.product(strips, h.grid.odd_leg_indices()))
+    grid = h.grid
+    steps = tuple(itertools.product(grid.selected_strip_indices(), grid.odd_leg_indices()))
     for word in itertools.product(steps, repeat=m):
         yield word, cylinder_geometry(h, word)
 
 
 class RateBound(NamedTuple):
-    """Separated/spanning dimension bounds for one block index, held exactly.
+    """One block index's rate and the scales it is divided by, held exactly.
 
-    Each step of the block map codes L^n cylinders, so the rate is n ln L;
+    Each step of the block map g' codes L^n cylinders, so the rate is n ln L;
     rate / lower_den, with lower_den = ln(1 / eps_next) = |ln eps_{k+1}|,
-    bounds the separated growth from below, and rate / upper_den, with
-    upper_den = ln(4 / eps_exact), the spanning growth from above.  A row of
-    zero rate (an inactive block, or the identity) has L = 1 and no eps_next,
-    and every other row is active.  The logs are evaluated only when asked for.
+    bounds the separated growth from below.  rate / upper_den, upper_den =
+    ln(4 / eps_exact), has the same limit but no lemma yet bounds the growth
+    by it (ROADMAP item 30).  A row of zero rate (an inactive block, or the
+    identity) has L = 1 and no eps_next, and every other row is active.  The
+    logs are evaluated only when asked for.
     """
 
     k: int

@@ -49,6 +49,11 @@ SPECS = {
     "cube": ({"kind": "geometric", "n": 3, "B": "1", "r": "1", "kMax": 2}, ("3/2", "3/2")),
     "geometric_n3_r2": ({"kind": "geometric", "n": 3, "B": "1", "r": "2", "kMax": 3},
                         ("1", "1")),
+    # r (n - 2) > 2: f∘f on every odd strip would outgrow the rows' rate here
+    "geometric_n3_r3": ({"kind": "geometric", "n": 3, "B": "1", "r": "3", "kMax": 3},
+                        ("3/4", "3/4")),
+    "geometric_n4_r2": ({"kind": "geometric", "n": 4, "B": "1", "r": "2", "kMax": 2},
+                        ("4/3", "4/3")),
     "quadratic": ({"kind": "quadratic", "n": 2, "B": "1", "kMax": 3}, ("2", "2")),
     "quadratic_4": ({"kind": "quadratic", "n": 2, "B": "1", "kMax": 4}, ("2", "2")),
     "quadratic_30": ({"kind": "quadratic", "n": 2, "B": "1", "kMax": 30}, ("2", "2")),

@@ -3,11 +3,13 @@
 No command runs these, so they live beside the tests rather than in the
 package: the naive Bowen distance the greedy scan's kernel is checked
 against, the unsquared word boxes and block enlargements of the acceptance
-criteria, the box intersections and the overlap sweep for boxes of any
-shape, the `Fraction` box centers, piece images and seed sets the lattice
-paths replaced, the Fraction-coercing constructors and containment tests
-the tests write their cases with, and the `argparse` parser the command line
-was read with before `mmdim.cli` read it from its own table.
+criteria, the block map on every odd strip that shows why `square` keeps
+only the selected ones, the box intersections and the overlap sweep for
+boxes of any shape, the `Fraction` box centers, piece images and seed sets
+the lattice paths replaced, the Fraction-coercing constructors and
+containment tests the tests write their cases with, and the `argparse`
+parser the command line was read with before `mmdim.cli` read it from its
+own table.
 """
 
 import argparse
@@ -199,6 +201,17 @@ def leg_for_strip(h: HorseshoeMap, l: int) -> tuple[int, ...]:
     if l not in h.leg_of:
         raise KeyError(f"strip {l} is not assigned")
     return h.leg_of[l]
+
+
+def unrestricted_square(h: HorseshoeMap) -> PAMap:
+    """f∘f on every odd strip, one piece per ordered pair of odd strips, so
+    L^(2(n-1)) pieces: the block map before `horseshoe.square` kept only the
+    selected first strips.  At n >= 3 and small eps its separated counts grow
+    by L^(2(n-1)) per step, past the L^n that a profile row's rate counts."""
+    pieces = tuple(zip((l for l, _ in h.assignment), h.pamap.pieces))
+    return PAMap(h.grid.cube, tuple(
+        first.then(second, Box((h.word_interval((l, l2)),) + first.domain[1:]))
+        for l, first in pieces for l2, second in pieces))
 
 
 def strip_word_box(h: HorseshoeMap, word: Sequence[int]) -> Box:

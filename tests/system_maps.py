@@ -2,9 +2,10 @@
 and the systems those tests step.
 
 No command steps a whole system: the scans run one block's map, so this
-map lives with the tests.  Inside an active block it is the block map
-g = f∘f, the squared horseshoe that `estimate` scans (`horseshoe.square`);
-inside an inactive block and outside every block it is the identity.  A
+map lives with the tests.  Inside an active block it is the block map g',
+f∘f on the horseshoe's selected strips, which `estimate` scans
+(`horseshoe.square`), and points of the other strips escape; inside an
+inactive block and outside every block it is the identity.  A
 system steps a point through the first part whose chart holds it, conjugated
 by that chart: the point is taken to the part's unit cube, stepped there, and
 taken back.  So points on the boundary the two corner charts of a two-block
@@ -39,7 +40,8 @@ def two_block_system(alpha, beta, n: int, k_max: int) -> System:
 
 @functools.cache
 def block_map(block):
-    """g = f∘f for the block's horseshoe f: the map `estimate` scans."""
+    """g' for the block's horseshoe f, f∘f on its selected strips: the map
+    `estimate` scans."""
     return square(block.geometry())
 
 

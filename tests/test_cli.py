@@ -480,8 +480,8 @@ class TestEstimate:
         # stride 1 selects three adjacent odd strips of the n = 3 cube's nine,
         # which block 1's eps 1/15 does not tell apart; points more than 1/15
         # apart are more than 1/20 apart, so each --eps decides as none does
-        monkeypatch.setattr(symbolic, "_selected_strip_indices",
-                            lambda L, n: [2 * j + 1 for j in range(L)])
+        monkeypatch.setattr(horseshoe.SubdivisionGrid, "selected_strip_indices",
+                            lambda grid: [2 * j + 1 for j in range(grid.L)])
         out = str(tmp_path / "cube.json")
         assert cli(["build", tmp_spec(**SPECS["cube"][0]), "-o", out]).exit_code == 0
         result = cli(["estimate", out, "--k", "1", "--m", "2", *(["--eps", eps] if eps else [])])

@@ -248,7 +248,8 @@ class TestBuildStacked:
 
 
 class TestBlockMap:
-    """The system's map on block k is g = f∘f, the map `estimate` scans.
+    """The system's map on block k is g', f∘f on the selected strips, the map
+    `estimate` scans.
 
     At the block's own eps its L^(n m) depth-m cylinder centers are pairwise
     separated under g's Bowen distance, so its separated counts grow by L^n

@@ -257,12 +257,14 @@ def preimage_box(piece, box):
 
 
 def preimage_square(h):
-    """Oracle: the squared map with each piece's domain found as the preimage
-    of the second strip under the first strip's piece."""
+    """Oracle: the block map g' with each piece's domain found as the preimage
+    of the second strip under the first strip's piece, the first strip one of
+    the L strips 2 j L^(n-2) + 1 and the second any odd strip."""
     grid = h.grid
     by_strip = {l: _piece_of(h, l) for l, _ in h.assignment}
     pieces = []
-    for l, first in by_strip.items():
+    for l in (2 * j * grid.L ** (grid.n - 2) + 1 for j in range(grid.L)):
+        first = by_strip[l]
         for l2, second in by_strip.items():
             domain = preimage_box(first, grid.strip_box(l2))
             assert domain is not None and not is_degenerate(domain)

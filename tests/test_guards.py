@@ -228,6 +228,14 @@ GUARDS = [
           "PAMap.orbit ends at its last state before an escape, so the scan compares "
           "the prefix two orbits reach and takes t* as the shortest orbit's length, "
           "and validate checks a fixed corner with one PAMap.apply"),
+    Guard("One strip selection, owned by the horseshoe", r"_selected_strip_indices", SRC,
+          "SubdivisionGrid.selected_strip_indices is the one choice of the L strips "
+          "that both horseshoe.square's pieces and enumerate_cylinders' seeds start "
+          "from, so the block map has exactly the L^n pieces its rate counts"),
+    Guard("One strip selection, owned by the horseshoe", r"stride",
+          ("src/mmdim/symbolic.py",),
+          "the symbolic layer reads the selection from h.grid and states no stride "
+          "of its own that the map could disagree with"),
 ]
 
 

@@ -90,6 +90,42 @@ class TestSubdivide:
             subdivide(cube_of(0, 1, 1), 3)
 
 
+class TestSelectedStrips:
+    @staticmethod
+    def selected(L, n):
+        return subdivide(cube_of(0, 1, n), L).selected_strip_indices()
+
+    def test_planar_selects_all_odd(self):
+        assert self.selected(3, 2) == [1, 3, 5]
+        assert self.selected(5, 2) == [1, 3, 5, 7, 9]
+        assert self.selected(9, 2) == [1, 3, 5, 7, 9, 11, 13, 15, 17]
+
+    def test_higher_dimension_strides(self):
+        assert self.selected(3, 3) == [1, 7, 13]
+        assert self.selected(5, 3) == [1, 11, 21, 31, 41]
+
+    def test_gaps_beat_eps(self):
+        # consecutive selected strips of the unit-cube block leave a gap of
+        # at least eps = side/(2L - 1) edge to edge, so their centers are
+        # strictly separated
+        for L in (3, 5, 7):
+            for n in (2, 3):
+                grid = subdivide(cube_of(0, 1, n), L)
+                chosen = grid.selected_strip_indices()
+                assert len(chosen) == L and chosen[-1] <= grid.strip_count
+                eps = F(1, 2 * L - 1)
+                for a, b in zip(chosen, chosen[1:]):
+                    gap = grid.strip_box(b)[0][0] - grid.strip_box(a)[0][1]
+                    assert gap >= eps
+                    centers = box_center(grid.strip_box(b))[0] - box_center(grid.strip_box(a))[0]
+                    assert centers > eps
+
+    def test_count_is_three_to_the_k(self):
+        # the default leg schedule L_k = 3^k selects 3^k strips
+        for k in (1, 2, 3):
+            assert len(self.selected(3**k, 4)) == 3**k
+
+
 class TestBoustrophedon:
     def test_planar_order_descends(self):
         assert boustrophedon_legs(3, 2) == [(5,), (3,), (1,)]

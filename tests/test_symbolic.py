@@ -32,7 +32,6 @@ from mmdim.symbolic import (
     _ln_q,
     _rank,
     RateBound,
-    _selected_strip_indices,
     _stacked_bound,
     _stacked_fault,
     cylinder_geometry,
@@ -46,7 +45,6 @@ from oracles import (
     box_center,
     box_contains,
     box_intersect,
-    cube_of,
     find_box_overlap,
     strip_word_box,
 )
@@ -179,40 +177,6 @@ class TestEpsSchedule:
                 assert row.eps_exact == block.cube.side / (2 * block.L - 1)
             for row, after in zip(rows, rows[1:]):
                 assert row.eps_next == (after.eps_exact if row.L != 1 else None)
-
-
-class TestSelectedStrips:
-    def test_planar_selects_all_odd(self):
-        assert _selected_strip_indices(3, 2) == [1, 3, 5]
-        assert _selected_strip_indices(5, 2) == [1, 3, 5, 7, 9]
-        assert _selected_strip_indices(9, 2) == [1, 3, 5, 7, 9, 11, 13, 15, 17]
-
-    def test_higher_dimension_strides(self):
-        assert _selected_strip_indices(3, 3) == [1, 7, 13]
-        assert _selected_strip_indices(5, 3) == [1, 11, 21, 31, 41]
-
-    def test_gaps_beat_eps(self):
-        # consecutive selected strips of the unit-cube block leave a gap of
-        # at least eps = side/(2L - 1) edge to edge, so their centers are
-        # strictly separated
-        from mmdim.horseshoe import subdivide
-
-        for L in (3, 5, 7):
-            for n in (2, 3):
-                grid = subdivide(cube_of(0, 1, n), L)
-                chosen = _selected_strip_indices(L, n)
-                assert len(chosen) == L and chosen[-1] <= grid.strip_count
-                eps = F(1, 2 * L - 1)
-                for a, b in zip(chosen, chosen[1:]):
-                    gap = grid.strip_box(b)[0][0] - grid.strip_box(a)[0][1]
-                    assert gap >= eps
-                    centers = box_center(grid.strip_box(b))[0] - box_center(grid.strip_box(a))[0]
-                    assert centers > eps
-
-    def test_count_is_three_to_the_k(self):
-        # the default leg schedule L_k = 3^k selects 3^k strips
-        for k in (1, 2, 3):
-            assert len(_selected_strip_indices(3**k, 4)) == 3**k
 
 
 def follows_itinerary(h, sq, word, p) -> bool:
